@@ -6,13 +6,13 @@ shards for BinMD, executed on the node's process pool) buys wall-clock
 on a multi-core host:
 
 * correctness (always): the sharded panel's histograms are
-  bit-identical to the 1-shard baseline — sharding is an execution
+  bit-identical to the 1-shard baseline (the in-memory ``vectorized``
+  loop, whose batch bodies the shards run) — sharding is an execution
   detail, never a numerics detail;
 * performance (multi-core hosts only): the sharded panel is >= 1.5x
-  faster than the strongest single-level CPU configuration (the
-  ``threads`` back end).  Single-core hosts **skip** the speedup
-  assertion (no win is physically possible there) but still check the
-  numerics, so the smoke never rots.
+  faster than that single-level baseline.  Single-core hosts **skip**
+  the speedup assertion (no win is physically possible there) but
+  still check the numerics, so the smoke never rots.
 """
 
 import os
@@ -63,7 +63,7 @@ def test_sharded_speedup(panel):
         "shard_scaling",
         format_table(
             f"Intra-run shard scaling (Benzil panel, {panel.n_shards} shards"
-            f" on {panel.workers} workers vs 1-shard threads)",
+            f" on {panel.workers} workers vs 1-shard vectorized)",
             ["stage", "1-shard (s)", f"x{panel.n_shards} shards (s)",
              "speedup"],
             rows,
@@ -77,5 +77,5 @@ def test_sharded_speedup(panel):
         )
     assert panel.speedup("Total") >= MIN_SPEEDUP, (
         f"sharded panel only {panel.speedup('Total'):.2f}x vs 1-shard "
-        f"threads (bar: {MIN_SPEEDUP}x on {cores} cores)"
+        f"vectorized (bar: {MIN_SPEEDUP}x on {cores} cores)"
     )

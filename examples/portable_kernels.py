@@ -4,7 +4,7 @@ The paper's pitch is that application scientists write one kernel and
 run it on every back end.  This example implements a new analysis
 kernel — the radial (powder) average of a reduced cross-section — as a
 :class:`repro.jacc.Kernel` with both a scalar and a data-parallel body,
-and runs it unchanged on serial, threads and the device back end,
+and runs it unchanged on every registered back end,
 checking the results agree and timing each engine.
 
 Run:  python examples/portable_kernels.py
@@ -15,34 +15,44 @@ import time
 import numpy as np
 
 from repro.bench.workloads import benzil_corelli, build_workload
+from repro.core.grid import HKLGrid
+from repro.core.hist3 import Hist3
 from repro.jacc import Kernel, available_backends, parallel_for
-from repro.jacc.atomic import atomic_add
 from repro.jacc.kernels import make_captures
 from repro.proxy import MiniVatesConfig, MiniVatesWorkflow
 
 
+def radial_element(ctx, i):
+    """Scalar body: one lane per flattened 2-D bin, one atomic push of
+    its intensity (and a count) at its radius."""
+    value = ctx.values[i]
+    if value != value:  # NaN: bin had no normalization
+        return
+    r = ctx.radii[i]
+    ctx.sums.push(r, 0.0, 0.0, value)
+    ctx.counts.push(r, 0.0, 0.0, 1.0)
+
+
+def radial_batch(ctx, dims):
+    """Data-parallel body: every bin at once, atomic scatter-add."""
+    good = ~np.isnan(ctx.values)
+    coords = np.zeros((int(good.sum()), 3))
+    coords[:, 0] = ctx.radii[good]
+    ctx.sums.push_many(coords, ctx.values[good])
+    ctx.counts.push_many(coords, 1.0)
+
+
 def radial_average_kernel() -> Kernel:
-    """Histogram every (H, K) bin's intensity by its radius |c|."""
+    """Histogram every (H, K) bin's intensity by its radius |c|.
 
-    def element(ctx, i):
-        # one lane per flattened 2-D bin
-        value = ctx.values[i]
-        if value != value:  # NaN: bin had no normalization
-            return
-        r = ctx.radii[i]
-        b = int(r / ctx.dr)
-        if b < ctx.n_radial:
-            ctx.sums[b] += value
-            ctx.counts[b] += 1.0
-
-    def batch(ctx, dims):
-        good = ~np.isnan(ctx.values)
-        b = (ctx.radii / ctx.dr).astype(np.int64)
-        good &= b < ctx.n_radial
-        atomic_add(ctx.sums, b[good], ctx.values[good])
-        atomic_add(ctx.counts, b[good], 1.0)
-
-    return Kernel(name="radial_average", element=element, batch=batch)
+    Accumulating through :class:`~repro.core.hist3.Hist3` (not raw
+    arrays) is what makes the kernel portable: every back end deposits
+    histogram pushes correctly, the process-pool one included.  The
+    bodies are module-level functions because the multiprocess back end
+    ships element bodies to its workers by reference.
+    """
+    return Kernel(name="radial_average", element=radial_element,
+                  batch=radial_batch)
 
 
 def main() -> None:
@@ -69,23 +79,22 @@ def main() -> None:
     values = cross.slice2d(axis=2, index=0).ravel()
     n_radial = 60
     dr = float(radii.max() / n_radial) + 1e-12
+    # a 1-D grid over |c|: n_radial bins of width dr
+    radial = HKLGrid(basis=np.eye(3), minimum=(0.0, -0.5, -0.5),
+                     maximum=(n_radial * dr, 0.5, 0.5), bins=(n_radial, 1, 1))
 
     kernel = radial_average_kernel()
     profiles = {}
     for backend in available_backends():
-        sums = np.zeros(n_radial)
-        counts = np.zeros(n_radial)
-        captures = make_captures(
-            values=values, radii=radii, sums=sums, counts=counts,
-            dr=dr, n_radial=n_radial,
-        )
+        sums, counts = Hist3(radial), Hist3(radial)
+        captures = make_captures(values=values, radii=radii, sums=sums,
+                                 counts=counts)
         t0 = time.perf_counter()
         parallel_for(values.shape[0], kernel, captures, backend=backend)
         dt = time.perf_counter() - t0
-        with np.errstate(invalid="ignore"):
-            profiles[backend] = (np.divide(sums, counts,
-                                           out=np.full(n_radial, np.nan),
-                                           where=counts > 0), dt)
+        s, c = sums.signal.ravel(), counts.signal.ravel()
+        profiles[backend] = (np.divide(s, c, out=np.full(n_radial, np.nan),
+                                       where=c > 0), dt)
 
     reference, _ = profiles["serial"]
     print(f"{'back end':<12} {'WCT':>10}   result")

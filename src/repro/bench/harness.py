@@ -351,7 +351,8 @@ class ShardedPanel:
     ``baseline`` runs the single-level Algorithm 1 loop; ``sharded``
     fans each run out over ``n_shards`` intra-run shards on the local
     process pool.  The histograms are bit-identical by construction
-    (the replay is serial-order); only the time differs — on a
+    (shards replay the in-memory batch deposit order); only the time
+    differs — on a
     multi-core host the sharded panel should win, which the
     ``benchmarks/test_shard_scaling.py`` smoke asserts (and skips on
     single-core hosts, where no win is possible).
@@ -373,7 +374,7 @@ def run_sharded_panel(
     data: WorkloadData,
     *,
     files: Optional[int] = None,
-    baseline_backend: str = "threads",
+    baseline_backend: str = "vectorized",
     n_shards: int = 4,
     workers: Optional[int] = None,
     tracer: Optional[_trace.Tracer] = None,
@@ -381,10 +382,10 @@ def run_sharded_panel(
     """Measure the intra-run shard fan-out against the 1-shard loop.
 
     Both passes use fresh private geometry caches so neither side gets
-    a warm-path advantage; the sharded pass runs with the serial
-    element bodies fanned over the process pool, the baseline with
-    ``baseline_backend`` (default ``threads`` — the strongest
-    single-level CPU configuration, per the ISSUE's acceptance bar).
+    a warm-path advantage; the sharded pass runs the batch bodies
+    fanned over the process pool, the baseline the single-level loop on
+    ``baseline_backend`` (default ``vectorized``, the process default
+    and the back end whose results shards reproduce bit for bit).
     """
     from repro.core.sharding import ShardConfig
 

@@ -147,7 +147,9 @@ def _add_shard_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--shards", type=int, default=None, metavar="N",
                    help="fan each run's MDNorm out over N detector shards "
                         "and its BinMD over N event shards on the local "
-                        "process pool (bit-identical for every N)")
+                        "process pool; shards run the batch bodies and "
+                        "match in-memory vectorized bit for bit, for "
+                        "every N")
     g.add_argument("--shard-workers", type=int, default=None, metavar="W",
                    help="process-pool width for the shard fan-out "
                         "(default REPRO_NUM_PROCS or the CPU count)")

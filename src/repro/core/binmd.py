@@ -69,22 +69,16 @@ def _bin_events_batch(ctx: Captures, dims: tuple[int, int]) -> None:
     entry: Optional[BinMDEntry] = getattr(ctx, "binmd_entry", None)
 
     if entry is not None:
-        flat_signal = hist.flat_signal
-        flat_err = hist.flat_error_sq
         for n in range(n_ops):
             op_flat = entry.flat_idx[n]
             op_inside = entry.inside[n]
             for start in range(0, n_events, tile):
                 stop = min(start + tile, n_events)
                 inside = op_inside[start:stop]
-                idx = op_flat[start:stop][inside]
-                Hist3._scatter(
-                    flat_signal, idx, weights[start:stop][inside], ctx.scatter_impl
+                hist.push_flat(
+                    op_flat[start:stop][inside], weights[start:stop][inside],
+                    err_sq[start:stop][inside], scatter_impl=ctx.scatter_impl,
                 )
-                if flat_err is not None:
-                    Hist3._scatter(
-                        flat_err, idx, err_sq[start:stop][inside], ctx.scatter_impl
-                    )
         return
 
     collect: Optional[BinMDEntry] = getattr(ctx, "binmd_collect", None)

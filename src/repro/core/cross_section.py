@@ -20,7 +20,7 @@ paper's stage names (UpdateEvents / MDNorm / BinMD / Total).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,7 +113,7 @@ def _is_lazy(events: Any) -> bool:
 
 
 #: degenerate fan-out for out-of-core runs reduced without ``--shards``:
-#: the record/replay machinery still cuts the run into budget-capped,
+#: the shard machinery still cuts the run into budget-capped,
 #: chunk-aligned windows (bit-identical for every cut), it just does so
 #: in-process with no pool
 _OOC_FALLBACK = ShardConfig(n_shards=1, workers=1)
@@ -147,6 +147,128 @@ def _shard_beat(
         )
 
     return beat
+
+
+def _run_step(
+    load_run: Callable[[int], MDEventWorkspace],
+    grid: HKLGrid,
+    point_group: PointGroup,
+    flux: FluxSpectrum,
+    det_directions: np.ndarray,
+    solid_angles: np.ndarray,
+    *,
+    comm: Comm,
+    backend: Optional[str],
+    sort_impl: str,
+    scatter_impl: str,
+    timings: StageTimings,
+    binmd_impl: Optional[Callable],
+    mdnorm_impl: Optional[Callable],
+    cache: GeomCache,
+    shards: Optional[ShardConfig],
+) -> Callable[[int, Hist3, Hist3], MDEventWorkspace]:
+    """Algorithm 1's loop body, shared by the fail-fast and recovering
+    loops: ``step(i, binmd_hist, mdnorm_hist)`` loads run ``i`` (the
+    timed UpdateEvents stage) and accumulates its MDNorm and BinMD into
+    the given histograms — through the ``*_impl`` override, the shard
+    executor (``shards``, or an out-of-core table), or the in-memory
+    kernel — and returns the run's workspace."""
+    monitor = _monitor.active_monitor()
+
+    def step(i: int, binmd_hist: Hist3, mdnorm_hist: Hist3) -> MDEventWorkspace:
+        with timings.stage("UpdateEvents"):
+            ws = load_run(i)
+        if ws.ub_matrix is None:
+            raise ValidationError(
+                f"run index {i} carries no UB matrix; Algorithm 1 needs it"
+            )
+        event_transforms = grid.transforms_for(ws.ub_matrix, point_group)
+        traj_transforms = grid.transforms_for(
+            ws.ub_matrix, point_group, goniometer=ws.goniometer
+        )
+        tag = f"run:{i}"
+        if monitor.enabled:
+            monitor.heartbeat(comm.rank, site=f"run:{i}/MDNorm")
+        with timings.stage("MDNorm"):
+            _faults.fault_point("kernel.mdnorm", run=i)
+            args = (mdnorm_hist, traj_transforms, det_directions,
+                    solid_angles, flux, ws.momentum_band)
+            if mdnorm_impl is not None:
+                mdnorm_impl(*args, charge=ws.proton_charge)
+            elif shards is not None:
+                sharded_mdnorm(
+                    *args, shards=shards, charge=ws.proton_charge,
+                    backend=backend, cache=cache, cache_tag=tag, run=i,
+                    on_shard=_shard_beat(monitor, comm, i, "MDNorm"),
+                )
+            else:
+                mdnorm(
+                    *args, charge=ws.proton_charge, backend=backend,
+                    sort_impl=sort_impl, scatter_impl=scatter_impl,
+                    cache=cache, cache_tag=tag,
+                )
+        if monitor.enabled:
+            monitor.heartbeat(comm.rank, site=f"run:{i}/BinMD")
+        with timings.stage("BinMD"):
+            _faults.fault_point("kernel.binmd", run=i)
+            if binmd_impl is not None:
+                binmd_impl(binmd_hist, ws.events, event_transforms)
+            elif shards is not None or _is_lazy(ws.events):
+                sharded_binmd(
+                    binmd_hist, ws.events, event_transforms,
+                    shards=shards or _OOC_FALLBACK, run=i,
+                    on_shard=_shard_beat(monitor, comm, i, "BinMD"),
+                )
+            else:
+                bin_events(
+                    binmd_hist, ws.events, event_transforms,
+                    backend=backend, scatter_impl=scatter_impl,
+                    cache=cache, cache_tag=tag,
+                )
+        return ws
+
+    return step
+
+
+def _fold_runs(
+    grid: HKLGrid,
+    deltas: Iterable[Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]],
+) -> Tuple[Hist3, Hist3]:
+    """The one fold of per-run deltas ``(binmd signal, binmd error_sq,
+    mdnorm signal)``, summed in the order given — ascending run order
+    for every caller, so the float association is independent of rank
+    layout, crashes, steals and resume points."""
+    binmd_total = np.zeros(tuple(grid.bins), dtype=np.float64)
+    err_total = np.zeros(tuple(grid.bins), dtype=np.float64)
+    mdnorm_total = np.zeros(tuple(grid.bins), dtype=np.float64)
+    have_err = True
+    for binmd_signal, binmd_error_sq, mdnorm_signal in deltas:
+        binmd_total += binmd_signal
+        if binmd_error_sq is not None:
+            err_total += binmd_error_sq
+        else:
+            have_err = False
+        mdnorm_total += mdnorm_signal
+    return (
+        Hist3(grid, signal=binmd_total,
+              error_sq=err_total if have_err else None),
+        Hist3(grid, signal=mdnorm_total),
+    )
+
+
+def _fold_from_checkpoint(ckpt: Any, grid: HKLGrid) -> Tuple[Hist3, Hist3]:
+    """Fold every checkpointed run delta in ascending run order and mark
+    the campaign complete (the recovering and stealing executors' final
+    combine when a checkpoint manager is configured)."""
+    out = _fold_runs(grid, (
+        (d.binmd_signal, d.binmd_error_sq, d.mdnorm_signal)
+        for d in (ckpt.load_run(i, grid) for i in ckpt.completed_runs())
+    ))
+    ckpt.mark_campaign_complete(
+        f"runs={len(ckpt.completed_runs())} "
+        f"quarantined={len(ckpt.quarantined_runs())}\n"
+    )
+    return out
 
 
 def compute_cross_section(
@@ -213,8 +335,9 @@ def compute_cross_section(
         shards and its BinMD over event shards on the node-local
         process pool (:func:`repro.core.sharding.sharded_mdnorm` /
         :func:`~repro.core.sharding.sharded_binmd`) — the second level
-        of the hierarchical decomposition.  The result is bit-identical
-        to the unsharded serial loop for every shard/worker count;
+        of the hierarchical decomposition.  Shards run the kernels'
+        batch bodies, so the result is bit-identical to the unsharded
+        ``vectorized`` loop for every shard/worker count;
         ``None`` keeps the single-level loop byte-for-byte.  Ignored
         for a stage whose ``*_impl`` override is set (the override owns
         its own parallelism).
@@ -251,20 +374,22 @@ def compute_cross_section(
             "schedule is only meaningful with a dynamic executor "
             "(got executor=%r)" % (executor,)
         )
-    if recovery is not None:
-        return _compute_cross_section_recovering(
-            load_run, n_runs, grid, point_group, flux,
-            det_directions, solid_angles,
-            comm=comm, backend=backend, sort_impl=sort_impl,
-            scatter_impl=scatter_impl, timings=timings,
-            binmd_impl=binmd_impl, mdnorm_impl=mdnorm_impl,
-            cache=cache, recovery=recovery, shards=shards,
-            run_weights=run_weights,
-        )
     require(n_runs >= 1, "need at least one run")
     cache = _gc.resolve(cache)
     comm = comm or SequentialComm()
     timings = timings or StageTimings(label=f"cross-section[{backend or 'default'}]")
+    step = _run_step(
+        load_run, grid, point_group, flux, det_directions, solid_angles,
+        comm=comm, backend=backend, sort_impl=sort_impl,
+        scatter_impl=scatter_impl, timings=timings, binmd_impl=binmd_impl,
+        mdnorm_impl=mdnorm_impl, cache=cache, shards=shards,
+    )
+    if recovery is not None:
+        return _compute_cross_section_recovering(
+            step, n_runs, grid, comm=comm, backend=backend, timings=timings,
+            cache=cache, recovery=recovery, shards=shards,
+            run_weights=run_weights,
+        )
     tracer = _trace.active_tracer()
 
     binmd_hist = Hist3(grid, track_errors=True)
@@ -290,84 +415,7 @@ def compute_cross_section(
                     monitor.heartbeat(
                         comm.rank, site=f"run:{i}/UpdateEvents", run=i
                     )
-                with timings.stage("UpdateEvents"):
-                    ws = load_run(i)
-                if ws.ub_matrix is None:
-                    raise ValidationError(
-                        f"run index {i} carries no UB matrix; Algorithm 1 needs it"
-                    )
-                event_transforms = grid.transforms_for(ws.ub_matrix, point_group)
-                traj_transforms = grid.transforms_for(
-                    ws.ub_matrix, point_group, goniometer=ws.goniometer
-                )
-                if monitor.enabled:
-                    monitor.heartbeat(comm.rank, site=f"run:{i}/MDNorm")
-                with timings.stage("MDNorm"):
-                    if mdnorm_impl is not None:
-                        mdnorm_impl(
-                            mdnorm_hist,
-                            traj_transforms,
-                            det_directions,
-                            solid_angles,
-                            flux,
-                            ws.momentum_band,
-                            charge=ws.proton_charge,
-                        )
-                    elif shards is not None:
-                        sharded_mdnorm(
-                            mdnorm_hist,
-                            traj_transforms,
-                            det_directions,
-                            solid_angles,
-                            flux,
-                            ws.momentum_band,
-                            shards=shards,
-                            charge=ws.proton_charge,
-                            backend=backend,
-                            cache=cache,
-                            cache_tag=f"run:{i}",
-                            run=i,
-                            on_shard=_shard_beat(monitor, comm, i, "MDNorm"),
-                        )
-                    else:
-                        mdnorm(
-                            mdnorm_hist,
-                            traj_transforms,
-                            det_directions,
-                            solid_angles,
-                            flux,
-                            ws.momentum_band,
-                            charge=ws.proton_charge,
-                            backend=backend,
-                            sort_impl=sort_impl,
-                            scatter_impl=scatter_impl,
-                            cache=cache,
-                            cache_tag=f"run:{i}",
-                        )
-                if monitor.enabled:
-                    monitor.heartbeat(comm.rank, site=f"run:{i}/BinMD")
-                with timings.stage("BinMD"):
-                    if binmd_impl is not None:
-                        binmd_impl(binmd_hist, ws.events, event_transforms)
-                    elif shards is not None or _is_lazy(ws.events):
-                        sharded_binmd(
-                            binmd_hist,
-                            ws.events,
-                            event_transforms,
-                            shards=shards if shards is not None else _OOC_FALLBACK,
-                            run=i,
-                            on_shard=_shard_beat(monitor, comm, i, "BinMD"),
-                        )
-                    else:
-                        bin_events(
-                            binmd_hist,
-                            ws.events,
-                            event_transforms,
-                            backend=backend,
-                            scatter_impl=scatter_impl,
-                            cache=cache,
-                            cache_tag=f"run:{i}",
-                        )
+                ws = step(i, binmd_hist, mdnorm_hist)
                 if monitor.enabled:
                     monitor.run_completed(
                         comm.rank, i, events=float(_n_events(ws))
@@ -413,25 +461,17 @@ def compute_cross_section(
 # ---------------------------------------------------------------------------
 
 def _compute_cross_section_recovering(
-    load_run: Callable[[int], MDEventWorkspace],
+    step: Callable[[int, Hist3, Hist3], MDEventWorkspace],
     n_runs: int,
     grid: HKLGrid,
-    point_group: PointGroup,
-    flux: FluxSpectrum,
-    det_directions: np.ndarray,
-    solid_angles: np.ndarray,
     *,
-    comm: Optional[Comm],
+    comm: Comm,
     backend: Optional[str],
-    sort_impl: str,
-    scatter_impl: str,
-    timings: Optional[StageTimings],
-    binmd_impl: Optional[Callable],
-    mdnorm_impl: Optional[Callable],
-    cache: Optional[GeomCache],
+    timings: StageTimings,
+    cache: GeomCache,
     recovery: RecoveryConfig,
-    shards: Optional[ShardConfig] = None,
-    run_weights: Optional[Sequence[float]] = None,
+    shards: Optional[ShardConfig],
+    run_weights: Optional[Sequence[float]],
 ) -> CrossSectionResult:
     """Algorithm 1 under the failure model.
 
@@ -464,10 +504,6 @@ def _compute_cross_section_recovering(
       during the takeover phase is *not* re-redistributed — it fails
       loudly through the runner (double-fault policy).
     """
-    require(n_runs >= 1, "need at least one run")
-    cache = _gc.resolve(cache)
-    comm = comm or SequentialComm()
-    timings = timings or StageTimings(label=f"cross-section[{backend or 'default'}]")
     tracer = _trace.active_tracer()
     ckpt = recovery.checkpoint
 
@@ -493,62 +529,7 @@ def _compute_cross_section_recovering(
             _faults.fault_point("run", run=i)
             scratch_b = Hist3(grid, track_errors=True)
             scratch_m = Hist3(grid)
-            with timings.stage("UpdateEvents"):
-                ws = load_run(i)
-            if ws.ub_matrix is None:
-                raise ValidationError(
-                    f"run index {i} carries no UB matrix; Algorithm 1 needs it"
-                )
-            event_transforms = grid.transforms_for(ws.ub_matrix, point_group)
-            traj_transforms = grid.transforms_for(
-                ws.ub_matrix, point_group, goniometer=ws.goniometer
-            )
-            if monitor.enabled:
-                monitor.heartbeat(comm.rank, site=f"run:{i}/MDNorm")
-            with timings.stage("MDNorm"):
-                _faults.fault_point("kernel.mdnorm", run=i)
-                if mdnorm_impl is not None:
-                    mdnorm_impl(
-                        scratch_m, traj_transforms, det_directions,
-                        solid_angles, flux, ws.momentum_band,
-                        charge=ws.proton_charge,
-                    )
-                elif shards is not None:
-                    sharded_mdnorm(
-                        scratch_m, traj_transforms, det_directions,
-                        solid_angles, flux, ws.momentum_band,
-                        shards=shards, charge=ws.proton_charge,
-                        backend=backend, cache=cache, cache_tag=f"run:{i}",
-                        run=i,
-                        on_shard=_shard_beat(monitor, comm, i, "MDNorm"),
-                    )
-                else:
-                    mdnorm(
-                        scratch_m, traj_transforms, det_directions,
-                        solid_angles, flux, ws.momentum_band,
-                        charge=ws.proton_charge, backend=backend,
-                        sort_impl=sort_impl, scatter_impl=scatter_impl,
-                        cache=cache, cache_tag=f"run:{i}",
-                    )
-            if monitor.enabled:
-                monitor.heartbeat(comm.rank, site=f"run:{i}/BinMD")
-            with timings.stage("BinMD"):
-                _faults.fault_point("kernel.binmd", run=i)
-                if binmd_impl is not None:
-                    binmd_impl(scratch_b, ws.events, event_transforms)
-                elif shards is not None or _is_lazy(ws.events):
-                    sharded_binmd(
-                        scratch_b, ws.events, event_transforms,
-                        shards=shards if shards is not None else _OOC_FALLBACK,
-                        run=i,
-                        on_shard=_shard_beat(monitor, comm, i, "BinMD"),
-                    )
-                else:
-                    bin_events(
-                        scratch_b, ws.events, event_transforms,
-                        backend=backend, scatter_impl=scatter_impl,
-                        cache=cache, cache_tag=f"run:{i}",
-                    )
+            ws = step(i, scratch_b, scratch_m)
             events_seen[i] = _n_events(ws)
             return scratch_b, scratch_m
 
@@ -727,25 +708,7 @@ def _compute_cross_section_recovering(
                     timings=timings, n_runs=n_runs,
                     backend=backend or "default",
                 )
-            binmd_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-            err_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-            mdnorm_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-            have_err = True
-            for i in ckpt.completed_runs():
-                delta = ckpt.load_run(i, grid)
-                binmd_total += delta.binmd_signal
-                if delta.binmd_error_sq is not None:
-                    err_total += delta.binmd_error_sq
-                else:
-                    have_err = False
-                mdnorm_total += delta.mdnorm_signal
-            binmd_out = Hist3(grid, signal=binmd_total,
-                              error_sq=err_total if have_err else None)
-            mdnorm_out = Hist3(grid, signal=mdnorm_total)
-            ckpt.mark_campaign_complete(
-                f"runs={len(ckpt.completed_runs())} "
-                f"quarantined={len(ckpt.quarantined_runs())}\n"
-            )
+            binmd_out, mdnorm_out = _fold_from_checkpoint(ckpt, grid)
         else:
             with tracer.span("mpi_reduce", kind="mpi",
                              mpi_rank=int(comm.rank), mpi_size=int(comm.size)):

@@ -18,6 +18,7 @@ array of the paper's Listings 1-3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
@@ -116,6 +117,30 @@ class HKLGrid:
             np.einsum("ij,ojk,kl->oil", self.projection, ops, inv_ub)
         )
 
+    @cached_property
+    def _scalar_binning(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+        """``(minimum, widths)`` as Python floats for :meth:`flat_bin`."""
+        return self.minimum, tuple(float(w) for w in self.widths)
+
+    def flat_bin(self, c0: float, c1: float, c2: float) -> int:
+        """Flat bin index of one grid-coordinate point, -1 if outside.
+
+        The scalar form of :meth:`bin_index`, with the same rule:
+        ``floor((c - minimum) / width)`` per axis, upper boundary
+        exclusive.  ``math.floor`` of the rounded quotient is exactly
+        ``np.floor`` of it, so scalar and batch bodies agree bin for bin,
+        including on points at bin edges (Python's ``//`` floors the
+        exact quotient instead and disagrees there).
+        """
+        mn, w = self._scalar_binning
+        nb = self.bins
+        i0 = math.floor((c0 - mn[0]) / w[0])
+        i1 = math.floor((c1 - mn[1]) / w[1])
+        i2 = math.floor((c2 - mn[2]) / w[2])
+        if not (0 <= i0 < nb[0] and 0 <= i1 < nb[1] and 0 <= i2 < nb[2]):
+            return -1
+        return (i0 * nb[1] + i1) * nb[2] + i2
+
     def bin_index(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flat bin indices of grid-coordinate points.
 
@@ -125,9 +150,9 @@ class HKLGrid:
         c = np.asarray(coords, dtype=np.float64)
         mn = np.array(self.minimum)
         w = self.widths
-        # floor semantics identical to Hist3.push: the upper boundary is
-        # exclusive (a point exactly at `maximum` is outside); both the
-        # scalar and batch kernels must agree bin-for-bin.
+        # the binning rule of flat_bin: floor of the rounded quotient,
+        # upper boundary exclusive (a point exactly at `maximum` is
+        # outside), so scalar and batch bodies agree bin for bin
         idx = np.floor((c - mn) / w).astype(np.int64)
         nb = np.array(self.bins)
         inside = np.all((idx >= 0) & (idx < nb), axis=-1)

@@ -70,14 +70,9 @@ class Hist3:
         Returns False (and adds nothing) if the point lies outside the
         grid — the scalar-kernel form of MiniVATES' ``atomic_push!``.
         """
-        grid = self.grid
-        mn, w, nb = grid.minimum, grid.widths, grid.bins
-        i0 = int((c0 - mn[0]) // w[0])
-        i1 = int((c1 - mn[1]) // w[1])
-        i2 = int((c2 - mn[2]) // w[2])
-        if not (0 <= i0 < nb[0] and 0 <= i1 < nb[1] and 0 <= i2 < nb[2]):
+        flat = self.grid.flat_bin(c0, c1, c2)
+        if flat < 0:
             return False
-        flat = (i0 * nb[1] + i1) * nb[2] + i2
         atomic_add_scalar(self.flat_signal, flat, weight)
         if self.error_sq is not None:
             atomic_add_scalar(self.flat_error_sq, flat, err_sq)
@@ -108,11 +103,28 @@ class Hist3:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != inside.shape:
             weights = np.broadcast_to(weights, inside.shape)
-        self._scatter(self.flat_signal, flat[inside], weights[inside], scatter_impl)
         if self.error_sq is not None and err_sq is not None:
-            err_sq = np.broadcast_to(np.asarray(err_sq, dtype=np.float64), inside.shape)
-            self._scatter(self.flat_error_sq, flat[inside], err_sq[inside], scatter_impl)
+            err_sq = np.broadcast_to(
+                np.asarray(err_sq, dtype=np.float64), inside.shape
+            )[inside]
+        self.push_flat(flat[inside], weights[inside], err_sq,
+                       scatter_impl=scatter_impl)
         return int(inside.sum())
+
+    def push_flat(
+        self,
+        flat: np.ndarray,
+        weights: np.ndarray,
+        err_sq: Optional[np.ndarray] = None,
+        *,
+        scatter_impl: str = "atomic",
+    ) -> None:
+        """Scatter-add weights at already-computed flat bin indices, in
+        order (the deposit step of :meth:`push_many`, and of batch
+        bodies that bin once and deposit many times)."""
+        self._scatter(self.flat_signal, flat, weights, scatter_impl)
+        if self.error_sq is not None and err_sq is not None:
+            self._scatter(self.flat_error_sq, flat, err_sq, scatter_impl)
 
     @staticmethod
     def _scatter(target: np.ndarray, idx: np.ndarray, vals: np.ndarray, impl: str) -> None:

@@ -88,27 +88,6 @@ def k_window(
     return lo, hi
 
 
-def detector_activity(k_lo: np.ndarray, k_hi: np.ndarray) -> np.ndarray:
-    """Per-detector MDNorm work estimate from the momentum windows.
-
-    Counts, for every detector column of the ``(n_ops, n_det)`` window
-    arrays, how many of its trajectories actually enter the grid box
-    (``k_hi > k_lo``).  Detectors whose every trajectory misses the box
-    still cost one dispatch per op, so the count is floored at 1 —
-    these are the weights the balanced shard planner
-    (:func:`repro.mpi.decomposition.weighted_shard_ranges`) cuts the
-    detector axis with.  Shard *boundaries* never affect the result
-    (the replay is serial-order regardless), only the balance.
-    """
-    lo = np.asarray(k_lo, dtype=np.float64)
-    hi = np.asarray(k_hi, dtype=np.float64)
-    if lo.ndim == 1:  # single-op window
-        lo = lo[None, :]
-        hi = hi[None, :]
-    live = (hi > lo).sum(axis=0).astype(np.float64)
-    return np.maximum(live, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # scalar (element-kernel) helpers
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ CPU back ends use the elegant ``parallel_reduce(op="max")`` directly.
 from __future__ import annotations
 
 import threading
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -237,7 +237,7 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
     """
     n_ops, n_det = dims
     grid: HKLGrid = ctx.grid
-    target = ctx.hist.flat_signal
+    hist = ctx.hist
     # per-trajectory weight: solid angle of the detector (tiled over ops)
     det_w = np.broadcast_to(ctx.solid_angles, (n_ops, n_det)).reshape(-1) * ctx.charge
     tile = ctx.tile_rows
@@ -258,10 +258,8 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
             seg_flux = plan.seg_flux[start:stop]
             weights = seg_flux * det_w_live[start:stop, None]
             deposit = plan.seg_ok[start:stop] & (weights != 0.0)
-            Hist3._scatter(
-                target, plan.flat_idx[start:stop][deposit],
-                weights[deposit], ctx.scatter_impl,
-            )
+            hist.push_flat(plan.flat_idx[start:stop][deposit],
+                           weights[deposit], scatter_impl=ctx.scatter_impl)
         return
 
     directions = ctx.directions.reshape(-1, 3)
@@ -313,7 +311,8 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
             collect.seg_flux[start:stop] = seg_flux
             collect.flat_idx[start:stop] = flat_idx
             collect.seg_ok[start:stop] = seg_ok
-        Hist3._scatter(target, flat_idx[deposit], weights[deposit], ctx.scatter_impl)
+        hist.push_flat(flat_idx[deposit], weights[deposit],
+                       scatter_impl=ctx.scatter_impl)
 
     if collect is not None:
         for name in ("live", "seg_flux", "flat_idx", "seg_ok"):
@@ -323,6 +322,131 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
 
 
 MDNORM_KERNEL = Kernel(name="mdnorm", element=_mdnorm_element, batch=_mdnorm_batch)
+
+
+def _mdnorm_captures(
+    hist: Hist3,
+    transforms: np.ndarray,
+    det_directions: np.ndarray,
+    solid_angles: np.ndarray,
+    flux: FluxSpectrum,
+    momentum_band: tuple[float, float],
+    *,
+    charge: float,
+    backend: Optional[str],
+    cache: Optional[GeomCache],
+    cache_tag: Optional[str],
+    width: Optional[int] = None,
+    deposit_plan: bool = True,
+    sort_impl: str = "comb",
+    scatter_impl: str = "atomic",
+    tile_rows: int = DEFAULT_TILE_ROWS,
+    op_span: Any = None,
+) -> Captures:
+    """MDNorm's geometry stage (cache-aware), packed into the captures
+    both kernel bodies read.
+
+    Shared by :func:`mdnorm` and the shard planner
+    (:func:`repro.core.sharding.mdnorm_shard_context`), so warm reruns
+    skip the geometry work identically on every executor.  The pre-pass
+    width is an integer max (exactly associative), so the captures — and
+    everything deposited through them — are bitwise independent of the
+    ``backend`` that computed it.  ``deposit_plan=False`` keeps the
+    cached :class:`DepositPlan` out of the captures (shards run the body
+    over sub-ranges, which a whole-run plan does not describe).
+    """
+    require(transforms.ndim == 3 and transforms.shape[1:] == (3, 3),
+            "transforms must be (n_ops, 3, 3)")
+    require(det_directions.ndim == 2 and det_directions.shape[1] == 3,
+            "det_directions must be (n_det, 3)")
+    require(solid_angles.shape == (det_directions.shape[0],),
+            "solid_angles length mismatch")
+    require(sort_impl in ("comb", "library"), "sort_impl must be comb|library")
+
+    grid = hist.grid
+    cache = _gc.resolve(cache)
+    entry: Optional[GeomEntry] = None
+    key = None
+    if cache.enabled:
+        key = GeomCache.geometry_key(
+            grid, transforms, det_directions, momentum_band, solid_angles, flux
+        )
+        entry = cache.get(key)
+    if op_span is not None:
+        op_span.set(cache_hit=entry is not None)
+
+    if entry is not None:
+        directions = entry.directions
+        k_lo, k_hi = entry.k_lo, entry.k_hi
+        raw_width = entry.width
+    else:
+        directions = trajectory_directions(transforms, det_directions)
+        k_lo, k_hi = k_window(directions, grid, *momentum_band)
+        raw_width = None
+
+    explicit_width = width is not None
+    if width is None:
+        if raw_width is None:
+            raw_width = max_intersections(
+                grid, transforms, det_directions, momentum_band,
+                backend=backend, directions=directions, k_lo=k_lo, k_hi=k_hi,
+            )
+        width = raw_width
+    width = min(width, grid.max_plane_crossings)
+
+    if cache.enabled:
+        if entry is None:
+            entry = GeomEntry(
+                key=key,
+                tag=cache_tag,
+                directions=_gc.freeze(directions),
+                k_lo=_gc.freeze(k_lo),
+                k_hi=_gc.freeze(k_hi),
+                width=raw_width,
+            )
+            cache.put(entry)
+            directions, k_lo, k_hi = entry.directions, entry.k_lo, entry.k_hi
+        elif entry.width is None and raw_width is not None:
+            entry.width = raw_width
+            cache.note_update(entry)
+
+    flux_k, flux_cum = cache.flux_table(flux)
+
+    # The deposit plan is only built/used for the canonical (pre-pass)
+    # width, and never when charge is 0 (the stream-compaction mask
+    # would degenerate and no longer be charge-independent).
+    use_plan = deposit_plan and cache.enabled and entry is not None \
+        and not explicit_width and charge != 0.0
+    warm_plan = bool(use_plan and entry.deposit is not None)
+    if op_span is not None:
+        op_span.set(width=int(width), warm_plan=warm_plan)
+        if _trace.active_tracer().profile:
+            from repro.util.perf import mdnorm_work
+
+            op_span.set(perf=mdnorm_work(
+                int(transforms.shape[0]), int(det_directions.shape[0]),
+                int(width), warm_plan=warm_plan,
+            ))
+    return Captures(
+        hist=hist,
+        grid=grid,
+        directions=directions,
+        k_lo=k_lo,
+        k_hi=k_hi,
+        solid_angles=solid_angles,
+        charge=float(charge),
+        flux_k=flux_k,
+        flux_cum=flux_cum,
+        scratch=_Scratch(width),
+        fill=fill_crossings_scalar,
+        width=int(width),
+        tile_rows=int(tile_rows),
+        sort_impl=sort_impl,
+        scatter_impl=scatter_impl,
+        geom_entry=entry,
+        geom_cache=cache,
+        use_plan=use_plan,
+    )
 
 
 def mdnorm(
@@ -383,16 +507,6 @@ def mdnorm(
     transforms = np.asarray(transforms, dtype=np.float64)
     det_directions = np.asarray(det_directions, dtype=np.float64)
     solid_angles = np.asarray(solid_angles, dtype=np.float64)
-    require(transforms.ndim == 3 and transforms.shape[1:] == (3, 3),
-            "transforms must be (n_ops, 3, 3)")
-    require(det_directions.ndim == 2 and det_directions.shape[1] == 3,
-            "det_directions must be (n_det, 3)")
-    require(solid_angles.shape == (det_directions.shape[0],),
-            "solid_angles length mismatch")
-    require(sort_impl in ("comb", "library"), "sort_impl must be comb|library")
-
-    grid = hist.grid
-    cache = _gc.resolve(cache)
     tracer = _trace.active_tracer()
     with tracer.span(
         "mdnorm",
@@ -402,89 +516,14 @@ def mdnorm(
         n_det=int(det_directions.shape[0]),
         sort_impl=sort_impl,
     ) as op_span:
-        entry: Optional[GeomEntry] = None
-        key = None
-        if cache.enabled:
-            key = GeomCache.geometry_key(
-                grid, transforms, det_directions, momentum_band, solid_angles, flux
-            )
-            entry = cache.get(key)
-        op_span.set(cache_hit=entry is not None)
-
-        if entry is not None:
-            directions = entry.directions
-            k_lo, k_hi = entry.k_lo, entry.k_hi
-            raw_width = entry.width
-        else:
-            directions = trajectory_directions(transforms, det_directions)
-            k_lo, k_hi = k_window(directions, grid, *momentum_band)
-            raw_width = None
-
-        explicit_width = width is not None
-        if width is None:
-            if raw_width is None:
-                raw_width = max_intersections(
-                    grid, transforms, det_directions, momentum_band,
-                    backend=backend, directions=directions, k_lo=k_lo, k_hi=k_hi,
-                )
-            width = raw_width
-        width = min(width, grid.max_plane_crossings)
-
-        if cache.enabled:
-            if entry is None:
-                entry = GeomEntry(
-                    key=key,
-                    tag=cache_tag,
-                    directions=_gc.freeze(directions),
-                    k_lo=_gc.freeze(k_lo),
-                    k_hi=_gc.freeze(k_hi),
-                    width=raw_width,
-                )
-                cache.put(entry)
-                directions, k_lo, k_hi = entry.directions, entry.k_lo, entry.k_hi
-            elif entry.width is None and raw_width is not None:
-                entry.width = raw_width
-                cache.note_update(entry)
-
-        flux_k, flux_cum = cache.flux_table(flux)
-
-        # The deposit plan is only built/used for the canonical (pre-pass)
-        # width, and never when charge is 0 (the stream-compaction mask
-        # would degenerate and no longer be charge-independent).
-        use_plan = cache.enabled and entry is not None and not explicit_width \
-            and charge != 0.0
-        warm_plan = bool(
-            use_plan and entry is not None and entry.deposit is not None
+        captures = _mdnorm_captures(
+            hist, transforms, det_directions, solid_angles, flux,
+            momentum_band, charge=charge, backend=backend, cache=cache,
+            cache_tag=cache_tag, width=width, sort_impl=sort_impl,
+            scatter_impl=scatter_impl, tile_rows=tile_rows, op_span=op_span,
         )
-        op_span.set(width=int(width), warm_plan=warm_plan)
-        if tracer.profile:
-            from repro.util.perf import mdnorm_work
-
-            op_span.set(perf=mdnorm_work(
-                int(transforms.shape[0]), int(det_directions.shape[0]),
-                int(width), warm_plan=warm_plan,
-            ))
-        captures = Captures(
-            hist=hist,
-            grid=grid,
-            directions=directions,
-            k_lo=k_lo,
-            k_hi=k_hi,
-            solid_angles=solid_angles,
-            charge=float(charge),
-            flux_k=flux_k,
-            flux_cum=flux_cum,
-            scratch=_Scratch(width),
-            fill=fill_crossings_scalar,
-            width=int(width),
-            tile_rows=int(tile_rows),
-            sort_impl=sort_impl,
-            scatter_impl=scatter_impl,
-            geom_entry=entry,
-            geom_cache=cache,
-            use_plan=use_plan,
-        )
-        parallel_for(directions.shape[:2], MDNORM_KERNEL, captures, backend=backend)
+        parallel_for(captures.directions.shape[:2], MDNORM_KERNEL, captures,
+                     backend=backend)
         tracer.count("mdnorm.trajectories",
                       int(transforms.shape[0]) * int(det_directions.shape[0]))
     return hist

@@ -9,23 +9,28 @@ out over **event ranges** (the contiguous shards planned by
 persistent process pool (:data:`repro.jacc.workers.GLOBAL_POOL`) with
 array captures in ``multiprocessing.shared_memory``.
 
-Determinism argument (DESIGN.md §6f).  Kernel *element* bodies deposit
-into the histogram in a fixed (op-major, index-minor) order; float
-addition is non-associative, so per-shard partial histograms would
-drift in the last ulp and depend on the shard count.  Shards therefore
-do not accumulate — they **record**: every shard task runs the scalar
-element body over ``(all ops) × (its contiguous index range)`` against
-a :class:`~repro.jacc.multiproc.RecordingHist3` and returns one
-deposit log *per op*.  The parent replays the logs with ``np.add.at``
-(unbuffered, element-order-sequential) interleaved as
+One kernel body on every path (DESIGN.md §6f).  A shard runs the
+kernel's **batch** body — the same ``_mdnorm_batch`` /
+``_bin_events_batch`` the ``vectorized`` back end launches in memory —
+one symmetry op at a time over its own contiguous inner range, against
+a :class:`~repro.jacc.multiproc.RecordingHist3` that records each
+deposit array instead of adding it.  Float addition is
+non-associative, so per-shard partial histograms would drift in the
+last ulp and depend on the shard count; shards therefore return one
+deposit log *per op*, and the parent replays the logs with
+``np.add.at`` (unbuffered, element-order-sequential) interleaved as
 
     for op in ops: for shard in ascending order: replay(log[shard][op])
 
-Ascending contiguous shards of the inner axis, walked op-major, is
-*exactly* the serial backend's iteration order — so the sharded result
-is **bit-identical to the unsharded serial result for every shard
-count and every worker count**, including the in-process ``workers=1``
-degenerate pool (which runs the same record/replay path).
+Both batch bodies deposit op-major and, within an op, in ascending
+inner index, with every lane computed independently of the others, so
+this replay is exactly the in-memory ``vectorized`` deposit order: the
+sharded, out-of-core and stolen results are **bit-identical to the
+in-memory ``vectorized`` result for every shard count and every worker
+count**, including the in-process ``workers=1`` degenerate pool (which
+runs the same record/replay path).  The in-memory
+:func:`~repro.core.binmd.bin_events` / :func:`~repro.core.mdnorm.mdnorm`
+entry points stay: they own the geometry-cache warm paths.
 
 Fault model: a shard that dies with the pool (worker killed, e.g. OOM)
 surfaces as :class:`ShardExecutionError` — an ``OSError`` subclass, so
@@ -41,23 +46,17 @@ through ``on_shard`` so the PR 4 monitor can heartbeat per shard.
 from __future__ import annotations
 
 import importlib
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import geom_cache as _gc
-from repro.core.binmd import _bin_events_element
-from repro.core.geom_cache import GeomCache, GeomEntry
+from repro.core.binmd import DEFAULT_TILE, _bin_events_batch
+from repro.core.geom_cache import GeomCache
 from repro.core.hist3 import Hist3
-from repro.core.intersections import (
-    detector_activity,
-    fill_crossings_scalar,
-    k_window,
-    trajectory_directions,
-)
-from repro.core.mdnorm import _Scratch, _mdnorm_element, max_intersections
+from repro.core.mdnorm import _mdnorm_batch, _mdnorm_captures
 from repro.jacc.kernels import Captures
 from repro.jacc.multiproc import (
     RecordingHist3,
@@ -71,7 +70,6 @@ from repro.mpi.decomposition import (
     lazy_table_ranges,
     range_stored_nbytes,
     shard_ranges,
-    weighted_shard_ranges,
 )
 from repro.nexus.corrections import FluxSpectrum
 from repro.nexus.events import EventTable
@@ -111,17 +109,10 @@ class ShardConfig:
         Process-pool size; ``None`` resolves ``REPRO_NUM_PROCS`` /
         the CPU count (validated by the shared parser).  ``1`` executes
         the shards in-process through the same record/replay path.
-    balanced:
-        Cut MDNorm's detector axis by per-detector *work* (live
-        trajectories from :func:`repro.core.intersections.
-        detector_activity`) instead of by count.  Shard boundaries
-        never change the result — the replay is serial-order either
-        way — only how evenly the fan-out loads the pool.
     """
 
     n_shards: int
     workers: Optional[int] = None
-    balanced: bool = False
 
     def __post_init__(self) -> None:
         parse_worker_count(self.n_shards, source="n_shards")
@@ -134,304 +125,97 @@ class ShardConfig:
 
     @classmethod
     def from_options(
-        cls,
-        shards: Optional[int],
-        workers: Optional[int] = None,
-        balanced: bool = False,
+        cls, shards: Optional[int], workers: Optional[int] = None
     ) -> Optional["ShardConfig"]:
         """CLI adapter: ``--shards N [--shard-workers W]``; None when
         sharding was not requested."""
         if shards is None:
             return None
-        return cls(n_shards=int(shards), workers=workers, balanced=balanced)
+        return cls(n_shards=int(shards), workers=workers)
 
 
 # ---------------------------------------------------------------------------
-# worker side (module-level: picklable under any start method)
+# the shard body: a stage's batch body, one op at a time, recorded
 # ---------------------------------------------------------------------------
 
-def _shard_body(task: Dict[str, Any], ctx: Captures,
-                rec: RecordingHist3) -> List[Log]:
-    element = task["element"]
-    n_outer = int(task["n_outer"])
-    a, b = task["range"]
-    window = task.get("window")
-    if window is not None:
-        # out-of-core shard: the events capture is this shard's bounded
-        # window, iterated with *local* indices.  The element body reads
-        # ``ctx.events[j, COL_*]`` only, so local (0, b-a) iteration over
-        # the window produces deposit logs bit-identical to global
-        # (a, b) iteration over the full table.
-        ctx = Captures(**{**vars(ctx), "events": window})
-        a, b = 0, int(window.shape[0])
+#: per stage: its batch body, then the captures cut along the inner
+#: (shard) axis and those cut along the op axis, each -> its axis
+_STAGES: Dict[str, Tuple[Callable[..., None], Dict[str, int], Dict[str, int]]] = {
+    "binmd": (_bin_events_batch, {"events": 0}, {"transforms": 0}),
+    "mdnorm": (
+        _mdnorm_batch,
+        {"solid_angles": 0, "directions": 1, "k_lo": 1, "k_hi": 1},
+        {"directions": 0, "k_lo": 0, "k_hi": 0},
+    ),
+}
+
+
+def _cut(captures: Captures, fields: Dict[str, int], lo: int, hi: int) -> Captures:
+    """``captures`` with each named array cut to ``[lo, hi)`` along its
+    axis (views, no copies)."""
+    cut = {
+        name: getattr(captures, name)[(slice(None),) * axis + (slice(lo, hi),)]
+        for name, axis in fields.items()
+    }
+    return Captures(**{**vars(captures), **cut})
+
+
+def _record_range(op_name: str, captures: Captures) -> List[Log]:
+    """Run ``op_name``'s batch body one op at a time over ``captures``
+    (already cut to one inner range; ``captures.hist`` a recorder) and
+    return one deposit log per op."""
+    batch, inner, outer = _STAGES[op_name]
+    name, axis = next(iter(inner.items()))
+    n_inner = int(getattr(captures, name).shape[axis])
+    n_outer = int(getattr(captures, next(iter(outer))).shape[0])
     logs: List[Log] = []
     for n in range(n_outer):
-        for j in range(a, b):
-            element(ctx, n, j)
-        logs.append(rec.harvest_reset())
+        if n_inner:
+            batch(_cut(captures, outer, n, n + 1), (1, n_inner))
+        logs.append(captures.hist.harvest_reset())
     return logs
 
 
 def _shard_worker(task: Dict[str, Any]) -> List[Log]:
-    """Run one shard's (ops × index-range) element loop in a worker."""
-    ref = task.get("window_ref")
-    if ref is not None:
-        # shard-parallel I/O: each worker decodes only its own chunks,
-        # straight from the file — the table never exists in any process
-        task = dict(task, window=read_window(*ref))
-    ctx, opened, hists = _open_captures(task["captures"])
+    """Record one range in a pool worker."""
+    ctx, opened, _hists = _open_captures(task["captures"])
     try:
-        return _shard_body(task, ctx, hists["hist"])
+        ref = task["window_ref"]
+        if ref is not None:
+            # shard-parallel I/O: each worker decodes only its own
+            # chunks, straight from the file — the table never exists
+            # in any process
+            ctx.events = read_window(*ref)
+        return _record_range(task["op"], ctx)
     finally:
         ctx = None  # noqa: F841 - drop shm views before closing buffers
         _close_worker_shm(opened)
 
 
 # ---------------------------------------------------------------------------
-# the executor core
+# shard contexts: one run-stage's captures + planned ranges, executed
+# range by range by any executor (the static fan-out below, the
+# stealing executor in repro.mpi.stealing)
 # ---------------------------------------------------------------------------
-
-def _run_shards(
-    op_name: str,
-    captures: Captures,
-    element: Callable[..., Any],
-    n_outer: int,
-    n_inner: int,
-    shards: ShardConfig,
-    *,
-    run: Optional[int] = None,
-    on_shard: Optional[Callable[[int, int], None]] = None,
-    weights: Optional[np.ndarray] = None,
-    ranges: Optional[List[Tuple[int, int]]] = None,
-    lazy_events: Optional[LazyEventTable] = None,
-) -> None:
-    """Execute ``element`` over ``(n_outer, n_inner)`` as contiguous
-    inner-axis shards, then replay the op-segmented deposit logs in
-    serial order into ``captures.hist``.  ``weights`` (one per inner
-    item) switches the cut to work-balanced boundaries; explicit
-    ``ranges`` (chunk-aligned, possibly more than ``shards.n_shards``)
-    override both.  With ``lazy_events`` the captures carry no event
-    table: each shard materializes only its own bounded window — via
-    the parent's budgeted tile cache in-process, or by decoding its own
-    chunks from the file in pool workers."""
-    hist = captures.hist
-    if ranges is None:
-        if weights is not None:
-            ranges = weighted_shard_ranges(weights, shards.n_shards)
-        else:
-            ranges = shard_ranges(n_inner, shards.n_shards)
-    n_ranges = len(ranges)
-    workers = shards.effective_workers
-    tracer = _trace.active_tracer()
-    track_errors = getattr(hist, "flat_error_sq", None) is not None
-    fault_site = f"shard.{op_name}"
-    cancel = _cancel.current_cancel()
-
-    with tracer.span(
-        f"{op_name}.shards",
-        kind="shard_fanout",
-        op=op_name,
-        n_shards=int(n_ranges),
-        workers=int(workers),
-        n_outer=int(n_outer),
-        n_inner=int(n_inner),
-        **({"run": int(run)} if run is not None else {}),
-    ):
-        per_shard: List[List[Log]] = []
-        if workers == 1:
-            # in-process degenerate pool: same record/replay path, no IPC
-            rec = RecordingHist3(hist.grid, track_errors)
-            inline_ctx = Captures(**{**vars(captures), "hist": rec})
-            for s, (a, b) in enumerate(ranges):
-                if cancel is not None:
-                    # between shards: deposits so far are discarded and
-                    # the whole run recomputes on resume (bit-identical)
-                    cancel.check(f"{op_name} shard fan-out")
-                with tracer.span(
-                    f"shard:{op_name}", kind="shard", shard=int(s),
-                    lanes=int(n_outer * (b - a)),
-                ):
-                    _faults.fault_point(fault_site, shard=s, run=run)
-                    task = dict(element=element, n_outer=n_outer, range=(a, b))
-                    if lazy_events is not None:
-                        # bounded window through the run's LRU tile cache
-                        task["window"] = lazy_events.window(a, b)
-                    per_shard.append(_shard_body(task, inline_ctx, rec))
-                if on_shard is not None:
-                    on_shard(s, n_ranges)
-        else:
-            # the pooled path checks once before dispatch: cancelling
-            # mid-collection would tear down the shared transport while
-            # workers still map it, so in-flight shards run to completion
-            if cancel is not None:
-                cancel.check(f"{op_name} shard fan-out")
-            transport = _Transport(captures)
-            try:
-                tasks = [
-                    dict(
-                        element=element,
-                        n_outer=n_outer,
-                        range=(a, b),
-                        captures=transport.payload,
-                        **(
-                            {"window_ref": (
-                                lazy_events.path, lazy_events.dataset_path, a, b
-                            )}
-                            if lazy_events is not None
-                            else {}
-                        ),
-                    )
-                    for a, b in ranges
-                ]
-                try:
-                    pool = GLOBAL_POOL.executor(workers)
-                    futures = [pool.submit(_shard_worker, t) for t in tasks]
-                    for s, future in enumerate(futures):
-                        with tracer.span(
-                            f"shard:{op_name}", kind="shard", shard=int(s),
-                            lanes=int(n_outer * (ranges[s][1] - ranges[s][0])),
-                        ):
-                            _faults.fault_point(fault_site, shard=s, run=run)
-                            per_shard.append(future.result())
-                        if on_shard is not None:
-                            on_shard(s, n_ranges)
-                except BrokenProcessPool as exc:
-                    GLOBAL_POOL.dispose()
-                    raise ShardExecutionError(
-                        f"shard pool broke during {op_name} "
-                        f"(run={run}, shards={shards.n_shards}); pool disposed"
-                    ) from exc
-            finally:
-                transport.close()
-
-        # serial-order replay: op-major, ascending contiguous shards —
-        # exactly the unsharded serial iteration order, so the per-bin
-        # float fold is bit-identical to the serial back end.
-        for n in range(n_outer):
-            replay_deposits(hist, [logs[n] for logs in per_shard])
-        tracer.count(f"{op_name}.shard_tasks", len(ranges))
-
-
-# ---------------------------------------------------------------------------
-# shard contexts: one run-stage's captures + planned ranges, reusable by
-# any executor (the static fan-out below, the stealing executor in
-# repro.mpi.stealing)
-# ---------------------------------------------------------------------------
-
-def _mdnorm_captures(
-    hist: Hist3,
-    transforms: np.ndarray,
-    det_directions: np.ndarray,
-    solid_angles: np.ndarray,
-    flux: FluxSpectrum,
-    momentum_band: tuple[float, float],
-    *,
-    charge: float,
-    backend: Optional[str],
-    cache: Optional[GeomCache],
-    cache_tag: Optional[str],
-    op_span: Any = None,
-) -> Captures:
-    """MDNorm's geometry stage (cache-aware) packed into kernel captures.
-
-    Shared by the static fan-out and the shard-context planner so warm
-    reruns skip the geometry work identically on every executor.  The
-    pre-pass ``width`` is an integer max (exactly associative), so the
-    captures — and everything recorded through them — are bitwise
-    independent of the ``backend`` used to compute it.
-    """
-    grid = hist.grid
-    cache = _gc.resolve(cache)
-    tracer = _trace.active_tracer()
-    entry: Optional[GeomEntry] = None
-    key = None
-    if cache.enabled:
-        key = GeomCache.geometry_key(
-            grid, transforms, det_directions, momentum_band, solid_angles, flux
-        )
-        entry = cache.get(key)
-    if op_span is not None:
-        op_span.set(cache_hit=entry is not None)
-
-    if entry is not None:
-        directions = entry.directions
-        k_lo, k_hi = entry.k_lo, entry.k_hi
-        raw_width = entry.width
-    else:
-        directions = trajectory_directions(transforms, det_directions)
-        k_lo, k_hi = k_window(directions, grid, *momentum_band)
-        raw_width = None
-    if raw_width is None:
-        raw_width = max_intersections(
-            grid, transforms, det_directions, momentum_band,
-            backend=backend, directions=directions, k_lo=k_lo, k_hi=k_hi,
-        )
-    width = min(raw_width, grid.max_plane_crossings)
-
-    if cache.enabled:
-        if entry is None:
-            entry = GeomEntry(
-                key=key,
-                tag=cache_tag,
-                directions=_gc.freeze(directions),
-                k_lo=_gc.freeze(k_lo),
-                k_hi=_gc.freeze(k_hi),
-                width=raw_width,
-            )
-            cache.put(entry)
-            directions, k_lo, k_hi = entry.directions, entry.k_lo, entry.k_hi
-        elif entry.width is None:
-            entry.width = raw_width
-            cache.note_update(entry)
-
-    flux_k, flux_cum = cache.flux_table(flux)
-    if op_span is not None:
-        op_span.set(width=int(width))
-        if tracer.profile:
-            from repro.util.perf import mdnorm_work
-
-            op_span.set(perf=mdnorm_work(
-                int(transforms.shape[0]), int(det_directions.shape[0]),
-                int(width), warm_plan=False,
-            ))
-
-    return Captures(
-        hist=hist,
-        grid=grid,
-        directions=directions,
-        k_lo=k_lo,
-        k_hi=k_hi,
-        solid_angles=solid_angles,
-        charge=float(charge),
-        flux_k=flux_k,
-        flux_cum=flux_cum,
-        scratch=_Scratch(width),
-        fill=fill_crossings_scalar,
-    )
-
 
 @dataclass
 class ShardContext:
     """Everything needed to execute any planned range of one run-stage.
 
-    ``captures.hist`` is the *target* scratch histogram: executing a
-    range never touches it (ranges record deposit logs), only
+    ``captures.hist`` is the *target* histogram: executing a range never
+    touches it (ranges record deposit logs), only
     :func:`replay_shard_logs` folds the logs into it — in planned-index
     order, which is what makes results independent of which rank
     executed which range, in what order.  The captures are safe to
-    share across rank threads: per-execution recording histograms are
-    fresh, and mdnorm's ``_Scratch`` buffers are thread-local.
+    share across rank threads: every execution records into a fresh
+    recorder, and a lazy table's tile cache is locked.
     """
 
     op_name: str
     captures: Captures
-    element: Callable[..., Any]
     n_outer: int
     #: planned contiguous ranges of the inner axis (index = planned id)
     ranges: List[Tuple[int, int]]
-    #: per-range work estimate: stored chunk bytes for lazy event
-    #: tables (the PR 6 index), row counts otherwise
-    weights: List[float] = field(default_factory=list)
     lazy_events: Optional[LazyEventTable] = None
 
     @property
@@ -439,8 +223,37 @@ class ShardContext:
         return len(self.ranges)
 
     @property
+    def n_inner(self) -> int:
+        return self.ranges[-1][1] if self.ranges else 0
+
+    @property
     def track_errors(self) -> bool:
         return getattr(self.captures.hist, "flat_error_sq", None) is not None
+
+
+def mdnorm_ranges(
+    n_det: int, n_ops: int, n_shards: int
+) -> Tuple[List[Tuple[int, int]], List[float]]:
+    """MDNorm's detector-range plan and per-range lanes."""
+    ranges = shard_ranges(n_det, n_shards)
+    return ranges, [float(n_ops * (b - a)) for a, b in ranges]
+
+
+def binmd_ranges(
+    events: EventTable | LazyEventTable | np.ndarray, n_ops: int, n_shards: int
+) -> Tuple[List[Tuple[int, int]], List[float]]:
+    """BinMD's event-range plan and per-range weights.
+
+    Lazy tables plan chunk-aligned, budget-capped ranges weighted by
+    stored chunk bytes (:func:`repro.mpi.decomposition.lazy_table_ranges`);
+    in-memory tables cut by count and weigh lanes.
+    """
+    if isinstance(events, LazyEventTable):
+        ranges = lazy_table_ranges(events, n_shards)
+        return ranges, range_stored_nbytes(events, ranges)
+    data = events.data if isinstance(events, EventTable) else np.asarray(events)
+    ranges = shard_ranges(int(data.shape[0]), n_shards)
+    return ranges, [float(n_ops * (b - a)) for a, b in ranges]
 
 
 def mdnorm_shard_context(
@@ -456,23 +269,25 @@ def mdnorm_shard_context(
     backend: Optional[str] = None,
     cache: Optional[GeomCache] = None,
     cache_tag: Optional[str] = None,
+    op_span: Any = None,
 ) -> ShardContext:
-    """Plan one run's MDNorm as detector-range shard tasks."""
+    """Plan one run's MDNorm as detector-range shard tasks.
+
+    The geometry stage runs here, parent-side and cache-aware, so warm
+    reruns skip it exactly as the in-memory path does (ranges never
+    touch the cache).
+    """
     transforms = np.asarray(transforms, dtype=np.float64)
     det_directions = np.asarray(det_directions, dtype=np.float64)
-    solid_angles = np.asarray(solid_angles, dtype=np.float64)
-    require(transforms.ndim == 3 and transforms.shape[1:] == (3, 3),
-            "transforms must be (n_ops, 3, 3)")
     captures = _mdnorm_captures(
-        hist, transforms, det_directions, solid_angles, flux, momentum_band,
+        hist, transforms, det_directions,
+        np.asarray(solid_angles, dtype=np.float64), flux, momentum_band,
         charge=charge, backend=backend, cache=cache, cache_tag=cache_tag,
+        deposit_plan=False, op_span=op_span,
     )
     n_ops = int(transforms.shape[0])
-    n_det = int(det_directions.shape[0])
-    ranges = shard_ranges(n_det, n_shards)
-    weights = [float(n_ops * (b - a)) for a, b in ranges]
-    return ShardContext("mdnorm", captures, _mdnorm_element, n_ops,
-                        ranges, weights)
+    ranges, _ = mdnorm_ranges(int(det_directions.shape[0]), n_ops, n_shards)
+    return ShardContext("mdnorm", captures, n_ops, ranges)
 
 
 def binmd_shard_context(
@@ -482,30 +297,22 @@ def binmd_shard_context(
     *,
     n_shards: int,
 ) -> ShardContext:
-    """Plan one run's BinMD as event-range shard tasks.
-
-    Lazy tables plan chunk-aligned, budget-capped ranges weighted by
-    stored chunk bytes (:func:`repro.mpi.decomposition.lazy_table_ranges`)
-    — the same plan the static executor uses.
-    """
-    lazy = isinstance(events, LazyEventTable)
+    """Plan one run's BinMD as event-range shard tasks (see
+    :func:`binmd_ranges`).  A lazy table's captures carry no events:
+    each range reads its own bounded window."""
     transforms = np.asarray(transforms, dtype=np.float64)
     require(transforms.ndim == 3 and transforms.shape[1:] == (3, 3),
             "transforms must be (n_ops, 3, 3)")
     n_ops = int(transforms.shape[0])
-    if lazy:
-        ranges = lazy_table_ranges(events, n_shards)
-        weights = range_stored_nbytes(events, ranges)
-        captures = Captures(hist=hist, transforms=transforms)
-        return ShardContext("binmd", captures, _bin_events_element, n_ops,
-                            ranges, weights, lazy_events=events)
-    data = events.data if isinstance(events, EventTable) else np.asarray(events)
-    n_events = int(data.shape[0])
-    ranges = shard_ranges(n_events, n_shards)
-    weights = [float(n_ops * (b - a)) for a, b in ranges]
-    captures = Captures(hist=hist, events=data, transforms=transforms)
-    return ShardContext("binmd", captures, _bin_events_element, n_ops,
-                        ranges, weights)
+    ranges, _ = binmd_ranges(events, n_ops, n_shards)
+    captures = Captures(hist=hist, transforms=transforms, tile=DEFAULT_TILE,
+                        scatter_impl="atomic")
+    if isinstance(events, LazyEventTable):
+        return ShardContext("binmd", captures, n_ops, ranges,
+                            lazy_events=events)
+    captures.events = (events.data if isinstance(events, EventTable)
+                       else np.asarray(events))
+    return ShardContext("binmd", captures, n_ops, ranges)
 
 
 def execute_shard_range(
@@ -517,41 +324,37 @@ def execute_shard_range(
 ) -> List[Log]:
     """Execute one planned range of a context; return its deposit logs.
 
-    No replay happens here — callers collect logs (possibly from ranges
-    executed by different ranks, out of order) and fold them with
+    The one shard-execution function of every executor.  No replay
+    happens here — callers collect logs (possibly from ranges executed
+    by different ranks, out of order) and fold them with
     :func:`replay_shard_logs` once every planned range has reported.
-    ``workers > 1`` ships the single range to the node-local process
-    pool (one task, so concurrency comes from concurrent *callers* —
-    the stealing executor's ranks); ``workers == 1`` runs in-process.
-    Lazy ranges decode their own chunks straight from the file
-    (:func:`repro.nexus.tiles.read_window`) in both paths, so
-    concurrent rank threads never contend on a shared tile cache.
+    ``workers > 1`` ships the range to the node-local process pool —
+    only the captures cut to the range travel, and a lazy range decodes
+    its own chunks straight from the file
+    (:func:`repro.nexus.tiles.read_window`); ``workers == 1`` runs
+    in-process, a lazy range reading through the run's budgeted tile
+    cache.
     """
     a, b = ctx.ranges[index]
+    _, inner, _ = _STAGES[ctx.op_name]
+    lazy = ctx.lazy_events
     if workers == 1:
-        rec = RecordingHist3(ctx.captures.hist.grid, ctx.track_errors)
-        inline_ctx = Captures(**{**vars(ctx.captures), "hist": rec})
-        task = dict(element=ctx.element, n_outer=ctx.n_outer, range=(a, b))
-        if ctx.lazy_events is not None:
-            task["window"] = read_window(
-                ctx.lazy_events.path, ctx.lazy_events.dataset_path, a, b
-            )
-        return _shard_body(task, inline_ctx, rec)
-    transport = _Transport(ctx.captures)
+        if lazy is None:
+            captures = _cut(ctx.captures, inner, a, b)
+        else:
+            captures = Captures(**{**vars(ctx.captures),
+                                   "events": lazy.window(a, b)})
+        captures.hist = RecordingHist3(ctx.captures.hist.grid, ctx.track_errors)
+        return _record_range(ctx.op_name, captures)
+    if lazy is None:
+        captures, window_ref = _cut(ctx.captures, inner, a, b), None
+    else:
+        captures = ctx.captures
+        window_ref = (lazy.path, lazy.dataset_path, a, b)
+    transport = _Transport(captures)
     try:
-        task = dict(
-            element=ctx.element,
-            n_outer=ctx.n_outer,
-            range=(a, b),
-            captures=transport.payload,
-            **(
-                {"window_ref": (
-                    ctx.lazy_events.path, ctx.lazy_events.dataset_path, a, b
-                )}
-                if ctx.lazy_events is not None
-                else {}
-            ),
-        )
+        task = dict(op=ctx.op_name, captures=transport.payload,
+                    window_ref=window_ref)
         try:
             pool = GLOBAL_POOL.executor(workers)
             return pool.submit(_shard_worker, task).result()
@@ -568,15 +371,75 @@ def execute_shard_range(
 def replay_shard_logs(
     ctx: ShardContext, per_range: Sequence[List[Log]]
 ) -> None:
-    """Fold per-range deposit logs into ``ctx.captures.hist`` in serial
-    order (op-major, planned ranges ascending) — the same interleave as
-    :func:`_run_shards`, so the result is bit-identical to a serial
-    execution of the whole run-stage regardless of who executed what."""
+    """Fold per-range deposit logs into ``ctx.captures.hist`` in the
+    in-memory order (op-major, planned ranges ascending), so the result
+    is bit-identical to an in-memory ``vectorized`` execution of the
+    whole run-stage regardless of who executed what."""
     require(len(per_range) == ctx.n_ranges,
             f"{ctx.op_name}: {len(per_range)} log sets for "
             f"{ctx.n_ranges} planned ranges")
     for n in range(ctx.n_outer):
         replay_deposits(ctx.captures.hist, [logs[n] for logs in per_range])
+
+
+def _run_shards(
+    ctx: ShardContext,
+    shards: ShardConfig,
+    *,
+    run: Optional[int] = None,
+    on_shard: Optional[Callable[[int, int], None]] = None,
+) -> None:
+    """The static executor: every planned range of ``ctx`` through
+    :func:`execute_shard_range`, then the ordered replay into
+    ``ctx.captures.hist``.  With a pool, one dispatch thread per worker
+    keeps ``workers`` ranges in flight; logs are collected in planned
+    order either way."""
+    op_name, n_ranges = ctx.op_name, ctx.n_ranges
+    workers = shards.effective_workers
+    tracer = _trace.active_tracer()
+    fault_site = f"shard.{op_name}"
+    cancel = _cancel.current_cancel()
+
+    def execute(s: int) -> List[Log]:
+        return execute_shard_range(ctx, s, workers=workers, run=run)
+
+    with tracer.span(
+        f"{op_name}.shards",
+        kind="shard_fanout",
+        op=op_name,
+        n_shards=int(n_ranges),
+        workers=int(workers),
+        n_outer=int(ctx.n_outer),
+        n_inner=int(ctx.n_inner),
+        **({"run": int(run)} if run is not None else {}),
+    ):
+        dispatch = None
+        if workers > 1 and n_ranges:
+            GLOBAL_POOL.executor(workers)  # fork before any thread starts
+            dispatch = ThreadPoolExecutor(min(workers, n_ranges))
+            pending = dispatch.map(execute, range(n_ranges))
+        else:
+            pending = map(execute, range(n_ranges))
+        per_range: List[List[Log]] = []
+        try:
+            for s, (a, b) in enumerate(ctx.ranges):
+                if cancel is not None:
+                    # between shards: deposits so far are discarded and
+                    # the whole run recomputes on resume (bit-identical)
+                    cancel.check(f"{op_name} shard fan-out")
+                with tracer.span(
+                    f"shard:{op_name}", kind="shard", shard=int(s),
+                    lanes=int(ctx.n_outer * (b - a)),
+                ):
+                    _faults.fault_point(fault_site, shard=s, run=run)
+                    per_range.append(next(pending))
+                if on_shard is not None:
+                    on_shard(s, n_ranges)
+        finally:
+            if dispatch is not None:
+                dispatch.shutdown(cancel_futures=True)
+        replay_shard_logs(ctx, per_range)
+        tracer.count(f"{op_name}.shard_tasks", n_ranges)
 
 
 # ---------------------------------------------------------------------------
@@ -652,46 +515,30 @@ def sharded_mdnorm(
 
     Same contract as :func:`repro.core.mdnorm.mdnorm` (accumulates into
     ``hist`` in place) executed as ``shards.n_shards`` detector-range
-    tasks; the result is bit-identical to ``mdnorm(..., backend=
-    "serial")`` for every shard/worker count (see the module
-    docstring).  The PR 1 geometry cache is consulted parent-side for
-    trajectory directions / momentum windows / the pre-pass width, so
-    warm reruns skip the geometry stage exactly as the unsharded path
-    does (per-shard tasks themselves never touch the cache).
+    tasks that run the batch body; the result is bit-identical to
+    ``mdnorm(..., backend="vectorized")`` for every shard/worker count
+    (see the module docstring).  ``backend`` runs only the geometry
+    pre-pass, whose integer max is backend-independent.
     """
     transforms = np.asarray(transforms, dtype=np.float64)
-    det_directions = np.asarray(det_directions, dtype=np.float64)
-    solid_angles = np.asarray(solid_angles, dtype=np.float64)
-    require(transforms.ndim == 3 and transforms.shape[1:] == (3, 3),
-            "transforms must be (n_ops, 3, 3)")
-    require(det_directions.ndim == 2 and det_directions.shape[1] == 3,
-            "det_directions must be (n_det, 3)")
-    require(solid_angles.shape == (det_directions.shape[0],),
-            "solid_angles length mismatch")
-
+    n_det = int(np.shape(det_directions)[0])
     tracer = _trace.active_tracer()
     with tracer.span(
         "mdnorm",
         kind="op",
         backend="sharded",
         n_ops=int(transforms.shape[0]),
-        n_det=int(det_directions.shape[0]),
+        n_det=n_det,
         n_shards=int(shards.n_shards),
     ) as op_span:
-        captures = _mdnorm_captures(
+        ctx = mdnorm_shard_context(
             hist, transforms, det_directions, solid_angles, flux,
-            momentum_band, charge=charge, backend=backend, cache=cache,
-            cache_tag=cache_tag, op_span=op_span,
+            momentum_band, n_shards=shards.n_shards, charge=charge,
+            backend=backend, cache=cache, cache_tag=cache_tag,
+            op_span=op_span,
         )
-        _run_shards(
-            "mdnorm", captures, _mdnorm_element,
-            int(transforms.shape[0]), int(det_directions.shape[0]),
-            shards, run=run, on_shard=on_shard,
-            weights=(detector_activity(captures.k_lo, captures.k_hi)
-                     if shards.balanced else None),
-        )
-        tracer.count("mdnorm.trajectories",
-                      int(transforms.shape[0]) * int(det_directions.shape[0]))
+        _run_shards(ctx, shards, run=run, on_shard=on_shard)
+        tracer.count("mdnorm.trajectories", int(transforms.shape[0]) * n_det)
     return hist
 
 
@@ -709,7 +556,7 @@ def sharded_binmd(
     Same contract as :func:`repro.core.binmd.bin_events`; contiguous
     event ranges are balanced by construction (events are the unit of
     work), and the op-segmented replay makes the result bit-identical
-    to ``bin_events(..., backend="serial")`` for every shard/worker
+    to ``bin_events(..., backend="vectorized")`` for every shard/worker
     count.
 
     With a :class:`~repro.nexus.tiles.LazyEventTable` the run executes
@@ -718,53 +565,32 @@ def sharded_binmd(
     bytes, capped so no window decodes more rows than the table's
     memory budget), and each shard materializes only its own window —
     via the run's tile cache in-process, or by decoding its own chunks
-    from the file in pool workers.  Because the element body iterates a
-    window with local indices, the deposit logs — and therefore the
-    replayed histogram — stay bit-identical to the in-memory path for
-    every chunk size, codec, budget, shard count and worker count.
+    from the file in pool workers.  The batch body bins a window exactly
+    as it bins the same rows of the full table, so the replayed
+    histogram stays bit-identical to the in-memory path for every chunk
+    size, codec, budget, shard count and worker count.
     """
-    lazy = isinstance(events, LazyEventTable)
-    transforms = np.asarray(transforms, dtype=np.float64)
-    require(transforms.ndim == 3 and transforms.shape[1:] == (3, 3),
-            "transforms must be (n_ops, 3, 3)")
-    if lazy:
-        data = None
-        n_events = events.n_events
-        ranges = lazy_table_ranges(events, shards.n_shards)
-    else:
-        data = events.data if isinstance(events, EventTable) else np.asarray(events)
-        n_events = int(data.shape[0])
-        ranges = None
-
+    ctx = binmd_shard_context(hist, events, transforms,
+                              n_shards=shards.n_shards)
+    n_ops, n_events = ctx.n_outer, ctx.n_inner
     tracer = _trace.active_tracer()
     with tracer.span(
         "binmd",
         kind="op",
         backend="sharded",
-        n_ops=int(transforms.shape[0]),
+        n_ops=n_ops,
         n_events=int(n_events),
-        n_shards=int(len(ranges) if ranges is not None else shards.n_shards),
-        out_of_core=bool(lazy),
+        n_shards=int(ctx.n_ranges),
+        out_of_core=ctx.lazy_events is not None,
     ) as op_span:
         if tracer.profile:
             from repro.util.perf import binmd_work
 
             op_span.set(perf=binmd_work(
-                int(transforms.shape[0]), int(n_events),
+                n_ops, int(n_events),
                 track_errors=hist.flat_error_sq is not None,
                 cache_hit=False,
             ))
-        if lazy:
-            captures = Captures(hist=hist, transforms=transforms)
-        else:
-            captures = Captures(hist=hist, events=data, transforms=transforms)
-        _run_shards(
-            "binmd", captures, _bin_events_element,
-            int(transforms.shape[0]), int(n_events),
-            shards, run=run, on_shard=on_shard,
-            ranges=ranges,
-            lazy_events=events if lazy else None,
-        )
-        tracer.count("binmd.events",
-                      int(transforms.shape[0]) * int(n_events))
+        _run_shards(ctx, shards, run=run, on_shard=on_shard)
+        tracer.count("binmd.events", n_ops * int(n_events))
     return hist

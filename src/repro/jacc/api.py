@@ -3,8 +3,9 @@
 Mirrors JACC.jl's user surface: application code writes kernels once and
 calls these functions; the active back end decides how they execute.
 The default back end comes from ``REPRO_JACC_BACKEND`` (falling back to
-"threads", the CPU default, like JACC's Threads default) and can be
-swapped at runtime with :func:`set_default_backend`.
+"vectorized": the batch bodies every shard, out-of-core and stealing
+run also executes, so a default in-memory run agrees with them bit for
+bit) and can be swapped at runtime with :func:`set_default_backend`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def default_backend() -> Backend:
     """The process-default back end (env ``REPRO_JACC_BACKEND``)."""
     global _default
     if _default is None:
-        _default = lookup_backend(os.environ.get("REPRO_JACC_BACKEND", "threads"))
+        _default = lookup_backend(os.environ.get("REPRO_JACC_BACKEND", "vectorized"))
     return _default
 
 

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import pickle
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -144,33 +145,32 @@ def _is_histogram(value: Any) -> bool:
 class RecordingHist3:
     """Order-preserving deposit recorder standing in for ``Hist3``.
 
-    Implements the accumulation surface kernel element bodies use
-    (``push`` — bin arithmetic identical to ``Hist3.push`` — and
-    ``push_many``), but instead of touching a signal array it records
-    ``(flat_bin, weight, err_sq)`` in call order.  The parent replays
-    the log with ``np.add.at``, which applies unbuffered element by
-    element: the per-bin accumulation order, and therefore every
-    floating-point rounding step, matches a serial execution of the
-    same index window exactly.
+    Implements the accumulation surface kernel bodies use — ``push``
+    (element bodies; the grid's scalar binning rule, as ``Hist3.push``),
+    ``push_many`` and ``push_flat`` (batch bodies) — but instead of
+    touching a signal array it records ``(flat_bin, weight, err_sq)`` in
+    call order: batch deposits as whole arrays, scalar pushes as a run
+    of Python values packed into one array at the next array deposit or
+    harvest.  The parent replays the log with ``np.add.at``, which
+    applies unbuffered element by element: the per-bin accumulation
+    order, and therefore every floating-point rounding step, matches an
+    in-place execution of the same index window exactly.
     """
 
     def __init__(self, grid: Any, track_errors: bool) -> None:
         self.grid = grid
         self.track_errors = bool(track_errors)
+        self._parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._idx: List[int] = []
         self._w: List[float] = []
         self._e: List[float] = []
 
     def push(self, c0: float, c1: float, c2: float,
              weight: float, err_sq: float = 0.0) -> bool:
-        grid = self.grid
-        mn, w, nb = grid.minimum, grid.widths, grid.bins
-        i0 = int((c0 - mn[0]) // w[0])
-        i1 = int((c1 - mn[1]) // w[1])
-        i2 = int((c2 - mn[2]) // w[2])
-        if not (0 <= i0 < nb[0] and 0 <= i1 < nb[1] and 0 <= i2 < nb[2]):
+        flat = self.grid.flat_bin(c0, c1, c2)
+        if flat < 0:
             return False
-        self._idx.append((i0 * nb[1] + i1) * nb[2] + i2)
+        self._idx.append(flat)
         self._w.append(float(weight))
         if self.track_errors:
             self._e.append(float(err_sq))
@@ -180,36 +180,56 @@ class RecordingHist3:
                   err_sq: Optional[np.ndarray] = None, *,
                   scatter_impl: str = "atomic") -> int:
         flat, inside = self.grid.bin_index(np.asarray(coords, dtype=np.float64))
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != inside.shape:
-            weights = np.broadcast_to(weights, inside.shape)
-        self._idx.extend(int(i) for i in flat[inside].ravel())
-        self._w.extend(float(v) for v in weights[inside].ravel())
-        if self.track_errors:
-            if err_sq is None:
-                self._e.extend(0.0 for _ in range(int(inside.sum())))
-            else:
-                err_sq = np.broadcast_to(
-                    np.asarray(err_sq, dtype=np.float64), inside.shape
-                )
-                self._e.extend(float(v) for v in err_sq[inside].ravel())
+        weights = np.broadcast_to(np.asarray(weights, dtype=np.float64),
+                                  inside.shape)
+        if err_sq is not None:
+            err_sq = np.broadcast_to(np.asarray(err_sq, dtype=np.float64),
+                                     inside.shape)[inside]
+        self.push_flat(flat[inside], weights[inside], err_sq)
         return int(inside.sum())
+
+    def push_flat(self, flat: np.ndarray, weights: np.ndarray,
+                  err_sq: Optional[np.ndarray] = None, *,
+                  scatter_impl: str = "atomic") -> None:
+        self._pack_scalars()
+        # copies: the log outlives the caller's buffers
+        flat = np.array(flat, dtype=np.int64).ravel()
+        if flat.size == 0:
+            return
+        if not self.track_errors:
+            err = np.empty(0)
+        elif err_sq is None:
+            err = np.zeros(flat.size)
+        else:
+            err = np.array(err_sq, dtype=np.float64).ravel()
+        self._parts.append(
+            (flat, np.array(weights, dtype=np.float64).ravel(), err))
+
+    def _pack_scalars(self) -> None:
+        if self._idx:
+            self._parts.append((np.array(self._idx, dtype=np.int64),
+                                np.array(self._w, dtype=np.float64),
+                                np.array(self._e, dtype=np.float64)))
+            self._idx, self._w, self._e = [], [], []
 
     def harvest(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """The deposit log as dense arrays (idx, weights, err_sq|None)."""
-        idx = np.asarray(self._idx, dtype=np.int64)
-        w = np.asarray(self._w, dtype=np.float64)
-        e = np.asarray(self._e, dtype=np.float64) if self.track_errors else None
-        return idx, w, e
+        self._pack_scalars()
+        if len(self._parts) == 1:
+            idx, w, e = self._parts[0]
+        elif self._parts:
+            idx, w, e = (np.concatenate(col) for col in zip(*self._parts))
+        else:
+            idx, w, e = (np.empty(0, dtype=np.int64), np.empty(0),
+                         np.empty(0))
+        return idx, w, (e if self.track_errors else None)
 
     def harvest_reset(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Harvest the log and clear it — the shard executor calls this
         at every outer-index boundary to get op-segmented logs whose
-        interleaved replay reconstructs the serial deposit order."""
+        interleaved replay reconstructs the in-place deposit order."""
         out = self.harvest()
-        self._idx = []
-        self._w = []
-        self._e = []
+        self._parts = []
         return out
 
 
@@ -525,6 +545,19 @@ def _run_reduce_chunk(task: Dict[str, Any]) -> Any:
 # the back end
 # ---------------------------------------------------------------------------
 
+def _require_picklable(kernel: Kernel) -> None:
+    """Refuse, before any task is submitted, an element body the workers
+    could not receive: bodies travel to the pool by reference."""
+    try:
+        pickle.dumps(kernel.element)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise BackendError(
+            f"kernel {kernel.name!r}: its element body cannot be pickled "
+            f"for the multiprocess worker pool ({exc}); define it at "
+            "module level"
+        ) from exc
+
+
 class MultiprocessBackend(Backend):
     name = "multiprocess"
     device_kind = "cpu"
@@ -582,6 +615,7 @@ class MultiprocessBackend(Backend):
             loop = GLOBAL_JIT.loop_for_flat(kernel.name, self.name, len(dims))
             loop(kernel.element, captures, dims, 0, total)
             return
+        _require_picklable(kernel)
         transport = _Transport(captures)
         tree: Optional[_TreeBlocks] = None
         trace_ctx = _trace_ctx()
@@ -662,6 +696,7 @@ class MultiprocessBackend(Backend):
                 for start, stop in chunks
             ]
             return float(pairwise_tree(partials, combine))
+        _require_picklable(kernel)
         transport = _Transport(captures)
         trace_ctx = _trace_ctx()
         tracer = _trace.active_tracer()

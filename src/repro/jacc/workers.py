@@ -38,6 +38,7 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import resource_tracker
 from typing import Optional
 
 from repro.jacc.backend import BackendError
@@ -133,6 +134,10 @@ class WorkerPool:
                 return self._pool
             if self._pool is not None:
                 self._pool.shutdown(wait=True, cancel_futures=True)
+            # Workers attach the parent's shared-memory captures; started
+            # before the fork, the parent's resource tracker is the one
+            # they all report to, instead of one orphaned tracker each.
+            resource_tracker.ensure_running()
             self._pool = ProcessPoolExecutor(
                 max_workers=n_workers, mp_context=_mp_context()
             )

@@ -16,20 +16,23 @@ execution exactly-once).
 Determinism argument (DESIGN.md §6h).  Execution order is deliberately
 chaotic — that is the point — so nothing numeric may depend on it:
 
-* a task never touches a histogram; it *records* deposit logs for its
-  planned contiguous range (:func:`repro.core.sharding.
-  execute_shard_range`), exactly as the static fan-out's shards do;
+* a task never touches a histogram; it runs the kernel's batch body
+  over its planned contiguous range and *records* the deposit logs,
+  through the same :func:`repro.core.sharding.execute_shard_range` the
+  static fan-out's shards use;
 * when the last task of a run reports, the run's logs are replayed
   **keyed by the shard's planned index** (op-major, planned ranges
   ascending — :func:`repro.core.sharding.replay_shard_logs`) into
   fresh per-run scratch histograms: each run's delta is therefore
-  bit-identical to a serial execution of that run, regardless of which
-  ranks executed which shards, in what order, with how many steals;
+  bit-identical to an in-memory ``vectorized`` execution of that run,
+  regardless of which ranks executed which shards, in what order, with
+  how many steals;
 * the effective root folds the per-run deltas in **ascending run
-  order** — the same fold as the PR 3 recovering loop and the
-  checkpoint rebuild, so the stealing result is bit-identical to the
-  static recovering execution (and to any checkpointed/resumed static
-  campaign) for *every* steal schedule.
+  order** — the one fold of :mod:`repro.core.cross_section`, shared
+  with the recovering loop and the checkpoint rebuild, so the
+  stealing result is bit-identical to the static recovering execution
+  (and to any checkpointed/resumed static campaign) for *every* steal
+  schedule.
 
 Checkpoint/resume compatibility: deltas checkpoint per run exactly as
 the static loop's do; on ``--resume`` completed runs replay from disk
@@ -55,14 +58,21 @@ import numpy as np
 
 from repro.core import geom_cache as _gc
 from repro.core.checkpoint import RecoveryConfig
-from repro.core.cross_section import CrossSectionResult
+from repro.core.cross_section import (
+    CrossSectionResult,
+    _fold_from_checkpoint,
+    _fold_runs,
+    _n_events,
+)
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
 from repro.core.sharding import (
     ShardConfig,
     ShardContext,
+    binmd_ranges,
     binmd_shard_context,
     execute_shard_range,
+    mdnorm_ranges,
     mdnorm_shard_context,
     replay_shard_logs,
 )
@@ -338,7 +348,7 @@ def run_stealing_campaign(
             "machinery; kernel *_impl overrides are not stealable — use "
             "executor='static'"
         )
-    del sort_impl, scatter_impl  # record/replay path: scalar bodies only
+    del sort_impl, scatter_impl  # shards record with the batch defaults
     comm = comm or SequentialComm()
     cache = _gc.resolve(cache)
     shards = shards or ShardConfig(n_shards=1, workers=1)
@@ -427,12 +437,11 @@ def run_stealing_campaign(
         dispositions = dict(state.dispositions)
         if ckpt is not None:
             binmd_out, mdnorm_out = _fold_from_checkpoint(ckpt, grid)
-            ckpt.mark_campaign_complete(
-                f"runs={len(ckpt.completed_runs())} "
-                f"quarantined={len(ckpt.quarantined_runs())}\n"
-            )
         else:
-            binmd_out, mdnorm_out = _fold_from_deltas(state.deltas, grid)
+            binmd_out, mdnorm_out = _fold_runs(grid, (
+                (b.signal, b.error_sq, m.signal)
+                for b, m in (state.deltas[i] for i in sorted(state.deltas))
+            ))
         cross = binmd_out.divide(mdnorm_out)
 
     if monitor.enabled:
@@ -559,18 +568,19 @@ def _plan(
         state.workspaces[i] = ws
         event_transforms = grid.transforms_for(ws.ub_matrix, point_group)
         n_ops = int(np.asarray(event_transforms).shape[0])
-        mdnorm_ranges, mdnorm_weights = _mdnorm_plan(
-            n_det, n_ops, shards.n_shards)
-        binmd_ranges, binmd_weights = _binmd_plan(ws, n_ops, shards.n_shards)
-        state.task_counts[i] = len(mdnorm_ranges) + len(binmd_ranges)
+        # the shard contexts' own planners, so planned task indices line
+        # up with the context ranges built when the tasks execute
+        m_ranges, m_weights = mdnorm_ranges(n_det, n_ops, shards.n_shards)
+        b_ranges, b_weights = binmd_ranges(ws.events, n_ops, shards.n_shards)
+        state.task_counts[i] = len(m_ranges) + len(b_ranges)
         state.events_per_run[i] = _n_events(ws)
         # each enqueue is a planning span whose uid rides the task, so
         # an executing (possibly stolen) span can link back to the
         # exact planning site across ranks
         tracer = _trace.active_tracer()
         for stage, ranges, weights in (
-            ("mdnorm", mdnorm_ranges, mdnorm_weights),
-            ("binmd", binmd_ranges, binmd_weights),
+            ("mdnorm", m_ranges, m_weights),
+            ("binmd", b_ranges, b_weights),
         ):
             for idx, _rng in enumerate(ranges):
                 with tracer.span(
@@ -584,40 +594,6 @@ def _plan(
                         plan_uid=plan_span.uid,
                     ))
     return state
-
-
-def _mdnorm_plan(n_det: int, n_ops: int, n_shards: int):
-    """Detector-range plan, identical to :func:`mdnorm_shard_context`'s
-    (both call :func:`repro.mpi.decomposition.shard_ranges` on the same
-    axis, so planned task indices line up with context ranges)."""
-    from repro.mpi.decomposition import shard_ranges
-
-    ranges = shard_ranges(n_det, n_shards)
-    weights = [float(n_ops * (b - a)) for a, b in ranges]
-    return ranges, weights
-
-
-def _binmd_plan(ws: Any, n_ops: int, n_shards: int):
-    from repro.mpi.decomposition import lazy_table_ranges, range_stored_nbytes, shard_ranges
-
-    events = ws.events
-    if hasattr(events, "chunk_bounds") and hasattr(events, "window"):
-        ranges = lazy_table_ranges(events, n_shards)
-        return ranges, range_stored_nbytes(events, ranges)
-    n_events = _n_events(ws)
-    ranges = shard_ranges(n_events, n_shards)
-    weights = [float(n_ops * (b - a)) for a, b in ranges]
-    return ranges, weights
-
-
-def _n_events(ws: Any) -> int:
-    n = getattr(ws.events, "n_events", None)
-    if n is not None:
-        return int(n)
-    try:
-        return int(ws.events.data.shape[0])
-    except AttributeError:  # pragma: no cover - bare-array workspaces
-        return int(np.asarray(ws.events).shape[0])
 
 
 def _load_workspace(
@@ -998,54 +974,6 @@ def _quarantine(
     _trace.active_tracer().count("quarantine.runs")
     if monitor.enabled:
         monitor.record_quarantine(rank, run)
-
-
-# ---------------------------------------------------------------------------
-# the final fold
-# ---------------------------------------------------------------------------
-
-def _fold_from_deltas(
-    deltas: Dict[int, Tuple[Hist3, Hist3]], grid: HKLGrid
-) -> Tuple[Hist3, Hist3]:
-    """Ascending-run fold of in-memory per-run deltas — the same float
-    association as the PR 3 recovering loop and the checkpoint rebuild."""
-    binmd_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-    err_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-    mdnorm_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-    have_err = True
-    for i in sorted(deltas):
-        scratch_b, scratch_m = deltas[i]
-        binmd_total += scratch_b.signal
-        if scratch_b.error_sq is not None:
-            err_total += scratch_b.error_sq
-        else:
-            have_err = False
-        mdnorm_total += scratch_m.signal
-    return (
-        Hist3(grid, signal=binmd_total,
-              error_sq=err_total if have_err else None),
-        Hist3(grid, signal=mdnorm_total),
-    )
-
-
-def _fold_from_checkpoint(ckpt: Any, grid: HKLGrid) -> Tuple[Hist3, Hist3]:
-    binmd_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-    err_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-    mdnorm_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-    have_err = True
-    for i in ckpt.completed_runs():
-        delta = ckpt.load_run(i, grid)
-        binmd_total += delta.binmd_signal
-        if delta.binmd_error_sq is not None:
-            err_total += delta.binmd_error_sq
-        else:
-            have_err = False
-        mdnorm_total += delta.mdnorm_signal
-    return (
-        Hist3(grid, signal=binmd_total,
-              error_sq=err_total if have_err else None),
-        Hist3(grid, signal=mdnorm_total),
-    )
 
 
 def _non_root_result(

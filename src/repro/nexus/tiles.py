@@ -33,6 +33,7 @@ the cache alone.
 from __future__ import annotations
 
 import os
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -197,6 +198,7 @@ class LazyEventTable:
         self._file: Optional[File] = None
         self._tiles: Optional[TileManager] = None
         self._shape: Optional[Tuple[int, ...]] = None
+        self._lock = threading.Lock()
         self._validate()
 
     # -- lazy plumbing -------------------------------------------------
@@ -251,6 +253,7 @@ class LazyEventTable:
         self._file = None
         self._tiles = None
         self._shape = None
+        self._lock = threading.Lock()
 
     # -- EventTable-compatible surface ---------------------------------
     @property
@@ -285,8 +288,11 @@ class LazyEventTable:
 
     # -- data access ---------------------------------------------------
     def window(self, start: int, stop: int) -> np.ndarray:
-        """Rows ``[start, stop)`` through the budgeted tile cache."""
-        return self.tiles.window(start, stop)
+        """Rows ``[start, stop)`` through the budgeted tile cache (one
+        reader at a time: rank threads of the stealing executor share a
+        run's table)."""
+        with self._lock:
+            return self.tiles.window(start, stop)
 
     def materialize(self) -> EventTable:
         """The full in-memory table (defeats the point; for small runs

@@ -42,6 +42,11 @@ from repro.nexus.events import (
 
 BACKENDS = ("serial", "threads", "vectorized")
 
+#: the back ends the bit-identity properties rotate through: threads
+#: deposits in a run-dependent order (ORDER_RELAXED in the conformance
+#: matrix), so cached == uncached cannot hold bit for bit there
+ORDER_EXACT_BACKENDS = tuple(b for b in BACKENDS if b != "threads")
+
 
 # ---------------------------------------------------------------------------
 # randomized case generation (deterministic per seed)
@@ -259,7 +264,7 @@ class TestMdnormCachedEqualsUncached:
         """Cached (cold insert and warm replay) == uncached, bit for bit,
         on the back end this seed exercises."""
         grid, transforms, dets, solid, flux, band, charge = _random_case(seed)
-        backend = BACKENDS[seed % len(BACKENDS)]
+        backend = ORDER_EXACT_BACKENDS[seed % len(ORDER_EXACT_BACKENDS)]
 
         ref = Hist3(grid)
         mdnorm(ref, transforms, dets, solid, flux, band, charge=charge,
@@ -357,7 +362,7 @@ class TestBinmdCachedEqualsUncached:
     def test_cold_and_warm_match_uncached_exactly(self, seed):
         grid, transforms, _, _, _, _, _ = _random_case(seed)
         events = _random_events(seed)
-        backend = BACKENDS[seed % len(BACKENDS)]
+        backend = ORDER_EXACT_BACKENDS[seed % len(ORDER_EXACT_BACKENDS)]
 
         ref = Hist3(grid, track_errors=True)
         bin_events(ref, events, transforms, backend=backend, cache=DISABLED)

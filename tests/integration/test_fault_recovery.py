@@ -71,7 +71,9 @@ class MicroExperiment:
         return load_md(self.md_paths[i])
 
     def kw(self):
+        # the oracle back end: in memory, the batch bodies shards run
         return dict(
+            backend="vectorized",
             n_runs=len(self.md_paths),
             grid=self.grid,
             point_group=self.point_group,

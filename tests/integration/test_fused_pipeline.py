@@ -15,9 +15,12 @@ cross-section (and both factors, including ``error_sq``) must be
   budget);
 * checkpoint/resume across a mid-campaign failure.
 
-Each mode is compared fused-vs-vectorized *within* the mode, so modes
-with their own fold order (recovery's scratch-delta fold, stealing's
-error_sq self-fold) still demand exact equality.
+Every mode is compared against the in-memory ``vectorized`` reduction
+with the same fold order: the plain loop for in-place modes, the
+recovering loop (scratch-delta fold) for stealing and checkpoint
+resume.  Shards, stealing and out-of-core runs execute the batch bodies
+whatever the back end, so ``fused`` only decides the plain and
+recovering campaigns' MDNorm kernel.
 """
 
 import numpy as np
@@ -106,7 +109,8 @@ def assert_bit_identical(fused, vec):
     assert fused.mdnorm.signal.sum() > 0  # the campaign deposited
     assert np.array_equal(fused.mdnorm.signal, vec.mdnorm.signal)
     assert np.array_equal(fused.binmd.signal, vec.binmd.signal)
-    assert np.array_equal(fused.binmd.error_sq, vec.binmd.error_sq)
+    if vec.binmd.error_sq is not None:
+        assert np.array_equal(fused.binmd.error_sq, vec.binmd.error_sq)
     assert np.array_equal(fused.cross_section.signal,
                           vec.cross_section.signal, equal_nan=True)
     if fused.cross_section.error_sq is not None:
@@ -123,7 +127,7 @@ class TestFusedPipelineEquivalence:
     def test_sharded(self, exp, n_shards):
         shards = ShardConfig(n_shards=n_shards, workers=1)
         assert_bit_identical(exp.compute(backend="fused", shards=shards),
-                             exp.compute(backend="vectorized", shards=shards))
+                             exp.compute(backend="vectorized"))
 
     def test_stealing_executor(self, exp):
         def run(backend):
@@ -133,9 +137,11 @@ class TestFusedPipelineEquivalence:
                 schedule=ScheduleController(seed=5, policy="random"),
             )
 
-        fused, vec = run("fused"), run("vectorized")
+        fused = run("fused")
         assert fused.extras["stealing"]["tasks"] > 0
-        assert_bit_identical(fused, vec)
+        assert_bit_identical(fused, run("vectorized"))
+        assert_bit_identical(
+            fused, exp.compute(backend="vectorized", recovery=RecoveryConfig()))
 
     def test_out_of_core(self, exp, tmp_path):
         """Chunked event files re-read under a tight memory budget."""
@@ -153,7 +159,7 @@ class TestFusedPipelineEquivalence:
                 shards=ShardConfig(n_shards=3, workers=1),
             )
 
-        assert_bit_identical(run("fused"), run("vectorized"))
+        assert_bit_identical(run("fused"), exp.compute(backend="vectorized"))
 
     def test_checkpoint_resume(self, exp, tmp_path):
         """Kill run 1 mid-campaign, resume from the checkpoint: the
@@ -182,7 +188,12 @@ class TestFusedPipelineEquivalence:
                                shards=ShardConfig(n_shards=2, workers=1),
                                recovery=resume)
 
-        assert_bit_identical(run("fused"), run("vectorized"))
+        fused = run("fused")
+        assert_bit_identical(fused, run("vectorized"))
+        reference = RecoveryConfig(
+            checkpoint=CheckpointManager(str(tmp_path / "ckpt-reference")))
+        assert_bit_identical(
+            fused, exp.compute(backend="vectorized", recovery=reference))
 
     def test_recovering_loop(self, exp):
         """The recovery path folds per-run scratch deltas — a different

@@ -7,15 +7,15 @@ cross-section (and both of its factors) must be **bit-identical** —
 
 * shard counts 1, 2, 3, 7 (including shards > items axes);
 * worker counts (in-process degenerate pool vs real process pool);
-* count-balanced vs activity-balanced detector cuts;
 * streaming batch sizes, with sharded ``open_run`` normalization;
 * kill-one-shard + retry and checkpoint/resume, riding the PR 3
   fault-plan machinery at the ``shard.mdnorm`` / ``shard.binmd`` sites.
 
-The recovering loop folds per-run scratch deltas (different float
-association than the fail-fast loop — a pre-existing, documented
-property), so recovery cases compare against a *recovery-without-
-shards* golden, which they must match bit for bit.
+Shards run the kernels' batch bodies, so the oracle is the in-memory
+``vectorized`` reduction.  The recovering loop folds per-run scratch
+deltas (different float association than the fail-fast loop — a
+pre-existing, documented property), so recovery cases compare against
+a *recovery-without-shards* golden, which they must match bit for bit.
 """
 
 import numpy as np
@@ -75,7 +75,7 @@ class _Exp:
         return self.wss[i]
 
     def compute(self, loader=None, **kw):
-        kw.setdefault("backend", "serial")
+        kw.setdefault("backend", "vectorized")
         return compute_cross_section(
             loader or self.loader, N_RUNS, self.grid, self.pg, self.flux,
             self.instrument.directions, self.sa, **kw,
@@ -91,7 +91,8 @@ def exp():
 
 @pytest.fixture(scope="module")
 def golden(exp):
-    """The unsharded serial cross-section every sharded run must match."""
+    """The unsharded in-memory ``vectorized`` cross-section every
+    sharded run must match."""
     return exp.compute()
 
 
@@ -116,26 +117,15 @@ def assert_identical(res, ref):
 # ---------------------------------------------------------------------------
 
 class TestShardInvariance:
-    @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-    def test_shard_count_invariance(self, exp, golden, n_shards):
-        """shards=7 > the 3-op outer axis and still partitions the
-        inner axes exactly — empty shards are no-ops."""
-        res = exp.compute(shards=ShardConfig(n_shards=n_shards, workers=1))
-        assert_identical(res, golden)
-
     @pytest.mark.parametrize("workers", (1, 2))
-    def test_worker_count_invariance(self, exp, golden, workers):
-        """In-process degenerate pool vs real process pool: same
-        record/replay path, same bits."""
-        res = exp.compute(shards=ShardConfig(n_shards=3, workers=workers))
-        assert_identical(res, golden)
-
-    @pytest.mark.parametrize("n_shards", (2, 3))
-    def test_balanced_cut_invariance(self, exp, golden, n_shards):
-        """Activity-balanced detector boundaries change only the load
-        split, never the replayed deposit order."""
-        res = exp.compute(
-            shards=ShardConfig(n_shards=n_shards, workers=1, balanced=True))
+    @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+    def test_shard_count_invariance(self, exp, golden, n_shards, workers):
+        """shards=7 > the 3-op outer axis and still partitions the
+        inner axes exactly — empty shards are no-ops; the in-process
+        degenerate pool and the real process pool record and replay
+        the same bits."""
+        res = exp.compute(shards=ShardConfig(n_shards=n_shards,
+                                             workers=workers))
         assert_identical(res, golden)
 
     def test_run_weighted_outer_level(self, exp, golden):
@@ -172,7 +162,7 @@ class TestShardedOps:
         traj, _ = self._transforms(exp, ws)
         ref = Hist3(exp.grid)
         mdnorm(ref, traj, exp.instrument.directions, exp.sa, exp.flux,
-               ws.momentum_band, charge=ws.proton_charge, backend="serial")
+               ws.momentum_band, charge=ws.proton_charge, backend="vectorized")
         got = Hist3(exp.grid)
         sharded_mdnorm(
             got, traj, exp.instrument.directions, exp.sa, exp.flux,
@@ -186,7 +176,7 @@ class TestShardedOps:
         ws = exp.wss[2]
         _, ev = self._transforms(exp, ws)
         ref = Hist3(exp.grid, track_errors=True)
-        bin_events(ref, ws.events, ev, backend="serial")
+        bin_events(ref, ws.events, ev, backend="vectorized")
         got = Hist3(exp.grid, track_errors=True)
         sharded_binmd(got, ws.events, ev,
                       shards=ShardConfig(n_shards=n_shards, workers=1))
@@ -213,7 +203,7 @@ class TestShardedOps:
 class TestStreamingSharded:
     def _reduce(self, exp, *, shards=None, batch_size=128):
         sr = StreamingReduction(exp.grid, exp.pg, exp.flux, exp.instrument,
-                                exp.sa, backend="serial", shards=shards)
+                                exp.sa, backend="vectorized", shards=shards)
         for run in exp.runs:
             sr.open_run(run)
             for batch in EventStream(run, batch_size=batch_size):
@@ -282,7 +272,7 @@ class TestShardFaults:
         assert res.degraded
         ref = compute_cross_section(
             exp.loader, N_RUNS, exp.grid, exp.pg, exp.flux,
-            exp.instrument.directions, exp.sa, backend="serial",
+            exp.instrument.directions, exp.sa, backend="vectorized",
             recovery=RecoveryConfig(),
             )
         # degraded result differs from the full campaign
@@ -332,8 +322,8 @@ class TestShardConfigValidation:
 
     def test_from_options(self):
         assert ShardConfig.from_options(None) is None
-        cfg = ShardConfig.from_options(4, 2, balanced=True)
-        assert cfg == ShardConfig(n_shards=4, workers=2, balanced=True)
+        cfg = ShardConfig.from_options(4, 2)
+        assert cfg == ShardConfig(n_shards=4, workers=2)
         assert cfg.effective_workers == 2
 
 

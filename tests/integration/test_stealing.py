@@ -3,7 +3,8 @@
 The elastic work-stealing executor's whole contract is that the steal
 schedule is **numerically invisible**: for any interleaving of steals,
 births, leaves and deaths the reduced histograms are bit-identical to
-the static recovering loop (the serial oracle).  This suite attacks
+the static recovering loop on the in-memory ``vectorized`` back end
+(the oracle).  This suite attacks
 that claim from every angle the ScheduleController can express:
 
 * a fuzz matrix — 50 seeds x {2, 3, 4} ranks, rotating through every
@@ -20,9 +21,9 @@ that claim from every angle the ScheduleController can express:
   ``completed=True`` steal span per planned ``(run, stage, shard)``
   cell, under chaos included;
 * the executor x back-end conformance sweep — the stealing result is
-  bit-identical to the serial-order oracle on *every* registered back
-  end (the record/replay path is scalar; back ends only accelerate
-  the exact-integer pre-pass).
+  bit-identical to the oracle on *every* registered back end (shards
+  run the batch bodies; back ends only accelerate the exact-integer
+  pre-pass).
 
 Histogram note: the stealing executor always folds ``error_sq`` from
 its per-run deltas, while the uncheckpointed static oracle drops it in
@@ -141,9 +142,11 @@ def exp(tmp_path_factory) -> StealExperiment:
 
 @pytest.fixture(scope="module")
 def golden(exp):
-    """The serial oracle: the static recovering loop, fault-free."""
+    """The oracle: the static recovering loop, in memory on the
+    ``vectorized`` back end, fault-free."""
     return compute_cross_section(
-        exp.loader, recovery=RecoveryConfig(retry=POLICY), **exp.kw()
+        exp.loader, recovery=RecoveryConfig(retry=POLICY),
+        backend="vectorized", **exp.kw()
     )
 
 
@@ -291,7 +294,7 @@ class TestStaticEquivalence:
 
 class TestFuzzMatrix:
     """50 seeds x {2, 3, 4} ranks, policies rotating — every campaign
-    bit-identical to the serial oracle, whatever got stolen."""
+    bit-identical to the oracle, whatever got stolen."""
 
     @pytest.mark.parametrize("size", SIZES)
     def test_fifty_seeds_bit_identical(self, exp, golden, steal_baseline,
@@ -486,9 +489,9 @@ class TestExactlyOnceAccounting:
 
 class TestExecutorBackendConformance:
     """The stealing executor rides the back-end matrix: record/replay
-    runs the scalar element bodies, so the campaign is bit-identical to
-    the serial-order oracle on every registered back end (the back end
-    only accelerates the exact-integer intersection pre-pass)."""
+    runs the batch bodies, so the campaign is bit-identical to the
+    oracle on every registered back end (the back end only accelerates
+    the exact-integer intersection pre-pass)."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_backend_bit_identical_under_random_schedules(

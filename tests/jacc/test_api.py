@@ -21,10 +21,12 @@ class TestDefaultBackend:
         monkeypatch.setenv("REPRO_JACC_BACKEND", "serial")
         assert api.default_backend().name == "serial"
 
-    def test_fallback_is_threads(self, monkeypatch, reset_default):
+    def test_fallback_is_vectorized(self, monkeypatch, reset_default):
+        """Unset, the default runs the batch bodies — the ones every
+        shard, out-of-core and stealing run executes."""
         api._default = None
         monkeypatch.delenv("REPRO_JACC_BACKEND", raising=False)
-        assert api.default_backend().name == "threads"
+        assert api.default_backend().name == "vectorized"
 
     def test_invalid_env_raises_lazily(self, monkeypatch, reset_default):
         api._default = None

@@ -168,6 +168,21 @@ def _hist_samples(seed, *, integer_weights):
     return coords, w
 
 
+def _edge_samples(seed):
+    """Adversarial coordinates: on every kind of bin edge (upper
+    boundary included) and a few ulps either side of it, with integer
+    weights so any back end must match the oracle bit for bit.  These
+    are the points where flooring the exact quotient (Python's ``//``)
+    and flooring the rounded one (``np.floor(x / w)``) part ways."""
+    rng = np.random.default_rng(9000 + seed)
+    n = 40 + (seed * 7) % 120
+    edge = rng.integers(0, np.array(GRID.bins) + 1, size=(n, 3))
+    coords = np.array(GRID.minimum) + edge * GRID.widths
+    coords += rng.integers(-3, 4, size=(n, 3)) * np.spacing(coords)
+    w = rng.integers(1, 7, size=n).astype(np.float64)
+    return coords, w
+
+
 # ---------------------------------------------------------------------------
 # parallel_for
 # ---------------------------------------------------------------------------
@@ -259,6 +274,17 @@ class TestHistogramMatrix:
                                            rtol=1e-12, atol=0.0)
                 np.testing.assert_allclose(got.error_sq, oracle.error_sq,
                                            rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_bin_edge_points_bit_identical_everywhere(self, backend):
+        """One binning rule: points on and next to bin edges land in the
+        same bins under the scalar and the batch bodies."""
+        for seed in range(N_SEEDS):
+            coords, w = _edge_samples(seed)
+            oracle = self._fill("serial", coords, w)
+            got = self._fill(backend, coords, w)
+            assert np.array_equal(got.signal, oracle.signal), (backend, seed)
+            assert np.array_equal(got.error_sq, oracle.error_sq), (backend, seed)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_untracked_errors(self, backend):

@@ -195,6 +195,25 @@ class TestRecordingReplay:
         idx3, w3, _ = rec.harvest()
         assert len(idx3) == 1 and w3[0] == 2.0
 
+    def test_mixed_deposits_keep_call_order(self):
+        """Scalar pushes and array deposits interleave in one log, in
+        call order: the replay equals the same calls on a Hist3."""
+        coords, w = self._samples(3, n=60)
+        real = Hist3(GRID, track_errors=True)
+        rec = RecordingHist3(GRID, True)
+        for target in (real, rec):
+            for (c0, c1, c2), wi in zip(coords[:10], w[:10]):
+                target.push(c0, c1, c2, wi, wi * wi)
+            target.push_many(coords[10:30], w[10:30], w[10:30] ** 2)
+            target.push(*coords[30], w[30], w[30] ** 2)
+            flat, inside = GRID.bin_index(coords[31:])
+            target.push_flat(flat[inside], w[31:][inside],
+                             w[31:][inside] ** 2)
+        replayed = Hist3(GRID, track_errors=True)
+        replay_deposits(replayed, [rec.harvest()])
+        assert np.array_equal(replayed.signal, real.signal)
+        assert np.array_equal(replayed.error_sq, real.error_sq)
+
     def test_out_of_grid_deposits_rejected(self):
         rec = RecordingHist3(GRID, False)
         assert rec.push(9.0, 0.0, 0.0, 1.0) is False
@@ -298,6 +317,25 @@ class TestBackendConfig:
         monkeypatch.setenv(HIST_MODE_ENV, "tree")
         assert MultiprocessBackend().hist_mode == "tree"
         assert MultiprocessBackend(hist_mode="replay").hist_mode == "replay"
+
+    def test_unpicklable_element_rejected_before_any_task(self, monkeypatch):
+        """A closure body cannot reach the workers: the launch fails
+        with an error naming the kernel, and no task is submitted."""
+        def local_element(ctx, i):
+            ctx.out[i] = 1.0
+
+        def no_pool(n_workers):
+            raise AssertionError("a task was submitted")
+
+        monkeypatch.setattr(GLOBAL_POOL, "executor", no_pool)
+        kernel = Kernel(name="closure_kernel", element=local_element)
+        backend = MultiprocessBackend(n_workers=2)
+        with pytest.raises(BackendError, match="closure_kernel"):
+            backend.run_parallel_for(8, kernel,
+                                     make_captures(out=np.zeros(8)))
+        with pytest.raises(BackendError, match="closure_kernel"):
+            backend.run_parallel_reduce(8, kernel,
+                                        make_captures(out=np.zeros(8)))
 
     def test_default_chunk_grid_is_worker_independent(self):
         assert MultiprocessBackend(n_workers=1)._n_chunks == DEFAULT_CHUNKS

@@ -10,8 +10,9 @@ same table.
 
 The 50-seed matrix below drives every (chunk size x codec x budget x
 worker-backend) combination through ``sharded_binmd`` on a
-``LazyEventTable`` and compares against ``bin_events`` on the
-materialized :class:`EventTable`.  Full-pipeline cases do the same
+``LazyEventTable`` and compares against the ``vectorized``
+``bin_events`` on the materialized :class:`EventTable` (shards run the
+same batch body).  Full-pipeline cases do the same
 through ``compute_cross_section``.  Golden-file cases pin v1 (whole
 payload) / v2 (chunked) container back-compat: v1 files read bit for
 bit, and a v1 -> v2 rewrite round-trips the table exactly.
@@ -112,7 +113,7 @@ class TestOutOfCoreBitIdentity:
                 codec=c["codec"])
 
         ref = Hist3(GRID, track_errors=True)
-        bin_events(ref, EventTable(table), TRANSFORMS)
+        bin_events(ref, EventTable(table), TRANSFORMS, backend="vectorized")
 
         budget = (None if c["budget_chunks"] is None
                   else c["budget_chunks"] * c["chunk"] * ROW_BYTES)
@@ -152,7 +153,7 @@ class TestOutOfCoreBitIdentity:
         assert n * ROW_BYTES >= 4 * budget
 
         ref = Hist3(GRID, track_errors=True)
-        bin_events(ref, EventTable(table), TRANSFORMS)
+        bin_events(ref, EventTable(table), TRANSFORMS, backend="vectorized")
 
         lazy = LazyEventTable(path, memory_budget=budget)
         got = Hist3(GRID, track_errors=True)
@@ -202,6 +203,41 @@ class TestTileManager:
                      (128, 256), (500, 500)):
             assert np.array_equal(lazy.window(a, b), table[a:b])
         lazy.close()
+
+    def test_concurrent_windows_through_one_tile_cache(self, tmp_path):
+        """Rank threads share a run's table: windows read concurrently
+        through one budgeted cache (evicting all the while) still come
+        back exact."""
+        import sys
+        import threading
+
+        path, table = self._chunked(tmp_path, n=1000, chunk=64)
+        lazy = LazyEventTable(path, memory_budget=2 * 64 * ROW_BYTES)
+        bad, done = [], []
+
+        def reader(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(150):
+                a = int(rng.integers(0, 1000))
+                b = min(1000, a + int(rng.integers(1, 200)))
+                if not np.array_equal(lazy.window(a, b), table[a:b]):
+                    bad.append((a, b))
+            done.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(s,))
+                       for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            lazy.close()
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == list(range(6)) and bad == []
 
     def test_lru_eviction_and_hits(self, tmp_path):
         path, _ = self._chunked(tmp_path, n=1024, chunk=128)
@@ -304,7 +340,7 @@ class TestFullPipelineOutOfCore:
             paths.append(p)
 
         def compute(loader, **kw):
-            kw.setdefault("backend", "serial")
+            kw.setdefault("backend", "vectorized")
             return compute_cross_section(
                 loader, len(wss), grid, pg, flux, inst.directions, sa, **kw)
 

@@ -53,48 +53,43 @@ def _bin_events_element(ctx: Captures, n: int, i: int) -> None:
 def _bin_events_batch(ctx: Captures, dims: tuple[int, int]) -> None:
     """Device realization: per op, fused transform + scatter over events.
 
-    With a warm :class:`BinMDEntry` the transform and bin search are
-    skipped: the cached flat indices / inside masks are sliced per tile
-    and scatter-added exactly as :meth:`Hist3.push_many` would have —
-    the index arrays are event-independent of the tiling, so the warm
-    scatter sequence is bit-identical to the cold one.
+    Cold, each (op, tile) is binned once with :meth:`HKLGrid.bin_index`
+    (recorded into the :class:`BinMDEntry` being collected, if any) and
+    its inside lanes are scatter-added in event order with
+    :meth:`Hist3.push_flat`.  With a warm entry the transform and bin
+    search are skipped: the cached flat indices / inside masks are
+    sliced per tile and fed to the same ``push_flat`` calls, so cold,
+    warm and uncached scatter sequences are bit-identical by
+    construction.
     """
     n_ops, n_events = dims
     ev = ctx.events
     q = ev[:, COL_QX : COL_QZ + 1]
     weights = ev[:, COL_SIGNAL]
-    err_sq = ev[:, COL_ERROR_SQ]
     tile = ctx.tile
     hist: Hist3 = ctx.hist
+    # a Hist3 without an error array drops err_sq; skip masking it then
+    # (the shard recorder has no `error_sq` and decides for itself)
+    err_sq = (ev[:, COL_ERROR_SQ]
+              if getattr(hist, "error_sq", True) is not None else None)
     entry: Optional[BinMDEntry] = getattr(ctx, "binmd_entry", None)
-
-    if entry is not None:
-        for n in range(n_ops):
-            op_flat = entry.flat_idx[n]
-            op_inside = entry.inside[n]
-            for start in range(0, n_events, tile):
-                stop = min(start + tile, n_events)
-                inside = op_inside[start:stop]
-                hist.push_flat(
-                    op_flat[start:stop][inside], weights[start:stop][inside],
-                    err_sq[start:stop][inside], scatter_impl=ctx.scatter_impl,
-                )
-        return
-
     collect: Optional[BinMDEntry] = getattr(ctx, "binmd_collect", None)
+
     for n in range(n_ops):
         op_t = ctx.transforms[n].T
         for start in range(0, n_events, tile):
             stop = min(start + tile, n_events)
-            coords = q[start:stop] @ op_t
-            if collect is not None:
-                flat, inside = hist.grid.bin_index(coords)
-                collect.flat_idx[n, start:stop] = flat
-                collect.inside[n, start:stop] = inside
-            hist.push_many(
-                coords,
-                weights[start:stop],
-                err_sq[start:stop],
+            if entry is not None:
+                flat = entry.flat_idx[n, start:stop]
+                inside = entry.inside[n, start:stop]
+            else:
+                flat, inside = hist.grid.bin_index(q[start:stop] @ op_t)
+                if collect is not None:
+                    collect.flat_idx[n, start:stop] = flat
+                    collect.inside[n, start:stop] = inside
+            hist.push_flat(
+                flat[inside], weights[start:stop][inside],
+                None if err_sq is None else err_sq[start:stop][inside],
                 scatter_impl=ctx.scatter_impl,
             )
     if collect is not None:

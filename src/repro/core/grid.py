@@ -130,38 +130,50 @@ class HKLGrid:
         exclusive.  ``math.floor`` of the rounded quotient is exactly
         ``np.floor`` of it, so scalar and batch bodies agree bin for bin,
         including on points at bin edges (Python's ``//`` floors the
-        exact quotient instead and disagrees there).
+        exact quotient instead and disagrees there).  ``0 <= q < n``
+        holds exactly when ``0 <= floor(q) < n``, and fails for NaN and
+        infinities, which are therefore outside.
         """
         mn, w = self._scalar_binning
         nb = self.bins
-        i0 = math.floor((c0 - mn[0]) / w[0])
-        i1 = math.floor((c1 - mn[1]) / w[1])
-        i2 = math.floor((c2 - mn[2]) / w[2])
-        if not (0 <= i0 < nb[0] and 0 <= i1 < nb[1] and 0 <= i2 < nb[2]):
+        q0 = (c0 - mn[0]) / w[0]
+        q1 = (c1 - mn[1]) / w[1]
+        q2 = (c2 - mn[2]) / w[2]
+        if not (0.0 <= q0 < nb[0] and 0.0 <= q1 < nb[1] and 0.0 <= q2 < nb[2]):
             return -1
-        return (i0 * nb[1] + i1) * nb[2] + i2
+        return (math.floor(q0) * nb[1] + math.floor(q1)) * nb[2] + math.floor(q2)
 
     def bin_index(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flat bin indices of grid-coordinate points.
+        """Flat bin indices of grid-coordinate points (any leading shape).
 
         Returns ``(flat_index, inside_mask)``; indices of outside points
-        are clipped into range and must be masked by the caller.
+        are clipped into range and must be masked by the caller.  The
+        rule is :meth:`flat_bin`'s, computed one axis at a time on 1-D
+        columns: floor of the rounded quotient, upper boundary exclusive
+        (a point exactly at ``maximum`` is outside), non-finite points
+        outside.
         """
         c = np.asarray(coords, dtype=np.float64)
-        mn = np.array(self.minimum)
-        w = self.widths
-        # the binning rule of flat_bin: floor of the rounded quotient,
-        # upper boundary exclusive (a point exactly at `maximum` is
-        # outside), so scalar and batch bodies agree bin for bin
-        idx = np.floor((c - mn) / w).astype(np.int64)
-        nb = np.array(self.bins)
-        inside = np.all((idx >= 0) & (idx < nb), axis=-1)
-        idx_clipped = np.clip(idx, 0, nb - 1)
-        flat = (
-            idx_clipped[..., 0] * (nb[1] * nb[2])
-            + idx_clipped[..., 1] * nb[2]
-            + idx_clipped[..., 2]
-        )
+        mn, w = self._scalar_binning
+        flat = inside = None
+        # huge, infinite and NaN quotients overflow or cast to garbage:
+        # `ok` masks them out and the clamp keeps their index in range
+        with np.errstate(over="ignore", invalid="ignore"):
+            for axis, n in enumerate(self.bins):
+                q = np.subtract(c[..., axis], mn[axis], out=np.empty(c.shape[:-1]))
+                q /= w[axis]
+                np.floor(q, out=q)
+                ok = q >= 0.0
+                ok &= q < n
+                idx = q.astype(np.int64)
+                np.maximum(idx, 0, out=idx)
+                np.minimum(idx, n - 1, out=idx)
+                if flat is None:
+                    flat, inside = idx, ok
+                else:
+                    flat *= n
+                    flat += idx
+                    inside &= ok
         return flat, inside
 
     # -- constructors for the paper's cases ---------------------------------

@@ -146,8 +146,8 @@ class RecordingHist3:
     """Order-preserving deposit recorder standing in for ``Hist3``.
 
     Implements the accumulation surface kernel bodies use — ``push``
-    (element bodies; the grid's scalar binning rule, as ``Hist3.push``),
-    ``push_many`` and ``push_flat`` (batch bodies) — but instead of
+    (element bodies; the grid's scalar binning rule, as ``Hist3.push``)
+    and ``push_flat`` (batch bodies, which bin once) — but instead of
     touching a signal array it records ``(flat_bin, weight, err_sq)`` in
     call order: batch deposits as whole arrays, scalar pushes as a run
     of Python values packed into one array at the next array deposit or
@@ -175,18 +175,6 @@ class RecordingHist3:
         if self.track_errors:
             self._e.append(float(err_sq))
         return True
-
-    def push_many(self, coords: np.ndarray, weights: np.ndarray,
-                  err_sq: Optional[np.ndarray] = None, *,
-                  scatter_impl: str = "atomic") -> int:
-        flat, inside = self.grid.bin_index(np.asarray(coords, dtype=np.float64))
-        weights = np.broadcast_to(np.asarray(weights, dtype=np.float64),
-                                  inside.shape)
-        if err_sq is not None:
-            err_sq = np.broadcast_to(np.asarray(err_sq, dtype=np.float64),
-                                     inside.shape)[inside]
-        self.push_flat(flat[inside], weights[inside], err_sq)
-        return int(inside.sum())
 
     def push_flat(self, flat: np.ndarray, weights: np.ndarray,
                   err_sq: Optional[np.ndarray] = None, *,

@@ -81,6 +81,35 @@ class TestBinIndex:
         assert flat.shape == (3, 5)
         assert inside.shape == (3, 5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", range(5))
+    def test_flat_bin_agrees_with_bin_index(self, seed):
+        """One rule, two forms: on edges, a few ulps off them, exactly at
+        the grid corners and on non-finite or huge coordinates, the
+        scalar and the batch binning give the same bin (or both say
+        outside) without a warning."""
+        grid = HKLGrid(basis=np.eye(3), minimum=(-2.0, -1.5, -1.0),
+                       maximum=(2.0, 1.5, 0.7), bins=(5, 3, 2))
+        rng = np.random.default_rng(seed)
+        n = 400
+        edge = rng.integers(0, np.array(grid.bins) + 1, size=(n, 3))
+        coords = np.array(grid.minimum) + edge * grid.widths
+        coords += rng.integers(-3, 4, size=(n, 3)) * np.spacing(coords)
+        special = (np.nan, np.inf, -np.inf, 1e300, -1e300)
+        for axis in range(3):
+            for value in special:
+                point = np.array(grid.minimum)
+                point[axis] = value
+                coords = np.vstack([coords, point])
+        coords = np.vstack([coords, grid.minimum, grid.maximum])
+
+        flat, inside = grid.bin_index(coords)
+        scalar = [grid.flat_bin(*point) for point in coords]
+        assert np.array_equal(np.where(inside, flat, -1), scalar)
+        assert ((flat >= 0) & (flat < grid.n_bins_total)).all()
+        assert not inside[n:-2].any()  # every special point is outside
+        assert inside[-2] and flat[-2] == 0 and not inside[-1]
+
 
 class TestProjection:
     def test_benzil_basis_maps_110_to_first_axis(self):

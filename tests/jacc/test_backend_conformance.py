@@ -173,13 +173,20 @@ def _edge_samples(seed):
     boundary included) and a few ulps either side of it, with integer
     weights so any back end must match the oracle bit for bit.  These
     are the points where flooring the exact quotient (Python's ``//``)
-    and flooring the rounded one (``np.floor(x / w)``) part ways."""
+    and flooring the rounded one (``np.floor(x / w)``) part ways.  Every
+    seed also mixes in points exactly at ``minimum`` / ``maximum`` and
+    non-finite or huge coordinates (NaN, +-inf, +-1e300), all of which
+    but ``minimum`` lie outside under both binning functions."""
     rng = np.random.default_rng(9000 + seed)
     n = 40 + (seed * 7) % 120
     edge = rng.integers(0, np.array(GRID.bins) + 1, size=(n, 3))
     coords = np.array(GRID.minimum) + edge * GRID.widths
     coords += rng.integers(-3, 4, size=(n, 3)) * np.spacing(coords)
-    w = rng.integers(1, 7, size=n).astype(np.float64)
+    special = (np.nan, np.inf, -np.inf, 1e300, -1e300)
+    extra = np.array([GRID.minimum, GRID.maximum] + [GRID.minimum] * len(special))
+    extra[2:, seed % 3] = special
+    coords = rng.permutation(np.concatenate([coords, extra]))
+    w = rng.integers(1, 7, size=len(coords)).astype(np.float64)
     return coords, w
 
 

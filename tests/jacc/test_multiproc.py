@@ -152,13 +152,13 @@ class TestRecordingReplay:
         assert np.array_equal(replayed.signal, real.signal)
         assert np.array_equal(replayed.error_sq, real.error_sq)
 
-    def test_push_many_matches_hist3(self):
+    def test_push_flat_matches_hist3(self):
         coords, w = self._samples(1)
+        flat, inside = GRID.bin_index(coords)
         real = Hist3(GRID, track_errors=True)
-        n_real = real.push_many(coords, w, w * w)
+        real.push_many(coords, w, w * w)
         rec = RecordingHist3(GRID, True)
-        n_rec = rec.push_many(coords, w, w * w)
-        assert n_real == n_rec
+        rec.push_flat(flat[inside], w[inside], (w * w)[inside])
         replayed = Hist3(GRID, track_errors=True)
         replay_deposits(replayed, [rec.harvest()])
         assert np.array_equal(replayed.signal, real.signal)
@@ -201,14 +201,17 @@ class TestRecordingReplay:
         coords, w = self._samples(3, n=60)
         real = Hist3(GRID, track_errors=True)
         rec = RecordingHist3(GRID, True)
+
+        def push_array(target, a, b):
+            flat, inside = GRID.bin_index(coords[a:b])
+            target.push_flat(flat[inside], w[a:b][inside], w[a:b][inside] ** 2)
+
         for target in (real, rec):
             for (c0, c1, c2), wi in zip(coords[:10], w[:10]):
                 target.push(c0, c1, c2, wi, wi * wi)
-            target.push_many(coords[10:30], w[10:30], w[10:30] ** 2)
+            push_array(target, 10, 30)
             target.push(*coords[30], w[30], w[30] ** 2)
-            flat, inside = GRID.bin_index(coords[31:])
-            target.push_flat(flat[inside], w[31:][inside],
-                             w[31:][inside] ** 2)
+            push_array(target, 31, 60)
         replayed = Hist3(GRID, track_errors=True)
         replay_deposits(replayed, [rec.harvest()])
         assert np.array_equal(replayed.signal, real.signal)

@@ -11,38 +11,37 @@
     end for
     cross_section <- MPI_Reduce(binmd) / MPI_Reduce(mdnorm)
 
-Each rank owns private histograms; ``Reduce`` combines them on the
-root, which performs the guarded division.  Per-stage wall-clock is
-accumulated into a :class:`~repro.util.timers.StageTimings` using the
-paper's stage names (UpdateEvents / MDNorm / BinMD / Total).
+Each rank computes every one of its runs into fresh delta histograms;
+the effective root gathers the deltas and folds them in ascending run
+order (the ``Reduce``), then performs the guarded division.  One loop
+serves fail-fast and recovering campaigns, and the work-stealing
+executor (:mod:`repro.mpi.stealing`) records its runs through the same
+book and fold, so the bits never depend on rank count, recovery
+setting or executor.  Per-stage wall-clock is accumulated into a
+:class:`~repro.util.timers.StageTimings` using the paper's stage names
+(UpdateEvents / MDNorm / BinMD / Total).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
+import threading
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import geom_cache as _gc
 from repro.core.binmd import bin_events
-from repro.core.checkpoint import (
-    CheckpointCorruptError,
-    RecoveryConfig,
-)
+from repro.core.checkpoint import CheckpointCorruptError, RecoveryConfig
 from repro.core.geom_cache import GeomCache
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
 from repro.core.md_event_workspace import MDEventWorkspace
 from repro.core.mdnorm import mdnorm
-from repro.core.sharding import (
-    ShardConfig,
-    resolve_executor,
-    sharded_binmd,
-    sharded_mdnorm,
-)
+from repro.core.sharding import ShardConfig, sharded_binmd, sharded_mdnorm
 from repro.crystal.symmetry import PointGroup
-from repro.mpi import SUM, Comm, SequentialComm, balanced_rank_runs, rank_range
+from repro.mpi import Comm, SequentialComm, balanced_rank_runs
 from repro.nexus.corrections import FluxSpectrum
 from repro.util import faults as _faults
 from repro.util import monitor as _monitor
@@ -119,17 +118,82 @@ def _is_lazy(events: Any) -> bool:
 _OOC_FALLBACK = ShardConfig(n_shards=1, workers=1)
 
 
-def _rank_block(
-    n_runs: int, comm: Comm, run_weights: Optional[Sequence[float]]
-) -> Tuple[int, int]:
-    """This rank's contiguous run block — weight-balanced when the run
-    manifest supplies per-run event counts, classic equal-count block
-    otherwise (the two coincide for uniform weights)."""
-    if run_weights is None:
-        return rank_range(n_runs, comm.rank, comm.size)
-    require(len(run_weights) == n_runs,
-            f"run_weights has {len(run_weights)} entries for {n_runs} runs")
-    return balanced_rank_runs(run_weights, comm.size)[comm.rank]
+def _rank_blocks(
+    n_runs: int, size: int, run_weights: Optional[Sequence[float]]
+) -> List[Tuple[int, int]]:
+    """Every rank's contiguous run block — weight-balanced when the run
+    manifest supplies per-run event counts; uniform weights give the
+    classic equal-count blocks."""
+    weights = [1.0] * n_runs if run_weights is None else run_weights
+    require(len(weights) == n_runs,
+            f"run_weights has {len(weights)} entries for {n_runs} runs")
+    return balanced_rank_runs(weights, size)
+
+
+def _load_run(
+    load_run: Callable[[int], MDEventWorkspace], i: int, timings: StageTimings
+) -> MDEventWorkspace:
+    """UpdateEvents: load run ``i`` (timed) and check it carries a UB."""
+    with timings.stage("UpdateEvents"):
+        ws = load_run(i)
+    if ws.ub_matrix is None:
+        raise ValidationError(
+            f"run index {i} carries no UB matrix; Algorithm 1 needs it"
+        )
+    return ws
+
+
+def _retry(
+    attempt: Callable[[int], Any],
+    i: int,
+    recovery: Optional[RecoveryConfig],
+    cache: GeomCache,
+    *,
+    site: Optional[str] = None,
+    on_retry: Optional[Callable[[BaseException, int], None]] = None,
+) -> Any:
+    """``attempt(attempt_no)`` for run ``i`` under the run-level retry
+    protocol.  Fail-fast (``recovery=None``) calls it once, unwrapped.
+    Every retry first invalidates the run's geometry-cache entries (a
+    corrupt read may have seeded them from bad bytes), and a campaign
+    deadline caps every backoff, so retries never sleep past the cancel
+    token."""
+    if recovery is None:
+        return attempt(1)
+
+    def invalidate(exc: BaseException, attempt_no: int) -> None:
+        cache.invalidate(f"run:{i}")
+        if on_retry is not None:
+            on_retry(exc, attempt_no)
+
+    token = recovery.cancel
+    deadline: Dict[str, Any] = {}
+    if token is not None and token.deadline is not None:
+        deadline = {"deadline": token.deadline, "clock": token.clock}
+    return _faults.retry_call(
+        attempt, site=site or f"run[{i}]", policy=recovery.retry,
+        retryable=recovery.retryable, on_retry=invalidate, **deadline,
+    )
+
+
+def _check_cancel(token: Optional[_cancel.CancelToken], what: str) -> None:
+    """Cooperative cancellation between durable units: every run
+    completed so far is already checkpointed, so stopping here leaves
+    the campaign resumable bit-identically."""
+    if token is None:
+        return
+    try:
+        token.check(what)
+    except CancelledError:
+        _trace.active_tracer().count("campaign.cancelled")
+        raise
+
+
+def _campaign_scope(recovery: Optional[RecoveryConfig]) -> Any:
+    """The campaign's ambient cancel scope; fail-fast installs none."""
+    if recovery is None:
+        return nullcontext()
+    return _cancel.cancel_scope(recovery.cancel)
 
 
 def _shard_beat(
@@ -167,21 +231,15 @@ def _run_step(
     cache: GeomCache,
     shards: Optional[ShardConfig],
 ) -> Callable[[int, Hist3, Hist3], MDEventWorkspace]:
-    """Algorithm 1's loop body, shared by the fail-fast and recovering
-    loops: ``step(i, binmd_hist, mdnorm_hist)`` loads run ``i`` (the
-    timed UpdateEvents stage) and accumulates its MDNorm and BinMD into
-    the given histograms — through the ``*_impl`` override, the shard
-    executor (``shards``, or an out-of-core table), or the in-memory
-    kernel — and returns the run's workspace."""
+    """Algorithm 1's loop body: ``step(i, binmd_hist, mdnorm_hist)``
+    loads run ``i`` (the timed UpdateEvents stage) and accumulates its
+    MDNorm and BinMD into the given histograms — through the ``*_impl``
+    override, the shard executor (``shards``, or an out-of-core table),
+    or the in-memory kernel — and returns the run's workspace."""
     monitor = _monitor.active_monitor()
 
     def step(i: int, binmd_hist: Hist3, mdnorm_hist: Hist3) -> MDEventWorkspace:
-        with timings.stage("UpdateEvents"):
-            ws = load_run(i)
-        if ws.ub_matrix is None:
-            raise ValidationError(
-                f"run index {i} carries no UB matrix; Algorithm 1 needs it"
-            )
+        ws = _load_run(load_run, i, timings)
         event_transforms = grid.transforms_for(ws.ub_matrix, point_group)
         traj_transforms = grid.transforms_for(
             ws.ub_matrix, point_group, goniometer=ws.goniometer
@@ -231,14 +289,15 @@ def _run_step(
     return step
 
 
-def _fold_runs(
-    grid: HKLGrid,
-    deltas: Iterable[Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]],
-) -> Tuple[Hist3, Hist3]:
-    """The one fold of per-run deltas ``(binmd signal, binmd error_sq,
-    mdnorm signal)``, summed in the order given — ascending run order
-    for every caller, so the float association is independent of rank
-    layout, crashes, steals and resume points."""
+#: one run's delta: (binmd signal, binmd error_sq, mdnorm signal)
+RunDelta = Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]
+
+
+def _fold_runs(grid: HKLGrid, deltas: Iterable[RunDelta]) -> Tuple[Hist3, Hist3]:
+    """The one fold of per-run deltas, summed in the order given —
+    ascending run order for every caller, so the float association is
+    independent of rank layout, executor, crashes, steals and resume
+    points."""
     binmd_total = np.zeros(tuple(grid.bins), dtype=np.float64)
     err_total = np.zeros(tuple(grid.bins), dtype=np.float64)
     mdnorm_total = np.zeros(tuple(grid.bins), dtype=np.float64)
@@ -259,8 +318,8 @@ def _fold_runs(
 
 def _fold_from_checkpoint(ckpt: Any, grid: HKLGrid) -> Tuple[Hist3, Hist3]:
     """Fold every checkpointed run delta in ascending run order and mark
-    the campaign complete (the recovering and stealing executors' final
-    combine when a checkpoint manager is configured)."""
+    the campaign complete (the final combine whenever a checkpoint
+    manager is configured: it also covers runs a dead rank finished)."""
     out = _fold_runs(grid, (
         (d.binmd_signal, d.binmd_error_sq, d.mdnorm_signal)
         for d in (ckpt.load_run(i, grid) for i in ckpt.completed_runs())
@@ -270,6 +329,152 @@ def _fold_from_checkpoint(ckpt: Any, grid: HKLGrid) -> Tuple[Hist3, Hist3]:
         f"quarantined={len(ckpt.quarantined_runs())}\n"
     )
     return out
+
+
+class _RunBook:
+    """One campaign's per-run outcomes: ``runs`` maps a run to its
+    :data:`RunDelta`, ``dispositions`` to its status record
+    (``done|resumed|quarantined``, rank, attempts).
+
+    The static loop keeps one book per rank and gathers them on the
+    root; the stealing executor's ranks share one.  Either way every
+    run is recorded here exactly once — resumed from the checkpoint,
+    quarantined, or done (checkpointed first, so a recorded run is
+    durable whenever a checkpoint manager is configured).
+    """
+
+    def __init__(
+        self, grid: HKLGrid, recovery: Optional[RecoveryConfig], cache: GeomCache
+    ) -> None:
+        self.grid = grid
+        self.ckpt = recovery.checkpoint if recovery is not None else None
+        self.resuming = bool(recovery is not None and recovery.resume
+                             and self.ckpt is not None)
+        self.cache = cache
+        self.monitor = _monitor.active_monitor()
+        self.runs: Dict[int, RunDelta] = {}
+        self.dispositions: Dict[int, Dict[str, Any]] = {}
+        self._lock = threading.Lock()
+
+    def _record(self, i: int, delta: Optional[RunDelta], disposition: Dict[str, Any]) -> None:
+        with self._lock:
+            if delta is not None:
+                self.runs[i] = delta
+            self.dispositions[i] = disposition
+
+    def resume(self, i: int, rank: int) -> bool:
+        """Take run ``i`` from the checkpoint being resumed; True when
+        it needs no compute (replayed or quarantined there).  A corrupt
+        delta is recomputed."""
+        if not self.resuming:
+            return False
+        ckpt = self.ckpt
+        if ckpt.is_quarantined(i):
+            self._record(i, None, {"status": "quarantined", "rank": int(rank),
+                                   "resumed": True})
+            if self.monitor.enabled:
+                self.monitor.record_quarantine(rank, i)
+            return True
+        if not ckpt.has_run(i):
+            return False
+        tracer = _trace.active_tracer()
+        try:
+            d = ckpt.load_run(i, self.grid)
+        except CheckpointCorruptError:
+            tracer.count("checkpoint.corrupt")
+            self.cache.invalidate(f"run:{i}")
+            return False
+        rec = ckpt.run_record(i) or {}
+        self._record(i, (d.binmd_signal, d.binmd_error_sq, d.mdnorm_signal),
+                     {"status": "resumed", "rank": int(rank),
+                      "attempts": int(rec.get("attempts", 1))})
+        tracer.count("checkpoint.resumed")
+        if self.monitor.enabled:
+            self.monitor.record_resume(rank, i)
+        return True
+
+    def quarantine(self, i: int, rank: int, exc: _faults.RetryExhaustedError) -> None:
+        """Run ``i`` exhausted its retries: durably drop it."""
+        reason = repr(exc.last)
+        if self.ckpt is not None:
+            self.ckpt.quarantine_run(i, reason)
+        self._record(i, None, {"status": "quarantined", "rank": int(rank),
+                               "attempts": int(exc.attempts), "reason": reason})
+        _trace.active_tracer().count("quarantine.runs")
+        if self.monitor.enabled:
+            self.monitor.record_quarantine(rank, i)
+
+    def done(
+        self, i: int, rank: int, binmd: Hist3, mdnorm: Hist3, *,
+        attempts: int, events: int,
+    ) -> None:
+        """Run ``i``'s fresh delta histograms are complete."""
+        if self.ckpt is not None:
+            self.ckpt.save_run(i, binmd, mdnorm, attempts=attempts, rank=rank)
+        self._record(i, (binmd.signal, binmd.error_sq, mdnorm.signal),
+                     {"status": "done", "rank": int(rank),
+                      "attempts": int(attempts)})
+        if self.monitor.enabled:
+            self.monitor.run_completed(rank, i, events=float(events))
+
+
+def _non_root_result(
+    timings: StageTimings, n_runs: int, backend: Optional[str]
+) -> CrossSectionResult:
+    return CrossSectionResult(
+        cross_section=None, binmd=None, mdnorm=None,
+        timings=timings, n_runs=n_runs, backend=backend or "default",
+    )
+
+
+def _root_result(
+    grid: HKLGrid,
+    runs: Dict[int, RunDelta],
+    dispositions: Optional[Dict[int, Dict[str, Any]]],
+    *,
+    ckpt: Any,
+    comm: Comm,
+    cache: GeomCache,
+    timings: StageTimings,
+    n_runs: int,
+    backend: Optional[str],
+    extras: Optional[Dict[str, Any]] = None,
+) -> CrossSectionResult:
+    """The effective root's final combine for every executor: fold the
+    per-run deltas in ascending run order (from the checkpoint when one
+    is configured) and divide.  ``dispositions=None`` is fail-fast: no
+    recovery report."""
+    if ckpt is not None:
+        binmd, mdnorm = _fold_from_checkpoint(ckpt, grid)
+    else:
+        binmd, mdnorm = _fold_runs(grid, (runs[i] for i in sorted(runs)))
+    result = CrossSectionResult(
+        cross_section=binmd.divide(mdnorm), binmd=binmd, mdnorm=mdnorm,
+        timings=timings, n_runs=n_runs, backend=backend or "default",
+        dispositions=dispositions,
+    )
+    extras = dict(extras or {})
+    if dispositions is not None:
+        result.degraded = bool(result.quarantined_runs)
+        extras["recovery"] = {
+            "quarantined": list(result.quarantined_runs),
+            "failed_ranks": sorted(comm.failed_ranks()),
+            "resumed": sorted(i for i, d in dispositions.items()
+                              if d.get("status") == "resumed"),
+        }
+    if cache.enabled:
+        extras["geom_cache"] = cache.stats.snapshot()
+    result.extras = extras or None
+    return result
+
+
+def check_executor(executor: Optional[str]) -> None:
+    """Reject campaign executors other than the static plan and the
+    work-stealing executor."""
+    if executor not in (None, "static", "stealing"):
+        raise ValueError(
+            f"unknown executor {executor!r}; available: static, stealing"
+        )
 
 
 def compute_cross_section(
@@ -296,6 +501,11 @@ def compute_cross_section(
     schedule: Optional[Any] = None,
 ) -> CrossSectionResult:
     """Run Algorithm 1.
+
+    Every rank computes each of its runs into fresh delta histograms;
+    the effective root folds all runs' deltas in ascending run order.
+    The result is therefore bit-identical for every rank count,
+    recovery setting, shard count and executor.
 
     Parameters
     ----------
@@ -325,12 +535,13 @@ def compute_cross_section(
         invalidation.  Cache statistics are reported in
         ``result.extras["geom_cache"]`` on the root rank.
     recovery:
-        When given, the loop runs under the fault-tolerant protocol
-        (see :func:`_compute_cross_section_recovering`): per-run
-        retry/backoff, quarantine of runs that exhaust their retry
-        budget, checkpoint/resume of per-run deltas, and redistribution
-        of a crashed rank's unfinished runs to the survivors.  ``None``
-        keeps the historical fail-fast loop byte-for-byte.
+        When given, each run runs under the fault-tolerant protocol:
+        per-run retry/backoff, quarantine of runs that exhaust their
+        retry budget, checkpoint/resume of per-run deltas, cooperative
+        cancellation, and redistribution of a crashed rank's unfinished
+        runs to the survivors.  ``None`` is fail-fast: the same loop
+        with one attempt per run, the original exception, no
+        quarantine or checkpoint, and a rank crash aborts the world.
     shards:
         When given, each owned run's MDNorm fans out over detector
         shards and its BinMD over event shards on the node-local
@@ -348,20 +559,20 @@ def compute_cross_section(
         (:func:`repro.mpi.balanced_rank_runs`) instead of equal-count
         blocks — the outer level of the 2-D decomposition.
     executor:
-        Campaign execution strategy from the registry in
-        :mod:`repro.core.sharding`.  ``None``/``"static"`` is the fixed
-        rank-block plan below; ``"stealing"`` dispatches to the elastic
-        work-stealing executor (:mod:`repro.mpi.stealing`), whose
-        result is bit-identical to the static recovering plan for every
-        steal schedule.
+        ``None``/``"static"`` is the fixed rank-block plan below;
+        ``"stealing"`` dispatches to the elastic work-stealing executor
+        (:mod:`repro.mpi.stealing`), which shares this module's run
+        bookkeeping and fold.
     schedule:
         Stealing executor only: a
         :class:`repro.util.schedule.ScheduleController` driving steal
         and birth/leave/death decisions (None = seeded default).
     """
-    runner = resolve_executor(executor)
-    if runner is not None:
-        return runner(
+    check_executor(executor)
+    if executor == "stealing":
+        from repro.mpi.stealing import run_stealing_campaign
+
+        return run_stealing_campaign(
             load_run, n_runs, grid, point_group, flux,
             det_directions, solid_angles,
             comm=comm, backend=backend, sort_impl=sort_impl,
@@ -385,241 +596,43 @@ def compute_cross_section(
         scatter_impl=scatter_impl, timings=timings, binmd_impl=binmd_impl,
         mdnorm_impl=mdnorm_impl, cache=cache, shards=shards,
     )
-    if recovery is not None:
-        return _compute_cross_section_recovering(
-            step, n_runs, grid, comm=comm, backend=backend, timings=timings,
-            cache=cache, recovery=recovery, shards=shards,
-            run_weights=run_weights,
-        )
     tracer = _trace.active_tracer()
-
-    binmd_hist = Hist3(grid, track_errors=True)
-    mdnorm_hist = Hist3(grid)
-
-    start, end = _rank_block(n_runs, comm, run_weights)
     monitor = _monitor.active_monitor()
-    if monitor.enabled:
-        monitor.start_campaign(n_runs, comm.size)
-        monitor.assign_runs(comm.rank, end - start)
-    with tracer.span(
-        "cross_section",
-        kind="algorithm",
-        backend=backend or "default",
-        n_runs=int(n_runs),
-        mpi_rank=int(comm.rank),
-        mpi_size=int(comm.size),
-        **({"n_shards": int(shards.n_shards)} if shards is not None else {}),
-    ), timings.stage("Total"):
-        for i in range(start, end):
-            with tracer.span("run", kind="run", run=int(i)):
-                if monitor.enabled:
-                    monitor.heartbeat(
-                        comm.rank, site=f"run:{i}/UpdateEvents", run=i
-                    )
-                ws = step(i, binmd_hist, mdnorm_hist)
-                if monitor.enabled:
-                    monitor.run_completed(
-                        comm.rank, i, events=float(_n_events(ws))
-                    )
-
-        # MPI_Reduce of both histograms onto the root
-        with tracer.span("mpi_reduce", kind="mpi",
-                         mpi_rank=int(comm.rank), mpi_size=int(comm.size)):
-            binmd_total = np.empty_like(binmd_hist.signal) if comm.rank == 0 else None
-            mdnorm_total = np.empty_like(mdnorm_hist.signal) if comm.rank == 0 else None
-            comm.Reduce(binmd_hist.signal, binmd_total, op=SUM, root=0)
-            comm.Reduce(mdnorm_hist.signal, mdnorm_total, op=SUM, root=0)
-
-        if comm.rank != 0:
-            return CrossSectionResult(
-                cross_section=None,
-                binmd=None,
-                mdnorm=None,
-                timings=timings,
-                n_runs=n_runs,
-                backend=backend or "default",
-            )
-
-        binmd_out = Hist3(grid, signal=binmd_total)
-        mdnorm_out = Hist3(grid, signal=mdnorm_total)
-        cross = binmd_out.divide(mdnorm_out)
-    if monitor.enabled:
-        monitor.finish_campaign()
-    extras = {"geom_cache": cache.stats.snapshot()} if cache.enabled else None
-    return CrossSectionResult(
-        cross_section=cross,
-        binmd=binmd_out,
-        mdnorm=mdnorm_out,
-        timings=timings,
-        n_runs=n_runs,
-        backend=backend or "default",
-        extras=extras,
-    )
-
-
-# ---------------------------------------------------------------------------
-# the fault-tolerant loop (PR 3)
-# ---------------------------------------------------------------------------
-
-def _compute_cross_section_recovering(
-    step: Callable[[int, Hist3, Hist3], MDEventWorkspace],
-    n_runs: int,
-    grid: HKLGrid,
-    *,
-    comm: Comm,
-    backend: Optional[str],
-    timings: StageTimings,
-    cache: GeomCache,
-    recovery: RecoveryConfig,
-    shards: Optional[ShardConfig],
-    run_weights: Optional[Sequence[float]],
-) -> CrossSectionResult:
-    """Algorithm 1 under the failure model.
-
-    Differences from the fail-fast loop:
-
-    * each run's contribution is computed into **fresh scratch
-      histograms** and only added to the rank's running totals on
-      success, so a failed attempt never leaves a partial deposit
-      (retry safety);
-    * each run is wrapped in :func:`repro.util.faults.retry_call` —
-      transient failures (I/O, corrupt payloads, kernel errors) are
-      retried with backoff, and every retry invalidates the run's
-      geometry-cache entries first (a corrupt read may have populated
-      the cache from a corrupt source);
-    * a run that exhausts its retry budget is **quarantined** (when
-      ``recovery.quarantine``): its disposition is durably recorded and
-      the campaign completes *degraded* on the survivors;
-    * with a checkpoint manager, each completed run's delta is
-      persisted; with ``recovery.resume`` completed runs replay from
-      disk (digest-verified) instead of recomputing.  The final
-      histograms are then rebuilt by summing the per-run deltas in
-      **ascending run order** — the float-addition order is therefore
-      independent of rank layout, crashes and resume points, which is
-      what makes kill-and-resume bit-identical;
-    * an injected :class:`~repro.util.faults.RankCrashError` marks the
-      rank dead: its unfinished runs are published to the world
-      (``Comm.mark_failed``), the survivors' next barrier completes
-      with the remaining parties, and the dead rank's backlog is
-      redistributed round-robin over the alive ranks.  A second crash
-      during the takeover phase is *not* re-redistributed — it fails
-      loudly through the runner (double-fault policy).
-    """
-    tracer = _trace.active_tracer()
-    ckpt = recovery.checkpoint
-
-    binmd_hist = Hist3(grid, track_errors=True)
-    mdnorm_hist = Hist3(grid)
-    dispositions: Dict[int, Dict[str, Any]] = {}
-    done_local: set = set()
-    monitor = _monitor.active_monitor()
-    events_seen: Dict[int, int] = {}
-
-    def compute_delta(i: int) -> Tuple[Hist3, Hist3, int]:
-        """One run's contribution in scratch histograms (with retry)."""
-        attempts_used = [0]
-
-        def attempt(attempt_no: int) -> Tuple[Hist3, Hist3]:
-            attempts_used[0] = attempt_no
-            if monitor.enabled:
-                # announce the run *before* its fault point so a slow /
-                # wedged run ages this heartbeat (stall detection)
-                monitor.heartbeat(
-                    comm.rank, site=f"run:{i}/UpdateEvents", run=i
-                )
-            _faults.fault_point("run", run=i)
-            scratch_b = Hist3(grid, track_errors=True)
-            scratch_m = Hist3(grid)
-            ws = step(i, scratch_b, scratch_m)
-            events_seen[i] = _n_events(ws)
-            return scratch_b, scratch_m
-
-        def on_retry(exc: BaseException, attempt_no: int) -> None:
-            # a corrupt read may have seeded the cache from bad bytes
-            cache.invalidate(f"run:{i}")
-
-        # deadline propagation: a campaign deadline caps every per-run
-        # retry backoff, so retries never sleep past the cancel token
-        retry_kwargs: Dict[str, Any] = {}
-        if recovery.cancel is not None and recovery.cancel.deadline is not None:
-            retry_kwargs["deadline"] = recovery.cancel.deadline
-            retry_kwargs["clock"] = recovery.cancel.clock
-        scratch_b, scratch_m = _faults.retry_call(
-            attempt,
-            site=f"run[{i}]",
-            policy=recovery.retry,
-            retryable=recovery.retryable,
-            on_retry=on_retry,
-            **retry_kwargs,
-        )
-        return scratch_b, scratch_m, attempts_used[0]
+    book = _RunBook(grid, recovery, cache)
+    cancel = recovery.cancel if recovery is not None else None
 
     def process_run(i: int) -> None:
         """Resume-or-compute run ``i``; quarantine on exhausted retries."""
         with tracer.span("run", kind="run", run=int(i)):
-            if ckpt is not None and recovery.resume:
-                if ckpt.is_quarantined(i):
-                    dispositions[i] = {"status": "quarantined",
-                                       "rank": int(comm.rank),
-                                       "resumed": True}
-                    if monitor.enabled:
-                        monitor.record_quarantine(comm.rank, i)
-                    done_local.add(i)
-                    return
-                if ckpt.has_run(i):
-                    try:
-                        delta = ckpt.load_run(i, grid)
-                    except CheckpointCorruptError:
-                        tracer.count("checkpoint.corrupt")
-                        cache.invalidate(f"run:{i}")
-                    else:
-                        binmd_hist.signal += delta.binmd_signal
-                        if (binmd_hist.error_sq is not None
-                                and delta.binmd_error_sq is not None):
-                            binmd_hist.error_sq += delta.binmd_error_sq
-                        mdnorm_hist.signal += delta.mdnorm_signal
-                        rec = ckpt.run_record(i) or {}
-                        dispositions[i] = {
-                            "status": "resumed",
-                            "rank": int(comm.rank),
-                            "attempts": int(rec.get("attempts", 1)),
-                        }
-                        tracer.count("checkpoint.resumed")
-                        if monitor.enabled:
-                            monitor.record_resume(comm.rank, i)
-                        done_local.add(i)
-                        return
-            try:
-                scratch_b, scratch_m, attempts = compute_delta(i)
-            except _faults.RetryExhaustedError as exc:
-                if not recovery.quarantine:
-                    raise
-                reason = repr(exc.last)
-                if ckpt is not None:
-                    ckpt.quarantine_run(i, reason)
-                dispositions[i] = {"status": "quarantined",
-                                   "rank": int(comm.rank),
-                                   "attempts": int(exc.attempts),
-                                   "reason": reason}
-                tracer.count("quarantine.runs")
-                if monitor.enabled:
-                    monitor.record_quarantine(comm.rank, i)
-                done_local.add(i)
+            if book.resume(i, comm.rank):
                 return
-            binmd_hist.add(scratch_b)
-            mdnorm_hist.add(scratch_m)
-            if ckpt is not None:
-                ckpt.save_run(i, scratch_b, scratch_m,
-                              attempts=attempts, rank=comm.rank)
-            dispositions[i] = {"status": "done", "rank": int(comm.rank),
-                               "attempts": int(attempts)}
-            if monitor.enabled:
-                monitor.run_completed(
-                    comm.rank, i, events=float(events_seen.get(i, 0))
-                )
-            done_local.add(i)
 
-    start, end = _rank_block(n_runs, comm, run_weights)
+            def attempt(attempt_no: int) -> Tuple[Hist3, Hist3, int, int]:
+                if monitor.enabled:
+                    # announce the run *before* its fault point so a slow /
+                    # wedged run ages this heartbeat (stall detection)
+                    monitor.heartbeat(
+                        comm.rank, site=f"run:{i}/UpdateEvents", run=i
+                    )
+                if recovery is not None:
+                    _faults.fault_point("run", run=i)
+                binmd_delta = Hist3(grid, track_errors=True)
+                mdnorm_delta = Hist3(grid)
+                ws = step(i, binmd_delta, mdnorm_delta)
+                return binmd_delta, mdnorm_delta, _n_events(ws), attempt_no
+
+            try:
+                binmd_delta, mdnorm_delta, events, attempts = _retry(
+                    attempt, i, recovery, cache)
+            except _faults.RetryExhaustedError as exc:
+                if recovery is None or not recovery.quarantine:
+                    raise
+                book.quarantine(i, comm.rank, exc)
+                return
+            book.done(i, comm.rank, binmd_delta, mdnorm_delta,
+                      attempts=attempts, events=events)
+
+    start, end = _rank_blocks(n_runs, comm.size, run_weights)[comm.rank]
     my_runs = list(range(start, end))
     if monitor.enabled:
         monitor.start_campaign(n_runs, comm.size)
@@ -631,42 +644,25 @@ def _compute_cross_section_recovering(
         n_runs=int(n_runs),
         mpi_rank=int(comm.rank),
         mpi_size=int(comm.size),
-        recovery=True,
+        **({"recovery": True} if recovery is not None else {}),
         **({"n_shards": int(shards.n_shards)} if shards is not None else {}),
-    ), timings.stage("Total"), _cancel.cancel_scope(recovery.cancel):
-        crashed = False
-        for pos, i in enumerate(my_runs):
-            # cooperative cancellation between durable units: every run
-            # completed so far is already checkpointed, so stopping here
-            # leaves the campaign resumable bit-identically
-            if recovery.cancel is not None:
-                try:
-                    recovery.cancel.check(f"campaign (before run {i})")
-                except CancelledError:
-                    tracer.count("campaign.cancelled")
-                    raise
+    ), timings.stage("Total"), _campaign_scope(recovery):
+        for i in my_runs:
+            _check_cancel(cancel, f"campaign (before run {i})")
             try:
                 process_run(i)
             except _faults.RankCrashError:
-                if comm.size == 1:
-                    raise  # a lone rank cannot recover from its own death
+                if recovery is None or comm.size == 1:
+                    raise  # fail-fast, or a lone rank: nobody can take over
                 # durable work survives; everything else is the backlog
-                if ckpt is not None:
-                    leftover = [j for j in my_runs if j not in done_local]
-                else:
-                    leftover = list(my_runs)  # in-memory partials die with us
+                # (without a checkpoint, in-memory deltas die with us)
+                leftover = [j for j in my_runs if book.ckpt is None
+                            or j not in book.dispositions]
                 comm.mark_failed({"runs": leftover})
                 tracer.count("rank.crash")
                 if monitor.enabled:
                     monitor.record_crash(comm.rank)
-                crashed = True
-                break
-        if crashed:
-            return CrossSectionResult(
-                cross_section=None, binmd=None, mdnorm=None,
-                timings=timings, n_runs=n_runs,
-                backend=backend or "default",
-            )
+                return _non_root_result(timings, n_runs, backend)
 
         # -- rendezvous: learn who died, adopt their backlog ---------------
         if comm.size > 1:
@@ -679,97 +675,29 @@ def _compute_cross_section_recovering(
                 })
                 alive = comm.alive_ranks()
                 pos_in_alive = alive.index(comm.rank)
-                takeover = [r for idx, r in enumerate(backlog)
-                            if idx % len(alive) == pos_in_alive]
-                for i in takeover:
-                    if recovery.cancel is not None:
-                        try:
-                            recovery.cancel.check(
-                                f"campaign (before takeover run {i})"
-                            )
-                        except CancelledError:
-                            tracer.count("campaign.cancelled")
-                            raise
+                for i in backlog[pos_in_alive::len(alive)]:
+                    _check_cancel(cancel, f"campaign (before takeover run {i})")
                     # a crash here is a double fault: fail loudly
                     process_run(i)
 
-        # -- final combine --------------------------------------------------
-        alive = comm.alive_ranks()
-        eff_root = alive[0]
-        merged = _merge_dispositions(comm, dispositions, eff_root)
-
-        if ckpt is not None:
-            # every completed run's delta is durable: the effective root
-            # rebuilds the totals by summing deltas in ascending run
-            # order — bit-identical regardless of rank layout/crashes.
-            comm.Barrier()
-            if comm.rank != eff_root:
-                return CrossSectionResult(
-                    cross_section=None, binmd=None, mdnorm=None,
-                    timings=timings, n_runs=n_runs,
-                    backend=backend or "default",
-                )
-            binmd_out, mdnorm_out = _fold_from_checkpoint(ckpt, grid)
-        else:
-            with tracer.span("mpi_reduce", kind="mpi",
-                             mpi_rank=int(comm.rank), mpi_size=int(comm.size)):
-                is_root = comm.rank == eff_root
-                binmd_total = (np.empty_like(binmd_hist.signal)
-                               if is_root else None)
-                mdnorm_total = (np.empty_like(mdnorm_hist.signal)
-                                if is_root else None)
-                comm.Reduce(binmd_hist.signal, binmd_total,
-                            op=SUM, root=eff_root)
-                comm.Reduce(mdnorm_hist.signal, mdnorm_total,
-                            op=SUM, root=eff_root)
-            if comm.rank != eff_root:
-                return CrossSectionResult(
-                    cross_section=None, binmd=None, mdnorm=None,
-                    timings=timings, n_runs=n_runs,
-                    backend=backend or "default",
-                )
-            binmd_out = Hist3(grid, signal=binmd_total)
-            mdnorm_out = Hist3(grid, signal=mdnorm_total)
-
-        cross = binmd_out.divide(mdnorm_out)
+        # -- final combine: every rank's runs to the effective root ----------
+        eff_root = comm.alive_ranks()[0]
+        with tracer.span("mpi_reduce", kind="mpi",
+                         mpi_rank=int(comm.rank), mpi_size=int(comm.size)):
+            books = comm.gather((book.runs, book.dispositions), root=eff_root)
+        if books is None:
+            return _non_root_result(timings, n_runs, backend)
+        runs: Dict[int, RunDelta] = {}
+        dispositions: Dict[int, Dict[str, Any]] = {}
+        for part in books:
+            if part is not None:  # dead ranks contribute nothing
+                runs.update(part[0])
+                dispositions.update(part[1])
+        result = _root_result(
+            grid, runs, dispositions if recovery is not None else None,
+            ckpt=book.ckpt, comm=comm, cache=cache, timings=timings,
+            n_runs=n_runs, backend=backend,
+        )
     if monitor.enabled:
         monitor.finish_campaign()
-    quarantined = sorted(
-        i for i, d in merged.items() if d.get("status") == "quarantined"
-    )
-    extras: Dict[str, Any] = {"recovery": {
-        "quarantined": quarantined,
-        "failed_ranks": sorted(comm.failed_ranks()),
-        "resumed": sorted(
-            i for i, d in merged.items() if d.get("status") == "resumed"
-        ),
-    }}
-    if cache.enabled:
-        extras["geom_cache"] = cache.stats.snapshot()
-    return CrossSectionResult(
-        cross_section=cross,
-        binmd=binmd_out,
-        mdnorm=mdnorm_out,
-        timings=timings,
-        n_runs=n_runs,
-        backend=backend or "default",
-        extras=extras,
-        degraded=bool(quarantined),
-        dispositions=merged,
-    )
-
-
-def _merge_dispositions(
-    comm: Comm,
-    local: Dict[int, Dict[str, Any]],
-    eff_root: int,
-) -> Dict[int, Dict[str, Any]]:
-    """Allgather + merge per-rank run dispositions (dead ranks excluded)."""
-    if comm.size == 1:
-        return dict(local)
-    gathered = comm.allgather(local)
-    merged: Dict[int, Dict[str, Any]] = {}
-    for part in gathered:
-        if part:
-            merged.update(part)
-    return merged
+    return result

@@ -17,12 +17,16 @@ import numpy as np
 
 from repro.core import geom_cache as _gc
 from repro.core.checkpoint import RecoveryConfig
-from repro.core.cross_section import CrossSectionResult, compute_cross_section
+from repro.core.cross_section import (
+    CrossSectionResult,
+    check_executor,
+    compute_cross_section,
+)
 from repro.core.geom_cache import GeomCache
 from repro.core.grid import HKLGrid
 from repro.core.md_event_workspace import load_md
 from repro.core.mdnorm import prefetch_geometry
-from repro.core.sharding import ShardConfig, resolve_executor
+from repro.core.sharding import ShardConfig
 from repro.crystal.symmetry import PointGroup
 from repro.instruments.detector import DetectorArray
 from repro.mpi import Comm
@@ -54,7 +58,7 @@ class WorkflowConfig:
     #: the process default, ``repro.core.geom_cache.DISABLED`` opts out
     geom_cache: Optional[GeomCache] = None
     #: failure policy (retry/quarantine/checkpoint/resume); None =
-    #: historical fail-fast loop
+    #: fail-fast
     recovery: Optional[RecoveryConfig] = None
     #: intra-run shard count (detector ranges for MDNorm, event ranges
     #: for BinMD); None = single-level Algorithm 1
@@ -81,7 +85,7 @@ class WorkflowConfig:
         # fail fast on bad shard/worker counts at configuration time
         self.shard_config()
         # ... and on unknown executor names
-        resolve_executor(self.executor)
+        check_executor(self.executor)
 
     def schedule(self):
         """The steal-schedule controller for dynamic executors (None

@@ -13,6 +13,12 @@ replay), leave cleanly (drain-and-requeue), or die holding work (their
 claimed tasks requeue; the queue's claim/complete accounting keeps
 execution exactly-once).
 
+This module keeps only the queue and the schedule.  Everything a run
+needs besides its shard tasks — the timed load with its UB check and
+retry, resume and quarantine, the "run done" record (checkpoint save,
+monitor), the rank blocks, and the final fold and result — is the
+static loop's own code in :mod:`repro.core.cross_section`.
+
 Determinism argument (DESIGN.md §6h).  Execution order is deliberately
 chaotic — that is the point — so nothing numeric may depend on it:
 
@@ -28,10 +34,9 @@ chaotic — that is the point — so nothing numeric may depend on it:
   regardless of which ranks executed which shards, in what order, with
   how many steals;
 * the effective root folds the per-run deltas in **ascending run
-  order** — the one fold of :mod:`repro.core.cross_section`, shared
-  with the recovering loop and the checkpoint rebuild, so the
-  stealing result is bit-identical to the static recovering execution
-  (and to any checkpointed/resumed static campaign) for *every* steal
+  order** — the one fold every executor uses, so the stealing result
+  is bit-identical to the static loop (fail-fast or recovering, any
+  rank count, with or without a checkpoint) for *every* steal
   schedule.
 
 Checkpoint/resume compatibility: deltas checkpoint per run exactly as
@@ -60,9 +65,15 @@ from repro.core import geom_cache as _gc
 from repro.core.checkpoint import RecoveryConfig
 from repro.core.cross_section import (
     CrossSectionResult,
-    _fold_from_checkpoint,
-    _fold_runs,
+    _campaign_scope,
+    _check_cancel,
+    _load_run,
     _n_events,
+    _non_root_result,
+    _rank_blocks,
+    _retry,
+    _root_result,
+    _RunBook,
 )
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
@@ -78,7 +89,6 @@ from repro.core.sharding import (
 )
 from repro.crystal.symmetry import PointGroup
 from repro.mpi.comm import Comm, SequentialComm
-from repro.mpi.decomposition import balanced_rank_runs, rank_range
 from repro.nexus.corrections import FluxSpectrum
 from repro.util import faults as _faults
 from repro.util import monitor as _monitor
@@ -275,13 +285,13 @@ class _StealState:
         *,
         queue: StealQueue,
         controller: ScheduleController,
-        grid: HKLGrid,
+        book: _RunBook,
         n_shards: int,
         world_size: int,
     ) -> None:
         self.queue = queue
         self.controller = controller
-        self.grid = grid
+        self.book = book
         self.n_shards = int(n_shards)
         self.world_size = int(world_size)
         self.lock = threading.RLock()
@@ -291,8 +301,6 @@ class _StealState:
         self.task_counts: Dict[int, int] = {}       # run -> total tasks
         self.events_per_run: Dict[int, int] = {}
         self.run_attempts: Dict[int, int] = {}
-        self.deltas: Dict[int, Tuple[Hist3, Hist3]] = {}
-        self.dispositions: Dict[int, Dict[str, Any]] = {}
         self.finished_runs: Set[int] = set()
         self.helpers: List[threading.Thread] = []
         self.next_helper_rank = int(world_size)
@@ -340,6 +348,8 @@ def run_stealing_campaign(
     birth/leave/death decisions (the root rank's instance wins; default
     is the seeded ``weighted`` policy).  ``binmd_impl``/``mdnorm_impl``
     overrides own their parallelism and are not stealable.
+    ``recovery.cancel`` is checked before every run load and every task
+    claim, and caps every retry backoff.
     """
     require(n_runs >= 1, "need at least one run")
     if binmd_impl is not None or mdnorm_impl is not None:
@@ -357,7 +367,6 @@ def run_stealing_campaign(
     )
     tracer = _trace.active_tracer()
     monitor = _monitor.active_monitor()
-    ckpt = recovery.checkpoint if recovery is not None else None
     workers = shards.effective_workers
 
     if monitor.enabled:
@@ -372,7 +381,7 @@ def run_stealing_campaign(
         mpi_size=int(comm.size),
         executor="stealing",
         n_shards=int(shards.n_shards),
-    ), timings.stage("Total"):
+    ), timings.stage("Total"), _campaign_scope(recovery):
         # -- plan + share (root builds, everyone receives the reference)
         state: Optional[_StealState] = None
         if comm.rank == 0:
@@ -402,9 +411,8 @@ def run_stealing_campaign(
             state=state, grid=grid, point_group=point_group, flux=flux,
             det_directions=det_directions, solid_angles=solid_angles,
             backend=backend, sort_impl=sort_impl, cache=cache,
-            recovery=recovery, ckpt=ckpt,
-            workers=workers, timings=timings, monitor=monitor,
-            load_run=load_run, comm=comm,
+            recovery=recovery, workers=workers, timings=timings,
+            monitor=monitor, load_run=load_run,
         )
 
         crashed = False
@@ -430,58 +438,26 @@ def run_stealing_campaign(
         # -- rendezvous + ascending-run fold on the effective root ------
         if comm.size > 1:
             comm.Barrier()
-        alive = comm.alive_ranks()
-        eff_root = alive[0]
-        if comm.rank != eff_root:
+        if comm.rank != comm.alive_ranks()[0]:
             return _non_root_result(timings, n_runs, backend)
-
-        dispositions = dict(state.dispositions)
-        if ckpt is not None:
-            binmd_out, mdnorm_out = _fold_from_checkpoint(ckpt, grid)
-        else:
-            binmd_out, mdnorm_out = _fold_runs(grid, (
-                (b.signal, b.error_sq, m.signal)
-                for b, m in (state.deltas[i] for i in sorted(state.deltas))
-            ))
-        cross = binmd_out.divide(mdnorm_out)
+        book = state.book
+        result = _root_result(
+            grid, book.runs, dict(book.dispositions), ckpt=book.ckpt,
+            comm=comm, cache=cache, timings=timings, n_runs=n_runs,
+            backend=backend, extras={"stealing": {
+                "steals": int(state.queue.steals),
+                "adoptions": int(state.queue.adoptions),
+                "births": int(state.births),
+                "tasks": int(state.queue.total),
+                "policy": state.controller.policy,
+                "seed": state.controller.seed,
+                "schedule_signature": state.controller.schedule_signature(),
+            }},
+        )
 
     if monitor.enabled:
         monitor.finish_campaign()
-    quarantined = sorted(
-        i for i, d in dispositions.items() if d.get("status") == "quarantined"
-    )
-    extras: Dict[str, Any] = {
-        "stealing": {
-            "steals": int(state.queue.steals),
-            "adoptions": int(state.queue.adoptions),
-            "births": int(state.births),
-            "tasks": int(state.queue.total),
-            "policy": state.controller.policy,
-            "seed": state.controller.seed,
-            "schedule_signature": state.controller.schedule_signature(),
-        },
-        "recovery": {
-            "quarantined": quarantined,
-            "failed_ranks": sorted(comm.failed_ranks()),
-            "resumed": sorted(
-                i for i, d in dispositions.items()
-                if d.get("status") == "resumed"
-            ),
-        },
-    }
-    if cache.enabled:
-        extras["geom_cache"] = cache.stats.snapshot()
-    return CrossSectionResult(
-        cross_section=cross,
-        binmd=binmd_out,
-        mdnorm=mdnorm_out,
-        timings=timings,
-        n_runs=n_runs,
-        backend=backend or "default",
-        extras=extras,
-        degraded=bool(quarantined),
-        dispositions=dispositions,
-    )
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -513,58 +489,35 @@ def _plan(
     per-run checkpoint granularity means every shard of an incomplete
     run goes back into the queue.
     """
-    ckpt = recovery.checkpoint if recovery is not None else None
-    resume = bool(recovery is not None and recovery.resume and ckpt is not None)
-    if run_weights is not None:
-        require(len(run_weights) == n_runs,
-                f"run_weights has {len(run_weights)} entries for {n_runs} runs")
-        blocks = balanced_rank_runs(run_weights, comm.size)
-    else:
-        blocks = [rank_range(n_runs, r, comm.size) for r in range(comm.size)]
-    owner_of = {}
-    for rank, (a, b) in enumerate(blocks):
-        for i in range(a, b):
-            owner_of[i] = rank
-
-    controller = schedule or ScheduleController(seed=0, policy="weighted")
+    owner_of = {
+        i: rank
+        for rank, (a, b) in enumerate(_rank_blocks(n_runs, comm.size,
+                                                   run_weights))
+        for i in range(a, b)
+    }
     state = _StealState(
-        queue=StealQueue(), controller=controller, grid=grid,
-        n_shards=shards.n_shards, world_size=comm.size,
+        queue=StealQueue(),
+        controller=schedule or ScheduleController(seed=0, policy="weighted"),
+        book=_RunBook(grid, recovery, cache), n_shards=shards.n_shards,
+        world_size=comm.size,
     )
     for r in range(comm.size):
         state.queue.register_rank(r)
 
+    tracer = _trace.active_tracer()
+    cancel = recovery.cancel if recovery is not None else None
     for i in range(n_runs):
-        if resume:
-            if ckpt.is_quarantined(i):
-                state.queue.drop_run(i)
-                state.dispositions[i] = {
-                    "status": "quarantined", "rank": int(comm.rank),
-                    "resumed": True,
-                }
-                if monitor.enabled:
-                    monitor.record_quarantine(comm.rank, i)
-                continue
-            if ckpt.has_run(i):
-                rec = ckpt.run_record(i) or {}
-                state.dispositions[i] = {
-                    "status": "resumed", "rank": int(comm.rank),
-                    "attempts": int(rec.get("attempts", 1)),
-                }
-                _trace.active_tracer().count("checkpoint.resumed")
-                if monitor.enabled:
-                    monitor.record_resume(comm.rank, i)
-                continue
+        _check_cancel(cancel, f"campaign (before run {i})")
+        if state.book.resume(i, comm.rank):
+            continue
         try:
-            ws = _load_workspace(
-                load_run, i, timings, cache,
-                recovery=recovery, monitor=monitor, comm=comm,
-            )
+            ws = _load_workspace(load_run, i, timings, cache,
+                                 recovery=recovery, monitor=monitor,
+                                 rank=comm.rank)
         except _faults.RetryExhaustedError as exc:
             if recovery is None or not recovery.quarantine:
                 raise
-            _quarantine(state, i, repr(exc.last), int(exc.attempts),
-                        comm.rank, ckpt, monitor)
+            _quarantine(state, i, exc, comm.rank)
             continue
         state.workspaces[i] = ws
         event_transforms = grid.transforms_for(ws.ub_matrix, point_group)
@@ -578,7 +531,6 @@ def _plan(
         # each enqueue is a planning span whose uid rides the task, so
         # an executing (possibly stolen) span can link back to the
         # exact planning site across ranks
-        tracer = _trace.active_tracer()
         for stage, ranges, weights in (
             ("mdnorm", m_ranges, m_weights),
             ("binmd", b_ranges, b_weights),
@@ -605,34 +557,16 @@ def _load_workspace(
     *,
     recovery: Optional[RecoveryConfig],
     monitor: Any,
-    comm: Comm,
+    rank: int,
 ) -> Any:
     """UpdateEvents with the run-level retry protocol (planning side)."""
 
     def attempt(attempt_no: int) -> Any:
         if monitor.enabled:
-            monitor.heartbeat(comm.rank, site=f"run:{i}/UpdateEvents", run=i)
-        with timings.stage("UpdateEvents"):
-            ws = load_run(i)
-        if ws.ub_matrix is None:
-            raise ValidationError(
-                f"run index {i} carries no UB matrix; Algorithm 1 needs it"
-            )
-        return ws
+            monitor.heartbeat(rank, site=f"run:{i}/UpdateEvents", run=i)
+        return _load_run(load_run, i, timings)
 
-    if recovery is None:
-        return attempt(1)
-
-    def on_retry(exc: BaseException, attempt_no: int) -> None:
-        cache.invalidate(f"run:{i}")
-
-    return _faults.retry_call(
-        attempt,
-        site=f"run[{i}]",
-        policy=recovery.retry,
-        retryable=recovery.retryable,
-        on_retry=on_retry,
-    )
+    return _retry(attempt, i, recovery, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -653,12 +587,10 @@ class _ExecEnv:
     sort_impl: str
     cache: Any
     recovery: Optional[RecoveryConfig]
-    ckpt: Any
     workers: int
     timings: StageTimings
     monitor: Any
     load_run: Callable[[int], Any]
-    comm: Comm
 
 
 def _work_loop(env: _ExecEnv, rank: int, *, helper: bool) -> None:
@@ -666,6 +598,7 @@ def _work_loop(env: _ExecEnv, rank: int, *, helper: bool) -> None:
     q = state.queue
     ctl = state.controller
     tracer = _trace.active_tracer()
+    cancel = env.recovery.cancel if env.recovery is not None else None
     leaving = False
     while True:
         for action in ctl.lifecycle(rank, q.completed_count()):
@@ -683,6 +616,9 @@ def _work_loop(env: _ExecEnv, rank: int, *, helper: bool) -> None:
             q.deregister_rank(rank)
             tracer.count("steal.leaves")
             return
+        if helper and cancel is not None and cancel.cancelled:
+            return  # the world's ranks report the cancellation
+        _check_cancel(cancel, "campaign (before task claim)")
 
         victims = q.remaining_weights(exclude=rank)
         own_depth = q.own_depth(rank)
@@ -814,38 +750,26 @@ def _execute_task(
                 state.run_attempts[task.run] = max(
                     state.run_attempts.get(task.run, 0), attempt_no
                 )
-            ctx = _context(env, task.run, task.stage)
+            ctx = _context(env, rank, task.run, task.stage)
             _faults.fault_point("steal.task", rank=rank, run=task.run)
             with env.timings.stage(_STAGE_TITLES[task.stage]):
                 return execute_shard_range(
                     ctx, task.index, workers=env.workers, run=task.run
                 )
 
-        def on_retry(exc: BaseException, attempt_no: int) -> None:
-            env.cache.invalidate(f"run:{task.run}")
+        def drop_context(exc: BaseException, attempt_no: int) -> None:
             with state.lock:
                 # rebuild the context from scratch on the next attempt —
                 # a corrupt read may have poisoned it
                 state.contexts.pop((task.run, task.stage), None)
 
         try:
-            if env.recovery is None:
-                logs = attempt(1)
-            else:
-                logs = _faults.retry_call(
-                    attempt,
-                    site=f"steal[{task.label}]",
-                    policy=env.recovery.retry,
-                    retryable=env.recovery.retryable,
-                    on_retry=on_retry,
-                )
+            logs = _retry(attempt, task.run, env.recovery, env.cache,
+                          site=f"steal[{task.label}]", on_retry=drop_context)
         except _faults.RetryExhaustedError as exc:
             if env.recovery is None or not env.recovery.quarantine:
                 raise
-            _quarantine(
-                state, task.run, repr(exc.last), int(exc.attempts),
-                rank, env.ckpt, env.monitor,
-            )
+            _quarantine(state, task.run, exc, rank)
             q.complete(rank, task)
             return
 
@@ -857,7 +781,7 @@ def _execute_task(
             _maybe_finish_run(env, rank, task.run)
 
 
-def _context(env: _ExecEnv, run: int, stage: str) -> ShardContext:
+def _context(env: _ExecEnv, rank: int, run: int, stage: str) -> ShardContext:
     """The run-stage's shard context, built once under the run's lock.
 
     Whichever rank first executes (or steals) a task of the run pays
@@ -874,7 +798,7 @@ def _context(env: _ExecEnv, run: int, stage: str) -> ShardContext:
         if ws is None:
             ws = _load_workspace(
                 env.load_run, run, env.timings, env.cache,
-                recovery=env.recovery, monitor=env.monitor, comm=env.comm,
+                recovery=env.recovery, monitor=env.monitor, rank=rank,
             )
             with state.lock:
                 state.workspaces[run] = ws
@@ -930,58 +854,24 @@ def _maybe_finish_run(env: _ExecEnv, rank: int, run: int) -> None:
     # executed what, in what order
     replay_shard_logs(ctx_m, [logs_m[s] for s in range(ctx_m.n_ranges)])
     replay_shard_logs(ctx_b, [logs_b[s] for s in range(ctx_b.n_ranges)])
-    scratch_m = ctx_m.captures.hist
-    scratch_b = ctx_b.captures.hist
-
-    with state.lock:
-        state.deltas[run] = (scratch_b, scratch_m)
-        state.dispositions[run] = {
-            "status": "done", "rank": int(rank), "attempts": int(attempts),
-        }
-        # release the run's working set (out-of-core hygiene)
-        state.workspaces.pop(run, None)
-        state.contexts.pop((run, "mdnorm"), None)
-        state.contexts.pop((run, "binmd"), None)
-    if env.ckpt is not None:
-        env.ckpt.save_run(run, scratch_b, scratch_m,
-                          attempts=attempts, rank=rank)
-    if env.monitor.enabled:
-        env.monitor.run_completed(
-            rank, run, events=float(state.events_per_run.get(run, 0))
-        )
+    _release(state, run)
+    state.book.done(run, rank, ctx_b.captures.hist, ctx_m.captures.hist,
+                    attempts=attempts,
+                    events=state.events_per_run.get(run, 0))
 
 
 def _quarantine(
-    state: _StealState,
-    run: int,
-    reason: str,
-    attempts: int,
-    rank: int,
-    ckpt: Any,
-    monitor: Any,
+    state: _StealState, run: int, exc: _faults.RetryExhaustedError, rank: int
 ) -> None:
     state.queue.drop_run(run)
+    _release(state, run)
+    state.book.quarantine(run, rank, exc)
+
+
+def _release(state: _StealState, run: int) -> None:
+    """Drop the run's working set (out-of-core hygiene)."""
     with state.lock:
-        state.logs.pop((run, "mdnorm"), None)
-        state.logs.pop((run, "binmd"), None)
-        state.contexts.pop((run, "mdnorm"), None)
-        state.contexts.pop((run, "binmd"), None)
         state.workspaces.pop(run, None)
-        state.dispositions[run] = {
-            "status": "quarantined", "rank": int(rank),
-            "attempts": int(attempts), "reason": reason,
-        }
-    if ckpt is not None:
-        ckpt.quarantine_run(run, reason)
-    _trace.active_tracer().count("quarantine.runs")
-    if monitor.enabled:
-        monitor.record_quarantine(rank, run)
-
-
-def _non_root_result(
-    timings: StageTimings, n_runs: int, backend: Optional[str]
-) -> CrossSectionResult:
-    return CrossSectionResult(
-        cross_section=None, binmd=None, mdnorm=None,
-        timings=timings, n_runs=n_runs, backend=backend or "default",
-    )
+        for stage in _STAGES:
+            state.contexts.pop((run, stage), None)
+            state.logs.pop((run, stage), None)

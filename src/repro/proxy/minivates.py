@@ -73,7 +73,7 @@ class MiniVatesConfig:
     #: the process default (ignored entirely when ``cold_start=True``)
     geom_cache: Optional[GeomCache] = None
     #: failure policy (retry/quarantine/checkpoint/resume); None =
-    #: historical fail-fast loop
+    #: fail-fast
     recovery: Optional[RecoveryConfig] = None
 
     def __post_init__(self) -> None:

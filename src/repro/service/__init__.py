@@ -4,7 +4,7 @@ A persistent scheduler in front of the reduction stack: beamline
 tenants submit :class:`~repro.service.jobs.JobSpec` campaigns, the
 service admits them against per-tenant quotas
 (:mod:`repro.service.queue`), runs them with per-job isolation on the
-existing executor registry (:mod:`repro.service.scheduler`), dedups
+existing executors (:mod:`repro.service.scheduler`), dedups
 identical submissions through a content-addressed result store with
 single-flight coalescing (:mod:`repro.service.store`), and exposes the
 whole thing over a file-spool front end for the CLI

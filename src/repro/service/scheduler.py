@@ -7,7 +7,7 @@ tentpole describes.  One instance owns
   fair-share dispatch),
 * a pool of worker threads executing jobs on the existing reduction
   stack (:class:`~repro.core.workflow.ReductionWorkflow`, and through
-  it the executor registry — static or stealing),
+  it either executor — static or stealing),
 * a :class:`~repro.service.store.ResultStore` (content-addressed
   results + single-flight dedup),
 * a service-level :class:`~repro.util.monitor.CampaignMonitor` acting

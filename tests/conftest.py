@@ -10,6 +10,7 @@ gets its own tmp_path copies.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List
@@ -106,3 +107,18 @@ def tiny_experiment(tmp_path_factory: pytest.TempPathFactory) -> TinyExperiment:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def fine_gil_switching():
+    """Hand the GIL between simulated rank threads every 50 us.
+
+    The stealing tests' campaigns are a dozen sub-millisecond tasks:
+    under the default 5 ms interval the first rank to run can drain them
+    all before a peer is scheduled at all, and a fault aimed at one
+    rank's task then never fires.
+    """
+    prev = sys.getswitchinterval()
+    sys.setswitchinterval(5e-5)
+    yield
+    sys.setswitchinterval(prev)

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.checkpoint import CheckpointManager, RecoveryConfig
 from repro.core.cross_section import compute_cross_section
 from repro.core.md_event_workspace import load_md
+from repro.core.sharding import ShardConfig
 from repro.mpi import run_world
+from repro.util.schedule import ScheduleController
 from repro.util.timers import StageTimings
 from repro.util.validation import ValidationError
 
@@ -85,33 +88,70 @@ class TestSingleRank:
             )
 
 
+#: campaign modes of the one loop: fail-fast, recovery without a
+#: checkpoint, recovery with one (built per campaign, shared by ranks)
+MODES = ("fail-fast", "recovery", "checkpoint")
+
+
+def _recovery(mode, tmp_path):
+    if mode == "fail-fast":
+        return None
+    if mode == "recovery":
+        return RecoveryConfig()
+    return RecoveryConfig(checkpoint=CheckpointManager(tmp_path / "ck"))
+
+
+def _assert_same_bits(res, ref, label=""):
+    assert np.array_equal(res.binmd.signal, ref.binmd.signal), label
+    assert np.array_equal(res.binmd.error_sq, ref.binmd.error_sq), label
+    assert np.array_equal(res.mdnorm.signal, ref.mdnorm.signal), label
+
+
+def _root_of(tiny_experiment, size, **kw):
+    """The root result of a ``size``-rank campaign (others get None)."""
+
+    def spmd(comm):
+        res = _run_cs(tiny_experiment, comm=comm, **kw)
+        return res if res.is_root else None
+
+    outs = run_world(size, spmd)
+    roots = [o for o in outs if o is not None]
+    assert len(roots) == 1
+    return roots[0]
+
+
 class TestMPIDecomposition:
-    @pytest.mark.parametrize("size", [2, 3])
-    def test_matches_single_rank(self, tiny_experiment, size):
-        single = _run_cs(tiny_experiment)
+    """One fold: every rank count, campaign mode and executor lands on
+    the bits of the single-rank fail-fast loop."""
 
-        def spmd(comm):
-            res = _run_cs(tiny_experiment, comm=comm)
-            if res.is_root:
-                return res.binmd.signal, res.mdnorm.signal
-            assert res.cross_section is None
-            return None
+    @pytest.fixture(scope="class")
+    def single(self, tiny_experiment):
+        return _run_cs(tiny_experiment)
 
-        outs = run_world(size, spmd)
-        binmd, mdnorm_sig = outs[0]
-        assert np.allclose(binmd, single.binmd.signal)
-        assert np.allclose(mdnorm_sig, single.mdnorm.signal, rtol=1e-10)
-        assert all(o is None for o in outs[1:])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_matches_single_rank(self, tiny_experiment, single, tmp_path,
+                                 size):
+        for mode in MODES:
+            res = _root_of(tiny_experiment, size,
+                           recovery=_recovery(mode, tmp_path / mode))
+            _assert_same_bits(res, single, f"{mode} on {size} ranks")
+            assert (res.dispositions is None) == (mode == "fail-fast")
 
-    def test_more_ranks_than_runs(self, tiny_experiment):
-        single = _run_cs(tiny_experiment)
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_stealing_matches_single_rank(self, tiny_experiment, single,
+                                          size):
+        res = _root_of(tiny_experiment, size, executor="stealing",
+                       shards=ShardConfig(n_shards=2, workers=1),
+                       schedule=ScheduleController(seed=size,
+                                                   policy="random"))
+        _assert_same_bits(res, single, f"stealing on {size} ranks")
 
-        def spmd(comm):
-            res = _run_cs(tiny_experiment, comm=comm)
-            return res.binmd.signal if res.is_root else None
-
-        outs = run_world(5, spmd)  # ranks 3, 4 have no files
-        assert np.allclose(outs[0], single.binmd.signal)
+    def test_more_ranks_than_runs(self, tiny_experiment, single, tmp_path):
+        # 5 ranks, 3 runs: ranks 3 and 4 own no run
+        for mode in MODES:
+            res = _root_of(tiny_experiment, 5,
+                           recovery=_recovery(mode, tmp_path / mode))
+            _assert_same_bits(res, single, mode)
 
 
 class TestImplInjection:

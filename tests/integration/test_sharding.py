@@ -12,10 +12,9 @@ cross-section (and both of its factors) must be **bit-identical** —
   fault-plan machinery at the ``shard.mdnorm`` / ``shard.binmd`` sites.
 
 Shards run the kernels' batch bodies, so the oracle is the in-memory
-``vectorized`` reduction.  The recovering loop folds per-run scratch
-deltas (different float association than the fail-fast loop — a
-pre-existing, documented property), so recovery cases compare against
-a *recovery-without-shards* golden, which they must match bit for bit.
+``vectorized`` reduction.  Every campaign mode folds the same per-run
+deltas in ascending run order, so recovery cases compare against the
+same fail-fast golden, bit for bit.
 """
 
 import numpy as np
@@ -96,20 +95,11 @@ def golden(exp):
     return exp.compute()
 
 
-@pytest.fixture(scope="module")
-def golden_recovering(exp):
-    """The unsharded *recovering-loop* result (its scratch-delta fold
-    re-associates floats relative to the fail-fast loop, so recovery
-    cases get their own golden)."""
-    return exp.compute(recovery=RecoveryConfig())
-
-
 def assert_identical(res, ref):
     assert same(res.cross_section.signal, ref.cross_section.signal)
     assert np.array_equal(res.binmd.signal, ref.binmd.signal)
+    assert np.array_equal(res.binmd.error_sq, ref.binmd.error_sq)
     assert np.array_equal(res.mdnorm.signal, ref.mdnorm.signal)
-    if ref.binmd.error_sq is not None:
-        assert np.array_equal(res.binmd.error_sq, ref.binmd.error_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +227,10 @@ class TestShardFaults:
         assert isinstance(err, OSError)
 
     @pytest.mark.parametrize("site", ("shard.mdnorm", "shard.binmd"))
-    def test_kill_one_shard_then_retry(self, exp, golden_recovering, site):
+    def test_kill_one_shard_then_retry(self, exp, golden, site):
         """An io_error injected at a shard dispatch kills that run's
         attempt; the run-level retry re-executes the run and the final
-        campaign is bit-identical to the fault-free recovering one."""
+        campaign is bit-identical to the fault-free one."""
         plan = FaultPlan(
             [FaultSpec(site=site, kind="io_error", probability=1.0,
                        max_hits=1)],
@@ -253,9 +243,9 @@ class TestShardFaults:
             )
         assert len(plan.events) == 1  # the shard really was killed
         assert plan.events[0]["site"] == site
-        assert_identical(res, golden_recovering)
+        assert_identical(res, golden)
 
-    def test_kill_every_shard_of_one_run_quarantines(self, exp):
+    def test_kill_every_shard_of_one_run_quarantines(self, exp, golden):
         """A run whose shards always die exhausts its retries and is
         quarantined; survivors complete the campaign."""
         plan = FaultPlan(
@@ -270,19 +260,13 @@ class TestShardFaults:
             )
         assert res.quarantined_runs == (1,)
         assert res.degraded
-        ref = compute_cross_section(
-            exp.loader, N_RUNS, exp.grid, exp.pg, exp.flux,
-            exp.instrument.directions, exp.sa, backend="vectorized",
-            recovery=RecoveryConfig(),
-            )
         # degraded result differs from the full campaign
-        assert not same(res.cross_section.signal, ref.cross_section.signal)
+        assert not same(res.cross_section.signal, golden.cross_section.signal)
 
-    def test_checkpoint_resume_with_shards(self, exp, golden_recovering,
-                                           tmp_path):
+    def test_checkpoint_resume_with_shards(self, exp, golden, tmp_path):
         """Kill the campaign after run 0's delta is checkpointed, then
         resume with shards: replayed runs + sharded fresh runs are
-        bit-identical to the uninterrupted recovering campaign."""
+        bit-identical to the uninterrupted campaign."""
         ckpt_dir = str(tmp_path / "ckpt")
         plan = FaultPlan(
             [FaultSpec(site="shard.binmd", kind="io_error",
@@ -303,7 +287,7 @@ class TestShardFaults:
         )
         res = exp.compute(shards=ShardConfig(n_shards=3, workers=1),
                           recovery=resume)
-        assert_identical(res, golden_recovering)
+        assert_identical(res, golden)
 
 
 # ---------------------------------------------------------------------------

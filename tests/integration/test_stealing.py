@@ -23,13 +23,9 @@ that claim from every angle the ScheduleController can express:
 * the executor x back-end conformance sweep — the stealing result is
   bit-identical to the oracle on *every* registered back end (shards
   run the batch bodies; back ends only accelerate the exact-integer
-  pre-pass).
-
-Histogram note: the stealing executor always folds ``error_sq`` from
-its per-run deltas, while the uncheckpointed static oracle drops it in
-the final Reduce; ``error_sq`` is therefore compared against a
-stealing self-reference (and against the static result whenever the
-oracle carries one).
+  pre-pass);
+* cancellation — the campaign's cancel token and deadline stop the
+  stealing executor exactly as they stop the static loop.
 """
 
 import json
@@ -43,12 +39,7 @@ from repro.core.checkpoint import RecoveryConfig
 from repro.core.cross_section import compute_cross_section
 from repro.core.grid import HKLGrid
 from repro.core.md_event_workspace import convert_to_md, load_md, save_md
-from repro.core.sharding import (
-    ShardConfig,
-    available_executors,
-    register_executor,
-    resolve_executor,
-)
+from repro.core.sharding import ShardConfig
 from repro.crystal.goniometer import Goniometer
 from repro.crystal.structures import benzil
 from repro.crystal.symmetry import point_group
@@ -59,6 +50,7 @@ from repro.jacc import available_backends
 from repro.mpi import run_world
 from repro.mpi.stealing import run_stealing_campaign
 from repro.util import trace as trace_mod
+from repro.util.cancel import CancelledError, CancelToken, DeadlineExpiredError
 from repro.util.faults import (
     FaultPlan,
     FaultSpec,
@@ -74,8 +66,7 @@ N_FUZZ_SEEDS = 50
 SIZES = (2, 3, 4)
 POLICY = RetryPolicy(max_attempts=3, base_delay_s=0.0)
 
-#: the matrix rows, auto-discovered like the back-end matrix's
-EXECUTORS = tuple(available_executors())
+EXECUTORS = ("static", "stealing")
 BACKENDS = tuple(available_backends())
 
 
@@ -150,12 +141,6 @@ def golden(exp):
     )
 
 
-@pytest.fixture(scope="module")
-def steal_baseline(exp):
-    """Sequential no-steal stealing run: the error_sq self-reference."""
-    return _steal_seq(exp, ScheduleController(seed=0, policy="no-steal"))
-
-
 def _shards():
     return ShardConfig(n_shards=N_SHARDS, workers=1)
 
@@ -189,18 +174,13 @@ def _steal_world(exp, size, schedule, *, recovery=None, plan=None):
     return roots[0]
 
 
-def _assert_identical(res, golden, baseline=None, label=""):
-    """Bit-identity against the oracle (error_sq where available)."""
+def _assert_identical(res, golden, label=""):
+    """Bit-identity against the oracle, error_sq included."""
     assert np.array_equal(res.binmd.signal, golden.binmd.signal), label
+    assert np.array_equal(res.binmd.error_sq, golden.binmd.error_sq), label
     assert np.array_equal(res.mdnorm.signal, golden.mdnorm.signal), label
     assert np.array_equal(res.cross_section.signal,
                           golden.cross_section.signal, equal_nan=True), label
-    if golden.binmd.error_sq is not None:
-        assert np.array_equal(res.binmd.error_sq,
-                              golden.binmd.error_sq), label
-    if baseline is not None:
-        assert np.array_equal(res.binmd.error_sq,
-                              baseline.binmd.error_sq), label
 
 
 def _planned_cells():
@@ -297,8 +277,7 @@ class TestFuzzMatrix:
     bit-identical to the oracle, whatever got stolen."""
 
     @pytest.mark.parametrize("size", SIZES)
-    def test_fifty_seeds_bit_identical(self, exp, golden, steal_baseline,
-                                       size):
+    def test_fifty_seeds_bit_identical(self, exp, golden, size):
         total_steals = 0
         for seed in range(N_FUZZ_SEEDS):
             policy = POLICIES[seed % len(POLICIES)]
@@ -307,7 +286,7 @@ class TestFuzzMatrix:
                 p_steal=0.25 + 0.5 * ((seed // len(POLICIES)) % 3) / 2.0,
             )
             res = _steal_world(exp, size, ctl)
-            _assert_identical(res, golden, steal_baseline,
+            _assert_identical(res, golden,
                               label=f"size={size} seed={seed} {policy}")
             stats = res.extras["stealing"]
             assert stats["tasks"] == 2 * N_SHARDS * N_RUNS
@@ -338,22 +317,22 @@ class TestFuzzMatrix:
 class TestAdversarialSchedules:
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("size", (2, 3))
-    def test_named_policies(self, exp, golden, steal_baseline, size, policy):
+    def test_named_policies(self, exp, golden, size, policy):
         ctl = ScheduleController(seed=13, policy=policy)
         res = _steal_world(exp, size, ctl)
-        _assert_identical(res, golden, steal_baseline,
+        _assert_identical(res, golden,
                           label=f"{policy}@{size}")
         if policy == "no-steal":
             assert res.extras["stealing"]["steals"] == 0
 
-    def test_birth_during_drain(self, exp, golden, steal_baseline):
+    def test_birth_during_drain(self, exp, golden):
         """A rank born mid-campaign drains the queue alongside the
         world; its deposits merge through the same ordered replay."""
         tracer = trace_mod.Tracer()
         ctl = ScheduleController(seed=7, policy="random", births=(2,))
         with trace_mod.use_tracer(tracer):
             res = _steal_world(exp, 2, ctl)
-        _assert_identical(res, golden, steal_baseline)
+        _assert_identical(res, golden)
         assert res.extras["stealing"]["births"] == 1
         assert tracer.counters["steal.births"] == 1
         born = [r for r in trace_mod.iter_spans(tracer.records)
@@ -361,7 +340,7 @@ class TestAdversarialSchedules:
         assert len(born) == 1
         assert born[0]["attrs"]["rank"] == 2  # helper ids start at size
 
-    def test_clean_leave_requeues_backlog(self, exp, golden, steal_baseline):
+    def test_clean_leave_requeues_backlog(self, exp, golden):
         """Drain-and-requeue: the leaver's remaining deque becomes
         orphan work and is adopted, never lost."""
         tracer = trace_mod.Tracer()
@@ -369,22 +348,22 @@ class TestAdversarialSchedules:
                                  leaves=((1, 1),))
         with trace_mod.use_tracer(tracer):
             res = _steal_world(exp, 3, ctl)
-        _assert_identical(res, golden, steal_baseline)
+        _assert_identical(res, golden)
         assert tracer.counters["steal.leaves"] == 1
         # with stealing vetoed, the leaver's backlog can only have
         # moved through orphan adoption
         assert res.extras["stealing"]["adoptions"] > 0
         assert {d["status"] for d in res.dispositions.values()} == {"done"}
 
-    def test_scheduled_death_between_tasks(self, exp, golden,
-                                           steal_baseline):
+    def test_scheduled_death_between_tasks(self, exp, golden):
         ctl = ScheduleController(seed=17, policy="random",
                                  deaths=((2, 1),))
         res = _steal_world(exp, 3, ctl)
-        _assert_identical(res, golden, steal_baseline)
+        _assert_identical(res, golden)
         assert res.extras["recovery"]["failed_ranks"] == [1]
 
-    def test_death_holding_claimed_work(self, exp, golden, steal_baseline):
+    def test_death_holding_claimed_work(self, exp, golden,
+                                        fine_gil_switching):
         """The hardest preset: the rank dies *inside* a task attempt,
         while the task is claimed.  The claim must requeue and execute
         exactly once elsewhere."""
@@ -398,18 +377,18 @@ class TestAdversarialSchedules:
         with trace_mod.use_tracer(tracer):
             res = _steal_world(exp, 3, ctl, plan=plan)
         assert plan.stats()["injected"] == 1
-        _assert_identical(res, golden, steal_baseline)
+        _assert_identical(res, golden)
         assert res.extras["recovery"]["failed_ranks"] == [1]
         cells = _completed_cells(tracer.records)
         assert cells == {key: 1 for key in _planned_cells()}
 
-    def test_birth_after_death(self, exp, golden, steal_baseline):
+    def test_birth_after_death(self, exp, golden):
         """The elastic extremes composed: a rank dies, a replacement
         is born, the campaign still lands bit-identically."""
         ctl = ScheduleController(seed=23, policy="random",
                                  deaths=((1, 1),), births=(3,))
         res = _steal_world(exp, 3, ctl)
-        _assert_identical(res, golden, steal_baseline)
+        _assert_identical(res, golden)
         assert res.extras["recovery"]["failed_ranks"] == [1]
         assert res.extras["stealing"]["births"] == 1
 
@@ -419,25 +398,23 @@ class TestAdversarialSchedules:
 # ---------------------------------------------------------------------------
 
 class TestRecordReplay:
-    def test_json_round_trip_replays_bit_identical(self, exp, golden,
-                                                   steal_baseline):
+    def test_json_round_trip_replays_bit_identical(self, exp, golden):
         ctl = ScheduleController(seed=29, policy="random")
         first = _steal_world(exp, 3, ctl)
-        _assert_identical(first, golden, steal_baseline)
+        _assert_identical(first, golden)
 
         record = ctl.to_json()
         json.loads(json.dumps(record))  # genuinely serializable
         replayed = _steal_world(exp, 3, ScheduleController.from_json(record))
-        _assert_identical(replayed, golden, steal_baseline)
+        _assert_identical(replayed, golden)
 
-    def test_replay_from_file(self, exp, golden, steal_baseline, tmp_path):
+    def test_replay_from_file(self, exp, golden, tmp_path):
         ctl = ScheduleController(seed=31, policy="all-steal")
-        _assert_identical(_steal_world(exp, 2, ctl), golden, steal_baseline)
+        _assert_identical(_steal_world(exp, 2, ctl), golden)
         path = str(tmp_path / "schedule.json")
         ctl.save(path)
         replay = ScheduleController.from_file(path)
-        _assert_identical(_steal_world(exp, 2, replay), golden,
-                          steal_baseline)
+        _assert_identical(_steal_world(exp, 2, replay), golden)
 
     def test_signature_reported_in_extras(self, exp):
         ctl = ScheduleController(seed=37, policy="random")
@@ -495,42 +472,69 @@ class TestExecutorBackendConformance:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_backend_bit_identical_under_random_schedules(
-        self, exp, golden, steal_baseline, backend
+        self, exp, golden, backend
     ):
         for seed in (0, 1, 2):
             res = _steal_seq(
                 exp, ScheduleController(seed=seed, policy="random"),
                 backend=backend,
             )
-            _assert_identical(res, golden, steal_baseline,
+            _assert_identical(res, golden,
                               label=f"{backend} seed={seed}")
 
-    def test_executor_rows_auto_discovered(self):
-        """The matrix rows come from the executor registry, exactly as
-        the back-end matrix's come from the back-end registry."""
-        assert set(EXECUTORS) <= set(available_executors())
-        assert {"static", "stealing"} <= set(EXECUTORS)
 
-    def test_future_executors_auto_register(self, exp, golden):
-        """Registering an executor is sufficient to put it in the
-        matrix: the rows are derived from the registry, and the oracle
-        check passes against a probe without this file changing."""
-        register_executor(
-            "conformance-probe", "repro.mpi.stealing:run_stealing_campaign"
+# ---------------------------------------------------------------------------
+# cancellation
+# ---------------------------------------------------------------------------
+
+class TestCancellation:
+    """The campaign's cancel token stops every executor the same way."""
+
+    @staticmethod
+    def _run(exp, executor, token):
+        return compute_cross_section(
+            exp.loader, executor=executor,
+            recovery=RecoveryConfig(retry=POLICY, cancel=token),
+            shards=_shards(), **exp.kw()
         )
-        try:
-            assert "conformance-probe" in available_executors()
-            res = compute_cross_section(
-                exp.loader, executor="conformance-probe",
-                schedule=ScheduleController(seed=2, policy="random"),
-                recovery=RecoveryConfig(retry=POLICY),
-                shards=_shards(), **exp.kw()
-            )
-            _assert_identical(res, golden)
-        finally:
-            from repro.core.sharding import _EXECUTORS
 
-            _EXECUTORS.pop("conformance-probe", None)
-        assert "conformance-probe" not in available_executors()
-        with pytest.raises(ValueError):
-            resolve_executor("conformance-probe")
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_pre_cancelled_token_raises(self, exp, executor):
+        token = CancelToken()
+        token.cancel("operator")
+        with pytest.raises(CancelledError, match="operator") as info:
+            self._run(exp, executor, token)
+        assert not isinstance(info.value, DeadlineExpiredError)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_expired_deadline_raises(self, exp, executor):
+        token = CancelToken(deadline=0.0, clock=lambda: 1.0)
+        with pytest.raises(DeadlineExpiredError):
+            self._run(exp, executor, token)
+
+    @pytest.mark.parametrize("size", (1, 2))
+    def test_cancel_after_planning_stops_task_claims(self, exp, size):
+        """Cancelled while the root loads the last run: planning
+        finishes, and every rank stops at its next task claim."""
+        token = CancelToken()
+
+        def loader(i):
+            if i == N_RUNS - 1:
+                token.cancel("operator")
+            return exp.loader(i)
+
+        def body(comm):
+            return run_stealing_campaign(
+                loader, comm=comm,
+                recovery=RecoveryConfig(retry=POLICY, cancel=token),
+                shards=_shards(),
+                schedule=ScheduleController(seed=0, policy="no-steal"),
+                **exp.kw()
+            )
+
+        tracer = trace_mod.Tracer()
+        with trace_mod.use_tracer(tracer), \
+                pytest.raises(CancelledError, match="task claim"):
+            run_world(size, body, barrier_timeout=60.0)
+        assert tracer.counters["campaign.cancelled"] >= 1
+        assert "mdnorm.shard_tasks" not in tracer.counters  # no task ran

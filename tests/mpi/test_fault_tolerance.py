@@ -352,7 +352,8 @@ class TestStealingExactlyOnce:
             for idx in range(N_STEAL_SHARDS)
         }
 
-    def test_kill_rank_mid_steal_no_lost_no_double(self, steal_exp):
+    def test_kill_rank_mid_steal_no_lost_no_double(self, steal_exp,
+                                                   fine_gil_switching):
         """Rank 1 dies holding a claimed (stolen) task: the claim
         requeues and every planned shard completes exactly once on a
         survivor; the result matches the no-faults reference."""

@@ -349,25 +349,14 @@ class ShardedPanel:
     """One-shard-vs-sharded measurement of the same panel.
 
     ``baseline`` runs the single-level Algorithm 1 loop; ``sharded``
-    fans each run out over ``n_shards`` intra-run shards on the local
-    process pool.  The histograms are bit-identical by construction
-    (shards replay the in-memory batch deposit order); only the time
-    differs — on a
-    multi-core host the sharded panel should win, which the
-    ``benchmarks/test_shard_scaling.py`` smoke asserts (and skips on
-    single-core hosts, where no win is possible).
+    cuts each run into ``n_shards`` in-process intra-run shards.  The
+    histograms are bit-identical by construction (shards replay the
+    in-memory batch deposit order); only the time differs.
     """
 
     baseline: MeasuredRun
     sharded: MeasuredRun
     n_shards: int
-    workers: int
-
-    def speedup(self, stage: str = "Total") -> float:
-        """baseline/sharded wall-clock ratio (inf if sharded ~ 0)."""
-        b = self.baseline.timings.seconds(stage)
-        s = self.sharded.timings.seconds(stage)
-        return b / s if s > 0.0 else float("inf")
 
 
 def run_sharded_panel(
@@ -376,22 +365,18 @@ def run_sharded_panel(
     files: Optional[int] = None,
     baseline_backend: str = "vectorized",
     n_shards: int = 4,
-    workers: Optional[int] = None,
     tracer: Optional[_trace.Tracer] = None,
 ) -> ShardedPanel:
-    """Measure the intra-run shard fan-out against the 1-shard loop.
+    """Measure the intra-run shard ranges against the 1-shard loop.
 
     Both passes use fresh private geometry caches so neither side gets
-    a warm-path advantage; the sharded pass runs the batch bodies
-    fanned over the process pool, the baseline the single-level loop on
+    a warm-path advantage; the sharded pass runs the batch bodies over
+    in-process shard ranges, the baseline the single-level loop on
     ``baseline_backend`` (default ``vectorized``, the process default
     and the back end whose results shards reproduce bit for bit).
     """
-    from repro.core.sharding import ShardConfig
-
     require(n_shards >= 1, "n_shards must be >= 1")
     _, md_paths, n = _subset(data, files)
-    eff_workers = ShardConfig(n_shards=n_shards, workers=workers).effective_workers
 
     def one(label: str, *, backend: Optional[str],
             shards: Optional[int]) -> MeasuredRun:
@@ -405,7 +390,6 @@ def run_sharded_panel(
             backend=backend,
             geom_cache=GeomCache(),
             shards=shards,
-            shard_workers=workers,
         )
         timings = StageTimings(label=label)
         with _maybe_trace(tracer):
@@ -422,12 +406,9 @@ def run_sharded_panel(
 
     baseline = one(f"core[{baseline_backend}] 1-shard",
                    backend=baseline_backend, shards=None)
-    sharded = one(f"core[sharded x{n_shards}/{eff_workers}w]",
+    sharded = one(f"core[sharded x{n_shards}]",
                   backend=None, shards=n_shards)
-    return ShardedPanel(
-        baseline=baseline, sharded=sharded,
-        n_shards=n_shards, workers=eff_workers,
-    )
+    return ShardedPanel(baseline=baseline, sharded=sharded, n_shards=n_shards)
 
 
 def assert_results_match(a: MeasuredRun, b: MeasuredRun, *, rtol: float = 1e-7) -> None:

@@ -147,7 +147,6 @@ def collect_panel_samples(
     files: Optional[int] = None,
     backend: str = "vectorized",
     shards: Optional[int] = None,
-    shard_workers: Optional[int] = None,
     memory_budget: Optional[int] = None,
     executor: Optional[str] = None,
     steal_seed: int = 0,
@@ -160,10 +159,10 @@ def collect_panel_samples(
     benchmark (``benchmarks/test_cache_warm_path.py``) and mixing the
     two would bimodalize the distribution the IQR test relies on.
 
-    ``shards`` / ``shard_workers`` time the hierarchical intra-run
-    fan-out instead of the single-level loop — the sharded trajectory
-    (``BENCH_benzil_shards.json``) is recorded with these so the
-    regression gate watches the fan-out path separately.
+    ``shards`` times the hierarchical intra-run shard ranges instead
+    of the single-level loop — the sharded trajectory
+    (``BENCH_benzil_shards.json``) is recorded with it so the
+    regression gate watches the shard path separately.
 
     ``executor="stealing"`` routes every repeat through the elastic
     work-stealing executor with the given ``steal_seed`` — the
@@ -189,7 +188,6 @@ def collect_panel_samples(
             backend=backend,
             geom_cache=GeomCache(),
             shards=shards,
-            shard_workers=shard_workers,
             memory_budget=memory_budget,
             executor=executor,
             steal_seed=steal_seed,

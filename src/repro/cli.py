@@ -145,14 +145,11 @@ def _add_oocore_flags(
 def _add_shard_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("intra-run sharding (--impl core)")
     g.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="fan each run's MDNorm out over N detector shards "
-                        "and its BinMD over N event shards on the local "
-                        "process pool; shards run the batch bodies and "
+                   help="cut each run's MDNorm into N detector shards "
+                        "and its BinMD into N event shards, run in "
+                        "process; shards run the batch bodies and "
                         "match in-memory vectorized bit for bit, for "
                         "every N")
-    g.add_argument("--shard-workers", type=int, default=None, metavar="W",
-                   help="process-pool width for the shard fan-out "
-                        "(default REPRO_NUM_PROCS or the CPU count)")
     g.add_argument("--executor", choices=("static", "stealing"),
                    default=None,
                    help="campaign executor: the fixed rank-block plan "
@@ -383,7 +380,6 @@ def _run_impl(
     recovery=None,
     comm=None,
     shards: Optional[int] = None,
-    shard_workers: Optional[int] = None,
     memory_budget: Optional[int] = None,
     executor: Optional[str] = None,
     steal_seed: int = 0,
@@ -417,7 +413,6 @@ def _run_impl(
             backend=backend,
             recovery=recovery,
             shards=shards,
-            shard_workers=shard_workers,
             memory_budget=memory_budget,
             executor=executor,
             steal_seed=steal_seed,
@@ -499,8 +494,7 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     def run_one(comm=None) -> None:
         _run_impl(args.impl, data, backend=args.backend,
                   recovery=recovery, comm=comm,
-                  shards=args.shards, shard_workers=args.shard_workers,
-                  memory_budget=args.memory_budget,
+                  shards=args.shards, memory_budget=args.memory_budget,
                   executor=args.executor, steal_seed=args.steal_seed)
 
     fault_ctx, fault_plan = _fault_plan_context(args)
@@ -893,7 +887,6 @@ def _perf_models(args) -> List[tuple]:
                       backend=args.backend if impl == "core" else None,
                       shards=(getattr(args, "shards", None)
                               if impl == "core" else None),
-                      shard_workers=getattr(args, "shard_workers", None),
                       memory_budget=(getattr(args, "memory_budget", None)
                                      if impl == "core" else None),
                       executor=(getattr(args, "executor", None)
@@ -935,8 +928,7 @@ def _perf_bench_setup(args):
           f"{shard_note} ...")
     samples = collect_panel_samples(
         data, repeats=args.repeats, backend=args.backend,
-        shards=args.shards, shard_workers=args.shard_workers,
-        memory_budget=args.memory_budget,
+        shards=args.shards, memory_budget=args.memory_budget,
         executor=executor, steal_seed=getattr(args, "steal_seed", 0),
     )
     config = {
@@ -944,7 +936,6 @@ def _perf_bench_setup(args):
         "files": len(data.md_paths),
         "backend": args.backend,
         "shards": args.shards,
-        "shard_workers": args.shard_workers,
         "chunk_events": args.chunk_events,
         "memory_budget": args.memory_budget,
         "executor": executor,

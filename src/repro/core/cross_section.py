@@ -111,11 +111,10 @@ def _is_lazy(events: Any) -> bool:
     return hasattr(events, "window") and hasattr(events, "chunk_bounds")
 
 
-#: degenerate fan-out for out-of-core runs reduced without ``--shards``:
-#: the shard machinery still cuts the run into budget-capped,
-#: chunk-aligned windows (bit-identical for every cut), it just does so
-#: in-process with no pool
-_OOC_FALLBACK = ShardConfig(n_shards=1, workers=1)
+#: shard plan for out-of-core runs reduced without ``--shards``: the
+#: shard machinery still cuts the run into budget-capped, chunk-aligned
+#: windows (bit-identical for every cut)
+_OOC_FALLBACK = ShardConfig(n_shards=1)
 
 
 def _rank_blocks(
@@ -543,13 +542,13 @@ def compute_cross_section(
         with one attempt per run, the original exception, no
         quarantine or checkpoint, and a rank crash aborts the world.
     shards:
-        When given, each owned run's MDNorm fans out over detector
-        shards and its BinMD over event shards on the node-local
-        process pool (:func:`repro.core.sharding.sharded_mdnorm` /
+        When given, each owned run's MDNorm is cut into detector
+        shards and its BinMD into event shards, executed in process
+        (:func:`repro.core.sharding.sharded_mdnorm` /
         :func:`~repro.core.sharding.sharded_binmd`) — the second level
         of the hierarchical decomposition.  Shards run the kernels'
         batch bodies, so the result is bit-identical to the unsharded
-        ``vectorized`` loop for every shard/worker count;
+        ``vectorized`` loop for every shard count;
         ``None`` keeps the single-level loop byte-for-byte.  Ignored
         for a stage whose ``*_impl`` override is set (the override owns
         its own parallelism).

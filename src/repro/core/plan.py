@@ -152,8 +152,8 @@ def run_plan(
         reuse); None uses the process default.  Plans may instead set
         ``backend_options["geom_cache_bytes"]`` to get a plan-private
         cache of that budget.  ``backend_options["shards"]`` (plus
-        optional ``"shard_workers"`` / ``"run_weights"``) turns on the
-        hierarchical intra-run fan-out — core implementation only.
+        optional ``"run_weights"``) turns on the hierarchical
+        intra-run shard ranges — core implementation only.
     prefetch:
         Warm the cache (trajectory geometry + pre-pass + flux table for
         every run) before reducing — only meaningful for the ``core``

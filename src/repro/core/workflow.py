@@ -29,6 +29,7 @@ from repro.core.mdnorm import prefetch_geometry
 from repro.core.sharding import ShardConfig
 from repro.crystal.symmetry import PointGroup
 from repro.instruments.detector import DetectorArray
+from repro.jacc.workers import parse_worker_count
 from repro.mpi import Comm
 from repro.nexus.corrections import read_flux_file, read_vanadium_file
 from repro.util import trace as _trace
@@ -63,8 +64,9 @@ class WorkflowConfig:
     #: intra-run shard count (detector ranges for MDNorm, event ranges
     #: for BinMD); None = single-level Algorithm 1
     shards: Optional[int] = None
-    #: process-pool width for the shard fan-out; None resolves
-    #: ``REPRO_NUM_PROCS`` / the CPU count
+    #: validated (a positive worker count, or None) but selects
+    #: nothing: every shard range runs in process.  Kept only because
+    #: the benchmark's workload table still passes it
     shard_workers: Optional[int] = None
     #: optional per-run event weights (run manifest) for weight-balanced
     #: rank blocks — the outer level of the 2-D decomposition
@@ -84,6 +86,8 @@ class WorkflowConfig:
         require(len(self.md_paths) >= 1, "need at least one run file")
         # fail fast on bad shard/worker counts at configuration time
         self.shard_config()
+        if self.shard_workers is not None:
+            parse_worker_count(self.shard_workers, source="shard workers")
         # ... and on unknown executor names
         check_executor(self.executor)
 
@@ -98,7 +102,7 @@ class WorkflowConfig:
 
     def shard_config(self) -> Optional[ShardConfig]:
         """The validated :class:`ShardConfig`, or None when unsharded."""
-        return ShardConfig.from_options(self.shards, self.shard_workers)
+        return ShardConfig.from_options(self.shards)
 
 
 class ReductionWorkflow:

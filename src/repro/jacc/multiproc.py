@@ -25,11 +25,7 @@ Determinism is the design driver, in three pieces:
   element-order-sequential).  Ascending flat chunks *are* the serial
   backend's row-major iteration order, so the per-bin fold is exactly
   the serial fold: **bit-identical to the serial oracle for any worker
-  count**.  An optional ``REPRO_MULTIPROC_HIST=tree`` mode instead
-  gives each chunk a dense partial histogram in a shared-memory block
-  and combines the slots with the pairwise tree below — worker-count
-  invariant (fixed slots, fixed order) but re-associated relative to
-  serial; the conformance matrix pins both behaviours.
+  count**.
 
 * **Deterministic pairwise tree reduction (scalars).**
   ``parallel_reduce`` computes one partial per fixed chunk and the
@@ -72,15 +68,6 @@ from repro.util import trace as _trace
 #: work (and therefore every reduction's combine tree) is invariant to
 #: the worker count
 DEFAULT_CHUNKS = 16
-
-#: histogram accumulation mode: "replay" (ordered deposit replay,
-#: bit-identical to serial) or "tree" (shared-memory partial
-#: histograms + pairwise tree, worker-count invariant)
-HIST_MODE_ENV = "REPRO_MULTIPROC_HIST"
-_HIST_MODES = ("replay", "tree")
-
-#: refuse tree-mode partial blocks above this size (use replay instead)
-_TREE_BYTE_BUDGET = 1 << 28
 
 
 # ---------------------------------------------------------------------------
@@ -287,69 +274,6 @@ class _Transport:
         self.blocks.clear()
 
 
-class _TreeBlocks:
-    """Tree-mode shared-memory partial histograms: one dense slot per
-    fixed chunk, combined by the parent with :func:`pairwise_tree`."""
-
-    def __init__(self, hists: Dict[str, Any], n_chunks: int) -> None:
-        self.n_chunks = int(n_chunks)
-        self.specs: Dict[str, Tuple[str, Optional[str], int]] = {}
-        self.blocks: List[shared_memory.SharedMemory] = []
-        for attr, hist in hists.items():
-            nbins = int(hist.flat_signal.size)
-            nbytes = self.n_chunks * nbins * 8
-            if nbytes > _TREE_BYTE_BUDGET:
-                raise BackendError(
-                    f"tree-mode partial histograms need {nbytes} bytes for "
-                    f"{attr!r}; use {HIST_MODE_ENV}=replay for grids this large"
-                )
-            sig = self._zero_block(nbytes)
-            err_name: Optional[str] = None
-            if getattr(hist, "flat_error_sq", None) is not None:
-                err_name = self._zero_block(nbytes).name
-            self.specs[attr] = (sig.name, err_name, nbins)
-
-    def _zero_block(self, nbytes: int) -> shared_memory.SharedMemory:
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        np.ndarray(nbytes // 8, dtype=np.float64, buffer=shm.buf).fill(0.0)
-        self.blocks.append(shm)
-        return shm
-
-    def _by_name(self, name: str) -> shared_memory.SharedMemory:
-        for shm in self.blocks:
-            if shm.name == name:
-                return shm
-        raise BackendError(f"unknown tree block {name!r}")  # pragma: no cover
-
-    def combine_into(self, hists: Dict[str, Any]) -> None:
-        for attr, (sig_name, err_name, nbins) in self.specs.items():
-            hist = hists[attr]
-            slots = np.ndarray(
-                (self.n_chunks, nbins), dtype=np.float64,
-                buffer=self._by_name(sig_name).buf,
-            )
-            target = hist.flat_signal
-            target += pairwise_tree(list(slots), lambda a, b: a + b)
-            del slots, target  # release shm views before close()
-            if err_name is not None:
-                err_slots = np.ndarray(
-                    (self.n_chunks, nbins), dtype=np.float64,
-                    buffer=self._by_name(err_name).buf,
-                )
-                err_target = hist.flat_error_sq
-                err_target += pairwise_tree(list(err_slots), lambda a, b: a + b)
-                del err_slots, err_target
-
-    def close(self) -> None:
-        for shm in self.blocks:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self.blocks.clear()
-
-
 # ---------------------------------------------------------------------------
 # cross-process trace context (schema v3)
 # ---------------------------------------------------------------------------
@@ -459,47 +383,20 @@ def _close_worker_shm(opened: List[shared_memory.SharedMemory]) -> None:
             pass
 
 
-def _for_chunk_body(
-    task: Dict[str, Any], ctx: Captures, hists: Dict[str, RecordingHist3],
-    opened: List[shared_memory.SharedMemory],
-) -> Optional[Dict[str, Tuple]]:
-    loop = GLOBAL_JIT.loop_for_flat(task["kernel"], "multiprocess", task["ndim"])
-    loop(task["element"], ctx, task["dims"], task["start"], task["stop"])
-    tree_specs: Dict[str, Tuple[str, Optional[str], int]] = task.get("tree") or {}
-    if not hists:
-        return None
-    if not tree_specs:
-        return {attr: rec.harvest() for attr, rec in hists.items()}
-    chunk = int(task["chunk"])
-    for attr, rec in hists.items():
-        sig_name, err_name, nbins = tree_specs[attr]
-        idx, w, e = rec.harvest()
-        shm = shared_memory.SharedMemory(name=sig_name)
-        opened.append(shm)
-        slot = np.ndarray(
-            (task["n_chunks"], nbins), dtype=np.float64, buffer=shm.buf
-        )[chunk]
-        if idx.size:
-            np.add.at(slot, idx, w)
-        del slot
-        if err_name is not None and e is not None:
-            eshm = shared_memory.SharedMemory(name=err_name)
-            opened.append(eshm)
-            eslot = np.ndarray(
-                (task["n_chunks"], nbins), dtype=np.float64, buffer=eshm.buf
-            )[chunk]
-            if idx.size:
-                np.add.at(eslot, idx, e)
-            del eslot
-    return None
-
-
 def _run_for_chunk(task: Dict[str, Any]) -> Any:
-    """Execute one flat chunk of a ``parallel_for`` in a worker process."""
+    """Execute one flat chunk of a ``parallel_for`` in a worker process;
+    return each histogram capture's deposit log (None without any)."""
     def body() -> Optional[Dict[str, Tuple]]:
         ctx, opened, hists = _open_captures(task["captures"])
         try:
-            return _for_chunk_body(task, ctx, hists, opened)
+            loop = GLOBAL_JIT.loop_for_flat(
+                task["kernel"], "multiprocess", task["ndim"]
+            )
+            loop(task["element"], ctx, task["dims"], task["start"],
+                 task["stop"])
+            if not hists:
+                return None
+            return {attr: rec.harvest() for attr, rec in hists.items()}
         finally:
             # Drop every reference into the shared buffers (the Captures
             # holds the views) before closing the attachments.
@@ -555,35 +452,16 @@ class MultiprocessBackend(Backend):
         n_workers: Optional[int] = None,
         *,
         n_chunks: int = DEFAULT_CHUNKS,
-        hist_mode: Optional[str] = None,
     ) -> None:
         self._explicit_workers = n_workers
         self._n_chunks = int(n_chunks)
         if self._n_chunks < 1:
             raise BackendError(f"n_chunks must be >= 1, got {n_chunks}")
-        if hist_mode is not None and hist_mode not in _HIST_MODES:
-            raise BackendError(
-                f"hist_mode must be one of {_HIST_MODES}, got {hist_mode!r}"
-            )
-        self._hist_mode = hist_mode
 
     @property
     def n_workers(self) -> int:
         """Effective worker count (``REPRO_NUM_PROCS`` or CPU count)."""
         return resolve_workers(PROCS_ENV, self._explicit_workers)
-
-    @property
-    def hist_mode(self) -> str:
-        if self._hist_mode is not None:
-            return self._hist_mode
-        env = os.environ.get(HIST_MODE_ENV, "").strip()
-        if not env:
-            return "replay"
-        if env not in _HIST_MODES:
-            raise BackendError(
-                f"{HIST_MODE_ENV} must be one of {_HIST_MODES}, got {env!r}"
-            )
-        return env
 
     # -- parallel_for ----------------------------------------------------
     def run_parallel_for(
@@ -605,12 +483,9 @@ class MultiprocessBackend(Backend):
             return
         _require_picklable(kernel)
         transport = _Transport(captures)
-        tree: Optional[_TreeBlocks] = None
         trace_ctx = _trace_ctx()
         tracer = _trace.active_tracer()
         try:
-            if self.hist_mode == "tree" and transport.hists:
-                tree = _TreeBlocks(transport.hists, len(chunks))
             tasks = [
                 dict(
                     kernel=kernel.name,
@@ -620,9 +495,7 @@ class MultiprocessBackend(Backend):
                     start=start,
                     stop=stop,
                     chunk=c,
-                    n_chunks=len(chunks),
                     captures=transport.payload,
-                    tree=tree.specs if tree is not None else None,
                     **({"trace": trace_ctx} if trace_ctx else {}),
                 )
                 for c, (start, stop) in enumerate(chunks)
@@ -639,9 +512,7 @@ class MultiprocessBackend(Backend):
                     f"(kernel {kernel.name!r}); pool disposed, next launch "
                     "starts fresh"
                 ) from exc
-            if tree is not None:
-                tree.combine_into(transport.hists)
-            elif transport.hists:
+            if transport.hists:
                 # ascending chunk order == serial row-major order: the
                 # replayed per-bin fold is bit-identical to the oracle
                 for attr, hist in transport.hists.items():
@@ -650,8 +521,6 @@ class MultiprocessBackend(Backend):
                     )
             transport.write_back()
         finally:
-            if tree is not None:
-                tree.close()
             transport.close()
 
     # -- parallel_reduce -------------------------------------------------

@@ -1,8 +1,7 @@
 """Worker-count resolution and the shared persistent process pool.
 
-Two concerns that the ``threads`` and ``multiprocess`` back ends (and
-the intra-run shard executor built on top of them) must agree on live
-here:
+Two concerns that the ``threads`` and ``multiprocess`` back ends must
+agree on live here:
 
 * **Worker-count parsing.**  ``REPRO_NUM_THREADS`` /
   ``REPRO_NUM_PROCS`` historically went through a bare ``int()`` —
@@ -163,6 +162,6 @@ class WorkerPool:
             self._size = 0
 
 
-#: the process-wide pool shared by the multiprocess back end and the
-#: intra-run shard executor (one warm pool, many consumers)
+#: the process-wide pool of the multiprocess back end (one warm pool,
+#: shared by every rank thread)
 GLOBAL_POOL = WorkerPool()

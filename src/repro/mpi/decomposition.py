@@ -5,9 +5,9 @@ each rank takes a contiguous block of the experiment's runs.  That
 single level caps strong scaling at the run count (36 for Benzil, 22
 for Bixbyite in the paper).  The second level added here is a
 **hierarchical 2-D decomposition**: runs × intra-run shards.  A rank
-that owns a run fans it out over local shards (detector ranges for
-MDNorm, event ranges for BinMD) executed on the node's process pool —
-the remaining parallelism Godoy et al. identify *inside* a file.
+that owns a run cuts it into local shards (detector ranges for
+MDNorm, event ranges for BinMD), executed in process — the unit of
+out-of-core reads and of work stealing *inside* a file.
 
 Everything in this module is pure planning (no execution): given item
 counts and optional per-run event weights from the run manifest it

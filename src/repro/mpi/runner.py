@@ -47,12 +47,12 @@ def run_world(
     parent (schema v3 ``parent_uid`` — the process-local ``parent_id``
     of a rank span stays None, as spans never cross threads).
 
-    ``dispose_pool=True`` shuts down the node-local shard process pool
+    ``dispose_pool=True`` shuts down the node-local process pool
     (:data:`repro.jacc.workers.GLOBAL_POOL`) after every rank has
-    joined.  Rank threads *share* that pool for their intra-run shard
-    fan-out — it deliberately persists across worlds for warm reuse,
-    but callers that want a hermetic teardown (tests, one-shot CLIs)
-    can opt into disposing it with the world.
+    joined.  Rank threads *share* that pool when they launch kernels on
+    the ``multiprocess`` back end — it deliberately persists across
+    worlds for warm reuse, but callers that want a hermetic teardown
+    (tests, one-shot CLIs) can opt into disposing it with the world.
     """
     if size < 1:
         raise MPIError(f"world size must be >= 1, got {size}")

@@ -2,7 +2,7 @@
 
 The static plan (PR 5) fixes every ``RunShard`` to a rank up front, so
 one slow shard — skewed chunk compression, a cold cache, a quarantine
-retry storm — idles every other worker.  This executor makes the grid
+retry storm — idles every other rank.  This executor makes the grid
 **elastic**: the campaign's shard tasks live in one shared
 :class:`StealQueue`; each rank drains its own planned deque first and,
 when the schedule allows, steals from the tail of a victim's deque
@@ -25,7 +25,8 @@ chaotic — that is the point — so nothing numeric may depend on it:
 * a task never touches a histogram; it runs the kernel's batch body
   over its planned contiguous range and *records* the deposit logs,
   through the same :func:`repro.core.sharding.execute_shard_range` the
-  static fan-out's shards use;
+  static executor's shards use, in the thread of the rank that claimed
+  it (ranks are the only parallel level, as in the paper);
 * when the last task of a run reports, the run's logs are replayed
   **keyed by the shard's planned index** (op-major, planned ranges
   ascending — :func:`repro.core.sharding.replay_shard_logs`) into
@@ -342,8 +343,8 @@ def run_stealing_campaign(
     Drop-in signature match for the dispatch in
     :func:`repro.core.cross_section.compute_cross_section` with
     ``executor="stealing"``.  ``shards`` sets the per-run shard count
-    (the stealing granularity; default 1 — run-level stealing) and the
-    per-task pool width; ``schedule`` is the
+    (the stealing granularity; default 1 — run-level stealing);
+    ``schedule`` is the
     :class:`~repro.util.schedule.ScheduleController` driving steal and
     birth/leave/death decisions (the root rank's instance wins; default
     is the seeded ``weighted`` policy).  ``binmd_impl``/``mdnorm_impl``
@@ -361,13 +362,12 @@ def run_stealing_campaign(
     del scatter_impl  # shards record with the batch default scatter
     comm = comm or SequentialComm()
     cache = _gc.resolve(cache)
-    shards = shards or ShardConfig(n_shards=1, workers=1)
+    shards = shards or ShardConfig(n_shards=1)
     timings = timings or StageTimings(
         label=f"cross-section[{backend or 'default'}]"
     )
     tracer = _trace.active_tracer()
     monitor = _monitor.active_monitor()
-    workers = shards.effective_workers
 
     if monitor.enabled:
         monitor.start_campaign(n_runs, comm.size)
@@ -392,14 +392,6 @@ def run_stealing_campaign(
                 schedule=schedule, timings=timings, cache=cache,
                 monitor=monitor,
             )
-            if workers > 1:
-                # Fork the shard-worker pool now, while every other
-                # rank thread is parked at the bcast below: a fork
-                # taken mid-kernel on a sibling thread can hand the
-                # children locked BLAS/OpenMP state they never escape.
-                from repro.jacc.workers import GLOBAL_POOL
-
-                GLOBAL_POOL.executor(workers)
         if comm.size > 1:
             state = comm.bcast(state, root=0)
         assert state is not None
@@ -411,7 +403,7 @@ def run_stealing_campaign(
             state=state, grid=grid, point_group=point_group, flux=flux,
             det_directions=det_directions, solid_angles=solid_angles,
             backend=backend, sort_impl=sort_impl, cache=cache,
-            recovery=recovery, workers=workers, timings=timings,
+            recovery=recovery, timings=timings,
             monitor=monitor, load_run=load_run,
         )
 
@@ -587,7 +579,6 @@ class _ExecEnv:
     sort_impl: str
     cache: Any
     recovery: Optional[RecoveryConfig]
-    workers: int
     timings: StageTimings
     monitor: Any
     load_run: Callable[[int], Any]
@@ -753,9 +744,7 @@ def _execute_task(
             ctx = _context(env, rank, task.run, task.stage)
             _faults.fault_point("steal.task", rank=rank, run=task.run)
             with env.timings.stage(_STAGE_TITLES[task.stage]):
-                return execute_shard_range(
-                    ctx, task.index, workers=env.workers, run=task.run
-                )
+                return execute_shard_range(ctx, task.index)
 
         def drop_context(exc: BaseException, attempt_no: int) -> None:
             with state.lock:

@@ -18,9 +18,8 @@ ceiling.  This module is the out-of-core layer that removes it:
   (shard boundaries snap to chunk boundaries, so each chunk is decoded
   by exactly one shard), and ``window(a, b)`` — a bounded event window
   served through the tile manager.  It is picklable (it carries only
-  the file path + dataset name; handles reopen lazily), so multiprocess
-  shard workers read their own windows straight from the file —
-  shard-parallel I/O with no table ever materialized anywhere.
+  the file path + dataset name; handles reopen lazily), so a process
+  that receives one reads its own windows straight from the file.
 
 Budget semantics (DESIGN.md section 6g): ``memory_budget`` bounds the
 *decoded-chunk cache*.  A window assembled from several chunks is a
@@ -165,9 +164,10 @@ def read_window(
 ) -> np.ndarray:
     """One-shot window read: open, decode overlapping chunks, close.
 
-    The multiprocess shard workers call this (module-level, picklable
-    by reference) so each worker performs its own chunk I/O — the
-    shard-parallel read path.
+    Nothing in the reduction calls this (shard ranges read through the
+    run's :class:`TileManager`); it stays importable from
+    :mod:`repro.core.sharding` for the benchmark's ``nexus.read_window``
+    layer.
     """
     with File(path, "r") as f:
         return np.array(f.require_dataset(dataset).read_rows(start, stop))

@@ -525,21 +525,19 @@ def shard_summary(records: Sequence[Dict[str, Any]]) -> Dict[str, Dict[str, floa
             slot = out.setdefault(op, {
                 "fanouts": 0.0, "tasks": 0.0, "lanes": 0.0,
                 "fanout_seconds": 0.0, "shard_seconds": 0.0,
-                "max_shard_seconds": 0.0, "n_shards": 0.0, "workers": 0.0,
+                "max_shard_seconds": 0.0, "n_shards": 0.0,
             })
             slot["fanouts"] += 1.0
             slot["fanout_seconds"] += float(rec.get("dur", 0.0))
             slot["n_shards"] = max(slot["n_shards"],
                                    float(attrs.get("n_shards", 0)))
-            slot["workers"] = max(slot["workers"],
-                                  float(attrs.get("workers", 0)))
         elif kind == "shard":
             # span name is "shard:<op>"
             op = str(rec["name"]).partition(":")[2] or str(rec["name"])
             slot = out.setdefault(op, {
                 "fanouts": 0.0, "tasks": 0.0, "lanes": 0.0,
                 "fanout_seconds": 0.0, "shard_seconds": 0.0,
-                "max_shard_seconds": 0.0, "n_shards": 0.0, "workers": 0.0,
+                "max_shard_seconds": 0.0, "n_shards": 0.0,
             })
             dur = float(rec.get("dur", 0.0))
             slot["tasks"] += 1.0
@@ -564,13 +562,13 @@ def shard_table(summary: Dict[str, Dict[str, float]],
         return "\n".join(lines)
     lines.append(f"  {'op':<10s} {'fanouts':>8s} {'tasks':>7s} "
                  f"{'lanes':>10s} {'fanout s':>10s} {'shard s':>9s} "
-                 f"{'balance':>8s} {'shards':>7s} {'workers':>8s}")
+                 f"{'balance':>8s} {'shards':>7s}")
     for op, s in summary.items():
         lines.append(
             f"  {op:<10s} {int(s['fanouts']):>8d} {int(s['tasks']):>7d} "
             f"{_si(s['lanes']):>10s} {s['fanout_seconds']:>10.4f} "
             f"{s['shard_seconds']:>9.4f} {s['balance']:>8.3f} "
-            f"{int(s['n_shards']):>7d} {int(s['workers']):>8d}"
+            f"{int(s['n_shards']):>7d}"
         )
     return "\n".join(lines)
 

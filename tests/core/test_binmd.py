@@ -202,7 +202,7 @@ class TestAdversarialEdges:
         out["serial"] = run(backend="serial", cache=DISABLED)
         sharded = Hist3(grid, track_errors=True)
         sharded_binmd(sharded, events, EDGE_OPS,
-                      shards=ShardConfig(n_shards=2, workers=1))
+                      shards=ShardConfig(n_shards=2))
         out["shards_2"] = sharded
         return out
 

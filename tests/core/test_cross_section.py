@@ -141,7 +141,7 @@ class TestMPIDecomposition:
     def test_stealing_matches_single_rank(self, tiny_experiment, single,
                                           size):
         res = _root_of(tiny_experiment, size, executor="stealing",
-                       shards=ShardConfig(n_shards=2, workers=1),
+                       shards=ShardConfig(n_shards=2),
                        schedule=ScheduleController(seed=size,
                                                    policy="random"))
         _assert_same_bits(res, single, f"stealing on {size} ranks")

@@ -286,7 +286,7 @@ class TestCompactedSegments:
         out["serial"] = run(backend="serial", cache=DISABLED)
         sharded = Hist3(grid)
         sharded_mdnorm(sharded, *args, charge=1.7, sort_impl=sort_impl,
-                       cache=DISABLED, shards=ShardConfig(n_shards=2, workers=1))
+                       cache=DISABLED, shards=ShardConfig(n_shards=2))
         out["shards_2"] = sharded
         return out
 

@@ -6,9 +6,9 @@ so they agree with it bit for bit by construction:
 
 * tripwire: with both element bodies (``_bin_events_element``,
   ``_mdnorm_element``) replaced by stubs that raise, a sharded
-  reduction (workers 1 and 2), an out-of-core reduction and a stealing
-  reduction still complete, and match the in-memory ``vectorized``
-  reduction;
+  reduction, an out-of-core reduction and a stealing reduction still
+  complete, and match the in-memory ``vectorized`` reduction; with
+  ``REPRO_NUM_PROCS=2`` the process pool is made to raise as well;
 * adversarial ranges: one-event shards (in memory and out of core),
   more shards than events or detectors, and an empty run.
 """
@@ -32,7 +32,6 @@ from repro.crystal.symmetry import point_group
 from repro.crystal.ub import UBMatrix
 from repro.instruments.corelli import make_corelli
 from repro.instruments.synth import make_flux, make_vanadium, synthesize_run
-from repro.jacc.workers import GLOBAL_POOL
 from repro.nexus.events import EventTable
 from repro.nexus.tiles import LazyEventTable
 from repro.util.schedule import ScheduleController
@@ -83,9 +82,7 @@ class _Exp:
 
 @pytest.fixture(scope="module")
 def exp(tmp_path_factory):
-    e = _Exp(tmp_path_factory.mktemp("batch_shards"))
-    yield e
-    GLOBAL_POOL.dispose()
+    return _Exp(tmp_path_factory.mktemp("batch_shards"))
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +109,7 @@ def assert_identical(res, ref):
 
 @pytest.fixture()
 def no_element_bodies(monkeypatch):
-    """Every element body of the two deposit kernels raises; the pool is
-    re-forked so its workers carry the stubs too."""
+    """Every element body of the two deposit kernels raises."""
 
     def tripwire(*args, **kwargs):
         raise AssertionError("an element body ran")
@@ -126,28 +122,28 @@ def no_element_bodies(monkeypatch):
                         (mdnorm_mod, "MDNORM_KERNEL")):
         monkeypatch.setattr(mod, kernel, dataclasses.replace(
             getattr(mod, kernel), element=tripwire))
-    GLOBAL_POOL.dispose()
-    yield
-    GLOBAL_POOL.dispose()
 
 
 class TestNoShardPathRunsAnElementBody:
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_sharded(self, exp, reference, no_element_bodies, workers):
+    @pytest.mark.parametrize("procs", (1, 2))
+    def test_sharded(self, exp, reference, no_element_bodies, forbid_pool,
+                     procs):
+        forbid_pool(procs)
         # --backend serial: only the geometry pre-pass honours it
-        res = exp.compute(backend="serial",
-                          shards=ShardConfig(n_shards=3, workers=workers))
+        res = exp.compute(backend="serial", shards=ShardConfig(n_shards=3))
         assert_identical(res, reference)
 
-    @pytest.mark.parametrize("shards", (None, ShardConfig(n_shards=2, workers=2)))
-    def test_out_of_core(self, exp, reference, no_element_bodies, shards):
+    @pytest.mark.parametrize("shards", (None, ShardConfig(n_shards=2)))
+    def test_out_of_core(self, exp, reference, no_element_bodies,
+                         forbid_pool, shards):
+        forbid_pool(2)
         res = exp.compute(exp.lazy, backend="vectorized", shards=shards)
         assert_identical(res, reference)
 
     def test_stealing(self, exp, reference_recovering, no_element_bodies):
         res = exp.compute(
             backend="serial", executor="stealing",
-            shards=ShardConfig(n_shards=2, workers=1),
+            shards=ShardConfig(n_shards=2),
             schedule=ScheduleController(seed=3, policy="random"),
         )
         assert res.extras["stealing"]["tasks"] > 0
@@ -178,7 +174,7 @@ class TestSortImplReachesShards:
         return calls
 
     def test_sharded(self, exp, reference, comb_calls):
-        shards = ShardConfig(n_shards=2, workers=1)
+        shards = ShardConfig(n_shards=2)
         assert_identical(exp.compute(shards=shards), reference)
         assert comb_calls == []  # the library sort is the default
         res = exp.compute(shards=shards, sort_impl="comb")
@@ -188,7 +184,7 @@ class TestSortImplReachesShards:
     def test_stealing(self, exp, reference_recovering, comb_calls):
         res = exp.compute(
             sort_impl="comb", executor="stealing",
-            shards=ShardConfig(n_shards=2, workers=1),
+            shards=ShardConfig(n_shards=2),
             schedule=ScheduleController(seed=3, policy="random"),
         )
         assert comb_calls
@@ -196,7 +192,7 @@ class TestSortImplReachesShards:
 
 
 class TestAdversarialRanges:
-    def _binmd_pair(self, exp, events, n_shards, workers=1):
+    def _binmd_pair(self, exp, events, n_shards):
         _, ev = exp.transforms(exp.wss[1])
         ref = Hist3(exp.grid, track_errors=True)
         data = np.asarray(events) if not hasattr(events, "chunk_bounds") \
@@ -204,26 +200,29 @@ class TestAdversarialRanges:
         bin_events(ref, data, ev, backend="vectorized")
         got = Hist3(exp.grid, track_errors=True)
         sharded_binmd(got, events, ev,
-                      shards=ShardConfig(n_shards=n_shards, workers=workers))
+                      shards=ShardConfig(n_shards=n_shards))
         return got, ref
 
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_one_event_shards(self, exp, workers):
+    @pytest.mark.parametrize("procs", (1, 2))
+    def test_one_event_shards(self, exp, forbid_pool, procs):
+        forbid_pool(procs)
         events = exp.wss[1].events.data
-        got, ref = self._binmd_pair(exp, events, len(events), workers)
+        got, ref = self._binmd_pair(exp, events, len(events))
         assert ref.signal.sum() > 0
         assert np.array_equal(got.signal, ref.signal)
         assert np.array_equal(got.error_sq, ref.error_sq)
 
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_one_event_shards_out_of_core(self, exp, tmp_path, workers):
+    @pytest.mark.parametrize("procs", (1, 2))
+    def test_one_event_shards_out_of_core(self, exp, tmp_path, forbid_pool,
+                                          procs):
+        forbid_pool(procs)
         ws = dataclasses.replace(
             exp.wss[1], events=EventTable(exp.wss[1].events.data[:30].copy()))
         path = str(tmp_path / "tiny.md.h5")
         save_md(path, ws, chunk_events=1, codec="shuffle-zlib")
         lazy = LazyEventTable(path, memory_budget=64)
         try:
-            got, ref = self._binmd_pair(exp, lazy, 30, workers)
+            got, ref = self._binmd_pair(exp, lazy, 30)
         finally:
             lazy.close()
         assert ref.signal.sum() > 0
@@ -243,7 +242,7 @@ class TestAdversarialRanges:
                                     events=EventTable(np.zeros((0, 8))))
         wss = [exp.wss[0], empty, exp.wss[2]]
         res = exp.compute(wss.__getitem__, backend="vectorized",
-                          shards=ShardConfig(n_shards=4, workers=1))
+                          shards=ShardConfig(n_shards=4))
         ref_run = exp.compute(wss.__getitem__, backend="vectorized")
         assert_identical(res, ref_run)
 
@@ -258,6 +257,6 @@ class TestAdversarialRanges:
                charge=ws.proton_charge, backend="vectorized")
         got = Hist3(exp.grid)
         sharded_mdnorm(got, traj, dets, sa, exp.flux, ws.momentum_band,
-                       shards=ShardConfig(n_shards=n_shards, workers=1),
+                       shards=ShardConfig(n_shards=n_shards),
                        charge=ws.proton_charge)
         assert np.array_equal(got.signal, ref.signal)

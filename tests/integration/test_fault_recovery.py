@@ -771,7 +771,7 @@ class TestKillAndResumeStealing:
         def body(comm):
             return run_stealing_campaign(
                 exp.loader, comm=comm, recovery=recovery,
-                shards=ShardConfig(n_shards=2, workers=1),
+                shards=ShardConfig(n_shards=2),
                 schedule=schedule, **exp.kw())
 
         if size == 1:

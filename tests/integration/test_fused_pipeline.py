@@ -110,14 +110,14 @@ def assert_bit_identical(got, vec):
 class TestFusedPipelineEquivalence:
     @pytest.mark.parametrize("n_shards", (2, 7))
     def test_sharded(self, exp, n_shards):
-        shards = ShardConfig(n_shards=n_shards, workers=1)
+        shards = ShardConfig(n_shards=n_shards)
         assert_bit_identical(exp.compute(backend="vectorized", shards=shards),
                              exp.compute(backend="vectorized"))
 
     def test_stealing_executor(self, exp):
         got = exp.compute(
             backend="vectorized", executor="stealing",
-            shards=ShardConfig(n_shards=3, workers=1),
+            shards=ShardConfig(n_shards=3),
             schedule=ScheduleController(seed=5, policy="random"),
         )
         assert got.extras["stealing"]["tasks"] > 0
@@ -135,7 +135,7 @@ class TestFusedPipelineEquivalence:
         got = exp.compute(
             backend="vectorized",
             loader=lambda i: load_md(paths[i], memory_budget=budget),
-            shards=ShardConfig(n_shards=3, workers=1),
+            shards=ShardConfig(n_shards=3),
         )
         assert_bit_identical(got, exp.compute(backend="vectorized"))
 
@@ -155,13 +155,13 @@ class TestFusedPipelineEquivalence:
         with use_fault_plan(plan):
             with pytest.raises(Exception):
                 exp.compute(backend="vectorized",
-                            shards=ShardConfig(n_shards=2, workers=1),
+                            shards=ShardConfig(n_shards=2),
                             recovery=first)
         resume = RecoveryConfig(
             retry=POLICY, checkpoint=CheckpointManager(ckpt_dir), resume=True,
         )
         got = exp.compute(backend="vectorized",
-                          shards=ShardConfig(n_shards=2, workers=1),
+                          shards=ShardConfig(n_shards=2),
                           recovery=resume)
         reference = RecoveryConfig(
             checkpoint=CheckpointManager(str(tmp_path / "ckpt-reference")))

@@ -6,7 +6,9 @@ cross-section (and both of its factors) must be **bit-identical** —
 ``np.array_equal(..., equal_nan=True)``, not allclose — across:
 
 * shard counts 1, 2, 3, 7 (including shards > items axes);
-* worker counts (in-process degenerate pool vs real process pool);
+* worker knobs: ``REPRO_NUM_PROCS`` and ``shard_workers`` select
+  nothing, and with the process pool made to raise every shard range
+  still runs, in process;
 * streaming batch sizes, with sharded ``open_run`` normalization;
 * kill-one-shard + retry and checkpoint/resume, riding the PR 3
   fault-plan machinery at the ``shard.mdnorm`` / ``shard.binmd`` sites.
@@ -27,8 +29,9 @@ from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
 from repro.core.md_event_workspace import convert_to_md
 from repro.core.mdnorm import mdnorm
-from repro.core.sharding import ShardConfig, ShardExecutionError, sharded_binmd, sharded_mdnorm
+from repro.core.sharding import ShardConfig, sharded_binmd, sharded_mdnorm
 from repro.core.streaming import EventStream, StreamingReduction
+from repro.core.workflow import ReductionWorkflow, WorkflowConfig
 from repro.crystal.goniometer import Goniometer
 from repro.crystal.structures import benzil
 from repro.crystal.symmetry import point_group
@@ -107,22 +110,22 @@ def assert_identical(res, ref):
 # ---------------------------------------------------------------------------
 
 class TestShardInvariance:
-    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("procs", (1, 2))
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-    def test_shard_count_invariance(self, exp, golden, n_shards, workers):
+    def test_shard_count_invariance(self, exp, golden, forbid_pool,
+                                    n_shards, procs):
         """shards=7 > the 3-op outer axis and still partitions the
-        inner axes exactly — empty shards are no-ops; the in-process
-        degenerate pool and the real process pool record and replay
-        the same bits."""
-        res = exp.compute(shards=ShardConfig(n_shards=n_shards,
-                                             workers=workers))
+        inner axes exactly — empty shards are no-ops; every range runs
+        in process whatever ``REPRO_NUM_PROCS`` says."""
+        forbid_pool(procs)
+        res = exp.compute(shards=ShardConfig(n_shards=n_shards))
         assert_identical(res, golden)
 
     def test_run_weighted_outer_level(self, exp, golden):
         """Weight-balanced run blocks (single rank: the whole block) do
         not perturb the result."""
         res = exp.compute(
-            shards=ShardConfig(n_shards=2, workers=1),
+            shards=ShardConfig(n_shards=2),
             run_weights=[float(len(r.detector_ids)) for r in exp.runs],
         )
         assert_identical(res, golden)
@@ -131,7 +134,7 @@ class TestShardInvariance:
         """Backend engine for the non-sharded kernels (max_intersections
         pre-pass) + shard fan-out for the deposits: still bit-identical."""
         res = exp.compute(backend="multiprocess",
-                          shards=ShardConfig(n_shards=2, workers=1))
+                          shards=ShardConfig(n_shards=2))
         assert_identical(res, golden)
 
 
@@ -156,7 +159,7 @@ class TestShardedOps:
         got = Hist3(exp.grid)
         sharded_mdnorm(
             got, traj, exp.instrument.directions, exp.sa, exp.flux,
-            ws.momentum_band, shards=ShardConfig(n_shards=n_shards, workers=1),
+            ws.momentum_band, shards=ShardConfig(n_shards=n_shards),
             charge=ws.proton_charge, backend="serial",
         )
         assert np.array_equal(got.signal, ref.signal)
@@ -169,7 +172,7 @@ class TestShardedOps:
         bin_events(ref, ws.events, ev, backend="vectorized")
         got = Hist3(exp.grid, track_errors=True)
         sharded_binmd(got, ws.events, ev,
-                      shards=ShardConfig(n_shards=n_shards, workers=1))
+                      shards=ShardConfig(n_shards=n_shards))
         assert np.array_equal(got.signal, ref.signal)
         assert np.array_equal(got.error_sq, ref.error_sq)
 
@@ -180,7 +183,7 @@ class TestShardedOps:
         sharded_mdnorm(
             Hist3(exp.grid), traj, exp.instrument.directions, exp.sa,
             exp.flux, ws.momentum_band,
-            shards=ShardConfig(n_shards=3, workers=1),
+            shards=ShardConfig(n_shards=3),
             on_shard=lambda s, n: seen.append((s, n)),
         )
         assert seen == [(0, 3), (1, 3), (2, 3)]
@@ -203,14 +206,14 @@ class TestStreamingSharded:
 
     def test_sharded_matches_plain(self, exp):
         plain = self._reduce(exp)
-        shard = self._reduce(exp, shards=ShardConfig(n_shards=3, workers=1))
+        shard = self._reduce(exp, shards=ShardConfig(n_shards=3))
         assert same(shard.signal, plain.signal)
 
     @pytest.mark.parametrize("batch_size", (37, 256))
     def test_batch_size_invariance_under_shards(self, exp, batch_size):
-        a = self._reduce(exp, shards=ShardConfig(n_shards=2, workers=1),
+        a = self._reduce(exp, shards=ShardConfig(n_shards=2),
                          batch_size=batch_size)
-        b = self._reduce(exp, shards=ShardConfig(n_shards=2, workers=1),
+        b = self._reduce(exp, shards=ShardConfig(n_shards=2),
                          batch_size=101)
         assert same(a.signal, b.signal)
 
@@ -220,12 +223,6 @@ class TestStreamingSharded:
 # ---------------------------------------------------------------------------
 
 class TestShardFaults:
-    def test_shard_execution_error_is_retryable(self):
-        """OSError subclass ⇒ the PR 3 default retryable set covers a
-        broken shard pool without special-casing."""
-        err = ShardExecutionError("pool broke")
-        assert isinstance(err, OSError)
-
     @pytest.mark.parametrize("site", ("shard.mdnorm", "shard.binmd"))
     def test_kill_one_shard_then_retry(self, exp, golden, site):
         """An io_error injected at a shard dispatch kills that run's
@@ -238,7 +235,7 @@ class TestShardFaults:
         )
         with use_fault_plan(plan):
             res = exp.compute(
-                shards=ShardConfig(n_shards=3, workers=1),
+                shards=ShardConfig(n_shards=3),
                 recovery=RecoveryConfig(retry=POLICY),
             )
         assert len(plan.events) == 1  # the shard really was killed
@@ -255,7 +252,7 @@ class TestShardFaults:
         )
         with use_fault_plan(plan):
             res = exp.compute(
-                shards=ShardConfig(n_shards=2, workers=1),
+                shards=ShardConfig(n_shards=2),
                 recovery=RecoveryConfig(retry=POLICY, quarantine=True),
             )
         assert res.quarantined_runs == (1,)
@@ -280,12 +277,12 @@ class TestShardFaults:
         )
         with use_fault_plan(plan):
             with pytest.raises(Exception):
-                exp.compute(shards=ShardConfig(n_shards=2, workers=1),
+                exp.compute(shards=ShardConfig(n_shards=2),
                             recovery=first)
         resume = RecoveryConfig(
             retry=POLICY, checkpoint=CheckpointManager(ckpt_dir), resume=True,
         )
-        res = exp.compute(shards=ShardConfig(n_shards=3, workers=1),
+        res = exp.compute(shards=ShardConfig(n_shards=3),
                           recovery=resume)
         assert_identical(res, golden)
 
@@ -300,15 +297,25 @@ class TestShardConfigValidation:
         with pytest.raises(BackendError):
             ShardConfig(n_shards=bad)
 
-    def test_bad_workers_rejected(self):
-        with pytest.raises(BackendError, match="shard workers"):
-            ShardConfig(n_shards=2, workers=0)
+    @staticmethod
+    def _config(tiny_experiment, **kw):
+        t = tiny_experiment
+        return WorkflowConfig(
+            md_paths=t.md_paths, flux_path=t.flux_path,
+            vanadium_path=t.vanadium_path, instrument=t.instrument,
+            grid=t.grid, point_group=t.point_group, **kw)
+
+    def test_bad_workers_rejected(self, tiny_experiment):
+        """``shard_workers`` is validated whether or not sharding is
+        on."""
+        for shards in (2, None):
+            with pytest.raises(BackendError, match="shard workers"):
+                self._config(tiny_experiment, shards=shards,
+                             shard_workers=0)
 
     def test_from_options(self):
         assert ShardConfig.from_options(None) is None
-        cfg = ShardConfig.from_options(4, 2)
-        assert cfg == ShardConfig(n_shards=4, workers=2)
-        assert cfg.effective_workers == 2
+        assert ShardConfig.from_options(4) == ShardConfig(n_shards=4)
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +354,23 @@ class TestOutOfCoreInvariance:
             res = exp.compute(
                 loader=lambda i, p=paths: load_md(p[i],
                                                   memory_budget=budget),
-                shards=ShardConfig(n_shards=n_shards, workers=1),
+                shards=ShardConfig(n_shards=n_shards),
             )
             assert_identical(res, golden)
 
-    def test_worker_backend_invariance(self, exp, golden, chunked_paths):
+    def test_worker_backend_invariance(self, exp, golden, chunked_paths,
+                                       forbid_pool):
+        """Out-of-core ranges read through the run's tile cache in
+        process, whatever ``REPRO_NUM_PROCS`` says."""
         from repro.core.md_event_workspace import load_md
 
         paths = chunked_paths[(57, "shuffle-zlib")]
         budget = 3 * 57 * self.ROW_BYTES
-        for workers in (1, 2):
+        for procs in (1, 2):
+            forbid_pool(procs)
             res = exp.compute(
                 loader=lambda i: load_md(paths[i], memory_budget=budget),
-                shards=ShardConfig(n_shards=3, workers=workers),
+                shards=ShardConfig(n_shards=3),
             )
             assert_identical(res, golden)
 
@@ -391,6 +402,54 @@ class TestOutOfCoreInvariance:
         with trace_mod.use_tracer(tracer):
             exp.compute(
                 loader=lambda i: load_md(paths[i], memory_budget=budget),
-                shards=ShardConfig(n_shards=3, workers=1),
+                shards=ShardConfig(n_shards=3),
             )
         assert tracer.counters["binmd.shard_tasks"] == expected
+
+
+# ---------------------------------------------------------------------------
+# the worker knobs select nothing: every shard range runs in process
+# ---------------------------------------------------------------------------
+
+class TestShardRangesRunInProcess:
+    """A sharded static, an out-of-core and a stealing reduction, each
+    asked for 2 shard workers with ``REPRO_NUM_PROCS=2``, complete with
+    a process pool that raises on use and match in-memory
+    ``vectorized`` bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def chunked_md_paths(self, tiny_experiment, tmp_path_factory):
+        from repro.core.md_event_workspace import save_md
+
+        base = tmp_path_factory.mktemp("in_process_ooc")
+        paths = []
+        for i, ws in enumerate(tiny_experiment.workspaces):
+            path = str(base / f"run_{i}.md.h5")
+            save_md(path, ws, chunk_events=100, codec="zlib")
+            paths.append(path)
+        return paths
+
+    @staticmethod
+    def _reduce(tiny_experiment, **kw):
+        t = tiny_experiment
+        kw.setdefault("md_paths", t.md_paths)
+        return ReductionWorkflow(WorkflowConfig(
+            flux_path=t.flux_path, vanadium_path=t.vanadium_path,
+            instrument=t.instrument, grid=t.grid,
+            point_group=t.point_group, backend="vectorized", **kw)).run()
+
+    @pytest.mark.parametrize("path", ("static", "out_of_core", "stealing"))
+    def test_no_path_reaches_for_the_pool(self, tiny_experiment,
+                                          chunked_md_paths, forbid_pool,
+                                          path):
+        reference = self._reduce(tiny_experiment)
+        kw = dict(shards=2, shard_workers=2)
+        if path == "out_of_core":
+            kw.update(md_paths=chunked_md_paths, memory_budget=2 * 100 * 64)
+        elif path == "stealing":
+            kw.update(executor="stealing", steal_seed=5)
+        forbid_pool(2)
+        res = self._reduce(tiny_experiment, **kw)
+        assert_identical(res, reference)
+        if path == "stealing":
+            assert res.extras["stealing"]["tasks"] > 0

@@ -142,7 +142,7 @@ def golden(exp):
 
 
 def _shards():
-    return ShardConfig(n_shards=N_SHARDS, workers=1)
+    return ShardConfig(n_shards=N_SHARDS)
 
 
 def _steal_seq(exp, schedule, *, recovery=None, backend=None):
@@ -257,12 +257,13 @@ class TestStaticEquivalence:
                 exp.loader, binmd_impl=lambda *a, **k: None, **exp.kw()
             )
 
-    def test_worker_pool_path_matches(self, exp, golden):
-        """workers > 1 ships each task through the process pool; the
-        deposit logs (and so the replay) are unchanged."""
+    def test_tasks_run_in_process(self, exp, golden, forbid_pool):
+        """With ``REPRO_NUM_PROCS=2`` every task still runs in the
+        claiming rank's thread: the process pool is never touched."""
+        forbid_pool(2)
         res = run_stealing_campaign(
             exp.loader, recovery=RecoveryConfig(retry=POLICY),
-            shards=ShardConfig(n_shards=N_SHARDS, workers=2),
+            shards=_shards(),
             schedule=ScheduleController(seed=9, policy="random"), **exp.kw()
         )
         _assert_identical(res, golden)

@@ -89,7 +89,7 @@ def _campaign(exp, *, size, schedule, tracer=None, plan=None):
     def body(comm):
         return run_stealing_campaign(
             loader, comm=comm, recovery=RecoveryConfig(retry=POLICY),
-            shards=ShardConfig(n_shards=N_SHARDS, workers=1),
+            shards=ShardConfig(n_shards=N_SHARDS),
             schedule=schedule, **exp["kw"]
         )
 

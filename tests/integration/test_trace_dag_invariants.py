@@ -92,7 +92,7 @@ def _traced_campaign(exp, seed, size, tmp_path):
     def body(comm):
         return run_stealing_campaign(
             loader, comm=comm, recovery=RecoveryConfig(retry=POLICY),
-            shards=ShardConfig(n_shards=N_SHARDS, workers=1),
+            shards=ShardConfig(n_shards=N_SHARDS),
             schedule=schedule, **exp["kw"]
         )
 

@@ -11,8 +11,7 @@ matrix lives in ``test_backend_conformance.py``):
   deposit replay whose per-bin float fold equals the serial fold;
 * :class:`_Transport` — shared-memory capture shipping, ndarray
   write-back, and the ``__jacc_shareable__ = False`` drop protocol;
-* back-end construction / ``REPRO_MULTIPROC_HIST`` validation and the
-  replay-vs-tree histogram modes.
+* back-end construction and the ordered-replay histogram path.
 """
 
 import numpy as np
@@ -27,7 +26,6 @@ from repro.jacc.backend import BackendError
 from repro.jacc.kernels import Captures, Kernel, make_captures
 from repro.jacc.multiproc import (
     DEFAULT_CHUNKS,
-    HIST_MODE_ENV,
     MultiprocessBackend,
     RecordingHist3,
     _Transport,
@@ -289,7 +287,7 @@ class TestTransport:
 
 
 # ---------------------------------------------------------------------------
-# back-end construction / histogram modes
+# back-end construction / histogram replay
 # ---------------------------------------------------------------------------
 
 def _hist_element(ctx, i):
@@ -304,22 +302,6 @@ class TestBackendConfig:
     def test_rejects_bad_chunk_count(self):
         with pytest.raises(BackendError, match="n_chunks"):
             MultiprocessBackend(n_chunks=0)
-
-    def test_rejects_bad_hist_mode(self):
-        with pytest.raises(BackendError, match="hist_mode"):
-            MultiprocessBackend(hist_mode="average")
-
-    def test_rejects_bad_env_hist_mode(self, monkeypatch):
-        monkeypatch.setenv(HIST_MODE_ENV, "banana")
-        with pytest.raises(BackendError, match=HIST_MODE_ENV):
-            _ = MultiprocessBackend().hist_mode
-
-    def test_hist_mode_precedence(self, monkeypatch):
-        monkeypatch.delenv(HIST_MODE_ENV, raising=False)
-        assert MultiprocessBackend().hist_mode == "replay"
-        monkeypatch.setenv(HIST_MODE_ENV, "tree")
-        assert MultiprocessBackend().hist_mode == "tree"
-        assert MultiprocessBackend(hist_mode="replay").hist_mode == "replay"
 
     def test_unpicklable_element_rejected_before_any_task(self, monkeypatch):
         """A closure body cannot reach the workers: the launch fails
@@ -360,32 +342,7 @@ class TestHistModes:
 
         serial = self._run(get_backend("serial"))
         for workers in (1, 2):
-            mp = self._run(MultiprocessBackend(n_workers=workers,
-                                               hist_mode="replay"))
+            mp = self._run(MultiprocessBackend(n_workers=workers))
             assert np.array_equal(mp.signal, serial.signal), workers
             assert np.array_equal(mp.error_sq, serial.error_sq), workers
         GLOBAL_POOL.dispose()
-
-    def test_tree_mode_worker_invariant_and_close_to_serial(self):
-        """Tree mode re-associates the per-bin fold (fixed slots, fixed
-        pairwise order): worker-count invariant, allclose to serial."""
-        from repro.jacc import get_backend
-
-        serial = self._run(get_backend("serial"))
-        trees = [self._run(MultiprocessBackend(n_workers=n, hist_mode="tree"))
-                 for n in (2, 2)]
-        GLOBAL_POOL.dispose()
-        assert np.array_equal(trees[0].signal, trees[1].signal)
-        np.testing.assert_allclose(trees[0].signal, serial.signal,
-                                   rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(trees[0].error_sq, serial.error_sq,
-                                   rtol=1e-12, atol=0.0)
-
-    def test_tree_mode_refuses_giant_grids(self):
-        big = HKLGrid(basis=np.eye(3), minimum=(-1, -1, -1),
-                      maximum=(1, 1, 1), bins=(603, 603, 101))
-        hist = Hist3(big)
-        from repro.jacc.multiproc import _TreeBlocks
-
-        with pytest.raises(BackendError, match="replay"):
-            _TreeBlocks({"hist": hist}, 16)

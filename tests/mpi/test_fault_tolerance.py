@@ -319,7 +319,7 @@ class TestStealingExactlyOnce:
         def body(comm):
             return run_stealing_campaign(
                 steal_exp["loader"], comm=comm, recovery=recovery,
-                shards=ShardConfig(n_shards=N_STEAL_SHARDS, workers=1),
+                shards=ShardConfig(n_shards=N_STEAL_SHARDS),
                 schedule=schedule, **steal_exp["kw"])
 
         if plan is not None:

@@ -3,13 +3,14 @@
 The contract under test: chunked storage and the tile manager are an
 *I/O* detail, never a *numerics* detail.  A reduction that only ever
 sees bounded event windows — any chunk size, any codec, any memory
-budget (including budgets forcing a >= 4x spill), any shard execution
-backend — must produce histograms **bit-identical**
+budget (including budgets forcing a >= 4x spill), any
+``REPRO_NUM_PROCS`` — must produce histograms **bit-identical**
 (``np.array_equal``, not allclose) to the in-memory reduction of the
 same table.
 
 The 50-seed matrix below drives every (chunk size x codec x budget x
-worker-backend) combination through ``sharded_binmd`` on a
+``REPRO_NUM_PROCS``) combination, with the process pool made to raise,
+through ``sharded_binmd`` on a
 ``LazyEventTable`` and compares against the ``vectorized``
 ``bin_events`` on the materialized :class:`EventTable` (shards run the
 same batch body).  Full-pipeline cases do the same
@@ -32,7 +33,6 @@ from repro.core.md_event_workspace import (
     save_md,
 )
 from repro.core.sharding import ShardConfig, sharded_binmd
-from repro.jacc.workers import GLOBAL_POOL
 from repro.nexus.events import EventTable
 from repro.nexus.h5lite import CHUNK_CODECS, File
 from repro.nexus.tiles import (
@@ -52,7 +52,7 @@ ROW_BYTES = 8 * 8  # 8 float64 columns
 CHUNK_SIZES = (64, 113, 256, 500, 1024)
 CODECS = CHUNK_CODECS  # ("none", "zlib", "shuffle-zlib")
 BUDGET_CHUNKS = (1, 2, 4, None)  # budget as a chunk multiple; None = unbounded
-WORKER_BACKENDS = (1, 2)  # in-process degenerate pool vs process pool
+PROCS = (1, 2)  # REPRO_NUM_PROCS: ranges run in process either way
 N_SEEDS = 50
 
 
@@ -61,7 +61,7 @@ def _combo(seed: int):
         chunk=CHUNK_SIZES[seed % len(CHUNK_SIZES)],
         codec=CODECS[seed % len(CODECS)],
         budget_chunks=BUDGET_CHUNKS[seed % len(BUDGET_CHUNKS)],
-        workers=WORKER_BACKENDS[seed % len(WORKER_BACKENDS)],
+        procs=PROCS[seed % len(PROCS)],
         shards=1 + seed % 5,
     )
 
@@ -92,20 +92,15 @@ GRID = HKLGrid(basis=np.eye(3), minimum=(-5, -5, -5), maximum=(5, 5, 5),
 TRANSFORMS = np.eye(3)[None, :, :]
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _dispose_pool():
-    yield
-    GLOBAL_POOL.dispose()
-
-
 # ---------------------------------------------------------------------------
 # the 50-seed differential matrix
 # ---------------------------------------------------------------------------
 
 class TestOutOfCoreBitIdentity:
     @pytest.mark.parametrize("seed", range(N_SEEDS))
-    def test_matrix(self, tmp_path, seed):
+    def test_matrix(self, tmp_path, forbid_pool, seed):
         c = _combo(seed)
+        forbid_pool(c["procs"])
         n = 1200 + 37 * seed
         table = _random_table(seed, n)
         path = str(tmp_path / "run.md.h5")
@@ -122,7 +117,7 @@ class TestOutOfCoreBitIdentity:
             got = Hist3(GRID, track_errors=True)
             sharded_binmd(
                 got, lazy, TRANSFORMS,
-                shards=ShardConfig(n_shards=c["shards"], workers=c["workers"]),
+                shards=ShardConfig(n_shards=c["shards"]),
             )
             assert np.array_equal(got.signal, ref.signal), c
             assert np.array_equal(got.error_sq, ref.error_sq), c
@@ -158,7 +153,7 @@ class TestOutOfCoreBitIdentity:
         lazy = LazyEventTable(path, memory_budget=budget)
         got = Hist3(GRID, track_errors=True)
         sharded_binmd(got, lazy, TRANSFORMS,
-                      shards=ShardConfig(n_shards=3, workers=1))
+                      shards=ShardConfig(n_shards=3))
         assert np.array_equal(got.signal, ref.signal)
         assert np.array_equal(got.error_sq, ref.error_sq)
         stats = lazy.tile_stats
@@ -176,7 +171,7 @@ class TestOutOfCoreBitIdentity:
             lazy = LazyEventTable(path, memory_budget=2 * chunk * ROW_BYTES)
             got = Hist3(GRID, track_errors=True)
             sharded_binmd(got, lazy, TRANSFORMS,
-                          shards=ShardConfig(n_shards=2, workers=1))
+                          shards=ShardConfig(n_shards=2))
             lazy.close()
             if ref is None:
                 ref = got
@@ -347,8 +342,10 @@ class TestFullPipelineOutOfCore:
         ref = compute(lambda i: wss[i])
         return dict(paths=paths, compute=compute, ref=ref)
 
-    @pytest.mark.parametrize("shards,workers", [(None, None), (3, 1), (2, 2)])
-    def test_cross_section_identical(self, exp, shards, workers):
+    @pytest.mark.parametrize("shards,procs", [(None, None), (3, 1), (2, 2)])
+    def test_cross_section_identical(self, exp, forbid_pool, shards, procs):
+        if procs is not None:
+            forbid_pool(procs)
         budget = 2 * 37 * ROW_BYTES
 
         def lazy_loader(i):
@@ -356,7 +353,7 @@ class TestFullPipelineOutOfCore:
 
         kw = {}
         if shards is not None:
-            kw["shards"] = ShardConfig(n_shards=shards, workers=workers)
+            kw["shards"] = ShardConfig(n_shards=shards)
         res = exp["compute"](lazy_loader, **kw)
         ref = exp["ref"]
         assert np.array_equal(res.cross_section.signal,

@@ -9,13 +9,17 @@ Both kernel forms are provided through one :class:`~repro.jacc.Kernel`:
 
 * ``element`` — the per-(op, event) body run by the CPU back ends,
   a line-for-line analogue of Listing 3's lambda;
-* ``batch`` — the device realization: per op, one fused
-  transform + scatter-add over all events (tiled to bound memory).
+* ``batch`` — the device realization: per (op, tile), a transform
+  that rejects lanes axis by axis, thinnest grid axis first, then one
+  scatter-add of every in-grid lane of the launch.
 
 Mantid's production BinMD walks an adaptive MDBox hierarchy; the paper
 deliberately captures "the simple computational complexities" with a
 single-box algorithm, and so do we (the hierarchy lives in
-:mod:`repro.baseline.mdbox` as the baseline's cost model).
+:mod:`repro.baseline.mdbox` as the baseline's cost model).  The batch
+body exploits the same sparsity the hierarchy does: on the paper's
+one-bin-thick grids about 1 % of lanes land inside, and only
+those are fully transformed, deposited and cached.
 """
 
 from __future__ import annotations
@@ -50,52 +54,66 @@ def _bin_events_element(ctx: Captures, n: int, i: int) -> None:
     ctx.hist.push(c0, c1, c2, ev[i, COL_SIGNAL], ev[i, COL_ERROR_SQ])
 
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def _index_dtype(n_bins: int, n_events: int) -> type:
+    """int32 when every flat bin and event index fits, int64 otherwise."""
+    return np.int32 if max(n_bins, n_events) <= _INT32_MAX else np.int64
+
+
+def _in_grid_pairs(
+    grid, transforms: np.ndarray, events: np.ndarray, tile: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(flat, event)`` pairs of every in-grid (op, event) lane,
+    op-major and in ascending event order within an op: the deposit
+    order of the element body."""
+    n_events = events.shape[0]
+    dtype = _index_dtype(grid.n_bins_total, n_events)
+    flats = [[] for _ in transforms]
+    lanes = [[] for _ in transforms]
+    for start in range(0, n_events, tile):
+        q = events[start : start + tile, COL_QX : COL_QZ + 1].T
+        if len(transforms) > 1:
+            # strided columns cost a full row read each; copy them
+            # once when several ops read them
+            q = np.ascontiguousarray(q)
+        for n, op in enumerate(transforms):
+            flat, lane = grid.bin_transformed(op, *q)
+            flats[n].append(flat)
+            lanes[n].append(lane + start)
+    return (np.concatenate(sum(flats, [])).astype(dtype, copy=False),
+            np.concatenate(sum(lanes, [])).astype(dtype, copy=False))
+
+
 def _bin_events_batch(ctx: Captures, dims: tuple[int, int]) -> None:
-    """Device realization: per op, fused transform + scatter over events.
+    """Device realization: bin the in-grid lanes, deposit them at once.
 
-    Cold, each (op, tile) is binned once with :meth:`HKLGrid.bin_index`
-    (recorded into the :class:`BinMDEntry` being collected, if any) and
-    its inside lanes are scatter-added in event order with
-    :meth:`Hist3.push_flat`.  With a warm entry the transform and bin
-    search are skipped: the cached flat indices / inside masks are
-    sliced per tile and fed to the same ``push_flat`` calls, so cold,
-    warm and uncached scatter sequences are bit-identical by
-    construction.
+    Cold, each (op, tile) is binned once with
+    :meth:`HKLGrid.bin_transformed`, which computes H and K only for
+    the lanes inside the grid on its thinnest axis.  With a warm entry
+    the cached pairs are used instead.  Either way the launch makes one
+    :meth:`Hist3.push_flat` call over the op-major ``(flat, event)``
+    pairs with freshly gathered weights, so cold, warm and uncached
+    deposits are bit-identical by construction.  The pairs are left on
+    ``ctx.in_grid`` for the caller to cache and count.
     """
-    n_ops, n_events = dims
     ev = ctx.events
-    q = ev[:, COL_QX : COL_QZ + 1]
-    weights = ev[:, COL_SIGNAL]
-    tile = ctx.tile
     hist: Hist3 = ctx.hist
-    # a Hist3 without an error array drops err_sq; skip masking it then
-    # (the shard recorder has no `error_sq` and decides for itself)
-    err_sq = (ev[:, COL_ERROR_SQ]
-              if getattr(hist, "error_sq", True) is not None else None)
     entry: Optional[BinMDEntry] = getattr(ctx, "binmd_entry", None)
-    collect: Optional[BinMDEntry] = getattr(ctx, "binmd_collect", None)
-
-    for n in range(n_ops):
-        op_t = ctx.transforms[n].T
-        for start in range(0, n_events, tile):
-            stop = min(start + tile, n_events)
-            if entry is not None:
-                flat = entry.flat_idx[n, start:stop]
-                inside = entry.inside[n, start:stop]
-            else:
-                flat, inside = hist.grid.bin_index(q[start:stop] @ op_t)
-                if collect is not None:
-                    collect.flat_idx[n, start:stop] = flat
-                    collect.inside[n, start:stop] = inside
-            hist.push_flat(
-                flat[inside], weights[start:stop][inside],
-                None if err_sq is None else err_sq[start:stop][inside],
-                scatter_impl=ctx.scatter_impl,
-            )
-    if collect is not None:
-        collect.flat_idx = _gc.freeze(collect.flat_idx)
-        collect.inside = _gc.freeze(collect.inside)
-        ctx.binmd_cache.put(collect)
+    if entry is not None:
+        flat, event = entry.flat, entry.event
+    else:
+        flat, event = _in_grid_pairs(hist.grid, ctx.transforms, ev, ctx.tile)
+    ctx.in_grid = (flat, event)
+    # a Hist3 without an error array drops err_sq; skip gathering it then
+    # (the shard recorder has no `error_sq` and decides for itself)
+    track_errors = getattr(hist, "error_sq", True) is not None
+    hist.push_flat(
+        flat, ev[event, COL_SIGNAL],
+        ev[event, COL_ERROR_SQ] if track_errors else None,
+        scatter_impl=ctx.scatter_impl,
+    )
 
 
 BIN_EVENTS_KERNEL = Kernel(
@@ -133,12 +151,14 @@ def bin_events(
         "atomic" (per-lane atomicAdd analogue) or "buffered"
         (bincount-based) — see :meth:`Hist3.push_many`.
     cache:
-        Geometry cache holding/receiving the per-(op, event) flat bin
-        indices (:class:`~repro.core.geom_cache.BinMDEntry`).  None uses
-        the process default; pass
-        :data:`~repro.core.geom_cache.DISABLED` to opt out.  The warm
-        path replays the exact cold scatter sequence, so cached and
-        uncached histograms are bit-identical.
+        Geometry cache holding/receiving the ``(flat bin, event)`` pairs
+        of the in-grid lanes (:class:`~repro.core.geom_cache.BinMDEntry`,
+        keyed by grid, transforms and Q alone; weights are gathered
+        fresh on every launch).  None uses the process default; pass
+        :data:`~repro.core.geom_cache.DISABLED` to opt out.  Only the
+        batch body fills it.  The warm path makes the cold launch's one
+        deposit call on the cached pairs, so cached and uncached
+        histograms are bit-identical.
     cache_tag:
         Optional lifecycle tag recorded on inserted entries (see
         :meth:`GeomCache.invalidate`).
@@ -159,27 +179,21 @@ def bin_events(
         n_events=int(data.shape[0]),
     ) as op_span:
         entry: Optional[BinMDEntry] = None
-        collect: Optional[BinMDEntry] = None
+        key = None
         if cache.enabled:
-            n_ops, n_events = transforms.shape[0], data.shape[0]
-            key = GeomCache.binmd_key(hist.grid, transforms, data)
+            key = GeomCache.binmd_key(hist.grid, transforms,
+                                      data[:, COL_QX : COL_QZ + 1])
             entry = cache.get(key)
-            if entry is None and cache.accepts(n_ops * n_events * 9):
-                # int64 flat index + bool inside mask per (op, event) lane
-                collect = BinMDEntry(
-                    key=key,
-                    tag=cache_tag,
-                    flat_idx=np.empty((n_ops, n_events), dtype=np.int64),
-                    inside=np.empty((n_ops, n_events), dtype=bool),
-                )
         op_span.set(cache_hit=entry is not None)
         if tracer.profile:
             from repro.util.perf import binmd_work
 
+            warm = {} if entry is None else dict(
+                cache_hit=True, stored_pairs=entry.n_pairs,
+                index_itemsize=entry.itemsize)
             op_span.set(perf=binmd_work(
                 int(transforms.shape[0]), int(data.shape[0]),
-                track_errors=hist.flat_error_sq is not None,
-                cache_hit=entry is not None,
+                track_errors=hist.flat_error_sq is not None, **warm,
             ))
 
         captures = Captures(
@@ -189,8 +203,6 @@ def bin_events(
             tile=int(tile),
             scatter_impl=scatter_impl,
             binmd_entry=entry,
-            binmd_collect=collect,
-            binmd_cache=cache,
         )
         parallel_for(
             (transforms.shape[0], data.shape[0]),
@@ -198,6 +210,14 @@ def bin_events(
             captures,
             backend=backend,
         )
+        in_grid = getattr(captures, "in_grid", None)
+        if in_grid is not None:
+            # only the batch body reports its pairs
+            op_span.set(inside_lanes=int(in_grid[0].size))
+            if entry is None and key is not None:
+                cache.put(BinMDEntry(key=key, tag=cache_tag,
+                                     flat=_gc.freeze(in_grid[0]),
+                                     event=_gc.freeze(in_grid[1])))
         tracer.count("binmd.events",
                       int(transforms.shape[0]) * int(data.shape[0]))
     return hist

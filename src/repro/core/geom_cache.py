@@ -19,20 +19,23 @@ entry kinds behind one LRU byte budget:
   has run) a compacted :class:`DepositPlan` holding the segment
   fluxes and flat bin indices of every segment that can deposit;
 * **BinMD entries** (:class:`BinMDEntry`) — per
-  ``(grid, transforms, event-table)`` key: the flat bin indices and
-  inside masks of every event under every symmetry op;
+  ``(grid, transforms, Q columns)`` key: the ``(flat bin, event)``
+  pairs of the lanes that land inside the grid, under every symmetry
+  op (about 1 % of all lanes on the paper's one-bin-thick grids);
 * **flux entries** (:class:`FluxEntry`) — the cumulative-flux
   interpolation table shared by every backend and every re-read of the
   same flux file.
 
-Keys are **content digests** (BLAKE2b over the array bytes), so they
+Keys are **content digests** (SHA-256 over the array bytes), so they
 are backend-agnostic: the serial, threads and vectorized back ends all
 hit the same entries, and any change to the calibration (vanadium
 weights / detector mask), lattice (UB → transforms), goniometer or
 grid produces a different key — stale reuse is impossible by
-construction.  Explicit invalidation by *tag* (e.g. ``"run:42"``) and
-wholesale :meth:`GeomCache.clear` are provided on top for lifecycle
-management.
+construction.  A key digests exactly what its entry depends on: a
+BinMD entry depends on the Q columns of the event table but not on
+its weights, which are read fresh on every launch.  Explicit
+invalidation by *tag* (e.g. ``"run:42"``) and wholesale
+:meth:`GeomCache.clear` are provided on top for lifecycle management.
 
 Cached arrays are frozen read-only; warm consumers slice them.  All
 cached products are *inputs* the kernels would otherwise recompute
@@ -73,21 +76,25 @@ KIND_FLUX = "flux-table"
 # ---------------------------------------------------------------------------
 
 def digest_array(arr: np.ndarray) -> str:
-    """Content digest of an array (dtype + shape + bytes)."""
+    """Content digest of an array (dtype + shape + bytes).
+
+    SHA-256, truncated to 32 hex digits: CPUs with SHA extensions hash
+    it about twice as fast as BLAKE2b.
+    """
     a = np.ascontiguousarray(arr)
-    h = hashlib.blake2b(digest_size=16)
+    h = hashlib.sha256()
     h.update(str(a.dtype).encode())
     h.update(repr(a.shape).encode())
     h.update(a.data)
-    return h.hexdigest()
+    return h.hexdigest()[:32]
 
 
 def digest_grid(grid) -> str:
     """Content digest of an :class:`~repro.core.grid.HKLGrid` spec."""
-    h = hashlib.blake2b(digest_size=16)
+    h = hashlib.sha256()
     h.update(digest_array(grid.basis).encode())
     h.update(repr((grid.minimum, grid.maximum, grid.bins)).encode())
-    return h.hexdigest()
+    return h.hexdigest()[:32]
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:
@@ -217,20 +224,36 @@ class GeomEntry:
 
 @dataclass
 class BinMDEntry:
-    """Cached flat bin indices of an event table under every op."""
+    """Cached in-grid lanes of an event table under every op.
+
+    Only the (op, event) lanes that land inside the grid are stored, as
+    op-major ``(flat bin, event index)`` pairs in ascending event order
+    within an op: the deposit sequence of the cold launch.  The index
+    dtype is int32 when the grid's bin count and the event count both
+    fit, int64 otherwise.  Weights are not stored; a warm launch
+    gathers them from the event table it is given.
+    """
 
     __jacc_shareable__ = False  # see DepositPlan
 
     key: Tuple[Any, ...]
     tag: Optional[str]
-    #: ``(n_ops, n_events)`` flat (clipped) bin index per event
-    flat_idx: np.ndarray
-    #: ``(n_ops, n_events)`` event landed inside the grid
-    inside: np.ndarray
+    #: ``(n_pairs,)`` flat bin index of each in-grid lane
+    flat: np.ndarray
+    #: ``(n_pairs,)`` event index of each in-grid lane
+    event: np.ndarray
+
+    @property
+    def n_pairs(self) -> int:
+        return int(self.flat.size)
+
+    @property
+    def itemsize(self) -> int:
+        return int(self.flat.itemsize)
 
     @property
     def nbytes(self) -> int:
-        return int(self.flat_idx.nbytes + self.inside.nbytes)
+        return int(self.flat.nbytes + self.event.nbytes)
 
 
 @dataclass
@@ -303,13 +326,17 @@ class GeomCache:
         )
 
     @staticmethod
-    def binmd_key(grid, transforms: np.ndarray, events: np.ndarray) -> Tuple[Any, ...]:
-        """Key of one BinMD (grid, symmetry transforms, event table)."""
+    def binmd_key(grid, transforms: np.ndarray, q_sample: np.ndarray) -> Tuple[Any, ...]:
+        """Key of one BinMD (grid, symmetry transforms, event Q columns).
+
+        Which lanes land in which bin depends on nothing else, so two
+        tables that differ only in their weights share one entry.
+        """
         return (
             KIND_BINMD,
             digest_grid(grid),
             digest_array(transforms),
-            digest_array(events),
+            digest_array(q_sample),
         )
 
     @staticmethod

@@ -176,6 +176,64 @@ class HKLGrid:
                     inside &= ok
         return flat, inside
 
+    @cached_property
+    def _rejection_plan(self) -> Tuple[int, list, np.ndarray, np.ndarray, np.ndarray]:
+        """The thinnest axis (fewest bins, first on ties), then the other
+        two with their minima, widths and bin counts as ``(2, 1)``
+        columns for :meth:`bin_transformed`."""
+        first, *rest = sorted(range(3), key=lambda axis: self.bins[axis])
+        mn, w = self._scalar_binning
+        rows = [(mn[a], w[a], self.bins[a]) for a in rest]
+        return (first, rest,
+                *(np.array(column)[:, None] for column in zip(*rows)))
+
+    def bin_transformed(
+        self, op: np.ndarray, qx: np.ndarray, qy: np.ndarray, qz: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Flat bins of the points ``op @ q`` that land inside the grid.
+
+        Returns ``(flat, lanes)``: ``lanes`` are the ascending indices
+        (into ``qx``/``qy``/``qz``) of the inside points and ``flat``
+        their flat bin indices.  Grid coordinates are computed with the
+        element body's three-term products ``op[a, 0] * qx + op[a, 1] *
+        qy + op[a, 2] * qz``: first on the thinnest axis for every
+        lane, then on the other two axes for the lanes inside on the
+        first only, so a one-bin-thick slab computes H and K for the
+        few lanes in the slab alone.  The rule per axis is
+        :meth:`flat_bin`'s (floor of the rounded quotient, upper edge
+        exclusive, non-finite outside), so this and the element body
+        agree bin for bin.
+        """
+        mn, w = self._scalar_binning
+        first, rest, rest_mn, rest_w, rest_n = self._rejection_plan
+        # inf - inf and 0 * inf give NaN, which the comparisons reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = op[first, 0] * qx
+            q += op[first, 1] * qy
+            q += op[first, 2] * qz
+            q -= mn[first]
+            q /= w[first]
+            ok = q >= 0.0
+            ok &= q < self.bins[first]
+            lanes = ok.nonzero()[0]
+            x, y, z = qx[lanes], qy[lanes], qz[lanes]
+            o = op[rest]
+            qr = o[:, 0:1] * x
+            qr += o[:, 1:2] * y
+            qr += o[:, 2:3] * z
+            qr -= rest_mn
+            qr /= rest_w
+            ok = qr >= 0.0
+            ok &= qr < rest_n
+        keep = (ok[0] & ok[1]).nonzero()[0]
+        lanes = lanes[keep]
+        # in range and non-negative, so truncation is the floor
+        idx = {first: q[lanes].astype(np.int64)}
+        for row, axis in enumerate(rest):
+            idx[axis] = qr[row, keep].astype(np.int64)
+        nb = self.bins
+        return (idx[0] * nb[1] + idx[1]) * nb[2] + idx[2], lanes
+
     # -- constructors for the paper's cases ---------------------------------
     @classmethod
     def benzil_grid(

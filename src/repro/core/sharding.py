@@ -308,10 +308,11 @@ def _run_shards(
     *,
     run: Optional[int] = None,
     on_shard: Optional[Callable[[int, int], None]] = None,
-) -> None:
+) -> int:
     """The static executor: every planned range of ``ctx`` through
     :func:`execute_shard_range` in planned order, then the ordered
-    replay into ``ctx.captures.hist``."""
+    replay into ``ctx.captures.hist``.  Returns the number of
+    deposits replayed."""
     op_name, n_ranges = ctx.op_name, ctx.n_ranges
     tracer = _trace.active_tracer()
     fault_site = f"shard.{op_name}"
@@ -341,6 +342,7 @@ def _run_shards(
                 on_shard(s, n_ranges)
         replay_shard_logs(ctx, per_range)
         tracer.count(f"{op_name}.shard_tasks", n_ranges)
+    return sum(int(log[0].size) for logs in per_range for log in logs)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +445,7 @@ def sharded_binmd(
                 track_errors=hist.flat_error_sq is not None,
                 cache_hit=False,
             ))
-        _run_shards(ctx, run=run, on_shard=on_shard)
+        deposits = _run_shards(ctx, run=run, on_shard=on_shard)
+        op_span.set(inside_lanes=deposits)
         tracer.count("binmd.events", n_ops * int(n_events))
     return hist

@@ -91,21 +91,28 @@ def binmd_work(
     *,
     track_errors: bool = True,
     cache_hit: bool = False,
+    stored_pairs: Optional[int] = None,
+    index_itemsize: int = 8,
 ) -> Dict[str, float]:
     """Cost-model work of one BinMD launch (``(n_ops, n_events)`` lanes).
 
-    A warm launch (``cache_hit``) replays cached flat indices: the
-    transform flops are skipped, the index arrays are read instead.
+    A warm launch (``cache_hit``) replays the cached in-grid
+    ``(flat, event)`` pairs: the transform flops are skipped, and each
+    stored pair costs its two indices plus the gather of its weights.
+    ``stored_pairs`` is the entry's pair count; without it every lane
+    is assumed inside, which bounds it.
     """
     lanes = float(n_ops) * float(n_events)
     write = BYTES_PER_EVENT_WRITE if track_errors else 8.0
     if cache_hit:
+        pairs = lanes if stored_pairs is None else float(stored_pairs)
+        # per pair: two indices, then a gather of what is written
         return {
             "events": lanes,
-            "bins_touched": lanes,
-            "bytes_read": lanes * (16.0 + 9.0),  # weights + idx/mask
-            "bytes_written": lanes * write,
-            "flops": lanes * 2.0,
+            "bins_touched": pairs,
+            "bytes_read": pairs * (2.0 * index_itemsize + write),
+            "bytes_written": pairs * write,
+            "flops": pairs * 2.0,
         }
     return {
         "events": lanes,

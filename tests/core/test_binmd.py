@@ -5,12 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.binmd import bin_events
+from repro.core.binmd import _index_dtype, bin_events
 from repro.core.geom_cache import DISABLED, GeomCache
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
 from repro.core.sharding import ShardConfig, sharded_binmd
-from repro.nexus.events import EventTable
+from repro.crystal.structures import benzil
+from repro.crystal.ub import UBMatrix
+from repro.nexus.events import (
+    COL_ERROR_SQ,
+    COL_QX,
+    COL_QY,
+    COL_QZ,
+    COL_SIGNAL,
+    EventTable,
+)
+from repro.util import trace
 from repro.util.validation import ValidationError
 
 BACKENDS = ("serial", "threads", "vectorized")
@@ -104,7 +114,7 @@ class TestTilingAndScatter:
         bin_events(a, events, FLIP, backend="vectorized", tile=64)
         b = Hist3(grid)
         bin_events(b, events, FLIP, backend="vectorized", tile=1 << 20)
-        assert np.allclose(a.signal, b.signal)
+        assert np.array_equal(a.signal, b.signal)
 
     def test_scatter_impls_agree(self, grid):
         events = _events(n=500, seed=9)
@@ -122,15 +132,15 @@ class TestTilingAndScatter:
 class TestBinOnce:
     """Cold BinMD bins each (op, tile) exactly once; warm never bins."""
 
-    def test_bin_index_calls(self, grid, monkeypatch):
+    def test_bin_transformed_calls(self, grid, monkeypatch):
         calls = []
-        real = HKLGrid.bin_index
+        real = HKLGrid.bin_transformed
 
-        def counting(self, coords):
-            calls.append(len(coords))
-            return real(self, coords)
+        def counting(self, op, qx, qy, qz):
+            calls.append(len(qx))
+            return real(self, op, qx, qy, qz)
 
-        monkeypatch.setattr(HKLGrid, "bin_index", counting)
+        monkeypatch.setattr(HKLGrid, "bin_transformed", counting)
         events, tile = _events(n=500, seed=2), 64
         transforms = np.stack([np.eye(3), -np.eye(3), np.eye(3)[[1, 0, 2]]])
         cache = GeomCache()
@@ -140,6 +150,12 @@ class TestBinOnce:
         assert len(cache) == 1  # the cold pass collected an entry
         assert len(calls) == len(transforms) * math.ceil(500 / tile)
         assert sum(calls) == len(transforms) * 500
+        # the entry holds one (flat, event) pair per in-grid lane only
+        in_grid = sum(int(grid.bin_index(events.q_sample @ op.T)[1].sum())
+                      for op in transforms)
+        entry = cache.peek(cache.keys()[0])
+        assert 0 < in_grid < len(transforms) * 500
+        assert entry.nbytes == in_grid * 2 * entry.itemsize
 
         calls.clear()
         warm = Hist3(grid, track_errors=True)
@@ -147,6 +163,99 @@ class TestBinOnce:
                    cache=cache)
         assert calls == []
         assert np.array_equal(warm.signal, cold.signal)
+        assert np.array_equal(warm.error_sq, cold.error_sq)
+
+
+class TestCompactedCache:
+    """The BinMD entry stores in-grid lanes only, keyed by Q alone."""
+
+    @staticmethod
+    def _run(grid, events, transforms, cache, **kw):
+        h = Hist3(grid, track_errors=True)
+        bin_events(h, events, transforms, backend="vectorized", cache=cache,
+                   **kw)
+        return h
+
+    def test_entry_cached_under_a_budget_below_the_dense_size(self, grid):
+        """A budget that a dense per-lane entry (9 B x ops x events)
+        would exceed still caches the compacted entry, and warm hits."""
+        events = _events(n=4000, seed=4, spread=12.0)
+        transforms = np.stack([np.eye(3), -np.eye(3), np.eye(3)[[1, 0, 2]],
+                               -np.eye(3)[[1, 0, 2]]])
+        budget = 16 * 1024
+        assert budget < len(transforms) * len(events) * 9
+        ref = self._run(grid, events, transforms, DISABLED)
+        cache = GeomCache(byte_budget=budget)
+        cold = self._run(grid, events, transforms, cache)
+        assert cache.stats.inserts == 1
+        assert 0 < cache.current_bytes < budget
+        warm = self._run(grid, events, transforms, cache)
+        assert cache.stats.hits == 1
+        for h in (cold, warm):
+            assert np.array_equal(h.signal, ref.signal)
+            assert np.array_equal(h.error_sq, ref.error_sq)
+
+    def test_weights_share_a_key_q_does_not(self, grid):
+        events = _events(n=600, seed=6)
+        transforms = FLIP
+        cache = GeomCache()
+        self._run(grid, events, transforms, cache)
+        reweighted = EventTable(events.data.copy())
+        rng = np.random.default_rng(7)
+        reweighted.data[:, COL_SIGNAL] = rng.random(len(events)) + 2.0
+        reweighted.data[:, COL_ERROR_SQ] = rng.random(len(events))
+        warm = self._run(grid, reweighted, transforms, cache)
+        assert (cache.stats.hits, len(cache)) == (1, 1)
+        ref = self._run(grid, reweighted, transforms, DISABLED)
+        assert np.array_equal(warm.signal, ref.signal)
+        assert np.array_equal(warm.error_sq, ref.error_sq)
+
+        nudged = events.data.copy()
+        nudged[0, COL_QY] = np.nextafter(nudged[0, COL_QY], np.inf)
+        key = GeomCache.binmd_key(grid, transforms, events.q_sample)
+        assert key in cache
+        assert GeomCache.binmd_key(
+            grid, transforms, nudged[:, COL_QX : COL_QZ + 1]) != key
+
+    def test_no_lane_in_grid(self, grid):
+        events = _events(n=300, seed=8)
+        events.data[:, COL_QZ] = 5.0  # every event above the L range
+        cache = GeomCache()
+        cold = self._run(grid, events, FLIP, cache)
+        assert cache.stats.inserts == 1
+        assert cache.peek(cache.keys()[0]).n_pairs == 0
+        warm = self._run(grid, events, FLIP, cache)
+        assert cache.stats.hits == 1
+        serial = Hist3(grid, track_errors=True)
+        bin_events(serial, events, FLIP, backend="serial", cache=DISABLED)
+        for h in (cold, warm, serial):
+            assert not h.signal.any() and not h.error_sq.any()
+
+    def test_op_span_reports_inside_lanes_and_warm_work(self, grid):
+        events = _events(n=500, seed=10)
+        cache = GeomCache()
+        tracer = trace.Tracer(label="binmd")
+        with trace.use_tracer(tracer):
+            self._run(grid, events, FLIP, cache)
+            self._run(grid, events, FLIP, cache)
+            sharded_binmd(Hist3(grid, track_errors=True), events, FLIP,
+                          shards=ShardConfig(n_shards=2))
+        cold, warm, sharded = [r["attrs"] for r in tracer.records
+                               if r["name"] == "binmd"]
+        entry = cache.peek(cache.keys()[0])
+        assert entry.itemsize == 4
+        assert (cold["inside_lanes"] == warm["inside_lanes"]
+                == sharded["inside_lanes"] == entry.n_pairs > 0)
+        assert warm["cache_hit"] and not cold["cache_hit"]
+        # a warm launch reads its pairs (2 x int32) and gathers 2 weights
+        assert warm["perf"]["bytes_read"] == entry.n_pairs * (8 + 16)
+        assert warm["perf"]["bins_touched"] == entry.n_pairs
+
+    def test_index_dtype_follows_the_input_size(self):
+        assert _index_dtype(151 * 151, 10**6) is np.int32
+        assert _index_dtype(2**31 - 1, 2**31 - 1) is np.int32
+        assert _index_dtype(2**31, 10) is np.int64
+        assert _index_dtype(10, 2**31) is np.int64
 
 
 def _edge_events(grid, *, integer_weights, seed=11, n=600):
@@ -176,6 +285,30 @@ EDGE_OPS = np.stack([np.eye(3), -np.eye(3), np.eye(3)[[1, 0, 2]],
                      -np.eye(3)[[1, 0, 2]]])
 
 
+def _general_edge_case(seed=17, n=900):
+    """A Benzil grid under the 321 point group's transforms (not signed
+    permutations), with events whose coordinates under one random op
+    sit within a few ulps of a bin edge, plus outside and non-finite
+    events."""
+    structure = benzil()
+    grid = HKLGrid.benzil_grid(bins=(7, 7, 3), extent=1.5, l_half_width=0.4)
+    ub = UBMatrix.from_u_vectors(structure.cell, [0.0, 0.0, 1.0],
+                                 [1.0, 0.0, 0.0])
+    transforms = grid.transforms_for(ub, structure.point_group)
+    rng = np.random.default_rng(seed)
+    edge = rng.integers(0, np.array(grid.bins) + 1, size=(n, 3))
+    coords = np.array(grid.minimum) + edge * grid.widths
+    inverse = np.linalg.inv(transforms)[rng.integers(0, len(transforms), n)]
+    q = np.einsum("nij,nj->ni", inverse, coords)
+    q += rng.integers(-3, 4, size=q.shape) * np.spacing(q)
+    q[: n // 10] = rng.choice([-1e300, -9.0, np.nan, 9.0, 1e300],
+                              size=(n // 10, 3))
+    events = EventTable.from_columns(signal=rng.random(n) + 0.25,
+                                     error_sq=rng.random(n),
+                                     q_sample=rng.permutation(q))
+    return grid, events, transforms
+
+
 class TestAdversarialEdges:
     """Cold (collecting / uncached), warm, the ``serial`` element path and
     two shards give the same histogram bit for bit on bin-edge events."""
@@ -187,10 +320,10 @@ class TestAdversarialEdges:
         return HKLGrid(basis=np.eye(3), minimum=(-3.0, -3.0, -1.0),
                        maximum=(3.0, 3.0, 1.0), bins=(7, 7, 3))
 
-    def _variants(self, grid, events, scatter_impl):
+    def _variants(self, grid, events, scatter_impl, ops=EDGE_OPS):
         def run(**kw):
             h = Hist3(grid, track_errors=True)
-            bin_events(h, events, EDGE_OPS, tile=97, scatter_impl=scatter_impl,
+            bin_events(h, events, ops, tile=97, scatter_impl=scatter_impl,
                        **kw)
             return h
 
@@ -201,8 +334,7 @@ class TestAdversarialEdges:
         out["cold_uncached"] = run(backend="vectorized", cache=DISABLED)
         out["serial"] = run(backend="serial", cache=DISABLED)
         sharded = Hist3(grid, track_errors=True)
-        sharded_binmd(sharded, events, EDGE_OPS,
-                      shards=ShardConfig(n_shards=2))
+        sharded_binmd(sharded, events, ops, shards=ShardConfig(n_shards=2))
         out["shards_2"] = sharded
         return out
 
@@ -234,6 +366,15 @@ class TestAdversarialEdges:
         if scatter_impl == "atomic":
             names += ["serial", "shards_2"]
         self._assert_identical(hists, names)
+
+    def test_general_transforms_float_weights(self):
+        """Non-permutation transforms round, so lanes a few ulps from an
+        edge bin by the rounded coordinate: the batch body computes it
+        with the element body's three-term products, and all five paths
+        agree bit for bit."""
+        grid, events, ops = _general_edge_case()
+        hists = self._variants(grid, events, "atomic", ops=ops)
+        self._assert_identical(hists, list(hists))
 
 
 class TestValidation:

@@ -397,7 +397,7 @@ class TestBinmdCachedEqualsUncached:
         bin_events(Hist3(grid), events, transforms, backend="vectorized",
                    cache=cache)
         mutated = events.copy()
-        mutated[0, COL_SIGNAL] += 1.0
+        mutated[0, COL_QX] += 1.0  # the key covers Q, not the weights
         before = cache.stats.misses
         bin_events(Hist3(grid), mutated, transforms, backend="vectorized",
                    cache=cache)

@@ -110,6 +110,38 @@ class TestBinIndex:
         assert not inside[n:-2].any()  # every special point is outside
         assert inside[-2] and flat[-2] == 0 and not inside[-1]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bin_transformed_agrees_with_element_arithmetic(self, seed):
+        """Under a general (rounding) transform, the axis-first batch
+        form keeps exactly the lanes the element body's scalar
+        arithmetic bins inside, in ascending order, with the same bins;
+        the thin axis in the middle exercises the rejection order."""
+        grid = HKLGrid(basis=np.eye(3), minimum=(-2.0, -1.5, -1.0),
+                       maximum=(2.0, 1.5, 0.7), bins=(5, 1, 3))
+        rng = np.random.default_rng(seed)
+        op, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        n = 500
+        edge = rng.integers(0, np.array(grid.bins) + 1, size=(n, 3))
+        coords = np.array(grid.minimum) + edge * grid.widths
+        q = coords @ np.linalg.inv(op).T
+        q += rng.integers(-3, 4, size=(n, 3)) * np.spacing(q)
+        q[: n // 10] = rng.choice([np.nan, np.inf, -np.inf, 1e300, -1e300],
+                                  size=(n // 10, 3))
+        table = np.asfortranarray(rng.permutation(q))
+
+        flat, lanes = grid.bin_transformed(op, *table.T)
+        expected = {}
+        rows = [[float(v) for v in row] for row in op]
+        for i, (x, y, z) in enumerate(table.tolist()):
+            c = [r[0] * x + r[1] * y + r[2] * z for r in rows]
+            b = grid.flat_bin(*c)
+            if b >= 0:
+                expected[i] = b
+        assert 0 < len(expected) < n
+        assert lanes.tolist() == sorted(expected)
+        assert flat.tolist() == [expected[i] for i in sorted(expected)]
+
 
 class TestProjection:
     def test_benzil_basis_maps_110_to_first_axis(self):

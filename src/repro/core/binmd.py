@@ -31,7 +31,7 @@ import numpy as np
 from repro.core import geom_cache as _gc
 from repro.core.geom_cache import BinMDEntry, GeomCache
 from repro.core.hist3 import Hist3
-from repro.jacc import parallel_for
+from repro.jacc import parallel_for, resolve_backend
 from repro.jacc.kernels import Captures, Kernel
 from repro.nexus.events import COL_ERROR_SQ, COL_QX, COL_QY, COL_QZ, COL_SIGNAL, EventTable
 from repro.util import trace as _trace
@@ -62,6 +62,26 @@ def _index_dtype(n_bins: int, n_events: int) -> type:
     return np.int32 if max(n_bins, n_events) <= _INT32_MAX else np.int64
 
 
+def _q_rows(events: np.ndarray) -> np.ndarray:
+    """The ``(3, n)`` Q rows of an ``(n, 8)`` event array, as a view.
+
+    For an :class:`EventTable`'s ``data`` they are slices of its
+    ``cols`` block: unit-stride and C-contiguous."""
+    return events[:, COL_QX : COL_QZ + 1].T
+
+
+def binmd_cache_key(grid, transforms: np.ndarray,
+                    events: EventTable | np.ndarray) -> tuple:
+    """The geometry-cache key of one BinMD launch.
+
+    The Q rows are hashed in place when they are contiguous (a
+    column-major :class:`EventTable`) and copied once otherwise, so a
+    table has one key whatever its layout."""
+    data = events.data if isinstance(events, EventTable) else np.asarray(events)
+    return GeomCache.binmd_key(grid, np.asarray(transforms, dtype=np.float64),
+                               _q_rows(data))
+
+
 def _in_grid_pairs(
     grid, transforms: np.ndarray, events: np.ndarray, tile: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -73,10 +93,10 @@ def _in_grid_pairs(
     flats = [[] for _ in transforms]
     lanes = [[] for _ in transforms]
     for start in range(0, n_events, tile):
-        q = events[start : start + tile, COL_QX : COL_QZ + 1].T
-        if len(transforms) > 1:
-            # strided columns cost a full row read each; copy them
-            # once when several ops read them
+        q = _q_rows(events[start : start + tile])
+        if len(transforms) > 1 and q.strides[1] != q.itemsize:
+            # strided columns (a row-major table) cost a full row read
+            # each; copy them once when several ops read them
             q = np.ascontiguousarray(q)
         for n, op in enumerate(transforms):
             flat, lane = grid.bin_transformed(op, *q)
@@ -174,15 +194,14 @@ def bin_events(
     with tracer.span(
         "binmd",
         kind="op",
-        backend=backend or "default",
+        backend=resolve_backend(backend).name,
         n_ops=int(transforms.shape[0]),
         n_events=int(data.shape[0]),
     ) as op_span:
         entry: Optional[BinMDEntry] = None
         key = None
         if cache.enabled:
-            key = GeomCache.binmd_key(hist.grid, transforms,
-                                      data[:, COL_QX : COL_QZ + 1])
+            key = binmd_cache_key(hist.grid, transforms, data)
             entry = cache.get(key)
         op_span.set(cache_hit=entry is not None)
         if tracer.profile:

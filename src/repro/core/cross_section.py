@@ -41,6 +41,7 @@ from repro.core.md_event_workspace import MDEventWorkspace
 from repro.core.mdnorm import mdnorm
 from repro.core.sharding import ShardConfig, sharded_binmd, sharded_mdnorm
 from repro.crystal.symmetry import PointGroup
+from repro.jacc import resolve_backend
 from repro.mpi import Comm, SequentialComm, balanced_rank_runs
 from repro.nexus.corrections import FluxSpectrum
 from repro.util import faults as _faults
@@ -639,7 +640,7 @@ def compute_cross_section(
     with tracer.span(
         "cross_section",
         kind="algorithm",
-        backend=backend or "default",
+        backend=resolve_backend(backend).name,
         n_runs=int(n_runs),
         mpi_rank=int(comm.rank),
         mpi_size=int(comm.size),

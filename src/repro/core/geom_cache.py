@@ -326,17 +326,19 @@ class GeomCache:
         )
 
     @staticmethod
-    def binmd_key(grid, transforms: np.ndarray, q_sample: np.ndarray) -> Tuple[Any, ...]:
-        """Key of one BinMD (grid, symmetry transforms, event Q columns).
+    def binmd_key(grid, transforms: np.ndarray, q_rows: np.ndarray) -> Tuple[Any, ...]:
+        """Key of one BinMD (grid, symmetry transforms, event Q rows).
 
-        Which lanes land in which bin depends on nothing else, so two
-        tables that differ only in their weights share one entry.
+        ``q_rows`` is ``(3, n)``: Qx, Qy and Qz, one row each, hashed in
+        place when C-contiguous.  Which lanes land in which bin depends
+        on nothing else, so two tables that differ only in their
+        weights share one entry.
         """
         return (
             KIND_BINMD,
             digest_grid(grid),
             digest_array(transforms),
-            digest_array(q_sample),
+            digest_array(q_rows),
         )
 
     @staticmethod

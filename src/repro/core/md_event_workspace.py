@@ -3,11 +3,13 @@
 Mirrors the paper's data flow: the production workflow saves each run's
 ``MDEventWorkspace`` (the 8-column event table) plus auxiliary metadata
 into HDF5 files that the proxies then load.  ``UpdateEvents`` — the
-stage timed in Tables III-VI — is exactly that load: reading "an HDF5
-array with 8 columns and a row for each neutron event" and transposing
-it "from row-major to column-major" (we store column-major on disk and
-produce the row-major kernel layout on load, so the measured transpose
-cost is real).
+stage timed in Tables III-VI — is that load: reading "an HDF5 array
+with 8 columns and a row for each neutron event" and transposing it
+"from row-major to column-major".  Legacy files store the table
+column-major, which is the kernel layout of
+:class:`~repro.nexus.events.EventTable`, so :func:`load_md` adopts the
+payload as read.  The proxies that reproduce Tables III-VI pay the
+paper's transpose explicitly with :func:`transpose_events`.
 
 :func:`convert_to_md` is the upstream conversion (Mantid's
 ConvertToMD): raw (pixel, TOF) events -> Q_sample through the
@@ -47,7 +49,9 @@ class MDEventWorkspace:
     ``events`` is either an in-memory :class:`EventTable` or — for
     out-of-core runs loaded with ``load_md(memory_budget=...)`` — a
     :class:`repro.nexus.tiles.LazyEventTable` exposing the same
-    ``n_events`` surface plus bounded ``window(a, b)`` reads.
+    ``n_events`` surface plus bounded ``window(a, b)`` reads.  The
+    proxies replace it with the row-major ``(n, 8)`` array of
+    :func:`transpose_events`.
     """
 
     events: "EventTable"
@@ -97,18 +101,18 @@ def convert_to_md(
     q_lab = q_lab_from_events(run.tof, directions, flight)
     q_sample = q_lab @ run.goniometer  # == (R^T q_lab^T)^T
 
-    table = np.empty((ids.shape[0], N_EVENT_COLUMNS), dtype=np.float64)
-    table[:, COL_SIGNAL] = run.weights
-    table[:, COL_ERROR_SQ] = run.weights  # Poisson: var == counts
-    table[:, COL_RUN_INDEX] = run_index
-    table[:, COL_DETECTOR_ID] = ids
-    table[:, COL_GONIOMETER_INDEX] = run_index
-    table[:, COL_Q] = q_sample
+    cols = np.empty((N_EVENT_COLUMNS, ids.shape[0]), dtype=np.float64)
+    cols[COL_SIGNAL] = run.weights
+    cols[COL_ERROR_SQ] = run.weights  # Poisson: var == counts
+    cols[COL_RUN_INDEX] = run_index
+    cols[COL_DETECTOR_ID] = ids
+    cols[COL_GONIOMETER_INDEX] = run_index
+    cols[COL_Q] = q_sample.T
 
     lam_lo, lam_hi = run.wavelength_band
     band = (2.0 * np.pi / lam_hi, 2.0 * np.pi / lam_lo)
     return MDEventWorkspace(
-        events=EventTable(table),
+        events=EventTable.from_cols(cols),
         run_number=run.run_number,
         goniometer=run.goniometer,
         proton_charge=run.proton_charge,
@@ -129,10 +133,9 @@ def save_md(
 
     Two layouts:
 
-    * legacy (default): the event table is stored transposed (8 x n,
-      column-major relative to the kernel layout) to reproduce the
-      paper's measured load-time transpose; ``compression="zlib"``
-      deflates the whole payload in one blob.
+    * legacy (default): the event table is stored column-major
+      (``8 x n``), the table's own ``cols`` block written as is;
+      ``compression="zlib"`` deflates the whole payload in one blob.
     * chunked (``chunk_events=N``): the table is stored **row-major**
       ``(n, 8)`` as independently encoded, CRC-checked chunks of ``N``
       events each (``codec`` is one of
@@ -163,7 +166,7 @@ def save_md(
         else:
             grp.create_dataset(
                 "event_data",
-                data=np.ascontiguousarray(ws.events.data.T),
+                data=ws.events.cols,
                 compression=compression,
             )
         grp.create_dataset("run_number", data=np.array(ws.run_number, dtype=np.int64))
@@ -185,15 +188,17 @@ def load_md(
 ) -> MDEventWorkspace:
     """LoadMD / UpdateEvents: read the 8-column table.
 
-    Legacy files store the table transposed; it is read whole and
-    transposed into the row-major kernel layout (the paper's measured
-    transpose).  Chunked files (``save_md(chunk_events=...)``) store it
+    Legacy files store the table column-major (``8 x n``): the payload
+    is read whole, its CRC32 and shape are checked, and the checked
+    array becomes the table's ``cols`` without a copy (it is
+    read-only).  Chunked files (``save_md(chunk_events=...)``) store it
     row-major: with ``memory_budget`` (bytes) the returned workspace
     carries a :class:`~repro.nexus.tiles.LazyEventTable` — metadata is
     read now, event chunks are decoded on demand under the budget's LRU
     tile cache and the table is **never** materialized; without a
-    budget the chunked table is materialized eagerly (no transpose
-    needed).
+    budget the chunked table is materialized eagerly and transposed
+    into columns once.  The paper's load-time transpose is not paid
+    here; the proxies pay it with :func:`transpose_events`.
     """
     from repro.nexus.tiles import LazyEventTable
 
@@ -214,7 +219,7 @@ def load_md(
                     f"{os.fspath(path)!r}: event_data must be "
                     f"({N_EVENT_COLUMNS}, n), got {raw.shape}"
                 )
-            events = EventTable(np.ascontiguousarray(raw.T))  # measured transpose
+            events = EventTable.from_cols(raw)
         band = grp.read("momentum_band")
         ub = grp.read("ub_matrix") if "ub_matrix" in grp else None
         return MDEventWorkspace(
@@ -225,3 +230,15 @@ def load_md(
             momentum_band=(float(band[0]), float(band[1])),
             ub_matrix=ub,
         )
+
+
+def transpose_events(events: EventTable) -> np.ndarray:
+    """The paper's ``UpdateEvents`` transpose, paid explicitly.
+
+    Returns the event-major ``(n, 8)`` table as a C-contiguous copy:
+    one out-of-place transpose of the run's columns.  The Table III-VI
+    proxies call this inside their timed ``UpdateEvents`` and run their
+    kernels on the copy, so their load still costs what the paper's
+    does although :func:`load_md` itself does not transpose.
+    """
+    return np.ascontiguousarray(events.data)

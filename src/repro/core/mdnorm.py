@@ -41,8 +41,7 @@ from repro.core.intersections import (
     sorted_crossings_batch,
     trajectory_directions,
 )
-from repro.jacc import get_backend, parallel_for
-from repro.jacc.api import default_backend
+from repro.jacc import parallel_for, resolve_backend
 from repro.jacc.kernels import Captures, Kernel
 from repro.nexus.corrections import FluxSpectrum
 from repro.util import trace as _trace
@@ -148,7 +147,7 @@ def max_intersections(
     be exactly ``trajectory_directions(transforms, det_directions)``
     and ``k_window(directions, grid, *momentum_band)``.
     """
-    be = get_backend(backend) if backend else default_backend()
+    be = resolve_backend(backend)
     if directions is None:
         directions = trajectory_directions(transforms, det_directions)
     if k_lo is None or k_hi is None:
@@ -508,7 +507,7 @@ def mdnorm(
     with tracer.span(
         "mdnorm",
         kind="op",
-        backend=backend or "default",
+        backend=resolve_backend(backend).name,
         n_ops=int(transforms.shape[0]),
         n_det=int(det_directions.shape[0]),
         sort_impl=sort_impl,

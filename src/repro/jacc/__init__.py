@@ -42,6 +42,7 @@ from repro.jacc.api import (
     array,
     to_host,
     default_backend,
+    resolve_backend,
     set_default_backend,
     get_backend,
     available_backends,
@@ -56,6 +57,7 @@ __all__ = [
     "array",
     "to_host",
     "default_backend",
+    "resolve_backend",
     "set_default_backend",
     "get_backend",
     "available_backends",

@@ -52,6 +52,11 @@ def set_default_backend(name: str) -> Backend:
     return _default
 
 
+def resolve_backend(name: Optional[str] = None) -> Backend:
+    """The back end ``name`` selects; None (or "") is the process default."""
+    return lookup_backend(name) if name else default_backend()
+
+
 def parallel_for(
     dims: int | Tuple[int, ...],
     kernel: Kernel,
@@ -60,8 +65,7 @@ def parallel_for(
     backend: Optional[str] = None,
 ) -> None:
     """Execute ``kernel`` once per index of ``dims`` (side effects only)."""
-    be = lookup_backend(backend) if backend else default_backend()
-    be.parallel_for(dims, kernel, captures)
+    resolve_backend(backend).parallel_for(dims, kernel, captures)
 
 
 def parallel_reduce(
@@ -73,17 +77,14 @@ def parallel_reduce(
     backend: Optional[str] = None,
 ) -> float:
     """Reduce the kernel's per-index values with ``op``."""
-    be = lookup_backend(backend) if backend else default_backend()
-    return be.parallel_reduce(dims, kernel, captures, op)
+    return resolve_backend(backend).parallel_reduce(dims, kernel, captures, op)
 
 
 def array(host: np.ndarray, *, backend: Optional[str] = None) -> np.ndarray:
     """Allocate a device array from host data on the active back end."""
-    be = lookup_backend(backend) if backend else default_backend()
-    return be.to_device(np.asarray(host))
+    return resolve_backend(backend).to_device(np.asarray(host))
 
 
 def to_host(device: np.ndarray, *, backend: Optional[str] = None) -> np.ndarray:
     """Bring a device array back to host memory."""
-    be = lookup_backend(backend) if backend else default_backend()
-    return be.to_host(device)
+    return resolve_backend(backend).to_host(device)

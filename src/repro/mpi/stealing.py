@@ -89,6 +89,7 @@ from repro.core.sharding import (
     replay_shard_logs,
 )
 from repro.crystal.symmetry import PointGroup
+from repro.jacc import resolve_backend
 from repro.mpi.comm import Comm, SequentialComm
 from repro.nexus.corrections import FluxSpectrum
 from repro.util import faults as _faults
@@ -375,7 +376,7 @@ def run_stealing_campaign(
     with tracer.span(
         "cross_section",
         kind="algorithm",
-        backend=backend or "default",
+        backend=resolve_backend(backend).name,
         n_runs=int(n_runs),
         mpi_rank=int(comm.rank),
         mpi_size=int(comm.size),

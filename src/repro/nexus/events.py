@@ -6,13 +6,15 @@ Two layouts exist, mirroring the paper's pipeline:
   time-of-flight and detector id per recorded neutron, plus the run
   metadata (goniometer orientation, proton charge, wavelength band).
 * :class:`EventTable` — the *MDEvent* form produced by ``UpdateEvents``:
-  a dense ``(n_events, 8)`` float64 table whose column layout matches
-  the 8-column array MiniVATES.jl loads (signal, error^2, run index,
-  detector id, goniometer index, and the three Q_sample coordinates).
-  The proxies and all kernels consume this table; keeping it a single
-  contiguous primitive-typed array is one of the paper's explicit
-  HPC-oriented data-structure choices (structure-of-primitives over
-  array-of-structs).
+  the 8 columns MiniVATES.jl loads (signal, error^2, run index,
+  detector id, goniometer index, and the three Q_sample coordinates)
+  held as one C-contiguous ``(8, n_events)`` float64 block, one row per
+  column.  Every column is then a unit-stride 1-D array: BinMD reads
+  its five columns and hashes the three Q rows without copying, and a
+  legacy run file's column-major payload becomes the table as read.
+  This is the structure-of-arrays choice the paper's proxies make
+  (primitive arrays over array-of-structs); the event-major
+  ``(n_events, 8)`` view stays available as ``EventTable.data``.
 """
 
 from __future__ import annotations
@@ -110,26 +112,44 @@ class RunData:
 
 
 class EventTable:
-    """The contiguous ``(n, 8)`` MDEvent table consumed by all kernels.
+    """The MDEvent table consumed by all kernels, stored by column.
 
-    Stored row-major (one event per row) so that per-event kernels touch
-    one cache line per event; the vectorized back end slices columns as
-    strided views without copying.
+    ``cols`` is one C-contiguous ``(8, n)`` float64 block: row ``c`` is
+    column ``c`` of the paper's 8-column table, so every column (and
+    the ``(3, n)`` Q block) is a unit-stride view.  ``data`` is the
+    transposed ``(n, 8)`` view of the same memory, one event per row,
+    for the element bodies and ``[:, COL_*]`` indexing; it never
+    copies.  The constructor takes that event-major ``(n, 8)`` form
+    and transposes it once; :meth:`from_cols` adopts an ``(8, n)``
+    block as is.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("cols",)
 
     def __init__(self, data: np.ndarray) -> None:
-        arr = np.ascontiguousarray(data, dtype=np.float64)
+        arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != N_EVENT_COLUMNS:
             raise ValidationError(
                 f"event table must be (n, {N_EVENT_COLUMNS}), got {arr.shape}"
             )
-        self.data = arr
+        self.cols = np.ascontiguousarray(arr.T)
+
+    @classmethod
+    def from_cols(cls, cols: np.ndarray) -> "EventTable":
+        """Adopt an ``(8, n)`` column block; no copy when it is already
+        C-contiguous float64."""
+        arr = np.asarray(cols, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[0] != N_EVENT_COLUMNS:
+            raise ValidationError(
+                f"event columns must be ({N_EVENT_COLUMNS}, n), got {arr.shape}"
+            )
+        table = cls.__new__(cls)
+        table.cols = np.ascontiguousarray(arr)
+        return table
 
     @classmethod
     def empty(cls) -> "EventTable":
-        return cls(np.empty((0, N_EVENT_COLUMNS), dtype=np.float64))
+        return cls.from_cols(np.empty((N_EVENT_COLUMNS, 0), dtype=np.float64))
 
     @classmethod
     def from_columns(
@@ -151,40 +171,45 @@ class EventTable:
         n = signal.shape[0]
         q = np.asarray(q_sample, dtype=np.float64)
         require(q.shape == (n, 3), f"q_sample must be ({n}, 3), got {q.shape}")
-        table = np.empty((n, N_EVENT_COLUMNS), dtype=np.float64)
-        table[:, COL_SIGNAL] = signal
-        table[:, COL_ERROR_SQ] = signal if error_sq is None else error_sq
-        table[:, COL_RUN_INDEX] = run_index
-        table[:, COL_DETECTOR_ID] = 0.0 if detector_id is None else detector_id
-        table[:, COL_GONIOMETER_INDEX] = goniometer_index
-        table[:, COL_Q] = q
-        return cls(table)
+        cols = np.empty((N_EVENT_COLUMNS, n), dtype=np.float64)
+        cols[COL_SIGNAL] = signal
+        cols[COL_ERROR_SQ] = signal if error_sq is None else error_sq
+        cols[COL_RUN_INDEX] = run_index
+        cols[COL_DETECTOR_ID] = 0.0 if detector_id is None else detector_id
+        cols[COL_GONIOMETER_INDEX] = goniometer_index
+        cols[COL_Q] = q.T
+        return cls.from_cols(cols)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The ``(n, 8)`` event-major view of ``cols`` (no copy)."""
+        return self.cols.T
 
     @property
     def n_events(self) -> int:
-        return int(self.data.shape[0])
+        return int(self.cols.shape[1])
 
     @property
     def signal(self) -> np.ndarray:
-        return self.data[:, COL_SIGNAL]
+        return self.cols[COL_SIGNAL]
 
     @property
     def error_sq(self) -> np.ndarray:
-        return self.data[:, COL_ERROR_SQ]
+        return self.cols[COL_ERROR_SQ]
 
     @property
     def q_sample(self) -> np.ndarray:
-        return self.data[:, COL_Q]
+        return self.cols[COL_Q].T
 
     @property
     def detector_id(self) -> np.ndarray:
-        return self.data[:, COL_DETECTOR_ID]
+        return self.cols[COL_DETECTOR_ID]
 
     def total_signal(self) -> float:
-        return float(self.data[:, COL_SIGNAL].sum())
+        return float(self.cols[COL_SIGNAL].sum())
 
     def concat(self, other: "EventTable") -> "EventTable":
-        return EventTable(np.vstack([self.data, other.data]))
+        return EventTable.from_cols(np.hstack([self.cols, other.cols]))
 
     def __len__(self) -> int:
         return self.n_events

@@ -297,7 +297,7 @@ class LazyEventTable:
     def materialize(self) -> EventTable:
         """The full in-memory table (defeats the point; for small runs
         and differential tests only)."""
-        return EventTable(np.array(self._dataset().read()))
+        return EventTable(self._dataset().read())
 
     def __array__(self, dtype=None) -> np.ndarray:
         data = self._dataset().read()

@@ -37,7 +37,7 @@ from repro.core.cross_section import CrossSectionResult, compute_cross_section
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
 from repro.core.intersections import PARALLEL_EPS, k_window, trajectory_directions
-from repro.core.md_event_workspace import load_md
+from repro.core.md_event_workspace import MDEventWorkspace, load_md, transpose_events
 from repro.crystal.symmetry import PointGroup
 from repro.instruments.detector import DetectorArray
 from repro.mpi import Comm
@@ -48,7 +48,9 @@ from repro.util.timers import StageTimings
 from repro.util.validation import ValidationError, require
 
 
-def cpp_bin_md(hist: Hist3, events: EventTable, transforms: np.ndarray) -> Hist3:
+def cpp_bin_md(
+    hist: Hist3, events: EventTable | np.ndarray, transforms: np.ndarray
+) -> Hist3:
     """BinMD via primitive flat-index arrays and ``bincount``.
 
     Per symmetry op: one fused transform over all events, flat bin
@@ -277,6 +279,12 @@ class CppProxyWorkflow:
                 charge=charge, n_threads=cfg.n_threads,
             )
 
+        def load_run(i: int) -> MDEventWorkspace:
+            ws = load_md(paths[i])
+            # UpdateEvents ends with the paper's row-major transpose
+            ws.events = transpose_events(ws.events)
+            return ws
+
         with _trace.active_tracer().span(
             "workflow",
             kind="workflow",
@@ -285,7 +293,7 @@ class CppProxyWorkflow:
             backend="cpp-proxy",
         ):
             result = compute_cross_section(
-                load_run=lambda i: load_md(paths[i]),
+                load_run=load_run,
                 n_runs=len(paths),
                 grid=cfg.grid,
                 point_group=cfg.point_group,

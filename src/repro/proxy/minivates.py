@@ -33,7 +33,7 @@ from repro.core.checkpoint import RecoveryConfig
 from repro.core.cross_section import CrossSectionResult, compute_cross_section
 from repro.core.geom_cache import DISABLED, GeomCache
 from repro.core.grid import HKLGrid
-from repro.core.md_event_workspace import MDEventWorkspace, load_md
+from repro.core.md_event_workspace import MDEventWorkspace, load_md, transpose_events
 from repro.core.mdnorm import mdnorm
 from repro.crystal.symmetry import PointGroup
 from repro.instruments.detector import DetectorArray
@@ -41,7 +41,6 @@ from repro.jacc.api import get_backend
 from repro.jacc.jit import GLOBAL_JIT
 from repro.mpi import Comm
 from repro.nexus.corrections import read_flux_file, read_vanadium_file
-from repro.nexus.events import EventTable
 from repro.util import trace as _trace
 from repro.util.timers import StageTimings
 from repro.util.validation import ValidationError, require
@@ -126,8 +125,9 @@ class MiniVatesWorkflow:
 
             def load_run(i: int) -> MDEventWorkspace:
                 ws = load_md(paths[i])
-                # UpdateEvents ends with the H2D copy of the event table
-                ws.events = EventTable(device.to_device(ws.events.data))
+                # UpdateEvents ends with the paper's row-major transpose
+                # and the H2D copy of the event table
+                ws.events = device.to_device(transpose_events(ws.events))
                 return ws
 
             result = compute_cross_section(

@@ -5,10 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.binmd import _index_dtype, bin_events
+from repro.core.binmd import _index_dtype, bin_events, binmd_cache_key
 from repro.core.geom_cache import DISABLED, GeomCache
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
+from repro.core.md_event_workspace import (
+    MDEventWorkspace,
+    load_md,
+    save_md,
+    transpose_events,
+)
 from repro.core.sharding import ShardConfig, sharded_binmd
 from repro.crystal.structures import benzil
 from repro.crystal.ub import UBMatrix
@@ -212,10 +218,33 @@ class TestCompactedCache:
 
         nudged = events.data.copy()
         nudged[0, COL_QY] = np.nextafter(nudged[0, COL_QY], np.inf)
-        key = GeomCache.binmd_key(grid, transforms, events.q_sample)
+        key = binmd_cache_key(grid, transforms, events)
         assert key in cache
-        assert GeomCache.binmd_key(
-            grid, transforms, nudged[:, COL_QX : COL_QZ + 1]) != key
+        assert binmd_cache_key(grid, transforms, nudged) != key
+
+    def test_key_is_independent_of_layout(self, grid, tmp_path):
+        """A table built from rows, the same table after SaveMD/LoadMD
+        and its row-major copy share one key; a one-ulp Q nudge does
+        not, and a weight-only change keeps it."""
+        events = _events(n=500, seed=12)
+        path = str(tmp_path / "run.md.h5")
+        save_md(path, MDEventWorkspace(
+            events=events, run_number=1, goniometer=np.eye(3),
+            proton_charge=1.0, momentum_band=(1.0, 5.0)))
+        loaded = load_md(path).events
+        assert loaded.q_sample.T.flags.c_contiguous
+        rows = transpose_events(events)
+        key = binmd_cache_key(grid, FLIP, events)
+        assert binmd_cache_key(grid, FLIP, loaded) == key
+        assert binmd_cache_key(grid, FLIP, rows) == key
+        for col in (COL_QX, COL_QY, COL_QZ):
+            nudged = rows.copy()
+            nudged[-1, col] = np.nextafter(nudged[-1, col], -np.inf)
+            assert binmd_cache_key(grid, FLIP, EventTable(nudged)) != key
+        reweighted = rows.copy()
+        reweighted[:, COL_SIGNAL] *= 3.0
+        reweighted[:, COL_ERROR_SQ] += 1.0
+        assert binmd_cache_key(grid, FLIP, EventTable(reweighted)) == key
 
     def test_no_lane_in_grid(self, grid):
         events = _events(n=300, seed=8)
@@ -392,3 +421,58 @@ class TestValidation:
         h = Hist3(grid)
         bin_events(h, EventTable.empty(), IDENT, backend="vectorized")
         assert h.total() == 0.0
+
+
+def _edge_rows():
+    """Events on bin edges of the grid fixture (width 0.5 in H and
+    K, 1.0 in L), the upper edges and the corners included."""
+    h = np.arange(-3.0, 3.01, 0.5)
+    hh, kk, ll = np.meshgrid(h, h[::3], [-1.0, 0.0, 1.0], indexing="ij")
+    n = hh.size
+    rows = np.zeros((n, 8))
+    rows[:, COL_SIGNAL] = 1.0 + np.arange(n) % 7
+    rows[:, COL_ERROR_SQ] = 0.5 + np.arange(n) % 3
+    rows[:, COL_QX], rows[:, COL_QY], rows[:, COL_QZ] = (
+        hh.ravel(), kk.ravel(), ll.ravel())
+    return rows
+
+
+class TestColumnarTables:
+    """Adversarial runs through SaveMD/LoadMD: the cold launch on the
+    loaded columns, the warm launch on the same table built from rows
+    (a cross-layout cache hit) and the uncached launch on the proxies'
+    row-major copy agree bit for bit."""
+
+    CASES = {
+        "empty": lambda: np.zeros((0, 8)),
+        "one_event": lambda: transpose_events(_events(n=1, spread=0.5)),
+        "bin_edges": _edge_rows,
+    }
+
+    @pytest.mark.parametrize("scatter_impl", ["atomic", "buffered"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cold_warm_uncached_agree(self, grid, tmp_path, case,
+                                      scatter_impl):
+        rows = self.CASES[case]()
+        path = str(tmp_path / f"{case}.md.h5")
+        save_md(path, MDEventWorkspace(
+            events=EventTable(rows), run_number=1, goniometer=np.eye(3),
+            proton_charge=1.0, momentum_band=(1.0, 5.0)))
+        loaded = load_md(path).events
+        assert loaded.cols.shape == (8, len(rows))
+        transforms = np.stack([np.eye(3), -np.eye(3), np.eye(3)[[1, 0, 2]]])
+        cache = GeomCache()
+        runs = [
+            TestCompactedCache._run(grid, table, transforms, c,
+                                    scatter_impl=scatter_impl)
+            for table, c in ((loaded, cache), (EventTable(rows), cache),
+                             (transpose_events(loaded), DISABLED))
+        ]
+        # an empty launch runs no body, so it has no pairs to cache
+        expected = (1, 1) if len(rows) else (0, 0)
+        assert (cache.stats.inserts, cache.stats.hits) == expected
+        cold, warm, uncached = runs
+        for h in (warm, uncached):
+            assert np.array_equal(h.signal, cold.signal)
+            assert np.array_equal(h.error_sq, cold.error_sq)
+        assert cold.signal.any() == bool(len(rows))

@@ -1,5 +1,7 @@
 """Unit tests for MDEvent conversion and SaveMD/LoadMD."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.nexus.events import (
     EventTable,
     RunData,
 )
+from repro.nexus import h5lite
 from repro.nexus.h5lite import File
 from repro.util.validation import ValidationError
 
@@ -105,7 +108,7 @@ class TestSaveLoad:
         assert np.array_equal(back.events.data, ws.events.data)
 
     def test_on_disk_layout_is_transposed(self, tiny_experiment, tmp_path):
-        """The file stores (8, n); loading performs the measured transpose."""
+        """The file stores (8, n), the table's own column layout."""
         ws = tiny_experiment.workspaces[0]
         path = str(tmp_path / "ws.md.h5")
         save_md(path, ws)
@@ -113,12 +116,58 @@ class TestSaveLoad:
             raw = f["MDEventWorkspace/event_data"]
             assert raw.shape == (8, ws.n_events)
 
-    def test_loaded_table_is_c_contiguous(self, tiny_experiment, tmp_path):
+    @pytest.mark.parametrize("compression", [None, "zlib"])
+    def test_loaded_table_is_the_checked_payload(
+        self, tiny_experiment, tmp_path, monkeypatch, compression
+    ):
+        """The loaded columns are the very bytes the CRC32 checked (or
+        inflated from them): contiguous float64, not copied."""
         ws = tiny_experiment.workspaces[0]
         path = str(tmp_path / "ws.md.h5")
+        save_md(path, ws, compression=compression)
+        checked = []
+        crc32 = zlib.crc32
+        decompress = zlib.decompress
+
+        def spy_crc32(data, *args):
+            checked.append(data)
+            return crc32(data, *args)
+
+        def spy_decompress(data, *args):
+            checked.append(decompress(data, *args))
+            return checked[-1]
+
+        monkeypatch.setattr(h5lite.zlib, "crc32", spy_crc32)
+        monkeypatch.setattr(h5lite.zlib, "decompress", spy_decompress)
+        cols = load_md(path).events.cols
+        assert cols.flags.c_contiguous and cols.dtype == np.float64
+        assert cols.shape == (8, ws.n_events)
+        assert not cols.flags.writeable
+        base = cols
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert any(base is c for c in checked)
+        assert np.array_equal(cols, ws.events.cols)
+
+    def test_chunked_eager_load_transposes_once(self, tiny_experiment, tmp_path):
+        ws = tiny_experiment.workspaces[0]
+        path = str(tmp_path / "ws.md.h5")
+        save_md(path, ws, chunk_events=7)
+        cols = load_md(path).events.cols
+        assert cols.flags.c_contiguous and cols.flags.owndata
+        assert np.array_equal(cols, ws.events.cols)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_runs_roundtrip(self, tmp_path, n):
+        rows = np.arange(8.0 * n).reshape(n, 8) + 0.25
+        ws = MDEventWorkspace(events=EventTable(rows), run_number=1,
+                              goniometer=np.eye(3), proton_charge=1.0,
+                              momentum_band=(1.0, 5.0))
+        path = str(tmp_path / "tiny.md.h5")
         save_md(path, ws)
-        back = load_md(path)
-        assert back.events.data.flags.c_contiguous
+        back = load_md(path).events
+        assert back.cols.shape == (8, n) and back.n_events == n
+        assert np.array_equal(back.data, rows)
 
     def test_wrong_shape_rejected(self, tmp_path):
         path = str(tmp_path / "bad.md.h5")
@@ -126,6 +175,38 @@ class TestSaveLoad:
             grp = f.create_group("MDEventWorkspace")
             grp.create_dataset("event_data", data=np.zeros((5, 7)))
         with pytest.raises(ValidationError, match="event_data"):
+            load_md(path)
+
+    def test_row_major_legacy_payload_rejected(self, tiny_experiment, tmp_path):
+        """An (n, 8) event_data is not silently adopted as columns."""
+        ws = tiny_experiment.workspaces[0]
+        path = str(tmp_path / "bad.md.h5")
+        with File(path, "w") as f:
+            grp = f.create_group("MDEventWorkspace")
+            grp.create_dataset("event_data", data=ws.events.data)
+        with pytest.raises(ValidationError, match="event_data"):
+            load_md(path)
+
+    def _event_data_offset(self, path):
+        with File(path, "r") as f:
+            return f["MDEventWorkspace/event_data"]._offset
+
+    def test_corrupt_payload_rejected(self, tiny_experiment, tmp_path):
+        path = str(tmp_path / "ws.md.h5")
+        save_md(path, tiny_experiment.workspaces[0])
+        raw = bytearray(open(path, "rb").read())
+        raw[self._event_data_offset(path) + 13] ^= 0x40
+        open(path, "wb").write(raw)
+        with pytest.raises(h5lite.CorruptFileError, match="checksum"):
+            load_md(path)
+
+    def test_truncated_file_rejected(self, tiny_experiment, tmp_path):
+        path = str(tmp_path / "ws.md.h5")
+        save_md(path, tiny_experiment.workspaces[0])
+        cut = self._event_data_offset(path) + 64
+        raw = open(path, "rb").read()
+        open(path, "wb").write(raw[:cut])
+        with pytest.raises(h5lite.H5LiteError):
             load_md(path)
 
     def test_roundtrip_without_ub(self, tmp_path):

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.geom_cache import GeomCache
 from repro.core.workflow import ReductionWorkflow, WorkflowConfig
+from repro.jacc import default_backend
 from repro.mpi import run_world
 from repro.proxy.cpp_proxy import CppProxyConfig, CppProxyWorkflow
 from repro.proxy.minivates import MiniVatesConfig, MiniVatesWorkflow
@@ -93,6 +94,30 @@ class TestGoldenSchema:
         assert counters.get("mdnorm.trajectories", 0) > 0
         assert counters.get("h5lite.bytes_read", 0) > 0
         assert counters.get("jacc.launches", 0) > 0
+
+    @pytest.mark.parametrize("backend", [None, "serial", "vectorized"])
+    def test_spans_name_the_backend_that_ran(self, tiny_experiment, backend):
+        """Op and algorithm spans record the resolved back end, the one
+        the kernel spans report, never a placeholder."""
+        ran = backend or default_backend().name
+        tracer = Tracer(label="backend")
+        with use_tracer(tracer):
+            _core_workflow(tiny_experiment, backend=backend).run()
+        spans = _spans_by_name(tracer.records)
+        for name in ("binmd", "mdnorm", "cross_section",
+                     "kernel:bin_events", "kernel:mdnorm"):
+            assert {r["attrs"]["backend"] for r in spans[name]} == {ran}, name
+
+    def test_stealing_span_names_the_backend(self, tiny_experiment):
+        tracer = Tracer(label="stealing")
+        wf = _core_workflow(tiny_experiment, backend=None)
+        wf.config.executor = "stealing"
+        with use_tracer(tracer):
+            wf.run()
+        spans = _spans_by_name(tracer.records)
+        assert spans["cross_section"][0]["attrs"]["executor"] == "stealing"
+        assert ({r["attrs"]["backend"] for r in spans["cross_section"]}
+                == {default_backend().name})
 
     def test_cpp_proxy_trace_schema(self, tiny_experiment):
         exp = tiny_experiment

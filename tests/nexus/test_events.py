@@ -116,7 +116,26 @@ class TestEventTable:
         assert t.n_events == 0
         assert t.data.shape == (0, 8)
 
-    def test_data_is_contiguous_float64(self):
-        t = EventTable(np.asfortranarray(np.zeros((4, 8))))
-        assert t.data.flags.c_contiguous
-        assert t.data.dtype == np.float64
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_columns_are_contiguous_float64(self, order):
+        rows = np.asarray(np.arange(32).reshape(4, 8), dtype=np.int64, order=order)
+        t = EventTable(rows)
+        assert t.cols.flags.c_contiguous
+        assert t.cols.dtype == np.float64
+        assert t.cols.shape == (8, 4)
+        for c in range(8):
+            assert t.cols[c].strides == (8,)
+        for col in (t.signal, t.error_sq, t.detector_id):
+            assert col.flags.c_contiguous
+        assert t.q_sample.T.flags.c_contiguous
+        # data is the (n, 8) view of the same memory, never a copy
+        assert np.shares_memory(t.data, t.cols)
+        assert np.array_equal(t.data, rows)
+
+    def test_from_cols_adopts_without_copy(self):
+        cols = np.arange(24, dtype=np.float64).reshape(8, 3)
+        t = EventTable.from_cols(cols)
+        assert t.cols is cols
+        assert np.array_equal(t.data, cols.T)
+        with pytest.raises(ValidationError, match="event columns"):
+            EventTable.from_cols(np.zeros((3, 8)))

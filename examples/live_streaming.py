@@ -64,8 +64,11 @@ def main() -> None:
         solid_angles=vanadium.detector_weights,
         backend="vectorized",
     )
-    assert np.allclose(live.binmd.signal, reference.binmd.signal)
-    assert np.allclose(live.mdnorm_hist.signal, reference.mdnorm.signal, rtol=1e-10)
+    assert np.array_equal(live.binmd.signal, reference.binmd.signal)
+    assert np.array_equal(live.binmd.error_sq, reference.binmd.error_sq)
+    assert np.array_equal(live.mdnorm_hist.signal, reference.mdnorm.signal)
+    assert np.array_equal(live.snapshot().signal,
+                          reference.cross_section.signal, equal_nan=True)
     print("\nstreamed reduction == offline batch reduction (bit-for-bit)")
 
 

@@ -10,37 +10,45 @@ of the same kernels:
   event stream);
 * :class:`StreamingReduction` consumes batches as they arrive:
   - when a run *opens* (metadata known: goniometer, UB, charge, band)
-    its MDNorm contribution is computed once — normalization depends
-    only on geometry, not on which events have arrived yet;
-  - each event batch is converted and BinMD-accumulated immediately;
+    its MDNorm is computed once into the run's fresh delta —
+    normalization depends only on geometry, not on which events have
+    arrived yet;
+  - each event batch is converted and BinMD-accumulated into the same
+    run's BinMD delta;
+  - ``close_run`` records the run's delta pair in the batch workflow's
+    run book (:class:`repro.core.cross_section._RunBook`);
   - :meth:`snapshot` returns the live cross-section at any instant, so
     a scientist can watch coverage fill in and stop the measurement
     early — the steering capability the IRI program wants.
 
-The invariant (enforced by the tests): after every batch of every run
-has been consumed, the streaming cross-section equals the batch
-workflow's bit for bit.
+Every live output is the batch workflow's one fold
+(:func:`repro.core.cross_section._fold_runs`) over the per-run deltas of
+every run still standing, closed or open, in ascending run number.
+After every batch of every run has been consumed, the streaming
+cross-section therefore equals the batch workflow's bit for bit: the
+same per-run deltas go through the same fold.
 
-With a :class:`~repro.core.checkpoint.RecoveryConfig`, the stream
-survives the live-instrument failure modes: ``open_run`` and
-``consume`` retry transient faults with backoff, and a run whose
-retries are exhausted is **quarantined** — its already-accumulated
-MDNorm/BinMD contributions are subtracted back out of the live
-histograms and its later batches are dropped, so the snapshot degrades
-to the surviving runs instead of poisoning the whole stream.
+With a :class:`~repro.core.checkpoint.RecoveryConfig`, ``open_run``,
+``consume`` and ``close_run`` retry transient faults with backoff under
+the batch loop's run-level retry protocol, and a run whose retries are
+exhausted is **quarantined**: its open delta is dropped and its later
+batches are discarded, so the snapshot is the fold of the surviving
+runs instead of a poisoned stream.  Nothing is ever subtracted.
+Checkpointing is not supported: a ``RecoveryConfig`` with a
+``checkpoint`` is rejected.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.core import geom_cache as _gc
 from repro.core.binmd import bin_events
 from repro.core.checkpoint import RecoveryConfig
+from repro.core.cross_section import _fold_runs, _retry, _RunBook
 from repro.core.geom_cache import GeomCache
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
@@ -51,10 +59,12 @@ from repro.crystal.symmetry import PointGroup
 from repro.instruments.detector import DetectorArray
 from repro.nexus.corrections import FluxSpectrum
 from repro.nexus.events import RunData
-from repro.nexus.h5lite import File as _File
 from repro.util import faults as _faults
 from repro.util import trace as _trace
 from repro.util.validation import ReproError, ValidationError, require
+
+#: the rank every run is recorded under: a stream reduces in one process
+_RANK = 0
 
 
 @dataclass(frozen=True)
@@ -91,74 +101,18 @@ class EventStream:
         return -(-self.run.n_events // self.batch_size)
 
 
-class FileEventStream:
-    """Replay a NeXus event file as batches without materializing it.
+@dataclass
+class _OpenRun:
+    """A run between ``open_run`` and ``close_run``: its metadata, event
+    transforms and growing delta histograms."""
 
-    The file-driven counterpart of :class:`EventStream`: run metadata is
-    read eagerly (so :meth:`run_metadata` can feed ``open_run`` before a
-    single event is touched), and each batch is a *region read* through
-    :meth:`repro.nexus.h5lite.Dataset.read_rows`.  For files written
-    with ``write_event_nexus(chunk_events=...)`` (format v2) a batch
-    decodes only its overlapping chunks, so the stream's working set
-    stays at batch/chunk scale regardless of run size — the out-of-core
-    path for the live-reduction loop.
-    """
-
-    def __init__(self, path: "str | os.PathLike", batch_size: int = 4096) -> None:
-        require(batch_size >= 1, "batch_size must be >= 1")
-        self.path = os.fspath(path)
-        self.batch_size = batch_size
-        with _File(self.path, "r") as f:
-            entry = f["entry"]
-            band = entry.read("DASlogs/wavelength_band")
-            ub = None
-            if "sample/ub_matrix" in entry:
-                ub = entry.read("sample/ub_matrix")
-            self._meta = RunData(
-                run_number=int(entry.read("run_number")[()]),
-                detector_ids=np.empty(0, dtype=np.uint32),
-                tof=np.empty(0, dtype=np.float64),
-                weights=np.empty(0, dtype=np.float32),
-                goniometer=entry.read("DASlogs/goniometer"),
-                proton_charge=float(entry.read("proton_charge")[()]),
-                wavelength_band=(float(band[0]), float(band[1])),
-                instrument=str(entry.read("instrument/name")[()]),
-                sample=str(entry.read("sample/name")[()]),
-                ub_matrix=ub,
-            )
-            self.n_events = int(
-                entry.require_dataset("events/detector_id").shape[0]
-            )
-
-    def run_metadata(self) -> RunData:
-        """Metadata-only RunData (empty event arrays) for ``open_run``."""
-        return self._meta
-
-    @property
-    def run_number(self) -> int:
-        return self._meta.run_number
-
-    @property
-    def n_batches(self) -> int:
-        return -(-self.n_events // self.batch_size)
-
-    def __iter__(self) -> Iterator[StreamBatch]:
-        # one open per replay: Dataset handles persist across batches so
-        # chunked files keep per-batch decode bounded and contiguous
-        # files verify their CRC once on first touch
-        with _File(self.path, "r") as f:
-            events = f["entry"]
-            ids = events.require_dataset("events/detector_id")
-            tof = events.require_dataset("events/time_of_flight")
-            weights = events.require_dataset("events/weight")
-            for start in range(0, self.n_events, self.batch_size):
-                stop = min(start + self.batch_size, self.n_events)
-                yield StreamBatch(
-                    run_number=self._meta.run_number,
-                    detector_ids=ids.read_rows(start, stop),
-                    tof=tof.read_rows(start, stop),
-                    weights=weights.read_rows(start, stop),
-                )
+    meta: RunData
+    event_transforms: np.ndarray
+    binmd: Hist3
+    mdnorm: Hist3
+    #: most attempts any of the run's retried steps needed so far
+    attempts: int
+    events: int = 0
 
 
 class StreamingReduction:
@@ -184,17 +138,16 @@ class StreamingReduction:
         self.solid_angles = np.ascontiguousarray(solid_angles, dtype=np.float64)
         require(self.solid_angles.shape == (instrument.n_pixels,),
                 "solid_angles / instrument pixel count mismatch")
+        if recovery is not None and recovery.checkpoint is not None:
+            raise ValidationError(
+                "StreamingReduction does not checkpoint; pass a "
+                "RecoveryConfig without checkpoint"
+            )
         self.backend = backend
         #: geometry cache reused across every batch (and re-stream) of a
         #: run — the per-run MDNorm geometry is computed at most once
         self.geom_cache = _gc.resolve(geom_cache)
-        self._binmd = Hist3(grid, track_errors=True)
-        self._mdnorm = Hist3(grid)
-        self._open_runs: dict[int, RunData] = {}
-        self._event_transforms: dict[int, np.ndarray] = {}
-        self._events_seen = 0
-        self._runs_opened = 0
-        #: failure policy; None = historical fail-fast stream
+        #: failure policy; None = fail-fast stream
         self.recovery = recovery
         #: intra-run fan-out for the open-run MDNorm (the geometry-only
         #: stage, computed once per run).  ``consume`` deliberately stays
@@ -202,30 +155,51 @@ class StreamingReduction:
         #: the float fold, and sharding it would break the batch-size
         #: invariance the streaming tests pin down.
         self.shards = shards
-        self._quarantined: Dict[int, str] = {}
-        # per-run accumulated contributions, tracked only under recovery
-        # so a quarantined run can be subtracted back out
-        self._run_binmd: Dict[int, Hist3] = {}
-        self._run_mdnorm: Dict[int, Hist3] = {}
+        self._book = _RunBook(grid, recovery, self.geom_cache)
+        self._open: Dict[int, _OpenRun] = {}
+        self._events_seen = 0
+        self._runs_opened = 0
+
+    def _step(
+        self, site: str, rn: int, body: Callable[[], Any]
+    ) -> Optional[Tuple[int, Any]]:
+        """``body()`` for run ``rn`` under the batch loop's run-level
+        retry protocol: ``(attempts, result)``, or None once the run
+        exhausted its retries and was quarantined (its open delta is
+        dropped).  The ``site`` fault point fires only in a recovering
+        attempt, as ``run`` does in the batch loop."""
+        def attempt(attempt_no: int) -> Tuple[int, Any]:
+            if self.recovery is not None:
+                _faults.fault_point(site, run=rn)
+            return attempt_no, body()
+
+        try:
+            return _retry(attempt, rn, self.recovery, self.geom_cache,
+                          site=f"{site}[{rn}]")
+        except _faults.RetryExhaustedError as exc:
+            if not (self.recovery and self.recovery.quarantine):
+                raise
+            self._open.pop(rn, None)
+            self._book.quarantine(rn, _RANK, exc)
+            return None
 
     # -- run lifecycle ------------------------------------------------------
     def open_run(self, run_metadata: RunData) -> None:
         """Announce a run: metadata only, events may be empty/ignored.
 
-        Computes the run's full MDNorm contribution immediately — the
+        Computes the run's full MDNorm delta immediately — the
         normalization is pure geometry and does not wait for events.
         """
         rn = run_metadata.run_number
-        if rn in self._open_runs:
-            raise ValidationError(f"run {rn} is already open")
+        if rn in self._open or rn in self._book.dispositions:
+            raise ValidationError(f"run {rn} is already open or finished")
         if run_metadata.ub_matrix is None:
             raise ValidationError(f"run {rn} carries no UB matrix")
-        self._open_runs[rn] = run_metadata
         self._runs_opened += 1
         with _trace.active_tracer().span(
             "stream.open_run", kind="stream", run=int(rn)
         ):
-            self._event_transforms[rn] = self.grid.transforms_for(
+            event_transforms = self.grid.transforms_for(
                 run_metadata.ub_matrix, self.point_group
             )
             traj_transforms = self.grid.transforms_for(
@@ -235,189 +209,115 @@ class StreamingReduction:
             lam_lo, lam_hi = run_metadata.wavelength_band
             band = (2.0 * np.pi / lam_hi, 2.0 * np.pi / lam_lo)
 
-            def _norm_into(target: Hist3) -> Hist3:
+            def normalize() -> Hist3:
+                delta = Hist3(self.grid)
+                args = (delta, traj_transforms, self.instrument.directions,
+                        self.solid_angles, self.flux, band)
+                kw = dict(charge=run_metadata.proton_charge,
+                          backend=self.backend, cache=self.geom_cache,
+                          cache_tag=f"run:{rn}")
                 if self.shards is not None:
-                    sharded_mdnorm(
-                        target,
-                        traj_transforms,
-                        self.instrument.directions,
-                        self.solid_angles,
-                        self.flux,
-                        band,
-                        shards=self.shards,
-                        charge=run_metadata.proton_charge,
-                        backend=self.backend,
-                        cache=self.geom_cache,
-                        cache_tag=f"run:{rn}",
-                        run=rn,
-                    )
+                    sharded_mdnorm(*args, shards=self.shards, run=rn, **kw)
                 else:
-                    mdnorm(
-                        target,
-                        traj_transforms,
-                        self.instrument.directions,
-                        self.solid_angles,
-                        self.flux,
-                        band,
-                        charge=run_metadata.proton_charge,
-                        backend=self.backend,
-                        cache=self.geom_cache,
-                        cache_tag=f"run:{rn}",
-                    )
-                return target
+                    mdnorm(*args, **kw)
+                return delta
 
-            if self.recovery is None:
-                _norm_into(self._mdnorm)
-                return
-
-            def attempt(_attempt: int) -> Hist3:
-                _faults.fault_point("stream.open_run", run=rn)
-                return _norm_into(Hist3(self.grid))
-
-            try:
-                scratch = _faults.retry_call(
-                    attempt,
-                    site=f"stream.open_run[{rn}]",
-                    policy=self.recovery.retry,
-                    retryable=self.recovery.retryable,
-                    on_retry=lambda exc, a:
-                        self.geom_cache.invalidate(f"run:{rn}"),
-                )
-            except _faults.RetryExhaustedError as exc:
-                if not self.recovery.quarantine:
-                    raise
-                self._open_runs.pop(rn, None)
-                self._event_transforms.pop(rn, None)
-                self._quarantined[rn] = repr(exc.last)
-                _trace.active_tracer().count("quarantine.runs")
-                return
-            self._mdnorm.add(scratch)
-            self._run_mdnorm[rn] = scratch
-            self._run_binmd[rn] = Hist3(self.grid, track_errors=True)
+            out = self._step("stream.open_run", rn, normalize)
+        if out is not None:
+            attempts, mdnorm_delta = out
+            self._open[rn] = _OpenRun(
+                run_metadata, event_transforms,
+                Hist3(self.grid, track_errors=True), mdnorm_delta, attempts,
+            )
 
     def consume(self, batch: StreamBatch) -> None:
-        """Accumulate one event batch into the live histogram."""
+        """Accumulate one event batch into its run's BinMD delta."""
         rn = batch.run_number
-        run = self._open_runs.get(rn)
+        run = self._open.get(rn)
+        n = int(batch.detector_ids.shape[0])
         if run is None:
-            if rn in self._quarantined:
+            if rn in self.quarantined:
                 # the run died earlier; its stream keeps arriving
-                _trace.active_tracer().count(
-                    "stream.dropped", int(batch.detector_ids.shape[0])
-                )
+                _trace.active_tracer().count("stream.dropped", n)
                 return
             raise ReproError(
                 f"batch for run {rn} arrived before open_run"
             )
-        if batch.detector_ids.shape[0] == 0:
+        if n == 0:
             return
         tracer = _trace.active_tracer()
-        with tracer.span(
-            "stream.consume",
-            kind="stream",
-            run=int(rn),
-            n_events=int(batch.detector_ids.shape[0]),
-        ):
-            def _bin_into(target: Hist3) -> Hist3:
-                partial = RunData(
-                    run_number=run.run_number,
-                    detector_ids=batch.detector_ids,
-                    tof=batch.tof,
-                    weights=batch.weights,
-                    goniometer=run.goniometer,
-                    proton_charge=run.proton_charge,
-                    wavelength_band=run.wavelength_band,
-                    ub_matrix=run.ub_matrix,
-                )
+        with tracer.span("stream.consume", kind="stream", run=int(rn),
+                         n_events=n):
+            partial = RunData(
+                run_number=rn,
+                detector_ids=batch.detector_ids,
+                tof=batch.tof,
+                weights=batch.weights,
+                goniometer=run.meta.goniometer,
+                proton_charge=run.meta.proton_charge,
+                wavelength_band=run.meta.wavelength_band,
+                ub_matrix=run.meta.ub_matrix,
+            )
+
+            def accumulate() -> Hist3:
+                # into a copy, so a failed attempt leaves the delta intact
+                delta = run.binmd.copy()
                 ws = convert_to_md(partial, self.instrument)
                 # per-batch event tables are unique — caching their BinMD
                 # indices would only churn the LRU, so opt out explicitly
-                bin_events(
-                    target, ws.events, self._event_transforms[rn],
-                    backend=self.backend, cache=_gc.DISABLED,
-                )
-                return target
+                bin_events(delta, ws.events, run.event_transforms,
+                           backend=self.backend, cache=_gc.DISABLED)
+                return delta
 
-            if self.recovery is None:
-                _bin_into(self._binmd)
-            else:
-                def attempt(_attempt: int) -> Hist3:
-                    _faults.fault_point("stream.consume", run=rn)
-                    return _bin_into(Hist3(self.grid, track_errors=True))
-
-                try:
-                    scratch = _faults.retry_call(
-                        attempt,
-                        site=f"stream.consume[{rn}]",
-                        policy=self.recovery.retry,
-                        retryable=self.recovery.retryable,
-                    )
-                except _faults.RetryExhaustedError as exc:
-                    if not self.recovery.quarantine:
-                        raise
-                    self._quarantine_open_run(rn, repr(exc.last))
-                    return
-                self._binmd.add(scratch)
-                self._run_binmd[rn].add(scratch)
-        tracer.count("stream.events", int(batch.detector_ids.shape[0]))
-        self._events_seen += batch.detector_ids.shape[0]
-
-    def _quarantine_open_run(self, rn: int, reason: str) -> None:
-        """Evict a live run: subtract its contributions, drop its state."""
-        binmd_part = self._run_binmd.pop(rn, None)
-        mdnorm_part = self._run_mdnorm.pop(rn, None)
-        if binmd_part is not None:
-            self._binmd.signal -= binmd_part.signal
-            if (self._binmd.error_sq is not None
-                    and binmd_part.error_sq is not None):
-                self._binmd.error_sq -= binmd_part.error_sq
-        if mdnorm_part is not None:
-            self._mdnorm.signal -= mdnorm_part.signal
-        self._open_runs.pop(rn, None)
-        self._event_transforms.pop(rn, None)
-        self._quarantined[rn] = reason
-        _trace.active_tracer().count("quarantine.runs")
+            out = self._step("stream.consume", rn, accumulate)
+        if out is None:
+            return
+        attempts, run.binmd = out
+        run.attempts = max(run.attempts, attempts)
+        run.events += n
+        tracer.count("stream.events", n)
+        self._events_seen += n
 
     def close_run(self, run_number: int) -> None:
-        """Retire a finished run (frees its cached transforms).
+        """Retire a finished run: record its delta pair in the run book.
 
         Under recovery the close itself is a fault site (a real stream's
         end-of-run packet can be lost); a close that keeps failing
-        quarantines the run like any other exhausted retry.
+        quarantines the run like any other exhausted retry.  Closing a
+        run that is not open (never opened, or quarantined) is a no-op.
         """
-        if self.recovery is not None:
-            def attempt(_attempt: int) -> None:
-                _faults.fault_point("stream.close_run", run=run_number)
-
-            try:
-                _faults.retry_call(
-                    attempt,
-                    site=f"stream.close_run[{run_number}]",
-                    policy=self.recovery.retry,
-                    retryable=self.recovery.retryable,
-                )
-            except _faults.RetryExhaustedError as exc:
-                if not self.recovery.quarantine:
-                    raise
-                self._quarantine_open_run(run_number, repr(exc.last))
-                return
-        self._open_runs.pop(run_number, None)
-        self._event_transforms.pop(run_number, None)
-        self._run_binmd.pop(run_number, None)
-        self._run_mdnorm.pop(run_number, None)
+        run = self._open.get(run_number)
+        if run is None:
+            return
+        out = self._step("stream.close_run", run_number, lambda: None)
+        if out is None:
+            return
+        del self._open[run_number]
+        self._book.done(run_number, _RANK, run.binmd, run.mdnorm,
+                        attempts=max(run.attempts, out[0]), events=run.events)
 
     # -- live output ------------------------------------------------------
+    def _fold(self) -> Tuple[Hist3, Hist3]:
+        """The one fold over every standing run's delta (closed or still
+        open) in ascending run number."""
+        deltas = dict(self._book.runs)
+        for rn, run in self._open.items():
+            deltas[rn] = (run.binmd.signal, run.binmd.error_sq,
+                          run.mdnorm.signal)
+        return _fold_runs(self.grid, (deltas[rn] for rn in sorted(deltas)))
+
     def snapshot(self) -> Hist3:
         """The cross-section as of the events consumed so far."""
-        return self._binmd.divide(self._mdnorm)
+        binmd, mdnorm_hist = self._fold()
+        return binmd.divide(mdnorm_hist)
 
     @property
     def binmd(self) -> Hist3:
-        return self._binmd
+        return self._fold()[0]
 
     @property
     def mdnorm_hist(self) -> Hist3:
-        return self._mdnorm
+        return self._fold()[1]
 
     @property
     def events_seen(self) -> int:
@@ -430,7 +330,8 @@ class StreamingReduction:
     @property
     def quarantined(self) -> Dict[int, str]:
         """Runs evicted by the failure policy: run number -> reason."""
-        return dict(self._quarantined)
+        return {rn: d["reason"] for rn, d in self._book.dispositions.items()
+                if d["status"] == "quarantined"}
 
     @property
     def cache_stats(self) -> dict:
@@ -441,5 +342,5 @@ class StreamingReduction:
         return (
             f"StreamingReduction(runs={self._runs_opened}, "
             f"events={self._events_seen}, "
-            f"coverage={self._binmd.nonzero_fraction():.1%})"
+            f"coverage={self.binmd.nonzero_fraction():.1%})"
         )

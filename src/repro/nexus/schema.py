@@ -59,8 +59,8 @@ def write_event_nexus(
     ``compression="zlib"`` deflates the event payloads (id/TOF/weight)
     as whole blobs; ``chunk_events=N`` instead stores them as
     independent CRC-checked chunks of ``N`` events (format v2, per-chunk
-    ``codec``), so region reads — e.g. the file-driven
-    :class:`repro.core.streaming.FileEventStream` — decode only the
+    ``codec``), so region reads
+    (:meth:`repro.nexus.h5lite.Dataset.read_rows`) decode only the
     touched windows.
     """
     if chunk_events is not None and compression is not None:

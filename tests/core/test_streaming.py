@@ -1,16 +1,20 @@
 """Tests for the near-real-time streaming reduction extension."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.core.checkpoint import CheckpointManager, RecoveryConfig
 from repro.core.cross_section import compute_cross_section
 from repro.core.geom_cache import DISABLED, GeomCache
 from repro.core.md_event_workspace import load_md
+from repro.core.sharding import ShardConfig
 from repro.core.streaming import EventStream, StreamBatch, StreamingReduction
 from repro.util.validation import ReproError, ValidationError
 
 
-def _reduction(exp, backend="vectorized", geom_cache=None):
+def _reduction(exp, backend="vectorized", geom_cache=None, **kw):
     return StreamingReduction(
         grid=exp.grid,
         point_group=exp.point_group,
@@ -19,10 +23,11 @@ def _reduction(exp, backend="vectorized", geom_cache=None):
         solid_angles=exp.vanadium.detector_weights,
         backend=backend,
         geom_cache=geom_cache,
+        **kw,
     )
 
 
-def _batch_reference(exp):
+def _batch_reference(exp, shards=None):
     return compute_cross_section(
         load_run=lambda i: load_md(exp.md_paths[i]),
         n_runs=len(exp.md_paths),
@@ -32,7 +37,18 @@ def _batch_reference(exp):
         det_directions=exp.instrument.directions,
         solid_angles=exp.vanadium.detector_weights,
         backend="vectorized",
+        shards=shards,
     )
+
+
+def _assert_equals_batch(streaming, reference):
+    """Bit-for-bit: both histograms, the BinMD errors and the division."""
+    assert np.array_equal(streaming.binmd.signal, reference.binmd.signal)
+    assert np.array_equal(streaming.binmd.error_sq, reference.binmd.error_sq)
+    assert np.array_equal(streaming.mdnorm_hist.signal,
+                          reference.mdnorm.signal)
+    assert np.array_equal(streaming.snapshot().signal,
+                          reference.cross_section.signal, equal_nan=True)
 
 
 class TestEventStream:
@@ -56,24 +72,62 @@ class TestEventStream:
 
 
 class TestStreamingReduction:
-    def test_final_state_equals_batch_workflow(self, tiny_experiment):
-        """The defining invariant: streaming == batch, bit for bit."""
+    @pytest.mark.parametrize(
+        "recovery", [None, RecoveryConfig()], ids=["failfast", "recovery"])
+    @pytest.mark.parametrize(
+        "shards", [None, ShardConfig(n_shards=3)], ids=["plain", "shards3"])
+    def test_final_state_equals_batch_workflow(
+        self, tiny_experiment, shards, recovery
+    ):
+        """The defining invariant: streaming == batch, bit for bit, for
+        every shard count and failure policy."""
         exp = tiny_experiment
-        streaming = _reduction(exp)
+        streaming = _reduction(exp, shards=shards, recovery=recovery)
         for run in exp.runs:
             streaming.open_run(run)
             for batch in EventStream(run, batch_size=177):
                 streaming.consume(batch)
             streaming.close_run(run.run_number)
-        reference = _batch_reference(exp)
-        assert np.allclose(streaming.binmd.signal, reference.binmd.signal)
-        assert np.allclose(streaming.mdnorm_hist.signal,
-                           reference.mdnorm.signal, rtol=1e-10)
-        a = streaming.snapshot().signal
-        b = reference.cross_section.signal
-        mask = ~np.isnan(b)
-        assert np.array_equal(mask, ~np.isnan(a))
-        assert np.allclose(a[mask], b[mask])
+        _assert_equals_batch(streaming, _batch_reference(exp, shards))
+
+    def test_interleaved_runs_closed_out_of_order(self, tiny_experiment):
+        """Batches of all runs interleaved, runs closed 2, 0, 1: the
+        fold is still ascending-run, so the result is the batch one."""
+        exp = tiny_experiment
+        streaming = _reduction(exp)
+        for run in exp.runs:
+            streaming.open_run(run)
+        streams = [EventStream(run, batch_size=150) for run in exp.runs]
+        for batches in itertools.zip_longest(*streams):
+            for batch in filter(None, batches):
+                streaming.consume(batch)
+        for i in (2, 0, 1):
+            streaming.close_run(exp.runs[i].run_number)
+        _assert_equals_batch(streaming, _batch_reference(exp))
+
+    def test_run_without_batches_contributes_only_mdnorm(
+        self, tiny_experiment
+    ):
+        """A run opened and closed with no batches adds exactly its
+        MDNorm delta and zero BinMD."""
+        exp = tiny_experiment
+        empty = _reduction(exp)
+        empty.open_run(exp.runs[1])
+        empty.close_run(exp.runs[1].run_number)
+        assert not empty.binmd.signal.any()
+        assert not empty.binmd.error_sq.any()
+
+        streaming = _reduction(exp)
+        streaming.open_run(exp.runs[0])
+        for batch in EventStream(exp.runs[0], batch_size=256):
+            streaming.consume(batch)
+        binmd, norm = streaming.binmd, streaming.mdnorm_hist
+        streaming.open_run(exp.runs[1])
+        streaming.close_run(exp.runs[1].run_number)
+        assert np.array_equal(streaming.binmd.signal, binmd.signal)
+        assert np.array_equal(streaming.binmd.error_sq, binmd.error_sq)
+        assert np.array_equal(streaming.mdnorm_hist.signal,
+                              norm.signal + empty.mdnorm_hist.signal)
 
     def test_batch_size_does_not_matter(self, tiny_experiment):
         exp = tiny_experiment
@@ -85,7 +139,7 @@ class TestStreamingReduction:
                 for batch in EventStream(run, batch_size=batch_size):
                     streaming.consume(batch)
             results.append(streaming.binmd.signal.copy())
-        assert np.allclose(results[0], results[1])
+        assert np.array_equal(results[0], results[1])
 
     @pytest.mark.parametrize("cached", [False, True], ids=["nocache", "cache"])
     def test_batch_size_invariance_with_and_without_cache(
@@ -153,7 +207,7 @@ class TestStreamingReduction:
             streaming.open_run(exp.runs[0])
             for batch in EventStream(exp.runs[0], batch_size=batch_size):
                 streaming.consume(batch)
-            assert np.allclose(streaming.binmd.signal, expected)
+            assert np.array_equal(streaming.binmd.signal, expected)
 
         check()
 
@@ -216,6 +270,14 @@ class TestStreamingReduction:
         )
         streaming.consume(empty)
         assert streaming.events_seen == 0
+
+    def test_checkpoint_rejected(self, tiny_experiment, tmp_path):
+        """A stream keeps no checkpoint: asking for one is an error, not
+        a silently ignored setting."""
+        ckpt = CheckpointManager(tmp_path / "ck")
+        with pytest.raises(ValidationError, match="checkpoint"):
+            _reduction(tiny_experiment,
+                       recovery=RecoveryConfig(checkpoint=ckpt))
 
     def test_solid_angle_mismatch_rejected(self, tiny_experiment):
         exp = tiny_experiment

@@ -739,8 +739,30 @@ class TestStreamingRecovery:
             exp, RecoveryConfig(retry=POLICY),
             runs=[r for r in exp.runs if r.run_number != 1],
         )
-        assert np.allclose(faulty.snapshot().signal,
-                           survivors.snapshot().signal, equal_nan=True)
+        assert np.array_equal(faulty.snapshot().signal,
+                              survivors.snapshot().signal, equal_nan=True)
+
+    def test_close_run_quarantine_drops_the_finished_run(self, exp):
+        """A lost end-of-run packet that exhausts its retries quarantines
+        the run after all its batches arrived: its whole delta drops."""
+        plan = FaultPlan(
+            [FaultSpec(site="stream.close_run", kind="io_error",
+                       probability=1.0, runs=(1,))],
+            seed=23,
+        )
+        faulty = self._stream(exp, RecoveryConfig(retry=POLICY), plan=plan)
+        assert list(faulty.quarantined) == [1]
+        survivors = self._stream(
+            exp, RecoveryConfig(retry=POLICY),
+            runs=[r for r in exp.runs if r.run_number != 1],
+        )
+        for name in ("binmd", "mdnorm_hist"):
+            assert np.array_equal(getattr(faulty, name).signal,
+                                  getattr(survivors, name).signal), name
+        assert np.array_equal(faulty.binmd.error_sq,
+                              survivors.binmd.error_sq)
+        assert np.array_equal(faulty.snapshot().signal,
+                              survivors.snapshot().signal, equal_nan=True)
 
     def test_open_run_quarantine_never_contributes(self, exp):
         plan = FaultPlan(

@@ -27,11 +27,17 @@ import pytest
 from conftest import record_report
 from repro.bench.report import format_table
 from repro.core.md_event_workspace import load_md, save_md
+from repro.nexus.events import COLUMN_NAMES
 from repro.nexus.h5lite import CHUNK_CODECS, File
-from repro.nexus.tiles import TileManager
+from repro.nexus.tiles import EVENT_COLUMNS_PATH, TileManager
 
 CHUNK_ROWS = 1024
-EVENT_TABLE = "MDEventWorkspace/event_table"
+
+
+def _columns(f):
+    """The eight column datasets of a chunked SaveMD file."""
+    return [f.require_dataset(f"{EVENT_COLUMNS_PATH}/{name}")
+            for name in COLUMN_NAMES]
 
 
 @pytest.fixture(scope="module")
@@ -48,11 +54,11 @@ def chunked_files(benzil_data, tmp_path_factory):
 
 
 def _scan(tiles, ds):
-    """One full sequential pass of chunk-aligned windows."""
+    """One full sequential pass of chunk-aligned windows, every column."""
     t0 = time.perf_counter()
     total = 0
     for a, b in ds.chunk_ranges():
-        total += tiles.window(a, b).shape[0]
+        total += tiles.window(a, b)[0].shape[0]
     return time.perf_counter() - t0, total
 
 
@@ -63,17 +69,19 @@ def test_cold_vs_warm_tile_scan(chunked_files):
     rows = []
     for codec, path in paths.items():
         with File(path, "r") as f:
-            ds = f[EVENT_TABLE]
-            stored = sum(ds.chunk_stored_nbytes())
-            tiles = TileManager(ds)  # unlimited budget: nothing evicts
+            cols = _columns(f)
+            ds = cols[0]
+            stored = sum(sum(c.chunk_stored_nbytes()) for c in cols)
+            tiles = TileManager(cols)  # unlimited budget: nothing evicts
             cold_s, n_cold = _scan(tiles, ds)
             warm_s, n_warm = _scan(tiles, ds)
             stats = tiles.stats
-            # accounting invariants: one miss per chunk cold, one hit
-            # per chunk warm, the warm scan decoded zero bytes
+            # accounting invariants: one miss per column stream cold,
+            # one hit per stream warm, the warm scan decoded zero bytes
+            streams = ds.n_chunks * len(cols)
             assert n_cold == n_warm == ws.events.n_events
-            assert stats.misses == ds.n_chunks, stats.snapshot()
-            assert stats.hits == ds.n_chunks, stats.snapshot()
+            assert stats.misses == streams, stats.snapshot()
+            assert stats.hits == streams, stats.snapshot()
             assert stats.evictions == 0, stats.snapshot()
             assert stats.decoded_bytes == ws.events.data.nbytes
             rows.append((
@@ -104,11 +112,12 @@ def test_budgeted_scan_bounded_and_identical(chunked_files, codec):
     ws, paths = chunked_files
     budget = max(CHUNK_ROWS * 64 * 2, ws.events.data.nbytes // 4)
     with File(paths[codec], "r") as f:
-        ds = f[EVENT_TABLE]
-        tiles = TileManager(ds, budget_bytes=budget)
-        parts = [np.array(tiles.window(a, b)) for a, b in ds.chunk_ranges()]
+        cols = _columns(f)
+        ds = cols[0]
+        tiles = TileManager(cols, budget_bytes=budget)
+        parts = [np.stack(tiles.window(a, b)) for a, b in ds.chunk_ranges()]
         stats = tiles.stats
-    assert np.array_equal(np.concatenate(parts), ws.events.data)
-    if ds.nbytes > budget:
+    assert np.array_equal(np.concatenate(parts, axis=1), ws.events.cols)
+    if ds.nbytes * len(cols) > budget:
         assert stats.evictions > 0, stats.snapshot()
     assert 0 < stats.peak_resident_bytes <= budget, stats.snapshot()

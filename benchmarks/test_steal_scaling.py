@@ -4,6 +4,15 @@ When the run weights are skewed enough that one rank's static block
 holds nearly all the stored bytes, the idle rank must actually steal,
 and the steal schedule must stay invisible in every histogram.
 
+The runs are stored chunked and read out of core under a budget of one
+decoded chunk, so every BinMD shard task is one chunk window: the heavy
+run carries ``HEAVY_EVENTS / CHUNK_EVENTS`` of them against a light
+run's ``LIGHT_EVENTS / CHUNK_EVENTS``, at every scale.  Its extra work
+is then whole tasks, which no thread interleaving hides — with in-memory runs
+a task's fixed cost dwarfs its per-event cost at small scales, the
+heavy run costs what a light one does, and whether a rank idles long
+enough to steal is decided by thread switching alone.
+
 Both legs run on the *same* substrate — ``run_stealing_campaign`` with
 ``ShardConfig(n_shards=4)`` over two ranks — and differ only in the
 schedule policy:
@@ -31,6 +40,10 @@ SCALE = float(os.environ.get("REPRO_SCALE", 0.002))
 HEAVY_EVENTS = max(400, int(6_000_000 * SCALE))
 LIGHT_EVENTS = max(40, HEAVY_EVENTS // 40)
 N_PIXELS = max(24, int(200_000 * SCALE))
+#: events per stored chunk; the tile budget holds one chunk of BinMD's
+#: five float64 columns, so every BinMD task is one chunk window
+CHUNK_EVENTS = 25
+MEMORY_BUDGET = CHUNK_EVENTS * 5 * 8
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +77,11 @@ def skewed(tmp_path_factory):
             rng=np.random.default_rng(8800 + i), run_number=i,
         )
         path = str(base / f"run_{i}.md.h5")
-        save_md(path, convert_to_md(run, instrument, run_index=i))
+        save_md(path, convert_to_md(run, instrument, run_index=i),
+                chunk_events=CHUNK_EVENTS, codec="zlib")
         paths.append(path)
     data = dict(
-        loader=lambda i: load_md(paths[i]),
+        loader=lambda i: load_md(paths[i], memory_budget=MEMORY_BUDGET),
         kw=dict(
             n_runs=4,
             grid=HKLGrid.benzil_grid(bins=(21, 21, 1)),

@@ -127,10 +127,11 @@ def _add_oocore_flags(
     g = p.add_argument_group("out-of-core storage")
     g.add_argument("--chunk-events", type=_parse_chunk_events, default=None,
                    metavar="N",
-                   help="store the synthesized run files as independently "
-                        "compressed, CRC-checked chunks of N events "
-                        "(h5lite format v2) instead of one contiguous "
-                        "payload; changes the workload cache key")
+                   help="store the synthesized run files in chunks of N "
+                        "events, one independently compressed, CRC-checked "
+                        "stream per column per chunk (h5lite format v2), "
+                        "instead of one contiguous payload; changes the "
+                        "workload cache key")
     if with_budget:
         g.add_argument("--memory-budget", type=_parse_size, default=None,
                        metavar="BYTES",
@@ -145,9 +146,10 @@ def _add_oocore_flags(
 def _add_shard_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("intra-run sharding (--impl core)")
     g.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="cut each run's MDNorm into N detector shards "
-                        "and its BinMD into N event shards, run in "
-                        "process; shards run the batch bodies and "
+                   help="cut each run's MDNorm into N ranges of its "
+                        "(op, detector) rows and its BinMD into N event "
+                        "ranges, run in process; each range is one "
+                        "batch-body launch, and the results "
                         "match in-memory vectorized bit for bit, for "
                         "every N")
     g.add_argument("--executor", choices=("static", "stealing"),

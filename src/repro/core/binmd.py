@@ -33,7 +33,15 @@ from repro.core.geom_cache import BinMDEntry, GeomCache
 from repro.core.hist3 import Hist3
 from repro.jacc import parallel_for, resolve_backend
 from repro.jacc.kernels import Captures, Kernel
-from repro.nexus.events import COL_ERROR_SQ, COL_QX, COL_QY, COL_QZ, COL_SIGNAL, EventTable
+from repro.nexus.events import (
+    BINMD_COLUMNS,
+    COL_ERROR_SQ,
+    COL_QX,
+    COL_QY,
+    COL_QZ,
+    COL_SIGNAL,
+    EventTable,
+)
 from repro.util import trace as _trace
 from repro.util.validation import require
 
@@ -70,6 +78,12 @@ def _q_rows(events: np.ndarray) -> np.ndarray:
     return events[:, COL_QX : COL_QZ + 1].T
 
 
+def binmd_columns(events: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The columns the batch body reads (:data:`BINMD_COLUMNS`: signal,
+    error_sq, Qx, Qy, Qz) of an ``(n, 8)`` event array, as views."""
+    return tuple(events[:, c] for c in BINMD_COLUMNS)
+
+
 def binmd_cache_key(grid, transforms: np.ndarray,
                     events: EventTable | np.ndarray) -> tuple:
     """The geometry-cache key of one BinMD launch.
@@ -83,55 +97,64 @@ def binmd_cache_key(grid, transforms: np.ndarray,
 
 
 def _in_grid_pairs(
-    grid, transforms: np.ndarray, events: np.ndarray, tile: int
-) -> tuple[np.ndarray, np.ndarray]:
+    grid, transforms: np.ndarray, qx: np.ndarray, qy: np.ndarray,
+    qz: np.ndarray, tile: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``(flat, event)`` pairs of every in-grid (op, event) lane,
     op-major and in ascending event order within an op: the deposit
-    order of the element body."""
-    n_events = events.shape[0]
+    order of the element body.  The third array holds the ``n_ops + 1``
+    offsets of each op's pairs."""
+    n_events = qx.shape[0]
     dtype = _index_dtype(grid.n_bins_total, n_events)
     flats = [[] for _ in transforms]
     lanes = [[] for _ in transforms]
     for start in range(0, n_events, tile):
-        q = _q_rows(events[start : start + tile])
-        if len(transforms) > 1 and q.strides[1] != q.itemsize:
+        q = [col[start : start + tile] for col in (qx, qy, qz)]
+        if len(transforms) > 1 and q[0].strides[0] != q[0].itemsize:
             # strided columns (a row-major table) cost a full row read
             # each; copy them once when several ops read them
-            q = np.ascontiguousarray(q)
+            q = [np.ascontiguousarray(col) for col in q]
         for n, op in enumerate(transforms):
             flat, lane = grid.bin_transformed(op, *q)
             flats[n].append(flat)
             lanes[n].append(lane + start)
-    return (np.concatenate(sum(flats, [])).astype(dtype, copy=False),
-            np.concatenate(sum(lanes, [])).astype(dtype, copy=False))
+    op_ptr = np.cumsum([0] + [sum(p.size for p in parts) for parts in flats])
+    flat = sum(flats, [])
+    if not flat:
+        return np.empty(0, dtype), np.empty(0, dtype), op_ptr
+    return (np.concatenate(flat).astype(dtype, copy=False),
+            np.concatenate(sum(lanes, [])).astype(dtype, copy=False), op_ptr)
 
 
 def _bin_events_batch(ctx: Captures, dims: tuple[int, int]) -> None:
     """Device realization: bin the in-grid lanes, deposit them at once.
 
-    Cold, each (op, tile) is binned once with
-    :meth:`HKLGrid.bin_transformed`, which computes H and K only for
-    the lanes inside the grid on its thinnest axis.  With a warm entry
-    the cached pairs are used instead.  Either way the launch makes one
-    :meth:`Hist3.push_flat` call over the op-major ``(flat, event)``
-    pairs with freshly gathered weights, so cold, warm and uncached
-    deposits are bit-identical by construction.  The pairs are left on
-    ``ctx.in_grid`` for the caller to cache and count.
+    Reads ``ctx.columns`` alone — BinMD's five columns, views of an
+    in-memory table or an out-of-core window's decoded streams.  Cold,
+    each (op, tile) is binned once with :meth:`HKLGrid.bin_transformed`,
+    which computes H and K only for the lanes inside the grid on its
+    thinnest axis.  With a warm entry the cached pairs are used
+    instead.  Either way the launch makes one :meth:`Hist3.push_flat`
+    call over the op-major ``(flat, event)`` pairs with freshly
+    gathered weights, so cold, warm and uncached deposits are
+    bit-identical by construction.  The pairs are left on
+    ``ctx.in_grid`` as ``(flat, event, op_ptr)`` for the caller to
+    cache, count and cut by op (``op_ptr`` is None on a warm launch).
     """
-    ev = ctx.events
+    signal, error_sq, qx, qy, qz = ctx.columns
     hist: Hist3 = ctx.hist
     entry: Optional[BinMDEntry] = getattr(ctx, "binmd_entry", None)
     if entry is not None:
-        flat, event = entry.flat, entry.event
+        flat, event, op_ptr = entry.flat, entry.event, None
     else:
-        flat, event = _in_grid_pairs(hist.grid, ctx.transforms, ev, ctx.tile)
-    ctx.in_grid = (flat, event)
+        flat, event, op_ptr = _in_grid_pairs(hist.grid, ctx.transforms,
+                                             qx, qy, qz, ctx.tile)
+    ctx.in_grid = (flat, event, op_ptr)
     # a Hist3 without an error array drops err_sq; skip gathering it then
     # (the shard recorder has no `error_sq` and decides for itself)
     track_errors = getattr(hist, "error_sq", True) is not None
     hist.push_flat(
-        flat, ev[event, COL_SIGNAL],
-        ev[event, COL_ERROR_SQ] if track_errors else None,
+        flat, signal[event], error_sq[event] if track_errors else None,
         scatter_impl=ctx.scatter_impl,
     )
 
@@ -218,6 +241,7 @@ def bin_events(
         captures = Captures(
             hist=hist,
             events=data,
+            columns=binmd_columns(data),
             transforms=transforms,
             tile=int(tile),
             scatter_impl=scatter_impl,

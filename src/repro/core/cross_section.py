@@ -107,9 +107,10 @@ def _n_events(ws: MDEventWorkspace) -> int:
 
 
 def _is_lazy(events: Any) -> bool:
-    """Out-of-core event table? (duck-typed on the window/chunk surface
-    to avoid importing the nexus tile layer at module import time)."""
-    return hasattr(events, "window") and hasattr(events, "chunk_bounds")
+    """Out-of-core event table? (duck-typed on the ``binmd_window`` and
+    chunk surface to avoid importing the nexus tile layer at module
+    import time)."""
+    return hasattr(events, "binmd_window") and hasattr(events, "chunk_bounds")
 
 
 #: shard plan for out-of-core runs reduced without ``--shards``: the

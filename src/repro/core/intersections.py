@@ -162,13 +162,16 @@ def count_crossings_batch(
 
     Vectorized over flattened trajectories; never materializes the
     crossings themselves, so it is cheap enough to run once per file
-    before allocating the padded intersection buffer.
+    before allocating the padded intersection buffer.  Only live
+    trajectories (``k_hi > k_lo``) are searched; the others count 0.
     """
     d = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
     lo = np.asarray(k_lo, dtype=np.float64).reshape(-1)
     hi = np.asarray(k_hi, dtype=np.float64).reshape(-1)
     counts = np.zeros(d.shape[0], dtype=np.int64)
-    valid = hi > lo
+    live = (hi > lo).nonzero()[0]
+    d, lo, hi = d[live], lo[live], hi[live]
+    live_counts = np.zeros(live.size, dtype=np.int64)
     for axis in range(3):
         di = d[:, axis]
         edges = grid.edges[axis]
@@ -177,7 +180,8 @@ def count_crossings_batch(
         b = np.maximum(lo * di, hi * di)
         s = np.searchsorted(edges, a, side="right")
         t = np.searchsorted(edges, b, side="left")
-        counts += np.where(valid & nonpar, np.maximum(t - s, 0), 0)
+        live_counts += np.where(nonpar, np.maximum(t - s, 0), 0)
+    counts[live] = live_counts
     return counts
 
 

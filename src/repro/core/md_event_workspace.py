@@ -33,11 +33,13 @@ from repro.nexus.events import (
     COL_Q,
     COL_RUN_INDEX,
     COL_SIGNAL,
+    COLUMN_NAMES,
     EventTable,
     N_EVENT_COLUMNS,
     RunData,
 )
 from repro.nexus.h5lite import File
+from repro.nexus.tiles import LazyEventTable
 from repro.util import faults as _faults
 from repro.util.validation import ValidationError, as_matrix3, require
 
@@ -49,7 +51,7 @@ class MDEventWorkspace:
     ``events`` is either an in-memory :class:`EventTable` or — for
     out-of-core runs loaded with ``load_md(memory_budget=...)`` — a
     :class:`repro.nexus.tiles.LazyEventTable` exposing the same
-    ``n_events`` surface plus bounded ``window(a, b)`` reads.  The
+    ``n_events`` surface plus bounded ``binmd_window(a, b)`` reads.  The
     proxies replace it with the row-major ``(n, 8)`` array of
     :func:`transpose_events`.
     """
@@ -136,13 +138,16 @@ def save_md(
     * legacy (default): the event table is stored column-major
       (``8 x n``), the table's own ``cols`` block written as is;
       ``compression="zlib"`` deflates the whole payload in one blob.
-    * chunked (``chunk_events=N``): the table is stored **row-major**
-      ``(n, 8)`` as independently encoded, CRC-checked chunks of ``N``
-      events each (``codec`` is one of
-      :data:`repro.nexus.h5lite.CHUNK_CODECS`), which is what lets
-      :func:`load_md` hand the reduction a bounded-memory
-      :class:`~repro.nexus.tiles.LazyEventTable` instead of
-      materializing the run (the paper's raw datasets are 8.5-206 GB).
+    * chunked (``chunk_events=N``): every column is its own 1-D dataset
+      under ``event_columns`` (named by
+      :data:`~repro.nexus.events.COLUMN_NAMES`), cut into chunks of
+      ``N`` events that are encoded (``codec`` is one of
+      :data:`repro.nexus.h5lite.CHUNK_CODECS`) and CRC-checked one
+      stream per column per chunk.  This is what lets :func:`load_md`
+      hand the reduction a bounded-memory
+      :class:`~repro.nexus.tiles.LazyEventTable` that decodes only the
+      five columns BinMD reads, instead of materializing the run (the
+      paper's raw datasets are 8.5-206 GB).
     """
     if chunk_events is not None and compression is not None:
         raise ValidationError(
@@ -152,17 +157,18 @@ def save_md(
         grp = f.create_group("MDEventWorkspace")
         grp.attrs["NX_class"] = "NXentry"
         if chunk_events is not None:
-            table = (
-                ws.events.data
+            cols = (
+                ws.events.cols
                 if isinstance(ws.events, EventTable)
-                else np.asarray(ws.events)
+                else np.asarray(ws.events, dtype=np.float64).T
             )
-            grp.create_dataset(
-                "event_table",
-                data=table,
-                chunk_rows=int(chunk_events),
-                codec=codec,
-            )
+            for name, col in zip(COLUMN_NAMES, cols):
+                grp.create_dataset(
+                    f"event_columns/{name}",
+                    data=col,
+                    chunk_rows=int(chunk_events),
+                    codec=codec,
+                )
         else:
             grp.create_dataset(
                 "event_data",
@@ -191,45 +197,54 @@ def load_md(
     Legacy files store the table column-major (``8 x n``): the payload
     is read whole, its CRC32 and shape are checked, and the checked
     array becomes the table's ``cols`` without a copy (it is
-    read-only).  Chunked files (``save_md(chunk_events=...)``) store it
-    row-major: with ``memory_budget`` (bytes) the returned workspace
-    carries a :class:`~repro.nexus.tiles.LazyEventTable` — metadata is
-    read now, event chunks are decoded on demand under the budget's LRU
-    tile cache and the table is **never** materialized; without a
-    budget the chunked table is materialized eagerly and transposed
-    into columns once.  The paper's load-time transpose is not paid
-    here; the proxies pay it with :func:`transpose_events`.
+    read-only).  Chunked files (``save_md(chunk_events=...)``) store
+    one dataset per column, and row-major v2 files one ``(n, 8)``
+    dataset; either way every decoded chunk stream is CRC-checked.
+    With ``memory_budget`` (bytes) the returned workspace carries a
+    :class:`~repro.nexus.tiles.LazyEventTable` — metadata is read now,
+    event chunks are decoded on demand under the budget's LRU tile
+    cache and the table is **never** materialized; without a budget
+    the chunked table is materialized eagerly into columns.  The
+    paper's load-time transpose is not paid here; the proxies pay it
+    with :func:`transpose_events`.
     """
-    from repro.nexus.tiles import LazyEventTable
-
     _faults.fault_point("nexus.read_events", path=os.fspath(path))
-    with File(path, "r") as f:
-        grp = f["MDEventWorkspace"]
-        if "event_table" in grp:
-            if memory_budget is not None:
-                events: "EventTable | LazyEventTable" = LazyEventTable(
-                    path, memory_budget=memory_budget
-                )
-            else:
-                events = EventTable(grp.read("event_table"))
-        else:
-            raw = grp.read("event_data")
-            if raw.ndim != 2 or raw.shape[0] != N_EVENT_COLUMNS:
-                raise ValidationError(
-                    f"{os.fspath(path)!r}: event_data must be "
-                    f"({N_EVENT_COLUMNS}, n), got {raw.shape}"
-                )
-            events = EventTable.from_cols(raw)
-        band = grp.read("momentum_band")
-        ub = grp.read("ub_matrix") if "ub_matrix" in grp else None
-        return MDEventWorkspace(
-            events=events,
-            run_number=int(grp.read("run_number")[()]),
-            goniometer=grp.read("goniometer"),
-            proton_charge=float(grp.read("proton_charge")[()]),
-            momentum_band=(float(band[0]), float(band[1])),
-            ub_matrix=ub,
-        )
+    f = File(path, "r")
+    try:
+        ws = _read_workspace(f, memory_budget)
+    except BaseException:
+        f.close()
+        raise
+    if not isinstance(ws.events, LazyEventTable):  # a lazy table owns f
+        f.close()
+    return ws
+
+
+def _read_workspace(f: File, memory_budget: Optional[int]) -> MDEventWorkspace:
+    grp = f["MDEventWorkspace"]
+    if "event_columns" in grp or "event_table" in grp:
+        events: "EventTable | LazyEventTable" = LazyEventTable.adopt(
+            f, memory_budget=memory_budget)
+        if memory_budget is None:
+            events = events.materialize()
+    else:
+        raw = grp.read("event_data")
+        if raw.ndim != 2 or raw.shape[0] != N_EVENT_COLUMNS:
+            raise ValidationError(
+                f"{f.path!r}: event_data must be "
+                f"({N_EVENT_COLUMNS}, n), got {raw.shape}"
+            )
+        events = EventTable.from_cols(raw)
+    band = grp.read("momentum_band")
+    ub = grp.read("ub_matrix") if "ub_matrix" in grp else None
+    return MDEventWorkspace(
+        events=events,
+        run_number=int(grp.read("run_number")[()]),
+        goniometer=grp.read("goniometer"),
+        proton_charge=float(grp.read("proton_charge")[()]),
+        momentum_band=(float(band[0]), float(band[1])),
+        ub_matrix=ub,
+    )
 
 
 def transpose_events(events: EventTable) -> np.ndarray:

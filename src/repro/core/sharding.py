@@ -2,33 +2,41 @@
 
 The paper's Algorithm 1 parallelizes *across* runs (one MPI rank per
 block of files).  This module adds the level below: a rank that owns a
-run cuts its MDNorm into **detector ranges** and its BinMD into
-**event ranges** (the contiguous shards planned by
-:func:`repro.mpi.decomposition.shard_ranges`) and executes every range
-in the calling thread.  Ranges are the unit of out-of-core reads (each
-decodes only its own bounded window) and of work stealing (each is one
+run cuts its MDNorm and its BinMD into contiguous **ranges** (planned
+by :mod:`repro.mpi.decomposition`) and executes every range in the
+calling thread.  Ranges are the unit of out-of-core reads (each decodes
+only its own bounded window) and of work stealing (each is one
 stealable task); the only parallel level stays the paper's own, ranks
 over runs.
 
-One kernel body on every path (DESIGN.md §6f).  A range runs the
-kernel's **batch** body — the same ``_mdnorm_batch`` /
+One kernel body, one launch per range (DESIGN.md §6f).  A range runs
+the kernel's **batch** body — the same ``_mdnorm_batch`` /
 ``_bin_events_batch`` the ``vectorized`` back end launches in memory —
-one symmetry op at a time over its own contiguous inner range, against
-a :class:`~repro.jacc.multiproc.RecordingHist3` that records each
-deposit array instead of adding it.  Float addition is
+once, against a :class:`~repro.jacc.multiproc.RecordingHist3` that
+records each deposit array instead of adding it.  Float addition is
 non-associative, so per-range partial histograms would drift in the
-last ulp and depend on the shard count; ranges therefore return one
-deposit log *per op*, and the logs are replayed with ``np.add.at``
-(unbuffered, element-order-sequential) interleaved as
+last ulp and depend on the shard count; ranges return deposit logs
+instead, and :func:`replay_shard_logs` applies them with ``np.add.at``
+(unbuffered, element-order-sequential) in the in-memory deposit order:
 
-    for op in ops: for range in ascending planned order: replay(log[range][op])
+* **MDNorm** — the paper's 2-D (op × detector) index space, flattened
+  op-major; a range is a contiguous block of those rows and its one
+  launch deposits them in row order, so the logs concatenated in
+  planned order *are* the in-memory deposit order::
 
-Both batch bodies deposit op-major and, within an op, in ascending
-inner index, with every lane computed independently of the others, so
-this replay is exactly the in-memory ``vectorized`` deposit order: the
-sharded, out-of-core and stolen results are **bit-identical to the
-in-memory ``vectorized`` result for every shard count**, whichever
-rank executed which range, in whatever order.  The in-memory
+      for range in ascending planned order: replay(log[range])
+
+* **BinMD** — a range is a (chunk-aligned) event window; its one launch
+  bins the window under every op, op-major, and the pairs are cut into
+  one log per op, replayed interleaved::
+
+      for op in ops: for range in ascending planned order: replay(log[range][op])
+
+Within an op both batch bodies deposit in ascending inner index with
+every lane computed independently of the others, so the sharded,
+out-of-core and stolen results are **bit-identical to the in-memory
+``vectorized`` result for every shard count**, whichever rank executed
+which range, in whatever order.  The in-memory
 :func:`~repro.core.binmd.bin_events` / :func:`~repro.core.mdnorm.mdnorm`
 entry points stay: they own the geometry-cache warm paths.
 
@@ -50,7 +58,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.binmd import DEFAULT_TILE, _bin_events_batch
+from repro.core.binmd import DEFAULT_TILE, _bin_events_batch, binmd_columns
 from repro.core.geom_cache import GeomCache
 from repro.core.hist3 import Hist3
 from repro.core.mdnorm import _mdnorm_batch, _mdnorm_captures
@@ -82,7 +90,9 @@ class ShardConfig:
     ----------
     n_shards:
         Number of contiguous shards to cut the inner axis into
-        (detectors for MDNorm, events for BinMD).  ``1`` still runs
+        (op-major (op, detector) rows for MDNorm, events for BinMD;
+        out of core, BinMD's chunk-aligned windows may be cut finer to
+        fit the memory budget).  ``1`` still runs
         the shard machinery (record + replay) — results are identical
         for every value, only the range granularity changes.
     """
@@ -99,48 +109,6 @@ class ShardConfig:
         if shards is None:
             return None
         return cls(n_shards=int(shards))
-
-
-# ---------------------------------------------------------------------------
-# the shard body: a stage's batch body, one op at a time, recorded
-# ---------------------------------------------------------------------------
-
-#: per stage: its batch body, then the captures cut along the inner
-#: (shard) axis and those cut along the op axis, each -> its axis
-_STAGES: Dict[str, Tuple[Callable[..., None], Dict[str, int], Dict[str, int]]] = {
-    "binmd": (_bin_events_batch, {"events": 0}, {"transforms": 0}),
-    "mdnorm": (
-        _mdnorm_batch,
-        {"solid_angles": 0, "directions": 1, "k_lo": 1, "k_hi": 1},
-        {"directions": 0, "k_lo": 0, "k_hi": 0},
-    ),
-}
-
-
-def _cut(captures: Captures, fields: Dict[str, int], lo: int, hi: int) -> Captures:
-    """``captures`` with each named array cut to ``[lo, hi)`` along its
-    axis (views, no copies)."""
-    cut = {
-        name: getattr(captures, name)[(slice(None),) * axis + (slice(lo, hi),)]
-        for name, axis in fields.items()
-    }
-    return Captures(**{**vars(captures), **cut})
-
-
-def _record_range(op_name: str, captures: Captures) -> List[Log]:
-    """Run ``op_name``'s batch body one op at a time over ``captures``
-    (already cut to one inner range; ``captures.hist`` a recorder) and
-    return one deposit log per op."""
-    batch, inner, outer = _STAGES[op_name]
-    name, axis = next(iter(inner.items()))
-    n_inner = int(getattr(captures, name).shape[axis])
-    n_outer = int(getattr(captures, next(iter(outer))).shape[0])
-    logs: List[Log] = []
-    for n in range(n_outer):
-        if n_inner:
-            batch(_cut(captures, outer, n, n + 1), (1, n_inner))
-        logs.append(captures.hist.harvest_reset())
-    return logs
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +132,9 @@ class ShardContext:
 
     op_name: str
     captures: Captures
+    #: deposit logs per range: BinMD's ops (a range is an event window
+    #: binned under every op), 1 for MDNorm (a range is a block of
+    #: op-major rows)
     n_outer: int
     #: planned contiguous ranges of the inner axis (index = planned id)
     ranges: List[Tuple[int, int]]
@@ -185,9 +156,10 @@ class ShardContext:
 def mdnorm_ranges(
     n_det: int, n_ops: int, n_shards: int
 ) -> Tuple[List[Tuple[int, int]], List[float]]:
-    """MDNorm's detector-range plan and per-range lanes."""
-    ranges = shard_ranges(n_det, n_shards)
-    return ranges, [float(n_ops * (b - a)) for a, b in ranges]
+    """MDNorm's plan: ranges of the ``n_ops * n_det`` op-major
+    (op, detector) rows, and their lanes."""
+    ranges = shard_ranges(n_ops * n_det, n_shards)
+    return ranges, [float(b - a) for a, b in ranges]
 
 
 def binmd_ranges(
@@ -223,23 +195,28 @@ def mdnorm_shard_context(
     cache_tag: Optional[str] = None,
     op_span: Any = None,
 ) -> ShardContext:
-    """Plan one run's MDNorm as detector-range shard tasks.
+    """Plan one run's MDNorm as ranges of op-major (op, detector) rows.
 
     The geometry stage runs here, parent-side and cache-aware, so warm
     reruns skip it exactly as the in-memory path does (ranges never
-    touch the cache).
+    touch the cache).  The captures hold the trajectories flattened to
+    rows, with each row's solid angle, so a range is a slice of them.
     """
     transforms = np.asarray(transforms, dtype=np.float64)
     det_directions = np.asarray(det_directions, dtype=np.float64)
+    solid_angles = np.asarray(solid_angles, dtype=np.float64)
     captures = _mdnorm_captures(
-        hist, transforms, det_directions,
-        np.asarray(solid_angles, dtype=np.float64), flux, momentum_band,
+        hist, transforms, det_directions, solid_angles, flux, momentum_band,
         charge=charge, backend=backend, cache=cache, cache_tag=cache_tag,
         deposit_plan=False, sort_impl=sort_impl, op_span=op_span,
     )
     n_ops = int(transforms.shape[0])
+    captures.directions = captures.directions.reshape(-1, 3)
+    captures.k_lo = captures.k_lo.reshape(-1)
+    captures.k_hi = captures.k_hi.reshape(-1)
+    captures.solid_angles = np.tile(solid_angles, n_ops)
     ranges, _ = mdnorm_ranges(int(det_directions.shape[0]), n_ops, n_shards)
-    return ShardContext("mdnorm", captures, n_ops, ranges)
+    return ShardContext("mdnorm", captures, 1, ranges)
 
 
 def binmd_shard_context(
@@ -250,7 +227,7 @@ def binmd_shard_context(
     n_shards: int,
 ) -> ShardContext:
     """Plan one run's BinMD as event-range shard tasks (see
-    :func:`binmd_ranges`).  A lazy table's captures carry no events:
+    :func:`binmd_ranges`).  A lazy table's captures carry no columns:
     each range reads its own bounded window."""
     transforms = np.asarray(transforms, dtype=np.float64)
     require(transforms.ndim == 3 and transforms.shape[1:] == (3, 3),
@@ -262,14 +239,48 @@ def binmd_shard_context(
     if isinstance(events, LazyEventTable):
         return ShardContext("binmd", captures, n_ops, ranges,
                             lazy_events=events)
-    captures.events = (events.data if isinstance(events, EventTable)
-                       else np.asarray(events))
+    captures.columns = binmd_columns(
+        events.data if isinstance(events, EventTable) else np.asarray(events))
     return ShardContext("binmd", captures, n_ops, ranges)
+
+
+def _mdnorm_range(ctx: ShardContext, a: int, b: int) -> List[Log]:
+    """One MDNorm batch launch over the op-major rows ``[a, b)``: one
+    log, in row order."""
+    c = ctx.captures
+    rec = RecordingHist3(c.grid, ctx.track_errors)
+    _mdnorm_batch(Captures(**{
+        **vars(c), "hist": rec, "directions": c.directions[None, a:b],
+        "k_lo": c.k_lo[None, a:b], "k_hi": c.k_hi[None, a:b],
+        "solid_angles": c.solid_angles[a:b],
+    }), (1, b - a))
+    return [rec.harvest()]
+
+
+def _binmd_range(ctx: ShardContext, a: int, b: int) -> List[Log]:
+    """One BinMD batch launch over the events ``[a, b)`` under every
+    op, its op-major pairs cut into one log per op."""
+    c = ctx.captures
+    columns = (ctx.lazy_events.binmd_window(a, b) if ctx.lazy_events is not None
+               else tuple(col[a:b] for col in c.columns))
+    launch = Captures(**{**vars(c), "columns": columns,
+                         "hist": RecordingHist3(c.hist.grid, ctx.track_errors)})
+    _bin_events_batch(launch, (ctx.n_outer, b - a))
+    flat, w, e = launch.hist.harvest()
+    op_ptr = launch.in_grid[2]
+    return [(flat[p:q], w[p:q], None if e is None else e[p:q])
+            for p, q in zip(op_ptr[:-1], op_ptr[1:])]
+
+
+_RANGE_BODIES: Dict[str, Callable[[ShardContext, int, int], List[Log]]] = {
+    "mdnorm": _mdnorm_range,
+    "binmd": _binmd_range,
+}
 
 
 def execute_shard_range(ctx: ShardContext, index: int) -> List[Log]:
     """Execute one planned range of a context in the calling thread;
-    return its deposit logs.
+    return its ``ctx.n_outer`` deposit logs.
 
     The one shard-execution function of every executor.  No replay
     happens here — callers collect logs (possibly from ranges executed
@@ -279,23 +290,17 @@ def execute_shard_range(ctx: ShardContext, index: int) -> List[Log]:
     cache.
     """
     a, b = ctx.ranges[index]
-    if ctx.lazy_events is None:
-        _, inner, _ = _STAGES[ctx.op_name]
-        captures = _cut(ctx.captures, inner, a, b)
-    else:
-        captures = Captures(**{**vars(ctx.captures),
-                               "events": ctx.lazy_events.window(a, b)})
-    captures.hist = RecordingHist3(ctx.captures.hist.grid, ctx.track_errors)
-    return _record_range(ctx.op_name, captures)
+    return _RANGE_BODIES[ctx.op_name](ctx, a, b)
 
 
 def replay_shard_logs(
     ctx: ShardContext, per_range: Sequence[List[Log]]
 ) -> None:
     """Fold per-range deposit logs into ``ctx.captures.hist`` in the
-    in-memory order (op-major, planned ranges ascending), so the result
-    is bit-identical to an in-memory ``vectorized`` execution of the
-    whole run-stage regardless of who executed what."""
+    in-memory order (log-major, planned ranges ascending: op-major for
+    BinMD, plain range order for MDNorm's one log per range), so the
+    result is bit-identical to an in-memory ``vectorized`` execution of
+    the whole run-stage regardless of who executed what."""
     require(len(per_range) == ctx.n_ranges,
             f"{ctx.op_name}: {len(per_range)} log sets for "
             f"{ctx.n_ranges} planned ranges")
@@ -366,11 +371,12 @@ def sharded_mdnorm(
     run: Optional[int] = None,
     on_shard: Optional[Callable[[int, int], None]] = None,
 ) -> Hist3:
-    """MDNorm for one run, cut into detector shards.
+    """MDNorm for one run, cut into ranges of op-major rows.
 
     Same contract as :func:`repro.core.mdnorm.mdnorm` (accumulates into
-    ``hist`` in place) executed as ``shards.n_shards`` detector ranges
-    that run the batch body; the result is bit-identical to
+    ``hist`` in place) executed as ``shards.n_shards`` contiguous
+    ranges of the flattened (op, detector) rows, each one launch of
+    the batch body; the result is bit-identical to
     ``mdnorm(..., backend="vectorized")`` for every shard count (see
     the module docstring).  ``backend`` runs only the geometry
     pre-pass, whose integer max is backend-independent.
@@ -410,16 +416,17 @@ def sharded_binmd(
 
     Same contract as :func:`repro.core.binmd.bin_events`; contiguous
     event ranges are balanced by construction (events are the unit of
-    work), and the op-segmented replay makes the result bit-identical
-    to ``bin_events(..., backend="vectorized")`` for every shard
-    count.
+    work), each is one launch of the batch body under every op, and
+    the op-interleaved replay makes the result bit-identical to
+    ``bin_events(..., backend="vectorized")`` for every shard count.
 
     With a :class:`~repro.nexus.tiles.LazyEventTable` the run executes
     **out-of-core**: shard boundaries are fed from the file's chunk
     metadata (snapped to chunk boundaries, balanced by stored chunk
     bytes, capped so no window decodes more rows than the table's
-    memory budget), and each shard materializes only its own window
-    through the run's tile cache.  The batch body bins a window exactly
+    memory budget), and each shard decodes only BinMD's five columns
+    of its own window through the run's tile cache.  The batch body
+    bins a window exactly
     as it bins the same rows of the full table, so the replayed
     histogram stays bit-identical to the in-memory path for every chunk
     size, codec, budget and shard count.

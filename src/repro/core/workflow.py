@@ -61,8 +61,9 @@ class WorkflowConfig:
     #: failure policy (retry/quarantine/checkpoint/resume); None =
     #: fail-fast
     recovery: Optional[RecoveryConfig] = None
-    #: intra-run shard count (detector ranges for MDNorm, event ranges
-    #: for BinMD); None = single-level Algorithm 1
+    #: intra-run shard count (ranges of op-major (op, detector) rows
+    #: for MDNorm, event ranges for BinMD); None = single-level
+    #: Algorithm 1
     shards: Optional[int] = None
     #: validated (a positive worker count, or None) but selects
     #: nothing: every shard range runs in process.  Kept only because

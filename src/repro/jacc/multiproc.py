@@ -199,14 +199,6 @@ class RecordingHist3:
                          np.empty(0))
         return idx, w, (e if self.track_errors else None)
 
-    def harvest_reset(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Harvest the log and clear it — the shard executor calls this
-        at every outer-index boundary to get op-segmented logs whose
-        interleaved replay reconstructs the in-place deposit order."""
-        out = self.harvest()
-        self._parts = []
-        return out
-
 
 def replay_deposits(
     hist: Any, logs: Sequence[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]

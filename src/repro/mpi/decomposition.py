@@ -5,8 +5,9 @@ each rank takes a contiguous block of the experiment's runs.  That
 single level caps strong scaling at the run count (36 for Benzil, 22
 for Bixbyite in the paper).  The second level added here is a
 **hierarchical 2-D decomposition**: runs × intra-run shards.  A rank
-that owns a run cuts it into local shards (detector ranges for
-MDNorm, event ranges for BinMD), executed in process — the unit of
+that owns a run cuts it into local shards (ranges of the op-major
+(op, detector) rows for MDNorm, event ranges for BinMD), executed in
+process — the unit of
 out-of-core reads and of work stealing *inside* a file.
 
 Everything in this module is pure planning (no execution): given item
@@ -207,7 +208,10 @@ def lazy_table_ranges(events, n_shards: int) -> List[Tuple[int, int]]:
     :mod:`repro.mpi.stealing` used to carry private copies of this
     arithmetic).  ``events`` is duck-typed on the
     :class:`~repro.nexus.tiles.LazyEventTable` surface: ``chunk_bounds()``,
-    ``chunk_stored_nbytes()``, ``memory_budget`` and ``row_nbytes``.
+    ``chunk_stored_nbytes()``, ``memory_budget`` and ``row_nbytes`` —
+    the decoded column bytes one window row puts in the tile cache (the
+    five BinMD columns of a column-stream file), so the row cap counts
+    what a window actually decodes.
     """
     return chunk_aligned_event_ranges(
         events.chunk_bounds(),

@@ -28,8 +28,9 @@ chaotic — that is the point — so nothing numeric may depend on it:
   static executor's shards use, in the thread of the rank that claimed
   it (ranks are the only parallel level, as in the paper);
 * when the last task of a run reports, the run's logs are replayed
-  **keyed by the shard's planned index** (op-major, planned ranges
-  ascending — :func:`repro.core.sharding.replay_shard_logs`) into
+  **keyed by the shard's planned index** (planned ranges ascending,
+  op-interleaved for BinMD —
+  :func:`repro.core.sharding.replay_shard_logs`) into
   fresh per-run scratch histograms: each run's delta is therefore
   bit-identical to an in-memory ``vectorized`` execution of that run,
   regardless of which ranks executed which shards, in what order, with

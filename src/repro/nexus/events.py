@@ -38,6 +38,12 @@ COL_QY = 6
 COL_QZ = 7
 N_EVENT_COLUMNS = 8
 COL_Q = slice(COL_QX, COL_QZ + 1)
+#: the name each column is stored under in a chunked SaveMD file
+COLUMN_NAMES = ("signal", "error_sq", "run_index", "detector_id",
+                "goniometer_index", "qx", "qy", "qz")
+#: the columns BinMD reads, in the order its batch body takes them;
+#: an out-of-core window decodes these and no others
+BINMD_COLUMNS = (COL_SIGNAL, COL_ERROR_SQ, COL_QX, COL_QY, COL_QZ)
 
 
 @dataclass

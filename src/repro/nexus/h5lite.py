@@ -53,6 +53,7 @@ Chunk codecs (per chunk, independent):
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import os
 import struct
@@ -282,7 +283,7 @@ class Dataset(_Node):
         self._crc_checked = False
         # read-side placement (chunked layout): per-chunk
         # (offset, stored_nbytes, crc, rows) plus cumulative row bounds
-        self._chunk_index: Optional[List[Tuple[int, int, int, int]]] = None
+        self._chunk_index: Optional[List[List[int]]] = None
         self._chunk_bounds: Optional[List[int]] = None
 
     # -- shape helpers -------------------------------------------------
@@ -879,11 +880,10 @@ class File(Group):
                         chunk_rows=int(entry["chunk_rows"]),
                         codec=entry.get("codec", "none"),
                     )
-                    index: List[Tuple[int, int, int, int]] = []
-                    bounds = [0]
-                    for off, stored, crc, rows in entry["chunks"]:
-                        index.append((int(off), int(stored), int(crc), int(rows)))
-                        bounds.append(bounds[-1] + int(rows))
+                    # [offset, stored, crc, rows] per chunk, as parsed
+                    index = entry["chunks"]
+                    bounds = list(itertools.accumulate(
+                        [chunk[3] for chunk in index], initial=0))
                     if ds.shape and bounds[-1] != ds.shape[0]:
                         raise CorruptFileError(
                             f"{self.path!r}: chunk index of {ds.name!r} covers "

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.grid import HKLGrid
 from repro.core.intersections import (
+    PARALLEL_EPS,
     count_crossings_batch,
     count_crossings_scalar,
     fill_crossings_batch,
@@ -103,6 +104,64 @@ class TestCounting:
         batch = count_crossings_batch(d, grid, lo, hi)
         for i in range(40):
             assert batch[i] == count_crossings_scalar(d[i], grid, lo[i], hi[i])
+
+
+def _count_every_row(directions, grid, k_lo, k_hi):
+    """Oracle: the pre-pass searching every row, dead ones included."""
+    d = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
+    lo = np.asarray(k_lo, dtype=np.float64).reshape(-1)
+    hi = np.asarray(k_hi, dtype=np.float64).reshape(-1)
+    counts = np.zeros(d.shape[0], dtype=np.int64)
+    valid = hi > lo
+    for axis in range(3):
+        di = d[:, axis]
+        edges = grid.edges[axis]
+        nonpar = np.abs(di) > PARALLEL_EPS
+        a = np.minimum(lo * di, hi * di)
+        b = np.maximum(lo * di, hi * di)
+        s = np.searchsorted(edges, a, side="right")
+        t = np.searchsorted(edges, b, side="left")
+        counts += np.where(valid & nonpar, np.maximum(t - s, 0), 0)
+    return counts
+
+
+class TestLiveRowCounting:
+    """The pre-pass searches only live rows; its counts equal a search
+    over every row exactly."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_rows(self, grid, seed):
+        rng = np.random.default_rng(seed)
+        d = rng.normal(size=(7, 50, 3))
+        lo, hi = k_window(d, grid, 0.5, 8.0)
+        assert np.array_equal(count_crossings_batch(d, grid, lo, hi),
+                              _count_every_row(d, grid, lo, hi))
+
+    def test_adversarial_rows(self, grid):
+        edges = grid.edges
+        d = np.array([
+            [0.0, 0.0, 0.0],                    # parallel to every axis
+            [PARALLEL_EPS / 2, 1.0, 0.0],       # below the parallel cut
+            [1.0, 0.0, 0.0],                    # on y and z planes
+            [1.0, 1.0, 1.0],                    # window ends on planes
+            [0.5, -0.25, 0.125],                # ordinary
+            [1.0, 0.0, 0.0],                    # empty window (hi == lo)
+            [1.0, 0.0, 0.0],                    # inverted window
+            [1.0, 1.0, 0.0],                    # NaN window
+        ])
+        lo = np.array([0.5, 0.5, float(edges[0][1]), 1.0, 0.5, 1.0, 2.0,
+                       np.nan])
+        hi = np.array([4.0, 4.0, float(edges[0][-2]), 2.0, 4.0, 1.0, 1.0,
+                       3.0])
+        got = count_crossings_batch(d, grid, lo, hi)
+        assert np.array_equal(got, _count_every_row(d, grid, lo, hi))
+        assert got[0] == 0 and got[5] == got[6] == got[7] == 0
+
+    def test_no_live_rows(self, grid):
+        d = np.ones((3, 3))
+        lo, hi = np.full(3, 2.0), np.full(3, 1.0)
+        got = count_crossings_batch(d, grid, lo, hi)
+        assert got.dtype == np.int64 and np.array_equal(got, np.zeros(3))
 
 
 class TestFilling:

@@ -558,16 +558,19 @@ class TestChunkFaults:
                               golden.cross_section.signal, equal_nan=True)
 
     def test_on_disk_chunk_corruption_is_isolated(self, chunked, tmp_path):
-        """Flipping bytes in one stored chunk fails exactly that chunk."""
+        """Flipping bytes in one stored column stream fails exactly that
+        stream."""
         import shutil
 
+        from repro.nexus.events import COLUMN_NAMES
         from repro.nexus.h5lite import CorruptFileError, File
-        from repro.nexus.tiles import EVENT_TABLE_PATH
+        from repro.nexus.tiles import EVENT_COLUMNS_PATH
 
+        qx = f"{EVENT_COLUMNS_PATH}/qx"
         victim = str(tmp_path / "corrupt.md.h5")
         shutil.copy(chunked[1], victim)
         with File(victim, "r") as f:
-            ds = f.require_dataset(EVENT_TABLE_PATH)
+            ds = f.require_dataset(qx)
             offset, stored, _crc, _rows = ds._chunk_index[2]
             n_chunks = ds.n_chunks
         with open(victim, "r+b") as fh:
@@ -575,13 +578,15 @@ class TestChunkFaults:
             fh.write(bytes([fh.read(1)[0] ^ 0xFF]))
 
         with File(victim, "r") as f:
-            ds = f.require_dataset(EVENT_TABLE_PATH)
             with pytest.raises(CorruptFileError):
-                ds.read_chunk(2)
-            # every sibling chunk still decodes and CRC-verifies
-            for ci in range(n_chunks):
-                if ci != 2:
-                    ds.read_chunk(ci)
+                f.require_dataset(qx).read_chunk(2)
+            # every sibling stream still decodes and CRC-verifies: the
+            # other chunks of the column and every other column's chunk
+            for name in COLUMN_NAMES:
+                ds = f.require_dataset(f"{EVENT_COLUMNS_PATH}/{name}")
+                for ci in range(n_chunks):
+                    if (name, ci) != ("qx", 2):
+                        ds.read_chunk(ci)
 
     def test_persistent_chunk_corruption_quarantines_run(
         self, exp, chunked, tmp_path
@@ -589,14 +594,15 @@ class TestChunkFaults:
         import shutil
 
         from repro.nexus.h5lite import File
-        from repro.nexus.tiles import EVENT_TABLE_PATH
+        from repro.nexus.tiles import EVENT_COLUMNS_PATH
 
         paths = list(chunked)
         victim = str(tmp_path / "run_1_corrupt.md.h5")
         shutil.copy(chunked[1], victim)
         with File(victim, "r") as f:
+            # a column BinMD reads, so the reduction decodes it
             offset, stored, _crc, _rows = (
-                f.require_dataset(EVENT_TABLE_PATH)._chunk_index[0])
+                f.require_dataset(f"{EVENT_COLUMNS_PATH}/qx")._chunk_index[0])
         with open(victim, "r+b") as fh:
             fh.seek(offset + stored // 2)
             fh.write(bytes([fh.read(1)[0] ^ 0xFF]))

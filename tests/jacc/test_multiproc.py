@@ -182,17 +182,6 @@ class TestRecordingReplay:
             assert np.array_equal(replayed.signal, serial.signal), cut
             assert np.array_equal(replayed.error_sq, serial.error_sq), cut
 
-    def test_harvest_reset_segments_the_log(self):
-        rec = RecordingHist3(GRID, False)
-        rec.push(0.0, 0.0, 0.0, 1.0)
-        idx1, w1, e1 = rec.harvest_reset()
-        assert len(idx1) == 1 and e1 is None
-        idx2, _, _ = rec.harvest_reset()
-        assert len(idx2) == 0  # cleared at the boundary
-        rec.push(0.5, 0.5, 0.5, 2.0)
-        idx3, w3, _ = rec.harvest()
-        assert len(idx3) == 1 and w3[0] == 2.0
-
     def test_mixed_deposits_keep_call_order(self):
         """Scalar pushes and array deposits interleave in one log, in
         call order: the replay equals the same calls on a Hist3."""

@@ -33,9 +33,10 @@ from repro.core.md_event_workspace import (
     save_md,
 )
 from repro.core.sharding import ShardConfig, sharded_binmd
-from repro.nexus.events import EventTable
+from repro.nexus.events import BINMD_COLUMNS, COLUMN_NAMES, EventTable
 from repro.nexus.h5lite import CHUNK_CODECS, File
 from repro.nexus.tiles import (
+    EVENT_COLUMNS_PATH,
     EVENT_TABLE_PATH,
     LazyEventTable,
     TileError,
@@ -85,6 +86,15 @@ def _workspace(table: np.ndarray) -> MDEventWorkspace:
         momentum_band=(0.5, 5.0),
         ub_matrix=np.eye(3),
     )
+
+
+def _binmd_window_equals(lazy, table, a, b) -> bool:
+    """``lazy.binmd_window(a, b)`` is BinMD's five columns of
+    ``table[a:b]``, each unit-stride."""
+    got = lazy.binmd_window(a, b)
+    return len(got) == len(BINMD_COLUMNS) and all(
+        col.flags.c_contiguous and np.array_equal(col, table[a:b, c])
+        for col, c in zip(got, BINMD_COLUMNS))
 
 
 GRID = HKLGrid(basis=np.eye(3), minimum=(-5, -5, -5), maximum=(5, 5, 5),
@@ -196,7 +206,7 @@ class TestTileManager:
         lazy = LazyEventTable(path, memory_budget=4 * 128 * ROW_BYTES)
         for a, b in ((0, 1000), (0, 128), (100, 300), (999, 1000),
                      (128, 256), (500, 500)):
-            assert np.array_equal(lazy.window(a, b), table[a:b])
+            assert _binmd_window_equals(lazy, table, a, b)
         lazy.close()
 
     def test_concurrent_windows_through_one_tile_cache(self, tmp_path):
@@ -215,7 +225,7 @@ class TestTileManager:
             for _ in range(150):
                 a = int(rng.integers(0, 1000))
                 b = min(1000, a + int(rng.integers(1, 200)))
-                if not np.array_equal(lazy.window(a, b), table[a:b]):
+                if not _binmd_window_equals(lazy, table, a, b):
                     bad.append((a, b))
             done.append(seed)
 
@@ -237,8 +247,8 @@ class TestTileManager:
     def test_lru_eviction_and_hits(self, tmp_path):
         path, _ = self._chunked(tmp_path, n=1024, chunk=128)
         f = File(path, "r")
-        ds = f.require_dataset(EVENT_TABLE_PATH)
-        tiles = TileManager(ds, budget_bytes=2 * 128 * ROW_BYTES)
+        ds = f.require_dataset(f"{EVENT_COLUMNS_PATH}/signal")
+        tiles = TileManager([ds], budget_bytes=2 * 128 * 8)  # two streams
         tiles.chunk(0)
         tiles.chunk(1)
         tiles.chunk(0)  # hit
@@ -247,15 +257,16 @@ class TestTileManager:
         assert tiles.stats.evictions == 1
         tiles.chunk(0)  # still resident
         assert tiles.stats.hits == 2
-        assert tiles.stats.resident_bytes <= 2 * 128 * ROW_BYTES
+        assert tiles.stats.resident_bytes <= 2 * 128 * 8
         f.close()
 
     def test_decoded_chunks_are_read_only(self, tmp_path):
         path, _ = self._chunked(tmp_path)
         lazy = LazyEventTable(path, memory_budget=None)
-        first = lazy.window(0, 64)
-        with pytest.raises((ValueError, RuntimeError)):
-            first[0, 0] = 1.0
+        first = lazy.binmd_window(0, 64)  # one chunk: views of the cache
+        for col in first:
+            with pytest.raises((ValueError, RuntimeError)):
+                col[0] = 1.0
         lazy.close()
 
     def test_materialize_round_trips(self, tmp_path):
@@ -271,24 +282,41 @@ class TestTileManager:
         path = str(tmp_path / "legacy.md.h5")
         save_md(path, _workspace(_random_table(1, 500)))  # legacy layout
         with pytest.raises((TileError, KeyError)):
-            LazyEventTable(path).window(0, 10)
+            LazyEventTable(path).binmd_window(0, 10)
 
     def test_pickle_round_trip(self, tmp_path):
         import pickle
 
         path, table = self._chunked(tmp_path)
         lazy = LazyEventTable(path, memory_budget=8192)
-        lazy.window(0, 10)  # open the file so state is live
+        lazy.binmd_window(0, 10)  # open the file so state is live
         clone = pickle.loads(pickle.dumps(lazy))
         assert clone.memory_budget == 8192
-        assert np.array_equal(clone.window(100, 200), table[100:200])
+        assert _binmd_window_equals(clone, table, 100, 200)
         clone.close()
         lazy.close()
 
     def test_open_event_table_helper(self, tmp_path):
         path, table = self._chunked(tmp_path)
         lazy = open_event_table(path, memory_budget=65536)
-        assert np.array_equal(lazy.window(0, 50), table[:50])
+        assert _binmd_window_equals(lazy, table, 0, 50)
+        lazy.close()
+
+    def test_chunk_weights_count_only_the_streams_binmd_reads(self, tmp_path):
+        """The planner's per-chunk I/O weights are the stored bytes of
+        the five BinMD streams; the other three are never read."""
+        path, _ = self._chunked(tmp_path)
+        lazy = LazyEventTable(path)
+        with File(path, "r") as f:
+            per_column = {
+                name: f.require_dataset(
+                    f"{EVENT_COLUMNS_PATH}/{name}").chunk_stored_nbytes()
+                for name in COLUMN_NAMES}
+        read = [COLUMN_NAMES[c] for c in BINMD_COLUMNS]
+        assert lazy.chunk_stored_nbytes() == [
+            sum(sizes) for sizes in zip(*(per_column[n] for n in read))]
+        assert sum(lazy.chunk_stored_nbytes()) < sum(
+            sum(sizes) for sizes in per_column.values())
         lazy.close()
 
 
@@ -347,9 +375,12 @@ class TestFullPipelineOutOfCore:
         if procs is not None:
             forbid_pool(procs)
         budget = 2 * 37 * ROW_BYTES
+        tables = []
 
         def lazy_loader(i):
-            return load_md(exp["paths"][i], memory_budget=budget)
+            ws = load_md(exp["paths"][i], memory_budget=budget)
+            tables.append(ws.events)
+            return ws
 
         kw = {}
         if shards is not None:
@@ -361,6 +392,15 @@ class TestFullPipelineOutOfCore:
         assert np.array_equal(res.binmd.signal, ref.binmd.signal)
         assert np.array_equal(res.binmd.error_sq, ref.binmd.error_sq)
         assert np.array_equal(res.mdnorm.signal, ref.mdnorm.signal)
+        # every run is read in windows through its budgeted tile cache,
+        # never materialized, and only BinMD's five columns decode
+        assert len(tables) == 3
+        for table in tables:
+            assert isinstance(table, LazyEventTable)
+            stats = table.tile_stats
+            assert 0 < stats.decoded_bytes <= table.n_events * 5 * 8, stats
+            assert 0 < stats.peak_resident_bytes <= budget, stats
+            table.close()
 
     def test_eager_chunked_load_identical(self, exp):
         """Without a budget, chunked files materialize to the same table."""
@@ -416,8 +456,63 @@ class TestContainerBackCompat:
         ws2 = load_md(out)
         assert np.array_equal(ws2.events.data, _golden_table())
         lazy = LazyEventTable(out, memory_budget=64 * ROW_BYTES)
-        assert np.array_equal(lazy.window(0, 400), _golden_table())
+        assert np.array_equal(lazy.materialize().data, _golden_table())
+        assert _binmd_window_equals(lazy, _golden_table(), 0, 400)
         lazy.close()
+
+    def test_golden_v2_row_major_loads_eagerly_and_lazily(self):
+        """The row-major chunked layout this repo wrote before the
+        column streams still loads, bit for bit, both ways."""
+        path = os.path.join(GOLDEN_DIR, "events_v2_chunked.h5")
+        table = _golden_table()
+        assert np.array_equal(load_md(path).events.data, table)
+        ws = load_md(path, memory_budget=128 * ROW_BYTES)
+        lazy = ws.events
+        try:
+            assert isinstance(lazy, LazyEventTable) and not lazy.columnar
+            assert lazy.row_nbytes == ROW_BYTES  # whole rows decode
+            assert np.array_equal(lazy.materialize().data, table)
+            for a, b in ((0, 400), (100, 300), (127, 129)):
+                assert _binmd_window_equals(lazy, table, a, b)
+        finally:
+            lazy.close()
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_row_major_and_column_layouts_reduce_identically(
+            self, tmp_path, codec):
+        """One table in both chunked layouts: the same histograms, and
+        the column layout decodes 5/8 of the bytes."""
+        table = _random_table(7, 900)
+        old = str(tmp_path / "row_major.md.h5")
+        with File(old, "w") as f:
+            grp = f.create_group("MDEventWorkspace")
+            grp.create_dataset("event_table", data=table, chunk_rows=100,
+                               codec=codec)
+            grp.create_dataset("run_number", data=np.array(7, dtype=np.int64))
+            grp.create_dataset("goniometer", data=np.eye(3))
+            grp.create_dataset("proton_charge", data=np.array(1.0))
+            grp.create_dataset("momentum_band", data=np.array([0.5, 5.0]))
+        new = str(tmp_path / "columns.md.h5")
+        save_md(new, _workspace(table), chunk_events=100, codec=codec)
+        with File(new, "r") as f:
+            assert "event_table" not in f["MDEventWorkspace"]
+            assert f[EVENT_COLUMNS_PATH].keys() == set(COLUMN_NAMES)
+
+        ref = Hist3(GRID, track_errors=True)
+        bin_events(ref, EventTable(table), TRANSFORMS, backend="vectorized")
+        decoded = {}
+        for label, path in (("rows", old), ("columns", new)):
+            assert np.array_equal(load_md(path).events.data, table)
+            lazy = load_md(path, memory_budget=4 * 100 * ROW_BYTES).events
+            got = Hist3(GRID, track_errors=True)
+            sharded_binmd(got, lazy, TRANSFORMS,
+                          shards=ShardConfig(n_shards=2))
+            assert np.array_equal(got.signal, ref.signal), label
+            assert np.array_equal(got.error_sq, ref.error_sq), label
+            decoded[label] = lazy.tile_stats.decoded_bytes
+            lazy.close()
+        assert decoded["rows"] == table.nbytes
+        assert decoded["columns"] * 8 == table.nbytes * 5
 
     def test_v1_writer_is_still_available(self, tmp_path):
         """New code can still emit v1 containers, byte-deterministically."""

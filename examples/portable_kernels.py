@@ -46,10 +46,10 @@ def radial_average_kernel() -> Kernel:
     """Histogram every (H, K) bin's intensity by its radius |c|.
 
     Accumulating through :class:`~repro.core.hist3.Hist3` (not raw
-    arrays) is what makes the kernel portable: every back end deposits
-    histogram pushes correctly, the process-pool one included.  The
-    bodies are module-level functions because the multiprocess back end
-    ships element bodies to its workers by reference.
+    arrays) is what makes the kernel portable: the element body pushes
+    one point at a time (``serial``, ``threads``) and the batch body
+    scatter-adds every lane at once (``vectorized``), into the same
+    histogram.
     """
     return Kernel(name="radial_average", element=radial_element,
                   batch=radial_batch)

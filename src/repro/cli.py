@@ -34,6 +34,7 @@ from repro.bench.harness import (
     run_minivates,
 )
 from repro.bench.workloads import benzil_corelli, bixbyite_topaz, build_workload
+from repro.jacc import available_backends
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -349,9 +350,8 @@ def _trace_parser() -> argparse.ArgumentParser:
                    help="event/detector scale vs the paper (default REPRO_SCALE or 0.002)")
     p.add_argument("--files", type=int, default=None,
                    help="number of run files to synthesize/measure")
-    p.add_argument("--backend", default=None,
-                   help="jacc back end for --impl core "
-                        "(serial|threads|vectorized|multiprocess)")
+    p.add_argument("--backend", default=None, choices=available_backends(),
+                   help="jacc back end for --impl core")
     p.add_argument("--ranks", type=int, default=1,
                    help="simulated MPI world size (core/cpp/minivates)")
     _add_shard_flags(p)
@@ -770,8 +770,8 @@ def _perf_add_bench_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--repeats", type=int, default=5,
                    help="timing repeats per stage (default 5)")
     p.add_argument("--backend", default="vectorized",
-                   help="jacc back end for the timed panel "
-                        "(serial|threads|vectorized|multiprocess)")
+                   choices=available_backends(),
+                   help="jacc back end for the timed panel")
     _add_shard_flags(p)
     _add_oocore_flags(p)
     p.add_argument("--name", default=None,
@@ -801,7 +801,7 @@ def _perf_parser() -> argparse.ArgumentParser:
     _perf_add_workload_flags(rep)
     rep.add_argument("--impl", choices=("core", "cpp", "minivates", "all"),
                      default="all", help="implementation(s) to profile")
-    rep.add_argument("--backend", default=None,
+    rep.add_argument("--backend", default=None, choices=available_backends(),
                      help="jacc back end for --impl core")
     _add_shard_flags(rep)
     _add_oocore_flags(rep)
@@ -813,6 +813,7 @@ def _perf_parser() -> argparse.ArgumentParser:
     roof.add_argument("--impl", choices=("core", "cpp", "minivates", "all"),
                       default="all", help="implementation(s) to profile")
     roof.add_argument("--backend", default=None,
+                      choices=available_backends(),
                       help="jacc back end for --impl core")
     roof.add_argument("--out", metavar="CSV", default="roofline.csv",
                       help="output CSV path (per-source suffix with "
@@ -1139,7 +1140,8 @@ def _submit_parser() -> argparse.ArgumentParser:
                    help="event/detector scale vs the paper")
     p.add_argument("--files", type=int, default=None,
                    help="number of run files")
-    p.add_argument("--backend", default=None, help="jacc back end")
+    p.add_argument("--backend", default=None, choices=available_backends(),
+                   help="jacc back end")
     p.add_argument("--shards", type=int, default=None,
                    help="intra-run shard count")
     p.add_argument("--executor", choices=("static", "stealing"),

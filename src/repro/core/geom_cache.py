@@ -165,11 +165,6 @@ class DepositPlan:
     scatter-adds.
     """
 
-    #: cache material is process-local: the multiprocess back end drops
-    #: it from worker captures instead of shipping it (element bodies
-    #: never read it — only batch kernels, which never cross processes)
-    __jacc_shareable__ = False
-
     #: the padded intersection-buffer width this plan was built for
     width: int
     #: ``(n_ops * n_det,)`` stream-compaction mask (k window non-empty
@@ -198,8 +193,6 @@ class DepositPlan:
 @dataclass
 class GeomEntry:
     """Cached trajectory geometry for one MDNorm configuration."""
-
-    __jacc_shareable__ = False  # see DepositPlan
 
     key: Tuple[Any, ...]
     tag: Optional[str]
@@ -233,8 +226,6 @@ class BinMDEntry:
     fit, int64 otherwise.  Weights are not stored; a warm launch
     gathers them from the event table it is given.
     """
-
-    __jacc_shareable__ = False  # see DepositPlan
 
     key: Tuple[Any, ...]
     tag: Optional[str]
@@ -284,10 +275,6 @@ class GeomCache:
     """
 
     enabled = True
-    #: process-local (holds an RLock and a byte-budgeted LRU); the
-    #: multiprocess back end drops it from worker captures — kernel
-    #: element bodies never consult the cache
-    __jacc_shareable__ = False
 
     def __init__(self, byte_budget: int = DEFAULT_BYTE_BUDGET) -> None:
         require(byte_budget > 0, "byte_budget must be positive")

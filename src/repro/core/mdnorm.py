@@ -70,13 +70,6 @@ class _Scratch:
         self.width = int(width)
         self._local = threading.local()
 
-    def __reduce__(self):
-        # ``threading.local`` cannot cross a process boundary; a fresh
-        # scratch of the same width is the correct rebuild — the buffers
-        # are uninitialized working memory, not state (this is how the
-        # multiprocess back end ships mdnorm captures to its workers).
-        return (_Scratch, (self.width,))
-
     def get(self) -> np.ndarray:
         buf = getattr(self._local, "buf", None)
         if buf is None or buf.size < self.width:

@@ -12,8 +12,8 @@ over runs.
 One kernel body, one launch per range (DESIGN.md §6f).  A range runs
 the kernel's **batch** body — the same ``_mdnorm_batch`` /
 ``_bin_events_batch`` the ``vectorized`` back end launches in memory —
-once, against a :class:`~repro.jacc.multiproc.RecordingHist3` that
-records each deposit array instead of adding it.  Float addition is
+once, against a :class:`RecordingHist3` that records each deposit
+array instead of adding it.  Float addition is
 non-associative, so per-range partial histograms would drift in the
 last ulp and depend on the shard count; ranges return deposit logs
 instead, and :func:`replay_shard_logs` applies them with ``np.add.at``
@@ -63,7 +63,6 @@ from repro.core.geom_cache import GeomCache
 from repro.core.hist3 import Hist3
 from repro.core.mdnorm import _mdnorm_batch, _mdnorm_captures
 from repro.jacc.kernels import Captures
-from repro.jacc.multiproc import RecordingHist3, replay_deposits
 from repro.jacc.workers import parse_worker_count
 from repro.mpi.decomposition import (
     lazy_table_ranges,
@@ -80,6 +79,63 @@ from repro.util.validation import require
 
 #: one deposit log: (flat_idx, weights, err_sq|None)
 Log = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
+
+
+class RecordingHist3:
+    """Order-preserving deposit recorder standing in for ``Hist3``.
+
+    A shard range's batch body deposits through ``push_flat`` as it
+    would into a ``Hist3``; the recorder keeps each
+    ``(flat_bin, weight, err_sq)`` array in call order instead of
+    adding it.  :func:`replay_deposits` later applies the log with
+    ``np.add.at``, which is unbuffered and element-order-sequential:
+    the per-bin accumulation order, and therefore every floating-point
+    rounding step, matches an in-place execution of the same range.
+    """
+
+    def __init__(self, grid: Any, track_errors: bool) -> None:
+        self.grid = grid
+        self.track_errors = bool(track_errors)
+        self._parts: List[Log] = []
+
+    def push_flat(self, flat: np.ndarray, weights: np.ndarray,
+                  err_sq: Optional[np.ndarray] = None, *,
+                  scatter_impl: str = "atomic") -> None:
+        # copies: the log outlives the caller's buffers
+        flat = np.array(flat, dtype=np.int64).ravel()
+        if flat.size == 0:
+            return
+        if not self.track_errors:
+            err = None
+        elif err_sq is None:
+            err = np.zeros(flat.size)
+        else:
+            err = np.array(err_sq, dtype=np.float64).ravel()
+        self._parts.append(
+            (flat, np.array(weights, dtype=np.float64).ravel(), err))
+
+    def harvest(self) -> Log:
+        """The deposit log as dense arrays (idx, weights, err_sq|None)."""
+        if len(self._parts) == 1:
+            return self._parts[0]
+        if not self._parts:
+            return (np.empty(0, dtype=np.int64), np.empty(0),
+                    np.empty(0) if self.track_errors else None)
+        idx, w, e = zip(*self._parts)
+        return (np.concatenate(idx), np.concatenate(w),
+                np.concatenate(e) if self.track_errors else None)
+
+
+def replay_deposits(hist: Any, logs: Sequence[Log]) -> None:
+    """Apply deposit logs in the given order (``np.add.at`` semantics)."""
+    flat_signal = hist.flat_signal
+    flat_err = getattr(hist, "flat_error_sq", None)
+    for idx, w, e in logs:
+        if idx.size == 0:
+            continue
+        np.add.at(flat_signal, idx, w)
+        if flat_err is not None and e is not None:
+            np.add.at(flat_err, idx, e)
 
 
 @dataclass(frozen=True)

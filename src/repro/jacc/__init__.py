@@ -5,20 +5,15 @@ JACC.jl gives Julia applications one ``parallel_for`` /
 AMDGPU back ends.  This subpackage reproduces that model with the
 execution engines available here:
 
-============ =========================================================
-back end      execution model
-============ =========================================================
-serial        interpreted per-element loop — the scalar-CPU reference
-threads       chunked per-element loops on a thread pool — the paper's
-              OpenMP ``collapse(2)`` analogue (coarse-grained CPU)
-multiprocess  fixed-grid chunks of the flattened index space on a
-              persistent process pool with shared-memory captures,
-              ordered deposit replay and a deterministic pairwise tree
-              reduction — CPU scale-out past the GIL (see
-              :mod:`repro.jacc.multiproc`)
-vectorized    whole-index-space NumPy array kernels — the data-parallel
-              "device" stand-in for the CUDA/AMDGPU back ends
-============ =========================================================
+========== ==========================================================
+back end    execution model
+========== ==========================================================
+serial      interpreted per-element loop — the scalar-CPU reference
+threads     chunked per-element loops on a thread pool — the paper's
+            OpenMP ``collapse(2)`` / JACC Threads analogue
+vectorized  whole-index-space NumPy array kernels — the data-parallel
+            "device" stand-in for the CUDA/AMDGPU back ends
+========== ==========================================================
 
 A :class:`~repro.jacc.kernels.Kernel` carries *both* a scalar
 ``element`` function and a data-parallel ``batch`` function over the

@@ -16,7 +16,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 # Importing the engine modules registers them.
-from repro.jacc import multiproc as _multiproc  # noqa: F401
 from repro.jacc import serial as _serial  # noqa: F401
 from repro.jacc import threads as _threads  # noqa: F401
 from repro.jacc import vectorized as _vectorized  # noqa: F401
@@ -32,8 +31,7 @@ def available_backends() -> List[str]:
 
 
 def get_backend(name: str) -> Backend:
-    """Look up a back end by name ("serial", "threads", "vectorized",
-    "multiprocess")."""
+    """Look up a back end by name ("serial", "threads", "vectorized")."""
     return lookup_backend(name)
 
 

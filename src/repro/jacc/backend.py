@@ -9,6 +9,7 @@ singleton instances; ``REPRO_JACC_BACKEND`` selects the process default
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, Tuple
 
@@ -39,6 +40,8 @@ class Backend(ABC):
     name: str = "abstract"
     #: "cpu" or "device" — what Fig. 2's architecture calls the target
     device_kind: str = "cpu"
+    #: the kernel body form the engine runs: "element" or "batch"
+    body: str = "element"
 
     # -- memory model ----------------------------------------------------
     def to_device(self, host: np.ndarray) -> np.ndarray:
@@ -61,6 +64,25 @@ class Backend(ABC):
     # the paper's per-stage WCT tables are built from) and dispatches to
     # the engine-specific ``run_*`` implementations.
 
+    def _span_attrs(self, tracer: "_trace.Tracer",
+                    dims: int | Tuple[int, ...]) -> Dict[str, Any]:
+        """What a kernel span records: the engine, the body form it
+        ran and how many index-space elements the launch covered."""
+        shape = [int(d) for d in normalize_dims(dims)]
+        attrs: Dict[str, Any] = dict(
+            kind="kernel",
+            backend=self.name,
+            device_kind=self.device_kind,
+            body=self.body,
+            dims=shape,
+            elements=math.prod(shape),
+        )
+        if tracer.profile:
+            from repro.util.perf import kernel_items
+
+            attrs["perf"] = kernel_items(shape)
+        return attrs
+
     def parallel_for(
         self, dims: int | Tuple[int, ...], kernel: Kernel, captures: Captures
     ) -> None:
@@ -69,16 +91,7 @@ class Backend(ABC):
         if not tracer.enabled:
             self.run_parallel_for(dims, kernel, captures)
             return
-        attrs: Dict[str, Any] = dict(
-            kind="kernel",
-            backend=self.name,
-            device_kind=self.device_kind,
-            dims=[int(d) for d in normalize_dims(dims)],
-        )
-        if tracer.profile:
-            from repro.util.perf import kernel_items
-
-            attrs["perf"] = kernel_items(attrs["dims"])
+        attrs = self._span_attrs(tracer, dims)
         with tracer.span(f"kernel:{kernel.name}", **attrs):
             self.run_parallel_for(dims, kernel, captures)
         tracer.count("jacc.launches", 1)
@@ -94,18 +107,8 @@ class Backend(ABC):
         tracer = _trace.active_tracer()
         if not tracer.enabled:
             return self.run_parallel_reduce(dims, kernel, captures, op)
-        attrs: Dict[str, Any] = dict(
-            kind="kernel",
-            backend=self.name,
-            device_kind=self.device_kind,
-            dims=[int(d) for d in normalize_dims(dims)],
-            op=op,
-        )
-        if tracer.profile:
-            from repro.util.perf import kernel_items
-
-            attrs["perf"] = kernel_items(attrs["dims"])
-        with tracer.span(f"kernel:{kernel.name}", **attrs):
+        attrs = self._span_attrs(tracer, dims)
+        with tracer.span(f"kernel:{kernel.name}", op=op, **attrs):
             result = self.run_parallel_reduce(dims, kernel, captures, op)
         tracer.count("jacc.launches", 1)
         return result

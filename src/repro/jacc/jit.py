@@ -62,23 +62,6 @@ _LOOP_TEMPLATES = {
     ),
 }
 
-# Flat-ranged nests iterate a [start, stop) window of the *flattened*
-# row-major index space — the form the multiprocess back end ships to
-# workers so a chunk boundary can fall anywhere, not only on an outer
-# row.  For 1-D spaces flat and ranged coincide; the 2-D form recovers
-# (i0, i1) by division exactly as CUDA recovers thread coordinates from
-# a linear thread id.
-_FLAT_LOOP_TEMPLATES = {
-    1: _LOOP_TEMPLATES[(1, True)],
-    2: (
-        "def _loop(element, ctx, dims, start, stop):\n"
-        "    n1 = dims[1]\n"
-        "    for t in range(start, stop):\n"
-        "        i0 = t // n1\n"
-        "        element(ctx, i0, t - i0 * n1)\n"
-    ),
-}
-
 _REDUCE_TEMPLATES = {
     (1, False): (
         "def _loop(element, ctx, dims, combine, acc):\n"
@@ -107,18 +90,6 @@ _REDUCE_TEMPLATES = {
         "    for i0 in range(start, stop):\n"
         "        for i1 in range(n1):\n"
         "            acc = combine(acc, element(ctx, i0, i1))\n"
-        "    return acc\n"
-    ),
-}
-
-_FLAT_REDUCE_TEMPLATES = {
-    1: _REDUCE_TEMPLATES[(1, True)],
-    2: (
-        "def _loop(element, ctx, dims, combine, acc, start, stop):\n"
-        "    n1 = dims[1]\n"
-        "    for t in range(start, stop):\n"
-        "        i0 = t // n1\n"
-        "        acc = combine(acc, element(ctx, i0, t - i0 * n1))\n"
         "    return acc\n"
     ),
 }
@@ -165,24 +136,6 @@ class JITCache:
         variant = f"red{ndim}d{'r' if ranged else ''}"
         key = (kernel_name, backend, variant)
         src = _REDUCE_TEMPLATES[(ndim, ranged)]
-        return self._specialize(key, src, f"<jacc:{kernel_name}:{variant}>")
-
-    def loop_for_flat(self, kernel_name: str, backend: str, ndim: int) -> Callable:
-        """Flat-ranged parallel_for nest over the linearized index space.
-
-        Signature ``_loop(element, ctx, dims, start, stop)`` where
-        ``[start, stop)`` indexes the row-major flattening of ``dims``.
-        """
-        variant = f"for{ndim}df"
-        key = (kernel_name, backend, variant)
-        src = _FLAT_LOOP_TEMPLATES[ndim]
-        return self._specialize(key, src, f"<jacc:{kernel_name}:{variant}>")
-
-    def loop_reduce_flat(self, kernel_name: str, backend: str, ndim: int) -> Callable:
-        """Flat-ranged parallel_reduce nest over the linearized space."""
-        variant = f"red{ndim}df"
-        key = (kernel_name, backend, variant)
-        src = _FLAT_REDUCE_TEMPLATES[ndim]
         return self._specialize(key, src, f"<jacc:{kernel_name}:{variant}>")
 
     def trampoline(self, kernel_name: str, backend: str, body: Callable) -> Callable:

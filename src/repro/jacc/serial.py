@@ -18,6 +18,7 @@ from repro.jacc.kernels import Captures, Kernel, normalize_dims
 class SerialBackend(Backend):
     name = "serial"
     device_kind = "cpu"
+    body = "element"
 
     def run_parallel_for(
         self, dims: int | Tuple[int, ...], kernel: Kernel, captures: Captures

@@ -28,11 +28,9 @@ from repro.jacc.workers import THREADS_ENV, resolve_workers
 def _default_workers() -> int:
     """Worker count from ``REPRO_NUM_THREADS`` (validated) or CPU count.
 
-    Historically this went through a bare ``int()`` — garbage crashed
-    with an opaque ``ValueError`` and ``0``/negatives were silently
-    clamped to 1.  Both now raise a clear
-    :class:`~repro.jacc.backend.BackendError` via the parser shared
-    with the multiprocess back end (see :mod:`repro.jacc.workers`).
+    Garbage, ``0`` and negatives raise a clear
+    :class:`~repro.jacc.backend.BackendError` that names the variable
+    (see :func:`repro.jacc.workers.parse_worker_count`).
     """
     return resolve_workers(THREADS_ENV)
 
@@ -40,6 +38,7 @@ def _default_workers() -> int:
 class ThreadsBackend(Backend):
     name = "threads"
     device_kind = "cpu"
+    body = "element"
 
     def __init__(self, n_workers: Optional[int] = None) -> None:
         self._n_workers = n_workers

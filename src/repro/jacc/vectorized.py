@@ -32,6 +32,7 @@ from repro.util import trace as _trace
 class VectorizedBackend(Backend):
     name = "vectorized"
     device_kind = "device"
+    body = "batch"
 
     def __init__(self) -> None:
         self.bytes_h2d = 0

@@ -1,34 +1,20 @@
-"""Worker-count resolution and the shared persistent process pool.
+"""Worker-count resolution, and the process pool the benchmark pre-forks.
 
-Two concerns that the ``threads`` and ``multiprocess`` back ends must
-agree on live here:
+* **Worker-count parsing.**  :func:`parse_worker_count` validates
+  ``REPRO_NUM_THREADS`` (the ``threads`` back end) and ``n_shards``
+  (:class:`~repro.core.sharding.ShardConfig`) with an error that names
+  the offending source.  Garbage fails loudly instead of as an opaque
+  ``ValueError`` inside a kernel launch, and ``0`` or negatives are
+  rejected rather than clamped to 1: on batch systems the variable is
+  often computed, and ``$((SLURM_CPUS/2))`` going to zero is a *bug*,
+  not a request for one worker.
 
-* **Worker-count parsing.**  ``REPRO_NUM_THREADS`` /
-  ``REPRO_NUM_PROCS`` historically went through a bare ``int()`` —
-  ``REPRO_NUM_THREADS=banana`` crashed with an opaque ``ValueError``
-  deep inside a kernel launch, while ``0`` and negative values were
-  silently clamped to 1, hiding configuration mistakes on batch
-  systems where the variable is computed (``$((SLURM_CPUS/2))`` going
-  to zero is a *bug*, not a request for one worker).
-  :func:`parse_worker_count` validates once, with an error message that
-  names the offending source, and every back end shares it.
-
-* **The persistent process pool.**  Python process startup is far too
-  expensive to pay per kernel launch, so the multiprocess engine keeps
-  one ``ProcessPoolExecutor`` alive across launches (the analogue of a
-  GPU runtime keeping its context alive).  The pool is created lazily
-  under a lock (simulated MPI ranks are threads and may race to the
-  first launch), recreated when a different worker count is requested,
-  and disposed when broken so the next launch gets a fresh pool
-  instead of a poisoned one.
-
-The pool uses the ``fork`` start method where available: worker
-processes inherit the parent's module state (registered kernels,
-compiled JIT loops) without re-importing, which both matches how the
-paper's OpenMP/Threads engines see the address space and keeps
-per-launch overhead low.  On platforms without ``fork`` the default
-context is used and kernel bodies must be picklable module-level
-functions (the conformance suite runs in both regimes).
+* **The process pool.**  No back end and no reduction path submits
+  work to :data:`GLOBAL_POOL`; every kernel runs in the calling process.
+  It is kept only because the benchmark's out-of-core workload
+  pre-forks it and checks its teardown.  :class:`WorkerPool` creates
+  the pool lazily under a lock, forks its workers at creation, and
+  shuts it down on :meth:`WorkerPool.dispose`.
 """
 
 from __future__ import annotations
@@ -42,9 +28,8 @@ from typing import Optional
 
 from repro.jacc.backend import BackendError
 
-#: environment variables the CPU engines honour
+#: the environment variable the ``threads`` back end honours
 THREADS_ENV = "REPRO_NUM_THREADS"
-PROCS_ENV = "REPRO_NUM_PROCS"
 
 
 def parse_worker_count(value: object, *, source: str) -> int:
@@ -133,9 +118,9 @@ class WorkerPool:
                 return self._pool
             if self._pool is not None:
                 self._pool.shutdown(wait=True, cancel_futures=True)
-            # Workers attach the parent's shared-memory captures; started
-            # before the fork, the parent's resource tracker is the one
-            # they all report to, instead of one orphaned tracker each.
+            # Started before the fork, the parent's resource tracker is
+            # the one every worker reports to, instead of one orphaned
+            # tracker each.
             resource_tracker.ensure_running()
             self._pool = ProcessPoolExecutor(
                 max_workers=n_workers, mp_context=_mp_context()
@@ -162,6 +147,5 @@ class WorkerPool:
             self._size = 0
 
 
-#: the process-wide pool of the multiprocess back end (one warm pool,
-#: shared by every rank thread)
+#: the process-wide pool the benchmark pre-forks (nothing submits to it)
 GLOBAL_POOL = WorkerPool()

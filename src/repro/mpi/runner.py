@@ -14,7 +14,6 @@ def run_world(
     fn: Callable[..., Any],
     *args: Any,
     barrier_timeout: Optional[float] = None,
-    dispose_pool: bool = False,
     **kwargs: Any,
 ) -> List[Any]:
     """Run ``fn(comm, *args, **kwargs)`` on ``size`` concurrent ranks.
@@ -46,13 +45,6 @@ def run_world(
     calling thread, and every rank thread adopts its uid as the causal
     parent (schema v3 ``parent_uid`` — the process-local ``parent_id``
     of a rank span stays None, as spans never cross threads).
-
-    ``dispose_pool=True`` shuts down the node-local process pool
-    (:data:`repro.jacc.workers.GLOBAL_POOL`) after every rank has
-    joined.  Rank threads *share* that pool when they launch kernels on
-    the ``multiprocess`` back end — it deliberately persists across
-    worlds for warm reuse, but callers that want a hermetic teardown
-    (tests, one-shot CLIs) can opt into disposing it with the world.
     """
     if size < 1:
         raise MPIError(f"world size must be >= 1, got {size}")
@@ -83,10 +75,6 @@ def run_world(
             t.start()
         for t in threads:
             t.join()
-    if dispose_pool:
-        from repro.jacc.workers import GLOBAL_POOL
-
-        GLOBAL_POOL.dispose()
     root_cause = next(
         (e for e in errors
          if e is not None

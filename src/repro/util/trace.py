@@ -271,12 +271,10 @@ class Tracer:
         #: off *no* derived-metric arithmetic runs at all.
         self.profile = bool(profile) and self.enabled
         #: the campaign this trace belongs to — every participant of
-        #: one campaign (ranks, shard workers, service jobs) shares it
+        #: one campaign (ranks, service jobs) shares it
         self.campaign_id = campaign_id or new_campaign_id(label)
         #: uid namespace — distinguishes tracers that could otherwise
-        #: collide on a ``(rank, span_id)`` pair.  Defaults to the pid;
-        #: multiprocess shard workers append a per-task sequence
-        #: because one worker pid hosts many short-lived tracers.
+        #: collide on a ``(rank, span_id)`` pair.  Defaults to the pid.
         self.uid_ns = uid_ns if uid_ns is not None else str(os.getpid())
         self.epoch_unix = time.time()
         self._epoch = time.perf_counter()
@@ -398,60 +396,6 @@ class Tracer:
             rec["seq"] = self._seq
             self._seq += 1
             self._records.append(rec)
-
-    def adopt_records(self, records: Sequence[Dict[str, Any]], *,
-                      epoch_unix: Optional[float] = None) -> int:
-        """Fold records produced by another tracer into this one.
-
-        The multiprocess shard workers trace into their own short-lived
-        tracers and ship the records home with the task result; this
-        merges them.  Span and link records keep their globally unique
-        ``uid``/``parent_uid`` strings, but span ``span_id``/
-        ``parent_id`` ints are **remapped onto this tracer's counter**
-        (the in-file uniqueness rules must hold) and all records get
-        fresh ``seq`` numbers.  Timestamps are rebased from the
-        worker's unix epoch onto this tracer's clock, and ``dur`` is
-        recomputed after the shift so ``dur == t1 - t0`` survives the
-        float arithmetic.  Counter/gauge records fold into this
-        tracer's tables.  Returns the number of records adopted.
-        """
-        shift = 0.0
-        if epoch_unix is not None:
-            shift = float(epoch_unix) - self.epoch_unix
-        span_recs = [r for r in records if r.get("type") == "span"]
-        id_map: Dict[int, int] = {}
-        for rec in span_recs:
-            id_map[rec["span_id"]] = next(self._ids)
-        n = 0
-        for rec in records:
-            rtype = rec.get("type")
-            if rtype == "span":
-                new = dict(rec)
-                new["span_id"] = id_map[rec["span_id"]]
-                new["parent_id"] = id_map.get(rec.get("parent_id"))
-                t0 = float(rec["t0"]) + shift
-                t1 = float(rec["t1"]) + shift
-                new["t0"], new["t1"] = t0, t1
-                new["dur"] = t1 - t0
-            elif rtype == "link":
-                new = dict(rec)
-            elif rtype == "counter":
-                self.count(rec["name"], float(rec["value"]))
-                n += 1
-                continue
-            elif rtype == "gauge":
-                self.gauge(rec["name"], float(rec["value"]))
-                n += 1
-                continue
-            else:
-                # meta / metrics records are the worker's envelope
-                continue
-            with self._lock:
-                new["seq"] = self._seq
-                self._seq += 1
-                self._records.append(new)
-            n += 1
-        return n
 
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[Span]:
@@ -659,10 +603,6 @@ class NullTracer(Tracer):
     def link(self, src: Optional[str], dst: Optional[str], *,
              kind: str = "link", **attrs: Any) -> None:
         pass
-
-    def adopt_records(self, records: Sequence[Dict[str, Any]], *,
-                      epoch_unix: Optional[float] = None) -> int:
-        return 0
 
 
 #: the process-default tracer: disabled (tracing is strictly opt-in)

@@ -2,10 +2,9 @@
 
 Schema v3 (:mod:`repro.util.trace`) gives every span a globally unique
 ``uid`` and a ``parent_uid`` that crosses process/thread boundaries.
-One campaign therefore produces a *set* of JSON-lines files — one per
-rank stream, plus whatever the multiprocess shard workers shipped home
-— that this module stitches back into a single validated causal DAG
-and interrogates:
+One campaign can therefore produce a *set* of JSON-lines files — one
+per tracing process — that this module stitches back into a single
+validated causal DAG and interrogates:
 
 * :func:`merge_files` / :func:`merge_dir` — load + normalise onto one
   absolute campaign clock (each file's ``epoch_unix`` + relative span

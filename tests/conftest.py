@@ -126,20 +126,18 @@ def fine_gil_switching():
 
 @pytest.fixture
 def forbid_pool(monkeypatch):
-    """``forbid_pool(procs)`` sets ``REPRO_NUM_PROCS`` and makes the
-    node-local process pool raise on use.
+    """``forbid_pool()`` makes the node-local process pool raise on use.
 
-    Shard ranges run in the calling thread whatever the worker knobs
-    say; a path that still reached for the pool fails loudly instead of
-    quietly matching the in-process result.
+    Shard ranges run in the calling thread whatever the worker knob
+    says; a path that still reached for the pool fails loudly instead
+    of quietly matching the in-process result.
     """
-    from repro.jacc.workers import GLOBAL_POOL, PROCS_ENV
+    from repro.jacc.workers import GLOBAL_POOL
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("a shard range reached for the process pool")
 
-    def forbid(procs: int = 2) -> None:
-        monkeypatch.setenv(PROCS_ENV, str(procs))
+    def forbid() -> None:
         monkeypatch.setattr(GLOBAL_POOL, "executor", refuse)
 
     return forbid

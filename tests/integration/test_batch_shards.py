@@ -7,8 +7,8 @@ so they agree with it bit for bit by construction:
 * tripwire: with both element bodies (``_bin_events_element``,
   ``_mdnorm_element``) replaced by stubs that raise, a sharded
   reduction, an out-of-core reduction and a stealing reduction still
-  complete, and match the in-memory ``vectorized`` reduction; with
-  ``REPRO_NUM_PROCS=2`` the process pool is made to raise as well;
+  complete, and match the in-memory ``vectorized`` reduction, with the
+  process pool made to raise as well;
 * adversarial ranges: one-event shards (in memory and out of core),
   more shards than events or detectors, and an empty run.
 """
@@ -125,10 +125,8 @@ def no_element_bodies(monkeypatch):
 
 
 class TestNoShardPathRunsAnElementBody:
-    @pytest.mark.parametrize("procs", (1, 2))
-    def test_sharded(self, exp, reference, no_element_bodies, forbid_pool,
-                     procs):
-        forbid_pool(procs)
+    def test_sharded(self, exp, reference, no_element_bodies, forbid_pool):
+        forbid_pool()
         # --backend serial: only the geometry pre-pass honours it
         res = exp.compute(backend="serial", shards=ShardConfig(n_shards=3))
         assert_identical(res, reference)
@@ -136,7 +134,7 @@ class TestNoShardPathRunsAnElementBody:
     @pytest.mark.parametrize("shards", (None, ShardConfig(n_shards=2)))
     def test_out_of_core(self, exp, reference, no_element_bodies,
                          forbid_pool, shards):
-        forbid_pool(2)
+        forbid_pool()
         res = exp.compute(exp.lazy, backend="vectorized", shards=shards)
         assert_identical(res, reference)
 
@@ -203,19 +201,16 @@ class TestAdversarialRanges:
                       shards=ShardConfig(n_shards=n_shards))
         return got, ref
 
-    @pytest.mark.parametrize("procs", (1, 2))
-    def test_one_event_shards(self, exp, forbid_pool, procs):
-        forbid_pool(procs)
+    def test_one_event_shards(self, exp, forbid_pool):
+        forbid_pool()
         events = exp.wss[1].events.data
         got, ref = self._binmd_pair(exp, events, len(events))
         assert ref.signal.sum() > 0
         assert np.array_equal(got.signal, ref.signal)
         assert np.array_equal(got.error_sq, ref.error_sq)
 
-    @pytest.mark.parametrize("procs", (1, 2))
-    def test_one_event_shards_out_of_core(self, exp, tmp_path, forbid_pool,
-                                          procs):
-        forbid_pool(procs)
+    def test_one_event_shards_out_of_core(self, exp, tmp_path, forbid_pool):
+        forbid_pool()
         ws = dataclasses.replace(
             exp.wss[1], events=EventTable(exp.wss[1].events.data[:30].copy()))
         path = str(tmp_path / "tiny.md.h5")

@@ -37,7 +37,6 @@ from repro.crystal.ub import UBMatrix
 from repro.instruments.corelli import make_corelli
 from repro.instruments.synth import make_flux, make_vanadium, synthesize_run
 from repro.instruments.topaz import make_topaz
-from repro.jacc.workers import GLOBAL_POOL
 from repro.util.faults import FaultPlan, FaultSpec, RetryPolicy, use_fault_plan
 from repro.util.schedule import ScheduleController
 
@@ -89,9 +88,7 @@ class _Exp:
 
 @pytest.fixture(scope="module", params=("benzil", "bixbyite"))
 def exp(request):
-    e = _Exp(request.param)
-    yield e
-    GLOBAL_POOL.dispose()
+    return _Exp(request.param)
 
 
 def assert_bit_identical(got, vec):

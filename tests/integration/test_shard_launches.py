@@ -14,6 +14,11 @@ signal, ``error_sq`` and MDNorm, under the static executor and the
 * lazy BinMD at ``chunk_events`` of 1, 7, ``n`` and ``n + 3``;
 * an empty run, a budget smaller than one decoded chunk, and events
   exactly on bin edges.
+
+The deposit recorder every range launches into is covered on its own
+at the end: its log keeps the batch body's call order, tracks
+``err_sq`` only when the target does, and concatenates its parts into
+one log that replays like the same deposits made in place.
 """
 
 import dataclasses
@@ -24,7 +29,8 @@ import pytest
 from repro.core.cross_section import compute_cross_section
 from repro.core.grid import HKLGrid
 from repro.core.md_event_workspace import convert_to_md, load_md, save_md
-from repro.core.sharding import ShardConfig
+from repro.core.hist3 import Hist3
+from repro.core.sharding import RecordingHist3, ShardConfig, replay_deposits
 from repro.crystal.goniometer import Goniometer
 from repro.crystal.structures import benzil
 from repro.crystal.symmetry import point_group
@@ -233,3 +239,95 @@ class TestLazyBinMDWindows:
             res = _reduce(exp, wss, executor, grid=grid, n_shards=3,
                           loader=loader)
             _assert_identical(res, ref)
+
+
+class TestRecordingHist3:
+    GRID = HKLGrid(basis=np.eye(3), minimum=(-1.0, -1.0, -1.0),
+                   maximum=(1.0, 1.0, 1.0), bins=(4, 4, 2))
+
+    def _deposits(self, seed, n=200):
+        """In-grid ``(flat, weight, err_sq)`` arrays; few bins, so the
+        per-bin sums depend on the order they are added in."""
+        rng = np.random.default_rng(seed)
+        flat, inside = self.GRID.bin_index(rng.uniform(-1.3, 1.3, (n, 3)))
+        w = rng.uniform(0.1, 2.0, n)[inside]
+        return flat[inside], w, w * rng.uniform(0.5, 2.0, w.size)
+
+    def test_push_flat_matches_hist3(self):
+        flat, w, e = self._deposits(1)
+        real = Hist3(self.GRID, track_errors=True)
+        real.push_flat(flat, w, e)
+        rec = RecordingHist3(self.GRID, True)
+        rec.push_flat(flat, w, e)
+        replayed = Hist3(self.GRID, track_errors=True)
+        replay_deposits(replayed, [rec.harvest()])
+        assert np.array_equal(replayed.signal, real.signal)
+        assert np.array_equal(replayed.error_sq, real.error_sq)
+
+    def test_multi_part_log_keeps_call_order(self):
+        """Several batch deposits harvest into one log, concatenated in
+        call order: replaying it equals the same calls on a Hist3."""
+        flat, w, e = self._deposits(2)
+        cuts = (0, 1, 9, 60, flat.size)
+        real = Hist3(self.GRID, track_errors=True)
+        rec = RecordingHist3(self.GRID, True)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            real.push_flat(flat[a:b], w[a:b], e[a:b])
+            rec.push_flat(flat[a:b], w[a:b], e[a:b])
+        idx, weights, err = rec.harvest()
+        assert np.array_equal(idx, flat) and np.array_equal(weights, w)
+        assert np.array_equal(err, e)
+        replayed = Hist3(self.GRID, track_errors=True)
+        replay_deposits(replayed, [(idx, weights, err)])
+        assert np.array_equal(replayed.signal, real.signal)
+        assert np.array_equal(replayed.error_sq, real.error_sq)
+
+    def test_logs_replayed_in_order_equal_one_log(self):
+        """Cut the deposit stream anywhere, one recorder per piece,
+        replay the pieces in ascending order: the per-bin float fold is
+        the uncut fold, bit for bit."""
+        flat, w, e = self._deposits(3)
+        whole = Hist3(self.GRID, track_errors=True)
+        whole.push_flat(flat, w, e)
+        for cut in (1, 3, 7, 50, flat.size - 1):
+            logs = []
+            for a in range(0, flat.size, cut):
+                rec = RecordingHist3(self.GRID, True)
+                rec.push_flat(flat[a:a + cut], w[a:a + cut], e[a:a + cut])
+                logs.append(rec.harvest())
+            replayed = Hist3(self.GRID, track_errors=True)
+            replay_deposits(replayed, logs)
+            assert np.array_equal(replayed.signal, whole.signal), cut
+            assert np.array_equal(replayed.error_sq, whole.error_sq), cut
+
+    def test_err_sq_tracked_and_untracked(self):
+        flat, w, e = self._deposits(4)
+        untracked = RecordingHist3(self.GRID, False)
+        untracked.push_flat(flat, w, e)
+        untracked.push_flat(flat, w)
+        assert untracked.harvest()[2] is None
+        # tracked without err_sq records zeros, so every part lines up
+        tracked = RecordingHist3(self.GRID, True)
+        tracked.push_flat(flat, w)
+        tracked.push_flat(flat, w, e)
+        idx, weights, err = tracked.harvest()
+        assert idx.size == weights.size == err.size == 2 * flat.size
+        assert not err[:flat.size].any()
+        assert np.array_equal(err[flat.size:], e)
+        hist = Hist3(self.GRID)
+        replay_deposits(hist, [untracked.harvest()])
+        real = Hist3(self.GRID)
+        real.push_flat(flat, w)
+        real.push_flat(flat, w)
+        assert np.array_equal(hist.signal, real.signal)
+
+    @pytest.mark.parametrize("track_errors", (False, True))
+    def test_empty_harvest_replays_as_noop(self, track_errors):
+        rec = RecordingHist3(self.GRID, track_errors)
+        rec.push_flat(np.empty(0, dtype=np.int64), np.empty(0))
+        idx, w, e = rec.harvest()
+        assert idx.size == w.size == 0
+        assert (e is None) is not track_errors
+        hist = Hist3(self.GRID, track_errors=True)
+        replay_deposits(hist, [(idx, w, e)])
+        assert not hist.signal.any() and not hist.error_sq.any()

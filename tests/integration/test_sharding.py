@@ -6,9 +6,8 @@ cross-section (and both of its factors) must be **bit-identical** —
 ``np.array_equal(..., equal_nan=True)``, not allclose — across:
 
 * shard counts 1, 2, 3, 7 (including shards > items axes);
-* worker knobs: ``REPRO_NUM_PROCS`` and ``shard_workers`` select
-  nothing, and with the process pool made to raise every shard range
-  still runs, in process;
+* the ``shard_workers`` knob selects nothing, and with the process
+  pool made to raise every shard range still runs, in process;
 * streaming batch sizes, with sharded ``open_run`` normalization;
 * kill-one-shard + retry and checkpoint/resume, riding the PR 3
   fault-plan machinery at the ``shard.mdnorm`` / ``shard.binmd`` sites.
@@ -39,7 +38,6 @@ from repro.crystal.ub import UBMatrix
 from repro.instruments.corelli import make_corelli
 from repro.instruments.synth import make_flux, make_vanadium, synthesize_run
 from repro.jacc.backend import BackendError
-from repro.jacc.workers import GLOBAL_POOL
 from repro.util.faults import FaultPlan, FaultSpec, RetryPolicy, use_fault_plan
 
 N_RUNS = 3
@@ -86,9 +84,7 @@ class _Exp:
 
 @pytest.fixture(scope="module")
 def exp():
-    e = _Exp()
-    yield e
-    GLOBAL_POOL.dispose()
+    return _Exp()
 
 
 @pytest.fixture(scope="module")
@@ -110,14 +106,13 @@ def assert_identical(res, ref):
 # ---------------------------------------------------------------------------
 
 class TestShardInvariance:
-    @pytest.mark.parametrize("procs", (1, 2))
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_shard_count_invariance(self, exp, golden, forbid_pool,
-                                    n_shards, procs):
+                                    n_shards):
         """shards=7 > the 3-op outer axis and still partitions the
         inner axes exactly — empty shards are no-ops; every range runs
-        in process whatever ``REPRO_NUM_PROCS`` says."""
-        forbid_pool(procs)
+        in process."""
+        forbid_pool()
         res = exp.compute(shards=ShardConfig(n_shards=n_shards))
         assert_identical(res, golden)
 
@@ -130,10 +125,10 @@ class TestShardInvariance:
         )
         assert_identical(res, golden)
 
-    def test_multiprocess_backend_composes_with_shards(self, exp, golden):
+    def test_threads_backend_composes_with_shards(self, exp, golden):
         """Backend engine for the non-sharded kernels (max_intersections
         pre-pass) + shard fan-out for the deposits: still bit-identical."""
-        res = exp.compute(backend="multiprocess",
+        res = exp.compute(backend="threads",
                           shards=ShardConfig(n_shards=2))
         assert_identical(res, golden)
 
@@ -361,18 +356,17 @@ class TestOutOfCoreInvariance:
     def test_worker_backend_invariance(self, exp, golden, chunked_paths,
                                        forbid_pool):
         """Out-of-core ranges read through the run's tile cache in
-        process, whatever ``REPRO_NUM_PROCS`` says."""
+        process, with the process pool made to raise."""
         from repro.core.md_event_workspace import load_md
 
         paths = chunked_paths[(57, "shuffle-zlib")]
         budget = 3 * 57 * self.ROW_BYTES
-        for procs in (1, 2):
-            forbid_pool(procs)
-            res = exp.compute(
-                loader=lambda i: load_md(paths[i], memory_budget=budget),
-                shards=ShardConfig(n_shards=3),
-            )
-            assert_identical(res, golden)
+        forbid_pool()
+        res = exp.compute(
+            loader=lambda i: load_md(paths[i], memory_budget=budget),
+            shards=ShardConfig(n_shards=3),
+        )
+        assert_identical(res, golden)
 
     def test_shard_tasks_align_with_chunk_plan(self, exp, chunked_paths):
         """The runtime fans out exactly the chunk-aligned ranges the
@@ -408,13 +402,13 @@ class TestOutOfCoreInvariance:
 
 
 # ---------------------------------------------------------------------------
-# the worker knobs select nothing: every shard range runs in process
+# the worker knob selects nothing: every shard range runs in process
 # ---------------------------------------------------------------------------
 
 class TestShardRangesRunInProcess:
     """A sharded static, an out-of-core and a stealing reduction, each
-    asked for 2 shard workers with ``REPRO_NUM_PROCS=2``, complete with
-    a process pool that raises on use and match in-memory
+    asked for 2 shard workers, complete with a process pool that
+    raises on use and match in-memory
     ``vectorized`` bit for bit."""
 
     @pytest.fixture(scope="class")
@@ -448,7 +442,7 @@ class TestShardRangesRunInProcess:
             kw.update(md_paths=chunked_md_paths, memory_budget=2 * 100 * 64)
         elif path == "stealing":
             kw.update(executor="stealing", steal_seed=5)
-        forbid_pool(2)
+        forbid_pool()
         res = self._reduce(tiny_experiment, **kw)
         assert_identical(res, reference)
         if path == "stealing":

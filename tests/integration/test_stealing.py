@@ -95,14 +95,6 @@ class StealExperiment:
         )
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _dispose_pool_after_module():
-    from repro.jacc.workers import GLOBAL_POOL
-
-    yield
-    GLOBAL_POOL.dispose()
-
-
 @pytest.fixture(scope="module")
 def exp(tmp_path_factory) -> StealExperiment:
     base = tmp_path_factory.mktemp("stealing")
@@ -258,9 +250,9 @@ class TestStaticEquivalence:
             )
 
     def test_tasks_run_in_process(self, exp, golden, forbid_pool):
-        """With ``REPRO_NUM_PROCS=2`` every task still runs in the
-        claiming rank's thread: the process pool is never touched."""
-        forbid_pool(2)
+        """Every task runs in the claiming rank's thread: the process
+        pool is never touched."""
+        forbid_pool()
         res = run_stealing_campaign(
             exp.loader, recovery=RecoveryConfig(retry=POLICY),
             shards=_shards(),

@@ -37,14 +37,6 @@ N_SEEDS = 50
 POLICY = RetryPolicy(max_attempts=3, base_delay_s=0.0)
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _dispose_pool_after_module():
-    from repro.jacc.workers import GLOBAL_POOL
-
-    yield
-    GLOBAL_POOL.dispose()
-
-
 @pytest.fixture(scope="module")
 def exp(tmp_path_factory):
     base = tmp_path_factory.mktemp("dagfuzz")

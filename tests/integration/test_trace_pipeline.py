@@ -82,12 +82,16 @@ class TestGoldenSchema:
         assert spans["mdnorm"][0]["attrs"]["kind"] == "op"
         assert "mpi_reduce" in spans
 
-        # kernel spans from the jacc layer, tagged with the backend
+        # kernel spans from the jacc layer, tagged with the backend,
+        # the body form it ran and the elements it covered
         assert "kernel:mdnorm" in spans
         assert "kernel:bin_events" in spans
         for rec in spans["kernel:bin_events"]:
             assert rec["attrs"]["backend"] == "serial"
             assert rec["attrs"]["kind"] == "kernel"
+            assert rec["attrs"]["body"] == "element"
+            assert rec["attrs"]["elements"] == int(
+                np.prod(rec["attrs"]["dims"])) > 0
 
         counters = tracer.counters
         assert counters.get("binmd.events", 0) > 0
@@ -98,8 +102,10 @@ class TestGoldenSchema:
     @pytest.mark.parametrize("backend", [None, "serial", "vectorized"])
     def test_spans_name_the_backend_that_ran(self, tiny_experiment, backend):
         """Op and algorithm spans record the resolved back end, the one
-        the kernel spans report, never a placeholder."""
+        the kernel spans report, never a placeholder; kernel spans also
+        say which body form ran over how many elements."""
         ran = backend or default_backend().name
+        body = {"serial": "element", "vectorized": "batch"}[ran]
         tracer = Tracer(label="backend")
         with use_tracer(tracer):
             _core_workflow(tiny_experiment, backend=backend).run()
@@ -107,6 +113,11 @@ class TestGoldenSchema:
         for name in ("binmd", "mdnorm", "cross_section",
                      "kernel:bin_events", "kernel:mdnorm"):
             assert {r["attrs"]["backend"] for r in spans[name]} == {ran}, name
+        for name in ("kernel:bin_events", "kernel:mdnorm"):
+            for rec in spans[name]:
+                assert rec["attrs"]["body"] == body, name
+                assert rec["attrs"]["elements"] == int(
+                    np.prod(rec["attrs"]["dims"])), name
 
     def test_stealing_span_names_the_backend(self, tiny_experiment):
         tracer = Tracer(label="stealing")

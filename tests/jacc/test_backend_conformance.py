@@ -19,15 +19,15 @@ Bit-identity tiers (the determinism contract, DESIGN.md §6f):
 * histogram deposits with *integer-valued* weights — bit-identical on
   every back end (integer adds are exact under any association);
 * histogram deposits with float weights — bit-identical to serial for
-  the ORDER_EXACT back ends (serial / vectorized / multiprocess,
-  whose per-bin fold replays the serial deposit order); threads
+  the ORDER_EXACT back ends (serial / vectorized, whose per-bin fold
+  follows the serial deposit order); threads
   interleaves chunk deposits under the GIL, so it is held to
   ``allclose`` only;
 * reductions — ``max``/``min`` are associative ⇒ exactly equal on
   every CPU back end; ``+`` is exactly equal for integer-valued
-  elements and deterministic (run-to-run and worker-count invariant)
-  for floats; the device back end rejects ``max``/``min`` (the JACC.jl
-  limitation the paper documents).
+  elements and deterministic run to run for floats; the device back
+  end rejects ``max``/``min`` (the JACC.jl limitation the paper
+  documents).
 """
 
 import numpy as np
@@ -46,7 +46,6 @@ from repro.jacc import (
 from repro.jacc.backend import _REGISTRY, Backend, register_backend
 from repro.jacc.kernels import make_captures
 from repro.jacc.serial import SerialBackend
-from repro.jacc.workers import GLOBAL_POOL
 
 N_SEEDS = 50
 
@@ -54,7 +53,7 @@ N_SEEDS = 50
 BACKENDS = tuple(available_backends())
 
 #: back ends whose float deposit/fold order equals the serial oracle's
-ORDER_EXACT = ("serial", "vectorized", "multiprocess")
+ORDER_EXACT = ("serial", "vectorized")
 
 #: back ends held to ``allclose`` only for float deposits (GIL
 #: interleaving reorders the fold)
@@ -69,15 +68,8 @@ def _device_backends():
     return tuple(n for n in BACKENDS if get_backend(n).device_kind == "device")
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _dispose_pool_after_module():
-    yield
-    GLOBAL_POOL.dispose()
-
-
 # ---------------------------------------------------------------------------
-# kernels — module-level bodies so the multiprocess back end can pickle
-# them by reference
+# kernels
 # ---------------------------------------------------------------------------
 
 def _saxpy_element(ctx, i):
@@ -372,45 +364,6 @@ class TestReduceMatrix:
 
 
 # ---------------------------------------------------------------------------
-# worker-count invariance (the multiprocess determinism pillar)
-# ---------------------------------------------------------------------------
-
-@pytest.mark.skipif("multiprocess" not in BACKENDS,
-                    reason="multiprocess back end not registered")
-class TestWorkerCountInvariance:
-    def test_float_sum_invariant_to_worker_count(self, monkeypatch):
-        """The pairwise tree is a function of the chunk grid only, so
-        the float sum is bit-identical for 1 vs 2 workers."""
-        rng = np.random.default_rng(77)
-        x = rng.standard_normal(301)
-        results = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("REPRO_NUM_PROCS", workers)
-            results.append(parallel_reduce(301, SUM_SQ, make_captures(x=x),
-                                           backend="multiprocess"))
-        GLOBAL_POOL.dispose()
-        assert results[0] == results[1]
-
-    def test_float_hist_invariant_to_worker_count(self, monkeypatch):
-        coords, w = _hist_samples(9, integer_weights=False)
-        signals = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("REPRO_NUM_PROCS", workers)
-            hist = Hist3(GRID, track_errors=True)
-            parallel_for(
-                len(w), HIST,
-                make_captures(hist=hist, c0=coords[:, 0].copy(),
-                              c1=coords[:, 1].copy(),
-                              c2=coords[:, 2].copy(), w=w.copy()),
-                backend="multiprocess",
-            )
-            signals.append((hist.signal.copy(), hist.error_sq.copy()))
-        GLOBAL_POOL.dispose()
-        assert np.array_equal(signals[0][0], signals[1][0])
-        assert np.array_equal(signals[0][1], signals[1][1])
-
-
-# ---------------------------------------------------------------------------
 # auto-registration: future back ends inherit the matrix
 # ---------------------------------------------------------------------------
 
@@ -454,8 +407,10 @@ def test_future_backends_auto_register():
 
 
 def test_matrix_covers_all_expected_backends():
-    """The engines ISSUE 5 names are all present in the matrix rows."""
-    assert {"serial", "threads", "vectorized", "multiprocess"} <= set(BACKENDS)
+    """The matrix rows are exactly the three engines: serial (the
+    oracle), threads (JACC's Threads) and vectorized (the stand-in for
+    its CUDA/AMDGPU back ends)."""
+    assert set(BACKENDS) == {"serial", "threads", "vectorized"}
     for name in BACKENDS:
         assert isinstance(get_backend(name), Backend)
 

@@ -1,27 +1,24 @@
-"""Worker-count parsing + the shared process pool (ISSUE 5 satellite c).
+"""Worker-count parsing + the shared process pool.
 
-Pins the ``_default_workers`` bugfix: ``REPRO_NUM_THREADS`` (and its
-process sibling ``REPRO_NUM_PROCS``) historically went through a bare
-``int()`` — garbage crashed with an opaque ``ValueError`` deep inside a
-kernel launch, and ``0``/negative values were *silently clamped to 1*,
-hiding configuration mistakes on batch systems where the variable is
-computed (``$((SLURM_CPUS/2))`` going to zero is a bug, not a request
-for one worker).  Both engines now share one validated parser that
-raises a clear :class:`BackendError` naming the offending knob.
+Pins the ``_default_workers`` bugfix: ``REPRO_NUM_THREADS`` historically
+went through a bare ``int()`` — garbage crashed with an opaque
+``ValueError`` deep inside a kernel launch, and ``0``/negative values
+were *silently clamped to 1*, hiding configuration mistakes on batch
+systems where the variable is computed (``$((SLURM_CPUS/2))`` going to
+zero is a bug, not a request for one worker).  The threads back end and
+``ShardConfig`` now share one validated parser that raises a clear
+:class:`BackendError` naming the offending knob.
 """
 
 import os
 
 import pytest
 
-from repro.jacc import parallel_for
 from repro.jacc.backend import BackendError
 from repro.jacc.kernels import Kernel, make_captures
-from repro.jacc.multiproc import MultiprocessBackend
 from repro.jacc.threads import THREADS_ENV, ThreadsBackend, _default_workers
 from repro.jacc.workers import (
     GLOBAL_POOL,
-    PROCS_ENV,
     WorkerPool,
     parse_worker_count,
     resolve_workers,
@@ -52,7 +49,7 @@ class TestParseWorkerCount:
         """The historical silent clamp: 0/negatives became 1 worker.
         Now an error that tells the operator how to get the default."""
         with pytest.raises(BackendError, match="must be >= 1") as exc:
-            parse_worker_count(value, source="REPRO_NUM_PROCS")
+            parse_worker_count(value, source="n_shards")
         assert "unset the variable" in str(exc.value)
 
     @pytest.mark.parametrize("value", [True, False])
@@ -124,18 +121,6 @@ class TestThreadsBackendEnvRegression:
     def test_explicit_constructor_count_bypasses_env(self, monkeypatch):
         monkeypatch.setenv(THREADS_ENV, "banana")
         assert ThreadsBackend(n_workers=2).n_workers == 2
-
-    def test_multiprocess_backend_shares_the_parser(self, monkeypatch):
-        """One parser, both engines: the sibling knob gets the same
-        validation (the ISSUE's 'share parser' requirement)."""
-        monkeypatch.setenv(PROCS_ENV, "zero")
-        with pytest.raises(BackendError, match=PROCS_ENV):
-            _ = MultiprocessBackend().n_workers
-        monkeypatch.setenv(PROCS_ENV, "-4")
-        with pytest.raises(BackendError, match="must be >= 1"):
-            _ = MultiprocessBackend().n_workers
-        monkeypatch.setenv(PROCS_ENV, "3")
-        assert MultiprocessBackend().n_workers == 3
 
 
 class TestWorkerPool:

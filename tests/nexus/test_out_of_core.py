@@ -3,13 +3,13 @@
 The contract under test: chunked storage and the tile manager are an
 *I/O* detail, never a *numerics* detail.  A reduction that only ever
 sees bounded event windows — any chunk size, any codec, any memory
-budget (including budgets forcing a >= 4x spill), any
-``REPRO_NUM_PROCS`` — must produce histograms **bit-identical**
+budget (including budgets forcing a >= 4x spill), any shard count —
+must produce histograms **bit-identical**
 (``np.array_equal``, not allclose) to the in-memory reduction of the
 same table.
 
 The 50-seed matrix below drives every (chunk size x codec x budget x
-``REPRO_NUM_PROCS``) combination, with the process pool made to raise,
+shard count) combination, with the process pool made to raise,
 through ``sharded_binmd`` on a
 ``LazyEventTable`` and compares against the ``vectorized``
 ``bin_events`` on the materialized :class:`EventTable` (shards run the
@@ -53,7 +53,6 @@ ROW_BYTES = 8 * 8  # 8 float64 columns
 CHUNK_SIZES = (64, 113, 256, 500, 1024)
 CODECS = CHUNK_CODECS  # ("none", "zlib", "shuffle-zlib")
 BUDGET_CHUNKS = (1, 2, 4, None)  # budget as a chunk multiple; None = unbounded
-PROCS = (1, 2)  # REPRO_NUM_PROCS: ranges run in process either way
 N_SEEDS = 50
 
 
@@ -62,7 +61,6 @@ def _combo(seed: int):
         chunk=CHUNK_SIZES[seed % len(CHUNK_SIZES)],
         codec=CODECS[seed % len(CODECS)],
         budget_chunks=BUDGET_CHUNKS[seed % len(BUDGET_CHUNKS)],
-        procs=PROCS[seed % len(PROCS)],
         shards=1 + seed % 5,
     )
 
@@ -110,7 +108,7 @@ class TestOutOfCoreBitIdentity:
     @pytest.mark.parametrize("seed", range(N_SEEDS))
     def test_matrix(self, tmp_path, forbid_pool, seed):
         c = _combo(seed)
-        forbid_pool(c["procs"])
+        forbid_pool()
         n = 1200 + 37 * seed
         table = _random_table(seed, n)
         path = str(tmp_path / "run.md.h5")
@@ -370,10 +368,9 @@ class TestFullPipelineOutOfCore:
         ref = compute(lambda i: wss[i])
         return dict(paths=paths, compute=compute, ref=ref)
 
-    @pytest.mark.parametrize("shards,procs", [(None, None), (3, 1), (2, 2)])
-    def test_cross_section_identical(self, exp, forbid_pool, shards, procs):
-        if procs is not None:
-            forbid_pool(procs)
+    @pytest.mark.parametrize("shards", [None, 3, 2])
+    def test_cross_section_identical(self, exp, forbid_pool, shards):
+        forbid_pool()
         budget = 2 * 37 * ROW_BYTES
         tables = []
 

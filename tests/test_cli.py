@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import main, repro_main
 
 
 @pytest.fixture(autouse=True)
@@ -40,6 +40,27 @@ class TestCli:
     def test_bad_arguments_exit(self):
         with pytest.raises(SystemExit):
             main(["--workload", "diamond"])
+
+    @pytest.mark.parametrize("cmd", (
+        ["trace"], ["perf", "report"], ["perf", "roofline"],
+        ["perf", "record"], ["submit", "--tenant", "t"],
+    ), ids=" ".join)
+    def test_unknown_backend_refused_at_parse_time(self, cmd, tmp_path,
+                                                   capsys):
+        """A removed or misspelt back end is a usage error naming the
+        three back ends, before any workload is built or ticket
+        spooled."""
+        spool = tmp_path / "spool"
+        if cmd[0] == "submit":
+            cmd = cmd + ["--spool", str(spool)]
+        with pytest.raises(SystemExit) as exc:
+            repro_main(cmd + ["--backend", "multiprocess"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'multiprocess'" in err
+        for name in ("serial", "threads", "vectorized"):
+            assert repr(name) in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_json_export(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -32,15 +32,7 @@ class TestExamples:
         assert "cross-section grid" in out
 
     def test_portable_kernels(self, capsys):
-        from repro.jacc.workers import GLOBAL_POOL
-
-        # a fresh pool forks while the example is ``__main__``, so its
-        # workers can resolve the example's kernel bodies by reference
-        GLOBAL_POOL.dispose()
-        try:
-            _run("portable_kernels.py")
-        finally:
-            GLOBAL_POOL.dispose()
+        _run("portable_kernels.py")
         out = capsys.readouterr().out
         assert "identical to serial" in out
         assert "vectorized" in out

@@ -6,20 +6,29 @@ interrupted reduction — a dead rank, a killed job, a lost allocation —
 resumes from the last completed run **bit-identically** instead of
 re-reducing hundreds of GB from scratch:
 
-* after each run ``i`` completes, its *per-run partial histograms*
-  (the run's own MDNorm/BinMD contributions, not the running total)
-  are written to ``run_<i>.ckpt.h5`` — an :mod:`repro.nexus.h5lite`
-  file published crash-safely via
-  :func:`repro.util.atomic_io.atomic_path` (write-then-rename);
-* a schema-versioned JSON **manifest** records, per run: the delta
-  file, BLAKE2b content digests of each array, the disposition
+* a run's contribution is one sparse :class:`RunDelta`: per array
+  (BinMD signal, BinMD ``error_sq``, MDNorm signal) the flat indices of
+  the bins the run's fresh histograms touched and their values.  The
+  same object is the gathered reduction payload and the checkpoint
+  unit;
+* after each run ``i`` completes, its delta is written to
+  ``run_<i>.ckpt.h5`` as ``<array>_idx`` / ``<array>_val`` datasets
+  plus the grid shape — an :mod:`repro.nexus.h5lite` file published
+  crash-safely via :func:`repro.util.atomic_io.atomic_path` (fsync,
+  then rename);
+* a schema-versioned JSON **manifest** (schema 2) records, per run: the
+  delta file, a BLAKE2b digest of every dataset in it, the disposition
   (``done`` / ``quarantined``), attempts and owning rank.  The manifest
   itself is rewritten atomically after every update, so a crash at any
   instant leaves either the pre-run or post-run manifest — never a torn
-  one;
-* on resume, completed runs' deltas are **digest-verified** and summed
-  in ascending run order — exactly the float-addition order of the
-  uninterrupted loop, which is what makes resumption bit-identical;
+  one.  A schema-1 (dense delta) directory is refused;
+* a delta read back is verified against the file's CRCs, the manifest's
+  digests (every dataset must have one) and the campaign grid's shape.
+  The root reads deltas back only for runs no live rank holds in
+  memory: on resume, and for the durable runs of a dead rank.  Folded
+  in ascending run order, they give exactly the float-addition order
+  of the uninterrupted loop, which is what makes resumption
+  bit-identical;
 * quarantined runs stay quarantined across resumes (the manifest is
   the campaign's durable disposition record).
 
@@ -54,8 +63,8 @@ from repro.util.cancel import CancelToken
 from repro.util.faults import RetryPolicy
 from repro.util.validation import ReproError, require
 
-#: manifest schema version (bump on any layout change)
-MANIFEST_SCHEMA = 1
+#: manifest schema version (bump on any layout change); 2 = sparse deltas
+MANIFEST_SCHEMA = 2
 
 MANIFEST_NAME = "manifest.json"
 
@@ -96,14 +105,40 @@ def campaign_digest(**fields: Any) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
-@dataclass
-class RunDelta:
-    """One run's own MDNorm/BinMD contribution (the checkpoint unit)."""
+#: the arrays of a run delta; ``binmd_error_sq`` is absent when the
+#: run's BinMD histogram tracks no errors
+DELTA_ARRAYS = ("binmd_signal", "binmd_error_sq", "mdnorm_signal")
 
-    run_index: int
-    binmd_signal: np.ndarray
-    binmd_error_sq: Optional[np.ndarray]
-    mdnorm_signal: np.ndarray
+
+@dataclass(frozen=True)
+class RunDelta:
+    """One run's own MDNorm/BinMD contribution, sparse: per array, the
+    flat indices (int32 when the grid fits) of the bins the run's fresh
+    histograms hold nonzero, and their values.
+
+    Dropping the zero bins loses nothing: a fold adds each delta into
+    totals that start at +0.0, and adding ±0.0 to such a total leaves
+    it unchanged bit for bit."""
+
+    shape: Tuple[int, ...]
+    #: array name (one of :data:`DELTA_ARRAYS`) -> ``(flat index, value)``
+    arrays: Dict[str, Tuple[np.ndarray, np.ndarray]]
+
+    @classmethod
+    def from_hists(cls, binmd: Hist3, mdnorm: Hist3) -> "RunDelta":
+        """Sparsify a run's fresh delta histograms."""
+        size = binmd.signal.size
+        itype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+        arrays = {}
+        for name, dense in zip(DELTA_ARRAYS, (binmd.signal, binmd.error_sq,
+                                              mdnorm.signal)):
+            if dense is not None:
+                flat = dense.reshape(-1)
+                # a boolean mask scans ~5x faster than nonzero on floats;
+                # -0.0 != 0 is False, so a -0.0 bin is not a touch
+                idx = np.flatnonzero(flat != 0).astype(itype, copy=False)
+                arrays[name] = (idx, flat[idx])
+        return cls(tuple(binmd.signal.shape), arrays)
 
 
 class CheckpointManager:
@@ -151,8 +186,10 @@ class CheckpointManager:
             ) from exc
         if doc.get("schema") != MANIFEST_SCHEMA:
             raise CheckpointError(
-                f"checkpoint manifest schema {doc.get('schema')!r} != "
-                f"{MANIFEST_SCHEMA} ({path!r})"
+                f"checkpoint manifest {path!r} has schema "
+                f"{doc.get('schema')!r}; this version reads only schema "
+                f"{MANIFEST_SCHEMA} (sparse run deltas): reduce into a "
+                f"fresh checkpoint directory"
             )
         if self.config_digest and doc.get("config_digest") \
                 and doc["config_digest"] != self.config_digest:
@@ -200,36 +237,32 @@ class CheckpointManager:
     def save_run(
         self,
         i: int,
-        binmd: Hist3,
-        mdnorm: Hist3,
+        delta: RunDelta,
         *,
         attempts: int = 1,
         rank: Optional[int] = None,
     ) -> None:
         """Atomically persist run ``i``'s delta + update the manifest.
 
-        The delta file is fully written and renamed into place *before*
-        the manifest names it, so a crash between the two leaves a
-        manifest that simply does not know about the run yet.
+        The delta file is fully written, fsynced and renamed into place
+        *before* the manifest names it, so a crash between the two
+        leaves a manifest that simply does not know about the run yet.
         """
         tracer = _trace.active_tracer()
         path = self._run_file(i)
         with tracer.span("checkpoint.write", kind="checkpoint", run=int(i)):
-            digests = {
-                "binmd": _digest(binmd.signal),
-                "mdnorm": _digest(mdnorm.signal),
-            }
-            if binmd.error_sq is not None:
-                digests["binmd_error_sq"] = _digest(binmd.error_sq)
+            digests = {}
             with atomic_io.atomic_path(path) as tmp:
                 with File(tmp, "w") as f:
                     grp = f.create_group("checkpoint")
                     grp.attrs["schema"] = MANIFEST_SCHEMA
                     grp.attrs["run_index"] = int(i)
-                    grp.create_dataset("binmd_signal", data=binmd.signal)
-                    if binmd.error_sq is not None:
-                        grp.create_dataset("binmd_error_sq", data=binmd.error_sq)
-                    grp.create_dataset("mdnorm_signal", data=mdnorm.signal)
+                    grp.attrs["shape"] = list(delta.shape)
+                    for name, (idx, val) in delta.arrays.items():
+                        for ds, arr in ((f"{name}_idx", idx),
+                                        (f"{name}_val", val)):
+                            grp.create_dataset(ds, data=arr)
+                            digests[ds] = _digest(arr)
             with self._lock:
                 self._manifest["runs"][str(i)] = {
                     "file": os.path.basename(path),
@@ -243,7 +276,8 @@ class CheckpointManager:
         tracer.count("checkpoint.write")
 
     def load_run(self, i: int, grid: HKLGrid) -> RunDelta:
-        """Load + digest-verify run ``i``'s persisted delta."""
+        """Load run ``i``'s persisted delta, verifying the file's CRCs,
+        a manifest digest for every dataset, and the grid shape."""
         with self._lock:
             rec = self._manifest["runs"].get(str(i))
         if rec is None:
@@ -254,33 +288,39 @@ class CheckpointManager:
             try:
                 with File(path, "r") as f:
                     grp = f["checkpoint"]
-                    binmd = grp.read("binmd_signal")
-                    mdnorm = grp.read("mdnorm_signal")
-                    err = (grp.read("binmd_error_sq")
-                           if "binmd_error_sq" in grp else None)
-            except (OSError, H5LiteError) as exc:
+                    shape = tuple(grp.attrs.get("shape", ()))
+                    data = {ds: grp.read(ds) for ds in grp.keys()}
+            except (OSError, H5LiteError, KeyError) as exc:
                 raise CheckpointCorruptError(
                     f"checkpoint delta for run {i} is unreadable: {exc}"
                 ) from exc
             digests = rec.get("digests", {})
-            checks = [("binmd", binmd), ("mdnorm", mdnorm)]
-            if err is not None:
-                checks.append(("binmd_error_sq", err))
-            for name, arr in checks:
-                want = digests.get(name)
-                if want is not None and _digest(arr) != want:
+            if set(data) != set(digests):
+                raise CheckpointCorruptError(
+                    f"checkpoint delta for run {i}: datasets {sorted(data)} "
+                    f"!= manifest digests {sorted(digests)}"
+                )
+            for ds, arr in data.items():
+                if _digest(arr) != digests[ds]:
                     raise CheckpointCorruptError(
-                        f"checkpoint delta for run {i}: {name} digest mismatch"
+                        f"checkpoint delta for run {i}: {ds} digest mismatch"
                     )
-            shape = tuple(grid.bins)
-            if binmd.shape != shape or mdnorm.shape != shape:
+            arrays = {name: (data[f"{name}_idx"], data[f"{name}_val"])
+                      for name in DELTA_ARRAYS
+                      if f"{name}_idx" in data and f"{name}_val" in data}
+            if not {"binmd_signal", "mdnorm_signal"} <= set(arrays) \
+                    or len(data) != 2 * len(arrays):
+                raise CheckpointCorruptError(
+                    f"checkpoint delta for run {i} holds datasets "
+                    f"{sorted(data)}, not a run delta"
+                )
+            if shape != tuple(grid.bins):
                 raise CheckpointMismatchError(
-                    f"checkpoint delta for run {i} has shape {binmd.shape}, "
-                    f"campaign grid is {shape}"
+                    f"checkpoint delta for run {i} has shape {shape}, "
+                    f"campaign grid is {tuple(grid.bins)}"
                 )
         tracer.count("checkpoint.read")
-        return RunDelta(run_index=i, binmd_signal=binmd,
-                        binmd_error_sq=err, mdnorm_signal=mdnorm)
+        return RunDelta(shape, arrays)
 
     def quarantine_run(self, i: int, reason: str) -> None:
         """Durably record run ``i`` as quarantined."""

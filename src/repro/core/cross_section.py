@@ -33,7 +33,12 @@ import numpy as np
 
 from repro.core import geom_cache as _gc
 from repro.core.binmd import bin_events
-from repro.core.checkpoint import CheckpointCorruptError, RecoveryConfig
+from repro.core.checkpoint import (
+    DELTA_ARRAYS,
+    CheckpointCorruptError,
+    RecoveryConfig,
+    RunDelta,
+)
 from repro.core.geom_cache import GeomCache
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
@@ -290,52 +295,33 @@ def _run_step(
     return step
 
 
-#: one run's delta: (binmd signal, binmd error_sq, mdnorm signal)
-RunDelta = Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]
-
-
 def _fold_runs(grid: HKLGrid, deltas: Iterable[RunDelta]) -> Tuple[Hist3, Hist3]:
     """The one fold of per-run deltas, summed in the order given —
     ascending run order for every caller, so the float association is
     independent of rank layout, executor, crashes, steals and resume
-    points."""
-    binmd_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-    err_total = np.zeros(tuple(grid.bins), dtype=np.float64)
-    mdnorm_total = np.zeros(tuple(grid.bins), dtype=np.float64)
+    points.  Each sparse delta is scattered into dense +0.0 totals; a
+    bin a run never touched would have added ±0.0, which leaves such a
+    total unchanged, so the sums equal the dense fold's bit for bit."""
+    totals = {name: np.zeros(tuple(grid.bins), dtype=np.float64)
+              for name in DELTA_ARRAYS}
     have_err = True
-    for binmd_signal, binmd_error_sq, mdnorm_signal in deltas:
-        binmd_total += binmd_signal
-        if binmd_error_sq is not None:
-            err_total += binmd_error_sq
-        else:
-            have_err = False
-        mdnorm_total += mdnorm_signal
+    for delta in deltas:
+        have_err = have_err and "binmd_error_sq" in delta.arrays
+        for name, (idx, val) in delta.arrays.items():
+            # indices are unique within a run: a plain scatter-add
+            totals[name].reshape(-1)[idx] += val
     return (
-        Hist3(grid, signal=binmd_total,
-              error_sq=err_total if have_err else None),
-        Hist3(grid, signal=mdnorm_total),
+        Hist3(grid, signal=totals["binmd_signal"],
+              error_sq=totals["binmd_error_sq"] if have_err else None),
+        Hist3(grid, signal=totals["mdnorm_signal"]),
     )
-
-
-def _fold_from_checkpoint(ckpt: Any, grid: HKLGrid) -> Tuple[Hist3, Hist3]:
-    """Fold every checkpointed run delta in ascending run order and mark
-    the campaign complete (the final combine whenever a checkpoint
-    manager is configured: it also covers runs a dead rank finished)."""
-    out = _fold_runs(grid, (
-        (d.binmd_signal, d.binmd_error_sq, d.mdnorm_signal)
-        for d in (ckpt.load_run(i, grid) for i in ckpt.completed_runs())
-    ))
-    ckpt.mark_campaign_complete(
-        f"runs={len(ckpt.completed_runs())} "
-        f"quarantined={len(ckpt.quarantined_runs())}\n"
-    )
-    return out
 
 
 class _RunBook:
     """One campaign's per-run outcomes: ``runs`` maps a run to its
-    :data:`RunDelta`, ``dispositions`` to its status record
-    (``done|resumed|quarantined``, rank, attempts).
+    sparse :class:`~repro.core.checkpoint.RunDelta`, ``dispositions``
+    to its status record (``done|resumed|quarantined``, rank,
+    attempts).
 
     The static loop keeps one book per rank and gathers them on the
     root; the stealing executor's ranks share one.  Either way every
@@ -386,9 +372,8 @@ class _RunBook:
             self.cache.invalidate(f"run:{i}")
             return False
         rec = ckpt.run_record(i) or {}
-        self._record(i, (d.binmd_signal, d.binmd_error_sq, d.mdnorm_signal),
-                     {"status": "resumed", "rank": int(rank),
-                      "attempts": int(rec.get("attempts", 1))})
+        self._record(i, d, {"status": "resumed", "rank": int(rank),
+                            "attempts": int(rec.get("attempts", 1))})
         tracer.count("checkpoint.resumed")
         if self.monitor.enabled:
             self.monitor.record_resume(rank, i)
@@ -410,11 +395,11 @@ class _RunBook:
         attempts: int, events: int,
     ) -> None:
         """Run ``i``'s fresh delta histograms are complete."""
+        delta = RunDelta.from_hists(binmd, mdnorm)
         if self.ckpt is not None:
-            self.ckpt.save_run(i, binmd, mdnorm, attempts=attempts, rank=rank)
-        self._record(i, (binmd.signal, binmd.error_sq, mdnorm.signal),
-                     {"status": "done", "rank": int(rank),
-                      "attempts": int(attempts)})
+            self.ckpt.save_run(i, delta, attempts=attempts, rank=rank)
+        self._record(i, delta, {"status": "done", "rank": int(rank),
+                                "attempts": int(attempts)})
         if self.monitor.enabled:
             self.monitor.run_completed(rank, i, events=float(events))
 
@@ -442,13 +427,29 @@ def _root_result(
     extras: Optional[Dict[str, Any]] = None,
 ) -> CrossSectionResult:
     """The effective root's final combine for every executor: fold the
-    per-run deltas in ascending run order (from the checkpoint when one
-    is configured) and divide.  ``dispositions=None`` is fail-fast: no
-    recovery report."""
+    gathered per-run deltas in ascending run order and divide.  With a
+    checkpoint, the only runs read back from disk are the durable runs
+    of a dead rank — in the manifest, but in no gathered book; they are
+    added to ``dispositions`` as ``done`` under the rank that wrote
+    them — and the campaign is then marked complete.  ``dispositions=None`` is
+    fail-fast: no recovery report."""
     if ckpt is not None:
-        binmd, mdnorm = _fold_from_checkpoint(ckpt, grid)
-    else:
-        binmd, mdnorm = _fold_runs(grid, (runs[i] for i in sorted(runs)))
+        durable = set(ckpt.completed_runs())
+        require(set(runs) <= durable,
+                f"runs {sorted(set(runs) - durable)} were gathered but are "
+                f"not in the checkpoint manifest")
+        runs = dict(runs)
+        for i in sorted(durable - set(dispositions)):
+            runs[i] = ckpt.load_run(i, grid)
+            rec = ckpt.run_record(i) or {}
+            dispositions[i] = {"status": "done", "rank": rec.get("rank"),
+                               "attempts": int(rec.get("attempts", 1))}
+    binmd, mdnorm = _fold_runs(grid, (runs[i] for i in sorted(runs)))
+    if ckpt is not None:
+        ckpt.mark_campaign_complete(
+            f"runs={len(ckpt.completed_runs())} "
+            f"quarantined={len(ckpt.quarantined_runs())}\n"
+        )
     result = CrossSectionResult(
         cross_section=binmd.divide(mdnorm), binmd=binmd, mdnorm=mdnorm,
         timings=timings, n_runs=n_runs, backend=backend or "default",

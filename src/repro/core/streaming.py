@@ -15,15 +15,16 @@ of the same kernels:
     arrived yet;
   - each event batch is converted and BinMD-accumulated into the same
     run's BinMD delta;
-  - ``close_run`` records the run's delta pair in the batch workflow's
-    run book (:class:`repro.core.cross_section._RunBook`);
+  - ``close_run`` records the run's sparse delta in the batch
+    workflow's run book (:class:`repro.core.cross_section._RunBook`);
   - :meth:`snapshot` returns the live cross-section at any instant, so
     a scientist can watch coverage fill in and stop the measurement
     early — the steering capability the IRI program wants.
 
 Every live output is the batch workflow's one fold
 (:func:`repro.core.cross_section._fold_runs`) over the per-run deltas of
-every run still standing, closed or open, in ascending run number.
+every run still standing, closed or open (an open run is sparsified at
+each snapshot), in ascending run number.
 After every batch of every run has been consumed, the streaming
 cross-section therefore equals the batch workflow's bit for bit: the
 same per-run deltas go through the same fold.
@@ -47,7 +48,7 @@ import numpy as np
 
 from repro.core import geom_cache as _gc
 from repro.core.binmd import bin_events
-from repro.core.checkpoint import RecoveryConfig
+from repro.core.checkpoint import RecoveryConfig, RunDelta
 from repro.core.cross_section import _fold_runs, _retry, _RunBook
 from repro.core.geom_cache import GeomCache
 from repro.core.grid import HKLGrid
@@ -279,7 +280,7 @@ class StreamingReduction:
         self._events_seen += n
 
     def close_run(self, run_number: int) -> None:
-        """Retire a finished run: record its delta pair in the run book.
+        """Retire a finished run: record its sparse delta in the run book.
 
         Under recovery the close itself is a fault site (a real stream's
         end-of-run packet can be lost); a close that keeps failing
@@ -302,8 +303,7 @@ class StreamingReduction:
         open) in ascending run number."""
         deltas = dict(self._book.runs)
         for rn, run in self._open.items():
-            deltas[rn] = (run.binmd.signal, run.binmd.error_sq,
-                          run.mdnorm.signal)
+            deltas[rn] = RunDelta.from_hists(run.binmd, run.mdnorm)
         return _fold_runs(self.grid, (deltas[rn] for rn in sorted(deltas)))
 
     def snapshot(self) -> Hist3:

@@ -89,6 +89,10 @@ def atomic_path(path: PathLike) -> Iterator[str]:
         with atomic_path(final) as tmp:
             with File(tmp, "w") as f:
                 ...
+
+    The writer closes the temporary itself, so on success it is
+    reopened and fsynced before the rename, as :func:`atomic_writer`
+    does with its handle.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -98,6 +102,8 @@ def atomic_path(path: PathLike) -> Iterator[str]:
     os.close(fd)
     try:
         yield tmp
+        with open(tmp, "rb") as fh:
+            fsync_file(fh)
         os.replace(tmp, path)
     except BaseException:
         try:

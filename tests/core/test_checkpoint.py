@@ -16,10 +16,13 @@ from repro.core.checkpoint import (
     CheckpointManager,
     CheckpointMismatchError,
     RecoveryConfig,
+    RunDelta,
     campaign_digest,
 )
+from repro.core.cross_section import _fold_runs
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
+from repro.nexus.h5lite import File
 from repro.util import atomic_io
 from repro.util.faults import RetryPolicy
 
@@ -40,6 +43,16 @@ def _delta(grid, seed):
     return binmd, mdnorm
 
 
+def _save(ck, i, binmd, mdnorm, **kw):
+    ck.save_run(i, RunDelta.from_hists(binmd, mdnorm), **kw)
+
+
+def _dense(grid, delta):
+    """A sparse delta scattered into dense arrays by the one fold."""
+    binmd, mdnorm = _fold_runs(grid, [delta])
+    return binmd.signal, binmd.error_sq, mdnorm.signal
+
+
 class TestCampaignDigest:
     def test_order_insensitive(self):
         assert campaign_digest(a=1, b="x") == campaign_digest(b="x", a=1)
@@ -56,32 +69,56 @@ class TestSaveLoadRoundTrip:
     def test_round_trip_bit_identical(self, tmp_path, grid):
         ck = CheckpointManager(tmp_path / "ck", config_digest="cfg")
         binmd, mdnorm = _delta(grid, 1)
-        ck.save_run(4, binmd, mdnorm, attempts=2, rank=1)
+        _save(ck, 4, binmd, mdnorm, attempts=2, rank=1)
         delta = ck.load_run(4, grid)
-        assert delta.run_index == 4
-        assert np.array_equal(delta.binmd_signal, binmd.signal)
-        assert np.array_equal(delta.binmd_error_sq, binmd.error_sq)
-        assert np.array_equal(delta.mdnorm_signal, mdnorm.signal)
+        assert delta.shape == grid.bins
+        got_binmd, got_err, got_mdnorm = _dense(grid, delta)
+        assert np.array_equal(got_binmd, binmd.signal)
+        assert np.array_equal(got_err, binmd.error_sq)
+        assert np.array_equal(got_mdnorm, mdnorm.signal)
 
     def test_manifest_records_disposition(self, tmp_path, grid):
         ck = CheckpointManager(tmp_path / "ck", config_digest="cfg")
         binmd, mdnorm = _delta(grid, 2)
-        ck.save_run(0, binmd, mdnorm, attempts=3, rank=2)
+        _save(ck, 0, binmd, mdnorm, attempts=3, rank=2)
         rec = ck.run_record(0)
         assert rec["status"] == "done"
         assert rec["attempts"] == 3
         assert rec["rank"] == 2
-        assert set(rec["digests"]) == {"binmd", "mdnorm", "binmd_error_sq"}
+        assert set(rec["digests"]) == {
+            f"{name}_{part}"
+            for name in ("binmd_signal", "binmd_error_sq", "mdnorm_signal")
+            for part in ("idx", "val")
+        }
         assert ck.has_run(0) and not ck.has_run(1)
         assert ck.completed_runs() == [0]
+
+    def test_file_stores_only_touched_bins(self, tmp_path, grid):
+        ck = CheckpointManager(tmp_path / "ck")
+        binmd = Hist3(grid, track_errors=True)
+        mdnorm = Hist3(grid)
+        binmd.signal.flat[[2, 9]] = (1.5, -0.0)  # -0.0 is not a touch
+        binmd.error_sq.flat[[2, 9]] = (2.25, 0.5)
+        mdnorm.signal.flat[4] = 3.0
+        _save(ck, 0, binmd, mdnorm)
+        path = os.path.join(ck.directory, ck.run_record(0)["file"])
+        with File(path, "r") as f:
+            grp = f["checkpoint"]
+            assert list(grp.attrs["shape"]) == list(grid.bins)
+            assert grp.read("binmd_signal_idx").tolist() == [2]
+            assert grp.read("binmd_error_sq_idx").tolist() == [2, 9]
+            assert grp.read("mdnorm_signal_idx").tolist() == [4]
+            assert grp.read("mdnorm_signal_val").tolist() == [3.0]
+        assert np.array_equal(_dense(grid, ck.load_run(0, grid))[1],
+                              binmd.error_sq)
 
     def test_no_error_sq_supported(self, tmp_path, grid):
         ck = CheckpointManager(tmp_path / "ck")
         binmd = Hist3(grid)  # no error tracking
         mdnorm = Hist3(grid)
         binmd.signal[...] = 1.0
-        ck.save_run(0, binmd, mdnorm)
-        assert ck.load_run(0, grid).binmd_error_sq is None
+        _save(ck, 0, binmd, mdnorm)
+        assert "binmd_error_sq" not in ck.load_run(0, grid).arrays
 
     def test_quarantine_is_durable(self, tmp_path, grid):
         path = tmp_path / "ck"
@@ -95,7 +132,7 @@ class TestSaveLoadRoundTrip:
         ck = CheckpointManager(tmp_path / "ck")
         ck.quarantine_run(1, "flaky")
         binmd, mdnorm = _delta(grid, 3)
-        ck.save_run(1, binmd, mdnorm)
+        _save(ck, 1, binmd, mdnorm)
         assert not ck.is_quarantined(1)
         assert ck.has_run(1)
 
@@ -106,11 +143,11 @@ class TestResumeSemantics:
         ck = CheckpointManager(path, config_digest="cfg")
         for i in (2, 0):
             binmd, mdnorm = _delta(grid, i)
-            ck.save_run(i, binmd, mdnorm)
+            _save(ck, i, binmd, mdnorm)
         again = CheckpointManager(path, config_digest="cfg")
         assert again.completed_runs() == [0, 2]  # ascending
         d0 = again.load_run(0, grid)
-        assert np.array_equal(d0.binmd_signal, _delta(grid, 0)[0].signal)
+        assert np.array_equal(_dense(grid, d0)[0], _delta(grid, 0)[0].signal)
 
     def test_config_digest_mismatch_rejected(self, tmp_path):
         path = tmp_path / "ck"
@@ -125,6 +162,14 @@ class TestResumeSemantics:
         (path / MANIFEST_NAME).write_text(json.dumps(
             {"schema": MANIFEST_SCHEMA + 1, "runs": {}, "quarantined": {}}))
         with pytest.raises(CheckpointError):
+            CheckpointManager(path)
+
+    def test_schema1_directory_refused(self, tmp_path):
+        path = tmp_path / "ck"
+        path.mkdir()
+        (path / MANIFEST_NAME).write_text(json.dumps(
+            {"schema": 1, "config_digest": "", "runs": {}, "quarantined": {}}))
+        with pytest.raises(CheckpointError, match=r"schema 1.*schema 2"):
             CheckpointManager(path)
 
     def test_torn_manifest_rejected(self, tmp_path):
@@ -146,7 +191,7 @@ class TestCorruptionDetection:
     def test_bit_flip_in_delta_detected(self, tmp_path, grid):
         ck = CheckpointManager(tmp_path / "ck")
         binmd, mdnorm = _delta(grid, 5)
-        ck.save_run(0, binmd, mdnorm)
+        _save(ck, 0, binmd, mdnorm)
         victim = os.path.join(ck.directory, ck.run_record(0)["file"])
         raw = bytearray(open(victim, "rb").read())
         raw[len(raw) // 2] ^= 0xFF
@@ -154,10 +199,21 @@ class TestCorruptionDetection:
         with pytest.raises(CheckpointCorruptError):
             ck.load_run(0, grid)
 
+    def test_missing_digest_detected(self, tmp_path, grid):
+        path = tmp_path / "ck"
+        ck = CheckpointManager(path)
+        binmd, mdnorm = _delta(grid, 8)
+        _save(ck, 0, binmd, mdnorm)
+        doc = json.loads((path / MANIFEST_NAME).read_text())
+        del doc["runs"]["0"]["digests"]["mdnorm_signal_val"]
+        (path / MANIFEST_NAME).write_text(json.dumps(doc))
+        with pytest.raises(CheckpointCorruptError, match="mdnorm_signal_val"):
+            CheckpointManager(path).load_run(0, grid)
+
     def test_missing_delta_file_detected(self, tmp_path, grid):
         ck = CheckpointManager(tmp_path / "ck")
         binmd, mdnorm = _delta(grid, 6)
-        ck.save_run(0, binmd, mdnorm)
+        _save(ck, 0, binmd, mdnorm)
         os.unlink(os.path.join(ck.directory, ck.run_record(0)["file"]))
         with pytest.raises(CheckpointCorruptError):
             ck.load_run(0, grid)
@@ -165,7 +221,7 @@ class TestCorruptionDetection:
     def test_grid_shape_mismatch_detected(self, tmp_path, grid):
         ck = CheckpointManager(tmp_path / "ck")
         binmd, mdnorm = _delta(grid, 7)
-        ck.save_run(0, binmd, mdnorm)
+        _save(ck, 0, binmd, mdnorm)
         other = HKLGrid(basis=np.eye(3), minimum=(-1, -1, -1),
                         maximum=(1, 1, 1), bins=(5, 5, 5))
         with pytest.raises(CheckpointMismatchError):
@@ -201,7 +257,7 @@ def _job_worker(root, job, digest, runs):
                            config_digest=digest)
     for i in runs:
         binmd, mdnorm = _delta(grid, _job_seed(job) + i)
-        ck.save_run(i, binmd, mdnorm)
+        _save(ck, i, binmd, mdnorm)
     ck.mark_campaign_complete(job + "\n")
 
 
@@ -227,7 +283,7 @@ class TestConcurrentManagers:
         def save(i):
             try:
                 binmd, mdnorm = _delta(grid, i)
-                ck.save_run(i, binmd, mdnorm)
+                _save(ck, i, binmd, mdnorm)
             except Exception as exc:  # pragma: no cover - failure detail
                 errors.append(exc)
 
@@ -242,7 +298,8 @@ class TestConcurrentManagers:
         assert again.completed_runs() == list(range(n))
         for i in range(n):
             delta = again.load_run(i, grid)  # digest-verified
-            assert np.array_equal(delta.binmd_signal, _delta(grid, i)[0].signal)
+            assert np.array_equal(_dense(grid, delta)[0],
+                                  _delta(grid, i)[0].signal)
 
     def test_sibling_jobs_stay_isolated(self, tmp_path, grid):
         root = tmp_path / "store"
@@ -256,7 +313,7 @@ class TestConcurrentManagers:
             ck = managers[name]
             for i in range(4):
                 binmd, mdnorm = _delta(grid, base + i)
-                ck.save_run(i, binmd, mdnorm)
+                _save(ck, i, binmd, mdnorm)
 
         threads = [threading.Thread(target=drive, args=(n, b))
                    for n, b in (("job-a", 10), ("job-b", 50))]
@@ -270,7 +327,8 @@ class TestConcurrentManagers:
                                       config_digest=jobs[name])
             assert again.completed_runs() == [0, 1, 2, 3]
             d = again.load_run(2, grid)
-            assert np.array_equal(d.binmd_signal, _delta(grid, base + 2)[0].signal)
+            assert np.array_equal(_dense(grid, d)[0],
+                                  _delta(grid, base + 2)[0].signal)
         # digest binding: reopening one job's dir as the other campaign fails
         with pytest.raises(CheckpointMismatchError):
             CheckpointManager(root / "job-a" / "ckpt",
@@ -329,7 +387,8 @@ class TestConcurrentManagers:
             assert ck.campaign_complete
             for i in range(3):
                 want = _delta(grid, _job_seed(name) + i)[0].signal
-                assert np.array_equal(ck.load_run(i, grid).binmd_signal, want)
+                got = _dense(grid, ck.load_run(i, grid))[0]
+                assert np.array_equal(got, want)
             with pytest.raises(CheckpointMismatchError):
                 CheckpointManager(jobdir, config_digest="somebody-else")
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import CheckpointManager, RecoveryConfig
-from repro.core.cross_section import compute_cross_section
+from repro.core.checkpoint import CheckpointManager, RecoveryConfig, RunDelta
+from repro.core.cross_section import _fold_runs, compute_cross_section
+from repro.core.grid import HKLGrid
+from repro.core.hist3 import Hist3
 from repro.core.md_event_workspace import load_md
 from repro.core.sharding import ShardConfig
 from repro.mpi import run_world
@@ -152,6 +154,132 @@ class TestMPIDecomposition:
             res = _root_of(tiny_experiment, 5,
                            recovery=_recovery(mode, tmp_path / mode))
             _assert_same_bits(res, single, mode)
+
+
+def _dense_fold(runs):
+    """The reference fold: dense ``+=`` of every array in the order given."""
+    binmd_hist, mdnorm_hist = runs[0]
+    binmd = np.zeros(binmd_hist.signal.shape)
+    err = np.zeros(binmd_hist.signal.shape)
+    mdnorm = np.zeros(binmd_hist.signal.shape)
+    have_err = True
+    for b, m in runs:
+        binmd += b.signal
+        mdnorm += m.signal
+        if b.error_sq is None:
+            have_err = False
+        else:
+            err += b.error_sq
+    return binmd, (err if have_err else None), mdnorm
+
+
+class TestSparseFold:
+    """The sparse fold scatters only touched bins into +0.0 totals; it
+    must equal the dense fold bit for bit, sign of zero included."""
+
+    GRID = HKLGrid(basis=np.eye(3), minimum=(-1, -1, -1),
+                   maximum=(1, 1, 1), bins=(4, 3, 2))
+
+    def _run(self, signal, error_sq, mdnorm_signal, track_errors=True):
+        binmd = Hist3(self.GRID, track_errors=track_errors)
+        mdnorm = Hist3(self.GRID)
+        binmd.signal[...] = signal
+        if track_errors:
+            binmd.error_sq[...] = error_sq
+        mdnorm.signal[...] = mdnorm_signal
+        return binmd, mdnorm
+
+    def _assert_folds_agree(self, runs):
+        binmd, mdnorm = _fold_runs(
+            self.GRID, (RunDelta.from_hists(b, m) for b, m in runs))
+        want_binmd, want_err, want_mdnorm = _dense_fold(runs)
+        for got, want in ((binmd.signal, want_binmd),
+                          (binmd.error_sq, want_err),
+                          (mdnorm.signal, want_mdnorm)):
+            if want is None:
+                assert got is None
+                continue
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_negative_zero_bins(self):
+        shape = self.GRID.bins
+        neg = np.full(shape, -0.0)
+        mixed = np.zeros(shape)
+        mixed.flat[::3] = -0.0
+        mixed.flat[1] = -2.5
+        runs = [self._run(neg, neg, neg), self._run(mixed, neg, mixed),
+                self._run(neg, mixed, -mixed)]
+        self._assert_folds_agree(runs)
+        binmd, _ = _fold_runs(
+            self.GRID, (RunDelta.from_hists(b, m) for b, m in runs[:1]))
+        assert not np.signbit(binmd.signal).any()
+
+    def test_run_with_no_deposits(self):
+        rng = np.random.default_rng(1)
+        shape = self.GRID.bins
+        empty = self._run(np.zeros(shape), np.zeros(shape), np.zeros(shape))
+        delta = RunDelta.from_hists(*empty)
+        assert all(idx.size == 0 for idx, _ in delta.arrays.values())
+        full = self._run(rng.random(shape), rng.random(shape),
+                         rng.random(shape))
+        self._assert_folds_agree([empty])
+        self._assert_folds_agree([full, empty, full])
+
+    def test_fully_dense_delta(self):
+        rng = np.random.default_rng(2)
+        shape = self.GRID.bins
+        runs = [self._run(rng.random(shape) - 0.5, rng.random(shape) + 0.1,
+                          rng.random(shape) + 0.1) for _ in range(3)]
+        delta = RunDelta.from_hists(*runs[0])
+        assert all(idx.size == self.GRID.n_bins_total
+                   for idx, _ in delta.arrays.values())
+        self._assert_folds_agree(runs)
+
+    def test_error_sq_without_signal(self):
+        shape = self.GRID.bins
+        signal = np.zeros(shape)
+        err = np.zeros(shape)
+        err.flat[5] = 2.0  # +w and -w deposited: signal cancels, err does not
+        signal.flat[7] = 1.0
+        err.flat[7] = 1.0
+        run = self._run(signal, err, signal)
+        delta = RunDelta.from_hists(*run)
+        assert delta.arrays["binmd_signal"][0].tolist() == [7]
+        assert delta.arrays["binmd_error_sq"][0].tolist() == [5, 7]
+        self._assert_folds_agree([run, run])
+
+    def test_delta_without_error_sq(self):
+        rng = np.random.default_rng(3)
+        shape = self.GRID.bins
+        tracked = self._run(rng.random(shape), rng.random(shape),
+                            rng.random(shape))
+        untracked = self._run(rng.random(shape), None, rng.random(shape),
+                              track_errors=False)
+        assert "binmd_error_sq" not in RunDelta.from_hists(*untracked).arrays
+        self._assert_folds_agree([tracked, untracked])
+        binmd, _ = _fold_runs(self.GRID, [RunDelta.from_hists(*untracked)])
+        assert binmd.error_sq is None
+
+    def test_random_sparse_runs(self):
+        rng = np.random.default_rng(4)
+        shape = self.GRID.bins
+        runs = []
+        for _ in range(6):
+            arrays = []
+            for _ in range(3):
+                a = np.where(rng.random(shape) < 0.3,
+                             rng.normal(size=shape), 0.0)
+                a[rng.random(shape) < 0.2] = -0.0
+                arrays.append(a)
+            runs.append(self._run(*arrays))
+        self._assert_folds_agree(runs)
+
+    def test_int32_indices_when_grid_fits(self):
+        run = self._run(1.0, 1.0, 1.0)
+        for idx, val in RunDelta.from_hists(*run).arrays.values():
+            assert idx.dtype == np.int32
+            assert val.dtype == np.float64
 
 
 class TestImplInjection:

@@ -17,6 +17,7 @@ Covers the failure model's contract on the real pipeline:
   dead run's late batches.
 """
 
+import json
 import os
 from dataclasses import dataclass
 from typing import List
@@ -24,10 +25,11 @@ from typing import List
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import CheckpointManager, RecoveryConfig
+from repro.core.checkpoint import MANIFEST_NAME, CheckpointManager, RecoveryConfig
 from repro.core.cross_section import compute_cross_section
 from repro.core.grid import HKLGrid
 from repro.core.md_event_workspace import convert_to_md, load_md, save_md
+from repro.core.sharding import ShardConfig
 from repro.core.streaming import EventStream, StreamingReduction
 from repro.crystal.goniometer import Goniometer
 from repro.crystal.structures import benzil
@@ -150,6 +152,30 @@ class TestRecoveryEquivalence:
         assert np.array_equal(res.cross_section.signal,
                               golden.cross_section.signal, equal_nan=True)
         assert ck.completed_runs() == list(range(N_RUNS))
+        assert ck.campaign_complete
+
+    @pytest.mark.parametrize("executor", ["static", "stealing"])
+    def test_healthy_checkpointed_campaign_reads_nothing_back(
+        self, exp, golden, tmp_path, executor
+    ):
+        """The root folds the gathered deltas from memory; it writes
+        every run's delta and reads none back."""
+        ck = CheckpointManager(tmp_path / "ck", config_digest="eq")
+        tracer = trace_mod.Tracer()
+        with trace_mod.use_tracer(tracer):
+            res = compute_cross_section(
+                exp.loader,
+                recovery=RecoveryConfig(retry=POLICY, checkpoint=ck),
+                executor=executor,
+                shards=ShardConfig(n_shards=2) if executor == "stealing"
+                else None,
+                **exp.kw(),
+            )
+        assert tracer.counters["checkpoint.write"] == N_RUNS
+        assert tracer.counters.get("checkpoint.read", 0) == 0
+        assert np.array_equal(res.binmd.signal, golden.binmd.signal)
+        assert np.array_equal(res.binmd.error_sq, golden.binmd.error_sq)
+        assert np.array_equal(res.mdnorm.signal, golden.mdnorm.signal)
         assert ck.campaign_complete
 
 
@@ -386,6 +412,38 @@ class TestKillAndResumeCore:
                               gold.cross_section.signal, equal_nan=True)
 
 
+    def test_missing_digest_recomputed_on_resume(self, exp, tmp_path):
+        """Schema 2 makes every digest mandatory: a record that lost one
+        is treated as corrupt and its run recomputed."""
+        ckdir = tmp_path / "ck"
+        ck = CheckpointManager(ckdir, config_digest="core")
+        gold = compute_cross_section(
+            exp.loader,
+            recovery=RecoveryConfig(retry=POLICY, checkpoint=ck),
+            **exp.kw(),
+        )
+        manifest = ckdir / MANIFEST_NAME
+        doc = json.loads(manifest.read_text())
+        del doc["runs"]["2"]["digests"]["binmd_error_sq_val"]
+        manifest.write_text(json.dumps(doc))
+
+        ck2 = CheckpointManager(ckdir, config_digest="core")
+        tracer = trace_mod.Tracer()
+        with trace_mod.use_tracer(tracer):
+            res = compute_cross_section(
+                exp.loader,
+                recovery=RecoveryConfig(retry=POLICY, checkpoint=ck2,
+                                        resume=True),
+                **exp.kw(),
+            )
+        assert tracer.counters["checkpoint.corrupt"] == 1
+        assert res.extras["recovery"]["resumed"] == [0, 1, 3]
+        assert res.dispositions[2]["status"] == "done"
+        assert np.array_equal(res.binmd.signal, gold.binmd.signal)
+        assert np.array_equal(res.binmd.error_sq, gold.binmd.error_sq)
+        assert np.array_equal(res.mdnorm.signal, gold.mdnorm.signal)
+
+
 class TestKillAndResumeProxies:
     """The same kill-and-resume contract through both proxy drivers."""
 
@@ -498,6 +556,57 @@ class TestMPIFaultRecovery:
         assert res.dispositions[2]["rank"] != 2
         assert sorted(res.dispositions) == list(range(N_RUNS))
         assert np.array_equal(res.binmd.signal, gold.binmd.signal)
+        assert np.array_equal(res.mdnorm.signal, gold.mdnorm.signal)
+        assert np.array_equal(res.cross_section.signal,
+                              gold.cross_section.signal, equal_nan=True)
+
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_dead_ranks_durable_run_read_back(self, exp, tmp_path, size):
+        """A rank dies on its second run after its first is durable: the
+        root reads exactly that run from the checkpoint and folds it
+        with the gathered ones.  Eight runs (the four files twice) give
+        the crashing rank two or more runs at both world sizes."""
+        n_runs = 2 * N_RUNS
+        kw = {**exp.kw(), "n_runs": n_runs}
+
+        def loader(i):
+            return exp.loader(i % N_RUNS)
+
+        gold = compute_cross_section(
+            loader, recovery=RecoveryConfig(retry=POLICY), **kw)
+        ck = CheckpointManager(tmp_path / "ck", config_digest="mpi")
+        # run 4 opens the block of rank 1 (of 2) or rank 2 (of 4)
+        dead = size // 2
+        plan = FaultPlan(
+            [FaultSpec(site="run", kind="rank_crash", probability=1.0,
+                       runs=(5,), max_hits=1)],
+            seed=13,
+        )
+
+        def body(comm):
+            return compute_cross_section(
+                loader, comm=comm,
+                recovery=RecoveryConfig(retry=POLICY, checkpoint=ck), **kw,
+            )
+
+        tracer = trace_mod.Tracer()
+        with trace_mod.use_tracer(tracer), use_fault_plan(plan):
+            results = run_world(size, body, barrier_timeout=60.0)
+
+        assert plan.stats()["injected"] == 1
+        roots = [r for r in results if r.cross_section is not None]
+        assert len(roots) == 1
+        res = roots[0]
+        assert res.extras["recovery"]["failed_ranks"] == [dead]
+        assert tracer.counters["checkpoint.read"] == 1
+        assert res.dispositions[4] == {"status": "done", "rank": dead,
+                                       "attempts": 1}
+        assert res.dispositions[5]["rank"] != dead
+        assert sorted(res.dispositions) == list(range(n_runs))
+        assert ck.completed_runs() == list(range(n_runs))
+        assert np.array_equal(res.binmd.signal, gold.binmd.signal)
+        assert np.array_equal(res.binmd.error_sq, gold.binmd.error_sq)
         assert np.array_equal(res.mdnorm.signal, gold.mdnorm.signal)
         assert np.array_equal(res.cross_section.signal,
                               gold.cross_section.signal, equal_nan=True)

@@ -54,6 +54,30 @@ class TestAtomicPath:
                 fh.write(b"data")
         assert target.read_bytes() == b"data"
 
+    def test_path_writer_fsyncs_before_rename(self, tmp_path, monkeypatch):
+        """The payload is durable before its name becomes visible."""
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.stat(src).st_ino))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        target = tmp_path / "file.h5"
+        with atomic_io.atomic_path(target) as tmp:
+            with open(tmp, "wb") as fh:
+                fh.write(b"data")
+        # the temporary itself was synced, then renamed
+        assert [c[0] for c in calls] == ["fsync", "replace"]
+        assert calls[0][1] == calls[1][1]
+        assert target.read_bytes() == b"data"
+
     def test_path_writer_failure_cleans_up(self, tmp_path):
         target = tmp_path / "file.h5"
         with pytest.raises(RuntimeError):

@@ -26,7 +26,7 @@ entry kinds behind one LRU byte budget:
   interpolation table shared by every backend and every re-read of the
   same flux file.
 
-Keys are **content digests** (SHA-256 over the array bytes), so they
+Keys are **content digests** (two-leaf SHA-256 of the bytes), so they
 are backend-agnostic: the serial, threads and vectorized back ends all
 hit the same entries, and any change to the calibration (vanadium
 weights / detector mask), lattice (UB → transforms), goniometer or
@@ -59,6 +59,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.util import bytesplit as _bytesplit
 from repro.util import trace as _trace
 from repro.util.validation import require
 
@@ -76,16 +77,20 @@ KIND_FLUX = "flux-table"
 # ---------------------------------------------------------------------------
 
 def digest_array(arr: np.ndarray) -> str:
-    """Content digest of an array (dtype + shape + bytes).
+    """Content digest of an array: two-leaf SHA-256.
 
-    SHA-256, truncated to 32 hex digits: CPUs with SHA extensions hash
-    it about twice as fast as BLAKE2b.
+    SHA-256 over dtype, shape, SHA-256(first half of the bytes) and
+    SHA-256(second half), truncated to 32 hex digits.  From
+    :data:`~repro.util.bytesplit.SPLIT_BYTES` up the two leaves hash on
+    two cores; below, on the caller.  CPUs with SHA extensions hash
+    SHA-256 about twice as fast as BLAKE2b.
     """
     a = np.ascontiguousarray(arr)
     h = hashlib.sha256()
     h.update(str(a.dtype).encode())
     h.update(repr(a.shape).encode())
-    h.update(a.data)
+    for leaf in _bytesplit.sha256_halves(a.reshape(-1).view(np.uint8)):
+        h.update(leaf)
     return h.hexdigest()[:32]
 
 

@@ -62,6 +62,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.util import bytesplit as _bytesplit
 from repro.util import faults as _faults
 from repro.util import trace as _trace
 from repro.util.validation import ReproError
@@ -483,7 +484,7 @@ class Dataset(_Node):
                 f"got {len(raw)}"
             )
         if not self._crc_checked and self._crc is not None:
-            if zlib.crc32(raw) != self._crc:
+            if _bytesplit.crc32(raw) != self._crc:
                 raise CorruptFileError(
                     f"checksum mismatch reading dataset {self.name!r}"
                 )

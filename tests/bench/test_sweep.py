@@ -69,7 +69,12 @@ class TestSweepResult:
         assert len(rows[0]) == 3  # parameter, seconds, obs
 
     def test_real_timing_sweep(self):
-        """A sweep over sleep durations measures what it should."""
-        r = run_sweep("sleep", "t", [0.001, 0.004],
-                      lambda t: time.sleep(t), repeats=1)
+        """A sweep over sleep durations measures what it should: the
+        median of five repeats of well-separated durations (a stall of
+        a few ms on a loaded host moves one repeat, not the median), and
+        never less than the duration asked for."""
+        r = run_sweep("sleep", "t", [0.002, 0.025],
+                      lambda t: time.sleep(t), repeats=5)
         assert r.points[1].seconds > r.points[0].seconds
+        for p in r.points:
+            assert p.seconds >= p.parameter

@@ -9,6 +9,7 @@ gets its own tmp_path copies.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from repro.crystal.ub import UBMatrix
 from repro.instruments.corelli import make_corelli
 from repro.instruments.synth import make_flux, make_vanadium, synthesize_run
 from repro.nexus.corrections import write_flux_file, write_vanadium_file
-from repro.nexus.events import RunData
+from repro.nexus.events import COL_Q, EventTable, RunData
 from repro.nexus.schema import write_event_nexus
 
 
@@ -101,6 +102,40 @@ def tiny_experiment(tmp_path_factory: pytest.TempPathFactory) -> TinyExperiment:
         vanadium_path=vanadium_path,
         flux=flux,
         vanadium=vanadium,
+    )
+
+
+#: copies of a tiny run in one :func:`large_experiment` run: about
+#: 90,000 events, so its (8, n) payload (5.8 MB) and its (3, n) Q block
+#: (2.2 MB) both reach ``repro.util.bytesplit.SPLIT_BYTES`` (2 MiB)
+LARGE_RUN_COPIES = 75
+
+
+@pytest.fixture(scope="session")
+def large_experiment(tiny_experiment: TinyExperiment,
+                     tmp_path_factory: pytest.TempPathFactory) -> TinyExperiment:
+    """The tiny experiment's first two runs, each tiled to
+    ``LARGE_RUN_COPIES`` copies (copy ``k``'s Q scaled by ``1 + 1e-9 k``,
+    so no two copies share bytes), saved as contiguous SaveMD files.
+    Only ``md_paths`` and ``workspaces`` describe the tiled runs."""
+    from repro.util.bytesplit import SPLIT_BYTES
+
+    base = tmp_path_factory.mktemp("large_experiment")
+    workspaces, md_paths = [], []
+    for i, ws in enumerate(tiny_experiment.workspaces[:2]):
+        cols = np.tile(ws.events.cols, LARGE_RUN_COPIES)
+        cols[COL_Q] *= 1.0 + 1e-9 * np.repeat(
+            np.arange(LARGE_RUN_COPIES), ws.n_events)
+        big = dataclasses.replace(ws, events=EventTable.from_cols(cols))
+        assert big.events.q_sample.nbytes >= SPLIT_BYTES
+        path = str(base / f"run_{i}.md.h5")
+        save_md(path, big)
+        workspaces.append(big)
+        md_paths.append(path)
+    return dataclasses.replace(
+        tiny_experiment, runs=tiny_experiment.runs[:2],
+        nexus_paths=tiny_experiment.nexus_paths[:2],
+        workspaces=workspaces, md_paths=md_paths,
     )
 
 

@@ -246,6 +246,28 @@ class TestCompactedCache:
         reweighted[:, COL_ERROR_SQ] += 1.0
         assert binmd_cache_key(grid, FLIP, EventTable(reweighted)) == key
 
+    def test_split_size_key_is_independent_of_layout(self, grid, tmp_path):
+        """A table whose Q block reaches the split size (hashed as two
+        leaves on two cores) keeps one key across SaveMD/LoadMD and the
+        row-major copy; a one-ulp Q nudge in either half changes it."""
+        from repro.util.bytesplit import SPLIT_BYTES
+
+        events = _events(n=90_000, seed=13)
+        assert events.q_sample.nbytes >= SPLIT_BYTES
+        path = str(tmp_path / "run.md.h5")
+        save_md(path, MDEventWorkspace(
+            events=events, run_number=1, goniometer=np.eye(3),
+            proton_charge=1.0, momentum_band=(1.0, 5.0)))
+        loaded = load_md(path).events
+        rows = transpose_events(events)
+        key = binmd_cache_key(grid, FLIP, events)
+        assert binmd_cache_key(grid, FLIP, loaded) == key
+        assert binmd_cache_key(grid, FLIP, rows) == key
+        for row, col in ((0, COL_QX), (-1, COL_QZ)):
+            nudged = rows.copy()
+            nudged[row, col] = np.nextafter(nudged[row, col], np.inf)
+            assert binmd_cache_key(grid, FLIP, EventTable(nudged)) != key
+
     def test_no_lane_in_grid(self, grid):
         events = _events(n=300, seed=8)
         events.data[:, COL_QZ] = 5.0  # every event above the L range

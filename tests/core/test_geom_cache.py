@@ -118,6 +118,39 @@ class TestDigestsAndKeys:
         assert digest_array(a) != digest_array(a.astype(np.float32))
         assert digest_array(a) != digest_array(a.reshape(2, 4))
 
+    @pytest.mark.parametrize("n", [10, 300_000])
+    def test_digest_is_two_leaf_sha256(self, n):
+        """SHA-256 over dtype, shape and the SHA-256 of each half of the
+        bytes, below and above the split size alike."""
+        import hashlib
+
+        a = np.random.default_rng(n).random((3, n))
+        raw = a.tobytes()
+        cut = len(raw) // 2
+        h = hashlib.sha256()
+        h.update(b"float64")
+        h.update(repr(a.shape).encode())
+        h.update(hashlib.sha256(raw[:cut]).digest())
+        h.update(hashlib.sha256(raw[cut:]).digest())
+        assert digest_array(a) == h.hexdigest()[:32]
+        assert digest_array(np.asfortranarray(a)) == digest_array(a)
+
+    def test_split_size_digest_sensitive_to_either_half(self):
+        """At 2 MiB and more the leaves hash on two cores; a one-ulp
+        change in either half, a dtype or a shape change still shows."""
+        from repro.util.bytesplit import SPLIT_BYTES
+
+        a = np.random.default_rng(5).random(SPLIT_BYTES // 8 + 1001)
+        assert a.nbytes >= SPLIT_BYTES
+        key = digest_array(a)
+        assert digest_array(a.copy()) == key
+        for i in (0, a.size // 2 - 1, a.size // 2, a.size - 1):
+            b = a.copy()
+            b[i] = np.nextafter(b[i], np.inf)
+            assert digest_array(b) != key, i
+        assert digest_array(a.view(np.int64)) != key
+        assert digest_array(a[:-1].reshape(2, -1)) != digest_array(a[:-1])
+
     def test_calibration_change_changes_geometry_key(self):
         grid, transforms, dets, solid, flux, band, _ = _random_case(0)
         key = GeomCache.geometry_key(grid, transforms, dets, band, solid, flux)

@@ -149,6 +149,29 @@ class TestSaveLoad:
         assert any(base is c for c in checked)
         assert np.array_equal(cols, ws.events.cols)
 
+    def test_split_payload_is_the_checked_payload(
+        self, large_experiment, monkeypatch
+    ):
+        """A payload of 2 MiB or more is CRC-checked as two halves: zlib
+        sees two views of the very bytes the loaded columns sit on."""
+        checked = []
+        crc32 = zlib.crc32
+
+        def spy_crc32(data, *args):
+            checked.append(data)
+            return crc32(data, *args)
+
+        monkeypatch.setattr(h5lite.zlib, "crc32", spy_crc32)
+        cols = load_md(large_experiment.md_paths[0]).events.cols
+        base = cols
+        while isinstance(base, np.ndarray):
+            base = base.base
+        views = [c for c in checked
+                 if isinstance(c, memoryview) and c.obj is base]
+        assert len(views) == 2
+        assert sum(v.nbytes for v in views) == cols.nbytes
+        assert np.array_equal(cols, large_experiment.workspaces[0].events.cols)
+
     def test_chunked_eager_load_transposes_once(self, tiny_experiment, tmp_path):
         ws = tiny_experiment.workspaces[0]
         path = str(tmp_path / "ws.md.h5")
@@ -196,6 +219,21 @@ class TestSaveLoad:
         save_md(path, tiny_experiment.workspaces[0])
         raw = bytearray(open(path, "rb").read())
         raw[self._event_data_offset(path) + 13] ^= 0x40
+        open(path, "wb").write(raw)
+        with pytest.raises(h5lite.CorruptFileError, match="checksum"):
+            load_md(path)
+
+    @pytest.mark.parametrize("where", ["start", "end"])
+    def test_corrupt_split_payload_rejected(self, large_experiment, tmp_path,
+                                            where):
+        """A flipped byte in either half of a payload CRC-checked two
+        ways is caught."""
+        path = str(tmp_path / "ws.md.h5")
+        raw = bytearray(open(large_experiment.md_paths[0], "rb").read())
+        with File(large_experiment.md_paths[0], "r") as f:
+            ds = f["MDEventWorkspace/event_data"]
+            offset, nbytes = ds._offset, ds.nbytes
+        raw[offset + (13 if where == "start" else nbytes - 13)] ^= 0x40
         open(path, "wb").write(raw)
         with pytest.raises(h5lite.CorruptFileError, match="checksum"):
             load_md(path)

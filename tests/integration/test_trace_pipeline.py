@@ -21,6 +21,7 @@ from repro.jacc import default_backend
 from repro.mpi import run_world
 from repro.proxy.cpp_proxy import CppProxyConfig, CppProxyWorkflow
 from repro.proxy.minivates import MiniVatesConfig, MiniVatesWorkflow
+from repro.util import bytesplit
 from repro.util import trace as trace_mod
 from repro.util.timers import StageTimings
 from repro.util.trace import (
@@ -129,6 +130,28 @@ class TestGoldenSchema:
         assert spans["cross_section"][0]["attrs"]["executor"] == "stealing"
         assert ({r["attrs"]["backend"] for r in spans["cross_section"]}
                 == {default_backend().name})
+
+    def test_trace_counts_the_byte_split(self, tiny_experiment,
+                                         large_experiment):
+        """Runs of 2 MiB or more (Bixbyite-warm sized) CRC and key their
+        bytes on two cores; tiny runs (Benzil-cold sized) stay on the
+        caller, and the trace says which."""
+        counters = {}
+        for label, exp in (("tiny", tiny_experiment),
+                           ("large", large_experiment)):
+            tracer = Tracer(label=label)
+            with use_tracer(tracer):
+                _core_workflow(exp, backend="vectorized").run()
+            counters[label] = tracer.counters
+        tiny, large = counters["tiny"], counters["large"]
+        assert tiny["bytesplit.calls"] > 0
+        assert "bytesplit.helper_bytes" not in tiny
+        assert "bytesplit.inline" not in tiny
+        assert large["bytesplit.calls"] > 0
+        if bytesplit._cores() >= 2:
+            assert large["bytesplit.helper_bytes"] > 0
+        else:
+            assert "bytesplit.helper_bytes" not in large
 
     def test_cpp_proxy_trace_schema(self, tiny_experiment):
         exp = tiny_experiment

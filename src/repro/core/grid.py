@@ -148,19 +148,26 @@ class HKLGrid:
 
         Returns ``(flat_index, inside_mask)``; indices of outside points
         are clipped into range and must be masked by the caller.  The
-        rule is :meth:`flat_bin`'s, computed one axis at a time on 1-D
-        columns: floor of the rounded quotient, upper boundary exclusive
-        (a point exactly at ``maximum`` is outside), non-finite points
-        outside.
+        rule is :meth:`bin_columns`' on copies of the three axis columns.
         """
         c = np.asarray(coords, dtype=np.float64)
+        return self.bin_columns(*(np.array(c[..., axis]) for axis in range(3)))
+
+    def bin_columns(self, *columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`bin_index` of points given as their three float64 axis
+        columns of one shape, which it overwrites.
+
+        The rule is :meth:`flat_bin`'s, one axis at a time: floor of
+        the rounded quotient, upper boundary exclusive (a point exactly
+        at ``maximum`` is outside), non-finite points outside.
+        """
         mn, w = self._scalar_binning
         flat = inside = None
         # huge, infinite and NaN quotients overflow or cast to garbage:
         # `ok` masks them out and the clamp keeps their index in range
         with np.errstate(over="ignore", invalid="ignore"):
-            for axis, n in enumerate(self.bins):
-                q = np.subtract(c[..., axis], mn[axis], out=np.empty(c.shape[:-1]))
+            for axis, (q, n) in enumerate(zip(columns, self.bins)):
+                q -= mn[axis]
                 q /= w[axis]
                 np.floor(q, out=q)
                 ok = q >= 0.0

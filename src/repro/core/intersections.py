@@ -74,17 +74,26 @@ def k_window(
     for axis in range(3):
         di = d[..., axis]
         box_lo, box_hi = grid.minimum[axis], grid.maximum[axis]
-        pos = di > PARALLEL_EPS
-        neg = di < -PARALLEL_EPS
-        para = ~(pos | neg)
+        para = ~(np.abs(di) > PARALLEL_EPS)  # NaN counts as parallel
+        # division is monotone: the smaller quotient is box_lo / di for
+        # di > 0 and box_hi / di for di < 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            a = np.where(pos, box_lo / di, np.where(neg, box_hi / di, -np.inf))
-            b = np.where(pos, box_hi / di, np.where(neg, box_lo / di, np.inf))
+            p = box_lo / di
+            q = box_hi / di
+        a = np.minimum(p, q)
+        b = np.maximum(p, q)
+        # equal quotients are zeros, maybe of opposite signs (infinite
+        # di, or a box plane at 0): pick those by the sign of di
+        tie = p == q
+        if tie.any():
+            neg = di[tie] < 0.0
+            a[tie] = np.where(neg, q[tie], p[tie])
+            b[tie] = np.where(neg, p[tie], q[tie])
+        np.maximum(lo, np.where(para, -np.inf, a), out=lo)
+        np.minimum(hi, np.where(para, np.inf, b), out=hi)
         # parallel trajectories: inside iff the box straddles 0 in this dim
-        outside_para = para & ~((box_lo <= 0.0) & (0.0 <= box_hi))
-        lo = np.maximum(lo, a)
-        hi = np.minimum(hi, b)
-        hi = np.where(outside_para, lo - 1.0, hi)  # mark empty
+        if not box_lo <= 0.0 <= box_hi:
+            hi = np.where(para, lo - 1.0, hi)  # mark empty
     return lo, hi
 
 

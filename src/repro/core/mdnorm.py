@@ -213,9 +213,11 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
     scatter-add over the non-empty segments only.
 
     After the sort only segments with ``seg_hi > seg_lo`` can deposit,
-    so they are gathered row-major into 1-D arrays before any further
-    work; every value is the same elementwise operation the padded
-    form would compute, in the same deposit order.
+    so one flat scan gathers them row-major into 1-D arrays before any
+    further work.  Each breakpoint's flux is interpolated once, as in
+    the element body, so every value equals the one the padded form
+    would compute, in the same deposit order.  The trace counts the
+    live rows and these real segments.
 
     When the geometry cache holds a :class:`DepositPlan` for this
     configuration the fill/sort/interpolate/bin-search pipeline is
@@ -250,7 +252,6 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
                            scatter_impl=ctx.scatter_impl)
         return
 
-    directions = ctx.directions.reshape(-1, 3)
     k_lo = ctx.k_lo.reshape(-1)
     k_hi = ctx.k_hi.reshape(-1)
 
@@ -260,32 +261,44 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
     live = (k_hi > k_lo) & (det_w != 0.0)
     if not live.any():
         return
-    directions = directions[live]
+    # live directions as three contiguous axis columns
+    columns = np.compress(live, ctx.directions.reshape(-1, 3).T, axis=1)
     k_lo = k_lo[live]
     k_hi = k_hi[live]
     det_w = det_w[live]
-    n_rows = directions.shape[0]
+    n_rows = columns.shape[1]
 
     # collect the deposit plan alongside the cold pass (admitted to the
     # cache below by its compacted size)
     collect = [] if (use_plan and entry is not None) else None
+    n_segments = 0
 
     for start in range(0, n_rows, tile):
         stop = min(start + tile, n_rows)
-        padded = sorted_crossings_batch(
-            directions[start:stop], grid, k_lo[start:stop], k_hi[start:stop],
+        cells = sorted_crossings_batch(
+            columns[:, start:stop].T, grid, k_lo[start:stop], k_hi[start:stop],
             width, sort_impl=ctx.sort_impl,
-        )
-        seg_lo = padded[:, :-1]
-        seg_hi = padded[:, 1:]
-        real = seg_hi > seg_lo
-        row = np.nonzero(real)[0]
-        lo = seg_lo[real]
-        hi = seg_hi[real]
-        seg_flux = np.interp(hi, ctx.flux_k, ctx.flux_cum)
-        seg_flux -= np.interp(lo, ctx.flux_k, ctx.flux_cum)
+        ).reshape(-1)
+        # real segments in one flat scan; none starts at a row's end
+        real = cells[1:] > cells[:-1]
+        real[width - 1::width] = False
+        at = np.flatnonzero(real)
+        n_segments += at.size
+        lo = cells[at]
+        hi = cells[at + 1]
+        row = at // width
+        # one interpolation per breakpoint, the element body's carry: a
+        # real segment starts at the value the row's previous one ends
+        # at (zero-length segments between them have equal ends)
+        phi_hi = np.interp(hi, ctx.flux_k, ctx.flux_cum)
+        phi_lo = np.empty_like(phi_hi)
+        phi_lo[1:] = phi_hi[:-1]
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        phi_lo[first] = np.interp(lo[first], ctx.flux_k, ctx.flux_cum)
+        seg_flux = phi_hi - phi_lo
         mid = 0.5 * (lo + hi)
-        flat_idx, inside = grid.bin_index(mid[:, None] * directions[start:stop][row])
+        flat_idx, inside = grid.bin_columns(
+            *(mid * columns[axis, start:stop][row] for axis in range(3)))
         weights = seg_flux * det_w[start:stop][row]
         deposit = inside & (weights != 0.0)
         if collect is not None:
@@ -293,6 +306,10 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
                             seg_flux[inside], flat_idx[inside]))
         hist.push_flat(flat_idx[deposit], weights[deposit],
                        scatter_impl=ctx.scatter_impl)
+
+    tracer = _trace.active_tracer()
+    tracer.count("mdnorm.live_rows", n_rows)
+    tracer.count("mdnorm.segments", n_segments)
 
     if collect is not None:
         counts, fluxes, flats = zip(*collect)

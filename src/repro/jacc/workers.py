@@ -14,7 +14,9 @@
   It is kept only because the benchmark's out-of-core workload
   pre-forks it and checks its teardown.  :class:`WorkerPool` creates
   the pool lazily under a lock, forks its workers at creation, and
-  shuts it down on :meth:`WorkerPool.dispose`.
+  shuts it down on :meth:`WorkerPool.dispose`.  It starts no resource
+  tracker: nothing creates shared memory, and the ``fork`` context's
+  semaphores never register with one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import resource_tracker
 from typing import Optional
 
 from repro.jacc.backend import BackendError
@@ -118,10 +119,6 @@ class WorkerPool:
                 return self._pool
             if self._pool is not None:
                 self._pool.shutdown(wait=True, cancel_futures=True)
-            # Started before the fork, the parent's resource tracker is
-            # the one every worker reports to, instead of one orphaned
-            # tracker each.
-            resource_tracker.ensure_running()
             self._pool = ProcessPoolExecutor(
                 max_workers=n_workers, mp_context=_mp_context()
             )

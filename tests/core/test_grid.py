@@ -111,6 +111,33 @@ class TestBinIndex:
         assert inside[-2] and flat[-2] == 0 and not inside[-1]
 
     @pytest.mark.filterwarnings("error")
+    def test_bin_columns_agree_with_bin_index(self):
+        """The column form MDNorm bins with gives bin_index's and the
+        scalar rule's bins on bin edges, the grid maximum, NaN, +-inf
+        and +-1e308 (whose quotients overflow), and overwrites only the
+        columns it is given."""
+        grid = HKLGrid(basis=np.eye(3), minimum=(-2.0, -1.5, -1.0),
+                       maximum=(2.0, 1.5, 0.7), bins=(5, 3, 2))
+        values = [np.concatenate([edges, [np.nan, np.inf, -np.inf, 1e308,
+                                          -1e308]])
+                  for edges in grid.edges]
+        coords = np.stack(np.meshgrid(*values, indexing="ij"),
+                          axis=-1).reshape(-1, 3)
+        columns = [np.array(coords[:, axis]) for axis in range(3)]
+        flat, inside = grid.bin_columns(*columns)
+        want_flat, want_inside = grid.bin_index(coords)
+        assert np.array_equal(inside, want_inside)
+        assert np.array_equal(flat, want_flat)
+        scalar = [grid.flat_bin(*point) for point in coords]
+        assert np.array_equal(np.where(inside, flat, -1), scalar)
+        assert 0 < inside.sum() < len(coords)
+        assert not any(np.array_equal(c, coords[:, axis])
+                       for axis, c in enumerate(columns))
+        before = coords.copy()
+        grid.bin_index(coords)
+        assert np.array_equal(coords, before, equal_nan=True)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("seed", range(5))
     def test_bin_transformed_agrees_with_element_arithmetic(self, seed):
         """Under a general (rounding) transform, the axis-first batch

@@ -83,6 +83,55 @@ class TestKWindow:
         lo, hi = k_window(d, grid, 1.0, 5.0)
         assert lo.shape == (3, 4) and hi.shape == (3, 4)
 
+    @staticmethod
+    def _nested_where(d, grid, k_min, k_max):
+        """The sign-select form k_window replaced, kept as its oracle."""
+        lo = np.full(d.shape[:-1], float(k_min))
+        hi = np.full(d.shape[:-1], float(k_max))
+        for axis in range(3):
+            di = d[..., axis]
+            box_lo, box_hi = grid.minimum[axis], grid.maximum[axis]
+            pos = di > PARALLEL_EPS
+            neg = di < -PARALLEL_EPS
+            para = ~(pos | neg)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                a = np.where(pos, box_lo / di,
+                             np.where(neg, box_hi / di, -np.inf))
+                b = np.where(pos, box_hi / di,
+                             np.where(neg, box_lo / di, np.inf))
+            outside_para = para & ~((box_lo <= 0.0) & (0.0 <= box_hi))
+            lo = np.maximum(lo, a)
+            hi = np.minimum(hi, b)
+            hi = np.where(outside_para, lo - 1.0, hi)
+        return lo, hi
+
+    @pytest.mark.filterwarnings("error")
+    def test_matches_nested_where_form_bit_for_bit(self, grid):
+        """Min/max of the two quotients equals the sign select on every
+        component, as int64 bit patterns: random ones, and 0, -0,
+        +-PARALLEL_EPS, one ulp beyond it, +-inf and NaN in every
+        combination, on boxes that straddle 0, touch it and miss it,
+        for bands starting above, at and below 0."""
+        eps = PARALLEL_EPS
+        beyond = np.nextafter(eps, 1.0)
+        special = (0.0, -0.0, eps, -eps, beyond, -beyond, np.inf, -np.inf,
+                   np.nan, 0.75, -1.5)
+        mesh = np.stack(np.meshgrid(special, special, special,
+                                    indexing="ij"), axis=-1).reshape(-1, 3)
+        rng = np.random.default_rng(11)
+        d = np.vstack([mesh, rng.normal(size=(2000, 3))])
+        grids = (grid,
+                 HKLGrid(basis=np.eye(3), minimum=(0.0, 0.5, -1.0),
+                         maximum=(2.0, 2.0, 0.0), bins=(4, 3, 2)),
+                 HKLGrid(basis=np.eye(3), minimum=(-3.0, -2.0, 0.25),
+                         maximum=(-1.0, 2.0, 1.0), bins=(4, 3, 2)))
+        for g in grids:
+            for band in ((1.0, 5.0), (0.0, 5.0), (-2.0, 5.0)):
+                got = k_window(d, g, *band)
+                want = self._nested_where(d, g, *band)
+                for x, y in zip(got, want):
+                    assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
 
 class TestCounting:
     def test_known_crossing_count(self, grid):

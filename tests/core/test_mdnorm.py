@@ -201,6 +201,9 @@ def _adversarial_detectors():
     * ``D_x = 0.125``: ``k_lo = 2`` lands exactly on the x = 0.25 plane;
     * nearly forward: the whole window stays inside one bin (a live row
       with no crossings at all);
+    * exactly forward: ``D = 0`` is parallel to every grid plane, so the
+      whole band deposits into the bin at the origin;
+    * a NaN component: parallel on that axis, never binned inside;
     * backward: the trajectory never enters the grid box;
     * a random spread for everything in between.
     """
@@ -211,18 +214,22 @@ def _adversarial_detectors():
     rows.append((-0.125, 0.0, np.sqrt(1.0 - 0.125 ** 2)))  # k_lo on a plane
     rows.append((0.0, -0.125, np.sqrt(1.0 - 0.125 ** 2)))
     rows.append((-0.01, 0.0, np.sqrt(1.0 - 1e-4)))         # no crossings
+    rows.append((0.0, 0.0, 1.0))                           # D = 0
+    rows.append((np.nan, 0.0, 1.0))                        # NaN component
     rows.append((0.0, 0.0, -1.0))                          # never inside
     return np.vstack([np.array(rows), _detectors(40, seed=5)])
 
 
-def _adversarial_inputs():
+def _adversarial_inputs(band=BAND):
     dets = _adversarial_detectors()
     solid = np.random.default_rng(3).random(len(dets)) + 0.5
     solid[[1, 9, 20]] = 0.0                                # zero solid angle
     rng = np.random.default_rng(4)
-    # irregular knots, two of them exactly on the band edges
-    k = np.sort(np.concatenate([rng.uniform(1.0, 12.0, 43), BAND]))
-    density = rng.random(45) + 0.1
+    # irregular knots, two of them exactly on the band edges (and one at
+    # 0.0 when the band reaches below it)
+    edges = [*band, 0.0] if band[0] < 0.0 else list(band)
+    k = np.sort(np.concatenate([rng.uniform(1.0, 12.0, 43), edges]))
+    density = rng.random(k.size) + 0.1
     density[(k > 4.0) & (k < 6.0)] = 0.0                  # flat cumulative flux
     ops = np.stack([np.eye(3), np.eye(3)[[1, 0, 2]], -np.eye(3),
                     np.linalg.qr(rng.normal(size=(3, 3)))[0]])
@@ -233,47 +240,68 @@ class TestCompactedSegments:
     """Cold MDNorm interpolates and bins only the segments that can
     deposit, and the deposit plan stores only those inside the grid."""
 
+    @staticmethod
+    def _sorted_rows(grid, band):
+        """The sorted crossing rows of the live lanes cold MDNorm keeps."""
+        ops, dets, solid, _ = _adversarial_inputs(band)
+        directions = trajectory_directions(ops, dets).reshape(-1, 3)
+        lo, hi = k_window(directions, grid, *band)
+        live = (hi > lo) & (np.tile(solid, len(ops)) != 0.0)
+        width = max_intersections(grid, ops, dets, band)
+        return sorted_crossings_batch(directions[live], grid, lo[live],
+                                      hi[live], width)
+
     def test_bin_index_sees_only_real_segments(self, grid, monkeypatch):
+        """Only the real segments reach the binning, one 1-D column per
+        axis.  On a grid off the origin, a trajectory can enter the box
+        after the band starts, so a row can end below where the next
+        one starts: the segment between them is not real either."""
         ops, dets, solid, flux = _adversarial_inputs()
         calls = []
-        real_bin_index = HKLGrid.bin_index
+        real_bin_columns = HKLGrid.bin_columns
 
-        def counting(self, coords):
-            calls.append(coords.shape[:-1])
-            return real_bin_index(self, coords)
+        def counting(self, *columns):
+            calls.extend(column.shape for column in columns)
+            return real_bin_columns(self, *columns)
 
-        monkeypatch.setattr(HKLGrid, "bin_index", counting)
-        cache = GeomCache()
-        mdnorm(Hist3(grid), ops, dets, solid, flux, BAND, backend="vectorized",
-               cache=cache)
+        monkeypatch.setattr(HKLGrid, "bin_columns", counting)
+        off_origin = HKLGrid(basis=np.eye(3), minimum=(0.25, -2.0, -0.5),
+                             maximum=(2.0, 2.0, 0.5), bins=(7, 16, 1))
+        for g, origin_inside in ((grid, True), (off_origin, False)):
+            calls.clear()
+            cache = GeomCache()
+            mdnorm(Hist3(g), ops, dets, solid, flux, BAND,
+                   backend="vectorized", cache=cache)
 
-        directions = trajectory_directions(ops, dets).reshape(-1, 3)
-        lo, hi = k_window(directions, grid, *BAND)
-        det_w = np.tile(solid, len(ops))
-        live = (hi > lo) & (det_w != 0.0)
-        width = max_intersections(grid, ops, dets, BAND)
-        padded = sorted_crossings_batch(directions[live], grid, lo[live],
-                                        hi[live], width)
-        n_real = int(np.count_nonzero(padded[:, 1:] > padded[:, :-1]))
-        assert n_real < padded.shape[0] * (width - 1)
-        assert all(len(shape) == 1 for shape in calls)
-        assert sum(shape[0] for shape in calls) == n_real
+            padded = self._sorted_rows(g, BAND)
+            n_real = int(np.count_nonzero(padded[:, 1:] > padded[:, :-1]))
+            assert n_real < padded.shape[0] * (padded.shape[1] - 1)
+            assert (padded[:-1, -1] < padded[1:, 0]).any() != origin_inside
+            assert all(len(shape) == 1 for shape in calls)
+            assert sum(shape[0] for shape in calls[::3]) == n_real
+            assert calls[1::3] == calls[::3] == calls[2::3]
 
-        (key,) = [k for k in cache.keys() if k[0] == KIND_GEOMETRY]
-        plan = cache.peek(key).deposit
-        assert plan is not None
-        assert plan.seg_flux.size <= n_real
-        assert plan.flat_idx.size == plan.seg_flux.size == plan.row_ptr[-1]
-        assert plan.n_rows == int(live.sum())
+            (key,) = [k for k in cache.keys() if k[0] == KIND_GEOMETRY]
+            plan = cache.peek(key).deposit
+            assert plan is not None
+            assert plan.seg_flux.size <= n_real
+            assert plan.flat_idx.size == plan.seg_flux.size == plan.row_ptr[-1]
+            assert plan.n_rows == padded.shape[0]
+
+    #: (band, tile_rows): the reference band; a band from 0.0, so rows
+    #: start at a 0.0 breakpoint that is also a flux knot; a band from
+    #: -1.0, so planes through the origin cross at -0.0 and 0.0 in one
+    #: row.  Three-row tiles split the ops' rows across tiles.
+    CASES = ((BAND, 13), ((0.0, 9.0), 3), ((-1.0, 9.0), 3))
 
     @staticmethod
-    def _variants(grid, scatter_impl, sort_impl):
-        ops, dets, solid, flux = _adversarial_inputs()
-        args = (ops, dets, solid, flux, BAND)
+    def _variants(grid, scatter_impl, sort_impl, band, tile_rows):
+        ops, dets, solid, flux = _adversarial_inputs(band)
+        args = (ops, dets, solid, flux, band)
 
         def run(**kw):
             h = Hist3(grid)
-            mdnorm(h, *args, charge=1.7, tile_rows=13,
+            mdnorm(h, *args, charge=1.7, tile_rows=tile_rows,
                    scatter_impl=scatter_impl, sort_impl=sort_impl, **kw)
             return h
 
@@ -290,6 +318,21 @@ class TestCompactedSegments:
         out["shards_2"] = sharded
         return out
 
+    def test_adversarial_rows_are_present(self, grid):
+        """The cases the bit-identity test relies on really occur: a
+        row whose last real segment ends in the buffer's last column,
+        0.0 breakpoints from a band starting there, and rows holding
+        both -0.0 and 0.0."""
+        for band, _ in self.CASES:
+            rows = self._sorted_rows(grid, band)
+            assert (rows[:, -1] > rows[:, -2]).any(), band
+        zero = self._sorted_rows(grid, (0.0, 9.0)) == 0.0
+        assert zero[:, 0].any()
+        rows = self._sorted_rows(grid, (-1.0, 9.0))
+        neg = (rows == 0.0) & np.signbit(rows)
+        pos = (rows == 0.0) & ~np.signbit(rows)
+        assert (neg.any(axis=1) & pos.any(axis=1)).any()
+
     @pytest.mark.parametrize("sort_impl", ("comb", "library"))
     @pytest.mark.parametrize("scatter_impl", ("atomic", "buffered"))
     def test_adversarial_paths_bit_identical(self, grid, scatter_impl,
@@ -298,11 +341,13 @@ class TestCompactedSegments:
         agree bit for bit in both scatter implementations; the element
         path and the shard replay, which add deposits one at a time,
         join them under the atomic one."""
-        hists = self._variants(grid, scatter_impl, sort_impl)
-        names = ["cold_collect", "warm", "cold_uncached"]
-        if scatter_impl == "atomic":
-            names += ["serial", "shards_2"]
-        ref = hists[names[0]].signal
-        assert ref.sum() > 0
-        for name in names[1:]:
-            assert np.array_equal(hists[name].signal, ref), name
+        for band, tile_rows in self.CASES:
+            hists = self._variants(grid, scatter_impl, sort_impl, band,
+                                   tile_rows)
+            names = ["cold_collect", "warm", "cold_uncached"]
+            if scatter_impl == "atomic":
+                names += ["serial", "shards_2"]
+            ref = hists[names[0]].signal
+            assert ref.sum() > 0
+            for name in names[1:]:
+                assert np.array_equal(hists[name].signal, ref), (band, name)

@@ -153,6 +153,29 @@ class TestGoldenSchema:
         else:
             assert "bytesplit.helper_bytes" not in large
 
+    def test_trace_counts_cold_mdnorm_segments(self, tiny_experiment):
+        """Cold MDNorm counts its live rows and the real segments it
+        interpolates and bins: at least one, at most every gap of every
+        live row's padded buffer.  A warm re-reduction replays the
+        deposit plan and adds none."""
+        cache = GeomCache()
+        tracer = Tracer(label="segments")
+        with use_tracer(tracer):
+            _core_workflow(tiny_experiment, backend="vectorized",
+                           cache=cache).run()
+        cold = tracer.counters
+        width = max(r["attrs"]["width"]
+                    for r in _spans_by_name(tracer.records)["mdnorm"])
+        assert 0 < cold["mdnorm.segments"] \
+            <= cold["mdnorm.live_rows"] * (width - 1)
+        with use_tracer(tracer):
+            _core_workflow(tiny_experiment, backend="vectorized",
+                           cache=cache).run()
+        warm = tracer.counters
+        assert warm["mdnorm.trajectories"] == 2 * cold["mdnorm.trajectories"]
+        assert warm["mdnorm.segments"] == cold["mdnorm.segments"]
+        assert warm["mdnorm.live_rows"] == cold["mdnorm.live_rows"]
+
     def test_cpp_proxy_trace_schema(self, tiny_experiment):
         exp = tiny_experiment
         tracer = Tracer(label="cpp")

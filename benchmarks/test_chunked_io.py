@@ -14,9 +14,9 @@ tables.  This benchmark prices that choice:
   residency under the budget, the out-of-core acceptance bound.
 
 Correctness is asserted always (accounting invariants + the residency
-bound + bit-identical reads); timings are reported, never gated — the
-perf trajectory in ``BENCH_benzil_oocore.json`` owns the regression
-gate.
+bound + bit-identical reads); timings are reported, never gated.  The
+end-to-end out-of-core timing is the ``benzil_ooc_shards`` workload of
+``perfbench/run.py``.
 """
 
 import time

@@ -468,8 +468,6 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
         return trace_merge_main(argv[1:])
     if argv[:1] == ["crit"]:
         return trace_crit_main(argv[1:])
-    if argv[:1] == ["dag"]:
-        return trace_dag_main(argv[1:])
     if argv[:1] == ["chrome"]:
         return trace_chrome_main(argv[1:])
     args = _trace_parser().parse_args(argv)
@@ -587,7 +585,7 @@ def trace_summary_main(argv: Optional[List[str]] = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# repro trace merge / crit / dag / chrome  (the campaign DAG tooling)
+# repro trace merge / crit / chrome  (the campaign DAG tooling)
 # ---------------------------------------------------------------------------
 
 def _expand_trace_paths(paths: List[str]) -> List[str]:
@@ -613,37 +611,6 @@ def _merge_dag(paths: List[str]):
     from repro.util import tracedag
 
     return tracedag.merge_files(_expand_trace_paths(paths))
-
-
-def _add_crit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=float, default=3.0,
-                   help="anomaly threshold: median + k*IQR over sibling "
-                        "spans (default 3.0)")
-    p.add_argument("--min-ratio", type=float, default=1.5,
-                   help="anomaly floor: flag only spans slower than "
-                        "min-ratio * group median (default 1.5)")
-    p.add_argument("--min-group", type=int, default=4,
-                   help="minimum sibling group size to judge (default 4)")
-    p.add_argument("--metrics-file", metavar="PATH", default=None,
-                   help="publish repro_trace_critical_seconds / "
-                        "repro_trace_anomalies gauges to this "
-                        "OpenMetrics file")
-
-
-def _publish_crit_gauges(dag, metrics_file: str, *,
-                         k: float, min_ratio: float,
-                         min_group: int) -> None:
-    from repro.util.monitor import CampaignMonitor
-
-    mon = CampaignMonitor(label="trace-crit", metrics_path=metrics_file)
-    mon.set_gauge("trace_critical_seconds", dag.critical_seconds(),
-                  campaign=dag.campaign_id)
-    mon.set_gauge("trace_anomalies",
-                  float(len(dag.anomalies(k=k, min_ratio=min_ratio,
-                                          min_group=min_group))),
-                  campaign=dag.campaign_id)
-    mon.write_metrics()
-    print(f"published trace gauges to {metrics_file}")
 
 
 def trace_merge_main(argv: Optional[List[str]] = None) -> int:
@@ -691,40 +658,37 @@ def trace_crit_main(argv: Optional[List[str]] = None) -> int:
     )
     p.add_argument("paths", nargs="+", metavar="TRACE",
                    help="trace files and/or directories of *.jsonl")
-    _add_crit_flags(p)
+    p.add_argument("--k", type=float, default=3.0,
+                   help="anomaly threshold: median + k*IQR over sibling "
+                        "spans (default 3.0)")
+    p.add_argument("--min-ratio", type=float, default=1.5,
+                   help="anomaly floor: flag only spans slower than "
+                        "min-ratio * group median (default 1.5)")
+    p.add_argument("--min-group", type=int, default=4,
+                   help="minimum sibling group size to judge (default 4)")
+    p.add_argument("--metrics-file", metavar="PATH", default=None,
+                   help="publish repro_trace_critical_seconds / "
+                        "repro_trace_anomalies gauges to this "
+                        "OpenMetrics file")
     args = p.parse_args(argv)
     dag = _merge_dag(args.paths)
     dag.validate()
     print(dag.crit_report(k=args.k, min_ratio=args.min_ratio,
                           min_group=args.min_group))
     if args.metrics_file:
-        _publish_crit_gauges(dag, args.metrics_file, k=args.k,
-                             min_ratio=args.min_ratio,
-                             min_group=args.min_group)
-    return 0
+        from repro.util.monitor import CampaignMonitor
 
-
-def trace_dag_main(argv: Optional[List[str]] = None) -> int:
-    """``repro trace dag``: write the merged DAG document."""
-    p = argparse.ArgumentParser(
-        prog="repro trace dag",
-        description="Merge trace files and write the campaign DAG "
-                    "document (JSON).",
-    )
-    p.add_argument("paths", nargs="+", metavar="TRACE",
-                   help="trace files and/or directories of *.jsonl")
-    p.add_argument("--out", metavar="PATH", default="trace_dag.json",
-                   help="output path (default trace_dag.json)")
-    p.add_argument("--no-spans", action="store_true",
-                   help="omit the span table (summary only)")
-    args = p.parse_args(argv)
-    from repro.util import tracedag
-
-    dag = _merge_dag(args.paths)
-    report = dag.validate()
-    tracedag.write_dag(args.out, dag, include_spans=not args.no_spans)
-    print(f"wrote campaign {report['campaign_id']} DAG "
-          f"({report['n_spans']} spans) to {args.out}")
+        mon = CampaignMonitor(label="trace-crit",
+                              metrics_path=args.metrics_file)
+        mon.set_gauge("trace_critical_seconds", dag.critical_seconds(),
+                      campaign=dag.campaign_id)
+        mon.set_gauge("trace_anomalies",
+                      float(len(dag.anomalies(k=args.k,
+                                              min_ratio=args.min_ratio,
+                                              min_group=args.min_group))),
+                      campaign=dag.campaign_id)
+        mon.write_metrics()
+        print(f"published trace gauges to {args.metrics_file}")
     return 0
 
 
@@ -766,29 +730,10 @@ def _perf_add_workload_flags(p: argparse.ArgumentParser) -> None:
                    help="number of run files to synthesize/measure")
 
 
-def _perf_add_bench_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--repeats", type=int, default=5,
-                   help="timing repeats per stage (default 5)")
-    p.add_argument("--backend", default="vectorized",
-                   choices=available_backends(),
-                   help="jacc back end for the timed panel")
-    _add_shard_flags(p)
-    _add_oocore_flags(p)
-    p.add_argument("--name", default=None,
-                   help="trajectory workload name "
-                        "(default <workload>_smoke)")
-    p.add_argument("--bench-file", metavar="PATH", default=None,
-                   help="trajectory file (default "
-                        "benchmarks/BENCH_<name>.json)")
-    p.add_argument("--bench-dir", metavar="DIR", default=None,
-                   help="directory for the default trajectory file")
-
-
 def _perf_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro perf",
-        description="Kernel-level profiling, benchmark trajectory "
-                    "recording/regression gating, and live campaign "
+        description="Kernel-level profiling and live campaign "
                     "monitoring.",
     )
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -818,36 +763,6 @@ def _perf_parser() -> argparse.ArgumentParser:
     roof.add_argument("--out", metavar="CSV", default="roofline.csv",
                       help="output CSV path (per-source suffix with "
                            "multiple sources)")
-
-    recp = sub.add_parser(
-        "record", help="append a benchmark entry to the trajectory file")
-    _perf_add_workload_flags(recp)
-    _perf_add_bench_flags(recp)
-
-    chk = sub.add_parser(
-        "check",
-        help="gate current timings against the recorded trajectory "
-             "(exit 1 on regression)")
-    _perf_add_workload_flags(chk)
-    _perf_add_bench_flags(chk)
-    from repro.bench.regress import DEFAULT_K, DEFAULT_MIN_RATIO
-
-    chk.add_argument("--k", type=float, default=DEFAULT_K,
-                     help=f"IQR multiplier of the robust threshold "
-                          f"(default {DEFAULT_K})")
-    chk.add_argument("--min-ratio", type=float, default=DEFAULT_MIN_RATIO,
-                     help=f"slowdown floor a regression must also exceed "
-                          f"(default {DEFAULT_MIN_RATIO})")
-    chk.add_argument("--any-fingerprint", action="store_true",
-                     help="compare against entries from any machine, not "
-                          "just this one")
-
-    crit = sub.add_parser(
-        "crit",
-        help="critical-path + anomaly report over merged trace files")
-    crit.add_argument("--trace", nargs="+", metavar="TRACE", required=True,
-                      help="trace files and/or directories of *.jsonl")
-    _add_crit_flags(crit)
 
     w = sub.add_parser(
         "watch", help="render the live campaign monitor metrics file")
@@ -903,52 +818,8 @@ def _perf_models(args) -> List[tuple]:
     return out
 
 
-def _perf_bench_setup(args):
-    """(workload name, recorder, samples) for record/check."""
-    from repro.bench.regress import (
-        BenchRecorder,
-        collect_panel_samples,
-        default_bench_path,
-    )
-
-    if args.memory_budget is not None and args.chunk_events is None:
-        raise SystemExit("--memory-budget requires --chunk-events run files")
-    make_spec = benzil_corelli if args.workload == "benzil" else bixbyite_topaz
-    spec = make_spec(scale=args.scale, n_files=args.files,
-                     chunk_events=args.chunk_events)
-    print(spec.describe())
-    data = build_workload(spec)
-    name = args.name or f"{args.workload}_smoke"
-    path = args.bench_file or default_bench_path(name, args.bench_dir)
-    recorder = BenchRecorder(path, name)
-    shard_note = f" shards={args.shards}" if args.shards else ""
-    if args.memory_budget:
-        shard_note += f" budget={args.memory_budget}B"
-    executor = getattr(args, "executor", None)
-    if executor not in (None, "static"):
-        shard_note += f" executor={executor}"
-    print(f"timing {args.repeats} repeats of the {args.backend} panel"
-          f"{shard_note} ...")
-    samples = collect_panel_samples(
-        data, repeats=args.repeats, backend=args.backend,
-        shards=args.shards, memory_budget=args.memory_budget,
-        executor=executor, steal_seed=getattr(args, "steal_seed", 0),
-    )
-    config = {
-        "scale": getattr(spec, "scale", None),
-        "files": len(data.md_paths),
-        "backend": args.backend,
-        "shards": args.shards,
-        "chunk_events": args.chunk_events,
-        "memory_budget": args.memory_budget,
-        "executor": executor,
-        "steal_seed": getattr(args, "steal_seed", 0),
-    }
-    return recorder, samples, config
-
-
 def perf_main(argv: Optional[List[str]] = None) -> int:
-    """``repro perf``: report / roofline / record / check / watch."""
+    """``repro perf``: report / roofline / watch."""
     args = _perf_parser().parse_args(argv)
 
     if args.cmd == "report":
@@ -996,41 +867,6 @@ def perf_main(argv: Optional[List[str]] = None) -> int:
             with open(out, "w") as fh:
                 fh.write(model.roofline_csv())
             print(f"wrote {out} ({model.n_kernels} kernels)")
-        return 0
-
-    if args.cmd == "record":
-        recorder, samples, config = _perf_bench_setup(args)
-        entry = recorder.record(samples, config=config)
-        print(f"recorded entry ({entry['fingerprint']}, "
-              f"git {entry['git_sha'][:12]}) -> {recorder.path}")
-        for stage in ("UpdateEvents", "MDNorm", "BinMD", "Total"):
-            st = entry["stages"].get(stage)
-            if st:
-                print(f"  {stage:<14s} median {st['median']:.4f} s "
-                      f"iqr {st['iqr']:.4f} s (n={int(st['n'])})")
-        print(f"trajectory now holds {len(recorder.entries)} entries")
-        return 0
-
-    if args.cmd == "check":
-        from repro.bench.regress import check_against
-
-        recorder, samples, _ = _perf_bench_setup(args)
-        report = check_against(
-            recorder, samples, k=args.k, min_ratio=args.min_ratio,
-            any_fingerprint=args.any_fingerprint,
-        )
-        print(report.text())
-        return report.exit_code
-
-    if args.cmd == "crit":
-        dag = _merge_dag(args.trace)
-        dag.validate()
-        print(dag.crit_report(k=args.k, min_ratio=args.min_ratio,
-                              min_group=args.min_group))
-        if args.metrics_file:
-            _publish_crit_gauges(dag, args.metrics_file, k=args.k,
-                                 min_ratio=args.min_ratio,
-                                 min_group=args.min_group)
         return 0
 
     if args.cmd == "watch":
@@ -1250,10 +1086,11 @@ def repro_main(argv: Optional[List[str]] = None) -> int:
 
     Subcommands: ``reduce`` (the classic ``repro-reduce`` CLI),
     ``trace`` (traced reduction + JSON-lines/Chrome export; ``trace
-    summary`` for offline summaries and diffs), ``perf`` (kernel
-    profiling report/roofline, benchmark trajectory record/check, live
-    campaign watch) and the campaign service (``serve`` / ``submit`` /
-    ``cancel`` / ``status``).
+    summary|merge|crit|chrome`` for offline summaries, the merged
+    campaign DAG, its critical path and a merged Perfetto export),
+    ``perf`` (kernel profiling report/roofline, live campaign watch) and
+    the campaign service (``serve`` / ``submit`` / ``cancel`` /
+    ``status``).  The benchmark is ``perfbench/run.py``.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
@@ -1261,12 +1098,11 @@ def repro_main(argv: Optional[List[str]] = None) -> int:
               "[options]\n"
               "  reduce  run a reduction and print stage timings\n"
               "  trace   run a traced reduction and export the trace\n"
-              "          (trace summary|merge|crit|dag|chrome: offline\n"
+              "          (trace summary|merge|crit|chrome: offline\n"
               "          summaries, campaign-DAG merge, critical path,\n"
               "          merged Perfetto export)\n"
-              "  perf    profile kernels, record/check benchmark\n"
-              "          trajectories, watch a live campaign,\n"
-              "          critical-path report (perf crit)\n"
+              "  perf    profile kernels (report|roofline), watch a\n"
+              "          live campaign (watch)\n"
               "  serve   run the multi-tenant campaign service on a spool\n"
               "  submit  drop a campaign ticket into a spool\n"
               "  cancel  cooperatively cancel a submitted job\n"

@@ -465,12 +465,18 @@ class PerfModel:
                   f"{'cold s':>9s} {'warm s':>9s}")
         lines.append(header)
         for k in self.rows():
+            # a row with no byte count (an items-only span) has no
+            # bandwidth or intensity: print "-", not a 0 that reads as
+            # a measurement
+            gbs, ai = ((f"{k.bytes_per_s / 1e9:.3f}",
+                        f"{k.arithmetic_intensity:.2f}")
+                       if k.bytes_total > 0.0 else ("-", "-"))
             lines.append(
                 f"  {k.name:<28s} {k.backend:<11s} {k.launches:>5d} "
                 f"{k.seconds:>10.4f} {_si(k.events_per_s):>12s} "
                 f"{_si(k.trajectories_per_s):>12s} "
                 f"{_si(k.intersections_per_s):>12s} "
-                f"{k.bytes_per_s / 1e9:>8.3f} {k.arithmetic_intensity:>7.2f} "
+                f"{gbs:>8s} {ai:>7s} "
                 f"{k.cold_seconds:>9.4f} {k.warm_seconds:>9.4f}"
             )
         if not self.kernels:

@@ -23,13 +23,15 @@ validated causal DAG and interrogates:
   seconds per rank (idle = the rank span minus the union of its child
   intervals);
 * :meth:`TraceDAG.anomalies` — work-normalised duration outliers
-  against sibling spans (same name/backend/kind), flagged by the same
-  robust ``median + k*IQR`` rule the bench regression gate uses, with
-  the work scalar taken from the PR 4 ``perf`` attrs so the flag is a
-  *model-vs-measured* deviation, not a raw-seconds one.
+  against sibling spans (same name/backend/kind): a span is flagged
+  when its seconds-per-work exceed both ``median + k*IQR`` of its
+  group and ``min_ratio * median``, with the work scalar taken from
+  the ``perf`` attrs so the flag is a *model-vs-measured* deviation,
+  not a raw-seconds one.
 
-The CLI surface is ``repro trace merge|crit|dag`` and
-``repro perf crit``; ``CampaignMonitor`` publishes the headline
+The CLI surface is ``repro trace merge|crit|chrome``
+(``merge --out PATH`` writes the DAG document); ``CampaignMonitor``
+publishes the headline
 numbers as ``repro_trace_critical_seconds`` /
 ``repro_trace_anomalies``.
 """
@@ -428,10 +430,11 @@ class TraceDAG:
         normalises each duration by the analytic work scalar (PR 4
         ``perf`` attrs, falling back to the steal-task byte weight,
         then raw seconds), and flags members whose seconds-per-work
-        exceed ``median + k*IQR`` *and* ``min_ratio * median`` — the
-        same robust rule as the bench regression gate, so a flagged
-        span is slower than its own siblings predict for the work it
-        did, not merely the biggest task.
+        exceed ``median + k*IQR`` *and* ``min_ratio * median``.  The
+        IQR term ignores jitter within a noisy group and the
+        ``min_ratio`` floor keeps a zero-IQR group from flagging
+        micro-jitter, so a flagged span is slower than its own siblings
+        predict for the work it did, not merely the biggest task.
         """
         groups: Dict[Tuple[Any, Any, Any],
                      List[Tuple[Dict[str, Any], float]]] = defaultdict(list)
@@ -478,7 +481,7 @@ class TraceDAG:
 
     def crit_report(self, *, k: float = 3.0, min_ratio: float = 1.5,
                     min_group: int = 4, max_chain: int = 24) -> str:
-        """The ``repro trace crit`` / ``repro perf crit`` table."""
+        """The ``repro trace crit`` table."""
         chain = self.critical_chain()
         rollup = self.crit_rollup()
         ranks = self.rank_attribution()

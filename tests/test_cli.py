@@ -43,7 +43,7 @@ class TestCli:
 
     @pytest.mark.parametrize("cmd", (
         ["trace"], ["perf", "report"], ["perf", "roofline"],
-        ["perf", "record"], ["submit", "--tenant", "t"],
+        ["submit", "--tenant", "t"],
     ), ids=" ".join)
     def test_unknown_backend_refused_at_parse_time(self, cmd, tmp_path,
                                                    capsys):
@@ -123,3 +123,62 @@ class TestCli:
         ])
         assert rc == 0
         assert "C++ proxy" in capsys.readouterr().out
+
+
+class TestTraceDagCli:
+    """``repro trace merge|crit`` over hand-written campaign trace files
+    (the synthetic-file helpers of ``tests/util/test_tracedag.py``)."""
+
+    def test_merge_out_writes_the_dag_document(self, tmp_path, capsys):
+        import json
+
+        from repro.util import tracedag
+        from tests.util.test_tracedag import _tree_files
+
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        files = _tree_files(traces)
+        for no_spans in (False, True):
+            out = tmp_path / f"dag-{no_spans}.json"
+            want = tmp_path / f"want-{no_spans}.json"
+            rc = repro_main(["trace", "merge", str(traces), "--out", str(out)]
+                            + (["--no-spans"] if no_spans else []))
+            assert rc == 0
+            assert "DAG invariants: OK" in capsys.readouterr().out
+            tracedag.write_dag(str(want), tracedag.merge_files(sorted(files)),
+                               include_spans=not no_spans)
+            assert json.loads(out.read_text()) == json.loads(want.read_text())
+            assert ("spans" in json.loads(out.read_text())) is not no_spans
+
+    def test_crit_publishes_both_gauges(self, tmp_path, capsys):
+        from repro.util import tracedag
+        from repro.util.monitor import parse_metrics
+        from tests.util.test_tracedag import _sibling_files
+
+        (path,) = _sibling_files(tmp_path, [1.0] * 8 + [9.0])
+        metrics = tmp_path / "metrics.prom"
+        rc = repro_main(["trace", "crit", str(tmp_path),
+                         "--metrics-file", str(metrics)])
+        assert rc == 0
+        assert "critical path" in capsys.readouterr().out
+        gauges = parse_metrics(metrics.read_text())
+        dag = tracedag.merge_files([path])
+        (crit,) = gauges["repro_trace_critical_seconds"].values()
+        (anomalies,) = gauges["repro_trace_anomalies"].values()
+        assert crit == dag.critical_seconds()
+        assert anomalies == 1.0
+
+    @pytest.mark.parametrize("cmd", (
+        ["perf", "record"], ["perf", "check"], ["perf", "crit"],
+        ["trace", "dag"],
+    ), ids=" ".join)
+    def test_retired_commands_are_usage_errors(self, cmd, tmp_path, capsys):
+        """The deleted benchmark-trajectory and duplicate DAG commands
+        are parse errors, before any workload is built."""
+        with pytest.raises(SystemExit) as exc:
+            repro_main(cmd + [str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"invalid choice: '{cmd[1]}'" if cmd[0] == "perf"
+                else "unrecognized arguments: dag ") in err
+        assert list(tmp_path.iterdir()) == []

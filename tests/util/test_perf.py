@@ -232,6 +232,25 @@ class TestPerfModel:
         assert "mdnorm" in text and "binmd" in text
         assert "events/s" in text and "isects/s" in text
 
+    def test_items_only_row_prints_dash_not_zero(self):
+        # a jacc kernel span carries only ``items``: no byte count, so
+        # its GB/s and AI cells are "-" (the CSV stays numeric)
+        records = _synthetic_records() + [_span(
+            "kernel:bin_events", 10_000, 0.004,
+            {"backend": "vectorized", "perf": kernel_items((128,))},
+        )]
+        model = PerfModel.from_records(records)
+        rows = {line.split()[0]: line.split()
+                for line in model.table().splitlines()[2:]}
+        gbs, ai = rows["kernel:bin_events"][7:9]
+        assert (gbs, ai) == ("-", "-")
+        assert rows["binmd"][7] != "-" and float(rows["binmd"][7]) > 0.0
+        csv_rows = {r["kernel"]: r for r in
+                    csv.DictReader(io.StringIO(model.roofline_csv()))}
+        assert float(csv_rows["kernel:bin_events"]["bytes_per_s"]) == 0.0
+        assert float(
+            csv_rows["kernel:bin_events"]["arithmetic_intensity"]) == 0.0
+
     def test_empty_model(self):
         model = PerfModel.from_records([])
         assert model.n_kernels == 0

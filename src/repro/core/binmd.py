@@ -90,10 +90,12 @@ def binmd_cache_key(grid, transforms: np.ndarray,
 
     The Q rows are hashed in place when they are contiguous (a
     column-major :class:`EventTable`) and copied once otherwise, so a
-    table has one key whatever its layout."""
+    table has one key whatever its layout; a table loaded with its Q
+    leaves already hashed (``q_leaves``) is not hashed again."""
     data = events.data if isinstance(events, EventTable) else np.asarray(events)
+    leaves = events.q_leaves if isinstance(events, EventTable) else None
     return GeomCache.binmd_key(grid, np.asarray(transforms, dtype=np.float64),
-                               _q_rows(data))
+                               _q_rows(data), leaves)
 
 
 def _in_grid_pairs(
@@ -224,7 +226,7 @@ def bin_events(
         entry: Optional[BinMDEntry] = None
         key = None
         if cache.enabled:
-            key = binmd_cache_key(hist.grid, transforms, data)
+            key = binmd_cache_key(hist.grid, transforms, events)
             entry = cache.get(key)
         op_span.set(cache_hit=entry is not None)
         if tracer.profile:

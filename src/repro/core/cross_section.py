@@ -42,7 +42,7 @@ from repro.core.checkpoint import (
 from repro.core.geom_cache import GeomCache
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
-from repro.core.md_event_workspace import MDEventWorkspace
+from repro.core.md_event_workspace import MDEventWorkspace, PendingMD
 from repro.core.mdnorm import mdnorm
 from repro.core.sharding import ShardConfig, sharded_binmd, sharded_mdnorm
 from repro.crystal.symmetry import PointGroup
@@ -136,16 +136,23 @@ def _rank_blocks(
     return balanced_rank_runs(weights, size)
 
 
-def _load_run(
-    load_run: Callable[[int], MDEventWorkspace], i: int, timings: StageTimings
-) -> MDEventWorkspace:
-    """UpdateEvents: load run ``i`` (timed) and check it carries a UB."""
-    with timings.stage("UpdateEvents"):
-        ws = load_run(i)
+def _check_ub(ws: MDEventWorkspace, i: int) -> None:
     if ws.ub_matrix is None:
         raise ValidationError(
             f"run index {i} carries no UB matrix; Algorithm 1 needs it"
         )
+
+
+def _load_run(
+    load_run: Callable[[int], Any], i: int, timings: StageTimings
+) -> MDEventWorkspace:
+    """UpdateEvents: load run ``i`` (timed; a begun load is joined at
+    once) and check it carries a UB."""
+    with timings.stage("UpdateEvents"):
+        ws = load_run(i)
+        if isinstance(ws, PendingMD):
+            ws = ws.join()
+    _check_ub(ws, i)
     return ws
 
 
@@ -241,12 +248,39 @@ def _run_step(
     loads run ``i`` (the timed UpdateEvents stage) and accumulates its
     MDNorm and BinMD into the given histograms — through the ``*_impl``
     override, the shard executor (``shards``, or an out-of-core table),
-    or the in-memory kernel — and returns the run's workspace."""
+    or the in-memory kernel — and returns the run's workspace.
+
+    When ``load_run`` returns a :class:`PendingMD` (the workflow's
+    loader does), the payload's read and CRC32 run on the ``bytesplit``
+    helper while MDNorm, which reads no events, runs; the join before
+    BinMD is charged to UpdateEvents.  The helper also hashes the Q
+    rows' key leaves when BinMD will look them up (in memory, unsharded,
+    cache enabled)."""
     monitor = _monitor.active_monitor()
+    key_leaves = binmd_impl is None and shards is None and cache.enabled
 
     def step(i: int, binmd_hist: Hist3, mdnorm_hist: Hist3) -> MDEventWorkspace:
-        ws = _load_run(load_run, i, timings)
-        event_transforms = grid.transforms_for(ws.ub_matrix, point_group)
+        pending = None
+        try:
+            with timings.stage("UpdateEvents"):
+                loaded = load_run(i)
+                if isinstance(loaded, PendingMD):
+                    pending = loaded
+                    pending.start(key_leaves=key_leaves)
+            ws = loaded if pending is None else pending.ws
+            _check_ub(ws, i)
+            _mdnorm_step(i, ws, mdnorm_hist)
+            if pending is not None:
+                with timings.stage("UpdateEvents"), _trace.active_tracer().span(
+                        "nexus.join_payload", kind="io", run=int(i)):
+                    ws = pending.join()
+        finally:
+            if pending is not None:
+                pending.close()
+        _binmd_step(i, ws, binmd_hist)
+        return ws
+
+    def _mdnorm_step(i: int, ws: MDEventWorkspace, mdnorm_hist: Hist3) -> None:
         traj_transforms = grid.transforms_for(
             ws.ub_matrix, point_group, goniometer=ws.goniometer
         )
@@ -272,6 +306,10 @@ def _run_step(
                     sort_impl=sort_impl, scatter_impl=scatter_impl,
                     cache=cache, cache_tag=tag,
                 )
+
+    def _binmd_step(i: int, ws: MDEventWorkspace, binmd_hist: Hist3) -> None:
+        event_transforms = grid.transforms_for(ws.ub_matrix, point_group)
+        tag = f"run:{i}"
         if monitor.enabled:
             monitor.heartbeat(comm.rank, site=f"run:{i}/BinMD")
         with timings.stage("BinMD"):
@@ -290,7 +328,6 @@ def _run_step(
                     backend=backend, scatter_impl=scatter_impl,
                     cache=cache, cache_tag=tag,
                 )
-        return ws
 
     return step
 

@@ -86,10 +86,18 @@ def digest_array(arr: np.ndarray) -> str:
     SHA-256 about twice as fast as BLAKE2b.
     """
     a = np.ascontiguousarray(arr)
+    return digest_leaves(
+        a, _bytesplit.sha256_halves(a.reshape(-1).view(np.uint8)))
+
+
+def digest_leaves(arr: np.ndarray, leaves: Tuple[bytes, bytes]) -> str:
+    """:func:`digest_array` of ``arr`` from the two SHA-256 leaves of
+    its C-order bytes, hashed elsewhere (cut as ``sha256_halves``
+    cuts); only ``arr``'s dtype and shape are read."""
     h = hashlib.sha256()
-    h.update(str(a.dtype).encode())
-    h.update(repr(a.shape).encode())
-    for leaf in _bytesplit.sha256_halves(a.reshape(-1).view(np.uint8)):
+    h.update(str(arr.dtype).encode())
+    h.update(repr(arr.shape).encode())
+    for leaf in leaves:
         h.update(leaf)
     return h.hexdigest()[:32]
 
@@ -318,19 +326,22 @@ class GeomCache:
         )
 
     @staticmethod
-    def binmd_key(grid, transforms: np.ndarray, q_rows: np.ndarray) -> Tuple[Any, ...]:
+    def binmd_key(grid, transforms: np.ndarray, q_rows: np.ndarray,
+                  q_leaves: Optional[Tuple[bytes, bytes]] = None) -> Tuple[Any, ...]:
         """Key of one BinMD (grid, symmetry transforms, event Q rows).
 
         ``q_rows`` is ``(3, n)``: Qx, Qy and Qz, one row each, hashed in
-        place when C-contiguous.  Which lanes land in which bin depends
-        on nothing else, so two tables that differ only in their
-        weights share one entry.
+        place when C-contiguous, or not at all when ``q_leaves`` (their
+        two SHA-256 leaves, hashed on load) are given.  Which lanes
+        land in which bin depends on nothing else, so two tables that
+        differ only in their weights share one entry.
         """
         return (
             KIND_BINMD,
             digest_grid(grid),
             digest_array(transforms),
-            digest_array(q_rows),
+            digest_array(q_rows) if q_leaves is None
+            else digest_leaves(q_rows, q_leaves),
         )
 
     @staticmethod

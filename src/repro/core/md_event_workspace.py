@@ -19,6 +19,7 @@ instrument geometry and the run's goniometer.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -38,9 +39,10 @@ from repro.nexus.events import (
     N_EVENT_COLUMNS,
     RunData,
 )
-from repro.nexus.h5lite import File
+from repro.nexus.h5lite import File, PayloadRead
 from repro.nexus.tiles import LazyEventTable
 from repro.util import faults as _faults
+from repro.util import trace as _trace
 from repro.util.validation import ValidationError, as_matrix3, require
 
 
@@ -53,7 +55,8 @@ class MDEventWorkspace:
     :class:`repro.nexus.tiles.LazyEventTable` exposing the same
     ``n_events`` surface plus bounded ``binmd_window(a, b)`` reads.  The
     proxies replace it with the row-major ``(n, 8)`` array of
-    :func:`transpose_events`.
+    :func:`transpose_events`.  It is None in a :class:`PendingMD`'s
+    workspace until the load is joined.
     """
 
     events: "EventTable"
@@ -206,45 +209,128 @@ def load_md(
     cache and the table is **never** materialized; without a budget
     the chunked table is materialized eagerly into columns.  The
     paper's load-time transpose is not paid here; the proxies pay it
-    with :func:`transpose_events`.
+    with :func:`transpose_events`.  This is :func:`begin_md` joined at
+    once.
+    """
+    return begin_md(path, memory_budget=memory_budget).join()
+
+
+def begin_md(
+    path: Union[str, os.PathLike],
+    *,
+    memory_budget: Optional[int] = None,
+) -> "PendingMD":
+    """The first half of :func:`load_md`, on the caller.
+
+    Fires ``nexus.read_events`` and the payload's ``h5lite.read`` fault
+    points in :func:`load_md`'s order, checks the payload's shape in the
+    header, and reads the header and the metadata (UB, goniometer, band, charge) into ``pending.ws``, whose
+    ``events`` is None until :meth:`PendingMD.join`.  A chunked table
+    (lazy or materialized) is complete already; a legacy payload is
+    not read yet.
     """
     _faults.fault_point("nexus.read_events", path=os.fspath(path))
     f = File(path, "r")
     try:
-        ws = _read_workspace(f, memory_budget)
+        grp = f["MDEventWorkspace"]
+        payload = None
+        if "event_columns" in grp or "event_table" in grp:
+            events: "EventTable | LazyEventTable | None" = LazyEventTable.adopt(
+                f, memory_budget=memory_budget)
+            if memory_budget is None:
+                events = events.materialize()
+        else:
+            events = None
+            payload = grp.require_dataset("event_data").begin_read()
+            shape = payload.shape
+            if len(shape) != 2 or shape[0] != N_EVENT_COLUMNS:
+                raise ValidationError(
+                    f"{f.path!r}: event_data must be "
+                    f"({N_EVENT_COLUMNS}, n), got {shape}"
+                )
+        band = grp.read("momentum_band")
+        ub = grp.read("ub_matrix") if "ub_matrix" in grp else None
+        ws = MDEventWorkspace(
+            events=events,
+            run_number=int(grp.read("run_number")[()]),
+            goniometer=grp.read("goniometer"),
+            proton_charge=float(grp.read("proton_charge")[()]),
+            momentum_band=(float(band[0]), float(band[1])),
+            ub_matrix=ub,
+        )
     except BaseException:
         f.close()
         raise
-    if not isinstance(ws.events, LazyEventTable):  # a lazy table owns f
-        f.close()
-    return ws
+    return PendingMD(f, ws, payload)
 
 
-def _read_workspace(f: File, memory_budget: Optional[int]) -> MDEventWorkspace:
-    grp = f["MDEventWorkspace"]
-    if "event_columns" in grp or "event_table" in grp:
-        events: "EventTable | LazyEventTable" = LazyEventTable.adopt(
-            f, memory_budget=memory_budget)
-        if memory_budget is None:
-            events = events.materialize()
-    else:
-        raw = grp.read("event_data")
-        if raw.ndim != 2 or raw.shape[0] != N_EVENT_COLUMNS:
-            raise ValidationError(
-                f"{f.path!r}: event_data must be "
-                f"({N_EVENT_COLUMNS}, n), got {raw.shape}"
-            )
+class PendingMD:
+    """A :func:`begin_md` whose event payload is still to be read.
+
+    ``ws`` carries the run's metadata now.  :meth:`start` queues the
+    payload's read and CRC32 (and, with ``key_leaves``, the two SHA-256
+    leaves of the Q rows the BinMD cache key is made of) on the
+    ``bytesplit`` helper; :meth:`join` takes what the helper has not
+    started, checks length and CRC32 on the caller (:func:`begin_md`
+    checked the shape in the header) and returns the complete
+    workspace.  Joining an unstarted load reads on the
+    caller, as :func:`load_md` does.  Either :meth:`join` or
+    :meth:`close` releases the run file; a load dropped without either
+    warns (``ResourceWarning``).
+    """
+
+    def __init__(self, f: File, ws: MDEventWorkspace,
+                 payload: Optional[PayloadRead]) -> None:
+        self.ws = ws
+        self._payload = payload
+        self._file = f if payload is not None else None
+        if payload is None and not isinstance(ws.events, LazyEventTable):
+            f.close()  # a lazy table owns f
+
+    def start(self, *, key_leaves: bool) -> None:
+        """Queue the payload job on the helper (no-op without a payload
+        or a helper); ``key_leaves`` also hashes the Q rows' leaves."""
+        payload = self._payload
+        if payload is None:
+            return
+        leaf_range = None
+        if key_leaves and not payload.compressed:
+            row = payload.nbytes // N_EVENT_COLUMNS
+            leaf_range = (COL_Q.start * row, COL_Q.stop * row)
+        if payload.start(leaf_range):
+            _trace.active_tracer().count("nexus.payload_deferred")
+
+    def join(self) -> MDEventWorkspace:
+        """The complete workspace; raises the payload's
+        :class:`~repro.nexus.h5lite.CorruptFileError` here, on the
+        caller."""
+        payload = self._payload
+        if payload is None:
+            return self.ws
+        try:
+            raw = payload.join()
+        finally:
+            self.close()
         events = EventTable.from_cols(raw)
-    band = grp.read("momentum_band")
-    ub = grp.read("ub_matrix") if "ub_matrix" in grp else None
-    return MDEventWorkspace(
-        events=events,
-        run_number=int(grp.read("run_number")[()]),
-        goniometer=grp.read("goniometer"),
-        proton_charge=float(grp.read("proton_charge")[()]),
-        momentum_band=(float(band[0]), float(band[1])),
-        ub_matrix=ub,
-    )
+        events.q_leaves = payload.leaves
+        self.ws.events = events
+        return self.ws
+
+    def close(self) -> None:
+        """Abandon the payload and close the run file.  Idempotent."""
+        if self._payload is not None:
+            self._payload.close()
+            self._payload = None
+        if self._file is not None:
+            self._file.close()
+            self._file = None
+
+    def __del__(self) -> None:
+        if getattr(self, "_file", None) is not None:
+            warnings.warn(f"run file {self._file.path!r} was begun but "
+                          "never joined or closed", ResourceWarning,
+                          source=self)
+            self.close()
 
 
 def transpose_events(events: EventTable) -> np.ndarray:

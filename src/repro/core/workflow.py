@@ -24,7 +24,8 @@ from repro.core.cross_section import (
 )
 from repro.core.geom_cache import GeomCache
 from repro.core.grid import HKLGrid
-from repro.core.md_event_workspace import load_md
+# load_md is re-exported: the benchmark's layer table wraps it by this name
+from repro.core.md_event_workspace import begin_md, load_md  # noqa: F401
 from repro.core.mdnorm import prefetch_geometry
 from repro.core.sharding import ShardConfig
 from repro.crystal.symmetry import PointGroup
@@ -136,7 +137,8 @@ class ReductionWorkflow:
             backend=cfg.backend or "default",
         ):
             return compute_cross_section(
-                load_run=lambda i: load_md(
+                # a begun load: the payload is read while MDNorm runs
+                load_run=lambda i: begin_md(
                     paths[i], memory_budget=cfg.memory_budget
                 ),
                 n_runs=len(paths),
@@ -163,10 +165,10 @@ class ReductionWorkflow:
     def prefetch_geometry(self) -> int:
         """Warm the geometry cache for every run before reducing.
 
-        Loads each run's metadata, computes its trajectory geometry and
-        pre-pass bound and stores them (plus the flux table), so the
-        subsequent :meth:`run` — or a re-reduction of the same panel —
-        starts warm.  Returns the number of newly inserted entries.
+        Reads each run's metadata (not its events), computes its
+        trajectory geometry and pre-pass bound and stores them (plus
+        the flux table), so the subsequent :meth:`run` — or a
+        re-reduction of the same panel — starts warm.  Returns the number of newly inserted entries.
         """
         cfg = self.config
         cache = _gc.resolve(cfg.geom_cache)
@@ -184,7 +186,9 @@ class ReductionWorkflow:
         cfg = self.config
         inserted = 0
         for i, path in enumerate(cfg.md_paths):
-            ws = load_md(path)
+            pending = begin_md(path)
+            pending.close()  # metadata only: the payload is never read
+            ws = pending.ws
             if ws.ub_matrix is None:
                 raise ValidationError(f"run file {path} carries no UB matrix")
             traj_transforms = cfg.grid.transforms_for(

@@ -20,7 +20,7 @@ Two layouts exist, mirroring the paper's pipeline:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -127,10 +127,12 @@ class EventTable:
     for the element bodies and ``[:, COL_*]`` indexing; it never
     copies.  The constructor takes that event-major ``(n, 8)`` form
     and transposes it once; :meth:`from_cols` adopts an ``(8, n)``
-    block as is.
+    block as is.  ``q_leaves`` are the two SHA-256 leaves of the Q
+    rows' bytes when they were hashed on load (a read-only block only),
+    else None.
     """
 
-    __slots__ = ("cols",)
+    __slots__ = ("cols", "q_leaves")
 
     def __init__(self, data: np.ndarray) -> None:
         arr = np.asarray(data, dtype=np.float64)
@@ -139,6 +141,7 @@ class EventTable:
                 f"event table must be (n, {N_EVENT_COLUMNS}), got {arr.shape}"
             )
         self.cols = np.ascontiguousarray(arr.T)
+        self.q_leaves: Optional[Tuple[bytes, bytes]] = None
 
     @classmethod
     def from_cols(cls, cols: np.ndarray) -> "EventTable":
@@ -151,6 +154,7 @@ class EventTable:
             )
         table = cls.__new__(cls)
         table.cols = np.ascontiguousarray(arr)
+        table.q_leaves = None
         return table
 
     @classmethod

@@ -471,36 +471,17 @@ class Dataset(_Node):
             return self.read_rows(0, self.shape[0]).reshape(self.shape)
         if self._chunks or self._offset is None:
             return self._staged().reshape(self.shape)
+        return self.begin_read().join()
+
+    def begin_read(self) -> "PayloadRead":
+        """The first half of reading a contiguous on-disk dataset whole:
+        its fault point fires now, its bytes are read and checked by
+        :meth:`PayloadRead.join` (see :class:`PayloadRead`)."""
+        if self._chunk_index is not None or self._chunks or self._offset is None:
+            raise H5LiteError(
+                f"dataset {self.name!r} is not a contiguous on-disk payload")
         _faults.fault_point("h5lite.read", dataset=self.name)
-        fh = self._file._fh
-        assert fh is not None
-        fh.seek(self._offset)
-        stored = self._stored_nbytes if self._stored_nbytes is not None else self.nbytes
-        raw = fh.read(stored)
-        _trace.active_tracer().count("h5lite.bytes_read", len(raw))
-        if len(raw) != stored:
-            raise TruncatedFileError(
-                f"truncated dataset {self.name!r}: wanted {stored} bytes, "
-                f"got {len(raw)}"
-            )
-        if not self._crc_checked and self._crc is not None:
-            if _bytesplit.crc32(raw) != self._crc:
-                raise CorruptFileError(
-                    f"checksum mismatch reading dataset {self.name!r}"
-                )
-            self._crc_checked = True
-        if self.compression == "zlib":
-            try:
-                raw = zlib.decompress(raw)
-            except zlib.error as exc:
-                raise CorruptFileError(
-                    f"corrupt compressed dataset {self.name!r}: {exc}"
-                ) from exc
-            if len(raw) != self.nbytes:
-                raise CorruptFileError(
-                    f"decompressed size mismatch for dataset {self.name!r}"
-                )
-        return np.frombuffer(raw, dtype=self.dtype).reshape(self.shape)
+        return PayloadRead(self)
 
     def _read_rows(self, start: int, stop: int) -> np.ndarray:
         """Read a contiguous raw row range [start, stop) along axis 0."""
@@ -555,6 +536,146 @@ class Dataset(_Node):
             f"<h5lite Dataset {self.name!r} shape={self.shape} "
             f"dtype={self.dtype}{layout}>"
         )
+
+
+class PayloadRead:
+    """A contiguous dataset's whole-payload read, begun but not done.
+
+    :meth:`Dataset.begin_read` has fired the read's fault point.
+    :meth:`join` reads the stored bytes, checks their length and CRC32
+    and returns the array, the checked buffer itself.  In between,
+    :meth:`start` may queue the read, the CRC32 (two ranges from
+    :data:`~repro.util.bytesplit.SPLIT_BYTES` up, joined with
+    ``crc32_combine``) and optionally the two SHA-256 leaves of one
+    byte range as a :class:`~repro.util.bytesplit.ByteJob`, so they run
+    on the helper while the caller works; :meth:`join` then takes the
+    pieces the helper has not started, and sets :attr:`leaves`.  A
+    begun read must be joined or closed before its file is.
+    """
+
+    def __init__(self, ds: Dataset) -> None:
+        self._ds = ds
+        self._stored = (ds._stored_nbytes if ds._stored_nbytes is not None
+                        else ds.nbytes)
+        self._job: Optional[_bytesplit.ByteJob] = None
+        self._n_crc = 0
+        #: SHA-256 of each half of the leaf range (stored bytes, so
+        #: uncompressed payloads only) once joined; None if not hashed
+        self.leaves: Optional[Tuple[bytes, bytes]] = None
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return self._ds.shape
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the array (after inflating a compressed payload)."""
+        return self._ds.nbytes
+
+    @property
+    def compressed(self) -> bool:
+        return self._ds.compression is not None
+
+    def _fh(self) -> io.BufferedIOBase:
+        fh = self._ds._file._fh
+        if fh is None:
+            raise H5LiteError(f"file {self._ds._file.path!r} is closed")
+        return fh
+
+    def _read(self) -> bytes:
+        """The caller's buffered read (small metadata datasets share
+        one buffer fill)."""
+        fh = self._fh()
+        fh.seek(self._ds._offset)
+        return fh.read(self._stored)
+
+    def _pread(self) -> bytes:
+        """The helper's read: positioned, so the caller may read other
+        datasets of the file meanwhile."""
+        fd, offset, n = self._fh().fileno(), int(self._ds._offset), self._stored
+        raw = os.pread(fd, n, offset)
+        while 0 < len(raw) < n:  # a short read before EOF
+            more = os.pread(fd, n - len(raw), offset + len(raw))
+            if not more:
+                break
+            raw += more
+        return raw
+
+    def start(self, leaf_range: Optional[Tuple[int, int]] = None) -> bool:
+        """Queue the byte job on the helper; False (nothing queued) when
+        there is no helper.  ``leaf_range`` is a ``[start, stop)`` byte
+        range of the stored payload to hash as two SHA-256 leaves, cut
+        where ``sha256_halves`` cuts it."""
+        n = self._stored
+        if n >= _bytesplit.SPLIT_BYTES:
+            cut = n // 2
+            pieces = [(zlib.crc32, 0, cut), (zlib.crc32, cut, n)]
+        else:
+            pieces = [(zlib.crc32, 0, n)]
+        self._n_crc = len(pieces)
+        if leaf_range is not None:
+            a, b = leaf_range
+            mid = a + (b - a) // 2
+            pieces += [(_bytesplit.sha256, a, mid), (_bytesplit.sha256, mid, b)]
+        job = _bytesplit.ByteJob(self._pread, pieces)
+        if not job.start():
+            return False
+        self._job = job
+        return True
+
+    def join(self) -> np.ndarray:
+        """Read (what the helper has not), check and return the array."""
+        ds, n = self._ds, self._stored
+        tracer = _trace.active_tracer()
+        crc: Optional[int] = None
+        leaves: Optional[Tuple[bytes, bytes]] = None
+        if self._job is None:
+            raw = self._read()
+        else:
+            job, self._job = self._job, None
+            raw, results = job.join()
+            tracer.count("nexus.payload_inline", job.inline_pieces)
+            if job.helper_bytes:
+                tracer.count("bytesplit.helper_bytes", job.helper_bytes)
+            crcs = results[:self._n_crc]
+            crc = crcs[0] if len(crcs) == 1 else _bytesplit.crc32_combine(
+                crcs[0], crcs[1], n - n // 2)
+            if len(results) > self._n_crc:
+                leaves = (results[-2], results[-1])
+        tracer.count("h5lite.bytes_read", len(raw))
+        if len(raw) != n:
+            raise TruncatedFileError(
+                f"truncated dataset {ds.name!r}: wanted {n} bytes, "
+                f"got {len(raw)}"
+            )
+        if not ds._crc_checked and ds._crc is not None:
+            if crc is None:
+                crc = _bytesplit.crc32(raw)
+            if crc != ds._crc:
+                raise CorruptFileError(
+                    f"checksum mismatch reading dataset {ds.name!r}"
+                )
+            ds._crc_checked = True
+        if ds.compression == "zlib":
+            try:
+                raw = zlib.decompress(raw)
+            except zlib.error as exc:
+                raise CorruptFileError(
+                    f"corrupt compressed dataset {ds.name!r}: {exc}"
+                ) from exc
+            if len(raw) != ds.nbytes:
+                raise CorruptFileError(
+                    f"decompressed size mismatch for dataset {ds.name!r}"
+                )
+        self.leaves = leaves
+        return np.frombuffer(raw, dtype=ds.dtype).reshape(ds.shape)
+
+    def close(self) -> None:
+        """Abandon a started read: when this returns the helper no
+        longer touches the file.  Idempotent."""
+        if self._job is not None:
+            self._job.close()
+            self._job = None
 
 
 class Group(_Node):

@@ -10,6 +10,11 @@ returns exactly ``zlib.crc32(buf)``.  A forked child drops the helper
 it inherited; with fewer than two usable cores nothing reaches one.
 A tracer counts ``bytesplit.calls``, ``bytesplit.helper_bytes`` (bytes
 the helper hashed) and ``bytesplit.inline`` (cancel fallbacks).
+
+The same helper carries a :class:`ByteJob`: a read followed by hashes
+of byte ranges of what it read, queued by one caller and joined by it
+later, so the bytes are read and checked while the caller computes
+something else.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import os
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.util import trace as _trace
 
@@ -126,7 +131,8 @@ def crc32(buf: Any) -> int:
     return crc32_combine(head, tail, view.nbytes - view.nbytes // 2)
 
 
-def _sha256(data: Any) -> bytes:
+def sha256(data: Any) -> bytes:
+    """SHA-256 digest of a buffer: one leaf."""
     return hashlib.sha256(data).digest()
 
 
@@ -134,4 +140,97 @@ def sha256_halves(data: Any) -> Tuple[bytes, bytes]:
     """SHA-256 of each half of a 1-D byte buffer (``bytes`` or a uint8
     array); the first half is the shorter one."""
     _trace.active_tracer().count("bytesplit.calls")
-    return _halves(_sha256, data)
+    return _halves(sha256, data)
+
+
+#: one hash of a :class:`ByteJob`: ``fn(view[start:stop])``
+Piece = Tuple[Callable[[Any], Any], int, int]
+
+
+class ByteJob:
+    """A read, then GIL-free hashes of byte ranges of what it read.
+
+    :meth:`start` queues the job on the helper, which takes the read
+    and then the pieces in order.  :meth:`join` runs on the caller
+    every piece the helper has not taken, waits for the one it is
+    running and returns the buffer and each piece's result; a piece
+    waits for the read.  Without a helper (fewer than two cores, or
+    never started) the caller runs everything.  The job calls no
+    tracer: ``inline_pieces`` (the read counts as one) and
+    ``helper_bytes`` say who ran what once it is joined.
+    """
+
+    def __init__(self, read: Callable[[], bytes], pieces: Sequence[Piece]) -> None:
+        self._read = read
+        self._pieces = list(pieces)
+        self._results: List[Any] = [None] * len(self._pieces)
+        self._next = 0                  # 0 is the read, k the piece k - 1
+        self._lock = threading.Lock()
+        self._have_buf = threading.Event()
+        self._buf: Optional[bytes] = None
+        self._error: Optional[BaseException] = None
+        self._future: Any = None
+        self.inline_pieces = 0
+        self.helper_bytes = 0
+
+    def start(self) -> bool:
+        """Queue the job on the helper; False when there is none."""
+        pool = _helper()
+        if pool is None:
+            return False
+        self._future = pool.submit(self._work, True)
+        return True
+
+    def _take(self) -> Optional[int]:
+        with self._lock:
+            k = self._next
+            if k > len(self._pieces):
+                return None
+            self._next = k + 1
+            return k
+
+    def _work(self, helper: bool) -> None:
+        while (k := self._take()) is not None:
+            try:
+                self._run(k)
+            except Exception as exc:  # re-raised by join
+                with self._lock:
+                    self._error = self._error or exc
+            if not helper:
+                self.inline_pieces += 1
+            elif k:
+                _, a, b = self._pieces[k - 1]
+                self.helper_bytes += b - a
+
+    def _run(self, k: int) -> None:
+        if k == 0:
+            try:
+                self._buf = self._read()
+            finally:
+                self._have_buf.set()
+            return
+        self._have_buf.wait()
+        if self._buf is not None:
+            fn, a, b = self._pieces[k - 1]
+            self._results[k - 1] = fn(memoryview(self._buf)[a:b])
+
+    def _wait_helper(self) -> None:
+        if self._future is not None and not self._future.cancel():
+            self._future.result()
+
+    def join(self) -> Tuple[bytes, List[Any]]:
+        """The buffer and the pieces' results; raises what the read or
+        a piece raised."""
+        self._work(False)
+        self._wait_helper()
+        if self._error is not None:
+            raise self._error
+        assert self._buf is not None
+        return self._buf, self._results
+
+    def close(self) -> None:
+        """Abandon the job: nothing new starts, and the piece the helper
+        is running has finished when this returns."""
+        with self._lock:
+            self._next = len(self._pieces) + 1
+        self._wait_helper()

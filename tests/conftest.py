@@ -176,3 +176,16 @@ def forbid_pool(monkeypatch):
         monkeypatch.setattr(GLOBAL_POOL, "executor", refuse)
 
     return forbid
+
+
+@pytest.fixture
+def bytesplit_helper(monkeypatch):
+    """A fresh ``bytesplit`` helper on any host (even a 1-core one), so
+    payload jobs really run on it; shut down after the test."""
+    from repro.util import bytesplit
+
+    monkeypatch.setattr(bytesplit, "_cores", lambda: 2)
+    monkeypatch.setattr(bytesplit, "_pool", None)
+    pool = bytesplit._helper()
+    yield pool
+    pool.shutdown(wait=True)

@@ -1,12 +1,15 @@
 """Unit tests for MDEvent conversion and SaveMD/LoadMD."""
 
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.geom_cache import digest_array, digest_leaves
 from repro.core.md_event_workspace import (
     MDEventWorkspace,
+    begin_md,
     convert_to_md,
     load_md,
     save_md,
@@ -22,7 +25,10 @@ from repro.nexus.events import (
 )
 from repro.nexus import h5lite
 from repro.nexus.h5lite import File
+from repro.util import bytesplit
 from repro.util.validation import ValidationError
+
+SPLIT = bytesplit.SPLIT_BYTES
 
 
 class TestConvertToMd:
@@ -217,9 +223,9 @@ class TestSaveLoad:
     def test_corrupt_payload_rejected(self, tiny_experiment, tmp_path):
         path = str(tmp_path / "ws.md.h5")
         save_md(path, tiny_experiment.workspaces[0])
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[self._event_data_offset(path) + 13] ^= 0x40
-        open(path, "wb").write(raw)
+        Path(path).write_bytes(raw)
         with pytest.raises(h5lite.CorruptFileError, match="checksum"):
             load_md(path)
 
@@ -229,12 +235,12 @@ class TestSaveLoad:
         """A flipped byte in either half of a payload CRC-checked two
         ways is caught."""
         path = str(tmp_path / "ws.md.h5")
-        raw = bytearray(open(large_experiment.md_paths[0], "rb").read())
+        raw = bytearray(Path(large_experiment.md_paths[0]).read_bytes())
         with File(large_experiment.md_paths[0], "r") as f:
             ds = f["MDEventWorkspace/event_data"]
             offset, nbytes = ds._offset, ds.nbytes
         raw[offset + (13 if where == "start" else nbytes - 13)] ^= 0x40
-        open(path, "wb").write(raw)
+        Path(path).write_bytes(raw)
         with pytest.raises(h5lite.CorruptFileError, match="checksum"):
             load_md(path)
 
@@ -242,8 +248,8 @@ class TestSaveLoad:
         path = str(tmp_path / "ws.md.h5")
         save_md(path, tiny_experiment.workspaces[0])
         cut = self._event_data_offset(path) + 64
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:cut])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:cut])
         with pytest.raises(h5lite.H5LiteError):
             load_md(path)
 
@@ -258,3 +264,125 @@ class TestSaveLoad:
         path = str(tmp_path / "noub.md.h5")
         save_md(path, ws)
         assert load_md(path).ub_matrix is None
+
+
+def _save_events(path, n, seed=0):
+    """A run of ``n`` random events (contiguous payload of ``64 n``
+    bytes); returns its columns."""
+    cols = np.random.default_rng(seed).normal(size=(8, n))
+    save_md(path, MDEventWorkspace(
+        events=EventTable.from_cols(cols), run_number=1,
+        goniometer=np.eye(3), proton_charge=1.0, momentum_band=(1.0, 5.0),
+        ub_matrix=np.eye(3)))
+    return cols
+
+
+def _base(arr):
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+class TestBegunLoad:
+    """``begin_md`` + ``start`` + ``join``: the payload is read, CRC'd and
+    its Q leaves hashed on the helper, and the result is what
+    ``load_md`` returns, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, SPLIT // 64 - 1, SPLIT // 64,
+                                   SPLIT // 64 + 1])
+    def test_started_join_equals_load_md(self, tmp_path, bytesplit_helper, n):
+        path = str(tmp_path / "run.md.h5")
+        cols = _save_events(path, n)
+        pending = begin_md(path)
+        pending.start(key_leaves=True)
+        table = pending.join().events
+        assert table.cols.view(np.int64).tobytes() == cols.view(np.int64).tobytes()
+        assert not table.cols.flags.writeable
+        q = table.cols[COL_Q]
+        assert table.q_leaves == bytesplit.sha256_halves(
+            q.reshape(-1).view(np.uint8))
+        assert load_md(path).events.q_leaves is None
+        assert np.array_equal(load_md(path).events.cols, table.cols)
+
+    @pytest.mark.parametrize("n", [(SPLIT // 24) - 1, SPLIT // 24,
+                                   (SPLIT // 24) + 1])
+    def test_key_from_leaves_is_the_digest(self, tmp_path, bytesplit_helper, n):
+        """The Q rows (24 bytes an event) straddle the split size."""
+        path = str(tmp_path / "run.md.h5")
+        _save_events(path, n)
+        pending = begin_md(path)
+        pending.start(key_leaves=True)
+        table = pending.join().events
+        q = table.cols[COL_Q]
+        assert digest_leaves(q, table.q_leaves) == digest_array(q)
+
+    @pytest.mark.parametrize("nbytes", [SPLIT - 1, SPLIT, SPLIT + 1])
+    def test_payload_job_around_the_split(self, tmp_path, monkeypatch,
+                                          bytesplit_helper, nbytes):
+        """Byte-exact payloads around the split size: the CRC32 runs as
+        one range below it and as two from it up, over views of the very
+        buffer the array sits on; the leaves cut as ``sha256_halves``."""
+        data = np.frombuffer(np.random.default_rng(3).bytes(nbytes),
+                             dtype=np.uint8)
+        path = str(tmp_path / "blob.h5")
+        with File(path, "w") as f:
+            f.create_dataset("blob", data=data)
+        checked = []
+        crc32 = zlib.crc32
+
+        def spy_crc32(buf, *args):
+            checked.append(buf)
+            return crc32(buf, *args)
+
+        monkeypatch.setattr(h5lite.zlib, "crc32", spy_crc32)
+        with File(path, "r") as f:
+            read = f["blob"].begin_read()
+            assert read.start((1, nbytes))
+            got = read.join()
+        assert got.tobytes() == data.tobytes()
+        assert read.leaves == bytesplit.sha256_halves(data[1:])
+        views = [c for c in checked if isinstance(c, memoryview)
+                 and c.obj is _base(got)]
+        assert len(views) == (2 if nbytes >= SPLIT else 1)
+        assert sum(v.nbytes for v in views) == nbytes
+
+    @pytest.mark.parametrize("where", [0, SPLIT // 2 - 1, SPLIT // 2, SPLIT])
+    def test_started_join_catches_a_flipped_byte(self, tmp_path,
+                                                 bytesplit_helper, where):
+        path = str(tmp_path / "run.md.h5")
+        _save_events(path, SPLIT // 64 + 1)
+        with File(path, "r") as f:
+            offset = f["MDEventWorkspace/event_data"]._offset
+        raw = bytearray(Path(path).read_bytes())
+        raw[offset + where] ^= 0x01
+        Path(path).write_bytes(raw)
+        pending = begin_md(path)
+        pending.start(key_leaves=True)
+        with pytest.raises(h5lite.CorruptFileError, match="checksum"):
+            pending.join()
+
+    def test_metadata_is_read_at_begin(self, tiny_experiment):
+        ws = tiny_experiment.workspaces[0]
+        pending = begin_md(tiny_experiment.md_paths[0])
+        try:
+            assert pending.ws.events is None
+            assert np.array_equal(pending.ws.ub_matrix, ws.ub_matrix)
+            assert np.array_equal(pending.ws.goniometer, ws.goniometer)
+            assert pending.ws.momentum_band == ws.momentum_band
+            assert pending.ws.proton_charge == ws.proton_charge
+        finally:
+            pending.close()
+
+    def test_close_abandons_a_started_job(self, tiny_experiment,
+                                          bytesplit_helper):
+        pending = begin_md(tiny_experiment.md_paths[0])
+        pending.start(key_leaves=True)
+        pending.close()
+        pending.close()
+        assert pending.ws.events is None
+
+    def test_dropped_load_warns(self, tiny_experiment):
+        pending = begin_md(tiny_experiment.md_paths[0])
+        with pytest.warns(ResourceWarning, match="never joined or closed"):
+            pending.__del__()
+        pending.close()

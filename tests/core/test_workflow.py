@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.cross_section import compute_cross_section
+from repro.core.geom_cache import GeomCache
 from repro.core.md_event_workspace import load_md
+from repro.core.mdnorm import prefetch_geometry
 from repro.core.workflow import ReductionWorkflow, WorkflowConfig
 from repro.instruments.corelli import make_corelli
+from repro.util.trace import Tracer, use_tracer
 from repro.util.validation import ValidationError
 
 
@@ -61,3 +64,30 @@ class TestWorkflow:
         comb = ReductionWorkflow(_config(tiny_experiment, sort_impl="comb")).run()
         lib = ReductionWorkflow(_config(tiny_experiment, sort_impl="library")).run()
         assert np.allclose(comb.mdnorm.signal, lib.mdnorm.signal)
+
+
+class TestPrefetch:
+    def test_prefetch_reads_metadata_only(self, tiny_experiment):
+        """Prefetching fills the cache with the entries a full load's
+        metadata gives, and reads less than one run's payload."""
+        exp = tiny_experiment
+        cache = GeomCache()
+        wf = ReductionWorkflow(_config(exp, geom_cache=cache))
+        tracer = Tracer(label="prefetch")
+        with use_tracer(tracer):
+            inserted = wf.prefetch_geometry()
+
+        want, want_inserted = GeomCache(), 0
+        for i, path in enumerate(exp.md_paths):
+            ws = load_md(path)
+            want_inserted += prefetch_geometry(
+                exp.grid,
+                exp.grid.transforms_for(ws.ub_matrix, exp.point_group,
+                                        goniometer=ws.goniometer),
+                exp.instrument.directions, ws.momentum_band,
+                wf.solid_angles, wf.flux, backend="vectorized",
+                cache=want, cache_tag=f"run:{i}")
+        assert inserted == want_inserted > 0
+        assert sorted(map(repr, cache.keys())) == sorted(map(repr, want.keys()))
+        payload = min(ws.events.cols.nbytes for ws in exp.workspaces)
+        assert 0 < tracer.counters["h5lite.bytes_read"] < payload

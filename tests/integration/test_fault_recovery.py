@@ -19,7 +19,12 @@ Covers the failure model's contract on the real pipeline:
 
 import json
 import os
+import shutil
+import struct
+import threading
+import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import List
 
 import numpy as np
@@ -28,7 +33,7 @@ import pytest
 from repro.core.checkpoint import MANIFEST_NAME, CheckpointManager, RecoveryConfig
 from repro.core.cross_section import compute_cross_section
 from repro.core.grid import HKLGrid
-from repro.core.md_event_workspace import convert_to_md, load_md, save_md
+from repro.core.md_event_workspace import begin_md, convert_to_md, load_md, save_md
 from repro.core.sharding import ShardConfig
 from repro.core.streaming import EventStream, StreamingReduction
 from repro.crystal.goniometer import Goniometer
@@ -38,6 +43,7 @@ from repro.crystal.ub import UBMatrix
 from repro.instruments.corelli import make_corelli
 from repro.instruments.synth import make_flux, make_vanadium, synthesize_run
 from repro.mpi import run_world
+from repro.nexus import h5lite
 from repro.nexus.corrections import write_flux_file, write_vanadium_file
 from repro.proxy.cpp_proxy import CppProxyConfig, CppProxyWorkflow
 from repro.proxy.minivates import MiniVatesConfig, MiniVatesWorkflow
@@ -45,6 +51,7 @@ from repro.util import trace as trace_mod
 from repro.util.faults import (
     FaultPlan,
     FaultSpec,
+    InjectedKernelError,
     RankCrashError,
     RetryExhaustedError,
     RetryPolicy,
@@ -392,9 +399,9 @@ class TestKillAndResumeCore:
         )
         # flip one byte of run 1's persisted delta
         victim = os.path.join(ck.directory, ck.run_record(1)["file"])
-        raw = bytearray(open(victim, "rb").read())
+        raw = bytearray(Path(victim).read_bytes())
         raw[len(raw) // 2] ^= 0xFF
-        open(victim, "wb").write(bytes(raw))
+        Path(victim).write_bytes(bytes(raw))
 
         ck2 = CheckpointManager(ckdir, config_digest="core")
         tracer = trace_mod.Tracer()
@@ -996,3 +1003,138 @@ class TestKillAndResumeStealing:
         assert res.extras["stealing"]["tasks"] == 8
         assert res.extras["recovery"]["resumed"] == [0, 1]
         assert ck2.campaign_complete
+
+
+def _flip_payload_byte(path: str) -> None:
+    with h5lite.File(path, "r") as f:
+        offset = f["MDEventWorkspace/event_data"]._offset
+    with open(path, "r+b") as fh:
+        fh.seek(offset + 101)
+        fh.write(bytes([fh.read(1)[0] ^ 0x40]))
+
+
+def _truncate_payload(path: str) -> None:
+    """Point the payload at the header, so its read comes up short
+    (the header itself stays readable)."""
+    with open(path, "r+b") as fh:
+        fh.seek(12)
+        (header_off,) = struct.unpack("<Q", fh.read(8))
+        fh.seek(header_off)
+        header = fh.read()[:-8]
+        doc = json.loads(header)
+        entry = doc["root"]["children"]["MDEventWorkspace"]["children"][
+            "event_data"]
+        entry["offset"] = header_off
+        header = json.dumps(doc).encode()
+        fh.seek(header_off)
+        fh.write(header + struct.pack("<Q", len(header)))
+        fh.truncate()
+
+
+class TestDeferredPayload:
+    """The workflow's loader (``begin_md``): a run's payload is read and
+    CRC-checked on the helper while MDNorm runs and joined before BinMD,
+    inside the run's attempt, so damage, retry, quarantine and faults
+    behave as with ``load_md``."""
+
+    DAMAGE = {"flip": _flip_payload_byte, "truncate": _truncate_payload}
+
+    @staticmethod
+    def _begun(paths):
+        return lambda i: begin_md(paths[i])
+
+    @staticmethod
+    def _plain(paths):
+        return lambda i: load_md(paths[i])
+
+    def _damaged(self, exp, tmp_path, damage, run=2):
+        paths = []
+        for i, src in enumerate(exp.md_paths):
+            dst = str(tmp_path / f"run_{i}.md.h5")
+            shutil.copy(src, dst)
+            paths.append(dst)
+        self.DAMAGE[damage](paths[run])
+        return paths
+
+    @pytest.mark.parametrize("recovery", [False, True])
+    def test_begun_loader_is_bit_identical(self, exp, golden,
+                                           bytesplit_helper, recovery):
+        res = compute_cross_section(
+            self._begun(exp.md_paths),
+            recovery=RecoveryConfig(retry=POLICY) if recovery else None,
+            **exp.kw(),
+        )
+        for name in ("binmd", "mdnorm"):
+            got, want = getattr(res, name), getattr(golden, name)
+            assert np.array_equal(got.signal.view(np.int64),
+                                  want.signal.view(np.int64)), name
+        assert np.array_equal(res.binmd.error_sq.view(np.int64),
+                              golden.binmd.error_sq.view(np.int64))
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate"])
+    def test_damaged_payload_fails_fast(self, exp, tmp_path,
+                                        bytesplit_helper, damage):
+        paths = self._damaged(exp, tmp_path, damage)
+        expected = (h5lite.TruncatedFileError if damage == "truncate"
+                    else h5lite.CorruptFileError)
+        with pytest.raises(expected):
+            compute_cross_section(self._begun(paths), **exp.kw())
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate"])
+    def test_damaged_payload_retried_then_quarantined(
+        self, exp, tmp_path, bytesplit_helper, damage
+    ):
+        paths = self._damaged(exp, tmp_path, damage)
+        tracer = trace_mod.Tracer()
+        with trace_mod.use_tracer(tracer):
+            begun = compute_cross_section(
+                self._begun(paths), recovery=RecoveryConfig(retry=POLICY),
+                **exp.kw())
+        plain = compute_cross_section(
+            self._plain(paths), recovery=RecoveryConfig(retry=POLICY),
+            **exp.kw())
+        assert begun.quarantined_runs == (2,)
+        assert begun.dispositions == plain.dispositions
+        assert begun.dispositions[2]["attempts"] == POLICY.max_attempts
+        assert tracer.counters["quarantine.runs"] == 1
+        assert np.array_equal(begun.binmd.signal, plain.binmd.signal)
+        assert np.array_equal(begun.mdnorm.signal, plain.mdnorm.signal)
+
+    def test_mdnorm_fault_with_job_in_flight_closes_the_run_file(
+        self, exp, bytesplit_helper, monkeypatch
+    ):
+        """MDNorm fails while the helper is still reading the payload:
+        the run's attempt waits for the read and closes the file."""
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc/self/fd")
+        started, finished = threading.Event(), threading.Event()
+        pread = h5lite.PayloadRead._pread
+
+        def slow_pread(read):
+            started.set()
+            time.sleep(0.05)
+            try:
+                return pread(read)
+            finally:
+                finished.set()
+
+        monkeypatch.setattr(h5lite.PayloadRead, "_pread", slow_pread)
+        plan = FaultPlan([FaultSpec(site="kernel.mdnorm", kind="kernel_error",
+                                    probability=1.0)], seed=3)
+        before = len(os.listdir("/proc/self/fd"))
+        with use_fault_plan(plan), pytest.raises(InjectedKernelError):
+            compute_cross_section(self._begun(exp.md_paths), **exp.kw())
+        assert started.is_set() and finished.is_set()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_stealing_planner_joins_at_once(self, exp, golden,
+                                            bytesplit_helper):
+        tracer = trace_mod.Tracer()
+        with trace_mod.use_tracer(tracer):
+            res = compute_cross_section(
+                self._begun(exp.md_paths), executor="stealing",
+                shards=ShardConfig(n_shards=2),
+                recovery=RecoveryConfig(retry=POLICY), **exp.kw())
+        assert "nexus.payload_deferred" not in tracer.counters
+        assert np.array_equal(res.binmd.signal, golden.binmd.signal)
+        assert np.array_equal(res.mdnorm.signal, golden.mdnorm.signal)

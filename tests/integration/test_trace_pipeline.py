@@ -15,10 +15,14 @@ Four pillars:
 import numpy as np
 import pytest
 
+from repro.core import geom_cache as gc_mod
+from repro.core import workflow as workflow_mod
 from repro.core.geom_cache import GeomCache
+from repro.core.md_event_workspace import load_md
 from repro.core.workflow import ReductionWorkflow, WorkflowConfig
 from repro.jacc import default_backend
 from repro.mpi import run_world
+from repro.nexus import h5lite
 from repro.proxy.cpp_proxy import CppProxyConfig, CppProxyWorkflow
 from repro.proxy.minivates import MiniVatesConfig, MiniVatesWorkflow
 from repro.util import bytesplit
@@ -134,8 +138,10 @@ class TestGoldenSchema:
     def test_trace_counts_the_byte_split(self, tiny_experiment,
                                          large_experiment):
         """Runs of 2 MiB or more (Bixbyite-warm sized) CRC and key their
-        bytes on two cores; tiny runs (Benzil-cold sized) stay on the
-        caller, and the trace says which."""
+        bytes on two cores.  Tiny runs (Benzil-cold sized) reach the
+        helper only through their deferred payload jobs: it hashes no
+        more than each run's payload and Q rows, and no cancel fallback
+        is taken.  The trace says which."""
         counters = {}
         for label, exp in (("tiny", tiny_experiment),
                            ("large", large_experiment)):
@@ -144,13 +150,18 @@ class TestGoldenSchema:
                 _core_workflow(exp, backend="vectorized").run()
             counters[label] = tracer.counters
         tiny, large = counters["tiny"], counters["large"]
+        # payload (8 columns) plus Q rows (3 columns), 8 bytes each
+        job_bytes = sum(88 * ws.n_events for ws in tiny_experiment.workspaces)
         assert tiny["bytesplit.calls"] > 0
-        assert "bytesplit.helper_bytes" not in tiny
+        assert tiny.get("bytesplit.helper_bytes", 0) <= job_bytes
         assert "bytesplit.inline" not in tiny
         assert large["bytesplit.calls"] > 0
         if bytesplit._cores() >= 2:
+            assert tiny["nexus.payload_deferred"] == len(tiny_experiment.md_paths)
             assert large["bytesplit.helper_bytes"] > 0
         else:
+            assert "nexus.payload_deferred" not in tiny
+            assert "bytesplit.helper_bytes" not in tiny
             assert "bytesplit.helper_bytes" not in large
 
     def test_trace_counts_cold_mdnorm_segments(self, tiny_experiment):
@@ -226,6 +237,70 @@ class TestGoldenSchema:
         assert gauges["minivates.bytes_h2d"] > 0
         assert gauges["minivates.kernel_launches"] > 0
         assert tracer.counters.get("jacc.bytes_h2d", 0) > 0
+
+
+class TestDeferredPayload:
+    """The trace says what overlapped: payload jobs queued, pieces the
+    caller ran at the join, and the join itself inside UpdateEvents."""
+
+    def test_in_memory_runs_defer_their_payloads(self, tiny_experiment,
+                                                 bytesplit_helper):
+        exp = tiny_experiment
+        tracer = Tracer(label="deferred")
+        with use_tracer(tracer):
+            _core_workflow(exp, backend="vectorized").run()
+        n_runs = len(exp.md_paths)
+        counters = tracer.counters
+        assert counters["nexus.payload_deferred"] == n_runs
+        # a read, one CRC32 range and two key leaves per (small) run
+        assert 0 <= counters.get("nexus.payload_inline", 0) <= 4 * n_runs
+        spans = _spans_by_name(tracer.records)
+        by_id = {rec["span_id"]: rec for rec in tracer.records}
+        joins = spans["nexus.join_payload"]
+        assert sorted(r["attrs"]["run"] for r in joins) == list(range(n_runs))
+        for rec in joins:
+            assert by_id[rec["parent_id"]]["name"] == "UpdateEvents"
+
+    @pytest.mark.parametrize("how", ["sharded", "stealing"])
+    def test_no_key_leaves_without_a_cached_binmd(
+        self, tiny_experiment, bytesplit_helper, monkeypatch, how
+    ):
+        """Sharded and stealing BinMD never look a key up: no leaves are
+        hashed, and the digested bytes equal a reduction whose runs load
+        through plain ``load_md``."""
+        digested = []
+        digest_array = gc_mod.digest_array
+
+        def spy_digest(arr):
+            digested.append(np.asarray(arr).nbytes)
+            return digest_array(arr)
+
+        leaf_ranges = []
+        start = h5lite.PayloadRead.start
+
+        def spy_start(read, leaf_range=None):
+            leaf_ranges.append(leaf_range)
+            return start(read, leaf_range)
+
+        monkeypatch.setattr(gc_mod, "digest_array", spy_digest)
+        monkeypatch.setattr(h5lite.PayloadRead, "start", spy_start)
+
+        def reduce():
+            wf = _core_workflow(tiny_experiment, backend="vectorized")
+            if how == "sharded":
+                wf.config.shards = 2
+            else:
+                wf.config.executor = "stealing"
+            digested.clear()
+            wf.run()
+            return sum(digested)
+
+        begun = reduce()
+        assert all(r is None for r in leaf_ranges)
+        assert len(leaf_ranges) == (len(tiny_experiment.md_paths)
+                                    if how == "sharded" else 0)
+        monkeypatch.setattr(workflow_mod, "begin_md", load_md)
+        assert reduce() == begun > 0
 
 
 class TestPerRankStreams:

@@ -214,6 +214,102 @@ class TestHelper:
                 hashlib.sha256(data[cut:]).digest())
 
 
+class TestByteJob:
+    def test_results_whoever_runs_the_pieces(self, helper):
+        data = _bytes(5000, seed=8)
+        pieces = [(zlib.crc32, 0, 2000), (zlib.crc32, 2000, 5000),
+                  (bytesplit.sha256, 10, 4000)]
+        for start in (False, True):
+            job = bytesplit.ByteJob(lambda: data, pieces)
+            assert not start or job.start()
+            buf, results = job.join()
+            assert buf is data
+            assert results == [zlib.crc32(data[:2000]),
+                               zlib.crc32(data[2000:]),
+                               hashlib.sha256(data[10:4000]).digest()]
+            ran_inline = job.inline_pieces
+            helper_pieces = len(pieces) + 1 - ran_inline
+            assert 0 <= helper_pieces <= len(pieces) + 1
+            assert start or (ran_inline == len(pieces) + 1
+                             and job.helper_bytes == 0)
+
+    def test_read_error_raised_at_join(self, helper):
+        def fail():
+            raise OSError("disk gone")
+
+        job = bytesplit.ByteJob(fail, [(zlib.crc32, 0, 4)])
+        job.start()
+        with pytest.raises(OSError, match="disk gone"):
+            job.join()
+
+    def test_close_waits_for_the_running_piece(self, helper):
+        """Closing mid-read returns only once the read is over, and no
+        piece starts after it."""
+        reading, release, done = (threading.Event(), threading.Event(),
+                                  threading.Event())
+        ran = []
+
+        def read():
+            reading.set()
+            release.wait(10)
+            done.set()
+            return b"x" * 64
+
+        job = bytesplit.ByteJob(read, [(ran.append, 0, 64)])
+        assert job.start()
+        assert reading.wait(10)
+        closer = threading.Thread(target=job.close)
+        closer.start()
+        closer.join(0.05)
+        assert closer.is_alive()
+        release.set()
+        closer.join(10)
+        assert not closer.is_alive() and done.is_set()
+        assert ran == []
+
+    def test_racing_jobs_run_every_piece_once(self, helper,
+                                              fine_gil_switching):
+        """Six callers (more than cores) start and join jobs of many
+        small pieces on the one helper: every piece runs exactly once,
+        on one side or the other, and a closed job runs none twice."""
+        data = _bytes(4096, seed=9)
+        want = [zlib.crc32(data[256 * i:256 * (i + 1)]) for i in range(16)]
+        wrong = []
+
+        def work(seed):
+            for k in range(40):
+                counts = [0] * 16
+                lock = threading.Lock()
+
+                def counted(i):
+                    def fn(view):
+                        with lock:
+                            counts[i] += 1
+                        return zlib.crc32(view)
+                    return fn
+
+                job = bytesplit.ByteJob(lambda: data, [
+                    (counted(i), 256 * i, 256 * (i + 1)) for i in range(16)])
+                job.start()
+                if (seed + k) % 5 == 0:
+                    job.close()
+                    if max(counts) > 1:
+                        wrong.append(("closed", seed, k, counts))
+                    continue
+                _, results = job.join()
+                if counts != [1] * 16 or results != want:
+                    wrong.append((seed, k, counts))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+
+
 # ---------------------------------------------------------------------------
 # reductions over runs of SPLIT_BYTES or more
 # ---------------------------------------------------------------------------

@@ -685,7 +685,8 @@ def compute_cross_section(
         mpi_size=int(comm.size),
         **({"recovery": True} if recovery is not None else {}),
         **({"n_shards": int(shards.n_shards)} if shards is not None else {}),
-    ), timings.stage("Total"), _campaign_scope(recovery):
+    ), timings.stage("Total"), _campaign_scope(recovery), \
+            cache.reduction_scope(grid, det_directions, solid_angles, flux):
         for i in my_runs:
             _check_cancel(cancel, f"campaign (before run {i})")
             try:

@@ -110,6 +110,65 @@ def digest_grid(grid) -> str:
     return h.hexdigest()[:32]
 
 
+class ReductionScope:
+    """The digests of one reduction's run-invariant inputs, hashed once.
+
+    The grid, the detector directions, the solid angles and the flux
+    (momentum and density) are the same for every run of a reduction.
+    A scope hashes them when it is made; while it is entered on a
+    thread, the key builders of :class:`GeomCache` take those digests
+    from it, matched by object identity, so each run hashes only its
+    own transforms (and Q rows).  Keys are byte for byte the unscoped
+    ones.  The inputs must not change while the scope is entered; a new
+    reduction makes a new scope and hashes them afresh.
+
+    A scope may be entered on several threads at once, and nests: one
+    made while another is entered takes the outer's digests of the same
+    objects instead of hashing them again.
+    Make scopes with :meth:`GeomCache.reduction_scope`.
+    """
+
+    def __init__(self, grid=None, arrays: Tuple[np.ndarray, ...] = ()) -> None:
+        inputs = [(arr, digest_array) for arr in arrays]
+        if grid is not None:
+            inputs.append((grid, digest_grid))
+        self._digests: Dict[int, Tuple[Any, str]] = {
+            id(obj): (obj, _scoped(obj, digest)) for obj, digest in inputs
+        }
+
+    def lookup(self, obj) -> Optional[str]:
+        """The digest of ``obj`` if it is one of this scope's inputs."""
+        hit = self._digests.get(id(obj))
+        return hit[1] if hit is not None and hit[0] is obj else None
+
+    def __enter__(self) -> "ReductionScope":
+        _scopes.stack.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _scopes.stack.pop()
+
+
+class _Scopes(threading.local):
+    def __init__(self) -> None:
+        #: this thread's entered scopes, innermost last
+        self.stack: list = []
+
+
+_scopes = _Scopes()
+
+
+def _active_scope() -> Optional[ReductionScope]:
+    return _scopes.stack[-1] if _scopes.stack else None
+
+
+def _scoped(obj, digest) -> str:
+    """``digest(obj)``, or its digest in the entered scope."""
+    scope = _active_scope()
+    known = None if scope is None else scope.lookup(obj)
+    return digest(obj) if known is None else known
+
+
 def freeze(arr: np.ndarray) -> np.ndarray:
     """Mark an owned array read-only (cache entries must never mutate)."""
     a = np.ascontiguousarray(arr)
@@ -316,13 +375,13 @@ class GeomCache:
         """
         return (
             KIND_GEOMETRY,
-            digest_grid(grid),
+            _scoped(grid, digest_grid),
             digest_array(transforms),
-            digest_array(det_directions),
+            _scoped(det_directions, digest_array),
             (float(momentum_band[0]), float(momentum_band[1])),
-            digest_array(solid_angles),
-            digest_array(flux.momentum),
-            digest_array(flux.density),
+            _scoped(solid_angles, digest_array),
+            _scoped(flux.momentum, digest_array),
+            _scoped(flux.density, digest_array),
         )
 
     @staticmethod
@@ -338,7 +397,7 @@ class GeomCache:
         """
         return (
             KIND_BINMD,
-            digest_grid(grid),
+            _scoped(grid, digest_grid),
             digest_array(transforms),
             digest_array(q_rows) if q_leaves is None
             else digest_leaves(q_rows, q_leaves),
@@ -346,7 +405,16 @@ class GeomCache:
 
     @staticmethod
     def flux_key(flux) -> Tuple[Any, ...]:
-        return (KIND_FLUX, digest_array(flux.momentum), digest_array(flux.density))
+        return (KIND_FLUX, _scoped(flux.momentum, digest_array),
+                _scoped(flux.density, digest_array))
+
+    def reduction_scope(self, grid, det_directions: np.ndarray,
+                        solid_angles: np.ndarray, flux) -> ReductionScope:
+        """A :class:`ReductionScope` over one reduction's run-invariant
+        inputs: hashes them now, once; enter it on every thread that
+        builds this reduction's keys."""
+        return ReductionScope(grid, (det_directions, solid_angles,
+                                     flux.momentum, flux.density))
 
     # -- core operations -------------------------------------------------
     def get(self, key: Tuple[Any, ...]):
@@ -522,6 +590,9 @@ class NullCache(GeomCache):
 
     def flux_table(self, flux):
         return flux.momentum, flux._cumulative
+
+    def reduction_scope(self, grid, det_directions, solid_angles, flux):
+        return ReductionScope()  # builds no keys, so hashes nothing
 
 
 #: pass this to any cache-aware entry point to opt out of caching

@@ -52,12 +52,21 @@ def trajectory_directions(
 
     Returns
     -------
-    ``(n_ops, n_det, 3)``: ``D = T_op (z_hat - d_hat)``.
+    ``(n_ops, n_det, 3)``: ``D = T_op (z_hat - d_hat)``, component
+    ``i`` computed as ``(T[i, 0] * q0 + T[i, 1] * q1) + T[i, 2] * q2``
+    with ``q = z_hat - d_hat``: three ufunc products over one row per
+    (op, axis), whose rounding does not depend on a BLAS (unlike
+    ``np.matmul``) and is several times cheaper than ``np.einsum``.
     """
-    dq = -np.asarray(det_directions, dtype=np.float64)
-    dq = dq.copy()
-    dq[:, 2] += 1.0
-    return np.einsum("oij,dj->odi", np.asarray(transforms, dtype=np.float64), dq)
+    t = np.asarray(transforms, dtype=np.float64)
+    # q = z_hat - d_hat, one contiguous row per axis
+    q = np.negative(np.asarray(det_directions, dtype=np.float64).T, order="C")
+    q[2] += 1.0
+    rows = t.reshape(-1, 3)
+    d = rows[:, 0:1] * q[0]
+    d += rows[:, 1:2] * q[1]
+    d += rows[:, 2:3] * q[2]
+    return np.ascontiguousarray(d.reshape(t.shape[0], 3, -1).transpose(0, 2, 1))
 
 
 def k_window(

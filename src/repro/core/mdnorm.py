@@ -560,11 +560,14 @@ def prefetch_geometry(
     cache = _gc.resolve(cache)
     if not cache.enabled:
         return False
-    key = GeomCache.geometry_key(
-        grid, transforms, det_directions, momentum_band, solid_angles, flux
-    )
-    if cache.peek(key) is not None:
-        return False
+    with cache.reduction_scope(grid, det_directions, solid_angles, flux):
+        key = GeomCache.geometry_key(
+            grid, transforms, det_directions, momentum_band, solid_angles,
+            flux,
+        )
+        if cache.peek(key) is not None:
+            return False
+        cache.flux_table(flux)
     with _trace.active_tracer().span(
         "mdnorm.prefetch", kind="phase", tag=cache_tag or ""
     ):
@@ -574,7 +577,6 @@ def prefetch_geometry(
             grid, transforms, det_directions, momentum_band,
             backend=backend, directions=directions, k_lo=k_lo, k_hi=k_hi,
         )
-        cache.flux_table(flux)
         return cache.put(
             GeomEntry(
                 key=key,

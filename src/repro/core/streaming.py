@@ -148,6 +148,10 @@ class StreamingReduction:
         #: geometry cache reused across every batch (and re-stream) of a
         #: run — the per-run MDNorm geometry is computed at most once
         self.geom_cache = _gc.resolve(geom_cache)
+        #: the stream's grid, instrument, solid angles and flux, hashed
+        #: once for every run's geometry key
+        self._scope = self.geom_cache.reduction_scope(
+            grid, instrument.directions, self.solid_angles, flux)
         #: failure policy; None = fail-fast stream
         self.recovery = recovery
         #: intra-run fan-out for the open-run MDNorm (the geometry-only
@@ -223,7 +227,8 @@ class StreamingReduction:
                     mdnorm(*args, **kw)
                 return delta
 
-            out = self._step("stream.open_run", rn, normalize)
+            with self._scope:
+                out = self._step("stream.open_run", rn, normalize)
         if out is not None:
             attempts, mdnorm_delta = out
             self._open[rn] = _OpenRun(

@@ -177,7 +177,8 @@ class ReductionWorkflow:
         inserted = 0
         with _trace.active_tracer().span(
             "workflow.prefetch", kind="phase", n_runs=len(cfg.md_paths)
-        ) as sp:
+        ) as sp, cache.reduction_scope(cfg.grid, cfg.instrument.directions,
+                                       self.solid_angles, self.flux):
             inserted = self._prefetch_all(cache)
             sp.set(inserted=int(inserted))
         return inserted

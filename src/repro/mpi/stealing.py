@@ -407,11 +407,14 @@ def run_stealing_campaign(
             backend=backend, sort_impl=sort_impl, cache=cache,
             recovery=recovery, timings=timings,
             monitor=monitor, load_run=load_run,
+            scope=cache.reduction_scope(grid, det_directions, solid_angles,
+                                        flux),
         )
 
         crashed = False
         try:
-            _work_loop(exec_env, comm.rank, helper=False)
+            with exec_env.scope:
+                _work_loop(exec_env, comm.rank, helper=False)
         except _faults.RankCrashError:
             if comm.size == 1:
                 raise  # a lone rank cannot recover from its own death
@@ -584,6 +587,8 @@ class _ExecEnv:
     timings: StageTimings
     monitor: Any
     load_run: Callable[[int], Any]
+    #: the rank's run-invariant key digests, entered by its work loops
+    scope: _gc.ReductionScope
 
 
 def _work_loop(env: _ExecEnv, rank: int, *, helper: bool) -> None:
@@ -675,7 +680,8 @@ def _spawn_helper(env: _ExecEnv) -> None:
             with tracer.span("rank", kind="rank", rank=int(new_rank),
                              size=int(state.world_size), born=True):
                 try:
-                    _work_loop(env, new_rank, helper=True)
+                    with env.scope:
+                        _work_loop(env, new_rank, helper=True)
                 finally:
                     state.queue.deregister_rank(new_rank)
 

@@ -518,3 +518,125 @@ class TestScratchSafety:
                        backend="vectorized", cache=cache)
                 assert np.array_equal(h.signal, refs[name]), name
         assert cache.stats.hits >= 2
+
+
+# ---------------------------------------------------------------------------
+# reduction-scoped digests
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def digest_calls(monkeypatch):
+    """Every ``digest_array`` call, as the byte count it hashed."""
+    calls = []
+    digest = gc.digest_array
+
+    def spy(arr):
+        calls.append(np.asarray(arr).nbytes)
+        return digest(arr)
+
+    monkeypatch.setattr(gc, "digest_array", spy)
+    return calls
+
+
+class TestReductionScope:
+    """A reduction hashes its grid, detector directions, solid angles
+    and flux once; each run hashes only its own transforms."""
+
+    @staticmethod
+    def _inputs(exp):
+        """Private copies of the instrument inputs (safe to mutate)."""
+        flux = FluxSpectrum(momentum=exp.flux.momentum.copy(),
+                            density=exp.flux.density.copy())
+        return (exp.instrument.directions.copy(),
+                exp.vanadium.detector_weights.copy(), flux)
+
+    @staticmethod
+    def _reduce(exp, dets, solid, flux, cache):
+        from repro.core.cross_section import compute_cross_section
+        from repro.core.md_event_workspace import begin_md
+
+        return compute_cross_section(
+            load_run=lambda i: begin_md(exp.md_paths[i]),
+            n_runs=len(exp.md_paths), grid=exp.grid,
+            point_group=exp.point_group, flux=flux, det_directions=dets,
+            solid_angles=solid, backend="vectorized", cache=cache,
+        )
+
+    def test_one_cold_reduction_hashes_five_plus_two_per_run(
+            self, tiny_experiment, digest_calls):
+        exp = tiny_experiment
+        self._reduce(exp, *self._inputs(exp), GeomCache())
+        assert len(digest_calls) == 5 + 2 * len(exp.md_paths)
+        # a transforms block per run and stage, each input once
+        n_ops = len(exp.point_group.operations)
+        assert digest_calls.count(n_ops * 9 * 8) == 2 * len(exp.md_paths)
+
+    def test_disabled_cache_hashes_nothing(self, tiny_experiment,
+                                           digest_calls):
+        self._reduce(tiny_experiment, *self._inputs(tiny_experiment),
+                     DISABLED)
+        assert digest_calls == []
+
+    @pytest.mark.parametrize("mutate", ["solid_angles", "det_directions",
+                                        "flux_density"])
+    def test_input_mutated_between_reductions_misses(self, tiny_experiment,
+                                                     mutate):
+        exp = tiny_experiment
+        dets, solid, flux = self._inputs(exp)
+        cache = GeomCache()
+        self._reduce(exp, dets, solid, flux, cache)
+        before = {k for k in cache.keys() if k[0] == gc.KIND_GEOMETRY}
+        if mutate == "solid_angles":
+            solid[: solid.size // 2] *= 1.5
+        elif mutate == "det_directions":
+            dets[: dets.shape[0] // 2] = dets[-1]
+        else:
+            flux.density[3] *= 2.0
+        shared = self._reduce(exp, dets, solid, flux, cache)
+        after = {k for k in cache.keys() if k[0] == gc.KIND_GEOMETRY}
+        assert len(after - before) == len(exp.md_paths)
+        fresh = self._reduce(exp, dets, solid, flux, GeomCache())
+        for name in ("cross_section", "binmd", "mdnorm"):
+            a, b = getattr(shared, name), getattr(fresh, name)
+            assert np.array_equal(a.signal, b.signal, equal_nan=True), name
+
+    def test_scoped_keys_equal_unscoped_keys(self, digest_calls):
+        grid, transforms, dets, solid, flux, band, _ = _random_case(5)
+        q_rows = np.ascontiguousarray(_random_events(5)[:, [COL_QX, COL_QY,
+                                                            COL_QZ]].T)
+        keys = (
+            lambda: GeomCache.geometry_key(grid, transforms, dets, band,
+                                           solid, flux),
+            lambda: GeomCache.flux_key(flux),
+            lambda: GeomCache.binmd_key(grid, transforms, q_rows),
+        )
+        unscoped = [key() for key in keys]
+        scope = GeomCache().reduction_scope(grid, dets, solid, flux)
+        # unscoped: 6 + 2 + 3 digests for the three keys; the scope: 5
+        assert len(digest_calls) == 6 + 2 + 3 + 5
+        digest_calls.clear()
+        with scope:
+            assert [key() for key in keys] == unscoped
+            # only the transforms (twice) and the Q rows are hashed
+            assert len(digest_calls) == 3
+            # an equal copy is not the scope's object: hashed, same key
+            assert GeomCache.flux_key(FluxSpectrum(
+                flux.momentum.copy(), flux.density.copy())) == unscoped[1]
+            assert len(digest_calls) == 5
+
+    def test_scope_nests_and_is_per_thread(self, digest_calls):
+        import threading
+
+        grid, transforms, dets, solid, flux, _, _ = _random_case(6)
+        cache = GeomCache()
+        with cache.reduction_scope(grid, dets, solid, flux):
+            n = len(digest_calls)
+            with cache.reduction_scope(grid, dets, solid, flux):
+                GeomCache.flux_key(flux)
+            assert len(digest_calls) == n
+            other = threading.Thread(target=GeomCache.flux_key, args=(flux,))
+            other.start()
+            other.join()
+            assert len(digest_calls) == n + 2
+        GeomCache.flux_key(flux)
+        assert len(digest_calls) == n + 4

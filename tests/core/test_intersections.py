@@ -43,6 +43,37 @@ class TestTrajectoryDirections:
         trajectory_directions(np.eye(3)[None], dets)
         assert np.array_equal(dets, before)
 
+    def test_bit_equal_to_three_term_python_formula(self):
+        """Each component is ``(t0*q0 + t1*q1) + t2*q2`` in Python
+        floats with ``q = z_hat - d_hat``, bit for bit, including signed
+        zeros, NaN and infinite components."""
+        rng = np.random.default_rng(33)
+        transforms = rng.normal(size=(4, 3, 3))
+        transforms[1, 0] = [0.0, -0.0, 0.0]
+        transforms[2, 1, 2] = np.inf
+        transforms[3, 2, 0] = np.nan
+        dets = rng.normal(size=(40, 3))
+        dets[0] = [0.0, -0.0, 1.0]
+        dets[1] = [-0.0, 0.0, -0.0]
+        dets[2] = [np.nan, 0.0, 0.5]
+        dets[3] = [np.inf, -np.inf, 0.0]
+        dets[4] = [0.0, 0.0, np.inf]
+        with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf
+            got = trajectory_directions(transforms, dets)
+        assert got.shape == (4, 40, 3) and got.flags.c_contiguous
+        want = np.empty_like(got)
+        for o, t in enumerate(transforms.tolist()):
+            for d, (x, y, z) in enumerate(dets.tolist()):
+                q0, q1, q2 = -x, -y, -z + 1.0
+                for i in range(3):
+                    want[o, d, i] = (t[i][0] * q0 + t[i][1] * q1) + t[i][2] * q2
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert nan.any() and np.isinf(want).any()
+        assert (want == 0.0).any() and np.signbit(want[want == 0.0]).any()
+        assert np.array_equal(got.view(np.uint64)[~nan],
+                              want.view(np.uint64)[~nan])
+
 
 class TestKWindow:
     def test_trajectory_through_box(self, grid):

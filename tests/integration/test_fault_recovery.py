@@ -1118,14 +1118,33 @@ class TestDeferredPayload:
             finally:
                 finished.set()
 
+        def open_run_files():
+            """This process's descriptors that resolve to a run file
+            (counting all descriptors would count unrelated ones that
+            other threads open and close meanwhile)."""
+            runs = {os.path.realpath(p) for p in exp.md_paths}
+            found = []
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    target = os.readlink(f"/proc/self/fd/{fd}")
+                except OSError:  # closed since the listing
+                    continue
+                if target in runs:
+                    found.append(target)
+            return found
+
         monkeypatch.setattr(h5lite.PayloadRead, "_pread", slow_pread)
         plan = FaultPlan([FaultSpec(site="kernel.mdnorm", kind="kernel_error",
                                     probability=1.0)], seed=3)
-        before = len(os.listdir("/proc/self/fd"))
-        with use_fault_plan(plan), pytest.raises(InjectedKernelError):
+        assert open_run_files() == []
+        with use_fault_plan(plan), pytest.raises(InjectedKernelError) as info:
             compute_cross_section(self._begun(exp.md_paths), **exp.kw())
+        # ``info`` keeps the failed attempt's frames and their locals, so
+        # the begun load is not collected (whose finalizer would close
+        # the file): only the attempt's own close can have closed it
+        assert open_run_files() == []
         assert started.is_set() and finished.is_set()
-        assert len(os.listdir("/proc/self/fd")) == before
+        del info
 
     def test_stealing_planner_joins_at_once(self, exp, golden,
                                             bytesplit_helper):

@@ -98,9 +98,6 @@ class MeasuredRun:
     def extrapolated(self) -> bool:
         return self.files_measured < self.files_full
 
-    def stage_summary(self) -> Dict[str, float]:
-        return {stage: self.per_file(stage) for stage in STAGES}
-
 
 def _subset(data: WorkloadData, files: Optional[int]) -> tuple[list, list, int]:
     n = len(data.md_paths) if files is None else min(files, len(data.md_paths))

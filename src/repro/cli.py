@@ -637,9 +637,7 @@ def trace_merge_main(argv: Optional[List[str]] = None) -> int:
           f"{report['n_links']} links "
           f"({report['n_steal_links']} steal), "
           f"ranks {report['ranks']}")
-    print(f"roots: {report['roots']}"
-          + (" [legacy schema, multi-root allowed]"
-             if report["legacy"] else ""))
+    print(f"roots: {report['roots']}")
     print("DAG invariants: OK" if report["ok"] else "DAG invariants: FAIL")
     if args.out:
         tracedag.write_dag(args.out, dag,
@@ -709,7 +707,7 @@ def trace_chrome_main(argv: Optional[List[str]] = None) -> int:
 
     traces = [trace_mod.load_file(path)
               for path in _expand_trace_paths(args.paths)]
-    n = trace_mod.write_chrome_trace_merged(args.out, traces)
+    n = trace_mod.write_chrome_trace(args.out, traces)
     print(f"wrote {n} trace events to {args.out} "
           f"(load in chrome://tracing or ui.perfetto.dev)")
     return 0

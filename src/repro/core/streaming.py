@@ -329,10 +329,6 @@ class StreamingReduction:
         return self._events_seen
 
     @property
-    def runs_opened(self) -> int:
-        return self._runs_opened
-
-    @property
     def quarantined(self) -> Dict[int, str]:
         """Runs evicted by the failure policy: run number -> reason."""
         return {rn: d["reason"] for rn, d in self._book.dispositions.items()

@@ -31,12 +31,10 @@ from repro.mpi.comm import (
 from repro.mpi.ops import SUM, MAX, MIN, PROD, Op
 from repro.mpi.runner import run_world
 from repro.mpi.decomposition import (
-    RunShard,
     balanced_rank_runs,
     budget_max_rows,
     chunk_aligned_event_ranges,
     lazy_table_ranges,
-    plan_campaign,
     range_stored_nbytes,
     rank_range,
     shard_ranges,
@@ -76,9 +74,7 @@ __all__ = [
     "budget_max_rows",
     "chunk_aligned_event_ranges",
     "lazy_table_ranges",
-    "plan_campaign",
     "range_stored_nbytes",
-    "RunShard",
     "StealQueue",
     "StealTask",
     "run_stealing_campaign",

@@ -18,8 +18,7 @@ actual sharded execution lives in :mod:`repro.core.sharding`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.mpi.comm import MPIError
 
@@ -256,60 +255,3 @@ def balanced_rank_runs(weights: Sequence[float], size: int) -> List[Tuple[int, i
     if size < 1:
         raise MPIError(f"size must be >= 1, got {size}")
     return weighted_shard_ranges(weights, size)
-
-
-@dataclass(frozen=True)
-class RunShard:
-    """One cell of the runs × shards decomposition."""
-
-    #: global run index
-    run: int
-    #: shard index within the run
-    shard: int
-    #: total shards of this run
-    n_shards: int
-    #: owning rank (the rank whose run block contains ``run``)
-    rank: int
-
-    @property
-    def label(self) -> str:
-        return f"run{self.run}/shard{self.shard}of{self.n_shards}"
-
-
-def plan_campaign(
-    n_runs: int,
-    size: int,
-    n_shards: int,
-    *,
-    run_weights: Optional[Sequence[float]] = None,
-) -> Dict[int, List[RunShard]]:
-    """The full hierarchical map: rank -> [RunShard, ...].
-
-    Outer level: contiguous run blocks per rank (weight-balanced when
-    ``run_weights`` — event counts from the run manifest — are given).
-    Inner level: every owned run is cut into ``n_shards`` shards.  The
-    plan is pure data; :mod:`repro.core.sharding` executes one run's
-    shard list on the node-local pool.
-    """
-    if n_runs < 0:
-        raise MPIError(f"n_runs must be >= 0, got {n_runs}")
-    if n_shards < 1:
-        raise MPIError(f"n_shards must be >= 1, got {n_shards}")
-    if run_weights is not None:
-        if len(run_weights) != n_runs:
-            raise MPIError(
-                f"run_weights has {len(run_weights)} entries for {n_runs} runs"
-            )
-        blocks = balanced_rank_runs(run_weights, size)
-    else:
-        blocks = [rank_range(n_runs, r, size) for r in range(size)]
-    plan: Dict[int, List[RunShard]] = {}
-    for rank, (start, stop) in enumerate(blocks):
-        cells: List[RunShard] = []
-        for run in range(start, stop):
-            for shard in range(n_shards):
-                cells.append(
-                    RunShard(run=run, shard=shard, n_shards=n_shards, rank=rank)
-                )
-        plan[rank] = cells
-    return plan

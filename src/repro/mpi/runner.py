@@ -43,7 +43,7 @@ def run_world(
     inside ``fn`` carry ``rank=<i>`` and the whole rank body is wrapped
     in a ``rank`` span.  The launch itself is a ``world`` span in the
     calling thread, and every rank thread adopts its uid as the causal
-    parent (schema v3 ``parent_uid`` — the process-local ``parent_id``
+    parent (the trace's ``parent_uid`` — the process-local ``parent_id``
     of a rank span stays None, as spans never cross threads).
     """
     if size < 1:

@@ -1,13 +1,12 @@
 """Elastic work-stealing execution across the rank × shard grid.
 
-The static plan (PR 5) fixes every ``RunShard`` to a rank up front, so
-one slow shard — skewed chunk compression, a cold cache, a quarantine
-retry storm — idles every other rank.  This executor makes the grid
-**elastic**: the campaign's shard tasks live in one shared
-:class:`StealQueue`; each rank drains its own planned deque first and,
-when the schedule allows, steals from the tail of a victim's deque
-(victim selection by remaining *stored-byte* weight from the PR 6
-chunk index).  Ranks can join mid-campaign (*birth*: a spawned worker
+Under a static plan one slow shard — skewed chunk compression, a cold
+cache, a quarantine retry storm — idles every other rank.  This
+executor makes the grid **elastic**: the campaign's shard tasks live
+in one shared :class:`StealQueue`; each rank drains its own planned
+deque first and, when the schedule allows, steals from the tail of a
+victim's deque (victim selection by remaining *stored-byte* weight
+from the run file's chunk index).  Ranks can join mid-campaign (*birth*: a spawned worker
 registers, drains the queue, and its deposits merge through the same
 replay), leave cleanly (drain-and-requeue), or die holding work (their
 claimed tasks requeue; the queue's claim/complete accounting keeps
@@ -117,7 +116,7 @@ class StealTask:
     n_ranges: int         # total planned shards of the stage
     owner: int            # rank the static plan assigned the run to
     weight: float         # work estimate (stored bytes / row count)
-    plan_uid: Optional[str] = None  # planning span's global uid (trace v3)
+    plan_uid: Optional[str] = None  # planning span's global uid
 
     @property
     def key(self) -> Tuple[int, str, int]:

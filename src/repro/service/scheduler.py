@@ -117,7 +117,7 @@ class CampaignService:
             self._stop = False
             # worker threads adopt the starter's span as causal parent,
             # so every service.job span hangs off the service campaign
-            # root (schema v3 parent_uid; process-local parent_id stays
+            # root (trace parent_uid; process-local parent_id stays
             # None across threads)
             tracer = _trace.active_tracer()
             cur = tracer.current_span()

@@ -69,7 +69,7 @@ class _Flight:
     def __init__(self, digest: str, leader: str) -> None:
         self.digest = digest
         self.leader = leader
-        self.leader_uid: Optional[str] = None  # leader's job-span uid (v3)
+        self.leader_uid: Optional[str] = None  # leader's job-span uid
         self.done = threading.Event()
         self.result: Optional[StoredResult] = None
         self.error: Optional[BaseException] = None

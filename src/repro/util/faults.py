@@ -436,13 +436,6 @@ _recovery_ctx = threading.local()
 _deadline_ctx = threading.local()
 
 
-def current_deadline() -> Optional[float]:
-    """The innermost enclosing retry deadline (absolute, on the clock
-    of the :func:`retry_call` that installed it; None = unbounded)."""
-    stack = getattr(_deadline_ctx, "stack", None)
-    return stack[-1] if stack else None
-
-
 @contextmanager
 def deadline_scope(deadline: Optional[float]):
     """Clamp this thread's retry deadlines to ``deadline`` for a block.

@@ -514,14 +514,6 @@ def active_monitor() -> CampaignMonitor:
     return _active
 
 
-def set_monitor(monitor: Optional[CampaignMonitor]) -> CampaignMonitor:
-    """Install the process-wide monitor (None resets to DISABLED)."""
-    global _active
-    with _active_lock:
-        _active = monitor if monitor is not None else DISABLED
-        return _active
-
-
 @contextmanager
 def thread_monitor(monitor: CampaignMonitor) -> Iterator[CampaignMonitor]:
     """Install ``monitor`` for the *current thread only* (per-job

@@ -39,7 +39,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.util.validation import ReproError
 
 #: span-attribute key holding the raw work dict of a profiled span
 PERF_ATTR = "perf"
@@ -49,10 +48,6 @@ WORK_KEYS = (
     "events", "trajectories", "intersections", "segments", "bins_touched",
     "bytes_read", "bytes_written", "flops", "items",
 )
-
-
-class PerfError(ReproError):
-    """Malformed perf records or an impossible rollup request."""
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ this module is the machine-readable record *behind* those sums:
 * **counters** and **gauges** (events processed, geometry-cache
   hits/misses, bytes read by :mod:`repro.nexus.h5lite`, device transfer
   volumes);
-* **exporters**: JSON-lines (one record per line, schema below), a
-  Chrome-trace file loadable in ``chrome://tracing`` / Perfetto, and a
-  plain-text summary table that reproduces the paper's WCT rows from
-  the trace alone;
+* **exporters**: JSON-lines (one record per line, schema below), one
+  Chrome-trace writer (:func:`write_chrome_trace`, loadable in
+  ``chrome://tracing`` / Perfetto) over any number of ``(meta,
+  records)`` pairs, and a plain-text summary table that reproduces the
+  paper's WCT rows from the trace alone;
 * a **derived view**: :func:`stage_timings_from_records` rebuilds an
   API-compatible ``StageTimings`` from the stage spans — and because
   ``StageTimings.stage`` itself drives its timers from the span
@@ -33,28 +34,29 @@ keeps working) but record nothing.  Enable with::
     tracer.write_jsonl("trace.jsonl")
     print(tracer.summary())
 
-JSON-lines schema (``schema`` = :data:`SCHEMA_VERSION`):
+JSON-lines schema 4 (:data:`SCHEMA_VERSION`), the only format written
+or read:
 
-* line 1 — ``{"type": "meta", "schema": 3, "label": ..., "pid": ...,
+* line 1 — ``{"type": "meta", "schema": 4, "label": ..., "pid": ...,
   "epoch_unix": ..., "campaign_id": ...}``
 * span — ``{"type": "span", "name", "span_id", "parent_id", "rank",
   "thread", "t0", "t1", "dur", "seq", "attrs": {...}, "uid",
   "parent_uid"}`` (``t0``/``t1`` are seconds on the tracer's monotonic
   clock, 0 at tracer creation)
-* counter — ``{"type": "counter", "name", "value"}``
-* gauge — ``{"type": "gauge", "name", "value"}``
-* metrics (schema >= 2) — one consolidated
-  ``{"type": "metrics", "counters": {...}, "gauges": {...}}`` record so
-  the summary/perf report needs only one artifact (the individual
-  counter/gauge records are still written for v1 consumers)
-* link (schema >= 3) — ``{"type": "link", "kind", "src", "dst", "seq",
-  "attrs"}``: a causal edge between two span *uids* that is not a
-  nesting edge (a stolen task pointing back at its planning span, a
-  coalesced job pointing at the leader's reduction)
+* link — ``{"type": "link", "kind", "src", "dst", "seq", "attrs"}``: a
+  causal edge between two span *uids* that is not a nesting edge (a
+  stolen task pointing back at its planning span, a coalesced job
+  pointing at the leader's reduction)
+* metrics — ``{"type": "metrics", "counters": {...}, "gauges": {...}}``,
+  the one record that carries every counter and gauge, written last
+  and once per file (only in the ``main`` file of a
+  :meth:`Tracer.write_jsonl_dir` directory), so the summary and perf
+  report need only one artifact
 
-Schema v3 is the **cross-process causal layer**: every span carries a
-globally unique ``uid`` (``"{rank}:{namespace}:{span_id}"`` — the
-namespace defaults to the pid) next to the process-local integer ids,
+The span and link records form the **cross-process causal layer**:
+every span carries a globally unique ``uid``
+(``"{rank}:{namespace}:{span_id}"`` — the namespace defaults to the
+pid) next to the process-local integer ids,
 and a ``parent_uid`` that can cross process/thread boundaries where
 ``parent_id`` never does.  The dispatching side of an execution
 boundary captures ``span.uid``; the executing side re-enters it with
@@ -63,8 +65,11 @@ files of one campaign share the meta ``campaign_id`` (see
 :func:`new_campaign_id`) and :mod:`repro.util.tracedag` merges them
 back into one validated DAG.
 
-:func:`validate_file` accepts schema v1 files (pre-metrics), v2 and
-v3; the CI trace-smoke job runs it on every push.  Profiled spans additionally
+:func:`load_file`, which every reader goes through, refuses a file of
+any other schema (the schema-1 to -3 files of earlier versions
+included) with a :class:`TraceError` naming the version found and the
+one expected: re-record the trace.  The CI trace-smoke job runs
+:func:`validate_file` on every push.  Profiled spans additionally
 carry a ``perf`` attribute (raw work quantities) consumed by
 :mod:`repro.util.perf` — attached only when :attr:`Tracer.profile` is
 true, which is never the case for :class:`NullTracer` (zero derived-
@@ -84,30 +89,21 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.util.validation import ReproError
 
-#: JSON-lines schema version written to trace files
-SCHEMA_VERSION = 3
-
-#: schema versions :func:`validate_file` / :func:`load_file` accept
-#: (v1: spans + counter/gauge records; v2: adds the consolidated
-#: ``metrics`` record; v3: adds the cross-process ``uid``/
-#: ``parent_uid`` span fields, the meta ``campaign_id`` and ``link``
-#: records)
-SUPPORTED_SCHEMAS = (1, 2, 3)
+#: JSON-lines schema version written to trace files — and the only one
+#: :func:`load_file` reads
+SCHEMA_VERSION = 4
 
 #: record keys every span record must carry
 SPAN_KEYS = (
     "type", "name", "span_id", "parent_id", "rank", "thread",
-    "t0", "t1", "dur", "seq", "attrs",
+    "t0", "t1", "dur", "seq", "attrs", "uid", "parent_uid",
 )
 
-#: additional span keys required from schema v3 on
-SPAN_KEYS_V3 = SPAN_KEYS + ("uid", "parent_uid")
-
-#: record keys every link record must carry (schema >= 3)
+#: record keys every link record must carry
 LINK_KEYS = ("type", "kind", "src", "dst", "seq", "attrs")
 
 #: valid record types of the JSON-lines stream
-RECORD_TYPES = ("meta", "span", "counter", "gauge", "metrics", "link")
+RECORD_TYPES = ("meta", "span", "metrics", "link")
 
 
 def new_campaign_id(digest: str = "", nonce: Optional[bytes] = None) -> str:
@@ -173,7 +169,7 @@ def remote_parent() -> Optional[str]:
 def parent_scope(uid: Optional[str]) -> Iterator[None]:
     """Adopt ``uid`` as the causal parent of this thread's root spans.
 
-    This is the schema-v3 propagation primitive: the dispatching side
+    This is the cross-process propagation primitive: the dispatching side
     of an execution boundary (rank spawn, shard task, steal, service
     job) captures ``span.uid``, and the executing thread re-enters it
     here so spans it opens at stack depth zero record the edge in
@@ -444,9 +440,6 @@ class Tracer:
         with self._lock:
             return len(self._records)
 
-    def span_names(self) -> List[str]:
-        return sorted({r["name"] for r in iter_spans(self.records)})
-
     def clear(self) -> None:
         with self._lock:
             self._records.clear()
@@ -465,34 +458,14 @@ class Tracer:
             "tool": "repro.util.trace",
         }
 
+    def _metrics(self) -> Dict[str, Any]:
+        return {"type": "metrics", "counters": self.counters,
+                "gauges": self.gauges}
+
     def write_jsonl(self, path: str) -> int:
         """Write the JSON-lines trace file; returns the record count."""
-        records = self.records
-        counters, gauges = self.counters, self.gauges
-        n = 0
-        with open(path, "w") as fh:
-            fh.write(json.dumps(self._meta(), default=_json_default) + "\n")
-            n += 1
-            for rec in records:
-                fh.write(json.dumps(rec, default=_json_default) + "\n")
-                n += 1
-            for name, value in counters.items():
-                fh.write(json.dumps(
-                    {"type": "counter", "name": name, "value": value}) + "\n")
-                n += 1
-            for name, value in gauges.items():
-                fh.write(json.dumps(
-                    {"type": "gauge", "name": name, "value": value}) + "\n")
-                n += 1
-            # schema v2: one consolidated record so downstream consumers
-            # (summary, PerfModel) need only the records list
-            fh.write(json.dumps({
-                "type": "metrics",
-                "counters": dict(counters),
-                "gauges": dict(gauges),
-            }) + "\n")
-            n += 1
-        return n
+        return _write_lines(path, [self._meta(), *self.records,
+                                   self._metrics()])
 
     def write_jsonl_dir(self, dir_path: str, *,
                         prefix: str = "trace") -> List[str]:
@@ -500,8 +473,8 @@ class Tracer:
 
         Models the real-MPI deployment where every rank writes its own
         trace file: span records split by ``rank`` (None → the
-        ``main`` file, which also carries the counter/gauge/metrics
-        tables), link records follow the rank encoded in their ``src``
+        ``main`` file, which also carries the one ``metrics``
+        record), link records follow the rank encoded in their ``src``
         uid.  Every file carries the same campaign meta, so
         :mod:`repro.util.tracedag` can stitch the directory back into
         one causal DAG.  Returns the written paths.
@@ -520,34 +493,19 @@ class Tracer:
             else:
                 continue
             by_key.setdefault(key, []).append(rec)
+        by_key["main"].append(self._metrics())
         os.makedirs(dir_path, exist_ok=True)
-        counters, gauges = self.counters, self.gauges
+        meta = self._meta()
         paths: List[str] = []
         for key, recs in by_key.items():
             path = os.path.join(dir_path, f"{prefix}-{key}.jsonl")
-            with open(path, "w") as fh:
-                fh.write(json.dumps(self._meta(), default=_json_default)
-                         + "\n")
-                for rec in recs:
-                    fh.write(json.dumps(rec, default=_json_default) + "\n")
-                if key == "main":
-                    for name, value in counters.items():
-                        fh.write(json.dumps({"type": "counter",
-                                             "name": name,
-                                             "value": value}) + "\n")
-                    for name, value in gauges.items():
-                        fh.write(json.dumps({"type": "gauge",
-                                             "name": name,
-                                             "value": value}) + "\n")
-                    fh.write(json.dumps({"type": "metrics",
-                                         "counters": dict(counters),
-                                         "gauges": dict(gauges)}) + "\n")
+            _write_lines(path, [meta, *recs])
             paths.append(path)
         return paths
 
     def write_chrome_trace(self, path: str) -> int:
         """Write a ``chrome://tracing`` / Perfetto JSON file."""
-        return write_chrome_trace(path, self.records, meta=self._meta())
+        return write_chrome_trace(path, [(self._meta(), self.records)])
 
     def summary(self, per_rank: bool = True) -> str:
         """Paper-style WCT table derived from the spans alone."""
@@ -555,11 +513,6 @@ class Tracer:
             self.records, counters=self.counters, gauges=self.gauges,
             label=self.label, per_rank=per_rank,
         )
-
-    def stage_timings(self, *, label: Optional[str] = None,
-                      rank: Optional[int] = None):
-        """Rebuild an API-compatible ``StageTimings`` from the spans."""
-        return stage_timings_from_records(self.records, label=label, rank=rank)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Tracer(label={self.label!r}, spans={self.n_spans}, "
@@ -658,11 +611,20 @@ def _json_default(obj: Any) -> Any:
     return str(obj)
 
 
+def _write_lines(path: str, records: Sequence[Dict[str, Any]]) -> int:
+    """Write ``records`` one JSON object per line; returns the count."""
+    with open(path, "w") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, default=_json_default) + "\n")
+    return len(records)
+
+
 def load_file(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     """Read a JSON-lines trace back as ``(meta, records)``.
 
-    ``records`` holds every non-meta record (spans in seq order as
-    written, then counters/gauges).
+    ``records`` holds every non-meta record (spans and links in seq
+    order as written, then the metrics record).  A file whose meta is
+    not schema :data:`SCHEMA_VERSION` is refused.
     """
     records: List[Dict[str, Any]] = []
     meta: Optional[Dict[str, Any]] = None
@@ -685,6 +647,11 @@ def load_file(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
                 records.append(rec)
     if meta is None:
         raise TraceError(f"{path}: missing meta record")
+    if meta.get("schema") != SCHEMA_VERSION:
+        raise TraceError(
+            f"{path}: trace schema {meta.get('schema')!r}; this version "
+            f"reads only schema {SCHEMA_VERSION}: re-record the trace"
+        )
     return meta, records
 
 
@@ -696,12 +663,9 @@ def validate_file(path: str) -> Dict[str, Any]:
     the CI trace-smoke job runs.
     """
     meta, records = load_file(path)
-    if meta.get("schema") not in SUPPORTED_SCHEMAS:
-        raise TraceError(
-            f"{path}: schema {meta.get('schema')!r} not in "
-            f"{SUPPORTED_SCHEMAS}"
-        )
-    schema = meta["schema"]
+    campaign_id = meta.get("campaign_id")
+    if not isinstance(campaign_id, str) or not campaign_id:
+        raise TraceError(f"{path}: meta record has no campaign_id")
     span_ids = set()
     uids = set()
     parents = []
@@ -711,6 +675,7 @@ def validate_file(path: str) -> Dict[str, Any]:
     gauges: Dict[str, float] = {}
     n_spans = 0
     n_links = 0
+    n_metrics = 0
     last_seq = -1
     for i, rec in enumerate(records):
         rtype = rec.get("type")
@@ -743,40 +708,30 @@ def validate_file(path: str) -> Dict[str, Any]:
             span_ids.add(rec["span_id"])
             if rec["parent_id"] is not None:
                 parents.append((i, rec["parent_id"]))
-            if schema >= 3:
-                missing = [k for k in SPAN_KEYS_V3 if k not in rec]
-                if missing:
-                    raise TraceError(
-                        f"{path}: span record {i} missing v3 keys {missing}"
-                    )
-                uid = rec["uid"]
-                if not isinstance(uid, str) or not uid:
-                    raise TraceError(
-                        f"{path}: span record {i} uid must be a "
-                        f"non-empty string"
-                    )
-                if uid in uids:
-                    raise TraceError(f"{path}: duplicate span uid {uid!r}")
-                uids.add(uid)
-                pu = rec["parent_uid"]
-                # parent_uid may reference a span in *another* file of
-                # the campaign — dangling here is legal; the merged-DAG
-                # validator (repro.util.tracedag) is the one that
-                # rejects orphans
-                if pu is not None and (not isinstance(pu, str) or not pu):
-                    raise TraceError(
-                        f"{path}: span record {i} parent_uid must be "
-                        f"None or a non-empty string"
-                    )
+            uid = rec["uid"]
+            if not isinstance(uid, str) or not uid:
+                raise TraceError(
+                    f"{path}: span record {i} uid must be a "
+                    f"non-empty string"
+                )
+            if uid in uids:
+                raise TraceError(f"{path}: duplicate span uid {uid!r}")
+            uids.add(uid)
+            pu = rec["parent_uid"]
+            # parent_uid may reference a span in *another* file of the
+            # campaign — dangling here is legal; the merged-DAG
+            # validator (repro.util.tracedag) is the one that rejects
+            # orphans
+            if pu is not None and (not isinstance(pu, str) or not pu):
+                raise TraceError(
+                    f"{path}: span record {i} parent_uid must be "
+                    f"None or a non-empty string"
+                )
             names.add(rec["name"])
             if rec["rank"] is not None:
                 ranks.add(rec["rank"])
             n_spans += 1
         elif rtype == "link":
-            if schema < 3:
-                raise TraceError(
-                    f"{path}: link record {i} in a schema-{schema} file"
-                )
             missing = [k for k in LINK_KEYS if k not in rec]
             if missing:
                 raise TraceError(
@@ -791,17 +746,10 @@ def validate_file(path: str) -> Dict[str, Any]:
             if not isinstance(rec["attrs"], dict):
                 raise TraceError(f"{path}: link record {i} attrs not a dict")
             n_links += 1
-        elif rtype in ("counter", "gauge"):
-            if "name" not in rec or not isinstance(rec.get("value"), (int, float)):
-                raise TraceError(
-                    f"{path}: {rtype} record {i} needs a name and numeric value"
-                )
-            (counters if rtype == "counter" else gauges)[rec["name"]] = rec["value"]
         elif rtype == "metrics":
-            if meta.get("schema", SCHEMA_VERSION) < 2:
-                raise TraceError(
-                    f"{path}: metrics record {i} in a schema-1 file"
-                )
+            n_metrics += 1
+            if n_metrics > 1:
+                raise TraceError(f"{path}: second metrics record {i}")
             for kind, table in (("counters", counters), ("gauges", gauges)):
                 block = rec.get(kind)
                 if not isinstance(block, dict):
@@ -823,7 +771,7 @@ def validate_file(path: str) -> Dict[str, Any]:
     return {
         "schema": meta["schema"],
         "label": meta.get("label", ""),
-        "campaign_id": meta.get("campaign_id"),
+        "campaign_id": campaign_id,
         "n_spans": n_spans,
         "n_links": n_links,
         "span_names": sorted(names),
@@ -839,77 +787,28 @@ def validate_file(path: str) -> Dict[str, Any]:
 
 def write_chrome_trace(
     path: str,
-    records: Sequence[Dict[str, Any]],
-    *,
-    meta: Optional[Dict[str, Any]] = None,
-) -> int:
-    """Write span records as a Chrome-trace (``chrome://tracing``) file.
-
-    Each (rank, thread) pair becomes one timeline row; spans are
-    complete ("X") events with microsecond timestamps.  Returns the
-    number of trace events written.
-    """
-    pid = (meta or {}).get("pid", os.getpid())
-    label = (meta or {}).get("label", "")
-    events: List[Dict[str, Any]] = [{
-        "ph": "M", "name": "process_name", "pid": pid,
-        "args": {"name": f"repro reduction {label}".strip()},
-    }]
-    tids: Dict[Tuple[Optional[int], str], int] = {}
-    for rec in records:
-        if rec.get("type", "span") != "span":
-            continue
-        key = (rec.get("rank"), rec.get("thread", ""))
-        if key not in tids:
-            tid = len(tids)
-            tids[key] = tid
-            rank, thread = key
-            row = f"rank {rank}" if rank is not None else (thread or "main")
-            events.append({
-                "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
-                "args": {"name": row},
-            })
-        events.append({
-            "ph": "X",
-            "name": rec["name"],
-            "cat": str(rec.get("attrs", {}).get("kind", "span")),
-            "pid": pid,
-            "tid": tids[key],
-            "ts": rec["t0"] * 1e6,
-            "dur": rec["dur"] * 1e6,
-            "args": rec.get("attrs", {}),
-        })
-    with open(path, "w") as fh:
-        json.dump({"traceEvents": events, "displayTimeUnit": "ms"},
-                  fh, default=_json_default)
-    return len(events)
-
-
-def write_chrome_trace_merged(
-    path: str,
     traces: Sequence[Tuple[Dict[str, Any], Sequence[Dict[str, Any]]]],
 ) -> int:
-    """Write one Chrome-trace file from many per-process trace files.
+    """Write span records as one Chrome-trace (``chrome://tracing`` /
+    Perfetto) file.
 
-    ``traces`` is a sequence of ``(meta, records)`` pairs (from
-    :func:`load_file`).  Unlike :func:`write_chrome_trace` — which
-    keeps the originating pid as the single chrome process and is the
-    right exporter for *one* file — every distinct ``(pid, rank)``
-    pair here gets its **own** chrome pid, so per-rank files written
-    by the same process (or files whose processes recycled a pid) no
-    longer collide on pid/tid rows, and each file's timestamps are
-    aligned onto one campaign clock via its meta ``epoch_unix``.
-    Returns the number of trace events written.
+    ``traces`` is a sequence of ``(meta, records)`` pairs — one per
+    trace file (from :func:`load_file`), or a live tracer's own pair.
+    Every distinct ``(pid, rank)`` pair gets its own chrome process
+    (one row group per rank, one row per thread inside it), so
+    per-rank files written by the same process — or files whose
+    processes recycled a pid — never collide on pid/tid rows, and each
+    file's timestamps are aligned onto one campaign clock via its meta
+    ``epoch_unix``.  Spans are complete ("X") events with microsecond
+    timestamps.  Returns the number of trace events written.
     """
     if not traces:
-        raise TraceError("write_chrome_trace_merged: no trace files given")
-    base_epoch = min(float((m or {}).get("epoch_unix", 0.0))
-                     for m, _ in traces)
+        raise TraceError("write_chrome_trace: no trace files given")
+    base_epoch = min(float(m.get("epoch_unix", 0.0)) for m, _ in traces)
     events: List[Dict[str, Any]] = []
     pids: Dict[Tuple[Any, Any], int] = {}
     tids: Dict[Tuple[int, Any, str], int] = {}
     for meta, records in traces:
-        meta = meta or {}
         file_pid = meta.get("pid", 0)
         offset_us = (float(meta.get("epoch_unix", base_epoch))
                      - base_epoch) * 1e6
@@ -964,37 +863,28 @@ def iter_spans(records: Sequence[Dict[str, Any]]) -> Iterator[Dict[str, Any]]:
             yield rec
 
 
+def _metric_table(records: Sequence[Dict[str, Any]],
+                  kind: str) -> "OrderedDict[str, float]":
+    out: "OrderedDict[str, float]" = OrderedDict()
+    for rec in records:
+        if rec.get("type") == "metrics":
+            for name, value in rec.get(kind, {}).items():
+                out[name] = float(value)
+    return out
+
+
 def counters_from_records(
     records: Sequence[Dict[str, Any]],
 ) -> "OrderedDict[str, float]":
-    """Counter totals from the records alone (v1 ``counter`` records
-    and/or the v2 consolidated ``metrics`` record; metrics wins on
-    duplicates since it is written last)."""
-    out: "OrderedDict[str, float]" = OrderedDict()
-    for rec in records:
-        rtype = rec.get("type")
-        if rtype == "counter":
-            out[rec["name"]] = float(rec["value"])
-        elif rtype == "metrics":
-            for name, value in rec.get("counters", {}).items():
-                out[name] = float(value)
-    return out
+    """Counter totals from the records' ``metrics`` record."""
+    return _metric_table(records, "counters")
 
 
 def gauges_from_records(
     records: Sequence[Dict[str, Any]],
 ) -> "OrderedDict[str, float]":
-    """Gauge values from the records alone (v1 + v2, see
-    :func:`counters_from_records`)."""
-    out: "OrderedDict[str, float]" = OrderedDict()
-    for rec in records:
-        rtype = rec.get("type")
-        if rtype == "gauge":
-            out[rec["name"]] = float(rec["value"])
-        elif rtype == "metrics":
-            for name, value in rec.get("gauges", {}).items():
-                out[name] = float(value)
-    return out
+    """Gauge values from the records' ``metrics`` record."""
+    return _metric_table(records, "gauges")
 
 
 def _stage_spans(
@@ -1128,7 +1018,7 @@ def summary_from_records(
     followed by per-kernel launch totals, a derived-throughput block
     (when the trace carries profiled spans), and the counter/gauge
     tables.  Counters/gauges default to the totals embedded in the
-    records themselves (schema v2 ``metrics`` record), so a written
+    records themselves (the file's ``metrics`` record), so a written
     trace file is a complete artifact on its own.
     """
     from repro.util.timers import CANONICAL_STAGES

@@ -1,17 +1,19 @@
 """Campaign-wide causal trace DAG: merge, validate, attribute.
 
-Schema v3 (:mod:`repro.util.trace`) gives every span a globally unique
-``uid`` and a ``parent_uid`` that crosses process/thread boundaries.
+The trace schema (:mod:`repro.util.trace`) gives every span a globally
+unique ``uid`` and a ``parent_uid`` that crosses process/thread
+boundaries.
 One campaign can therefore produce a *set* of JSON-lines files — one
 per tracing process — that this module stitches back into a single
 validated causal DAG and interrogates:
 
 * :func:`merge_files` / :func:`merge_dir` — load + normalise onto one
   absolute campaign clock (each file's ``epoch_unix`` + relative span
-  times), auto-namespacing v1/v2 files that predate global uids;
+  times); files of an older schema are refused by
+  :func:`repro.util.trace.load_file`;
 * :meth:`TraceDAG.validate` — no duplicate uids, no orphan parents, no
   dangling link endpoints, completed steal tasks exactly once per
-  ``(run, stage, shard)``, and (v3) a single rooted span tree;
+  ``(run, stage, shard)``, and a single rooted span tree;
 * :meth:`TraceDAG.critical_chain` — the last-finisher root-to-leaf
   blocking chain (the answer to "what was the campaign waiting on when
   it ended");
@@ -108,12 +110,8 @@ def _quartiles(vals: Sequence[float]) -> Tuple[float, float, float]:
 class TraceDAG:
     """The merged causal DAG of one campaign's trace files."""
 
-    def __init__(self, campaign_id: str, *, legacy: bool = False) -> None:
+    def __init__(self, campaign_id: str) -> None:
         self.campaign_id = campaign_id
-        #: true when no source file carried a campaign id (schema v1/v2
-        #: inputs) — single-rooted-ness is not enforced then, because
-        #: pre-v3 files never recorded cross-thread parent edges
-        self.legacy = legacy
         self.spans: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self.links: List[Dict[str, Any]] = []
         self.counters: "OrderedDict[str, float]" = OrderedDict()
@@ -165,18 +163,9 @@ class TraceDAG:
                        if n.get("rank") is not None})
 
     # -- validation -------------------------------------------------------
-    def validate(self, *,
-                 require_single_root: Optional[bool] = None
-                 ) -> Dict[str, Any]:
+    def validate(self) -> Dict[str, Any]:
         """Check the merged-DAG invariants; raise :class:`TraceError`
-        on the first violation, return a summary report on success.
-
-        ``require_single_root`` defaults to True for v3 campaigns and
-        False for legacy (v1/v2) merges, whose files never recorded
-        cross-thread parent edges.
-        """
-        if require_single_root is None:
-            require_single_root = not self.legacy
+        on the first violation, return a summary report on success."""
         # orphan parents
         for uid, node in self.spans.items():
             pu = node.get("parent_uid")
@@ -208,7 +197,7 @@ class TraceDAG:
                     f"({seen[key]} and {uid})"
                 )
             seen[key] = uid
-        # acyclic + (optionally) a single rooted tree
+        # acyclic + a single rooted tree
         roots = self.roots()
         reached = set()
         stack = [n["uid"] for n in roots]
@@ -224,7 +213,7 @@ class TraceDAG:
                 f"{len(self.spans) - len(reached)} spans unreachable "
                 f"from any root (parent cycle)"
             )
-        if require_single_root and len(roots) != 1:
+        if len(roots) != 1:
             raise TraceError(
                 f"campaign {self.campaign_id}: expected a single rooted "
                 f"tree, found {len(roots)} roots "
@@ -233,7 +222,6 @@ class TraceDAG:
         return {
             "ok": True,
             "campaign_id": self.campaign_id,
-            "legacy": self.legacy,
             "n_files": len(self.files),
             "n_spans": len(self.spans),
             "n_links": len(self.links),
@@ -546,7 +534,6 @@ class TraceDAG:
         artifact)."""
         doc: Dict[str, Any] = {
             "campaign_id": self.campaign_id,
-            "legacy": self.legacy,
             "files": list(self.files),
             "n_spans": len(self.spans),
             "n_links": len(self.links),
@@ -565,65 +552,38 @@ class TraceDAG:
 # merging
 # ---------------------------------------------------------------------------
 
-def _legacy_uid(file_idx: int, pid: Any, rank: Any, span_id: Any) -> str:
-    rank_part = "-" if rank is None else rank
-    return f"f{file_idx}:{rank_part}:{pid}:{span_id}"
-
-
 def merge_files(paths: Sequence[str]) -> TraceDAG:
     """Merge per-process JSON-lines trace files into one
     :class:`TraceDAG`.
 
-    Every file is schema-validated first (:func:`validate_file`).  v3
-    spans join on their global uids; v1/v2 spans are auto-namespaced
-    (``"f{i}:{rank}:{pid}:{span_id}"``) with ``parent_uid`` derived
-    from the in-file ``parent_id``, so legacy traces merge and report
-    — they just cannot carry cross-process edges.  Files disagreeing
-    on ``campaign_id`` are rejected: one DAG is one campaign.
+    Every file is schema-validated first (:func:`validate_file`), and
+    spans join on their global uids.  Files disagreeing on
+    ``campaign_id`` are rejected: one DAG is one campaign.
     """
     if not paths:
         raise TraceError("merge_files: no trace files given")
     campaign_ids = set()
     loaded: List[Tuple[str, Dict[str, Any], List[Dict[str, Any]]]] = []
     for path in paths:
-        validate_file(path)
+        campaign_ids.add(validate_file(path)["campaign_id"])
         meta, records = load_file(path)
-        if meta.get("campaign_id"):
-            campaign_ids.add(meta["campaign_id"])
         loaded.append((path, meta, records))
     if len(campaign_ids) > 1:
         raise TraceError(
             f"trace files span {len(campaign_ids)} campaigns "
             f"({sorted(campaign_ids)}); merge one campaign at a time"
         )
-    legacy = not campaign_ids
-    dag = TraceDAG(campaign_ids.pop() if campaign_ids else "legacy",
-                   legacy=legacy)
-    for file_idx, (path, meta, records) in enumerate(loaded):
-        schema = meta.get("schema", 1)
+    dag = TraceDAG(campaign_ids.pop())
+    for path, meta, records in loaded:
         epoch = float(meta.get("epoch_unix", 0.0))
-        pid = meta.get("pid", 0)
         base = os.path.basename(path)
         dag.files.append(base)
         for rec in records:
             rtype = rec.get("type")
             if rtype == "span":
-                if schema >= 3:
-                    uid = rec["uid"]
-                    parent_uid = rec["parent_uid"]
-                else:
-                    uid = _legacy_uid(file_idx, pid, rec.get("rank"),
-                                      rec["span_id"])
-                    parent_uid = (
-                        _legacy_uid(file_idx, pid, rec.get("rank"),
-                                    rec["parent_id"])
-                        if rec.get("parent_id") is not None else None)
-                    # legacy streams interleave ranks in one file; the
-                    # parent lives on the *parent span's* rank row —
-                    # resolve via span_id instead when rank differs
                 dag.add_span({
-                    "uid": uid,
-                    "parent_uid": parent_uid,
+                    "uid": rec["uid"],
+                    "parent_uid": rec["parent_uid"],
                     "name": rec["name"],
                     "kind": rec.get("attrs", {}).get("kind"),
                     "rank": rec.get("rank"),
@@ -643,62 +603,12 @@ def merge_files(paths: Sequence[str]) -> TraceDAG:
                     "attrs": rec.get("attrs", {}),
                     "file": base,
                 })
-            elif rtype == "counter":
-                dag.counters[rec["name"]] = (
-                    dag.counters.get(rec["name"], 0.0)
-                    + float(rec["value"]))
-            elif rtype == "gauge":
-                dag.gauges[rec["name"]] = float(rec["value"])
             elif rtype == "metrics":
-                for name, value in rec.get("counters", {}).items():
-                    # the consolidated record repeats the individual
-                    # counter records of the same file — overwrite,
-                    # don't double-count
+                for name, value in rec["counters"].items():
                     dag.counters[name] = float(value)
-                for name, value in rec.get("gauges", {}).items():
+                for name, value in rec["gauges"].items():
                     dag.gauges[name] = float(value)
-    _fix_legacy_parent_ranks(dag, loaded)
     return dag
-
-
-def _fix_legacy_parent_ranks(
-    dag: TraceDAG,
-    loaded: Sequence[Tuple[str, Dict[str, Any], List[Dict[str, Any]]]],
-) -> None:
-    """Repair legacy parent uids whose rank prefix guessed wrong.
-
-    v1/v2 files key spans by process-local ``span_id``; the synthetic
-    parent uid assumes the parent shares the child's rank, which is
-    false for rank spans parented under a driver span.  Re-derive from
-    an exact ``(file, span_id) -> uid`` index.
-    """
-    by_span_id: Dict[Tuple[int, Any], str] = {}
-    for file_idx, (path, meta, records) in enumerate(loaded):
-        if meta.get("schema", 1) >= 3:
-            continue
-        pid = meta.get("pid", 0)
-        for rec in records:
-            if rec.get("type") == "span":
-                uid = _legacy_uid(file_idx, pid, rec.get("rank"),
-                                  rec["span_id"])
-                by_span_id[(file_idx, rec["span_id"])] = uid
-    if not by_span_id:
-        return
-    for file_idx, (path, meta, records) in enumerate(loaded):
-        if meta.get("schema", 1) >= 3:
-            continue
-        pid = meta.get("pid", 0)
-        for rec in records:
-            if rec.get("type") != "span":
-                continue
-            if rec.get("parent_id") is None:
-                continue
-            uid = _legacy_uid(file_idx, pid, rec.get("rank"),
-                              rec["span_id"])
-            actual = by_span_id.get((file_idx, rec["parent_id"]))
-            if actual is not None and uid in dag.spans:
-                dag.spans[uid]["parent_uid"] = actual
-    dag._children = None
 
 
 def merge_dir(dir_path: str, *, pattern: str = "*.jsonl") -> TraceDAG:

@@ -121,7 +121,7 @@ class TestCritSmoke:
         assert len(paths) >= 3  # main + one per rank
         for p in paths:
             info = trace_mod.validate_file(p)
-            assert info["schema"] == 3
+            assert info["schema"] == trace_mod.SCHEMA_VERSION
             assert info["campaign_id"] == tracer.campaign_id
 
         dag = tracedag.merge_dir(str(out))

@@ -3,10 +3,9 @@
 Level 1 is Algorithm 1's rank split over runs (:func:`rank_range`,
 weight-aware via :func:`balanced_rank_runs`); level 2 is the intra-run
 shard planner (:func:`shard_ranges` / :func:`weighted_shard_ranges`)
-ISSUE 5 adds below it; :func:`plan_campaign` composes the two into the
-full runs × shards map.  Everything here is pure planning, so the
-properties are exact: partitions are contiguous, disjoint, exhaustive,
-and deterministic.
+below it.  Everything here is pure planning, so the properties are
+exact: partitions are contiguous, disjoint, exhaustive, and
+deterministic.
 """
 
 import pytest
@@ -15,12 +14,10 @@ from hypothesis import strategies as st
 
 from repro.mpi import (
     MPIError,
-    RunShard,
     balanced_rank_runs,
     budget_max_rows,
     chunk_aligned_event_ranges,
     lazy_table_ranges,
-    plan_campaign,
     range_stored_nbytes,
     rank_range,
     shard_ranges,
@@ -169,52 +166,6 @@ class TestBalancedRankRuns:
     def test_invalid_size(self):
         with pytest.raises(MPIError, match="size"):
             balanced_rank_runs([1.0], 0)
-
-
-class TestPlanCampaign:
-    def test_full_matrix_shape(self):
-        plan = plan_campaign(4, 2, 3)
-        assert sorted(plan) == [0, 1]
-        # every (run, shard) cell appears exactly once, on its owner
-        cells = [c for rank in plan.values() for c in rank]
-        assert len(cells) == 4 * 3
-        assert {(c.run, c.shard) for c in cells} == {
-            (r, s) for r in range(4) for s in range(3)
-        }
-        for rank, owned in plan.items():
-            assert all(c.rank == rank for c in owned)
-
-    def test_labels(self):
-        cell = RunShard(run=2, shard=1, n_shards=4, rank=0)
-        assert cell.label == "run2/shard1of4"
-
-    def test_weighted_outer_level(self):
-        plan = plan_campaign(3, 2, 2, run_weights=[10.0, 1.0, 1.0])
-        assert [c.run for c in plan[0]] == [0, 0]
-        assert [c.run for c in plan[1]] == [1, 1, 2, 2]
-
-    def test_weight_length_mismatch_rejected(self):
-        with pytest.raises(MPIError, match="run_weights"):
-            plan_campaign(3, 2, 2, run_weights=[1.0])
-
-    def test_invalid_inputs(self):
-        with pytest.raises(MPIError):
-            plan_campaign(-1, 2, 2)
-        with pytest.raises(MPIError):
-            plan_campaign(3, 2, 0)
-
-    @given(
-        n_runs=st.integers(0, 30),
-        size=st.integers(1, 6),
-        n_shards=st.integers(1, 5),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_every_cell_assigned_exactly_once(self, n_runs, size, n_shards):
-        plan = plan_campaign(n_runs, size, n_shards)
-        cells = [(c.run, c.shard) for rank in plan.values() for c in rank]
-        assert sorted(cells) == [
-            (r, s) for r in range(n_runs) for s in range(n_shards)
-        ]
 
 
 class TestChunkAlignedEventRanges:

@@ -176,12 +176,10 @@ def _synthetic_records():
         # an unprofiled span must not contribute
         records.append(_span("run", seq, 0.5, {"run": i}))
         seq += 1
-    records.append({"type": "counter", "name": "geom_cache.hit",
-                    "value": 4.0})
-    records.append({"type": "counter", "name": "binmd.events",
-                    "value": 6000.0})
-    records.append({"type": "gauge", "name": "minivates.bytes_h2d",
-                    "value": 123.0})
+    records.append({"type": "metrics",
+                    "counters": {"geom_cache.hit": 4.0,
+                                 "binmd.events": 6000.0},
+                    "gauges": {"minivates.bytes_h2d": 123.0}})
     rng.shuffle(records)  # from_records must not care
     return records
 
@@ -368,7 +366,7 @@ class TestStealSummary:
                   {"kind": "steal_task", "exec_rank": 1, "completed": False}),
             # non-stealing spans must be invisible to the rollup
             _span("kernel:binmd", 5, 9.0, {"kind": "kernel"}),
-            {"type": "counter", "name": "steals", "value": 1.0},
+            {"type": "metrics", "counters": {"steals": 1.0}, "gauges": {}},
         ]
 
     def test_rolls_up_per_rank(self):

@@ -13,6 +13,9 @@ The randomized suites (50 seeds each) pin down the tracer's contract:
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -26,6 +29,8 @@ from repro.util.trace import (
     NullTracer,
     TraceError,
     Tracer,
+    counters_from_records,
+    gauges_from_records,
     kernel_totals,
     load_file,
     stage_timings_from_records,
@@ -33,7 +38,6 @@ from repro.util.trace import (
     summary_from_records,
     use_tracer,
     validate_file,
-    write_chrome_trace,
 )
 
 N_SEEDS = 50
@@ -316,9 +320,66 @@ class TestSerialization:
         spans = [r for r in records if r["type"] == "span"]
         assert [s["name"] for s in spans] == ["kernel:mdnorm", "workflow"]
         assert n == 1 + len(records)
-        counters = {r["name"]: r["value"] for r in records
-                    if r["type"] == "counter"}
-        assert counters == {"events": 42.0}
+        (metrics,) = [r for r in records if r["type"] == "metrics"]
+        assert records[-1] is metrics
+        assert metrics["counters"] == {"events": 42.0}
+        assert metrics["gauges"] == {"width": 7.0}
+
+    @staticmethod
+    def _metric_tracer() -> Tracer:
+        """Two rank streams plus counters that must survive the file
+        exactly: a 0.0-delta counter and a float-delta one."""
+        tracer = Tracer(label="metrics")
+        with tracer.span("campaign", kind="campaign") as root:
+            pass
+        for rank in (0, 1):
+            with trace_mod.rank_scope(rank), \
+                    trace_mod.parent_scope(root.uid), tracer.span("work"):
+                pass
+        tracer.count("events", 42)
+        tracer.count("zero", 0.0)
+        tracer.count("frac", 0.1)
+        tracer.count("frac", 0.2)
+        tracer.gauge("width", 7.5)
+        return tracer
+
+    def test_every_metric_written_once(self, tmp_path):
+        from repro.util import tracedag
+
+        tracer = self._metric_tracer()
+        path = str(tmp_path / "t.jsonl")
+        tracer.write_jsonl(path)
+        paths = tracer.write_jsonl_dir(str(tmp_path / "dir"))
+        assert sorted(os.path.basename(p) for p in paths) == [
+            "trace-main.jsonl", "trace-rank0.jsonl", "trace-rank1.jsonl"]
+        for p in [path] + paths:
+            types = [json.loads(line)["type"] for line in open(p)]
+            assert "counter" not in types and "gauge" not in types
+            want = 0 if "rank" in os.path.basename(p) else 1
+            assert types.count("metrics") == want, p
+        # read back through every reader: equal to the live tables
+        _, records = load_file(path)
+        info = validate_file(path)
+        dag = tracedag.merge_dir(str(tmp_path / "dir"))
+        for counters, gauges in (
+            (counters_from_records(records), gauges_from_records(records)),
+            (info["counters"], info["gauges"]),
+            (dag.counters, dag.gauges),
+        ):
+            assert dict(counters) == tracer.counters
+            assert dict(gauges) == tracer.gauges
+        assert tracer.counters["zero"] == 0.0
+        assert tracer.counters["frac"] == 0.1 + 0.2
+
+    def test_second_metrics_record_rejected(self, tmp_path):
+        tracer = self._traced()
+        path = str(tmp_path / "t.jsonl")
+        tracer.write_jsonl(path)
+        with open(path, "a") as fh:
+            fh.write(json.dumps({"type": "metrics", "counters": {},
+                                 "gauges": {}}) + "\n")
+        with pytest.raises(TraceError, match="second metrics record"):
+            validate_file(path)
 
     def test_validate_file_accepts_good_trace(self, tmp_path):
         tracer = self._traced()
@@ -361,6 +422,11 @@ class TestSerialization:
         p2.write_text(json.dumps({"type": "counter", "name": "x", "value": 1}) + "\n")
         with pytest.raises(TraceError, match="missing meta"):
             validate_file(str(p2))
+        p3 = tmp_path / "nocampaign.jsonl"
+        p3.write_text(json.dumps({"type": "meta",
+                                  "schema": SCHEMA_VERSION}) + "\n")
+        with pytest.raises(TraceError, match="no campaign_id"):
+            validate_file(str(p3))
 
     def test_numpy_attrs_serialize(self, tmp_path):
         tracer = Tracer()
@@ -372,6 +438,86 @@ class TestSerialization:
         _, records = load_file(path)
         attrs = records[0]["attrs"]
         assert attrs == {"n": 3, "x": 1.5, "flag": True, "arr": [0, 1, 2]}
+
+
+def _old_trace_files(tmp_path):
+    """A trace of each kind :func:`load_file` refuses, keyed by the
+    schema its meta records: a schema-1 file (spans without uids,
+    per-name counter records), a schema-3 file (uids, counter and gauge
+    records next to the metrics record) and a meta with no schema."""
+    span = {"type": "span", "name": "s", "span_id": 0, "parent_id": None,
+            "rank": None, "thread": "main", "t0": 0.0, "t1": 1.0,
+            "dur": 1.0, "seq": 0, "attrs": {}}
+    span3 = dict(span, uid="-:1:0", parent_uid=None)
+    meta = {"type": "meta", "label": "old", "pid": 1, "epoch_unix": 0.0,
+            "campaign_id": "c" * 32}
+    files = {
+        1: [dict(meta, schema=1), span,
+            {"type": "counter", "name": "k", "value": 1.0}],
+        3: [dict(meta, schema=3), span3,
+            {"type": "counter", "name": "k", "value": 1.0},
+            {"type": "gauge", "name": "g", "value": 2.0},
+            {"type": "metrics", "counters": {"k": 1.0},
+             "gauges": {"g": 2.0}}],
+        None: [meta, span3,
+               {"type": "metrics", "counters": {}, "gauges": {}}],
+    }
+    out = {}
+    for schema, recs in files.items():
+        path = tmp_path / f"schema-{schema}.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        out[schema] = str(path)
+    return out
+
+
+def _refusal(found) -> str:
+    return (f"trace schema {found!r}; this version reads only schema "
+            f"{SCHEMA_VERSION}")
+
+
+class TestSchemaRefusal:
+    """Schema 4 is the only trace format: every reader refuses an older
+    file (or one with no schema) through :func:`load_file`, naming the
+    version found and the one expected."""
+
+    @pytest.mark.parametrize("reader", ["load_file", "validate_file",
+                                        "merge_files", "PerfModel"])
+    @pytest.mark.parametrize("found", [1, 3, None])
+    def test_readers_refuse_old_schemas(self, tmp_path, reader, found):
+        from repro.util.perf import PerfModel
+        from repro.util.tracedag import merge_files
+
+        read = {"load_file": load_file, "validate_file": validate_file,
+                "merge_files": lambda p: merge_files([p]),
+                "PerfModel": PerfModel.from_file}[reader]
+        path = _old_trace_files(tmp_path)[found]
+        with pytest.raises(TraceError) as exc:
+            read(path)
+        assert _refusal(found) in str(exc.value)
+
+    @pytest.mark.parametrize("cmd", ["merge", "chrome", "summary"])
+    def test_cli_refuses_old_schemas(self, tmp_path, cmd, capsys):
+        """``repro trace merge|chrome|summary`` exit nonzero on every old
+        file; the schema-1 case runs as a real process."""
+        from repro.cli import repro_main
+
+        paths = _old_trace_files(tmp_path)
+        argv = ["trace", cmd]
+        if cmd == "chrome":
+            argv += ["--out", str(tmp_path / "chrome.json")]
+        for found in (3, None):
+            with pytest.raises(TraceError, match=_refusal(found)):
+                repro_main(argv + [paths[found]])
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv, paths[1]],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode != 0
+        assert _refusal(1) in proc.stderr
+        assert not (tmp_path / "chrome.json").exists()
 
 
 class TestChromeExport:
@@ -390,22 +536,32 @@ class TestChromeExport:
         for e in xs:
             assert e["dur"] >= 0.0
             assert isinstance(e["ts"], float)
-        metas = [e for e in events if e["ph"] == "M"]
-        assert any(e["name"] == "process_name" for e in metas)
-        assert any(e["name"] == "thread_name" for e in metas)
+            assert (e["pid"], e["tid"]) == (1, 0)
+        metas = [(e["name"], e["args"]["name"]) for e in events
+                 if e["ph"] == "M"]
+        assert metas == [
+            ("process_name", f"chrome (pid {os.getpid()})"),
+            ("thread_name", threading.current_thread().name),
+        ]
 
     def test_chrome_rows_per_rank(self, tmp_path):
+        """One chrome process per rank stream, each with its own
+        thread row."""
         tracer = Tracer()
         for rank in (0, 1):
             with trace_mod.rank_scope(rank):
                 with tracer.span("work"):
                     pass
         path = str(tmp_path / "ranks.json")
-        write_chrome_trace(path, tracer.records)
+        tracer.write_chrome_trace(path)
         doc = json.load(open(path))
-        rows = {e["args"]["name"] for e in doc["traceEvents"]
-                if e["ph"] == "M" and e["name"] == "thread_name"}
-        assert rows == {"rank 0", "rank 1"}
+        procs = {e["pid"]: e["args"]["name"] for e in doc["traceEvents"]
+                 if e["ph"] == "M" and e["name"] == "process_name"}
+        assert sorted(procs.values()) == [
+            f"rank {r} (pid {os.getpid()})" for r in (0, 1)]
+        rows = [(e["pid"], e["tid"]) for e in doc["traceEvents"]
+                if e["ph"] == "M" and e["name"] == "thread_name"]
+        assert sorted(rows) == [(pid, 0) for pid in sorted(procs)]
 
 
 class TestSummary:

@@ -22,15 +22,12 @@ CAMPAIGN = "c" * 32
 # synthetic-file helpers
 # ---------------------------------------------------------------------------
 
-def _meta(campaign=CAMPAIGN, *, schema=3, pid=1234, epoch=1000.0,
-          label="test"):
-    m = {
-        "type": "meta", "schema": schema, "label": label, "pid": pid,
-        "epoch_unix": epoch, "tool": "repro.util.trace",
+def _meta(campaign=CAMPAIGN, *, pid=1234, epoch=1000.0, label="test"):
+    return {
+        "type": "meta", "schema": trace_mod.SCHEMA_VERSION, "label": label,
+        "pid": pid, "epoch_unix": epoch, "campaign_id": campaign,
+        "tool": "repro.util.trace",
     }
-    if schema >= 3:
-        m["campaign_id"] = campaign
-    return m
 
 
 def _span(name, uid, parent_uid, t0, t1, *, rank=None, span_id=0,
@@ -89,7 +86,6 @@ class TestMergeInvariants:
         report = dag.validate()
         assert report["ok"]
         assert report["campaign_id"] == CAMPAIGN
-        assert not report["legacy"]
         assert report["n_files"] == 3
         assert report["n_spans"] == 4
         assert report["n_links"] == 1
@@ -150,15 +146,20 @@ class TestMergeInvariants:
         with pytest.raises(TraceError, match="completed twice"):
             tracedag.merge_files([p]).validate()
 
-    def test_multi_root_rejected_unless_legacy(self, tmp_path):
+    def test_multi_root_always_rejected(self, tmp_path):
+        """Several roots — in one file or one per file — never merge
+        into a valid campaign DAG."""
         p = _write(tmp_path / "a.jsonl", _meta(), [
             _span("a", "-:m:0", None, 0.0, 1.0),
             _span("b", "-:m:1", None, 0.0, 1.0, span_id=1, seq=1),
         ])
-        dag = tracedag.merge_files([p])
-        with pytest.raises(TraceError, match="single rooted"):
-            dag.validate()
-        assert dag.validate(require_single_root=False)["ok"]
+        q = _write(tmp_path / "b.jsonl", _meta(pid=77), [
+            _span("c", "-:n:0", None, 0.0, 1.0),
+        ])
+        for paths in ([p], [p, q]):
+            dag = tracedag.merge_files(paths)
+            with pytest.raises(TraceError, match="single rooted"):
+                dag.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +194,10 @@ class TestTracerRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# legacy (v1/v2) files
+# legacy (v1/v2) files are refused, not merged
 # ---------------------------------------------------------------------------
 
-class TestLegacyMerge:
+class TestLegacyRefusal:
     def _legacy_span(self, name, span_id, parent_id, t0, t1, *,
                      rank=None, seq=0, **attrs):
         return {
@@ -206,33 +207,36 @@ class TestLegacyMerge:
             "dur": float(t1) - float(t0), "seq": seq, "attrs": attrs,
         }
 
-    def test_v2_files_merge_with_namespaced_uids(self, tmp_path):
-        a = _write(tmp_path / "a.jsonl", _meta(schema=2), [
+    def _legacy_meta(self, schema, pid=1234):
+        meta = _meta(pid=pid)
+        meta["schema"] = schema
+        del meta["campaign_id"]
+        return meta
+
+    def _refusal(self, found):
+        return (f"trace schema {found}; this version reads only schema "
+                f"{trace_mod.SCHEMA_VERSION}")
+
+    def test_v2_files_refused(self, tmp_path):
+        a = _write(tmp_path / "a.jsonl", self._legacy_meta(2), [
             self._legacy_span("outer", 0, None, 0.0, 2.0),
             self._legacy_span("inner", 1, 0, 0.5, 1.5, seq=1),
             {"type": "metrics", "counters": {"c": 2.0}, "gauges": {}},
         ])
-        b = _write(tmp_path / "b.jsonl", _meta(schema=2, pid=77), [
+        b = _write(tmp_path / "b.jsonl", self._legacy_meta(2, pid=77), [
             self._legacy_span("outer", 0, None, 0.0, 1.0),
         ])
-        dag = tracedag.merge_files([a, b])
-        assert dag.legacy
-        report = dag.validate()   # multi-root legal for legacy merges
-        assert report["n_spans"] == 3
-        assert dag.counters["c"] == 2.0
-        # same (pid, span_id) in different files must not collide
-        assert len(dag.spans) == 3
-        inner = [n for n in dag.spans.values() if n["name"] == "inner"]
-        assert inner[0]["parent_uid"] in dag.spans
+        for paths in ([a, b], [b]):
+            with pytest.raises(TraceError, match=self._refusal(2)):
+                tracedag.merge_files(paths)
 
-    def test_v1_file_still_merges(self, tmp_path):
-        a = _write(tmp_path / "a.jsonl", _meta(schema=1), [
+    def test_v1_file_refused(self, tmp_path):
+        a = _write(tmp_path / "a.jsonl", self._legacy_meta(1), [
             self._legacy_span("solo", 0, None, 0.0, 1.0),
             {"type": "counter", "name": "k", "value": 3.0},
         ])
-        dag = tracedag.merge_files([a])
-        assert dag.validate()["ok"]
-        assert dag.counters["k"] == 3.0
+        with pytest.raises(TraceError, match=self._refusal(1)):
+            tracedag.merge_files([a])
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +355,7 @@ class TestArtifacts:
         files = _tree_files(tmp_path)
         traces = [trace_mod.load_file(p) for p in files]
         out = tmp_path / "chrome.json"
-        trace_mod.write_chrome_trace_merged(str(out), traces)
+        trace_mod.write_chrome_trace(str(out), traces)
         doc = json.loads(out.read_text())
         rows = [e for e in doc["traceEvents"]
                 if e.get("name") == "process_name"]
@@ -360,5 +364,4 @@ class TestArtifacts:
 
     def test_chrome_merged_rejects_empty(self, tmp_path):
         with pytest.raises(TraceError):
-            trace_mod.write_chrome_trace_merged(
-                str(tmp_path / "x.json"), [])
+            trace_mod.write_chrome_trace(str(tmp_path / "x.json"), [])

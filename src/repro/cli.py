@@ -462,14 +462,11 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     from repro.util import trace as trace_mod
 
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["summary"]:
-        return trace_summary_main(argv[1:])
-    if argv[:1] == ["merge"]:
-        return trace_merge_main(argv[1:])
-    if argv[:1] == ["crit"]:
-        return trace_crit_main(argv[1:])
-    if argv[:1] == ["chrome"]:
-        return trace_chrome_main(argv[1:])
+    offline = {"summary": trace_summary_main, "merge": trace_merge_main,
+               "crit": trace_crit_main, "chrome": trace_chrome_main}
+    if argv and argv[0] in offline:
+        return _trace_errors_as_one_line(f"repro trace {argv[0]}",
+                                         offline[argv[0]], argv[1:])
     args = _trace_parser().parse_args(argv)
     if args.memory_budget is not None and args.chunk_events is None:
         raise SystemExit("--memory-budget requires --chunk-events run files")
@@ -536,6 +533,19 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
         print()
         print(tracer.summary())
     return 0
+
+
+def _trace_errors_as_one_line(prog: str, run, arg) -> int:
+    """``run(arg)``, with a :class:`~repro.util.trace.TraceError` (an
+    unreadable or invalid trace file) reported as one ``prog: message``
+    line on stderr and exit status 1 instead of a traceback."""
+    from repro.util.trace import TraceError
+
+    try:
+        return run(arg)
+    except TraceError as exc:
+        print(f"{prog}: {exc}", file=sys.stderr)
+        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +829,11 @@ def _perf_models(args) -> List[tuple]:
 def perf_main(argv: Optional[List[str]] = None) -> int:
     """``repro perf``: report / roofline / watch."""
     args = _perf_parser().parse_args(argv)
+    return _trace_errors_as_one_line(f"repro perf {args.cmd}", _perf_run,
+                                     args)
 
+
+def _perf_run(args) -> int:
     if args.cmd == "report":
         from repro.util.perf import (
             service_summary,

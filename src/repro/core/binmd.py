@@ -9,9 +9,10 @@ Both kernel forms are provided through one :class:`~repro.jacc.Kernel`:
 
 * ``element`` — the per-(op, event) body run by the CPU back ends,
   a line-for-line analogue of Listing 3's lambda;
-* ``batch`` — the device realization: per (op, tile), a transform
-  that rejects lanes axis by axis, thinnest grid axis first, then one
-  scatter-add of every in-grid lane of the launch.
+* ``batch`` — the device realization: per tile, a transform under
+  every op that rejects lanes axis by axis, thinnest grid axis first
+  (computed once per distinct transform row), then one scatter-add of
+  every in-grid lane of the launch.
 
 Mantid's production BinMD walks an adaptive MDBox hierarchy; the paper
 deliberately captures "the simple computational complexities" with a
@@ -116,8 +117,8 @@ def _in_grid_pairs(
             # strided columns (a row-major table) cost a full row read
             # each; copy them once when several ops read them
             q = [np.ascontiguousarray(col) for col in q]
-        for n, op in enumerate(transforms):
-            flat, lane = grid.bin_transformed(op, *q)
+        for n, (flat, lane) in enumerate(
+                grid.bin_transformed(transforms, *q)):
             flats[n].append(flat)
             lanes[n].append(lane + start)
     op_ptr = np.cumsum([0] + [sum(p.size for p in parts) for parts in flats])
@@ -133,13 +134,14 @@ def _bin_events_batch(ctx: Captures, dims: tuple[int, int]) -> None:
 
     Reads ``ctx.columns`` alone — BinMD's five columns, views of an
     in-memory table or an out-of-core window's decoded streams.  Cold,
-    each (op, tile) is binned once with :meth:`HKLGrid.bin_transformed`,
-    which computes H and K only for the lanes inside the grid on its
-    thinnest axis.  With a warm entry the cached pairs are used
-    instead.  Either way the launch makes one :meth:`Hist3.push_flat`
-    call over the op-major ``(flat, event)`` pairs with freshly
-    gathered weights, so cold, warm and uncached deposits are
-    bit-identical by construction.  The pairs are left on
+    each tile is binned under every op by one
+    :meth:`HKLGrid.bin_transformed` call, which computes the thinnest
+    axis once per distinct transform row and H and K only for the
+    lanes inside the grid on it.  With a warm entry the cached pairs
+    are used instead.  Either way the launch makes one
+    :meth:`Hist3.push_flat` call over the op-major ``(flat, event)``
+    pairs with freshly gathered weights, so cold, warm and uncached
+    deposits are bit-identical by construction.  The pairs are left on
     ``ctx.in_grid`` as ``(flat, event, op_ptr)`` for the caller to
     cache, count and cut by op (``op_ptr`` is None on a warm launch).
     """

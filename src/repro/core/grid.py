@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.crystal.symmetry import PointGroup
 from repro.crystal.ub import UBMatrix, TWO_PI
+from repro.util import trace as _trace
 from repro.util.validation import ValidationError, as_matrix3, require
 
 
@@ -195,51 +196,80 @@ class HKLGrid:
                 *(np.array(column)[:, None] for column in zip(*rows)))
 
     def bin_transformed(
-        self, op: np.ndarray, qx: np.ndarray, qy: np.ndarray, qz: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Flat bins of the points ``op @ q`` that land inside the grid.
+        self, ops: np.ndarray, qx: np.ndarray, qy: np.ndarray, qz: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Flat bins of the points ``op @ q`` that land inside the grid,
+        for every ``op`` of the ``(n_ops, 3, 3)`` stack ``ops``.
 
-        Returns ``(flat, lanes)``: ``lanes`` are the ascending indices
-        (into ``qx``/``qy``/``qz``) of the inside points and ``flat``
-        their flat bin indices.  Grid coordinates are computed with the
-        element body's three-term products ``op[a, 0] * qx + op[a, 1] *
-        qy + op[a, 2] * qz``: first on the thinnest axis for every
-        lane, then on the other two axes for the lanes inside on the
-        first only, so a one-bin-thick slab computes H and K for the
-        few lanes in the slab alone.  The rule per axis is
-        :meth:`flat_bin`'s (floor of the rounded quotient, upper edge
-        exclusive, non-finite outside), so this and the element body
-        agree bin for bin.
+        Returns one ``(flat, lanes)`` per op, in op order: ``lanes``
+        are the ascending indices (into ``qx``/``qy``/``qz``) of the
+        inside points and ``flat`` their flat bin indices.  Grid
+        coordinates are computed with the element body's three-term
+        products ``op[a, 0] * qx + op[a, 1] * qy + op[a, 2] * qz``:
+        first on the thinnest axis for every lane, then on the other
+        two axes for the lanes inside on the first only, so a
+        one-bin-thick slab computes H and K for the few lanes in the
+        slab alone.  The rule per axis is :meth:`flat_bin`'s (floor of
+        the rounded quotient, upper edge exclusive, non-finite outside),
+        so this and the element body agree bin for bin.
+
+        Symmetry ops share thinnest-axis rows: the product runs once
+        per distinct row (compared by bytes), and an op whose row is
+        the byte-exact negation of an earlier row negates that product,
+        which rounding's sign symmetry makes the same up to the sign of
+        an exact zero (DESIGN.md, "Bit-identity by construction").  The
+        slab test and the gather of the slab's Q run once per distinct
+        signed row.  Each product pass is counted in the tracer counter
+        ``binmd.slab_products``.
         """
         mn, w = self._scalar_binning
         first, rest, rest_mn, rest_w, rest_n = self._rejection_plan
+        nb = self.bins
+        products = {}  # row bytes -> thinnest-axis product of that row
+        slabs = {}  # row bytes -> (first-axis bins, lanes, x, y, z)
+        out = []
         # inf - inf and 0 * inf give NaN, which the comparisons reject
         with np.errstate(over="ignore", invalid="ignore"):
-            q = op[first, 0] * qx
-            q += op[first, 1] * qy
-            q += op[first, 2] * qz
-            q -= mn[first]
-            q /= w[first]
-            ok = q >= 0.0
-            ok &= q < self.bins[first]
-            lanes = ok.nonzero()[0]
-            x, y, z = qx[lanes], qy[lanes], qz[lanes]
-            o = op[rest]
-            qr = o[:, 0:1] * x
-            qr += o[:, 1:2] * y
-            qr += o[:, 2:3] * z
-            qr -= rest_mn
-            qr /= rest_w
-            ok = qr >= 0.0
-            ok &= qr < rest_n
-        keep = (ok[0] & ok[1]).nonzero()[0]
-        lanes = lanes[keep]
-        # in range and non-negative, so truncation is the floor
-        idx = {first: q[lanes].astype(np.int64)}
-        for row, axis in enumerate(rest):
-            idx[axis] = qr[row, keep].astype(np.int64)
-        nb = self.bins
-        return (idx[0] * nb[1] + idx[1]) * nb[2] + idx[2], lanes
+            for op in ops:
+                row = op[first]
+                key = row.tobytes()
+                slab = slabs.get(key)
+                if slab is None:
+                    c = products.get(np.negative(row).tobytes())
+                    if c is None:
+                        c = row[0] * qx
+                        c += row[1] * qy
+                        c += row[2] * qz
+                        products[key] = c
+                        q = c - mn[first]
+                    else:
+                        q = np.negative(c)
+                        q -= mn[first]
+                    q /= w[first]
+                    ok = q >= 0.0
+                    ok &= q < nb[first]
+                    lanes = ok.nonzero()[0]
+                    # in range and non-negative, so truncation is the floor
+                    slab = (q[lanes].astype(np.int64), lanes,
+                            qx[lanes], qy[lanes], qz[lanes])
+                    slabs[key] = slab
+                idx_first, lanes, x, y, z = slab
+                o = op[rest]
+                qr = o[:, 0:1] * x
+                qr += o[:, 1:2] * y
+                qr += o[:, 2:3] * z
+                qr -= rest_mn
+                qr /= rest_w
+                ok = qr >= 0.0
+                ok &= qr < rest_n
+                keep = (ok[0] & ok[1]).nonzero()[0]
+                idx = {first: idx_first[keep]}
+                for r, axis in enumerate(rest):
+                    idx[axis] = qr[r, keep].astype(np.int64)
+                out.append(((idx[0] * nb[1] + idx[1]) * nb[2] + idx[2],
+                            lanes[keep]))
+        _trace.active_tracer().count("binmd.slab_products", len(products))
+        return out
 
     # -- constructors for the paper's cases ---------------------------------
     @classmethod

@@ -662,7 +662,13 @@ def validate_file(path: str) -> Dict[str, Any]:
     dict (span/rank/counter inventory) on success.  This is the helper
     the CI trace-smoke job runs.
     """
-    meta, records = load_file(path)
+    return validate_records(path, *load_file(path))
+
+
+def validate_records(path: str, meta: Dict[str, Any],
+                     records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """:func:`validate_file`'s record checks on an already loaded
+    ``(meta, records)`` pair of the file ``path`` (named in errors)."""
     campaign_id = meta.get("campaign_id")
     if not isinstance(campaign_id, str) or not campaign_id:
         raise TraceError(f"{path}: meta record has no campaign_id")

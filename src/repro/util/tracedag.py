@@ -46,7 +46,7 @@ import os
 from collections import OrderedDict, defaultdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.util.trace import TraceError, load_file, validate_file
+from repro.util.trace import TraceError, load_file, validate_records
 
 #: span kinds that mark the elastic steal-task layer
 STEAL_KINDS = ("steal", "steal_task")
@@ -556,8 +556,9 @@ def merge_files(paths: Sequence[str]) -> TraceDAG:
     """Merge per-process JSON-lines trace files into one
     :class:`TraceDAG`.
 
-    Every file is schema-validated first (:func:`validate_file`), and
-    spans join on their global uids.  Files disagreeing on
+    Every file is read once and schema-validated
+    (:func:`~repro.util.trace.validate_records`), and spans join on
+    their global uids.  Files disagreeing on
     ``campaign_id`` are rejected: one DAG is one campaign.
     """
     if not paths:
@@ -565,8 +566,8 @@ def merge_files(paths: Sequence[str]) -> TraceDAG:
     campaign_ids = set()
     loaded: List[Tuple[str, Dict[str, Any], List[Dict[str, Any]]]] = []
     for path in paths:
-        campaign_ids.add(validate_file(path)["campaign_id"])
         meta, records = load_file(path)
+        campaign_ids.add(validate_records(path, meta, records)["campaign_id"])
         loaded.append((path, meta, records))
     if len(campaign_ids) > 1:
         raise TraceError(

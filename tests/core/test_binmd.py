@@ -136,15 +136,16 @@ class TestTilingAndScatter:
 
 
 class TestBinOnce:
-    """Cold BinMD bins each (op, tile) exactly once; warm never bins."""
+    """Cold BinMD bins each tile exactly once, under every op in one
+    call; warm never bins."""
 
     def test_bin_transformed_calls(self, grid, monkeypatch):
         calls = []
         real = HKLGrid.bin_transformed
 
-        def counting(self, op, qx, qy, qz):
-            calls.append(len(qx))
-            return real(self, op, qx, qy, qz)
+        def counting(self, ops, qx, qy, qz):
+            calls.append((len(ops), len(qx)))
+            return real(self, ops, qx, qy, qz)
 
         monkeypatch.setattr(HKLGrid, "bin_transformed", counting)
         events, tile = _events(n=500, seed=2), 64
@@ -154,8 +155,9 @@ class TestBinOnce:
         bin_events(cold, events, transforms, backend="vectorized", tile=tile,
                    cache=cache)
         assert len(cache) == 1  # the cold pass collected an entry
-        assert len(calls) == len(transforms) * math.ceil(500 / tile)
-        assert sum(calls) == len(transforms) * 500
+        assert len(calls) == math.ceil(500 / tile)
+        assert all(n_ops == len(transforms) for n_ops, _ in calls)
+        assert sum(n for _, n in calls) == 500
         # the entry holds one (flat, event) pair per in-grid lane only
         in_grid = sum(int(grid.bin_index(events.q_sample @ op.T)[1].sum())
                       for op in transforms)

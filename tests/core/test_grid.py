@@ -3,12 +3,41 @@
 import numpy as np
 import pytest
 
+from repro.bench import workloads
 from repro.core.grid import HKLGrid
 from repro.crystal.goniometer import goniometer_omega_chi_phi
 from repro.crystal.lattice import UnitCell
 from repro.crystal.symmetry import point_group
 from repro.crystal.ub import TWO_PI, UBMatrix
+from repro.util import trace as trace_mod
 from repro.util.validation import ValidationError
+
+
+def _element_bins(grid, op, table):
+    """``{lane: flat bin}`` of the lanes the element body's scalar
+    arithmetic bins inside the grid."""
+    rows = [[float(v) for v in row] for row in op]
+    out = {}
+    for i, (x, y, z) in enumerate(table.tolist()):
+        b = grid.flat_bin(*(r[0] * x + r[1] * y + r[2] * z for r in rows))
+        if b >= 0:
+            out[i] = b
+    return out
+
+
+def _bin_transformed_checked(grid, ops, table):
+    """``bin_transformed`` of ``table``'s Q under ``ops``, asserted to
+    equal the element body's bins op by op, lanes ascending; returns
+    the number of thinnest-axis product passes it made."""
+    tracer = trace_mod.Tracer()
+    with trace_mod.use_tracer(tracer):
+        results = grid.bin_transformed(ops, *table.T)
+    assert len(results) == len(ops)
+    for op, (flat, lanes) in zip(ops, results):
+        expected = _element_bins(grid, op, table)
+        assert lanes.tolist() == sorted(expected)
+        assert flat.tolist() == [expected[i] for i in sorted(expected)]
+    return tracer.counters["binmd.slab_products"]
 
 
 @pytest.fixture()
@@ -157,17 +186,78 @@ class TestBinIndex:
                                   size=(n // 10, 3))
         table = np.asfortranarray(rng.permutation(q))
 
-        flat, lanes = grid.bin_transformed(op, *table.T)
-        expected = {}
-        rows = [[float(v) for v in row] for row in op]
-        for i, (x, y, z) in enumerate(table.tolist()):
-            c = [r[0] * x + r[1] * y + r[2] * z for r in rows]
-            b = grid.flat_bin(*c)
-            if b >= 0:
-                expected[i] = b
-        assert 0 < len(expected) < n
-        assert lanes.tolist() == sorted(expected)
-        assert flat.tolist() == [expected[i] for i in sorted(expected)]
+        assert _bin_transformed_checked(grid, op[None], table) == 1
+        assert 0 < len(_element_bins(grid, op, table)) < n
+
+
+class TestSharedRows:
+    """One ``bin_transformed`` call bins every op: ops whose thinnest-axis
+    rows are byte-identical or exact negations share one product pass,
+    and every op still gets the element body's bins exactly."""
+
+    GRIDS = {
+        "thin_middle": HKLGrid(basis=np.eye(3), minimum=(-2.0, -1.5, -1.0),
+                               maximum=(2.0, 1.5, 0.7), bins=(5, 1, 3)),
+        "thin_min_zero": HKLGrid(basis=np.eye(3), minimum=(-2.0, 0.0, -1.0),
+                                 maximum=(2.0, 0.8, 0.7), bins=(5, 1, 3)),
+    }
+
+    @staticmethod
+    def _ops(rng, first):
+        """``a``; a byte-identical row; ``-a``; an exactly negated row;
+        a row negated but for one zero's sign; ``a`` again."""
+        a, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        a[first, 2] = 0.0
+        rest = [axis for axis in range(3) if axis != first]
+        same = a.copy()
+        same[rest] = a[rest[::-1]]
+        negated = a.copy()
+        negated[first] = -a[first]
+        zero_sign = -a
+        zero_sign[first, 2] = 0.0
+        assert zero_sign[first].tobytes() != (-a[first]).tobytes()
+        return np.stack([a, same, -a, negated, zero_sign, a])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shared_rows_agree_with_element_arithmetic(self, name, seed):
+        """Q on bin edges a few ulps either way, NaN, +-inf, +-1e300 and
+        signed zeros (whose thin-axis products are exact zeros of either
+        sign; on the ``thin_min_zero`` grid they land inside)."""
+        grid = self.GRIDS[name]
+        rng = np.random.default_rng(seed)
+        ops = self._ops(rng, first=1)
+        n = 600
+        edge = rng.integers(0, np.array(grid.bins) + 1, size=(n, 3))
+        coords = np.array(grid.minimum) + edge * grid.widths
+        q = coords @ np.linalg.inv(ops[0]).T
+        q += rng.integers(-3, 4, size=(n, 3)) * np.spacing(q)
+        specials = [np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0]
+        q[: n // 6] = rng.choice(specials, size=(n // 6, 3))
+        q[n // 6 : n // 3] = rng.choice([0.0, -0.0], size=(n // 6, 3))
+        table = np.asfortranarray(rng.permutation(q))
+
+        assert _bin_transformed_checked(grid, ops, table) == 2
+        for op in ops:
+            assert 0 < len(_element_bins(grid, op, table)) < n
+
+    @pytest.mark.parametrize("make, passes", [
+        (workloads.benzil_corelli, 1), (workloads.bixbyite_topaz, 3)])
+    def test_paper_transforms_share_rows(self, make, passes):
+        """Benzil's 6 and Bixbyite's 24 BinMD transforms need 1 and 3
+        product passes per tile."""
+        spec = make(scale=0.001, n_files=1)
+        structure = workloads._make_structure(spec)
+        grid = workloads._make_grid(spec)
+        ub = UBMatrix.from_u_vectors(structure.cell, [0.0, 0.0, 1.0],
+                                     [1.0, 0.0, 0.0])
+        ops = grid.transforms_for(ub, point_group(structure.point_group_symbol))
+        assert len(ops) == spec.paper.symmetry_ops
+        rng = np.random.default_rng(5)
+        coords = rng.uniform(grid.minimum, grid.maximum, size=(200, 3))
+        table = np.asfortranarray(coords @ np.linalg.inv(ops[0]).T)
+        assert _bin_transformed_checked(grid, ops, table) == passes
 
 
 class TestProjection:

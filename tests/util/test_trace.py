@@ -495,19 +495,28 @@ class TestSchemaRefusal:
             read(path)
         assert _refusal(found) in str(exc.value)
 
-    @pytest.mark.parametrize("cmd", ["merge", "chrome", "summary"])
+    @pytest.mark.parametrize("cmd", ["merge", "chrome", "summary", "crit",
+                                     "perf-report", "perf-roofline"])
     def test_cli_refuses_old_schemas(self, tmp_path, cmd, capsys):
-        """``repro trace merge|chrome|summary`` exit nonzero on every old
-        file; the schema-1 case runs as a real process."""
+        """``repro trace merge|chrome|summary|crit`` and ``repro perf
+        --trace`` exit nonzero on every old file with one stderr line
+        naming both schemas, not a traceback; the schema-1 case runs as
+        a real process."""
         from repro.cli import repro_main
 
         paths = _old_trace_files(tmp_path)
-        argv = ["trace", cmd]
-        if cmd == "chrome":
-            argv += ["--out", str(tmp_path / "chrome.json")]
+        out = str(tmp_path / "out")
+        argv = {"chrome": ["trace", "chrome", "--out", out],
+                "perf-report": ["perf", "report", "--trace"],
+                "perf-roofline": ["perf", "roofline", "--out", out, "--trace"],
+                }.get(cmd, ["trace", cmd])
+        prefix = f"repro {argv[0]} {argv[1]}: "
         for found in (3, None):
-            with pytest.raises(TraceError, match=_refusal(found)):
-                repro_main(argv + [paths[found]])
+            assert repro_main(argv + [paths[found]]) == 1
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert err.startswith(prefix), err
+            assert err.count("\n") == 1 and _refusal(found) in err, err
         import repro
 
         src = os.path.dirname(os.path.dirname(repro.__file__))
@@ -516,8 +525,10 @@ class TestSchemaRefusal:
             [sys.executable, "-m", "repro", *argv, paths[1]],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(prefix), proc.stderr
         assert _refusal(1) in proc.stderr
-        assert not (tmp_path / "chrome.json").exists()
+        assert not (tmp_path / "out").exists()
 
 
 class TestChromeExport:

@@ -94,6 +94,22 @@ class TestMergeInvariants:
         assert report["ranks"] == [0, 1]
         assert dag.root()["name"] == "campaign"
 
+    def test_merge_reads_each_file_once(self, tmp_path, monkeypatch):
+        """Each file is loaded once, validated and merged from the same
+        records."""
+        calls = []
+        real = trace_mod.load_file
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(trace_mod, "load_file", counting)
+        monkeypatch.setattr(tracedag, "load_file", counting)
+        files = _tree_files(tmp_path)
+        assert tracedag.merge_files(files).validate()["ok"]
+        assert calls == files
+
     def test_merge_dir_equals_merge_files(self, tmp_path):
         _tree_files(tmp_path)
         dag = tracedag.merge_dir(str(tmp_path))

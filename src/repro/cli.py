@@ -836,8 +836,6 @@ def perf_main(argv: Optional[List[str]] = None) -> int:
 def _perf_run(args) -> int:
     if args.cmd == "report":
         from repro.util.perf import (
-            service_summary,
-            service_table,
             shard_summary,
             shard_table,
             steal_summary,
@@ -861,10 +859,6 @@ def _perf_run(args) -> int:
             if steal_info:
                 print(steal_table(
                     steal_info, title=f"{label}: elastic stealing"))
-            svc_info = service_summary(records)
-            if svc_info:
-                print(service_table(
-                    svc_info, title=f"{label}: campaign service"))
         return 0
 
     if args.cmd == "roofline":
@@ -905,194 +899,6 @@ def _perf_run(args) -> int:
     raise AssertionError(f"unhandled perf subcommand {args.cmd!r}")
 
 
-# ---------------------------------------------------------------------------
-# repro serve / submit / cancel / status  (the campaign service)
-# ---------------------------------------------------------------------------
-
-def _serve_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Run the multi-tenant campaign service over a file "
-                    "spool (submit work with `repro submit`).",
-    )
-    p.add_argument("--spool", metavar="DIR", required=True,
-                   help="spool directory (tickets/, cancel/, status.json)")
-    p.add_argument("--root", metavar="DIR", default=None,
-                   help="service state root: per-job checkpoints + the "
-                        "content-addressed result store "
-                        "(default <spool>/service)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="concurrent job workers (default 2)")
-    p.add_argument("--max-jobs", type=int, default=4, metavar="N",
-                   help="per-tenant concurrent-job quota (default 4)")
-    p.add_argument("--max-bytes", type=_parse_size, default=None,
-                   metavar="SIZE",
-                   help="per-tenant in-flight byte quota via the cost "
-                        "model (suffixes K/M/G; default unbounded)")
-    p.add_argument("--queue-depth", type=int, default=64, metavar="N",
-                   help="global admission limit on non-terminal jobs "
-                        "(default 64)")
-    p.add_argument("--poll", type=float, default=0.2, metavar="SECONDS",
-                   help="spool poll interval (default 0.2)")
-    p.add_argument("--idle-exit", type=float, default=None,
-                   metavar="SECONDS",
-                   help="exit after the spool has been idle this long "
-                        "(default: serve forever)")
-    return p
-
-
-def serve_main(argv: Optional[List[str]] = None) -> int:
-    """``repro serve``: the spool-driven campaign service loop."""
-    from repro.service.queue import AdmissionPolicy, TenantQuota
-    from repro.service.spool import serve_spool
-
-    args = _serve_parser().parse_args(argv)
-    policy = AdmissionPolicy(
-        max_queue_depth=args.queue_depth,
-        default_quota=TenantQuota(
-            max_jobs=args.max_jobs, max_bytes=args.max_bytes
-        ),
-    )
-    print(f"serving spool {args.spool} "
-          f"(workers={args.workers}, quota={args.max_jobs} jobs"
-          + (f"/{args.max_bytes}B" if args.max_bytes else "") + ")")
-    try:
-        status = serve_spool(
-            args.spool, args.root, policy=policy, workers=args.workers,
-            poll_s=args.poll, idle_exit_s=args.idle_exit,
-        )
-    except KeyboardInterrupt:
-        print("interrupted; drained")
-        return 130
-    jobs = status.get("jobs", [])
-    by_state: dict = {}
-    for j in jobs:
-        by_state[j["state"]] = by_state.get(j["state"], 0) + 1
-    summary = ", ".join(f"{k}={v}" for k, v in sorted(by_state.items()))
-    print(f"served {len(jobs)} jobs ({summary or 'none'}); "
-          f"store {status.get('store')}")
-    return 0
-
-
-def _submit_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro submit",
-        description="Drop a campaign ticket into a service spool.",
-    )
-    p.add_argument("--spool", metavar="DIR", required=True)
-    p.add_argument("--tenant", required=True,
-                   help="tenant the job is accounted to")
-    p.add_argument("--workload", choices=("benzil", "bixbyite"),
-                   default="benzil")
-    p.add_argument("--scale", type=float, default=None,
-                   help="event/detector scale vs the paper")
-    p.add_argument("--files", type=int, default=None,
-                   help="number of run files")
-    p.add_argument("--backend", default=None, choices=available_backends(),
-                   help="jacc back end")
-    p.add_argument("--shards", type=int, default=None,
-                   help="intra-run shard count")
-    p.add_argument("--executor", choices=("static", "stealing"),
-                   default=None, help="campaign executor")
-    p.add_argument("--priority", type=int, default=0,
-                   help="higher runs earlier within the tenant")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="job deadline; expiry checkpoints and remains "
-                        "resumable")
-    p.add_argument("--faults", metavar="PLAN_JSON", default=None,
-                   help="fault plan injected into this job only "
-                        "(per-job isolation)")
-    p.add_argument("--label", default="", help="free-form job label")
-    return p
-
-
-def submit_main(argv: Optional[List[str]] = None) -> int:
-    """``repro submit``: write one ticket; prints the ticket id."""
-    import json as _json
-
-    from repro.service.spool import submit_ticket
-
-    args = _submit_parser().parse_args(argv)
-    payload = {
-        "tenant": args.tenant,
-        "workload": args.workload,
-        "scale": args.scale,
-        "files": args.files,
-        "backend": args.backend,
-        "shards": args.shards,
-        "executor": args.executor,
-        "priority": args.priority,
-        "timeout_s": args.timeout,
-        "label": args.label,
-    }
-    if args.faults:
-        with open(args.faults) as fh:
-            payload["faults"] = _json.load(fh)
-    ticket_id = submit_ticket(args.spool, payload)
-    print(ticket_id)
-    return 0
-
-
-def cancel_main(argv: Optional[List[str]] = None) -> int:
-    """``repro cancel``: drop a cancel marker for a ticket/job id."""
-    p = argparse.ArgumentParser(
-        prog="repro cancel",
-        description="Cooperatively cancel a submitted job: it stops "
-                    "between runs, checkpointed and resumable.",
-    )
-    p.add_argument("--spool", metavar="DIR", required=True)
-    p.add_argument("id", help="ticket id (from `repro submit`) or job id")
-    args = p.parse_args(argv)
-    from repro.service.spool import request_cancel
-
-    request_cancel(args.spool, args.id)
-    print(f"cancel requested for {args.id}")
-    return 0
-
-
-def status_main(argv: Optional[List[str]] = None) -> int:
-    """``repro status``: render the server's published status."""
-    import json as _json
-
-    p = argparse.ArgumentParser(
-        prog="repro status",
-        description="Show the campaign service's last published status.",
-    )
-    p.add_argument("--spool", metavar="DIR", required=True)
-    p.add_argument("--json", action="store_true",
-                   help="print the raw status document")
-    args = p.parse_args(argv)
-    from repro.service.spool import read_status
-
-    status = read_status(args.spool)
-    if args.json:
-        print(_json.dumps(status, indent=1, sort_keys=True))
-        return 0
-    if not status:
-        print("no status published yet (is `repro serve` running?)")
-        return 1
-    jobs = status.get("jobs", [])
-    print(f"jobs: {len(jobs)}  queue depth: {status.get('queue_depth')}  "
-          f"draining: {status.get('draining')}")
-    for j in jobs:
-        extra = ""
-        if j.get("error"):
-            extra = f"  [{j['error']}]"
-        res = j.get("result") or {}
-        if res.get("provenance"):
-            extra += f"  ({res['provenance']})"
-        print(f"  {j['id']:<12s} {j['tenant']:<10s} {j['state']:<12s}"
-              f"{extra}")
-    rejected = status.get("rejected") or {}
-    for tid, why in rejected.items():
-        print(f"  {tid:<12s} {'-':<10s} rejected     "
-              f"[{why.get('code')}: {why.get('detail')}]")
-    store = status.get("store")
-    if store:
-        print(f"store: {store}")
-    return 0
-
-
 def repro_main(argv: Optional[List[str]] = None) -> int:
     """``repro <subcommand>``: the umbrella entry point.
 
@@ -1100,14 +906,12 @@ def repro_main(argv: Optional[List[str]] = None) -> int:
     ``trace`` (traced reduction + JSON-lines/Chrome export; ``trace
     summary|merge|crit|chrome`` for offline summaries, the merged
     campaign DAG, its critical path and a merged Perfetto export),
-    ``perf`` (kernel profiling report/roofline, live campaign watch) and
-    the campaign service (``serve`` / ``submit`` / ``cancel`` /
-    ``status``).  The benchmark is ``perfbench/run.py``.
+    ``perf`` (kernel profiling report/roofline, live campaign watch).
+    The benchmark is ``perfbench/run.py``.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
-        print("usage: repro {reduce,trace,perf,serve,submit,cancel,status} "
-              "[options]\n"
+        print("usage: repro {reduce,trace,perf} [options]\n"
               "  reduce  run a reduction and print stage timings\n"
               "  trace   run a traced reduction and export the trace\n"
               "          (trace summary|merge|crit|chrome: offline\n"
@@ -1115,10 +919,6 @@ def repro_main(argv: Optional[List[str]] = None) -> int:
               "          merged Perfetto export)\n"
               "  perf    profile kernels (report|roofline), watch a\n"
               "          live campaign (watch)\n"
-              "  serve   run the multi-tenant campaign service on a spool\n"
-              "  submit  drop a campaign ticket into a spool\n"
-              "  cancel  cooperatively cancel a submitted job\n"
-              "  status  show the service's published status\n"
               "run `repro <subcommand> --help` for options")
         return 0 if argv else 2
     cmd, rest = argv[0], argv[1:]
@@ -1128,16 +928,7 @@ def repro_main(argv: Optional[List[str]] = None) -> int:
         return trace_main(rest)
     if cmd == "perf":
         return perf_main(rest)
-    if cmd == "serve":
-        return serve_main(rest)
-    if cmd == "submit":
-        return submit_main(rest)
-    if cmd == "cancel":
-        return cancel_main(rest)
-    if cmd == "status":
-        return status_main(rest)
-    print(f"repro: unknown subcommand {cmd!r} "
-          f"(expected reduce|trace|perf|serve|submit|cancel|status)",
+    print(f"repro: unknown subcommand {cmd!r} (expected reduce|trace|perf)",
           file=sys.stderr)
     return 2
 

@@ -329,21 +329,6 @@ class CheckpointManager:
             self._write_manifest()
         _trace.active_tracer().count("checkpoint.quarantine")
 
-    def clear_quarantine(self) -> List[int]:
-        """Durably drop every quarantine record (completed runs stay).
-
-        A *new* campaign attempt calls this so runs quarantined by a
-        previous attempt (e.g. under an injected fault plan) are retried
-        rather than inherited; returns the run indices that were
-        cleared.
-        """
-        with self._lock:
-            cleared = sorted(int(k) for k in self._manifest["quarantined"])
-            if cleared:
-                self._manifest["quarantined"] = {}
-                self._write_manifest()
-        return cleared
-
     def mark_campaign_complete(self, text: str = "") -> None:
         """Write the COMPLETE sentinel once the final reduce happened."""
         atomic_io.mark_complete(self.directory, text)

@@ -149,12 +149,3 @@ def mark_complete(directory: PathLike, text: str = "") -> Path:
     atomic_write_text(marker, text if text.endswith("\n") or not text else text + "\n")
     return marker
 
-
-def clear_complete(directory: PathLike) -> bool:
-    """Remove the sentinel (forcing a rebuild); returns True if it existed."""
-    marker = sentinel_path(directory)
-    try:
-        marker.unlink()
-        return True
-    except FileNotFoundError:
-        return False

@@ -1,8 +1,7 @@
 """Cooperative cancellation and deadlines for long-running campaigns.
 
-A :class:`CancelToken` is the handshake between a controller (the
-campaign service, a signal handler, a drain sequence) and the code
-doing the work (the recovering cross-section loop, the shard fan-out):
+A :class:`CancelToken` is the handshake between a controller (a
+signal handler, a drain sequence) and the code doing the work (the recovering cross-section loop, the shard fan-out):
 the controller calls :meth:`CancelToken.cancel` — or the token's
 absolute deadline passes — and the worker notices at its next
 :meth:`~CancelToken.check` and unwinds by raising
@@ -138,8 +137,8 @@ class CancelToken:
 #
 # Deep layers (the shard fan-out) should be cancellable without every
 # intermediate signature growing a ``cancel=`` parameter.  The scope is
-# thread-local on purpose: campaign-service jobs run in worker threads,
-# and one job's cancellation must never leak into its neighbours.
+# thread-local on purpose: one thread's cancellation must never leak
+# into a reduction running on another thread of the same process.
 
 _scope = threading.local()
 

@@ -358,7 +358,6 @@ class FaultPlan:
 _UNSET = object()
 _plan_lock = threading.Lock()
 _active_plan: Any = _UNSET  # _UNSET -> lazily resolve REPRO_FAULT_PLAN
-_thread_plan = threading.local()
 
 
 def _ambient_from_env() -> Optional[FaultPlan]:
@@ -369,14 +368,7 @@ def _ambient_from_env() -> Optional[FaultPlan]:
 
 
 def active_plan() -> Optional[FaultPlan]:
-    """The plan :func:`fault_point` currently consults (None = none).
-
-    A thread-scoped plan (:func:`thread_fault_plan`) shadows the
-    process-wide one — including shadowing it with ``None``.
-    """
-    override = getattr(_thread_plan, "plan", _UNSET)
-    if override is not _UNSET:
-        return override
+    """The plan :func:`fault_point` currently consults (None = none)."""
     global _active_plan
     with _plan_lock:
         if _active_plan is _UNSET:
@@ -404,28 +396,6 @@ def use_fault_plan(plan: Optional[FaultPlan]):
     finally:
         with _plan_lock:
             _active_plan = prev
-
-
-@contextmanager
-def thread_fault_plan(plan: Optional[FaultPlan]):
-    """Install ``plan`` for the *calling thread only*.
-
-    This is the campaign service's per-job fault scope: each job thread
-    carries its own plan (or ``None``), so a poisoned job cannot inject
-    faults into a neighbor running concurrently in the same process.
-    The thread override shadows the process-wide plan; ``None``
-    explicitly disables injection for the thread even when an ambient
-    plan is installed.
-    """
-    prev = getattr(_thread_plan, "plan", _UNSET)
-    _thread_plan.plan = plan
-    try:
-        yield plan
-    finally:
-        if prev is _UNSET:
-            del _thread_plan.plan
-        else:
-            _thread_plan.plan = prev
 
 
 # ---------------------------------------------------------------------------

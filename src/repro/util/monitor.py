@@ -109,7 +109,6 @@ class CampaignMonitor:
         metrics_path: Optional[str] = None,
         stall_deadline: float = DEFAULT_STALL_DEADLINE,
         clock: Callable[[], float] = time.time,
-        labels: Optional[Dict[str, str]] = None,
     ) -> None:
         self.label = label
         self.metrics_path = metrics_path
@@ -121,37 +120,21 @@ class CampaignMonitor:
         self.world_size = 0
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        #: constant labels stamped on every exported sample — the
-        #: campaign service sets ``{"job": ..., "tenant": ...}`` here so
-        #: one scrape distinguishes concurrent jobs
-        self.labels: Dict[str, str] = {
-            str(k): str(v) for k, v in (labels or {}).items()
-        }
         #: ad-hoc gauges published alongside the campaign metrics
-        #: (e.g. the service's ``service_queue_depth``)
+        #: (e.g. ``repro trace crit``'s ``trace_critical_seconds``)
         self._extra: Dict[
             Tuple[str, Tuple[Tuple[str, str], ...]], float
         ] = {}
 
     def set_gauge(self, name: str, value: float, **labels: str) -> None:
         """Publish/update an extra gauge ``repro_<name>`` in the
-        exposition (sample-specific labels merge over the constant
-        ones)."""
+        exposition, one sample per distinct label set."""
         key = (str(name), tuple(sorted(
             (str(k), str(v)) for k, v in labels.items()
         )))
         with self._lock:
             self._extra[key] = float(value)
         self._flush()
-
-    def drop_gauge(self, name: str, **labels: str) -> None:
-        """Retract an extra gauge sample (e.g. a job's previous state
-        in an info-style metric)."""
-        key = (str(name), tuple(sorted(
-            (str(k), str(v)) for k, v in labels.items()
-        )))
-        with self._lock:
-            self._extra.pop(key, None)
 
     # -- lifecycle --------------------------------------------------------
     def start_campaign(self, n_runs: int, world_size: int = 1) -> None:
@@ -339,11 +322,7 @@ class CampaignMonitor:
 
     # -- OpenMetrics exposition -------------------------------------------
     def openmetrics(self) -> str:
-        """Prometheus/OpenMetrics text exposition of the snapshot.
-
-        Every sample carries the monitor's constant ``labels`` (job /
-        tenant in service mode) merged with sample-specific ones.
-        """
+        """Prometheus/OpenMetrics text exposition of the snapshot."""
         snap = self.snapshot()
         p = METRIC_PREFIX
         lines: List[str] = []
@@ -355,45 +334,38 @@ class CampaignMonitor:
                     .replace("\n", "\\n"))
 
         def labelstr(*pairs: Tuple[str, object]) -> str:
-            merged = dict(self.labels)
-            merged.update({k: str(v) for k, v in pairs})
-            if not merged:
+            if not pairs:
                 return ""
-            body = ",".join(
-                f'{k}="{esc(v)}"' for k, v in sorted(merged.items())
-            )
+            body = ",".join(f'{k}="{esc(v)}"' for k, v in sorted(pairs))
             return "{" + body + "}"
 
         def gauge(name: str, help_: str) -> None:
             lines.append(f"# HELP {p}_{name} {help_}")
             lines.append(f"# TYPE {p}_{name} gauge")
 
-        base = labelstr()
         gauge("campaign_runs_total", "runs in this campaign")
-        lines.append(f"{p}_campaign_runs_total{base} {snap['n_runs']}")
+        lines.append(f"{p}_campaign_runs_total {snap['n_runs']}")
         gauge("campaign_runs_completed", "runs completed across ranks")
-        lines.append(
-            f"{p}_campaign_runs_completed{base} {snap['runs_completed']}")
+        lines.append(f"{p}_campaign_runs_completed {snap['runs_completed']}")
         gauge("campaign_runs_quarantined", "runs quarantined (degraded)")
         lines.append(
-            f"{p}_campaign_runs_quarantined{base} {snap['runs_quarantined']}")
+            f"{p}_campaign_runs_quarantined {snap['runs_quarantined']}")
         gauge("campaign_runs_resumed", "runs replayed from checkpoints")
-        lines.append(
-            f"{p}_campaign_runs_resumed{base} {snap['runs_resumed']}")
+        lines.append(f"{p}_campaign_runs_resumed {snap['runs_resumed']}")
         gauge("campaign_steals", "shard tasks stolen across ranks")
-        lines.append(f"{p}_campaign_steals{base} {snap['steals']}")
+        lines.append(f"{p}_campaign_steals {snap['steals']}")
         gauge("campaign_events_processed", "events processed across ranks")
         lines.append(
-            f"{p}_campaign_events_processed{base} "
+            f"{p}_campaign_events_processed "
             f"{snap['events_processed']:.17g}")
         eta = snap["eta_seconds"]
         gauge("campaign_eta_seconds", "estimated seconds to completion")
         lines.append(
-            f"{p}_campaign_eta_seconds{base} "
+            f"{p}_campaign_eta_seconds "
             f"{eta if eta is not None else 'NaN'}")
         gauge("campaign_stalled_ranks", "ranks past the stall deadline")
         lines.append(
-            f"{p}_campaign_stalled_ranks{base} {len(snap['stalled_ranks'])}")
+            f"{p}_campaign_stalled_ranks {len(snap['stalled_ranks'])}")
 
         gauge("rank_runs_completed", "runs completed by rank")
         for r in snap["ranks"]:
@@ -428,7 +400,7 @@ class CampaignMonitor:
         seen: set = set()
         for (name, pairs), value in sorted(extra.items()):
             if name not in seen:
-                gauge(name, "service-published gauge")
+                gauge(name, "ad-hoc gauge")
                 seen.add(name)
             lines.append(f"{p}_{name}{labelstr(*pairs)} {value:.17g}")
         lines.append("# EOF")
@@ -499,32 +471,10 @@ DISABLED = NullMonitor()
 _active_lock = threading.Lock()
 _active: CampaignMonitor = DISABLED
 
-#: thread-local override: service jobs run in worker threads, and each
-#: job's loop must report into *its own* monitor, not a process global
-_thread_override = threading.local()
-
 
 def active_monitor() -> CampaignMonitor:
-    """The monitor the reduction loop currently reports into (a
-    thread-local override installed by :func:`thread_monitor` shadows
-    the process-wide one)."""
-    override = getattr(_thread_override, "monitor", None)
-    if override is not None:
-        return override
+    """The monitor the reduction loop currently reports into."""
     return _active
-
-
-@contextmanager
-def thread_monitor(monitor: CampaignMonitor) -> Iterator[CampaignMonitor]:
-    """Install ``monitor`` for the *current thread only* (per-job
-    isolation in the campaign service); restores the previous override
-    on exit."""
-    prev = getattr(_thread_override, "monitor", None)
-    _thread_override.monitor = monitor
-    try:
-        yield monitor
-    finally:
-        _thread_override.monitor = prev
 
 
 @contextmanager
@@ -615,12 +565,7 @@ def watch_report(path: str) -> str:
         raise MonitorError(f"cannot read metrics file {path}: {exc}")
 
     def scalar(name: str, default: float = 0.0) -> float:
-        table = metrics.get(f"{METRIC_PREFIX}_{name}", {})
-        if () in table:
-            return table[()]
-        if len(table) == 1:  # constant job/tenant labels, still one sample
-            return next(iter(table.values()))
-        return default
+        return metrics.get(f"{METRIC_PREFIX}_{name}", {}).get((), default)
 
     now = time.time()
     total = scalar("campaign_runs_total")

@@ -644,61 +644,6 @@ def steal_table(summary: Dict[int, Dict[str, float]],
     return "\n".join(lines)
 
 
-def service_summary(
-    records: Sequence[Dict[str, Any]]
-) -> Dict[str, Dict[str, float]]:
-    """Roll up the campaign-service spans of a trace, per tenant.
-
-    ``kind="service"`` spans come in two shapes: ``service.job`` (one
-    per executed job, wall-clock of the whole campaign under the
-    worker) and ``service.transition`` (zero-duration lifecycle
-    markers, ``from``/``to`` attrs).  The per-tenant rollup shows who
-    consumed the service and how their jobs ended — the scheduling
-    counterpart of the per-rank tables above.
-    """
-    out: Dict[str, Dict[str, float]] = {}
-    for rec in records:
-        if rec.get("type", "span") != "span":
-            continue
-        attrs = rec.get("attrs")
-        if not isinstance(attrs, dict) or attrs.get("kind") != "service":
-            continue
-        tenant = str(attrs.get("tenant", "?"))
-        slot = out.setdefault(tenant, {
-            "jobs": 0.0, "job_seconds": 0.0, "done": 0.0,
-            "cancelled": 0.0, "expired": 0.0, "quarantined": 0.0,
-        })
-        name = str(rec.get("name", ""))
-        if name == "service.job":
-            slot["jobs"] += 1.0
-            slot["job_seconds"] += float(rec.get("dur", 0.0))
-        elif name == "service.transition":
-            to = str(attrs.get("to", ""))
-            if to in ("done", "cancelled", "expired", "quarantined"):
-                slot[to] += 1.0
-    return dict(sorted(out.items()))
-
-
-def service_table(summary: Dict[str, Dict[str, float]],
-                  *, title: str = "campaign service") -> str:
-    """Plain-text table of :func:`service_summary`."""
-    lines = [f"-- {title}"]
-    if not summary:
-        lines.append("  (no service spans in this trace)")
-        return "\n".join(lines)
-    lines.append(f"  {'tenant':<12s} {'jobs':>6s} {'job s':>9s} "
-                 f"{'done':>6s} {'cancel':>7s} {'expire':>7s} "
-                 f"{'quarantine':>11s}")
-    for tenant, s in summary.items():
-        lines.append(
-            f"  {tenant:<12s} {int(s['jobs']):>6d} "
-            f"{s['job_seconds']:>9.4f} {int(s['done']):>6d} "
-            f"{int(s['cancelled']):>7d} {int(s['expired']):>7d} "
-            f"{int(s['quarantined']):>11d}"
-        )
-    return "\n".join(lines)
-
-
 def _si(value: float) -> str:
     """Engineering-notation rate (1.23M, 45.6k) for the text table."""
     if value <= 0.0:

@@ -170,8 +170,8 @@ def parent_scope(uid: Optional[str]) -> Iterator[None]:
     """Adopt ``uid`` as the causal parent of this thread's root spans.
 
     This is the cross-process propagation primitive: the dispatching side
-    of an execution boundary (rank spawn, shard task, steal, service
-    job) captures ``span.uid``, and the executing thread re-enters it
+    of an execution boundary (rank spawn, shard task, steal) captures
+    ``span.uid``, and the executing thread re-enters it
     here so spans it opens at stack depth zero record the edge in
     ``parent_uid`` — the process-local ``parent_id`` namespace is
     never shared across threads or processes.
@@ -267,7 +267,7 @@ class Tracer:
         #: off *no* derived-metric arithmetic runs at all.
         self.profile = bool(profile) and self.enabled
         #: the campaign this trace belongs to — every participant of
-        #: one campaign (ranks, service jobs) shares it
+        #: one campaign (its ranks) shares it
         self.campaign_id = campaign_id or new_campaign_id(label)
         #: uid namespace — distinguishes tracers that could otherwise
         #: collide on a ``(rank, span_id)`` pair.  Defaults to the pid.
@@ -378,10 +378,10 @@ class Tracer:
         """Record a causal edge between two span uids.
 
         Used where the relationship is a *handoff* rather than a
-        nesting: a stolen task's executing span → its planning span,
-        a coalesced service job → the leader's reduction.  A no-op
-        when either end is unknown (NullTracer spans carry no uid),
-        so propagation sites never have to special-case tracing off.
+        nesting: a stolen task's executing span → its planning span.
+        A no-op when either end is unknown (NullTracer spans carry no
+        uid), so propagation sites never have to special-case tracing
+        off.
         """
         if not src or not dst:
             return

@@ -54,7 +54,6 @@ STEAL_KINDS = ("steal", "steal_task")
 #: kind → reporting layer of the service→job→run→stage→shard→kernel
 #: hierarchy (anything unlisted reports as "other")
 LAYER_BY_KIND = {
-    "service": "service",
     "campaign": "service",
     "world": "job",
     "rank": "job",

@@ -266,13 +266,13 @@ def _complete_worker(directory, text):
 
 
 class TestConcurrentManagers:
-    """Concurrent checkpoint use under the multi-tenant service layout.
+    """Concurrent checkpoint use.
 
-    One store root holds many per-job checkpoint directories; a single
-    manager may also be driven from several threads at once.  These
-    tests pin the invariants the campaign service leans on: manifest
-    updates are serialised, sibling jobs never cross-contaminate, and
-    the COMPLETE sentinel appears atomically.
+    The stealing executor drives one manager from several rank threads
+    at once, and campaigns may keep their checkpoint directories side by
+    side under one root.  These tests pin the invariants that relies
+    on: manifest updates are serialised, sibling directories never
+    cross-contaminate, and the COMPLETE sentinel appears atomically.
     """
 
     def test_threaded_saves_on_one_manager(self, tmp_path, grid):

@@ -25,7 +25,6 @@ from repro.crystal.ub import UBMatrix
 from repro.instruments.corelli import make_corelli
 from repro.instruments.synth import make_flux, make_vanadium, synthesize_run
 from repro.mpi import run_world
-from repro.util import monitor as monitor_mod
 from repro.util.faults import (
     FaultPlan,
     FaultSpec,
@@ -354,60 +353,25 @@ class TestMonitorPlumbing:
         assert snap["events_processed"] == 400.0
 
 
-class TestServiceLabels:
-    """PR 8 extensions: constant labels, extra gauges, thread scoping."""
+class TestGaugeLabels:
+    """Ad-hoc gauges published next to the campaign metrics."""
 
-    def test_constant_labels_on_every_sample(self):
-        mon = CampaignMonitor(labels={"job": "job-00001", "tenant": "hb2c"})
-        mon.start_campaign(4, 1)
-        mon.run_completed(0, 0, events=10.0)
-        parsed = parse_metrics(mon.openmetrics())
-        want = {("job", "job-00001"), ("tenant", "hb2c")}
-        for name, table in parsed.items():
-            for labels in table:
-                assert want <= set(labels), f"{name} lost constant labels"
-
-    def test_set_and_drop_gauge(self):
+    def test_set_gauge_round_trip(self):
         mon = CampaignMonitor()
-        mon.set_gauge("service_queue_depth", 3)
-        mon.set_gauge("service_job_state", 1.0, job="j1", state="running")
+        mon.set_gauge("trace_anomalies", 3)
+        mon.set_gauge("trace_critical_seconds", 1.0, run="1", stage="BinMD")
         parsed = parse_metrics(mon.openmetrics())
-        assert parsed["repro_service_queue_depth"][()] == 3.0
-        key = (("job", "j1"), ("state", "running"))
-        assert parsed["repro_service_job_state"][key] == 1.0
-        mon.drop_gauge("service_job_state", job="j1", state="running")
-        mon.set_gauge("service_job_state", 1.0, job="j1", state="done")
-        parsed = parse_metrics(mon.openmetrics())
-        assert key not in parsed["repro_service_job_state"]
-        assert parsed["repro_service_job_state"][
-            (("job", "j1"), ("state", "done"))] == 1.0
+        assert parsed["repro_trace_anomalies"][()] == 3.0
+        key = (("run", "1"), ("stage", "BinMD"))
+        assert parsed["repro_trace_critical_seconds"][key] == 1.0
 
     def test_labelled_round_trip_through_parse_metrics(self):
-        mon = CampaignMonitor(labels={"tenant": "cncs"})
-        mon.set_gauge("service_active_jobs", 2, shard="s0")
+        mon = CampaignMonitor()
+        mon.set_gauge("trace_critical_seconds", 2, shard="s0", rank="1")
         text = mon.openmetrics()
         parsed = parse_metrics(text)
-        key = (("shard", "s0"), ("tenant", "cncs"))
-        assert parsed["repro_service_active_jobs"][key] == 2.0
-
-    def test_thread_monitor_shadows_ambient(self):
-        ambient = CampaignMonitor()
-        scoped = CampaignMonitor(labels={"job": "j9"})
-        seen = {}
-
-        def worker():
-            with monitor_mod.thread_monitor(scoped):
-                seen["inside"] = active_monitor()
-            seen["after"] = active_monitor()
-
-        with use_monitor(ambient):
-            th = threading.Thread(target=worker)
-            th.start()
-            th.join()
-            # the override was confined to the worker thread
-            assert active_monitor() is ambient
-        assert seen["inside"] is scoped
-        assert seen["after"] is ambient
+        key = (("rank", "1"), ("shard", "s0"))
+        assert parsed["repro_trace_critical_seconds"][key] == 2.0
 
 
 class TestLabelEscaping:
@@ -417,27 +381,27 @@ class TestLabelEscaping:
 
     def test_quote_backslash_newline_round_trip(self):
         nasty = 'run "A"\\steal\nphase'
-        mon = CampaignMonitor(labels={"job": nasty})
-        mon.set_gauge("service_active_jobs", 1.0, site='x"y\\z')
+        mon = CampaignMonitor()
+        mon.set_gauge("trace_anomalies", 1.0, run=nasty, site='x"y\\z')
         parsed = parse_metrics(mon.openmetrics())
-        key = (("job", nasty), ("site", 'x"y\\z'))
-        assert parsed["repro_service_active_jobs"][key] == 1.0
+        key = (("run", nasty), ("site", 'x"y\\z'))
+        assert parsed["repro_trace_anomalies"][key] == 1.0
 
     def test_closing_brace_inside_label_value(self):
         mon = CampaignMonitor()
-        mon.set_gauge("service_active_jobs", 2.0, site="shard{3}of4")
+        mon.set_gauge("trace_anomalies", 2.0, site="shard{3}of4")
         parsed = parse_metrics(mon.openmetrics())
         key = (("site", "shard{3}of4"),)
-        assert parsed["repro_service_active_jobs"][key] == 2.0
+        assert parsed["repro_trace_anomalies"][key] == 2.0
 
     def test_escaped_backslash_before_n_is_not_newline(self):
         # the classic chained-replace bug: a literal backslash followed
         # by the letter n must NOT come back as a newline
         mon = CampaignMonitor()
-        mon.set_gauge("service_active_jobs", 3.0, path="C:\\new\\nodes")
+        mon.set_gauge("trace_anomalies", 3.0, path="C:\\new\\nodes")
         parsed = parse_metrics(mon.openmetrics())
         key = (("path", "C:\\new\\nodes"),)
-        assert parsed["repro_service_active_jobs"][key] == 3.0
+        assert parsed["repro_trace_anomalies"][key] == 3.0
 
     def test_rank_info_site_with_quotes(self):
         mon = CampaignMonitor()

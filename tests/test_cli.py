@@ -43,16 +43,11 @@ class TestCli:
 
     @pytest.mark.parametrize("cmd", (
         ["trace"], ["perf", "report"], ["perf", "roofline"],
-        ["submit", "--tenant", "t"],
     ), ids=" ".join)
     def test_unknown_backend_refused_at_parse_time(self, cmd, tmp_path,
                                                    capsys):
         """A removed or misspelt back end is a usage error naming the
-        three back ends, before any workload is built or ticket
-        spooled."""
-        spool = tmp_path / "spool"
-        if cmd[0] == "submit":
-            cmd = cmd + ["--spool", str(spool)]
+        three back ends, before any workload is built."""
         with pytest.raises(SystemExit) as exc:
             repro_main(cmd + ["--backend", "multiprocess"])
         assert exc.value.code == 2
@@ -182,3 +177,56 @@ class TestTraceDagCli:
         assert (f"invalid choice: '{cmd[1]}'" if cmd[0] == "perf"
                 else "unrecognized arguments: dag ") in err
         assert list(tmp_path.iterdir()) == []
+
+
+RETIRED_SERVICE_COMMANDS = ("serve", "submit", "cancel", "status")
+
+
+class TestRetiredServiceCommands:
+    """The campaign-service commands are gone: each is an unknown
+    subcommand, reported as one usage line with exit status 2."""
+
+    @staticmethod
+    def _check_refusal(err):
+        assert "Traceback" not in err
+        assert err.count("\n") == 1, err
+        assert "unknown subcommand" in err and "reduce|trace|perf" in err
+
+    @pytest.mark.parametrize("cmd", RETIRED_SERVICE_COMMANDS)
+    def test_in_process(self, cmd, capsys):
+        assert repro_main([cmd, "--help"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        self._check_refusal(err)
+        assert repr(cmd) in err
+
+    def test_as_a_process(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for cmd in RETIRED_SERVICE_COMMANDS:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", cmd, "--help"],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 2, (cmd, proc.stderr)
+            assert proc.stdout == ""
+            self._check_refusal(proc.stderr)
+
+    def test_help_lists_three_subcommands(self, capsys):
+        assert repro_main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert "{reduce,trace,perf}" in out
+        listed = {line.split()[0] for line in out.splitlines()[1:]
+                  if line.startswith("  ") and not line.startswith("   ")}
+        assert listed == {"reduce", "trace", "perf"}
+        for cmd in RETIRED_SERVICE_COMMANDS:
+            assert cmd not in out
+
+    def test_package_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            import repro.service  # noqa: F401

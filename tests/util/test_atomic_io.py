@@ -95,9 +95,6 @@ class TestCompletionSentinel:
         marker = atomic_io.mark_complete(tmp_path, "3 files")
         assert atomic_io.is_complete(tmp_path)
         assert marker.read_text() == "3 files\n"
-        assert atomic_io.clear_complete(tmp_path)
-        assert not atomic_io.is_complete(tmp_path)
-        assert not atomic_io.clear_complete(tmp_path)
 
     def test_sentinel_name(self, tmp_path):
         assert atomic_io.sentinel_path(tmp_path).name == \

@@ -441,57 +441,6 @@ class TestRetryCall:
         assert not issubclass(RankCrashError, tuple(kinds))
 
 
-class TestThreadFaultPlan:
-    """Per-thread fault scopes (the service's per-job isolation)."""
-
-    def test_thread_override_shadows_global(self):
-        from repro.util.faults import thread_fault_plan
-
-        mine = FaultPlan(
-            [FaultSpec(site="s", kind="io_error", probability=1.0)], seed=0
-        )
-        with thread_fault_plan(mine):
-            assert active_plan() is mine
-            with pytest.raises(InjectedIOError):
-                fault_point("s")
-        assert active_plan() is None
-
-    def test_thread_none_disables_ambient_plan(self):
-        from repro.util.faults import thread_fault_plan
-
-        ambient = FaultPlan(
-            [FaultSpec(site="s", kind="io_error", probability=1.0)], seed=0
-        )
-        with use_fault_plan(ambient):
-            with thread_fault_plan(None):
-                fault_point("s")  # shielded: no injection
-            with pytest.raises(InjectedIOError):
-                fault_point("s")  # ambient plan is back
-
-    def test_other_threads_unaffected(self):
-        import threading
-
-        from repro.util.faults import thread_fault_plan
-
-        mine = FaultPlan(
-            [FaultSpec(site="s", kind="io_error", probability=1.0)], seed=0
-        )
-        outcomes = []
-
-        def neighbour():
-            try:
-                fault_point("s")
-                outcomes.append("clean")
-            except InjectedIOError:
-                outcomes.append("injected")
-
-        with thread_fault_plan(mine):
-            t = threading.Thread(target=neighbour)
-            t.start()
-            t.join()
-        assert outcomes == ["clean"]
-
-
 class _FakeClock:
     def __init__(self, t: float = 0.0) -> None:
         self.t = float(t)

@@ -159,8 +159,6 @@ def _add_shard_flags(p: argparse.ArgumentParser) -> None:
                         "(static, default) or elastic work-stealing over "
                         "the rank x shard grid (bit-identical results "
                         "for every steal schedule)")
-    g.add_argument("--steal-seed", type=int, default=0, metavar="SEED",
-                   help="seed of the steal schedule (--executor stealing)")
 
 
 def _add_recovery_flags(p: argparse.ArgumentParser) -> None:
@@ -384,7 +382,6 @@ def _run_impl(
     shards: Optional[int] = None,
     memory_budget: Optional[int] = None,
     executor: Optional[str] = None,
-    steal_seed: int = 0,
 ) -> None:
     """Run one implementation of the reduction on a built workload."""
     if shards is not None and impl != "core":
@@ -417,7 +414,6 @@ def _run_impl(
             shards=shards,
             memory_budget=memory_budget,
             executor=executor,
-            steal_seed=steal_seed,
         )
         ReductionWorkflow(cfg).run(comm)
     elif impl == "cpp":
@@ -492,7 +488,7 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
         _run_impl(args.impl, data, backend=args.backend,
                   recovery=recovery, comm=comm,
                   shards=args.shards, memory_budget=args.memory_budget,
-                  executor=args.executor, steal_seed=args.steal_seed)
+                  executor=args.executor)
 
     fault_ctx, fault_plan = _fault_plan_context(args)
     with trace_mod.use_tracer(tracer), fault_ctx:
@@ -816,8 +812,7 @@ def _perf_models(args) -> List[tuple]:
                       memory_budget=(getattr(args, "memory_budget", None)
                                      if impl == "core" else None),
                       executor=(getattr(args, "executor", None)
-                                if impl == "core" else None),
-                      steal_seed=getattr(args, "steal_seed", 0))
+                                if impl == "core" else None))
         out.append((impl, PerfModel.from_records(
             tracer.records,
             counters=tracer.counters,

@@ -59,7 +59,6 @@ from repro.core.hist3 import Hist3
 from repro.nexus.h5lite import CorruptFileError, File, H5LiteError
 from repro.util import atomic_io
 from repro.util import trace as _trace
-from repro.util.cancel import CancelToken
 from repro.util.faults import RetryPolicy
 from repro.util.validation import ReproError, require
 
@@ -351,22 +350,16 @@ class CheckpointManager:
 class RecoveryConfig:
     """Everything the run loop needs to survive faults.
 
-    ``retry`` shapes per-run retry/backoff; ``quarantine`` lets runs
-    that exhaust retries be dropped (the campaign completes degraded on
-    the survivors) instead of aborting; ``checkpoint`` persists per-run
-    deltas; ``resume`` replays completed runs from the checkpoint.
+    ``retry`` bounds each run's attempts and shapes the backoff between
+    them (the failures retried are
+    :func:`~repro.util.faults.default_retryable`'s); ``quarantine``
+    lets runs that exhaust retries be dropped (the campaign completes
+    degraded on the survivors) instead of aborting; ``checkpoint``
+    persists per-run deltas; ``resume`` replays completed runs from the
+    checkpoint.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     quarantine: bool = True
     checkpoint: Optional[CheckpointManager] = None
     resume: bool = False
-    #: exception types treated as retryable (None = defaults:
-    #: OSError / H5LiteError / InjectedKernelError)
-    retryable: Optional[Tuple[type, ...]] = None
-    #: cooperative cancellation / deadline for the whole campaign: the
-    #: recovering loop checks it between durable units of work, so a
-    #: cancelled or expired campaign always stops checkpointed and
-    #: resumable (see :mod:`repro.util.cancel`).  The token's deadline
-    #: also caps every per-run retry backoff (deadline propagation).
-    cancel: Optional[CancelToken] = None

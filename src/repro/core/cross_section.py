@@ -25,7 +25,6 @@ setting or executor.  Per-stage wall-clock is accumulated into a
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -52,8 +51,6 @@ from repro.nexus.corrections import FluxSpectrum
 from repro.util import faults as _faults
 from repro.util import monitor as _monitor
 from repro.util import trace as _trace
-from repro.util import cancel as _cancel
-from repro.util.cancel import CancelledError
 from repro.util.timers import StageTimings
 from repro.util.validation import ValidationError, require
 
@@ -168,9 +165,8 @@ def _retry(
     """``attempt(attempt_no)`` for run ``i`` under the run-level retry
     protocol.  Fail-fast (``recovery=None``) calls it once, unwrapped.
     Every retry first invalidates the run's geometry-cache entries (a
-    corrupt read may have seeded them from bad bytes), and a campaign
-    deadline caps every backoff, so retries never sleep past the cancel
-    token."""
+    corrupt read may have seeded them from bad bytes); the retry budget
+    is ``recovery.retry``'s attempts, shaped by its backoff."""
     if recovery is None:
         return attempt(1)
 
@@ -179,34 +175,10 @@ def _retry(
         if on_retry is not None:
             on_retry(exc, attempt_no)
 
-    token = recovery.cancel
-    deadline: Dict[str, Any] = {}
-    if token is not None and token.deadline is not None:
-        deadline = {"deadline": token.deadline, "clock": token.clock}
     return _faults.retry_call(
         attempt, site=site or f"run[{i}]", policy=recovery.retry,
-        retryable=recovery.retryable, on_retry=invalidate, **deadline,
+        on_retry=invalidate,
     )
-
-
-def _check_cancel(token: Optional[_cancel.CancelToken], what: str) -> None:
-    """Cooperative cancellation between durable units: every run
-    completed so far is already checkpointed, so stopping here leaves
-    the campaign resumable bit-identically."""
-    if token is None:
-        return
-    try:
-        token.check(what)
-    except CancelledError:
-        _trace.active_tracer().count("campaign.cancelled")
-        raise
-
-
-def _campaign_scope(recovery: Optional[RecoveryConfig]) -> Any:
-    """The campaign's ambient cancel scope; fail-fast installs none."""
-    if recovery is None:
-        return nullcontext()
-    return _cancel.cancel_scope(recovery.cancel)
 
 
 def _shard_beat(
@@ -576,9 +548,9 @@ def compute_cross_section(
     recovery:
         When given, each run runs under the fault-tolerant protocol:
         per-run retry/backoff, quarantine of runs that exhaust their
-        retry budget, checkpoint/resume of per-run deltas, cooperative
-        cancellation, and redistribution of a crashed rank's unfinished
-        runs to the survivors.  ``None`` is fail-fast: the same loop
+        retry budget, checkpoint/resume of per-run deltas, and
+        redistribution of a crashed rank's unfinished runs to the
+        survivors.  ``None`` is fail-fast: the same loop
         with one attempt per run, the original exception, no
         quarantine or checkpoint, and a rank crash aborts the world.
     shards:
@@ -605,7 +577,9 @@ def compute_cross_section(
     schedule:
         Stealing executor only: a
         :class:`repro.util.schedule.ScheduleController` driving steal
-        and birth/leave/death decisions (None = seeded default).
+        and birth/leave/death decisions (None = the ``weighted``
+        policy, whose steals follow the ranks' timing; a seeded
+        ``random`` controller drives arbitrary schedules).
     """
     check_executor(executor)
     if executor == "stealing":
@@ -638,7 +612,6 @@ def compute_cross_section(
     tracer = _trace.active_tracer()
     monitor = _monitor.active_monitor()
     book = _RunBook(grid, recovery, cache)
-    cancel = recovery.cancel if recovery is not None else None
 
     def process_run(i: int) -> None:
         """Resume-or-compute run ``i``; quarantine on exhausted retries."""
@@ -685,10 +658,9 @@ def compute_cross_section(
         mpi_size=int(comm.size),
         **({"recovery": True} if recovery is not None else {}),
         **({"n_shards": int(shards.n_shards)} if shards is not None else {}),
-    ), timings.stage("Total"), _campaign_scope(recovery), \
+    ), timings.stage("Total"), \
             cache.reduction_scope(grid, det_directions, solid_angles, flux):
         for i in my_runs:
-            _check_cancel(cancel, f"campaign (before run {i})")
             try:
                 process_run(i)
             except _faults.RankCrashError:
@@ -716,7 +688,6 @@ def compute_cross_section(
                 alive = comm.alive_ranks()
                 pos_in_alive = alive.index(comm.rank)
                 for i in backlog[pos_in_alive::len(alive)]:
-                    _check_cancel(cancel, f"campaign (before takeover run {i})")
                     # a crash here is a double fault: fail loudly
                     process_run(i)
 

@@ -72,7 +72,6 @@ from repro.mpi.decomposition import (
 from repro.nexus.corrections import FluxSpectrum
 from repro.nexus.events import EventTable
 from repro.nexus.tiles import LazyEventTable, read_window  # noqa: F401
-from repro.util import cancel as _cancel
 from repro.util import faults as _faults
 from repro.util import trace as _trace
 from repro.util.validation import require
@@ -373,11 +372,12 @@ def _run_shards(
     """The static executor: every planned range of ``ctx`` through
     :func:`execute_shard_range` in planned order, then the ordered
     replay into ``ctx.captures.hist``.  Returns the number of
-    deposits replayed."""
+    deposits replayed.  A fault at a shard discards the logs recorded
+    so far; the run-level retry recomputes the whole run, so the
+    replay only ever sees a complete set (bit-identical)."""
     op_name, n_ranges = ctx.op_name, ctx.n_ranges
     tracer = _trace.active_tracer()
     fault_site = f"shard.{op_name}"
-    cancel = _cancel.current_cancel()
     with tracer.span(
         f"{op_name}.shards",
         kind="shard_fanout",
@@ -389,10 +389,6 @@ def _run_shards(
     ):
         per_range: List[List[Log]] = []
         for s, (a, b) in enumerate(ctx.ranges):
-            if cancel is not None:
-                # between shards: deposits so far are discarded and
-                # the whole run recomputes on resume (bit-identical)
-                cancel.check(f"{op_name} shard fan-out")
             with tracer.span(
                 f"shard:{op_name}", kind="shard", shard=int(s),
                 lanes=int(ctx.n_outer * (b - a)),

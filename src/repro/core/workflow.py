@@ -80,9 +80,6 @@ class WorkflowConfig:
     #: campaign executor (``--executor``): None/"static" is the fixed
     #: rank-block plan, "stealing" the elastic work-stealing executor
     executor: Optional[str] = None
-    #: stealing executor only: seed of the default weighted steal
-    #: schedule (``--steal-seed``); ignored by the static plan
-    steal_seed: int = 0
 
     def __post_init__(self) -> None:
         require(len(self.md_paths) >= 1, "need at least one run file")
@@ -92,15 +89,6 @@ class WorkflowConfig:
             parse_worker_count(self.shard_workers, source="shard workers")
         # ... and on unknown executor names
         check_executor(self.executor)
-
-    def schedule(self):
-        """The steal-schedule controller for dynamic executors (None
-        for the static plan)."""
-        if self.executor in (None, "static"):
-            return None
-        from repro.util.schedule import ScheduleController
-
-        return ScheduleController(seed=self.steal_seed, policy="weighted")
 
     def shard_config(self) -> Optional[ShardConfig]:
         """The validated :class:`ShardConfig`, or None when unsharded."""
@@ -156,10 +144,6 @@ class ReductionWorkflow:
                 shards=cfg.shard_config(),
                 run_weights=cfg.run_weights,
                 executor=cfg.executor,
-                # fresh controller per reduction (decision streams and
-                # lifecycle triggers are single-use); only the root
-                # rank's instance drives the campaign
-                schedule=cfg.schedule(),
             )
 
     def prefetch_geometry(self) -> int:

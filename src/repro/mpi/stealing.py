@@ -66,8 +66,6 @@ from repro.core import geom_cache as _gc
 from repro.core.checkpoint import RecoveryConfig
 from repro.core.cross_section import (
     CrossSectionResult,
-    _campaign_scope,
-    _check_cancel,
     _load_run,
     _n_events,
     _non_root_result,
@@ -348,10 +346,9 @@ def run_stealing_campaign(
     ``schedule`` is the
     :class:`~repro.util.schedule.ScheduleController` driving steal and
     birth/leave/death decisions (the root rank's instance wins; default
-    is the seeded ``weighted`` policy).  ``binmd_impl``/``mdnorm_impl``
-    overrides own their parallelism and are not stealable.
-    ``recovery.cancel`` is checked before every run load and every task
-    claim, and caps every retry backoff.
+    is the ``weighted`` policy, which draws no random numbers).
+    ``binmd_impl``/``mdnorm_impl`` overrides own their parallelism and
+    are not stealable.
     """
     require(n_runs >= 1, "need at least one run")
     if binmd_impl is not None or mdnorm_impl is not None:
@@ -382,7 +379,7 @@ def run_stealing_campaign(
         mpi_size=int(comm.size),
         executor="stealing",
         n_shards=int(shards.n_shards),
-    ), timings.stage("Total"), _campaign_scope(recovery):
+    ), timings.stage("Total"):
         # -- plan + share (root builds, everyone receives the reference)
         state: Optional[_StealState] = None
         if comm.rank == 0:
@@ -501,9 +498,7 @@ def _plan(
         state.queue.register_rank(r)
 
     tracer = _trace.active_tracer()
-    cancel = recovery.cancel if recovery is not None else None
     for i in range(n_runs):
-        _check_cancel(cancel, f"campaign (before run {i})")
         if state.book.resume(i, comm.rank):
             continue
         try:
@@ -595,7 +590,6 @@ def _work_loop(env: _ExecEnv, rank: int, *, helper: bool) -> None:
     q = state.queue
     ctl = state.controller
     tracer = _trace.active_tracer()
-    cancel = env.recovery.cancel if env.recovery is not None else None
     leaving = False
     while True:
         for action in ctl.lifecycle(rank, q.completed_count()):
@@ -613,9 +607,6 @@ def _work_loop(env: _ExecEnv, rank: int, *, helper: bool) -> None:
             q.deregister_rank(rank)
             tracer.count("steal.leaves")
             return
-        if helper and cancel is not None and cancel.cancelled:
-            return  # the world's ranks report the cancellation
-        _check_cancel(cancel, "campaign (before task claim)")
 
         victims = q.remaining_weights(exclude=rank)
         own_depth = q.own_depth(rank)

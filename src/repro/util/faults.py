@@ -18,10 +18,10 @@ is the reproduction's *failure model*:
   the same plan seed reproduces the same fault schedule — and therefore
   the same retry counts and quarantine set — across repeated runs and
   across thread interleavings of the in-process MPI world;
-* :func:`retry_call` is the recovery half: per-site retry with
-  exponential backoff + deterministic jitter and an optional deadline
-  budget, raising :class:`RetryExhaustedError` (chaining the last
-  failure) when the budget is spent so callers can quarantine.
+* :func:`retry_call` is the recovery half: per-site retry bounded by
+  an attempt budget, with exponential backoff + deterministic jitter,
+  raising :class:`RetryExhaustedError` (chaining the last failure)
+  when the attempts are spent so callers can quarantine.
 
 Every injection and retry emits trace counters
 (``fault.injected[.<site>.<kind>]``, ``retry.attempt[.<site>]``,
@@ -399,38 +399,10 @@ def use_fault_plan(plan: Optional[FaultPlan]):
 
 
 # ---------------------------------------------------------------------------
-# recovery scope (retry protection) + deadline propagation tracking
+# recovery scope (retry protection)
 # ---------------------------------------------------------------------------
 
 _recovery_ctx = threading.local()
-_deadline_ctx = threading.local()
-
-
-@contextmanager
-def deadline_scope(deadline: Optional[float]):
-    """Clamp this thread's retry deadlines to ``deadline`` for a block.
-
-    Scopes nest by *tightening only*: the effective deadline is the
-    minimum of ``deadline`` and any enclosing scope, so an inner
-    :func:`retry_call` — however generous its own policy — can never
-    back off past the budget of the job that contains it.  Yields the
-    effective (clamped) deadline.
-    """
-    stack = getattr(_deadline_ctx, "stack", None)
-    if stack is None:
-        stack = _deadline_ctx.stack = []
-    outer = stack[-1] if stack else None
-    if deadline is None:
-        effective = outer
-    elif outer is None:
-        effective = float(deadline)
-    else:
-        effective = min(outer, float(deadline))
-    stack.append(effective)
-    try:
-        yield effective
-    finally:
-        stack.pop()
 
 
 def in_recovery() -> bool:
@@ -506,7 +478,7 @@ def fault_point(site: str, **ctx: Any) -> None:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Per-site retry budget: attempts, backoff shape, wall deadline."""
+    """Per-site retry budget: attempts and backoff shape."""
 
     max_attempts: int = 4
     base_delay_s: float = 0.0
@@ -514,8 +486,6 @@ class RetryPolicy:
     max_delay_s: float = 1.0
     #: jitter fraction in [0, 1): delay *= (1 + jitter * u)
     jitter: float = 0.5
-    #: total wall budget across attempts (None = unbounded)
-    deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         require(self.max_attempts >= 1, "max_attempts must be >= 1")
@@ -529,7 +499,7 @@ class RetryPolicy:
         return min(self.max_delay_s, raw) * (1.0 + self.jitter * u)
 
 
-#: the exception types retried by default (everything else propagates)
+#: the exception types retry_call retries (everything else propagates)
 def default_retryable() -> Tuple[type, ...]:
     from repro.nexus.h5lite import H5LiteError
 
@@ -541,75 +511,46 @@ def retry_call(
     *,
     site: str,
     policy: Optional[RetryPolicy] = None,
-    retryable: Optional[Tuple[type, ...]] = None,
     on_retry: Optional[Callable[[BaseException, int], None]] = None,
     sleep: Callable[[float], None] = time.sleep,
-    deadline: Optional[float] = None,
-    clock: Callable[[], float] = time.monotonic,
 ) -> Any:
     """Run ``fn(attempt)`` under the retry policy (attempt is 1-based).
 
-    Non-retryable exceptions (including :class:`RankCrashError`)
-    propagate immediately.  When the attempt/deadline budget is spent,
+    Only :func:`default_retryable` failures are retried; everything
+    else (including :class:`RankCrashError`) propagates immediately.
+    After ``policy.max_attempts`` failed attempts,
     :class:`RetryExhaustedError` is raised chaining the last failure.
     ``on_retry(exc, attempt)`` runs before each re-attempt (e.g. cache
     invalidation after a corrupt read).  Backoff jitter is drawn from a
-    stream seeded by ``site``, so sleep schedules are reproducible.
-
-    Deadline semantics: ``deadline`` is an *absolute* timestamp on
-    ``clock``; the effective deadline is the minimum of it, the
-    policy's relative ``deadline_s`` budget, and any *enclosing*
-    :func:`retry_call` / :func:`deadline_scope` deadline on this thread
-    — so a nested retry's backoff can never overshoot the budget of
-    the call (or job) that contains it.  Backoff sleeps are clamped to
-    the time remaining, and no re-attempt starts past the deadline.
-    ``clock`` is injectable (with ``sleep``) so deadline behaviour is
-    testable without real waiting.
+    stream seeded by ``site``, so sleep schedules are reproducible;
+    ``sleep`` is injectable so they are testable without real waiting.
     """
     policy = policy or RetryPolicy()
-    if retryable is None:
-        retryable = default_retryable()
+    retryable = default_retryable()
     tracer = _trace.active_tracer()
     jitter_stream = _LCG(_stream_seed(0xBACC0FF, site, _trace.current_rank()))
-    t_start = clock()
-    own_deadline: Optional[float] = deadline
-    if policy.deadline_s is not None:
-        budget = t_start + policy.deadline_s
-        own_deadline = budget if own_deadline is None else min(own_deadline,
-                                                               budget)
     last: Optional[BaseException] = None
-    with deadline_scope(own_deadline) as eff_deadline:
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                with recovery_scope():
-                    with tracer.span("recover.attempt", kind="recovery",
-                                     site=site, attempt=int(attempt)):
-                        return fn(attempt)
-            except RankCrashError:
-                raise  # rank death is never retried in place
-            except retryable as exc:
-                last = exc
-                tracer.count("retry.attempt")
-                tracer.count(f"retry.attempt.{site}")
-                remaining = (None if eff_deadline is None
-                             else eff_deadline - clock())
-                out_of_budget = attempt >= policy.max_attempts or (
-                    remaining is not None and remaining <= 0.0
-                )
-                if out_of_budget:
-                    break
-                if on_retry is not None:
-                    on_retry(exc, attempt)
-                delay = policy.delay(attempt, jitter_stream.uniform())
-                if remaining is not None:
-                    # never sleep past the effective deadline: the whole
-                    # point of an absolute budget is that an enclosing
-                    # job can rely on it
-                    delay = min(delay, remaining)
-                if delay > 0.0:
-                    with tracer.span("recover.backoff", kind="recovery",
-                                     site=site, delay_s=float(delay)):
-                        sleep(delay)
+    for attempt in range(1, policy.max_attempts + 1):
+        try:
+            with recovery_scope():
+                with tracer.span("recover.attempt", kind="recovery",
+                                 site=site, attempt=int(attempt)):
+                    return fn(attempt)
+        except RankCrashError:
+            raise  # rank death is never retried in place
+        except retryable as exc:
+            last = exc
+            tracer.count("retry.attempt")
+            tracer.count(f"retry.attempt.{site}")
+            if attempt >= policy.max_attempts:
+                break
+            if on_retry is not None:
+                on_retry(exc, attempt)
+            delay = policy.delay(attempt, jitter_stream.uniform())
+            if delay > 0.0:
+                with tracer.span("recover.backoff", kind="recovery",
+                                 site=site, delay_s=float(delay)):
+                    sleep(delay)
     tracer.count("retry.exhausted")
     tracer.count(f"retry.exhausted.{site}")
     assert last is not None

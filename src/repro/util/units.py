@@ -1,4 +1,4 @@
-"""Byte-size parsing and formatting (the K/M/G convention).
+"""Byte-size parsing (the K/M/G convention).
 
 One implementation of the ``64K`` / ``2M`` / ``1G`` size grammar for
 every surface that accepts a byte budget — the out-of-core
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.util.validation import ReproError
 
-#: binary suffix multipliers, largest first (formatting walks this)
+#: binary suffix multipliers, largest first
 _SUFFIXES = (("G", 1 << 30), ("M", 1 << 20), ("K", 1 << 10))
 
 
@@ -43,22 +43,3 @@ def parse_size(text: str) -> int:
         raise SizeParseError(f"size must be positive, got {text!r}")
     return value
 
-
-def format_size(n: int | float) -> str:
-    """Render a byte count with the largest exact-enough suffix.
-
-    Exact multiples print without a decimal (``64K``, ``2M``); others
-    keep one decimal (``1.5M``); values under 1K print as plain bytes.
-    The output round-trips through :func:`parse_size` up to the one
-    printed decimal.
-    """
-    n = float(n)
-    if n < 0:
-        return f"-{format_size(-n)}"
-    for suffix, value in _SUFFIXES:
-        if n >= value:
-            q = n / value
-            if q == int(q):
-                return f"{int(q)}{suffix}"
-            return f"{q:.1f}{suffix}"
-    return f"{int(n)}" if n == int(n) else f"{n:.1f}"

@@ -418,4 +418,10 @@ class TestRecoveryConfig:
         assert cfg.quarantine is True
         assert cfg.checkpoint is None
         assert cfg.resume is False
-        assert cfg.retryable is None
+
+    @pytest.mark.parametrize("field", ["cancel", "retryable"])
+    def test_retired_fields_are_refused(self, field):
+        """A retry is bounded by its attempts alone: there is no
+        campaign cancel token and no per-campaign retryable override."""
+        with pytest.raises(TypeError, match=field):
+            RecoveryConfig(**{field: None if field == "cancel" else ()})

@@ -441,7 +441,7 @@ class TestShardRangesRunInProcess:
         if path == "out_of_core":
             kw.update(md_paths=chunked_md_paths, memory_budget=2 * 100 * 64)
         elif path == "stealing":
-            kw.update(executor="stealing", steal_seed=5)
+            kw.update(executor="stealing")
         forbid_pool()
         res = self._reduce(tiny_experiment, **kw)
         assert_identical(res, reference)

@@ -50,7 +50,6 @@ from repro.jacc import available_backends
 from repro.mpi import run_world
 from repro.mpi.stealing import run_stealing_campaign
 from repro.util import trace as trace_mod
-from repro.util.cancel import CancelledError, CancelToken, DeadlineExpiredError
 from repro.util.faults import (
     FaultPlan,
     FaultSpec,
@@ -474,60 +473,3 @@ class TestExecutorBackendConformance:
             )
             _assert_identical(res, golden,
                               label=f"{backend} seed={seed}")
-
-
-# ---------------------------------------------------------------------------
-# cancellation
-# ---------------------------------------------------------------------------
-
-class TestCancellation:
-    """The campaign's cancel token stops every executor the same way."""
-
-    @staticmethod
-    def _run(exp, executor, token):
-        return compute_cross_section(
-            exp.loader, executor=executor,
-            recovery=RecoveryConfig(retry=POLICY, cancel=token),
-            shards=_shards(), **exp.kw()
-        )
-
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_pre_cancelled_token_raises(self, exp, executor):
-        token = CancelToken()
-        token.cancel("operator")
-        with pytest.raises(CancelledError, match="operator") as info:
-            self._run(exp, executor, token)
-        assert not isinstance(info.value, DeadlineExpiredError)
-
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_expired_deadline_raises(self, exp, executor):
-        token = CancelToken(deadline=0.0, clock=lambda: 1.0)
-        with pytest.raises(DeadlineExpiredError):
-            self._run(exp, executor, token)
-
-    @pytest.mark.parametrize("size", (1, 2))
-    def test_cancel_after_planning_stops_task_claims(self, exp, size):
-        """Cancelled while the root loads the last run: planning
-        finishes, and every rank stops at its next task claim."""
-        token = CancelToken()
-
-        def loader(i):
-            if i == N_RUNS - 1:
-                token.cancel("operator")
-            return exp.loader(i)
-
-        def body(comm):
-            return run_stealing_campaign(
-                loader, comm=comm,
-                recovery=RecoveryConfig(retry=POLICY, cancel=token),
-                shards=_shards(),
-                schedule=ScheduleController(seed=0, policy="no-steal"),
-                **exp.kw()
-            )
-
-        tracer = trace_mod.Tracer()
-        with trace_mod.use_tracer(tracer), \
-                pytest.raises(CancelledError, match="task claim"):
-            run_world(size, body, barrier_timeout=60.0)
-        assert tracer.counters["campaign.cancelled"] >= 1
-        assert "mdnorm.shard_tasks" not in tracer.counters  # no task ran

@@ -230,3 +230,46 @@ class TestRetiredServiceCommands:
     def test_package_is_gone(self):
         with pytest.raises(ModuleNotFoundError):
             import repro.service  # noqa: F401
+
+
+class TestRetiredStealSeed:
+    """``--steal-seed`` seeded nothing (the stealing workflow's weighted
+    schedule draws no random numbers) and is gone: passing it is an
+    argparse usage error with exit status 2, before any work starts."""
+
+    ARGV = ["trace", "--workload", "benzil", "--impl", "core",
+            "--files", "2", "--scale", "0.0002",
+            "--executor", "stealing", "--steal-seed", "7"]
+
+    @staticmethod
+    def _check_refusal(err):
+        assert "Traceback" not in err
+        assert err.startswith("usage: repro trace")
+        assert "unrecognized arguments: --steal-seed 7" in err
+
+    def test_in_process(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(self.ARGV + ["--out", str(tmp_path / "t.jsonl")])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        self._check_refusal(err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_as_a_process(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *self.ARGV,
+             "--out", str(tmp_path / "t.jsonl")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        self._check_refusal(proc.stderr)
+        assert list(tmp_path.iterdir()) == []

@@ -402,15 +402,18 @@ class TestRetryCall:
         assert len(a) == 3            # no sleep after the final attempt
         assert a[0] < a[1] < a[2]     # exponential growth dominates jitter
 
-    def test_deadline_cuts_budget(self):
-        def fn(attempt):
-            raise OSError("slow system")
+    def test_stops_at_first_success_with_attempts_to_spare(self):
+        calls = []
 
-        policy = RetryPolicy(max_attempts=50, base_delay_s=0.0,
-                             deadline_s=0.0)
-        with pytest.raises(RetryExhaustedError) as exc:
-            retry_call(fn, site="s", policy=policy)
-        assert exc.value.attempts == 1
+        def fn(attempt):
+            calls.append(attempt)
+            if attempt < 3:
+                raise OSError("flaky")
+            return "ok"
+
+        policy = RetryPolicy(max_attempts=5, base_delay_s=0.0)
+        assert retry_call(fn, site="s", policy=policy) == "ok"
+        assert calls == [1, 2, 3]
 
     def test_attempts_run_inside_recovery_scope(self):
         flags = []
@@ -441,103 +444,24 @@ class TestRetryCall:
         assert not issubclass(RankCrashError, tuple(kinds))
 
 
-class _FakeClock:
-    def __init__(self, t: float = 0.0) -> None:
-        self.t = float(t)
+class TestRetiredRetryOptions:
+    """A retry is bounded by ``max_attempts`` and shaped by backoff,
+    nothing else: the cancel token, retry deadlines and the retryable
+    override are gone."""
 
-    def __call__(self) -> float:
-        return self.t
+    def test_cancel_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            import repro.util.cancel  # noqa: F401
 
-    def sleep(self, dt: float) -> None:
-        self.t += float(dt)
+    def test_policy_has_no_deadline(self):
+        with pytest.raises(TypeError, match="deadline_s"):
+            RetryPolicy(deadline_s=1.0)
 
-
-class TestDeadlinePropagation:
-    """Regression tests for absolute deadlines through retry_call."""
-
-    def test_absolute_deadline_stops_retries(self):
-        clock = _FakeClock()
-
-        def fn(attempt):
-            clock.sleep(3.0)  # each attempt costs 3 "seconds"
-            raise OSError("slow")
-
-        policy = RetryPolicy(max_attempts=50, base_delay_s=0.0)
-        with pytest.raises(RetryExhaustedError) as exc:
-            retry_call(fn, site="s", policy=policy, deadline=5.0,
-                       clock=clock, sleep=clock.sleep)
-        # attempts 1 (t=3) and 2 (t=6 >= 5) fit; no third attempt
-        assert exc.value.attempts == 2
-
-    def test_backoff_sleep_clamped_to_remaining(self):
-        clock = _FakeClock()
-        slept = []
-
-        def fn(attempt):
-            clock.sleep(1.0)
-            raise OSError("flaky")
-
-        def sleep(dt):
-            slept.append(dt)
-            clock.sleep(dt)
-
-        policy = RetryPolicy(max_attempts=10, base_delay_s=100.0,
-                             jitter=0.0)
-        with pytest.raises(RetryExhaustedError):
-            retry_call(fn, site="s", policy=policy, deadline=2.0,
-                       clock=clock, sleep=sleep)
-        # the 100 s backoff must be cut to the 1 s remaining, never past
-        # the deadline
-        assert slept and max(slept) <= 2.0
-
-    def test_nested_retry_honors_enclosing_deadline(self):
-        """An inner retry_call with a generous policy cannot back off
-        past the outer call's absolute deadline."""
-        clock = _FakeClock()
-        inner_attempts = []
-
-        def inner(attempt):
-            inner_attempts.append(attempt)
-            clock.sleep(2.0)
-            raise OSError("inner flaky")
-
-        def outer(attempt):
-            # inner policy alone would allow 50 attempts
-            retry_call(inner, site="inner",
-                       policy=RetryPolicy(max_attempts=50, base_delay_s=0.0),
-                       clock=clock, sleep=clock.sleep)
-
-        with pytest.raises(RetryExhaustedError) as exc:
-            retry_call(outer, site="outer",
-                       policy=RetryPolicy(max_attempts=1, base_delay_s=0.0),
-                       deadline=5.0, clock=clock, sleep=clock.sleep)
-        # the outer 5 s budget bounds the inner loop: attempts at t=2,
-        # t=4, then t=6 >= 5 stops it — nowhere near 50.  The inner
-        # exhaustion propagates (RetryExhaustedError is not retryable).
-        assert len(inner_attempts) == 3
-        assert exc.value.attempts == 3
-        assert exc.value.site == "inner"
-
-    def test_policy_relative_and_absolute_deadline_tighten(self):
-        clock = _FakeClock(100.0)
-
-        def fn(attempt):
-            clock.sleep(1.0)
-            raise OSError("x")
-
-        # relative budget (0.5 s) is tighter than the absolute deadline
-        policy = RetryPolicy(max_attempts=50, base_delay_s=0.0,
-                             deadline_s=0.5)
-        with pytest.raises(RetryExhaustedError) as exc:
-            retry_call(fn, site="s", policy=policy, deadline=1000.0,
-                       clock=clock, sleep=clock.sleep)
-        assert exc.value.attempts == 1
-
-    def test_no_deadline_keeps_historical_behaviour(self):
-        def fn(attempt):
-            if attempt < 3:
-                raise OSError("flaky")
-            return "ok"
-
-        policy = RetryPolicy(max_attempts=5, base_delay_s=0.0)
-        assert retry_call(fn, site="s", policy=policy) == "ok"
+    @pytest.mark.parametrize("kwarg,value", [
+        ("deadline", 1.0), ("clock", lambda: 0.0), ("retryable", (OSError,)),
+    ], ids=["deadline", "clock", "retryable"])
+    def test_retry_call_refuses_retired_keywords(self, kwarg, value):
+        calls = []
+        with pytest.raises(TypeError, match=kwarg):
+            retry_call(calls.append, site="s", **{kwarg: value})
+        assert calls == []

@@ -13,6 +13,11 @@ tables.  This benchmark prices that choice:
   scan must still complete (evicting as it goes) with peak decoded
   residency under the budget, the out-of-core acceptance bound.
 
+Each row is labelled with the codec ``save_md`` was asked for.  The
+writer stores a column raw when that codec cannot halve it (the random
+Q columns under ``zlib``), so the ``stored raw`` column lists, per
+row, the columns whose recorded codec is ``none``.
+
 Correctness is asserted always (accounting invariants + the residency
 bound + bit-identical reads); timings are reported, never gated.  The
 end-to-end out-of-core timing is the ``benzil_ooc_shards`` workload of
@@ -72,6 +77,7 @@ def test_cold_vs_warm_tile_scan(chunked_files):
             cols = _columns(f)
             ds = cols[0]
             stored = sum(sum(c.chunk_stored_nbytes()) for c in cols)
+            raw_cols = [c.basename for c in cols if c.codec == "none"]
             tiles = TileManager(cols)  # unlimited budget: nothing evicts
             cold_s, n_cold = _scan(tiles, ds)
             warm_s, n_warm = _scan(tiles, ds)
@@ -86,6 +92,8 @@ def test_cold_vs_warm_tile_scan(chunked_files):
             assert stats.decoded_bytes == ws.events.data.nbytes
             rows.append((
                 codec,
+                "all" if len(raw_cols) == len(cols) else
+                ",".join(raw_cols) or "-",
                 f"{stored / 2**20:.2f}",
                 f"{ws.events.data.nbytes / max(stored, 1):.2f}x",
                 f"{cold_s:.4f}",
@@ -98,7 +106,7 @@ def test_cold_vs_warm_tile_scan(chunked_files):
         format_table(
             f"Chunked event I/O ({ws.events.n_events} events, "
             f"{raw_mb:.2f} MB raw, {CHUNK_ROWS}-row chunks)",
-            ["codec", "stored MB", "ratio", "cold scan (s)",
+            ["codec", "stored raw", "stored MB", "ratio", "cold scan (s)",
              "decode MB/s", "warm scan (s)", "warm speedup"],
             rows,
         ),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.core.cross_section import CrossSectionResult
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
 from repro.core.md_event_workspace import convert_to_md
-from repro.crystal.symmetry import PointGroup, point_group
+from repro.crystal.symmetry import point_group
 from repro.instruments.detector import DetectorArray
 from repro.nexus.corrections import FluxSpectrum
 from repro.nexus.schema import read_event_nexus

@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.baseline.mdbox import MDBox, MDBoxController, build_workspace_box
-from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
 from repro.nexus.events import COL_ERROR_SQ, COL_QX, COL_QY, COL_QZ, COL_SIGNAL, EventTable
 from repro.util.validation import require

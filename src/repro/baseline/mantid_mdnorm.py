@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
 from repro.core.intersections import PARALLEL_EPS, k_window, trajectory_directions
 from repro.nexus.corrections import FluxSpectrum

@@ -16,7 +16,7 @@ at a time, and splitting copies events into children.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.util.validation import ValidationError, require

@@ -50,17 +50,17 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
-from repro.nexus.h5lite import CorruptFileError, File, H5LiteError
+from repro.nexus.h5lite import File, H5LiteError
 from repro.util import atomic_io
 from repro.util import trace as _trace
 from repro.util.faults import RetryPolicy
-from repro.util.validation import ReproError, require
+from repro.util.validation import ReproError
 
 #: manifest schema version (bump on any layout change); 2 = sparse deltas
 MANIFEST_SCHEMA = 2

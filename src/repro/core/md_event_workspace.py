@@ -144,9 +144,11 @@ def save_md(
     * chunked (``chunk_events=N``): every column is its own 1-D dataset
       under ``event_columns`` (named by
       :data:`~repro.nexus.events.COLUMN_NAMES`), cut into chunks of
-      ``N`` events that are encoded (``codec`` is one of
-      :data:`repro.nexus.h5lite.CHUNK_CODECS`) and CRC-checked one
-      stream per column per chunk.  This is what lets :func:`load_md`
+      ``N`` events that are encoded and CRC-checked one stream per
+      column per chunk.  ``codec`` (one of
+      :data:`repro.nexus.h5lite.CHUNK_CODECS`) is requested per column,
+      not guaranteed: a column it cannot halve, such as the Q columns
+      under ``zlib``, is stored raw.  This is what lets :func:`load_md`
       hand the reduction a bounded-memory
       :class:`~repro.nexus.tiles.LazyEventTable` that decodes only the
       five columns BinMD reads, instead of materializing the run (the

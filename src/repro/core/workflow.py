@@ -10,10 +10,8 @@ per-stage timings the benchmark harness turns into table rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from repro.core import geom_cache as _gc
 from repro.core.checkpoint import RecoveryConfig

@@ -8,7 +8,7 @@ generator to map a scattered neutron onto the pixel that records it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 

@@ -19,7 +19,7 @@ Two layouts exist, mirroring the paper's pipeline:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np

@@ -41,13 +41,20 @@ header locatable from EOF.  v1 files (everything contiguous) read back
 bit-for-bit through the same code path; a v2 writer produces v1 files
 on request (``File(path, "w", version=1)``) for back-compat fixtures.
 
-Chunk codecs (per chunk, independent):
+Chunk codecs (one per dataset; each chunk is encoded and CRC-checked
+independently):
 
 * ``"none"`` — raw bytes (CRC only);
 * ``"zlib"`` — DEFLATE;
 * ``"shuffle-zlib"`` — byte-shuffle transpose (all byte-0s, then all
   byte-1s, ...) before DEFLATE, the classic HDF5/LZ4 trick that groups
   the mostly-constant high bytes of float64 columns for better ratios.
+
+The codec passed to ``create_dataset`` is a request: a dataset whose
+encoded chunks would total more than ``1 / MIN_CODEC_RATIO`` of its raw
+bytes is stored ``"none"`` instead (like HDF5's optional deflate filter
+leaving an incompressible chunk unfiltered), and the header records the
+codec actually stored.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ import json
 import os
 import struct
 import zlib
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -73,8 +80,12 @@ FORMAT_VERSION = 2
 SUPPORTED_VERSIONS = (1, 2)
 _ALIGN = 8
 
-#: per-chunk codec names accepted by ``create_dataset(codec=...)``
+#: chunk codec names accepted by ``create_dataset(codec=...)``
 CHUNK_CODECS = ("none", "zlib", "shuffle-zlib")
+#: a chunked dataset keeps its requested codec only if that shrinks it
+#: at least this many times over; below it the chunks are stored raw
+#: (DESIGN.md section 6g)
+MIN_CODEC_RATIO = 2
 
 AttrValue = Union[int, float, str, bool, np.ndarray, list]
 
@@ -123,6 +134,37 @@ def encode_chunk(raw: bytes, codec: str, itemsize: int) -> bytes:
     if codec == "shuffle-zlib":
         return zlib.compress(_shuffle_bytes(raw, itemsize))
     raise H5LiteError(f"unsupported chunk codec {codec!r}")
+
+
+def encode_column(
+    payload: np.ndarray, rows_per: int, codec: str
+) -> Tuple[str, Iterable[Tuple[int, bytes]]]:
+    """Cut ``payload`` into ``rows_per``-row chunks and encode them.
+
+    Returns the codec the column is stored with and its ``(rows,
+    stored bytes)`` chunks.  The requested ``codec`` is kept only when
+    its chunks total at most ``1 / MIN_CODEC_RATIO`` of the raw bytes;
+    otherwise every chunk is stored raw (``"none"``), so a reader never
+    inflates a stream that DEFLATE could not halve.
+    """
+    bounds = [(r0, min(r0 + rows_per, payload.shape[0]))
+              for r0 in range(0, payload.shape[0], rows_per)]
+
+    def raw(r0: int, r1: int) -> bytes:
+        return np.ascontiguousarray(payload[r0:r1]).tobytes(order="C")
+
+    if codec != "none":
+        chunks: List[Tuple[int, bytes]] = []
+        total = 0
+        for r0, r1 in bounds:
+            enc = encode_chunk(raw(r0, r1), codec, payload.dtype.itemsize)
+            total += len(enc)
+            if total * MIN_CODEC_RATIO > payload.nbytes:
+                break  # over the bound already: the rest cannot bring it back
+            chunks.append((r1 - r0, enc))
+        else:
+            return codec, chunks
+    return "none", ((r1 - r0, raw(r0, r1)) for r0, r1 in bounds)
 
 
 def decode_chunk(
@@ -719,7 +761,10 @@ class Group(_Node):
         array).  ``chunk_rows=N`` (format v2) stores the payload as
         independent row chunks, each encoded with ``codec`` (one of
         :data:`CHUNK_CODECS`) and CRC-checked on decode, so row-range
-        reads touch only the overlapping chunks.
+        reads touch only the overlapping chunks.  ``codec`` is requested,
+        not guaranteed: a dataset it cannot shrink by
+        :data:`MIN_CODEC_RATIO` is stored ``"none"`` (see
+        :func:`encode_column`).
         """
         self._file._check_writable()
         if chunk_rows is not None and self._file.version < 2:
@@ -895,15 +940,13 @@ class File(Group):
             def place_chunked(node: Dataset, entry: Dict[str, Any]) -> None:
                 payload = node._staged().reshape(node.shape)
                 rows_per = int(node.chunk_rows)  # type: ignore[arg-type]
-                codec = node.codec or "none"
+                codec, chunks = encode_column(
+                    payload, rows_per, node.codec or "none")
                 index: List[List[int]] = []
-                for r0 in range(0, payload.shape[0], rows_per):
-                    r1 = min(r0 + rows_per, payload.shape[0])
-                    raw = np.ascontiguousarray(payload[r0:r1]).tobytes(order="C")
-                    enc = encode_chunk(raw, codec, node.dtype.itemsize)
+                for rows, enc in chunks:
                     pad = (-fh.tell()) % _ALIGN
                     fh.write(b"\x00" * pad)
-                    index.append([fh.tell(), len(enc), zlib.crc32(enc), r1 - r0])
+                    index.append([fh.tell(), len(enc), zlib.crc32(enc), rows])
                     fh.write(enc)
                 entry.update(
                     kind="dataset",

@@ -58,10 +58,10 @@ def write_event_nexus(
 
     ``compression="zlib"`` deflates the event payloads (id/TOF/weight)
     as whole blobs; ``chunk_events=N`` instead stores them as
-    independent CRC-checked chunks of ``N`` events (format v2, per-chunk
-    ``codec``), so region reads
-    (:meth:`repro.nexus.h5lite.Dataset.read_rows`) decode only the
-    touched windows.
+    independent CRC-checked chunks of ``N`` events (format v2), so
+    region reads (:meth:`repro.nexus.h5lite.Dataset.read_rows`) decode
+    only the touched windows.  ``codec`` is requested per dataset, not
+    guaranteed: a payload it cannot halve is stored raw.
     """
     if chunk_events is not None and compression is not None:
         raise H5LiteError(

@@ -25,16 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.core import geom_cache as _gc
-from repro.core.binmd import bin_events
 from repro.core.checkpoint import RecoveryConfig
 from repro.core.cross_section import CrossSectionResult, compute_cross_section
 from repro.core.geom_cache import DISABLED, GeomCache
 from repro.core.grid import HKLGrid
 from repro.core.md_event_workspace import MDEventWorkspace, load_md, transpose_events
-from repro.core.mdnorm import mdnorm
 from repro.crystal.symmetry import PointGroup
 from repro.instruments.detector import DetectorArray
 from repro.jacc.api import get_backend

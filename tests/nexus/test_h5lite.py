@@ -1,9 +1,19 @@
 """Unit tests for the h5lite hierarchical container."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
-from repro.nexus.h5lite import MAGIC, Dataset, File, Group, H5LiteError
+from repro.nexus import h5lite
+from repro.nexus.h5lite import (
+    MAGIC,
+    CorruptFileError,
+    Dataset,
+    File,
+    Group,
+    H5LiteError,
+)
 
 
 @pytest.fixture()
@@ -274,3 +284,104 @@ class TestCorruption:
 
     def test_magic_constant(self):
         assert MAGIC == b"H5LITE01"
+
+
+class TestChunkCodecRule:
+    """A chunked dataset keeps its requested codec only if the encoded
+    chunks total at most 1/MIN_CODEC_RATIO of the raw bytes; otherwise
+    every chunk is stored raw and the header records ``none``."""
+
+    def _write(self, path, data, codec, chunk_rows=100):
+        with File(path, "w") as f:
+            f.create_dataset("x", data=data, chunk_rows=chunk_rows, codec=codec)
+
+    def _stored(self, path):
+        """(recorded codec, per-chunk stored bytes, per-chunk raw bytes)."""
+        with File(path, "r") as f:
+            ds = f.require_dataset("x")
+            raw = [(b - a) * ds.row_nbytes for a, b in ds.chunk_ranges()]
+            return ds.codec, ds.chunk_stored_nbytes(), raw
+
+    @pytest.mark.parametrize("codec", ["zlib", "shuffle-zlib"])
+    def test_random_floats_are_stored_raw(self, path, codec):
+        data = np.random.default_rng(3).uniform(-4.0, 4.0, 1000)
+        self._write(path, data, codec)
+        stored_codec, stored, raw = self._stored(path)
+        assert stored_codec == "none"
+        assert stored == raw and len(stored) == 10
+        with File(path, "r") as f:
+            assert np.array_equal(f.read("x"), data)
+
+    @pytest.mark.parametrize("codec", ["zlib", "shuffle-zlib"])
+    def test_constant_column_keeps_its_codec(self, path, codec):
+        data = np.full(1000, 1.5)
+        self._write(path, data, codec)
+        stored_codec, stored, raw = self._stored(path)
+        assert stored_codec == codec
+        assert 2 * sum(stored) <= sum(raw)
+        with File(path, "r") as f:
+            assert np.array_equal(f.read("x"), data)
+
+    @pytest.mark.parametrize("extra, want", [(0, "zlib"), (1, "none")])
+    def test_threshold_is_exactly_half(self, path, monkeypatch, extra, want):
+        """Encoded chunks landing exactly on raw/2 keep the codec; one
+        byte over stores the column raw."""
+        calls = []
+
+        def encode(raw, codec, itemsize):
+            calls.append(len(raw))
+            last = len(calls) == 10
+            return b"\x01" * (len(raw) // 2 + (extra if last else 0))
+
+        monkeypatch.setattr(h5lite, "encode_chunk", encode)
+        data = np.arange(1000, dtype=np.float64)
+        self._write(path, data, "zlib")
+        stored_codec, stored, raw = self._stored(path)
+        assert stored_codec == want
+        assert sum(raw) == 8000
+        if want == "none":
+            assert stored == raw
+        else:
+            assert sum(stored) == 4000
+
+    def test_empty_column(self, path):
+        self._write(path, np.empty(0), "zlib")
+        with File(path, "r") as f:
+            ds = f.require_dataset("x")
+            assert ds.n_chunks == 0
+            assert f.read("x").shape == (0,)
+
+    def test_one_row_column_is_stored_raw(self, path):
+        """DEFLATE's stream overhead exceeds an 8-byte payload."""
+        self._write(path, np.array([2.5]), "zlib")
+        stored_codec, stored, raw = self._stored(path)
+        assert (stored_codec, stored, raw) == ("none", [8], [8])
+        with File(path, "r") as f:
+            assert np.array_equal(f.read("x"), [2.5])
+
+    def test_flipped_byte_in_a_raw_chunk_fails_its_crc(self, path):
+        data = np.random.default_rng(5).uniform(-4.0, 4.0, 1000)
+        self._write(path, data, "zlib")
+        with File(path, "r") as f:
+            ds = f.require_dataset("x")
+            assert ds.codec == "none"
+            offset = ds._chunk_index[3][0]
+        raw = bytearray(pathlib.Path(path).read_bytes())
+        raw[offset + 17] ^= 0xFF
+        pathlib.Path(path).write_bytes(raw)
+        with File(path, "r") as f:
+            ds = f.require_dataset("x")
+            assert np.array_equal(ds.read_chunk(2), data[200:300])
+            with pytest.raises(CorruptFileError):
+                ds.read_chunk(3)
+            with pytest.raises(CorruptFileError):
+                f.read("x")
+
+    def test_rule_switched_off_keeps_the_codec(self, path, monkeypatch):
+        monkeypatch.setattr(h5lite, "MIN_CODEC_RATIO", 0)
+        data = np.random.default_rng(3).uniform(-4.0, 4.0, 1000)
+        self._write(path, data, "zlib")
+        stored_codec, stored, raw = self._stored(path)
+        assert stored_codec == "zlib" and stored != raw
+        with File(path, "r") as f:
+            assert np.array_equal(f.read("x"), data)

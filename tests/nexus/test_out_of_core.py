@@ -20,6 +20,7 @@ bit, and a v1 -> v2 rewrite round-trips the table exactly.
 """
 
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ from repro.core.md_event_workspace import (
 )
 from repro.core.sharding import ShardConfig, sharded_binmd
 from repro.nexus.events import BINMD_COLUMNS, COLUMN_NAMES, EventTable
-from repro.nexus.h5lite import CHUNK_CODECS, File
+from repro.nexus import h5lite
+from repro.nexus.h5lite import CHUNK_CODECS, CorruptFileError, File
 from repro.nexus.tiles import (
     EVENT_COLUMNS_PATH,
     EVENT_TABLE_PATH,
@@ -186,6 +188,105 @@ class TestOutOfCoreBitIdentity:
             else:
                 assert np.array_equal(got.signal, ref.signal)
                 assert np.array_equal(got.error_sq, ref.error_sq)
+
+
+# ---------------------------------------------------------------------------
+# columns zlib cannot halve are stored raw
+# ---------------------------------------------------------------------------
+
+def _unit_weight_table(seed: int, n: int) -> np.ndarray:
+    """A raw run's shape: unit weights (compressible), random Q (not)."""
+    t = _random_table(seed, n)
+    t[:, 0] = t[:, 1] = 1.0
+    return t
+
+
+def _stored_codecs(path: str) -> dict:
+    with File(path, "r") as f:
+        return {name: f.require_dataset(f"{EVENT_COLUMNS_PATH}/{name}").codec
+                for name in COLUMN_NAMES}
+
+
+def _binmd(table_or_lazy) -> Hist3:
+    got = Hist3(GRID, track_errors=True)
+    if isinstance(table_or_lazy, LazyEventTable):
+        sharded_binmd(got, table_or_lazy, TRANSFORMS,
+                      shards=ShardConfig(n_shards=2))
+    else:
+        bin_events(got, EventTable(table_or_lazy), TRANSFORMS,
+                   backend="vectorized")
+    return got
+
+
+class TestRawStoredColumns:
+    @pytest.mark.parametrize("budget_chunks", BUDGET_CHUNKS)
+    @pytest.mark.parametrize("codec", ["zlib", "shuffle-zlib"])
+    def test_binmd_bit_identical_under_every_budget(
+            self, tmp_path, codec, budget_chunks):
+        """Q stored raw next to zlib'd weights: out-of-core BinMD still
+        equals the in-memory result bit for bit."""
+        chunk = 113
+        table = _unit_weight_table(11, 1500)
+        path = str(tmp_path / "run.md.h5")
+        save_md(path, _workspace(table), chunk_events=chunk, codec=codec)
+        stored = _stored_codecs(path)
+        assert {stored[q] for q in ("qx", "qy", "qz")} == {"none"}, stored
+        assert stored["signal"] == stored["error_sq"] == codec, stored
+
+        budget = (None if budget_chunks is None
+                  else budget_chunks * chunk * ROW_BYTES)
+        ref = _binmd(table)
+        lazy = LazyEventTable(path, memory_budget=budget)
+        try:
+            got = _binmd(lazy)
+            assert np.array_equal(got.signal, ref.signal)
+            assert np.array_equal(got.error_sq, ref.error_sq)
+            if budget is not None:
+                assert lazy.tile_stats.peak_resident_bytes <= budget
+        finally:
+            lazy.close()
+
+    def test_flipped_byte_in_a_raw_q_chunk_fails_the_binmd(self, tmp_path):
+        table = _unit_weight_table(12, 1000)
+        path = str(tmp_path / "run.md.h5")
+        save_md(path, _workspace(table), chunk_events=128, codec="zlib")
+        with File(path, "r") as f:
+            qy = f.require_dataset(f"{EVENT_COLUMNS_PATH}/qy")
+            assert qy.codec == "none"
+            offset = qy._chunk_index[2][0]
+        raw = bytearray(pathlib.Path(path).read_bytes())
+        raw[offset + 9] ^= 0xFF
+        pathlib.Path(path).write_bytes(raw)
+        lazy = LazyEventTable(path, memory_budget=2 * 128 * ROW_BYTES)
+        try:
+            with pytest.raises(CorruptFileError):
+                _binmd(lazy)
+        finally:
+            lazy.close()
+
+    def test_rule_switched_off_loads_bit_identically(
+            self, tmp_path, monkeypatch):
+        """The same table written with and without the rule: different
+        stored codecs, the same decoded bytes and histograms."""
+        table = _unit_weight_table(13, 1200)
+        new = str(tmp_path / "new.md.h5")
+        save_md(new, _workspace(table), chunk_events=100, codec="zlib")
+        with monkeypatch.context() as mp:
+            mp.setattr(h5lite, "MIN_CODEC_RATIO", 0)
+            old = str(tmp_path / "old.md.h5")
+            save_md(old, _workspace(table), chunk_events=100, codec="zlib")
+        assert set(_stored_codecs(old).values()) == {"zlib"}
+        assert _stored_codecs(new)["qx"] == "none"
+        ref = _binmd(table)
+        for path in (old, new):
+            assert np.array_equal(load_md(path).events.data, table)
+            lazy = LazyEventTable(path, memory_budget=4 * 100 * ROW_BYTES)
+            try:
+                got = _binmd(lazy)
+                assert np.array_equal(got.signal, ref.signal)
+                assert np.array_equal(got.error_sq, ref.error_sq)
+            finally:
+                lazy.close()
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +563,10 @@ class TestContainerBackCompat:
         column streams still loads, bit for bit, both ways."""
         path = os.path.join(GOLDEN_DIR, "events_v2_chunked.h5")
         table = _golden_table()
+        with File(path, "r") as f:  # the fixture as written, zlib chunks
+            ds = f.require_dataset(EVENT_TABLE_PATH)
+            assert ds.codec == "zlib"
+            assert ds.chunk_stored_nbytes() == [1024, 1034, 1045, 185]
         assert np.array_equal(load_md(path).events.data, table)
         ws = load_md(path, memory_budget=128 * ROW_BYTES)
         lazy = ws.events

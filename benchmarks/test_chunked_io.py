@@ -1,25 +1,25 @@
-"""Chunked-container I/O: per-codec decode cost, cold vs warm tiles.
+"""Chunked-container I/O: per-codec decode cost of a full scan.
 
-ISSUE 6 moves the event tables onto the v2 chunked container so the
-reduction can stream bounded windows instead of materializing whole
-tables.  This benchmark prices that choice:
+The event tables live on the v2 chunked container so the reduction can
+stream bounded windows instead of materializing whole tables.  This
+benchmark prices that choice:
 
-* **cold scan** — every chunk decoded from disk through the
-  :class:`~repro.nexus.tiles.TileManager` (all misses), per codec;
-* **warm scan** — the same windows again with the decoded chunks
-  resident (all hits, zero decodes): the tile cache must make repeat
-  access free, which is what the shard executor's re-reads rely on;
-* **budgeted scan** — an LRU budget ~4x smaller than the table: the
-  scan must still complete (evicting as it goes) with peak decoded
-  residency under the budget, the out-of-core acceptance bound.
+* **scan** — every chunk-aligned window of the table read through a
+  :class:`~repro.nexus.tiles.TileManager`, per codec: each stream is
+  decoded exactly once (nothing is kept, so nothing hits);
+* **budgeted scan** — BinMD's five columns read in the windows the
+  out-of-core planner cuts for a budget ~4x smaller than the table
+  (:func:`~repro.mpi.decomposition.lazy_table_ranges`): the scan reads
+  the exact bytes, and no window decodes more than the budget, the
+  out-of-core acceptance bound.
 
 Each row is labelled with the codec ``save_md`` was asked for.  The
 writer stores a column raw when that codec cannot halve it (the random
 Q columns under ``zlib``), so the ``stored raw`` column lists, per
 row, the columns whose recorded codec is ``none``.
 
-Correctness is asserted always (accounting invariants + the residency
-bound + bit-identical reads); timings are reported, never gated.  The
+Correctness is asserted always (decode accounting + the window bound
++ bit-identical reads); timings are reported, never gated.  The
 end-to-end out-of-core timing is the ``benzil_ooc_shards`` workload of
 ``perfbench/run.py``.
 """
@@ -32,9 +32,10 @@ import pytest
 from conftest import record_report
 from repro.bench.report import format_table
 from repro.core.md_event_workspace import load_md, save_md
-from repro.nexus.events import COLUMN_NAMES
+from repro.mpi.decomposition import lazy_table_ranges
+from repro.nexus.events import BINMD_COLUMNS, COLUMN_NAMES
 from repro.nexus.h5lite import CHUNK_CODECS, File
-from repro.nexus.tiles import EVENT_COLUMNS_PATH, TileManager
+from repro.nexus.tiles import EVENT_COLUMNS_PATH, LazyEventTable, TileManager
 
 CHUNK_ROWS = 1024
 
@@ -58,17 +59,8 @@ def chunked_files(benzil_data, tmp_path_factory):
     return ws, paths
 
 
-def _scan(tiles, ds):
-    """One full sequential pass of chunk-aligned windows, every column."""
-    t0 = time.perf_counter()
-    total = 0
-    for a, b in ds.chunk_ranges():
-        total += tiles.window(a, b)[0].shape[0]
-    return time.perf_counter() - t0, total
-
-
-def test_cold_vs_warm_tile_scan(chunked_files):
-    """Warm re-reads decode nothing; the table prices each codec."""
+def test_tile_scan(chunked_files):
+    """One scan decodes every stream once; the table prices each codec."""
     ws, paths = chunked_files
     raw_mb = ws.events.data.nbytes / 2**20
     rows = []
@@ -78,17 +70,15 @@ def test_cold_vs_warm_tile_scan(chunked_files):
             ds = cols[0]
             stored = sum(sum(c.chunk_stored_nbytes()) for c in cols)
             raw_cols = [c.basename for c in cols if c.codec == "none"]
-            tiles = TileManager(cols)  # unlimited budget: nothing evicts
-            cold_s, n_cold = _scan(tiles, ds)
-            warm_s, n_warm = _scan(tiles, ds)
+            tiles = TileManager(cols)
+            t0 = time.perf_counter()
+            n_rows = sum(tiles.window(a, b)[0].shape[0]
+                         for a, b in ds.chunk_ranges())
+            scan_s = time.perf_counter() - t0
             stats = tiles.stats
-            # accounting invariants: one miss per column stream cold,
-            # one hit per stream warm, the warm scan decoded zero bytes
-            streams = ds.n_chunks * len(cols)
-            assert n_cold == n_warm == ws.events.n_events
-            assert stats.misses == streams, stats.snapshot()
-            assert stats.hits == streams, stats.snapshot()
-            assert stats.evictions == 0, stats.snapshot()
+            assert n_rows == ws.events.n_events
+            assert stats.misses == ds.n_chunks * len(cols), stats.snapshot()
+            assert stats.hits == 0, stats.snapshot()
             assert stats.decoded_bytes == ws.events.data.nbytes
             rows.append((
                 codec,
@@ -96,18 +86,16 @@ def test_cold_vs_warm_tile_scan(chunked_files):
                 ",".join(raw_cols) or "-",
                 f"{stored / 2**20:.2f}",
                 f"{ws.events.data.nbytes / max(stored, 1):.2f}x",
-                f"{cold_s:.4f}",
-                f"{raw_mb / max(cold_s, 1e-9):.0f}",
-                f"{warm_s:.4f}",
-                f"{cold_s / max(warm_s, 1e-9):.1f}x",
+                f"{scan_s:.4f}",
+                f"{raw_mb / max(scan_s, 1e-9):.0f}",
             ))
     record_report(
         "chunked_io",
         format_table(
             f"Chunked event I/O ({ws.events.n_events} events, "
             f"{raw_mb:.2f} MB raw, {CHUNK_ROWS}-row chunks)",
-            ["codec", "stored raw", "stored MB", "ratio", "cold scan (s)",
-             "decode MB/s", "warm scan (s)", "warm speedup"],
+            ["codec", "stored raw", "stored MB", "ratio", "scan (s)",
+             "decode MB/s"],
             rows,
         ),
     )
@@ -115,17 +103,20 @@ def test_cold_vs_warm_tile_scan(chunked_files):
 
 @pytest.mark.parametrize("codec", CHUNK_CODECS)
 def test_budgeted_scan_bounded_and_identical(chunked_files, codec):
-    """A scan through a budget ~4x smaller than the table completes
-    with peak residency under the budget and reads the exact bytes."""
+    """The planner's windows under a budget ~4x smaller than the BinMD
+    columns read those columns exactly, each window within the budget."""
     ws, paths = chunked_files
-    budget = max(CHUNK_ROWS * 64 * 2, ws.events.data.nbytes // 4)
-    with File(paths[codec], "r") as f:
-        cols = _columns(f)
-        ds = cols[0]
-        tiles = TileManager(cols, budget_bytes=budget)
-        parts = [np.stack(tiles.window(a, b)) for a, b in ds.chunk_ranges()]
-        stats = tiles.stats
-    assert np.array_equal(np.concatenate(parts, axis=1), ws.events.cols)
-    if ds.nbytes * len(cols) > budget:
-        assert stats.evictions > 0, stats.snapshot()
+    n = ws.events.n_events
+    binmd_nbytes = len(BINMD_COLUMNS) * 8 * n
+    budget = max(CHUNK_ROWS * 40 * 2, binmd_nbytes // 4)
+    lazy = LazyEventTable(paths[codec], memory_budget=budget)
+    try:
+        windows = [lazy.binmd_window(a, b)
+                   for a, b in lazy_table_ranges(lazy, 1)]
+        stats = lazy.tile_stats
+    finally:
+        lazy.close()
+    got = np.concatenate([np.stack(w) for w in windows], axis=1)
+    assert np.array_equal(got, ws.events.cols[list(BINMD_COLUMNS)])
+    assert stats.decoded_bytes == binmd_nbytes, stats.snapshot()
     assert 0 < stats.peak_resident_bytes <= budget, stats.snapshot()

@@ -207,9 +207,10 @@ def load_md(
     dataset; either way every decoded chunk stream is CRC-checked.
     With ``memory_budget`` (bytes) the returned workspace carries a
     :class:`~repro.nexus.tiles.LazyEventTable` — metadata is read now,
-    event chunks are decoded on demand under the budget's LRU tile
-    cache and the table is **never** materialized; without a budget
-    the chunked table is materialized eagerly into columns.  The
+    each shard window decodes its own chunks straight from the file
+    (no more decoded bytes than the budget, one chunk at the least),
+    and the table is **never** materialized; without a budget the
+    chunked table is materialized eagerly into columns.  The
     paper's load-time transpose is not paid here; the proxies pay it
     with :func:`transpose_events`.  This is :func:`begin_md` joined at
     once.
@@ -237,7 +238,7 @@ def begin_md(
         grp = f["MDEventWorkspace"]
         payload = None
         if "event_columns" in grp or "event_table" in grp:
-            events: "EventTable | LazyEventTable | None" = LazyEventTable.adopt(
+            events: "EventTable | LazyEventTable | None" = LazyEventTable(
                 f, memory_budget=memory_budget)
             if memory_budget is None:
                 events = events.materialize()

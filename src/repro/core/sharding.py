@@ -5,8 +5,9 @@ block of files).  This module adds the level below: a rank that owns a
 run cuts its MDNorm and its BinMD into contiguous **ranges** (planned
 by :mod:`repro.mpi.decomposition`) and executes every range in the
 calling thread.  Ranges are the unit of out-of-core reads (each decodes
-only its own bounded window) and of work stealing (each is one
-stealable task); the only parallel level stays the paper's own, ranks
+its own chunk-aligned window once, straight from the chunk reader, so
+no chunk is decoded twice) and of work stealing (each is one stealable
+task); the only parallel level stays the paper's own, ranks
 over runs.
 
 One kernel body, one launch per range (DESIGN.md §6f).  A range runs
@@ -182,7 +183,7 @@ class ShardContext:
     order, which is what makes results independent of which rank
     executed which range, in what order.  The captures are safe to
     share across rank threads: every execution records into a fresh
-    recorder, and a lazy table's tile cache is locked.
+    recorder, and a lazy table reads one window at a time.
     """
 
     op_name: str
@@ -341,8 +342,8 @@ def execute_shard_range(ctx: ShardContext, index: int) -> List[Log]:
     happens here — callers collect logs (possibly from ranges executed
     by different ranks, out of order) and fold them with
     :func:`replay_shard_logs` once every planned range has reported.
-    A lazy range reads its window through the run's budgeted tile
-    cache.
+    A lazy range decodes its own window's chunks from the run file;
+    no other range decodes them.
     """
     a, b = ctx.ranges[index]
     return _RANGE_BODIES[ctx.op_name](ctx, a, b)
@@ -477,8 +478,8 @@ def sharded_binmd(
     metadata (snapped to chunk boundaries, balanced by stored chunk
     bytes, capped so no window decodes more rows than the table's
     memory budget), and each shard decodes only BinMD's five columns
-    of its own window through the run's tile cache.  The batch body
-    bins a window exactly
+    of its own window, once, straight from the chunk reader.  The
+    batch body bins a window exactly
     as it bins the same rows of the full table, so the replayed
     histogram stays bit-identical to the in-memory path for every chunk
     size, codec, budget and shard count.

@@ -71,7 +71,7 @@ class WorkflowConfig:
     #: optional per-run event weights (run manifest) for weight-balanced
     #: rank blocks — the outer level of the 2-D decomposition
     run_weights: Optional[Sequence[float]] = None
-    #: out-of-core byte budget for each run's decoded-chunk tile cache
+    #: out-of-core byte budget for the decoded chunks of one BinMD window
     #: (``--memory-budget``).  Requires chunked (``save_md(chunk_events=
     #: ...)``) run files; None = load each run's table into memory
     memory_budget: Optional[int] = None

@@ -208,9 +208,10 @@ def lazy_table_ranges(events, n_shards: int) -> List[Tuple[int, int]]:
     arithmetic).  ``events`` is duck-typed on the
     :class:`~repro.nexus.tiles.LazyEventTable` surface: ``chunk_bounds()``,
     ``chunk_stored_nbytes()``, ``memory_budget`` and ``row_nbytes`` —
-    the decoded column bytes one window row puts in the tile cache (the
-    five BinMD columns of a column-stream file), so the row cap counts
-    what a window actually decodes.
+    the decoded bytes one window row holds (the five BinMD columns of a
+    column-stream file), so the row cap counts what a window actually
+    decodes.  Each range is read once, so every chunk is decoded once
+    per pass; a budget below one chunk still reads one chunk per range.
     """
     return chunk_aligned_event_ranges(
         events.chunk_bounds(),

@@ -13,7 +13,8 @@ signal, ``error_sq`` and MDNorm, under the static executor and the
   solid angles;
 * lazy BinMD at ``chunk_events`` of 1, 7, ``n`` and ``n + 3``;
 * an empty run, a budget smaller than one decoded chunk, and events
-  exactly on bin edges.
+  exactly on bin edges;
+* one full reduction decoding every BinMD chunk stream exactly once.
 
 The deposit recorder every range launches into is covered on its own
 at the end: its log keeps the batch body's call order, tracks
@@ -194,8 +195,8 @@ class TestLazyBinMDWindows:
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_budget_below_one_decoded_chunk(self, exp, tmp_path, executor):
-        """A 16-event chunk decodes to 5 x 128 B; a 200 B budget holds
-        one column stream of it at a time."""
+        """A 16-event chunk decodes to 5 x 128 B; under a 200 B budget
+        every window still reads one whole chunk, the floor."""
         budget = 200
         paths, tables = [], []
         for i, ws in enumerate(exp.wss):
@@ -210,11 +211,43 @@ class TestLazyBinMDWindows:
         ref = _reduce(exp, exp.wss)
         res = _reduce(exp, exp.wss, executor, n_shards=2, loader=loader)
         _assert_identical(res, ref)
-        decoded = [t.tile_stats for t in tables if t._tiles is not None]
-        assert decoded
-        for stats in decoded:
-            assert 0 < stats.peak_resident_bytes <= budget
-            assert stats.evictions > 0
+        assert tables
+        for table in tables:
+            stats = table.tile_stats
+            assert stats.peak_resident_bytes == 5 * 16 * 8
+            # one window per chunk, each of its five streams decoded once
+            assert stats.misses == 5 * len(table.chunk_ranges())
+            assert stats.decoded_bytes == 5 * 8 * table.n_events
+
+    @pytest.mark.parametrize("budget", (30, 1 << 20))
+    @pytest.mark.parametrize("executor,n_shards",
+                             (("static", 1), ("static", 3), ("stealing", 3)))
+    def test_every_stream_decoded_once(self, exp, reference, tmp_path,
+                                       executor, n_shards, budget):
+        """A full out-of-core reduction decodes each BinMD chunk stream
+        exactly once, whatever the executor, shard count or budget (30 B
+        is below one 40 B row): a cache of decoded chunks would never
+        hit.  Every run ends in a short chunk."""
+        paths, tables = [], []
+        for i, ws in enumerate(exp.wss):
+            assert ws.n_events % 16
+            paths.append(str(tmp_path / f"r{i}.md.h5"))
+            save_md(paths[-1], ws, chunk_events=16, codec="zlib")
+
+        def loader(i):
+            ws = load_md(paths[i], memory_budget=budget)
+            tables.append(ws.events)
+            return ws
+
+        res = _reduce(exp, exp.wss, executor, n_shards=n_shards, loader=loader)
+        _assert_identical(res, reference)
+        assert len(tables) == len(exp.wss)
+        for table in tables:
+            stats = table.tile_stats
+            assert stats.hits == 0
+            assert stats.misses == 5 * len(table.chunk_ranges())
+            assert stats.decoded_bytes == 5 * 8 * table.n_events
+            table.close()
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_events_on_bin_edges(self, exp, tmp_path, executor):

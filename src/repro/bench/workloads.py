@@ -200,15 +200,12 @@ def _spec_digest(spec: WorkloadSpec) -> str:
         "detectors": spec.n_detectors,
         "bins": spec.grid_bins,
         "seed": spec.seed,
-        "format": 2,  # 2: pulse_times in event files + instrument IDF
+        # 2: pulse_times in event files + instrument IDF; 3: SaveMD's
+        # one layout (a stream per column, the Q digest in the header)
+        "format": 3,
     }
-    # only chunked specs key on the layout, so the digests (and cached
-    # fixture directories) of existing contiguous workloads are unchanged;
-    # "md_layout" keeps a cache of row-major chunked files from being
-    # read as the one-stream-per-column layout
     if spec.chunk_events is not None:
         fields["chunk_events"] = int(spec.chunk_events)
-        fields["md_layout"] = "columns"
     payload = json.dumps(fields, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

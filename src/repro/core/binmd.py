@@ -36,11 +36,9 @@ from repro.jacc import parallel_for, resolve_backend
 from repro.jacc.kernels import Captures, Kernel
 from repro.nexus.events import (
     BINMD_COLUMNS,
-    COL_ERROR_SQ,
     COL_QX,
-    COL_QY,
     COL_QZ,
-    COL_SIGNAL,
+    WEIGHT_COLUMNS,
     EventTable,
 )
 from repro.util import trace as _trace
@@ -53,14 +51,14 @@ DEFAULT_TILE = 1 << 18
 def _bin_events_element(ctx: Captures, n: int, i: int) -> None:
     """Listing 3's body: transform one event by one op, atomic push."""
     op = ctx.transforms[n]
-    ev = ctx.events
-    qx = ev[i, COL_QX]
-    qy = ev[i, COL_QY]
-    qz = ev[i, COL_QZ]
+    signal, error_sq, qxs, qys, qzs = ctx.columns
+    qx = qxs[i]
+    qy = qys[i]
+    qz = qzs[i]
     c0 = op[0, 0] * qx + op[0, 1] * qy + op[0, 2] * qz
     c1 = op[1, 0] * qx + op[1, 1] * qy + op[1, 2] * qz
     c2 = op[2, 0] * qx + op[2, 1] * qy + op[2, 2] * qz
-    ctx.hist.push(c0, c1, c2, ev[i, COL_SIGNAL], ev[i, COL_ERROR_SQ])
+    ctx.hist.push(c0, c1, c2, signal[i], error_sq[i])
 
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
@@ -71,32 +69,42 @@ def _index_dtype(n_bins: int, n_events: int) -> type:
     return np.int32 if max(n_bins, n_events) <= _INT32_MAX else np.int64
 
 
-def _q_rows(events: np.ndarray) -> np.ndarray:
-    """The ``(3, n)`` Q rows of an ``(n, 8)`` event array, as a view.
-
-    For an :class:`EventTable`'s ``data`` they are slices of its
-    ``cols`` block: unit-stride and C-contiguous."""
-    return events[:, COL_QX : COL_QZ + 1].T
+def _n_events(events: EventTable | np.ndarray) -> int:
+    if isinstance(events, EventTable):
+        return events.n_events
+    return int(np.asarray(events).shape[0])
 
 
-def binmd_columns(events: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The columns the batch body reads (:data:`BINMD_COLUMNS`: signal,
-    error_sq, Qx, Qy, Qz) of an ``(n, 8)`` event array, as views."""
-    return tuple(events[:, c] for c in BINMD_COLUMNS)
+def binmd_columns(events: EventTable | np.ndarray, *,
+                  q: bool = True) -> tuple[Optional[np.ndarray], ...]:
+    """The columns the bodies read (:data:`BINMD_COLUMNS`: signal,
+    error_sq, Qx, Qy, Qz) of a table or an ``(n, 8)`` event array, as
+    views.  ``q=False`` (a launch on cached pairs) leaves the Q slots
+    None, so a table that holds only signal and error_sq will do."""
+    if isinstance(events, EventTable):
+        column = events.column
+    else:
+        data = np.asarray(events)
+
+        def column(c: int) -> np.ndarray:
+            return data[:, c]
+    return tuple(column(c) if q or c in WEIGHT_COLUMNS else None
+                 for c in BINMD_COLUMNS)
 
 
 def binmd_cache_key(grid, transforms: np.ndarray,
                     events: EventTable | np.ndarray) -> tuple:
     """The geometry-cache key of one BinMD launch.
 
-    The Q rows are hashed in place when they are contiguous (a
-    column-major :class:`EventTable`) and copied once otherwise, so a
-    table has one key whatever its layout; a table loaded with its Q
-    leaves already hashed (``q_leaves``) is not hashed again."""
-    data = events.data if isinstance(events, EventTable) else np.asarray(events)
-    leaves = events.q_leaves if isinstance(events, EventTable) else None
-    return GeomCache.binmd_key(grid, np.asarray(transforms, dtype=np.float64),
-                               _q_rows(data), leaves)
+    A table whose load knew its Q digest (``q_digest``, stored by
+    SaveMD) is not hashed; otherwise the Q rows are hashed in place
+    when they are contiguous (a column-major :class:`EventTable`) and
+    copied once otherwise, so a table has one key whatever its layout."""
+    if isinstance(events, EventTable):
+        q = events.q_digest if events.q_digest is not None else events.q_rows
+    else:
+        q = np.asarray(events)[:, COL_QX : COL_QZ + 1].T
+    return GeomCache.binmd_key(grid, np.asarray(transforms, dtype=np.float64), q)
 
 
 def _in_grid_pairs(
@@ -180,6 +188,7 @@ def bin_events(
     scatter_impl: str = "atomic",
     cache: Optional[GeomCache] = None,
     cache_tag: Optional[str] = None,
+    lookup: Optional[tuple] = None,
 ) -> Hist3:
     """Accumulate ``events`` into ``hist`` under every transform.
 
@@ -209,8 +218,14 @@ def bin_events(
     cache_tag:
         Optional lifecycle tag recorded on inserted entries (see
         :meth:`GeomCache.invalidate`).
+    lookup:
+        ``(key, entry)`` of this launch's cache lookup when the caller
+        made it already (the per-run step does, before the load reads
+        the columns, so a warm table need hold only signal and
+        error_sq); the launch then looks nothing up, and inserts under
+        ``key`` when ``entry`` is None.
     """
-    data = events.data if isinstance(events, EventTable) else np.asarray(events)
+    n_events = _n_events(events)
     transforms = np.asarray(transforms, dtype=np.float64)
     require(transforms.ndim == 3 and transforms.shape[1:] == (3, 3),
             "transforms must be (n_ops, 3, 3)")
@@ -218,16 +233,20 @@ def bin_events(
 
     cache = _gc.resolve(cache)
     tracer = _trace.active_tracer()
+    engine = resolve_backend(backend)
+    batch = engine.body == "batch"
     with tracer.span(
         "binmd",
         kind="op",
-        backend=resolve_backend(backend).name,
+        backend=engine.name,
         n_ops=int(transforms.shape[0]),
-        n_events=int(data.shape[0]),
+        n_events=n_events,
     ) as op_span:
         entry: Optional[BinMDEntry] = None
         key = None
-        if cache.enabled:
+        if lookup is not None:
+            key, entry = lookup
+        elif cache.enabled:
             key = binmd_cache_key(hist.grid, transforms, events)
             entry = cache.get(key)
         op_span.set(cache_hit=entry is not None)
@@ -238,21 +257,20 @@ def bin_events(
                 cache_hit=True, stored_pairs=entry.n_pairs,
                 index_itemsize=entry.itemsize)
             op_span.set(perf=binmd_work(
-                int(transforms.shape[0]), int(data.shape[0]),
+                int(transforms.shape[0]), n_events,
                 track_errors=hist.flat_error_sq is not None, **warm,
             ))
 
         captures = Captures(
             hist=hist,
-            events=data,
-            columns=binmd_columns(data),
+            columns=binmd_columns(events, q=entry is None or not batch),
             transforms=transforms,
             tile=int(tile),
             scatter_impl=scatter_impl,
             binmd_entry=entry,
         )
         parallel_for(
-            (transforms.shape[0], data.shape[0]),
+            (transforms.shape[0], n_events),
             BIN_EVENTS_KERNEL,
             captures,
             backend=backend,
@@ -265,6 +283,5 @@ def bin_events(
                 cache.put(BinMDEntry(key=key, tag=cache_tag,
                                      flat=_gc.freeze(in_grid[0]),
                                      event=_gc.freeze(in_grid[1])))
-        tracer.count("binmd.events",
-                      int(transforms.shape[0]) * int(data.shape[0]))
+        tracer.count("binmd.events", int(transforms.shape[0]) * n_events)
     return hist

@@ -48,6 +48,7 @@ from repro.crystal.symmetry import PointGroup
 from repro.jacc import resolve_backend
 from repro.mpi import Comm, SequentialComm, balanced_rank_runs
 from repro.nexus.corrections import FluxSpectrum
+from repro.nexus.events import BINMD_COLUMNS, WEIGHT_COLUMNS
 from repro.util import faults as _faults
 from repro.util import monitor as _monitor
 from repro.util import trace as _trace
@@ -144,11 +145,11 @@ def _load_run(
     load_run: Callable[[int], Any], i: int, timings: StageTimings
 ) -> MDEventWorkspace:
     """UpdateEvents: load run ``i`` (timed; a begun load is joined at
-    once) and check it carries a UB."""
+    once, reading BinMD's columns) and check it carries a UB."""
     with timings.stage("UpdateEvents"):
         ws = load_run(i)
         if isinstance(ws, PendingMD):
-            ws = ws.join()
+            ws = ws.join(BINMD_COLUMNS)
     _check_ub(ws, i)
     return ws
 
@@ -223,24 +224,44 @@ def _run_step(
     or the in-memory kernel — and returns the run's workspace.
 
     When ``load_run`` returns a :class:`PendingMD` (the workflow's
-    loader does), the payload's read and CRC32 run on the ``bytesplit``
-    helper while MDNorm, which reads no events, runs; the join before
-    BinMD is charged to UpdateEvents.  The helper also hashes the Q
-    rows' key leaves when BinMD will look them up (in memory, unsharded,
-    cache enabled)."""
+    loader does), its columns are read on the ``bytesplit`` helper
+    while MDNorm, which reads no events, runs; the join before BinMD is
+    charged to UpdateEvents.  Between the load and MDNorm, outside
+    every stage timer, the step builds BinMD's cache key from the Q
+    digest stored in the file and makes the run's one lookup (in
+    memory, unsharded, cache enabled).  On a hit that the batch body
+    will deposit, the load reads signal and error_sq alone; otherwise
+    BinMD's five columns, whose Q rows the join checks against the
+    stored digest when the run looked its key up (a key that inserts
+    an entry must describe the rows binned; elsewhere each stream's
+    CRC32 is the check).  The entry found is handed to BinMD, which looks
+    nothing up again, so no eviction in between can turn the hit into
+    a Q read."""
     monitor = _monitor.active_monitor()
-    key_leaves = binmd_impl is None and shards is None and cache.enabled
+    looks_up = binmd_impl is None and shards is None and cache.enabled
+    batch = resolve_backend(backend).body == "batch"
 
     def step(i: int, binmd_hist: Hist3, mdnorm_hist: Hist3) -> MDEventWorkspace:
         pending = None
+        lookup = None
         try:
             with timings.stage("UpdateEvents"):
                 loaded = load_run(i)
-                if isinstance(loaded, PendingMD):
-                    pending = loaded
-                    pending.start(key_leaves=key_leaves)
+            if isinstance(loaded, PendingMD):
+                pending = loaded
             ws = loaded if pending is None else pending.ws
             _check_ub(ws, i)
+            event_transforms = grid.transforms_for(ws.ub_matrix, point_group)
+            if pending is not None:
+                columns = BINMD_COLUMNS
+                if looks_up and pending.q_digest is not None:
+                    key = cache.binmd_key(grid, event_transforms,
+                                          pending.q_digest)
+                    lookup = (key, cache.get(key))
+                    if lookup[1] is not None and batch:
+                        columns = WEIGHT_COLUMNS
+                with timings.stage("UpdateEvents"):
+                    pending.start(columns, keyed=lookup is not None)
             _mdnorm_step(i, ws, mdnorm_hist)
             if pending is not None:
                 with timings.stage("UpdateEvents"), _trace.active_tracer().span(
@@ -249,7 +270,7 @@ def _run_step(
         finally:
             if pending is not None:
                 pending.close()
-        _binmd_step(i, ws, binmd_hist)
+        _binmd_step(i, ws, event_transforms, binmd_hist, lookup)
         return ws
 
     def _mdnorm_step(i: int, ws: MDEventWorkspace, mdnorm_hist: Hist3) -> None:
@@ -279,8 +300,8 @@ def _run_step(
                     cache=cache, cache_tag=tag,
                 )
 
-    def _binmd_step(i: int, ws: MDEventWorkspace, binmd_hist: Hist3) -> None:
-        event_transforms = grid.transforms_for(ws.ub_matrix, point_group)
+    def _binmd_step(i: int, ws: MDEventWorkspace, event_transforms: np.ndarray,
+                    binmd_hist: Hist3, lookup: Optional[tuple]) -> None:
         tag = f"run:{i}"
         if monitor.enabled:
             monitor.heartbeat(comm.rank, site=f"run:{i}/BinMD")
@@ -298,7 +319,7 @@ def _run_step(
                 bin_events(
                     binmd_hist, ws.events, event_transforms,
                     backend=backend, scatter_impl=scatter_impl,
-                    cache=cache, cache_tag=tag,
+                    cache=cache, cache_tag=tag, lookup=lookup,
                 )
 
     return step

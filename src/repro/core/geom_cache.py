@@ -50,6 +50,7 @@ Pass :data:`DISABLED` to any cache-aware entry point to opt out.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import threading
@@ -86,20 +87,25 @@ def digest_array(arr: np.ndarray) -> str:
     SHA-256 about twice as fast as BLAKE2b.
     """
     a = np.ascontiguousarray(arr)
-    return digest_leaves(
-        a, _bytesplit.sha256_halves(a.reshape(-1).view(np.uint8)))
+    return digest_leaves(a.dtype, a.shape, _bytesplit.sha256_halves(
+        a.reshape(-1).view(np.uint8)))
 
 
-def digest_leaves(arr: np.ndarray, leaves: Tuple[bytes, bytes]) -> str:
-    """:func:`digest_array` of ``arr`` from the two SHA-256 leaves of
-    its C-order bytes, hashed elsewhere (cut as ``sha256_halves``
-    cuts); only ``arr``'s dtype and shape are read."""
-    h = hashlib.sha256()
-    h.update(str(arr.dtype).encode())
-    h.update(repr(arr.shape).encode())
+def digest_leaves(dtype: np.dtype, shape: Tuple[int, ...],
+                  leaves: Tuple[bytes, bytes]) -> str:
+    """:func:`digest_array` of an array of ``dtype`` and ``shape`` from
+    the two SHA-256 leaves of its C-order bytes, hashed elsewhere (cut
+    as ``sha256_halves`` cuts)."""
+    h = hashlib.sha256(_dtype_text(np.dtype(dtype)))
+    h.update(repr(tuple(shape)).encode())
     for leaf in leaves:
         h.update(leaf)
     return h.hexdigest()[:32]
+
+
+@functools.lru_cache(maxsize=None)
+def _dtype_text(dtype: np.dtype) -> bytes:
+    return str(dtype).encode()
 
 
 def digest_grid(grid) -> str:
@@ -385,13 +391,13 @@ class GeomCache:
         )
 
     @staticmethod
-    def binmd_key(grid, transforms: np.ndarray, q_rows: np.ndarray,
-                  q_leaves: Optional[Tuple[bytes, bytes]] = None) -> Tuple[Any, ...]:
+    def binmd_key(grid, transforms: np.ndarray,
+                  q_rows: "np.ndarray | str") -> Tuple[Any, ...]:
         """Key of one BinMD (grid, symmetry transforms, event Q rows).
 
         ``q_rows`` is ``(3, n)``: Qx, Qy and Qz, one row each, hashed in
-        place when C-contiguous, or not at all when ``q_leaves`` (their
-        two SHA-256 leaves, hashed on load) are given.  Which lanes
+        place when C-contiguous; or their :func:`digest_array` digest
+        already made (SaveMD stores it in the run file).  Which lanes
         land in which bin depends on nothing else, so two tables that
         differ only in their weights share one entry.
         """
@@ -399,8 +405,7 @@ class GeomCache:
             KIND_BINMD,
             _scoped(grid, digest_grid),
             digest_array(transforms),
-            digest_array(q_rows) if q_leaves is None
-            else digest_leaves(q_rows, q_leaves),
+            q_rows if isinstance(q_rows, str) else digest_array(q_rows),
         )
 
     @staticmethod

@@ -5,10 +5,10 @@ Mirrors the paper's data flow: the production workflow saves each run's
 into HDF5 files that the proxies then load.  ``UpdateEvents`` — the
 stage timed in Tables III-VI — is that load: reading "an HDF5 array
 with 8 columns and a row for each neutron event" and transposing it
-"from row-major to column-major".  Legacy files store the table
-column-major, which is the kernel layout of
-:class:`~repro.nexus.events.EventTable`, so :func:`load_md` adopts the
-payload as read.  The proxies that reproduce Tables III-VI pay the
+"from row-major to column-major".  SaveMD stores the table one stream
+per column, the kernel layout of :class:`~repro.nexus.events.EventTable`,
+so a load reads the columns as stored, and a reduction reads only the
+columns it consumes.  The proxies that reproduce Tables III-VI pay the
 paper's transpose explicitly with :func:`transpose_events`.
 
 :func:`convert_to_md` is the upstream conversion (Mantid's
@@ -21,13 +21,15 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.geom_cache import digest_array, digest_leaves
 from repro.instruments.conversion import q_lab_from_events
 from repro.instruments.detector import DetectorArray
 from repro.nexus.events import (
+    BINMD_COLUMNS,
     COL_DETECTOR_ID,
     COL_ERROR_SQ,
     COL_GONIOMETER_INDEX,
@@ -37,9 +39,10 @@ from repro.nexus.events import (
     COLUMN_NAMES,
     EventTable,
     N_EVENT_COLUMNS,
+    Q_COLUMNS,
     RunData,
 )
-from repro.nexus.h5lite import File, PayloadRead
+from repro.nexus.h5lite import CorruptFileError, File, Group, PayloadRead
 from repro.nexus.tiles import LazyEventTable
 from repro.util import faults as _faults
 from repro.util import trace as _trace
@@ -126,60 +129,59 @@ def convert_to_md(
     )
 
 
+#: the order SaveMD writes the columns in: BinMD's five first, signal
+#: and error_sq leading, so the streams a load reads together are one
+#: byte range of the file
+WRITE_ORDER = BINMD_COLUMNS + (COL_RUN_INDEX, COL_DETECTOR_ID,
+                               COL_GONIOMETER_INDEX)
+#: the attribute of the ``event_columns`` group holding the Q digest
+Q_DIGEST_ATTR = "q_digest"
+ALL_COLUMNS = tuple(range(N_EVENT_COLUMNS))
+_FLOAT64 = np.dtype(np.float64)
+
+
 def save_md(
     path: Union[str, os.PathLike],
     ws: MDEventWorkspace,
     *,
-    compression: Optional[str] = None,
     chunk_events: Optional[int] = None,
-    codec: str = "zlib",
+    codec: Optional[str] = None,
 ) -> None:
     """SaveMD: persist the workspace for the proxies to load.
 
-    Two layouts:
-
-    * legacy (default): the event table is stored column-major
-      (``8 x n``), the table's own ``cols`` block written as is;
-      ``compression="zlib"`` deflates the whole payload in one blob.
-    * chunked (``chunk_events=N``): every column is its own 1-D dataset
-      under ``event_columns`` (named by
-      :data:`~repro.nexus.events.COLUMN_NAMES`), cut into chunks of
-      ``N`` events that are encoded and CRC-checked one stream per
-      column per chunk.  ``codec`` (one of
-      :data:`repro.nexus.h5lite.CHUNK_CODECS`) is requested per column,
-      not guaranteed: a column it cannot halve, such as the Q columns
-      under ``zlib``, is stored raw.  This is what lets :func:`load_md`
-      hand the reduction a bounded-memory
-      :class:`~repro.nexus.tiles.LazyEventTable` that decodes only the
-      five columns BinMD reads, instead of materializing the run (the
-      paper's raw datasets are 8.5-206 GB).
+    One layout: every column is its own 1-D chunked dataset under
+    ``event_columns`` (named by
+    :data:`~repro.nexus.events.COLUMN_NAMES`), cut into chunks of
+    ``chunk_events`` events (one chunk per column without it) that are
+    encoded and CRC-checked one stream per column per chunk.  The
+    columns are written in :data:`WRITE_ORDER`, so the streams BinMD
+    reads (and, first of all, signal and error_sq) are one byte range.
+    The group's ``q_digest`` attribute holds
+    :func:`~repro.core.geom_cache.digest_array` of the table's ``(3,
+    n)`` Q rows, hashed here once: a load keys BinMD's cache from it
+    without reading Q, so a saved table and the same table in memory
+    share one cache key.  ``codec`` (one of
+    :data:`repro.nexus.h5lite.CHUNK_CODECS`) is requested per column,
+    not guaranteed: a column it cannot halve, such as the Q columns
+    under ``zlib``, is stored raw.  None requests ``zlib`` for a
+    chunked file and stores a one-chunk file raw.  Chunks are what let
+    :func:`load_md` hand the reduction a bounded-memory
+    :class:`~repro.nexus.tiles.LazyEventTable` instead of
+    materializing the run (the paper's raw datasets are 8.5-206 GB).
     """
-    if chunk_events is not None and compression is not None:
-        raise ValidationError(
-            "chunk_events and whole-payload compression are exclusive"
-        )
+    events = (ws.events if isinstance(ws.events, EventTable)
+              else EventTable(np.asarray(ws.events, dtype=np.float64)))
+    rows = int(chunk_events) if chunk_events is not None else max(events.n_events, 1)
+    if codec is None:
+        codec = "none" if chunk_events is None else "zlib"
     with File(path, "w") as f:
         grp = f.create_group("MDEventWorkspace")
         grp.attrs["NX_class"] = "NXentry"
-        if chunk_events is not None:
-            cols = (
-                ws.events.cols
-                if isinstance(ws.events, EventTable)
-                else np.asarray(ws.events, dtype=np.float64).T
-            )
-            for name, col in zip(COLUMN_NAMES, cols):
-                grp.create_dataset(
-                    f"event_columns/{name}",
-                    data=col,
-                    chunk_rows=int(chunk_events),
-                    codec=codec,
-                )
-        else:
-            grp.create_dataset(
-                "event_data",
-                data=ws.events.cols,
-                compression=compression,
-            )
+        columns = grp.create_group("event_columns")
+        columns.attrs[Q_DIGEST_ATTR] = digest_array(events.q_rows)
+        for c in WRITE_ORDER:
+            columns.create_dataset(COLUMN_NAMES[c], data=events.column(c),
+                                   chunk_rows=rows, codec=codec)
         grp.create_dataset("run_number", data=np.array(ws.run_number, dtype=np.int64))
         grp.create_dataset("goniometer", data=ws.goniometer)
         grp.create_dataset(
@@ -199,21 +201,17 @@ def load_md(
 ) -> MDEventWorkspace:
     """LoadMD / UpdateEvents: read the 8-column table.
 
-    Legacy files store the table column-major (``8 x n``): the payload
-    is read whole, its CRC32 and shape are checked, and the checked
-    array becomes the table's ``cols`` without a copy (it is
-    read-only).  Chunked files (``save_md(chunk_events=...)``) store
-    one dataset per column, and row-major v2 files one ``(n, 8)``
-    dataset; either way every decoded chunk stream is CRC-checked.
-    With ``memory_budget`` (bytes) the returned workspace carries a
-    :class:`~repro.nexus.tiles.LazyEventTable` — metadata is read now,
-    each shard window decodes its own chunks straight from the file
-    (no more decoded bytes than the budget, one chunk at the least),
-    and the table is **never** materialized; without a budget the
-    chunked table is materialized eagerly into columns.  The
+    Reads and checks all eight column streams (every CRC32) and returns
+    them as one read-only ``(8, n)`` block, whose Q rows are hashed if a
+    BinMD key is ever built from them; this is :func:`begin_md` joined at once.  With
+    ``memory_budget`` (bytes) the returned workspace carries a
+    :class:`~repro.nexus.tiles.LazyEventTable` instead — metadata is
+    read now, each shard window decodes its own chunks straight from
+    the file (no more decoded bytes than the budget, one chunk at the
+    least), and the table is **never** materialized.  Files written
+    before the one layout (see :func:`begin_md`) are read whole.  The
     paper's load-time transpose is not paid here; the proxies pay it
-    with :func:`transpose_events`.  This is :func:`begin_md` joined at
-    once.
+    with :func:`transpose_events`.
     """
     return begin_md(path, memory_budget=memory_budget).join()
 
@@ -225,32 +223,31 @@ def begin_md(
 ) -> "PendingMD":
     """The first half of :func:`load_md`, on the caller.
 
-    Fires ``nexus.read_events`` and the payload's ``h5lite.read`` fault
-    points in :func:`load_md`'s order, checks the payload's shape in the
-    header, and reads the header and the metadata (UB, goniometer, band, charge) into ``pending.ws``, whose
-    ``events`` is None until :meth:`PendingMD.join`.  A chunked table
-    (lazy or materialized) is complete already; a legacy payload is
-    not read yet.
+    Fires ``nexus.read_events``, reads the header and the metadata (UB,
+    goniometer, band, charge) into ``pending.ws`` and takes the stored
+    Q digest into ``pending.q_digest``; ``ws.events`` is None until
+    :meth:`PendingMD.join`, and no column is read yet.  With
+    ``memory_budget`` a chunked table is a lazy one, complete already.
+    Files without a stored digest fall back to one eager read of the
+    whole table, here: v1 ``(8, n)`` ``event_data`` payloads, row-major
+    ``event_table`` files and column files written before the digest
+    was stored.  Their Q rows are hashed when BinMD builds its key.
     """
     _faults.fault_point("nexus.read_events", path=os.fspath(path))
     f = File(path, "r")
     try:
         grp = f["MDEventWorkspace"]
-        payload = None
-        if "event_columns" in grp or "event_table" in grp:
+        columns = grp["event_columns"] if "event_columns" in grp else None
+        q_digest = None
+        if memory_budget is not None and (columns is not None
+                                          or "event_table" in grp):
             events: "EventTable | LazyEventTable | None" = LazyEventTable(
                 f, memory_budget=memory_budget)
-            if memory_budget is None:
-                events = events.materialize()
-        else:
+        elif columns is not None and Q_DIGEST_ATTR in columns.attrs:
             events = None
-            payload = grp.require_dataset("event_data").begin_read()
-            shape = payload.shape
-            if len(shape) != 2 or shape[0] != N_EVENT_COLUMNS:
-                raise ValidationError(
-                    f"{f.path!r}: event_data must be "
-                    f"({N_EVENT_COLUMNS}, n), got {shape}"
-                )
+            q_digest = str(columns.attrs[Q_DIGEST_ATTR])
+        else:
+            events = _read_whole(f, grp)
         band = grp.read("momentum_band")
         ub = grp.read("ub_matrix") if "ub_matrix" in grp else None
         ws = MDEventWorkspace(
@@ -264,66 +261,114 @@ def begin_md(
     except BaseException:
         f.close()
         raise
-    return PendingMD(f, ws, payload)
+    return PendingMD(f, ws, columns if q_digest is not None else None, q_digest)
+
+
+def _read_whole(f: File, grp: Group) -> EventTable:
+    """The fallback for files without a stored Q digest: every column,
+    read and checked now."""
+    if "event_columns" in grp or "event_table" in grp:
+        events = LazyEventTable(f).materialize()
+    else:
+        ds = grp.require_dataset("event_data")
+        if len(ds.shape) != 2 or ds.shape[0] != N_EVENT_COLUMNS:
+            raise ValidationError(
+                f"{f.path!r}: event_data must be "
+                f"({N_EVENT_COLUMNS}, n), got {ds.shape}"
+            )
+        events = EventTable.from_cols(ds.read())
+    _trace.active_tracer().count("nexus.q_bytes_read", events.q_rows.nbytes)
+    return events
 
 
 class PendingMD:
-    """A :func:`begin_md` whose event payload is still to be read.
+    """A :func:`begin_md` whose event columns are still to be read.
 
-    ``ws`` carries the run's metadata now.  :meth:`start` queues the
-    payload's read and CRC32 (and, with ``key_leaves``, the two SHA-256
-    leaves of the Q rows the BinMD cache key is made of) on the
-    ``bytesplit`` helper; :meth:`join` takes what the helper has not
-    started, checks length and CRC32 on the caller (:func:`begin_md`
-    checked the shape in the header) and returns the complete
-    workspace.  Joining an unstarted load reads on the
-    caller, as :func:`load_md` does.  Either :meth:`join` or
+    ``ws`` carries the run's metadata now and ``q_digest`` the stored
+    digest of the Q rows, from which BinMD's cache key is built before
+    any column is read.  :meth:`start` queues the read of the columns
+    asked for (each stream's CRC32 and, when the load is keyed and
+    reads Q, the two SHA-256 leaves of the Q rows) on the ``bytesplit``
+    helper; :meth:`join` takes what the helper has not started, checks
+    every stream's CRC32 and keyed Q rows against ``q_digest`` on the
+    caller, and returns the workspace, whose table holds exactly the columns
+    read (a column not read raises
+    :class:`~repro.nexus.events.UnreadColumnError`).  Joining an
+    unstarted load reads its ``columns`` on the caller.  A load that
+    was complete at :func:`begin_md` (lazy, or an old file read whole)
+    has ``q_digest`` None and starts nothing.  Either :meth:`join` or
     :meth:`close` releases the run file; a load dropped without either
     warns (``ResourceWarning``).
     """
 
     def __init__(self, f: File, ws: MDEventWorkspace,
-                 payload: Optional[PayloadRead]) -> None:
+                 columns: Optional[Group], q_digest: Optional[str]) -> None:
         self.ws = ws
-        self._payload = payload
-        self._file = f if payload is not None else None
-        if payload is None and not isinstance(ws.events, LazyEventTable):
+        self.q_digest = q_digest
+        self._group = columns
+        self._read: Optional[PayloadRead] = None
+        self._columns: Tuple[int, ...] = ()
+        self._file = f if columns is not None else None
+        if columns is None and not isinstance(ws.events, LazyEventTable):
             f.close()  # a lazy table owns f
 
-    def start(self, *, key_leaves: bool) -> None:
-        """Queue the payload job on the helper (no-op without a payload
-        or a helper); ``key_leaves`` also hashes the Q rows' leaves."""
-        payload = self._payload
-        if payload is None:
+    def _begin(self, columns: Sequence[int], keyed: bool) -> PayloadRead:
+        cols = tuple(columns)
+        q = [k for k, c in enumerate(cols) if c in Q_COLUMNS]
+        require(len(q) in (0, len(Q_COLUMNS)),
+                "a load reads all three Q columns or none")
+        assert self._group is not None
+        read = PayloadRead(
+            [self._group.require_dataset(COLUMN_NAMES[c]) for c in cols],
+            hashed=q if keyed else ())
+        self._read, self._columns = read, cols
+        return read
+
+    def start(self, columns: Sequence[int], *, keyed: bool = False) -> None:
+        """Queue reading ``columns`` (``COL_*`` indices) on the helper;
+        a no-op for a complete load or without a helper.  ``keyed``:
+        BinMD's cache key is built from ``q_digest``, so Q rows read
+        are hashed and checked against it."""
+        if self._group is None or self._read is not None:
             return
-        leaf_range = None
-        if key_leaves and not payload.compressed:
-            row = payload.nbytes // N_EVENT_COLUMNS
-            leaf_range = (COL_Q.start * row, COL_Q.stop * row)
-        if payload.start(leaf_range):
+        if self._begin(columns, keyed).start():
             _trace.active_tracer().count("nexus.payload_deferred")
 
-    def join(self) -> MDEventWorkspace:
-        """The complete workspace; raises the payload's
+    def join(self, columns: Sequence[int] = ALL_COLUMNS) -> MDEventWorkspace:
+        """The workspace with its table; ``columns`` is what an
+        unstarted (never keyed) load reads.  Raises the read's
         :class:`~repro.nexus.h5lite.CorruptFileError` here, on the
-        caller."""
-        payload = self._payload
-        if payload is None:
+        caller, and one when keyed Q rows do not match ``q_digest``.
+        The table carries ``q_digest`` unless it holds Q rows that were
+        not checked against it."""
+        if self._group is None:
             return self.ws
+        path = self._file.path
         try:
-            raw = payload.join()
+            read = self._read or self._begin(columns, False)
+            arrays = read.join()
         finally:
             self.close()
-        events = EventTable.from_cols(raw)
-        events.q_leaves = payload.leaves
-        self.ws.events = events
+        table = EventTable.from_read_columns(dict(zip(self._columns, arrays)))
+        q_read = [arrays[k] for k, c in enumerate(self._columns) if c in Q_COLUMNS]
+        if q_read:
+            _trace.active_tracer().count("nexus.q_bytes_read",
+                                         sum(q.nbytes for q in q_read))
+        if read.leaves is not None:
+            shape = (len(Q_COLUMNS), table.n_events)
+            if digest_leaves(_FLOAT64, shape, read.leaves) != self.q_digest:
+                raise CorruptFileError(
+                    f"{path!r}: the Q rows do not match their stored digest")
+        # Q read unhashed: a key built later hashes the rows themselves
+        table.q_digest = None if q_read and read.leaves is None else self.q_digest
+        self.ws.events = table
         return self.ws
 
     def close(self) -> None:
-        """Abandon the payload and close the run file.  Idempotent."""
-        if self._payload is not None:
-            self._payload.close()
-            self._payload = None
+        """Abandon the read and close the run file.  Idempotent."""
+        if self._read is not None:
+            self._read.close()
+        self._group = None
         if self._file is not None:
             self._file.close()
             self._file = None

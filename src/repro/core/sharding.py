@@ -230,8 +230,8 @@ def binmd_ranges(
     if isinstance(events, LazyEventTable):
         ranges = lazy_table_ranges(events, n_shards)
         return ranges, range_stored_nbytes(events, ranges)
-    data = events.data if isinstance(events, EventTable) else np.asarray(events)
-    ranges = shard_ranges(int(data.shape[0]), n_shards)
+    n = events.n_events if isinstance(events, EventTable) else len(np.asarray(events))
+    ranges = shard_ranges(int(n), n_shards)
     return ranges, [float(n_ops * (b - a)) for a, b in ranges]
 
 
@@ -295,8 +295,7 @@ def binmd_shard_context(
     if isinstance(events, LazyEventTable):
         return ShardContext("binmd", captures, n_ops, ranges,
                             lazy_events=events)
-    captures.columns = binmd_columns(
-        events.data if isinstance(events, EventTable) else np.asarray(events))
+    captures.columns = binmd_columns(events)
     return ShardContext("binmd", captures, n_ops, ranges)
 
 

@@ -1,4 +1,4 @@
-"""Worker-count resolution, and the process pool the benchmark pre-forks.
+"""Worker-count resolution, and the process pool the benchmark asks for.
 
 * **Worker-count parsing.**  :func:`parse_worker_count` validates
   ``REPRO_NUM_THREADS`` (the ``threads`` back end) and ``n_shards``
@@ -11,12 +11,14 @@
 
 * **The process pool.**  No back end and no reduction path submits
   work to :data:`GLOBAL_POOL`; every kernel runs in the calling process.
-  It is kept only because the benchmark's out-of-core workload
-  pre-forks it and checks its teardown.  :class:`WorkerPool` creates
-  the pool lazily under a lock, forks its workers at creation, and
-  shuts it down on :meth:`WorkerPool.dispose`.  It starts no resource
-  tracker: nothing creates shared memory, and the ``fork`` context's
-  semaphores never register with one.
+  It is kept only because the benchmark's out-of-core workload still
+  asks for it and checks its teardown.  :class:`WorkerPool` creates
+  the executor lazily under a lock and shuts it down on
+  :meth:`WorkerPool.dispose`.  A ``ProcessPoolExecutor`` forks its
+  workers on its first submit, and nothing submits, so no worker
+  process is ever started.  It starts no resource tracker: nothing
+  creates shared memory, and the ``fork`` context's semaphores never
+  register with one.
 """
 
 from __future__ import annotations
@@ -88,11 +90,6 @@ def _mp_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context()
 
 
-def _pool_probe() -> int:
-    """Picklable no-op used to force worker start-up at pool creation."""
-    return os.getpid()
-
-
 class WorkerPool:
     """A lazily created, restartable ``ProcessPoolExecutor``.
 
@@ -119,18 +116,12 @@ class WorkerPool:
                 return self._pool
             if self._pool is not None:
                 self._pool.shutdown(wait=True, cancel_futures=True)
+            # workers fork on the first submit (with ``fork``, CPython
+            # gh-90622 starts them all then); nothing submits to this
+            # pool, so none is started
             self._pool = ProcessPoolExecutor(
                 max_workers=n_workers, mp_context=_mp_context()
             )
-            # With the ``fork`` start method every worker is forked on
-            # the *first* submit (CPython gh-90622 disables dynamic
-            # spawning).  Rank threads submit concurrently, so that
-            # first submit would fork while a sibling thread may hold
-            # arbitrary locks (executor internals, BLAS/OpenMP state),
-            # wedging the child.  Forking here, under our creation
-            # lock and before any work exists, keeps later submits
-            # fork-free.
-            self._pool.submit(_pool_probe).result()
             self._size = n_workers
             return self._pool
 
@@ -144,5 +135,5 @@ class WorkerPool:
             self._size = 0
 
 
-#: the process-wide pool the benchmark pre-forks (nothing submits to it)
+#: the process-wide pool the benchmark asks for (nothing submits to it)
 GLOBAL_POOL = WorkerPool()

@@ -10,8 +10,8 @@ Two layouts exist, mirroring the paper's pipeline:
   detector id, goniometer index, and the three Q_sample coordinates)
   held as one C-contiguous ``(8, n_events)`` float64 block, one row per
   column.  Every column is then a unit-stride 1-D array: BinMD reads
-  its five columns and hashes the three Q rows without copying, and a
-  legacy run file's column-major payload becomes the table as read.
+  its five columns and hashes the three Q rows without copying.  A
+  table loaded for a reduction holds only the columns the load read.
   This is the structure-of-arrays choice the paper's proxies make
   (primitive arrays over array-of-structs); the event-major
   ``(n_events, 8)`` view stays available as ``EventTable.data``.
@@ -20,7 +20,7 @@ Two layouts exist, mirroring the paper's pipeline:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -38,12 +38,16 @@ COL_QY = 6
 COL_QZ = 7
 N_EVENT_COLUMNS = 8
 COL_Q = slice(COL_QX, COL_QZ + 1)
-#: the name each column is stored under in a chunked SaveMD file
+#: the name each column is stored under in a SaveMD file
 COLUMN_NAMES = ("signal", "error_sq", "run_index", "detector_id",
                 "goniometer_index", "qx", "qy", "qz")
 #: the columns BinMD reads, in the order its batch body takes them;
 #: an out-of-core window decodes these and no others
 BINMD_COLUMNS = (COL_SIGNAL, COL_ERROR_SQ, COL_QX, COL_QY, COL_QZ)
+#: the columns a BinMD launch on cached in-grid pairs reads
+WEIGHT_COLUMNS = (COL_SIGNAL, COL_ERROR_SQ)
+#: the Q_sample columns, in the order of the ``(3, n)`` Q rows
+Q_COLUMNS = (COL_QX, COL_QY, COL_QZ)
 
 
 @dataclass
@@ -117,6 +121,10 @@ class RunData:
         )
 
 
+class UnreadColumnError(ValidationError):
+    """A column of an :class:`EventTable` that its load did not read."""
+
+
 class EventTable:
     """The MDEvent table consumed by all kernels, stored by column.
 
@@ -124,15 +132,20 @@ class EventTable:
     column ``c`` of the paper's 8-column table, so every column (and
     the ``(3, n)`` Q block) is a unit-stride view.  ``data`` is the
     transposed ``(n, 8)`` view of the same memory, one event per row,
-    for the element bodies and ``[:, COL_*]`` indexing; it never
-    copies.  The constructor takes that event-major ``(n, 8)`` form
-    and transposes it once; :meth:`from_cols` adopts an ``(8, n)``
-    block as is.  ``q_leaves`` are the two SHA-256 leaves of the Q
-    rows' bytes when they were hashed on load (a read-only block only),
-    else None.
+    for ``[:, COL_*]`` indexing; it never copies.  The constructor
+    takes that event-major ``(n, 8)`` form and transposes it once;
+    :meth:`from_cols` adopts an ``(8, n)`` block as is.
+
+    A table loaded with only some columns (:meth:`from_read_columns`;
+    the reduction reads BinMD's five, or only signal and error_sq when
+    its BinMD pairs are cached) holds just those: :meth:`column`
+    returns them, and ``cols``, ``data`` and every other column raise
+    :class:`UnreadColumnError`.  ``q_digest`` is the ``digest_array``
+    digest of the ``(3, n)`` Q rows when the load knows it (SaveMD
+    stores it in the file), else None; such a table is read-only.
     """
 
-    __slots__ = ("cols", "q_leaves")
+    __slots__ = ("_cols", "_read", "q_digest")
 
     def __init__(self, data: np.ndarray) -> None:
         arr = np.asarray(data, dtype=np.float64)
@@ -140,8 +153,9 @@ class EventTable:
             raise ValidationError(
                 f"event table must be (n, {N_EVENT_COLUMNS}), got {arr.shape}"
             )
-        self.cols = np.ascontiguousarray(arr.T)
-        self.q_leaves: Optional[Tuple[bytes, bytes]] = None
+        self._cols: Optional[np.ndarray] = np.ascontiguousarray(arr.T)
+        self._read: Optional[Dict[int, np.ndarray]] = None
+        self.q_digest: Optional[str] = None
 
     @classmethod
     def from_cols(cls, cols: np.ndarray) -> "EventTable":
@@ -153,9 +167,47 @@ class EventTable:
                 f"event columns must be ({N_EVENT_COLUMNS}, n), got {arr.shape}"
             )
         table = cls.__new__(cls)
-        table.cols = np.ascontiguousarray(arr)
-        table.q_leaves = None
+        table._cols = np.ascontiguousarray(arr)
+        table._read = None
+        table.q_digest = None
         return table
+
+    @classmethod
+    def from_read_columns(cls, columns: Mapping[int, np.ndarray]) -> "EventTable":
+        """The table of the columns a load read, keyed by column index.
+        All eight are stacked into one read-only block; fewer are kept
+        as given, and the others raise :class:`UnreadColumnError`."""
+        if len(columns) == N_EVENT_COLUMNS:
+            block = np.stack([columns[c] for c in range(N_EVENT_COLUMNS)])
+            block.flags.writeable = False
+            return cls.from_cols(block)
+        lengths = {len(col) for col in columns.values()}
+        require(len(lengths) == 1, f"read columns differ in length: {lengths}")
+        table = cls.__new__(cls)
+        table._cols = None
+        table._read = dict(columns)
+        table.q_digest = None
+        return table
+
+    @property
+    def cols(self) -> np.ndarray:
+        """The ``(8, n)`` block (a table holding every column only)."""
+        if self._cols is None:
+            raise UnreadColumnError(
+                "the table holds only the columns "
+                f"{[COLUMN_NAMES[c] for c in sorted(self._read)]}"
+            )
+        return self._cols
+
+    def column(self, c: int) -> np.ndarray:
+        """Column ``c`` (a ``COL_*`` index), unit-stride."""
+        if self._cols is not None:
+            return self._cols[c]
+        try:
+            return self._read[c]
+        except KeyError:
+            raise UnreadColumnError(
+                f"column {COLUMN_NAMES[c]!r} was not read") from None
 
     @classmethod
     def empty(cls) -> "EventTable":
@@ -197,26 +249,36 @@ class EventTable:
 
     @property
     def n_events(self) -> int:
-        return int(self.cols.shape[1])
+        if self._cols is not None:
+            return int(self._cols.shape[1])
+        return int(next(iter(self._read.values())).shape[0])
 
     @property
     def signal(self) -> np.ndarray:
-        return self.cols[COL_SIGNAL]
+        return self.column(COL_SIGNAL)
 
     @property
     def error_sq(self) -> np.ndarray:
-        return self.cols[COL_ERROR_SQ]
+        return self.column(COL_ERROR_SQ)
+
+    @property
+    def q_rows(self) -> np.ndarray:
+        """The ``(3, n)`` Q rows: a view of the block, or stacked from
+        the read columns."""
+        if self._cols is not None:
+            return self._cols[COL_Q]
+        return np.stack([self.column(c) for c in Q_COLUMNS])
 
     @property
     def q_sample(self) -> np.ndarray:
-        return self.cols[COL_Q].T
+        return self.q_rows.T
 
     @property
     def detector_id(self) -> np.ndarray:
-        return self.cols[COL_DETECTOR_ID]
+        return self.column(COL_DETECTOR_ID)
 
     def total_signal(self) -> float:
-        return float(self.cols[COL_SIGNAL].sum())
+        return float(self.signal.sum())
 
     def concat(self, other: "EventTable") -> "EventTable":
         return EventTable.from_cols(np.hstack([self.cols, other.cols]))

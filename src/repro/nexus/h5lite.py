@@ -7,7 +7,8 @@ model the reduction needs, from scratch:
 * a tree of **groups**, each holding child groups and **datasets**;
 * datasets are n-dimensional typed arrays, stored contiguously in
   C order, read back lazily (``Dataset[...]`` seeks into the file, so a
-  40M-event table is not touched until sliced);
+  40M-event table is not touched until sliced; a dataset object is
+  built from the parsed header on first access);
 * string **attributes** plus scalar/array attributes on groups and
   datasets (NeXus uses attributes for ``NX_class`` tags and units);
 * extendable 1-D/2-D datasets during write (event streams append in
@@ -19,7 +20,11 @@ model the reduction needs, from scratch:
   JSON header — ``Dataset[a:b]`` then decodes only the chunks that
   overlap the selection (hyperslab-style region reads), which is what
   lets the reduction stream bounded event windows instead of
-  materializing whole tables (DESIGN.md section 6g).
+  materializing whole tables (DESIGN.md section 6g);
+* a :class:`PayloadRead` reads the chunk streams of several chunked
+  datasets with one positioned read and checks them, optionally on the
+  ``bytesplit`` helper thread while the caller works, so a reduction
+  reads and checks exactly the columns it consumes.
 
 On-disk layout::
 
@@ -65,7 +70,8 @@ import json
 import os
 import struct
 import zlib
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -513,17 +519,44 @@ class Dataset(_Node):
             return self.read_rows(0, self.shape[0]).reshape(self.shape)
         if self._chunks or self._offset is None:
             return self._staged().reshape(self.shape)
-        return self.begin_read().join()
+        return self._read_contiguous()
 
-    def begin_read(self) -> "PayloadRead":
-        """The first half of reading a contiguous on-disk dataset whole:
-        its fault point fires now, its bytes are read and checked by
-        :meth:`PayloadRead.join` (see :class:`PayloadRead`)."""
-        if self._chunk_index is not None or self._chunks or self._offset is None:
-            raise H5LiteError(
-                f"dataset {self.name!r} is not a contiguous on-disk payload")
+    def _read_contiguous(self) -> np.ndarray:
+        """Read a contiguous on-disk dataset whole: fire its fault point,
+        check the stored bytes' length and CRC32 (two ways from
+        :data:`~repro.util.bytesplit.SPLIT_BYTES` up) and inflate a
+        deflated payload.  The array is the checked buffer itself."""
         _faults.fault_point("h5lite.read", dataset=self.name)
-        return PayloadRead(self)
+        fh = self._file._fh
+        if fh is None:
+            raise H5LiteError(f"file {self._file.path!r} is closed")
+        n = self._stored_nbytes if self._stored_nbytes is not None else self.nbytes
+        fh.seek(self._offset)
+        raw = fh.read(n)
+        _trace.active_tracer().count("h5lite.bytes_read", len(raw))
+        if len(raw) != n:
+            raise TruncatedFileError(
+                f"truncated dataset {self.name!r}: wanted {n} bytes, "
+                f"got {len(raw)}"
+            )
+        if not self._crc_checked and self._crc is not None:
+            if _bytesplit.crc32(raw) != self._crc:
+                raise CorruptFileError(
+                    f"checksum mismatch reading dataset {self.name!r}"
+                )
+            self._crc_checked = True
+        if self.compression == "zlib":
+            try:
+                raw = zlib.decompress(raw)
+            except zlib.error as exc:
+                raise CorruptFileError(
+                    f"corrupt compressed dataset {self.name!r}: {exc}"
+                ) from exc
+            if len(raw) != self.nbytes:
+                raise CorruptFileError(
+                    f"decompressed size mismatch for dataset {self.name!r}"
+                )
+        return np.frombuffer(raw, dtype=self.dtype).reshape(self.shape)
 
     def _read_rows(self, start: int, stop: int) -> np.ndarray:
         """Read a contiguous raw row range [start, stop) along axis 0."""
@@ -581,60 +614,110 @@ class Dataset(_Node):
 
 
 class PayloadRead:
-    """A contiguous dataset's whole-payload read, begun but not done.
+    """The chunk streams of some chunked datasets of one file, read
+    whole and checked: begun but not done.
 
-    :meth:`Dataset.begin_read` has fired the read's fault point.
-    :meth:`join` reads the stored bytes, checks their length and CRC32
-    and returns the array, the checked buffer itself.  In between,
-    :meth:`start` may queue the read, the CRC32 (two ranges from
-    :data:`~repro.util.bytesplit.SPLIT_BYTES` up, joined with
-    ``crc32_combine``) and optionally the two SHA-256 leaves of one
-    byte range as a :class:`~repro.util.bytesplit.ByteJob`, so they run
-    on the helper while the caller works; :meth:`join` then takes the
-    pieces the helper has not started, and sets :attr:`leaves`.  A
-    begun read must be joined or closed before its file is.
+    Made on the caller, which fires each stream's ``h5lite.read_chunk``
+    fault point now.  :meth:`join` reads the byte span that holds every
+    stream with one positioned read (a writer that puts the streams
+    read together back to back makes that span exactly theirs), checks
+    every stream's CRC32 and returns one read-only array per dataset: a
+    dataset stored raw in back-to-back chunks is a view of the read
+    buffer, any other is decoded chunk by chunk.  ``hashed`` (indices
+    into ``datasets``) names datasets whose decoded bytes, concatenated
+    in order, are hashed as two SHA-256 leaves, cut where
+    :func:`~repro.util.bytesplit.sha256_halves` cuts them;
+    :attr:`leaves` holds them once joined.
+
+    Between the two, :meth:`start` may queue the work as one
+    :class:`~repro.util.bytesplit.ByteJob` on the helper, which runs it
+    while the caller works; :meth:`join` then takes the pieces the
+    helper has not started.  Every piece is one hand-off to the helper,
+    so there are few: the read, one CRC32 per run of back-to-back
+    streams (two halves from :data:`~repro.util.bytesplit.SPLIT_BYTES`
+    up), checked against the run's stored CRC32s joined with
+    ``crc32_combine`` (each stream is checked alone only on a
+    mismatch, to name it), and the two leaves when the hashed streams
+    are raw and back to back.  An unstarted join of ``SPLIT_BYTES`` or
+    more shares its pieces with the helper the same way.  A begun read
+    must be joined or closed before its file is.
     """
 
-    def __init__(self, ds: Dataset) -> None:
-        self._ds = ds
-        self._stored = (ds._stored_nbytes if ds._stored_nbytes is not None
-                        else ds.nbytes)
+    def __init__(self, datasets: Sequence[Dataset],
+                 hashed: Sequence[int] = ()) -> None:
+        if not datasets:
+            raise H5LiteError("a payload read needs at least one dataset")
+        for ds in datasets:
+            if ds._chunk_index is None:
+                raise H5LiteError(f"dataset {ds.name!r} is not stored chunked")
+            for ci in range(len(ds._chunk_index)):
+                _faults.fault_point("h5lite.read_chunk", dataset=ds.name, chunk=ci)
+        self._datasets = list(datasets)
+        self._file = self._datasets[0]._file
+        #: (dataset index, chunk, [offset, stored, crc, rows]), by offset
+        self._streams = sorted(
+            ((k, ci, entry) for k, ds in enumerate(self._datasets)
+             for ci, entry in enumerate(ds._chunk_index)),
+            key=lambda stream: stream[2][0])
+        self._lo = self._streams[0][2][0] if self._streams else 0
+        self._hi = max((e[0] + e[1] for _, _, e in self._streams),
+                       default=self._lo)
+        #: runs of back-to-back streams: [start, stop) in the buffer and
+        #: the CRC32 of their bytes, joined from the streams' own
+        self._runs: List[List[int]] = []
+        for _, _, (offset, stored, crc, _) in self._streams:
+            a = offset - self._lo
+            if self._runs and self._runs[-1][1] == a:
+                run = self._runs[-1]
+                run[1] = a + stored
+                run[2] = _bytesplit.crc32_combine(run[2], crc, stored)
+            else:
+                self._runs.append([a, a + stored, crc])
+        self._pieces: List[_bytesplit.Piece] = []
+        for a, b, _ in self._runs:
+            cuts = [a, a + (b - a) // 2, b] if b - a >= _bytesplit.SPLIT_BYTES else [a, b]
+            self._pieces += [(zlib.crc32, x, y) for x, y in zip(cuts, cuts[1:])]
+        self._n_crc = len(self._pieces)
+        self._hashed = list(hashed)
+        span = self._raw_span(self._hashed) if self._hashed else None
+        if span is not None:
+            a, b = span
+            mid = a + (b - a) // 2
+            self._pieces += [(_bytesplit.sha256, a, mid),
+                             (_bytesplit.sha256, mid, b)]
         self._job: Optional[_bytesplit.ByteJob] = None
-        self._n_crc = 0
-        #: SHA-256 of each half of the leaf range (stored bytes, so
-        #: uncompressed payloads only) once joined; None if not hashed
+        #: SHA-256 of each half of the hashed datasets' bytes once
+        #: joined; None if nothing is hashed
         self.leaves: Optional[Tuple[bytes, bytes]] = None
 
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return self._ds.shape
+    def _raw_span(self, ks: Sequence[int]) -> Optional[Tuple[int, int]]:
+        """The ``[start, stop)`` of datasets ``ks`` in the read buffer
+        when they are stored raw, back to back and in order (their
+        stored bytes are then their decoded bytes); else None."""
+        chunks: List[List[int]] = []
+        for k in ks:
+            ds = self._datasets[k]
+            if (ds.codec or "none") != "none":
+                return None
+            chunks += ds._chunk_index
+        if not chunks:
+            return 0, 0
+        if any(cur[0] != prev[0] + prev[1] for prev, cur in zip(chunks, chunks[1:])):
+            return None
+        return chunks[0][0] - self._lo, chunks[-1][0] + chunks[-1][1] - self._lo
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the array (after inflating a compressed payload)."""
-        return self._ds.nbytes
-
-    @property
-    def compressed(self) -> bool:
-        return self._ds.compression is not None
-
-    def _fh(self) -> io.BufferedIOBase:
-        fh = self._ds._file._fh
-        if fh is None:
-            raise H5LiteError(f"file {self._ds._file.path!r} is closed")
-        return fh
-
-    def _read(self) -> bytes:
-        """The caller's buffered read (small metadata datasets share
-        one buffer fill)."""
-        fh = self._fh()
-        fh.seek(self._ds._offset)
-        return fh.read(self._stored)
+        """Bytes the read takes off the file (the span)."""
+        return self._hi - self._lo
 
     def _pread(self) -> bytes:
-        """The helper's read: positioned, so the caller may read other
+        """The span, by positioned reads, so the caller may read other
         datasets of the file meanwhile."""
-        fd, offset, n = self._fh().fileno(), int(self._ds._offset), self._stored
+        fh = self._file._fh
+        if fh is None:
+            raise H5LiteError(f"file {self._file.path!r} is closed")
+        fd, offset, n = fh.fileno(), self._lo, self.nbytes
         raw = os.pread(fd, n, offset)
         while 0 < len(raw) < n:  # a short read before EOF
             more = os.pread(fd, n - len(raw), offset + len(raw))
@@ -643,74 +726,91 @@ class PayloadRead:
             raw += more
         return raw
 
-    def start(self, leaf_range: Optional[Tuple[int, int]] = None) -> bool:
+    def start(self) -> bool:
         """Queue the byte job on the helper; False (nothing queued) when
-        there is no helper.  ``leaf_range`` is a ``[start, stop)`` byte
-        range of the stored payload to hash as two SHA-256 leaves, cut
-        where ``sha256_halves`` cuts it."""
-        n = self._stored
-        if n >= _bytesplit.SPLIT_BYTES:
-            cut = n // 2
-            pieces = [(zlib.crc32, 0, cut), (zlib.crc32, cut, n)]
-        else:
-            pieces = [(zlib.crc32, 0, n)]
-        self._n_crc = len(pieces)
-        if leaf_range is not None:
-            a, b = leaf_range
-            mid = a + (b - a) // 2
-            pieces += [(_bytesplit.sha256, a, mid), (_bytesplit.sha256, mid, b)]
-        job = _bytesplit.ByteJob(self._pread, pieces)
+        there is no helper."""
+        job = _bytesplit.ByteJob(self._pread, self._pieces)
         if not job.start():
             return False
         self._job = job
         return True
 
-    def join(self) -> np.ndarray:
-        """Read (what the helper has not), check and return the array."""
-        ds, n = self._ds, self._stored
+    def join(self) -> List[np.ndarray]:
+        """Read (what the helper has not), check and return the arrays."""
         tracer = _trace.active_tracer()
-        crc: Optional[int] = None
-        leaves: Optional[Tuple[bytes, bytes]] = None
-        if self._job is None:
-            raw = self._read()
-        else:
-            job, self._job = self._job, None
-            raw, results = job.join()
+        job, self._job = self._job, None
+        queued = job is not None
+        if job is None:
+            job = _bytesplit.ByteJob(self._pread, self._pieces)
+            if self.nbytes >= _bytesplit.SPLIT_BYTES:
+                job.start()  # two ways: the helper and the caller take turns
+        buf, results = job.join()
+        if queued:
             tracer.count("nexus.payload_inline", job.inline_pieces)
-            if job.helper_bytes:
-                tracer.count("bytesplit.helper_bytes", job.helper_bytes)
-            crcs = results[:self._n_crc]
-            crc = crcs[0] if len(crcs) == 1 else _bytesplit.crc32_combine(
-                crcs[0], crcs[1], n - n // 2)
-            if len(results) > self._n_crc:
-                leaves = (results[-2], results[-1])
-        tracer.count("h5lite.bytes_read", len(raw))
-        if len(raw) != n:
+        if job.helper_bytes:
+            tracer.count("bytesplit.helper_bytes", job.helper_bytes)
+        tracer.count("h5lite.bytes_read", len(buf))
+        if len(buf) != self.nbytes:
             raise TruncatedFileError(
-                f"truncated dataset {ds.name!r}: wanted {n} bytes, "
-                f"got {len(raw)}"
-            )
-        if not ds._crc_checked and ds._crc is not None:
-            if crc is None:
-                crc = _bytesplit.crc32(raw)
-            if crc != ds._crc:
+                f"truncated read of {self._file.path!r}: wanted "
+                f"{self.nbytes} bytes, got {len(buf)}")
+        self._check(buf, results)
+        tracer.count("h5lite.chunks_decoded", len(self._streams))
+        flat = np.frombuffer(buf, dtype=np.uint8)
+        arrays = [self._decode(ds, buf, flat) for ds in self._datasets]
+        if self._hashed:
+            if len(results) > self._n_crc:
+                self.leaves = (results[-2], results[-1])
+            else:
+                self.leaves = _bytesplit.sha256_halves(np.concatenate(
+                    [arrays[k].reshape(-1).view(np.uint8) for k in self._hashed]))
+        return arrays
+
+    def _check(self, buf: bytes, results: Sequence[Any]) -> None:
+        got = iter(results)
+        for a, b, want in self._runs:
+            crc = next(got)
+            if b - a >= _bytesplit.SPLIT_BYTES:
+                crc = _bytesplit.crc32_combine(crc, next(got), b - a - (b - a) // 2)
+            if crc != want:
+                self._name_corrupt_stream(buf)
+
+    def _name_corrupt_stream(self, buf: bytes) -> None:
+        for k, ci, (offset, stored, crc, _) in self._streams:
+            a = offset - self._lo
+            if zlib.crc32(memoryview(buf)[a:a + stored]) != crc:
                 raise CorruptFileError(
-                    f"checksum mismatch reading dataset {ds.name!r}"
-                )
-            ds._crc_checked = True
-        if ds.compression == "zlib":
-            try:
-                raw = zlib.decompress(raw)
-            except zlib.error as exc:
-                raise CorruptFileError(
-                    f"corrupt compressed dataset {ds.name!r}: {exc}"
-                ) from exc
-            if len(raw) != ds.nbytes:
-                raise CorruptFileError(
-                    f"decompressed size mismatch for dataset {ds.name!r}"
-                )
-        self.leaves = leaves
-        return np.frombuffer(raw, dtype=ds.dtype).reshape(ds.shape)
+                    f"checksum mismatch in chunk {ci} of dataset "
+                    f"{self._datasets[k].name!r}")
+        raise CorruptFileError(f"checksum mismatch reading {self._file.path!r}")
+
+    def _decode(self, ds: Dataset, buf: bytes, flat: np.ndarray) -> np.ndarray:
+        """Dataset ``ds`` from the read buffer (``flat`` is its bytes
+        as uint8): one raw chunk is a view of it."""
+        index = ds._chunk_index
+        assert index is not None
+        codec = ds.codec or "none"
+        if codec == "none" and len(index) == 1:
+            a = index[0][0] - self._lo
+            arr = flat[a:a + index[0][1]].view(ds.dtype)
+            return arr if len(ds.shape) == 1 else arr.reshape(ds.shape)
+        if not index:
+            empty = np.empty(ds.shape, dtype=ds.dtype)
+            empty.flags.writeable = False
+            return empty
+        view = memoryview(buf)
+        parts = []
+        for offset, stored, _crc, rows in index:
+            a = offset - self._lo
+            raw = decode_chunk(view[a:a + stored], codec, ds.dtype.itemsize,
+                               rows * ds.row_nbytes, ds.name)
+            parts.append(np.frombuffer(raw, dtype=ds.dtype).reshape(
+                (rows,) + ds.shape[1:]))
+        if len(parts) == 1:
+            return parts[0]
+        out = np.concatenate(parts, axis=0)
+        out.flags.writeable = False
+        return out
 
     def close(self) -> None:
         """Abandon a started read: when this returns the helper no
@@ -725,7 +825,16 @@ class Group(_Node):
 
     def __init__(self, file: "File", name: str) -> None:
         super().__init__(file, name)
-        self._children: "Dict[str, _Node]" = {}
+        #: child nodes; a child read from a file's header stays its
+        #: parsed entry until first accessed (:meth:`_child`)
+        self._children: "Dict[str, Any]" = {}
+
+    def _child(self, name: str) -> "_Node":
+        node = self._children[name]
+        if isinstance(node, dict):
+            node = self._file._build(node, _join(self.name, name))
+            self._children[name] = node
+        return node
 
     # -- creation ------------------------------------------------------
     def create_group(self, path: str) -> "Group":
@@ -812,7 +921,7 @@ class Group(_Node):
         for part in _split(path):
             if not isinstance(node, Group) or part not in node._children:
                 raise KeyError(f"no object {path!r} in {self.name!r}")
-            node = node._children[part]
+            node = node._child(part)
         return node  # type: ignore[return-value]
 
     def __contains__(self, path: str) -> bool:
@@ -829,21 +938,21 @@ class Group(_Node):
         return self._children.keys()
 
     def items(self):
-        return self._children.items()
+        return [(name, self._child(name)) for name in list(self._children)]
 
     def groups(self) -> Iterator["Group"]:
-        for child in self._children.values():
+        for _, child in self.items():
             if isinstance(child, Group):
                 yield child
 
     def datasets(self) -> Iterator[Dataset]:
-        for child in self._children.values():
+        for _, child in self.items():
             if isinstance(child, Dataset):
                 yield child
 
     def visit(self, func) -> None:
         """Depth-first traversal calling ``func(path, node)``."""
-        for child in self._children.values():
+        for _, child in self.items():
             func(child.name, child)
             if isinstance(child, Group):
                 child.visit(func)
@@ -1029,57 +1138,57 @@ class File(Group):
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CorruptFileError(f"{self.path!r} header is corrupt: {exc}") from exc
 
-        def build(entry: Dict[str, Any], parent: Group, name: str) -> None:
-            if entry["kind"] == "dataset":
-                if entry.get("layout") == "chunked":
-                    if version < 2:
-                        raise CorruptFileError(
-                            f"{self.path!r}: v{version} container carries a "
-                            "chunked dataset"
-                        )
-                    ds = Dataset(
-                        self,
-                        _join(parent.name, name),
-                        np.dtype(entry["dtype"]),
-                        tuple(entry["shape"]),
-                        chunk_rows=int(entry["chunk_rows"]),
-                        codec=entry.get("codec", "none"),
-                    )
-                    # [offset, stored, crc, rows] per chunk, as parsed
-                    index = entry["chunks"]
-                    bounds = list(itertools.accumulate(
-                        [chunk[3] for chunk in index], initial=0))
-                    if ds.shape and bounds[-1] != ds.shape[0]:
-                        raise CorruptFileError(
-                            f"{self.path!r}: chunk index of {ds.name!r} covers "
-                            f"{bounds[-1]} rows, shape says {ds.shape[0]}"
-                        )
-                    ds._chunk_index = index
-                    ds._chunk_bounds = bounds
-                else:
-                    ds = Dataset(
-                        self,
-                        _join(parent.name, name),
-                        np.dtype(entry["dtype"]),
-                        tuple(entry["shape"]),
-                        compression=entry.get("compression"),
-                    )
-                    ds._offset = int(entry["offset"])
-                    ds._stored_nbytes = entry.get("stored_nbytes")
-                    ds._crc = int(entry["crc"])
-                ds._attrs = dict(entry.get("attrs", {}))
-                parent._children[name] = ds
-            else:
-                grp = Group(self, _join(parent.name, name))
-                grp._attrs = dict(entry.get("attrs", {}))
-                parent._children[name] = grp
-                for child_name, child in entry.get("children", {}).items():
-                    build(child, grp, child_name)
-
         root = doc["root"]
         self._attrs = dict(root.get("attrs", {}))
-        for child_name, child in root.get("children", {}).items():
-            build(child, self, child_name)
+        self._children = dict(root.get("children", {}))
+
+    def _build(self, entry: Dict[str, Any], name: str) -> _Node:
+        """The node of a parsed header entry (built on first access, so
+        opening a file does not build the datasets it never touches); a
+        group's own children stay entries."""
+        if entry["kind"] != "dataset":
+            grp = Group(self, name)
+            grp._attrs = dict(entry.get("attrs", {}))
+            grp._children = dict(entry.get("children", {}))
+            return grp
+        if entry.get("layout") == "chunked":
+            if self.version < 2:
+                raise CorruptFileError(
+                    f"{self.path!r}: v{self.version} container carries a "
+                    "chunked dataset"
+                )
+            ds = Dataset(
+                self,
+                name,
+                np.dtype(entry["dtype"]),
+                tuple(entry["shape"]),
+                chunk_rows=int(entry["chunk_rows"]),
+                codec=entry.get("codec", "none"),
+            )
+            # [offset, stored, crc, rows] per chunk, as parsed
+            index = entry["chunks"]
+            bounds = list(itertools.accumulate(
+                [chunk[3] for chunk in index], initial=0))
+            if ds.shape and bounds[-1] != ds.shape[0]:
+                raise CorruptFileError(
+                    f"{self.path!r}: chunk index of {ds.name!r} covers "
+                    f"{bounds[-1]} rows, shape says {ds.shape[0]}"
+                )
+            ds._chunk_index = index
+            ds._chunk_bounds = bounds
+        else:
+            ds = Dataset(
+                self,
+                name,
+                np.dtype(entry["dtype"]),
+                tuple(entry["shape"]),
+                compression=entry.get("compression"),
+            )
+            ds._offset = int(entry["offset"])
+            ds._stored_nbytes = entry.get("stored_nbytes")
+            ds._crc = int(entry["crc"])
+        ds._attrs = dict(entry.get("attrs", {}))
+        return ds
 
 
 def _split(path: str) -> List[str]:

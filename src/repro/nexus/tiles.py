@@ -19,12 +19,12 @@ ceiling:
   by exactly one shard), and ``binmd_window(a, b)`` — BinMD's five
   columns of a bounded event window.
 
-Chunked SaveMD files store the table by column (DESIGN.md section 6g)::
+SaveMD files store the table by column (DESIGN.md section 6g)::
 
     MDEventWorkspace/event_columns/signal    [chunk 0][chunk 1] ... [chunk k]
     MDEventWorkspace/event_columns/error_sq  [chunk 0][chunk 1] ... [chunk k]
-    ...                                       (run_index, detector_id,
-    MDEventWorkspace/event_columns/qz        [chunk 0][chunk 1] ... goniometer_index, qx, qy)
+    ...                                       (qx, qy, qz, run_index,
+    MDEventWorkspace/event_columns/goniometer_index  ...  detector_id)
 
 one 1-D chunked dataset per column, all cut at the same rows, so one
 chunk of the table is eight streams and a window decodes only the
@@ -54,6 +54,7 @@ from repro.nexus.events import (
     BINMD_COLUMNS,
     COLUMN_NAMES,
     N_EVENT_COLUMNS,
+    Q_COLUMNS,
     EventTable,
 )
 from repro.nexus.h5lite import Dataset, File, Group
@@ -258,9 +259,21 @@ class LazyEventTable:
         its file handle)."""
         with self._lock:
             if self.columnar:
-                return tuple(self.tiles.window(start, stop, BINMD_COLUMNS))
+                out = tuple(self.tiles.window(start, stop, BINMD_COLUMNS))
+                _trace.active_tracer().count(
+                    "nexus.q_bytes_read", self._q_stored(start, stop))
+                return out
             (rows,) = self.tiles.window(start, stop)
         return tuple(np.ascontiguousarray(rows[:, c]) for c in BINMD_COLUMNS)
+
+    def _q_stored(self, start: int, stop: int) -> int:
+        """Stored bytes of the Q streams a window of ``[start, stop)``
+        reads."""
+        bounds = self.chunk_bounds()
+        hit = [ci for ci, (c0, c1) in enumerate(zip(bounds[:-1], bounds[1:]))
+               if start < stop and c1 > start and c0 < stop]
+        return sum(self._streams[c].chunk_stored_nbytes()[ci]
+                   for c in Q_COLUMNS for ci in hit)
 
     def materialize(self) -> EventTable:
         """The full in-memory table (defeats the point; for small runs

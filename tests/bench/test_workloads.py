@@ -58,13 +58,17 @@ class TestSpecs:
         assert _spec_digest(a) == _spec_digest(benzil_corelli(scale=0.001, n_files=2))
 
     def test_chunked_digest_keys_on_the_column_layout(self):
-        """A cache directory written with row-major chunks is never read
-        as the column-stream layout; contiguous digests do not move."""
+        """A cache directory written in an older SaveMD layout is never
+        read as the one layout (a stream per column, the Q digest in the
+        header): both digests moved with it."""
         plain = benzil_corelli(scale=0.001, n_files=2)
         chunked = benzil_corelli(scale=0.001, n_files=2, chunk_events=500)
-        assert _spec_digest(plain) == "0054e0f6b4b6e704"
-        # the digest this chunked spec had while chunks were row-major
-        assert _spec_digest(chunked) != "b98ae45c9e48a34d"
+        assert _spec_digest(plain) == "0b4310f40a8473fa"
+        # the digests these specs had in the older layouts: contiguous
+        # (8, n) payloads, row-major chunks, column chunks without a digest
+        assert _spec_digest(plain) != "0054e0f6b4b6e704"
+        assert _spec_digest(chunked) not in ("b98ae45c9e48a34d",
+                                             "7e379b5db843db81")
         assert _spec_digest(chunked) != _spec_digest(plain)
 
 

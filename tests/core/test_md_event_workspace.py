@@ -6,8 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.binmd import binmd_cache_key
 from repro.core.geom_cache import digest_array, digest_leaves
+from repro.core.grid import HKLGrid
 from repro.core.md_event_workspace import (
+    ALL_COLUMNS,
+    WRITE_ORDER,
     MDEventWorkspace,
     begin_md,
     convert_to_md,
@@ -16,12 +20,17 @@ from repro.core.md_event_workspace import (
 )
 from repro.instruments.conversion import momentum_from_q_elastic
 from repro.nexus.events import (
+    BINMD_COLUMNS,
     COL_DETECTOR_ID,
+    COL_GONIOMETER_INDEX,
     COL_Q,
+    COL_QX,
     COL_RUN_INDEX,
     COL_SIGNAL,
+    COLUMN_NAMES,
     EventTable,
     RunData,
+    UnreadColumnError,
 )
 from repro.nexus import h5lite
 from repro.nexus.h5lite import File
@@ -100,6 +109,18 @@ class TestWorkspaceValidation:
             self._ws(proton_charge=-1.0)
 
 
+def _offsets(path, name):
+    """``[offset, stored, crc, rows]`` of each chunk of one column."""
+    with File(path, "r") as f:
+        return f[f"MDEventWorkspace/event_columns/{name}"]._chunk_index
+
+
+def _flip(path, offset, mask=0x40):
+    raw = bytearray(Path(path).read_bytes())
+    raw[offset] ^= mask
+    Path(path).write_bytes(raw)
+
+
 class TestSaveLoad:
     def test_roundtrip(self, tiny_experiment, tmp_path):
         ws = tiny_experiment.workspaces[0]
@@ -114,23 +135,37 @@ class TestSaveLoad:
         assert np.array_equal(back.events.data, ws.events.data)
 
     def test_on_disk_layout_is_transposed(self, tiny_experiment, tmp_path):
-        """The file stores (8, n), the table's own column layout."""
+        """The file stores the table by column, the table's own layout:
+        one raw one-chunk stream per column, BinMD's five first and
+        back to back, and the Q digest in the header."""
         ws = tiny_experiment.workspaces[0]
         path = str(tmp_path / "ws.md.h5")
         save_md(path, ws)
         with File(path, "r") as f:
-            raw = f["MDEventWorkspace/event_data"]
-            assert raw.shape == (8, ws.n_events)
+            grp = f["MDEventWorkspace"]
+            assert "event_data" not in grp
+            columns = grp["event_columns"]
+            assert columns.attrs["q_digest"] == digest_array(ws.events.q_rows)
+            chunks = []
+            for c in WRITE_ORDER:
+                ds = columns[COLUMN_NAMES[c]]
+                assert ds.shape == (ws.n_events,) and ds.codec == "none"
+                assert ds.n_chunks == 1
+                chunks += ds._chunk_index
+        assert [c[1] for c in chunks] == [8 * ws.n_events] * 8
+        for prev, cur in zip(chunks, chunks[1:]):
+            assert cur[0] == prev[0] + prev[1]
 
-    @pytest.mark.parametrize("compression", [None, "zlib"])
+    @pytest.mark.parametrize("codec", [None, "zlib"])
     def test_loaded_table_is_the_checked_payload(
-        self, tiny_experiment, tmp_path, monkeypatch, compression
+        self, tiny_experiment, tmp_path, monkeypatch, codec
     ):
-        """The loaded columns are the very bytes the CRC32 checked (or
-        inflated from them): contiguous float64, not copied."""
+        """A read column is the very bytes its CRC32 checked (stored
+        raw) or inflated from them (zlib): float64 and read-only, not
+        copied."""
         ws = tiny_experiment.workspaces[0]
         path = str(tmp_path / "ws.md.h5")
-        save_md(path, ws, compression=compression)
+        save_md(path, ws, codec=codec)
         checked = []
         crc32 = zlib.crc32
         decompress = zlib.decompress
@@ -145,38 +180,45 @@ class TestSaveLoad:
 
         monkeypatch.setattr(h5lite.zlib, "crc32", spy_crc32)
         monkeypatch.setattr(h5lite.zlib, "decompress", spy_decompress)
-        cols = load_md(path).events.cols
-        assert cols.flags.c_contiguous and cols.dtype == np.float64
-        assert cols.shape == (8, ws.n_events)
-        assert not cols.flags.writeable
-        base = cols
-        while isinstance(base, np.ndarray):
-            base = base.base
-        assert any(base is c for c in checked)
-        assert np.array_equal(cols, ws.events.cols)
+        pending = begin_md(path)
+        table = pending.join(BINMD_COLUMNS).events
+        for c in BINMD_COLUMNS:
+            col = table.column(c)
+            assert col.dtype == np.float64 and col.strides == (8,)
+            assert not col.flags.writeable
+            base = _base(col)
+            assert any(base is (b.obj if isinstance(b, memoryview) else b)
+                       for b in checked), COLUMN_NAMES[c]
+            assert np.array_equal(col, ws.events.column(c))
+        full = load_md(path).events.cols
+        assert full.shape == (8, ws.n_events) and not full.flags.writeable
+        assert np.array_equal(full, ws.events.cols)
 
     def test_split_payload_is_the_checked_payload(
         self, large_experiment, monkeypatch
     ):
-        """A payload of 2 MiB or more is CRC-checked as two halves: zlib
-        sees two views of the very bytes the loaded columns sit on."""
-        checked = []
-        crc32 = zlib.crc32
+        """The Q rows of a run of 2 MiB or more are hashed as two
+        SHA-256 leaves over views of the very buffer the loaded Q
+        columns sit on, and they give the stored digest."""
+        hashed = []
+        sha256 = bytesplit.sha256
 
-        def spy_crc32(data, *args):
-            checked.append(data)
-            return crc32(data, *args)
+        def spy_sha256(data):
+            hashed.append(data)
+            return sha256(data)
 
-        monkeypatch.setattr(h5lite.zlib, "crc32", spy_crc32)
-        cols = load_md(large_experiment.md_paths[0]).events.cols
-        base = cols
-        while isinstance(base, np.ndarray):
-            base = base.base
-        views = [c for c in checked
-                 if isinstance(c, memoryview) and c.obj is base]
+        monkeypatch.setattr(bytesplit, "sha256", spy_sha256)
+        pending = begin_md(large_experiment.md_paths[0])
+        pending.start(BINMD_COLUMNS, keyed=True)
+        table = pending.join().events
+        base = _base(table.column(COL_QX))
+        views = [v for v in hashed
+                 if isinstance(v, memoryview) and v.obj is base]
         assert len(views) == 2
-        assert sum(v.nbytes for v in views) == cols.nbytes
-        assert np.array_equal(cols, large_experiment.workspaces[0].events.cols)
+        assert sum(v.nbytes for v in views) == table.q_rows.nbytes >= SPLIT
+        q = large_experiment.workspaces[0].events.q_rows
+        assert table.q_digest == digest_array(q)
+        assert np.array_equal(table.q_rows, q)
 
     def test_chunked_eager_load_transposes_once(self, tiny_experiment, tmp_path):
         ws = tiny_experiment.workspaces[0]
@@ -197,6 +239,9 @@ class TestSaveLoad:
         back = load_md(path).events
         assert back.cols.shape == (8, n) and back.n_events == n
         assert np.array_equal(back.data, rows)
+        pending = begin_md(path)
+        pending.close()
+        assert pending.q_digest == digest_array(ws.events.q_rows)
 
     def test_wrong_shape_rejected(self, tmp_path):
         path = str(tmp_path / "bad.md.h5")
@@ -216,38 +261,33 @@ class TestSaveLoad:
         with pytest.raises(ValidationError, match="event_data"):
             load_md(path)
 
-    def _event_data_offset(self, path):
-        with File(path, "r") as f:
-            return f["MDEventWorkspace/event_data"]._offset
-
     def test_corrupt_payload_rejected(self, tiny_experiment, tmp_path):
         path = str(tmp_path / "ws.md.h5")
         save_md(path, tiny_experiment.workspaces[0])
-        raw = bytearray(Path(path).read_bytes())
-        raw[self._event_data_offset(path) + 13] ^= 0x40
-        Path(path).write_bytes(raw)
+        _flip(path, _offsets(path, "signal")[0][0] + 13)
         with pytest.raises(h5lite.CorruptFileError, match="checksum"):
             load_md(path)
 
     @pytest.mark.parametrize("where", ["start", "end"])
     def test_corrupt_split_payload_rejected(self, large_experiment, tmp_path,
                                             where):
-        """A flipped byte in either half of a payload CRC-checked two
-        ways is caught."""
+        """A flipped byte at either end of a 2 MiB-or-more read (the
+        first stream's first bytes, the last stream's last) is caught."""
         path = str(tmp_path / "ws.md.h5")
-        raw = bytearray(Path(large_experiment.md_paths[0]).read_bytes())
-        with File(large_experiment.md_paths[0], "r") as f:
-            ds = f["MDEventWorkspace/event_data"]
-            offset, nbytes = ds._offset, ds.nbytes
-        raw[offset + (13 if where == "start" else nbytes - 13)] ^= 0x40
-        Path(path).write_bytes(raw)
+        Path(path).write_bytes(Path(large_experiment.md_paths[0]).read_bytes())
+        if where == "start":
+            offset = _offsets(path, "signal")[0][0] + 13
+        else:
+            last = _offsets(path, "goniometer_index")[-1]
+            offset = last[0] + last[1] - 13
+        _flip(path, offset)
         with pytest.raises(h5lite.CorruptFileError, match="checksum"):
             load_md(path)
 
     def test_truncated_file_rejected(self, tiny_experiment, tmp_path):
         path = str(tmp_path / "ws.md.h5")
         save_md(path, tiny_experiment.workspaces[0])
-        cut = self._event_data_offset(path) + 64
+        cut = _offsets(path, "signal")[0][0] + 64
         raw = Path(path).read_bytes()
         Path(path).write_bytes(raw[:cut])
         with pytest.raises(h5lite.H5LiteError):
@@ -266,27 +306,27 @@ class TestSaveLoad:
         assert load_md(path).ub_matrix is None
 
 
-def _save_events(path, n, seed=0):
-    """A run of ``n`` random events (contiguous payload of ``64 n``
-    bytes); returns its columns."""
+def _save_events(path, n, seed=0, **kw):
+    """A run of ``n`` random events (eight raw columns of ``8 n``
+    bytes each); returns its columns."""
     cols = np.random.default_rng(seed).normal(size=(8, n))
     save_md(path, MDEventWorkspace(
         events=EventTable.from_cols(cols), run_number=1,
         goniometer=np.eye(3), proton_charge=1.0, momentum_band=(1.0, 5.0),
-        ub_matrix=np.eye(3)))
+        ub_matrix=np.eye(3)), **kw)
     return cols
 
 
 def _base(arr):
     while isinstance(arr, np.ndarray):
         arr = arr.base
-    return arr
+    return arr.obj if isinstance(arr, memoryview) else arr
 
 
 class TestBegunLoad:
-    """``begin_md`` + ``start`` + ``join``: the payload is read, CRC'd and
-    its Q leaves hashed on the helper, and the result is what
-    ``load_md`` returns, bit for bit."""
+    """``begin_md`` + ``start`` + ``join``: the columns asked for are
+    read, CRC'd and (with Q) hashed on the helper, and the result is
+    what ``load_md`` returns for them, bit for bit."""
 
     @pytest.mark.parametrize("n", [0, 1, SPLIT // 64 - 1, SPLIT // 64,
                                    SPLIT // 64 + 1])
@@ -294,39 +334,58 @@ class TestBegunLoad:
         path = str(tmp_path / "run.md.h5")
         cols = _save_events(path, n)
         pending = begin_md(path)
-        pending.start(key_leaves=True)
+        pending.start(BINMD_COLUMNS, keyed=True)
         table = pending.join().events
-        assert table.cols.view(np.int64).tobytes() == cols.view(np.int64).tobytes()
-        assert not table.cols.flags.writeable
-        q = table.cols[COL_Q]
-        assert table.q_leaves == bytesplit.sha256_halves(
-            q.reshape(-1).view(np.uint8))
-        assert load_md(path).events.q_leaves is None
-        assert np.array_equal(load_md(path).events.cols, table.cols)
+        for c in BINMD_COLUMNS:
+            col = table.column(c)
+            assert col.view(np.int64).tobytes() == cols[c].view(np.int64).tobytes()
+            assert not col.flags.writeable
+        for c in (COL_RUN_INDEX, COL_DETECTOR_ID, COL_GONIOMETER_INDEX):
+            with pytest.raises(UnreadColumnError):
+                table.column(c)
+        with pytest.raises(UnreadColumnError):
+            table.cols
+        assert table.q_digest == digest_array(cols[COL_Q])
+        full = load_md(path).events
+        assert full.q_digest is None  # its Q rows were not hashed
+        assert np.array_equal(full.cols, cols)
 
     @pytest.mark.parametrize("n", [(SPLIT // 24) - 1, SPLIT // 24,
                                    (SPLIT // 24) + 1])
     def test_key_from_leaves_is_the_digest(self, tmp_path, bytesplit_helper, n):
-        """The Q rows (24 bytes an event) straddle the split size."""
+        """The Q rows (24 bytes an event) straddle the split size: the
+        stored digest is ``digest_array`` of them, the leaves the join
+        hashed give it, and a table's key is the in-memory one."""
         path = str(tmp_path / "run.md.h5")
-        _save_events(path, n)
+        cols = _save_events(path, n)
+        q = np.ascontiguousarray(cols[COL_Q])
         pending = begin_md(path)
-        pending.start(key_leaves=True)
+        assert pending.q_digest == digest_array(q)
+        assert digest_leaves(q.dtype, q.shape, bytesplit.sha256_halves(
+            q.reshape(-1).view(np.uint8))) == pending.q_digest
+        pending.start(BINMD_COLUMNS, keyed=True)
         table = pending.join().events
-        q = table.cols[COL_Q]
-        assert digest_leaves(q, table.q_leaves) == digest_array(q)
+        grid = HKLGrid.benzil_grid(bins=(5, 5, 1))
+        ops = np.eye(3)[None]
+        assert (binmd_cache_key(grid, ops, table)
+                == binmd_cache_key(grid, ops, EventTable.from_cols(cols)))
 
     @pytest.mark.parametrize("nbytes", [SPLIT - 1, SPLIT, SPLIT + 1])
     def test_payload_job_around_the_split(self, tmp_path, monkeypatch,
                                           bytesplit_helper, nbytes):
-        """Byte-exact payloads around the split size: the CRC32 runs as
-        one range below it and as two from it up, over views of the very
-        buffer the array sits on; the leaves cut as ``sha256_halves``."""
-        data = np.frombuffer(np.random.default_rng(3).bytes(nbytes),
-                             dtype=np.uint8)
+        """Byte-exact raw streams around the split size: two back-to-back
+        streams are CRC-checked as one run, in one range below the split
+        size and two from it up, over views of the very buffer the
+        arrays sit on; the hashed datasets' leaves cut as
+        ``sha256_halves`` cuts their bytes joined."""
+        rng = np.random.default_rng(3)
+        cut = nbytes - 64 - nbytes % 8  # the writer's 8-byte alignment
+        first = np.frombuffer(rng.bytes(cut), dtype=np.uint8)
+        second = np.frombuffer(rng.bytes(nbytes - cut), dtype=np.uint8)
         path = str(tmp_path / "blob.h5")
         with File(path, "w") as f:
-            f.create_dataset("blob", data=data)
+            f.create_dataset("a", data=first, chunk_rows=nbytes)
+            f.create_dataset("b", data=second, chunk_rows=nbytes)
         checked = []
         crc32 = zlib.crc32
 
@@ -336,13 +395,15 @@ class TestBegunLoad:
 
         monkeypatch.setattr(h5lite.zlib, "crc32", spy_crc32)
         with File(path, "r") as f:
-            read = f["blob"].begin_read()
-            assert read.start((1, nbytes))
+            read = h5lite.PayloadRead([f["a"], f["b"]], hashed=[0, 1])
+            assert read.start()
             got = read.join()
-        assert got.tobytes() == data.tobytes()
-        assert read.leaves == bytesplit.sha256_halves(data[1:])
+        assert got[0].tobytes() == first.tobytes()
+        assert got[1].tobytes() == second.tobytes()
+        assert read.leaves == bytesplit.sha256_halves(
+            np.concatenate([first, second]))
         views = [c for c in checked if isinstance(c, memoryview)
-                 and c.obj is _base(got)]
+                 and c.obj is _base(got[0])]
         assert len(views) == (2 if nbytes >= SPLIT else 1)
         assert sum(v.nbytes for v in views) == nbytes
 
@@ -351,13 +412,9 @@ class TestBegunLoad:
                                                  bytesplit_helper, where):
         path = str(tmp_path / "run.md.h5")
         _save_events(path, SPLIT // 64 + 1)
-        with File(path, "r") as f:
-            offset = f["MDEventWorkspace/event_data"]._offset
-        raw = bytearray(Path(path).read_bytes())
-        raw[offset + where] ^= 0x01
-        Path(path).write_bytes(raw)
+        _flip(path, _offsets(path, "signal")[0][0] + where, 0x01)
         pending = begin_md(path)
-        pending.start(key_leaves=True)
+        pending.start(ALL_COLUMNS)
         with pytest.raises(h5lite.CorruptFileError, match="checksum"):
             pending.join()
 
@@ -370,13 +427,14 @@ class TestBegunLoad:
             assert np.array_equal(pending.ws.goniometer, ws.goniometer)
             assert pending.ws.momentum_band == ws.momentum_band
             assert pending.ws.proton_charge == ws.proton_charge
+            assert pending.q_digest == digest_array(ws.events.q_rows)
         finally:
             pending.close()
 
     def test_close_abandons_a_started_job(self, tiny_experiment,
                                           bytesplit_helper):
         pending = begin_md(tiny_experiment.md_paths[0])
-        pending.start(key_leaves=True)
+        pending.start(BINMD_COLUMNS)
         pending.close()
         pending.close()
         assert pending.ws.events is None

@@ -1006,16 +1006,17 @@ class TestKillAndResumeStealing:
 
 
 def _flip_payload_byte(path: str) -> None:
+    """Flip a byte of the signal stream, which every load reads."""
     with h5lite.File(path, "r") as f:
-        offset = f["MDEventWorkspace/event_data"]._offset
+        offset = f["MDEventWorkspace/event_columns/signal"]._chunk_index[0][0]
     with open(path, "r+b") as fh:
         fh.seek(offset + 101)
         fh.write(bytes([fh.read(1)[0] ^ 0x40]))
 
 
 def _truncate_payload(path: str) -> None:
-    """Point the payload at the header, so its read comes up short
-    (the header itself stays readable)."""
+    """Point the signal stream at the header, so the read comes up
+    short (the header itself stays readable)."""
     with open(path, "r+b") as fh:
         fh.seek(12)
         (header_off,) = struct.unpack("<Q", fh.read(8))
@@ -1023,8 +1024,8 @@ def _truncate_payload(path: str) -> None:
         header = fh.read()[:-8]
         doc = json.loads(header)
         entry = doc["root"]["children"]["MDEventWorkspace"]["children"][
-            "event_data"]
-        entry["offset"] = header_off
+            "event_columns"]["children"]["signal"]
+        entry["chunks"][0][0] = header_off
         header = json.dumps(doc).encode()
         fh.seek(header_off)
         fh.write(header + struct.pack("<Q", len(header)))

@@ -265,9 +265,10 @@ class TestDeferredPayload:
     def test_no_key_leaves_without_a_cached_binmd(
         self, tiny_experiment, bytesplit_helper, monkeypatch, how
     ):
-        """Sharded and stealing BinMD never look a key up: no leaves are
-        hashed, and the digested bytes equal a reduction whose runs load
-        through plain ``load_md``."""
+        """Sharded and stealing BinMD never look a key up: every load
+        reads BinMD's five columns, no Q leaves are hashed, and the
+        digested bytes equal a reduction whose runs load through plain
+        ``load_md``."""
         digested = []
         digest_array = gc_mod.digest_array
 
@@ -275,15 +276,15 @@ class TestDeferredPayload:
             digested.append(np.asarray(arr).nbytes)
             return digest_array(arr)
 
-        leaf_ranges = []
-        start = h5lite.PayloadRead.start
+        reads = []
+        init = h5lite.PayloadRead.__init__
 
-        def spy_start(read, leaf_range=None):
-            leaf_ranges.append(leaf_range)
-            return start(read, leaf_range)
+        def spy_init(read, datasets, hashed=()):
+            reads.append(([ds.basename for ds in datasets], list(hashed)))
+            init(read, datasets, hashed)
 
         monkeypatch.setattr(gc_mod, "digest_array", spy_digest)
-        monkeypatch.setattr(h5lite.PayloadRead, "start", spy_start)
+        monkeypatch.setattr(h5lite.PayloadRead, "__init__", spy_init)
 
         def reduce():
             wf = _core_workflow(tiny_experiment, backend="vectorized")
@@ -296,9 +297,8 @@ class TestDeferredPayload:
             return sum(digested)
 
         begun = reduce()
-        assert all(r is None for r in leaf_ranges)
-        assert len(leaf_ranges) == (len(tiny_experiment.md_paths)
-                                    if how == "sharded" else 0)
+        assert reads == [(["signal", "error_sq", "qx", "qy", "qz"],
+                          [])] * len(tiny_experiment.md_paths)
         monkeypatch.setattr(workflow_mod, "begin_md", load_md)
         assert reduce() == begun > 0
 

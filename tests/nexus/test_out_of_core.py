@@ -364,7 +364,9 @@ class TestTileManager:
 
     def test_rejects_contiguous_dataset(self, tmp_path):
         path = str(tmp_path / "legacy.md.h5")
-        save_md(path, _workspace(_random_table(1, 500)))  # legacy layout
+        with File(path, "w") as f:  # the legacy contiguous (8, n) layout
+            f.create_group("MDEventWorkspace").create_dataset(
+                "event_data", data=np.ascontiguousarray(_random_table(1, 500).T))
         with pytest.raises((TileError, KeyError)):
             LazyEventTable(path).binmd_window(0, 10)
 

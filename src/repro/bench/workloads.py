@@ -201,8 +201,9 @@ def _spec_digest(spec: WorkloadSpec) -> str:
         "bins": spec.grid_bins,
         "seed": spec.seed,
         # 2: pulse_times in event files + instrument IDF; 3: SaveMD's
-        # one layout (a stream per column, the Q digest in the header)
-        "format": 3,
+        # one layout (a stream per column, the Q digest in the header);
+        # 4: the run metadata in one record
+        "format": 4,
     }
     if spec.chunk_events is not None:
         fields["chunk_events"] = int(spec.chunk_events)

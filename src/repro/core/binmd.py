@@ -75,12 +75,27 @@ def _n_events(events: EventTable | np.ndarray) -> int:
     return int(np.asarray(events).shape[0])
 
 
-def binmd_columns(events: EventTable | np.ndarray, *,
-                  q: bool = True) -> tuple[Optional[np.ndarray], ...]:
+def binmd_reads(backend: Optional[str],
+                entry: Optional[BinMDEntry]) -> tuple[int, ...]:
+    """The columns (``COL_*`` indices) a BinMD launch on ``backend``
+    reads given its cache lookup's ``entry``: signal and error_sq alone
+    (:data:`WEIGHT_COLUMNS`) when the batch body deposits the entry's
+    cached pairs, else :data:`BINMD_COLUMNS` (the element body bins Q
+    on every launch).  The per-run step loads what this names and
+    :func:`bin_events` reads what it names, so the two cannot differ."""
+    if entry is not None and resolve_backend(backend).body == "batch":
+        return WEIGHT_COLUMNS
+    return BINMD_COLUMNS
+
+
+def binmd_columns(events: EventTable | np.ndarray,
+                  reads: tuple[int, ...] = BINMD_COLUMNS,
+                  ) -> tuple[Optional[np.ndarray], ...]:
     """The columns the bodies read (:data:`BINMD_COLUMNS`: signal,
     error_sq, Qx, Qy, Qz) of a table or an ``(n, 8)`` event array, as
-    views.  ``q=False`` (a launch on cached pairs) leaves the Q slots
-    None, so a table that holds only signal and error_sq will do."""
+    views.  A slot whose column is not in ``reads`` (see
+    :func:`binmd_reads`) is None, so a table that holds only signal
+    and error_sq will do for a launch on cached pairs."""
     if isinstance(events, EventTable):
         column = events.column
     else:
@@ -88,8 +103,7 @@ def binmd_columns(events: EventTable | np.ndarray, *,
 
         def column(c: int) -> np.ndarray:
             return data[:, c]
-    return tuple(column(c) if q or c in WEIGHT_COLUMNS else None
-                 for c in BINMD_COLUMNS)
+    return tuple(column(c) if c in reads else None for c in BINMD_COLUMNS)
 
 
 def binmd_cache_key(grid, transforms: np.ndarray,
@@ -234,7 +248,6 @@ def bin_events(
     cache = _gc.resolve(cache)
     tracer = _trace.active_tracer()
     engine = resolve_backend(backend)
-    batch = engine.body == "batch"
     with tracer.span(
         "binmd",
         kind="op",
@@ -263,7 +276,7 @@ def bin_events(
 
         captures = Captures(
             hist=hist,
-            columns=binmd_columns(events, q=entry is None or not batch),
+            columns=binmd_columns(events, binmd_reads(backend, entry)),
             transforms=transforms,
             tile=int(tile),
             scatter_impl=scatter_impl,

@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.core import geom_cache as _gc
-from repro.core.binmd import bin_events
+from repro.core.binmd import bin_events, binmd_reads
 from repro.core.checkpoint import (
     DELTA_ARRAYS,
     CheckpointCorruptError,
@@ -48,7 +48,7 @@ from repro.crystal.symmetry import PointGroup
 from repro.jacc import resolve_backend
 from repro.mpi import Comm, SequentialComm, balanced_rank_runs
 from repro.nexus.corrections import FluxSpectrum
-from repro.nexus.events import BINMD_COLUMNS, WEIGHT_COLUMNS
+from repro.nexus.events import BINMD_COLUMNS
 from repro.util import faults as _faults
 from repro.util import monitor as _monitor
 from repro.util import trace as _trace
@@ -229,17 +229,17 @@ def _run_step(
     charged to UpdateEvents.  Between the load and MDNorm, outside
     every stage timer, the step builds BinMD's cache key from the Q
     digest stored in the file and makes the run's one lookup (in
-    memory, unsharded, cache enabled).  On a hit that the batch body
-    will deposit, the load reads signal and error_sq alone; otherwise
-    BinMD's five columns, whose Q rows the join checks against the
-    stored digest when the run looked its key up (a key that inserts
-    an entry must describe the rows binned; elsewhere each stream's
-    CRC32 is the check).  The entry found is handed to BinMD, which looks
-    nothing up again, so no eviction in between can turn the hit into
-    a Q read."""
+    memory, unsharded, cache enabled).  The load reads the columns
+    :func:`~repro.core.binmd.binmd_reads` names for the entry found:
+    signal and error_sq alone on a hit that the batch body will
+    deposit, otherwise BinMD's five columns, whose Q rows the join
+    checks against the stored digest when the run looked its key up (a
+    key that inserts an entry must describe the rows binned; elsewhere
+    each stream's CRC32 is the check).  The entry found is handed to
+    BinMD, which looks nothing up again, so no eviction in between can
+    turn the hit into a Q read."""
     monitor = _monitor.active_monitor()
     looks_up = binmd_impl is None and shards is None and cache.enabled
-    batch = resolve_backend(backend).body == "batch"
 
     def step(i: int, binmd_hist: Hist3, mdnorm_hist: Hist3) -> MDEventWorkspace:
         pending = None
@@ -258,8 +258,7 @@ def _run_step(
                     key = cache.binmd_key(grid, event_transforms,
                                           pending.q_digest)
                     lookup = (key, cache.get(key))
-                    if lookup[1] is not None and batch:
-                        columns = WEIGHT_COLUMNS
+                    columns = binmd_reads(backend, lookup[1])
                 with timings.stage("UpdateEvents"):
                     pending.start(columns, keyed=lookup is not None)
             _mdnorm_step(i, ws, mdnorm_hist)

@@ -18,10 +18,11 @@ instrument geometry and the run's goniometer.
 
 from __future__ import annotations
 
+import functools
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -140,6 +141,42 @@ ALL_COLUMNS = tuple(range(N_EVENT_COLUMNS))
 _FLOAT64 = np.dtype(np.float64)
 
 
+#: the dataset holding a run's metadata: one float64 record of the run
+#: number, the proton charge, the momentum band's two ends, the
+#: goniometer's nine entries and, when the run has one, the UB
+#: matrix's nine (row-major)
+RUN_INFO = "run_info"
+
+
+def _run_info(ws: MDEventWorkspace) -> np.ndarray:
+    run_number = float(ws.run_number)
+    require(int(run_number) == ws.run_number,
+            f"run number {ws.run_number} is not exact in float64")
+    parts = [[run_number, ws.proton_charge, *ws.momentum_band],
+             np.ravel(ws.goniometer)]
+    if ws.ub_matrix is not None:
+        parts.append(np.ravel(ws.ub_matrix))
+    return np.concatenate(parts).astype(np.float64)
+
+
+def _read_run_info(grp: Group) -> dict:
+    """The run's metadata as :class:`MDEventWorkspace` fields: one read
+    of the record, or of the five datasets files written before it
+    held."""
+    if RUN_INFO in grp:
+        info = grp.read(RUN_INFO)
+        return dict(run_number=int(info[0]), proton_charge=float(info[1]),
+                    momentum_band=(float(info[2]), float(info[3])),
+                    goniometer=info[4:13].reshape(3, 3),
+                    ub_matrix=info[13:22].reshape(3, 3) if len(info) > 13 else None)
+    band = grp.read("momentum_band")
+    return dict(run_number=int(grp.read("run_number")[()]),
+                proton_charge=float(grp.read("proton_charge")[()]),
+                momentum_band=(float(band[0]), float(band[1])),
+                goniometer=grp.read("goniometer"),
+                ub_matrix=grp.read("ub_matrix") if "ub_matrix" in grp else None)
+
+
 def save_md(
     path: Union[str, os.PathLike],
     ws: MDEventWorkspace,
@@ -168,6 +205,8 @@ def save_md(
     :func:`load_md` hand the reduction a bounded-memory
     :class:`~repro.nexus.tiles.LazyEventTable` instead of
     materializing the run (the paper's raw datasets are 8.5-206 GB).
+    The run's metadata is one small :data:`RUN_INFO` record, so a load
+    reads it with one read.
     """
     events = (ws.events if isinstance(ws.events, EventTable)
               else EventTable(np.asarray(ws.events, dtype=np.float64)))
@@ -182,16 +221,7 @@ def save_md(
         for c in WRITE_ORDER:
             columns.create_dataset(COLUMN_NAMES[c], data=events.column(c),
                                    chunk_rows=rows, codec=codec)
-        grp.create_dataset("run_number", data=np.array(ws.run_number, dtype=np.int64))
-        grp.create_dataset("goniometer", data=ws.goniometer)
-        grp.create_dataset(
-            "proton_charge", data=np.array(ws.proton_charge, dtype=np.float64)
-        )
-        grp.create_dataset(
-            "momentum_band", data=np.asarray(ws.momentum_band, dtype=np.float64)
-        )
-        if ws.ub_matrix is not None:
-            grp.create_dataset("ub_matrix", data=ws.ub_matrix)
+        grp.create_dataset(RUN_INFO, data=_run_info(ws))
 
 
 def load_md(
@@ -202,8 +232,10 @@ def load_md(
     """LoadMD / UpdateEvents: read the 8-column table.
 
     Reads and checks all eight column streams (every CRC32) and returns
-    them as one read-only ``(8, n)`` block, whose Q rows are hashed if a
-    BinMD key is ever built from them; this is :func:`begin_md` joined at once.  With
+    them as eight read-only columns (views of the checked read buffer
+    for a raw one-chunk file; not copied), whose Q rows are hashed if a
+    BinMD key is ever built from them; this is :func:`begin_md` joined
+    at once.  With
     ``memory_budget`` (bytes) the returned workspace carries a
     :class:`~repro.nexus.tiles.LazyEventTable` instead — metadata is
     read now, each shard window decodes its own chunks straight from
@@ -224,8 +256,9 @@ def begin_md(
     """The first half of :func:`load_md`, on the caller.
 
     Fires ``nexus.read_events``, reads the header and the metadata (UB,
-    goniometer, band, charge) into ``pending.ws`` and takes the stored
-    Q digest into ``pending.q_digest``; ``ws.events`` is None until
+    goniometer, band, charge: the one ``run_info`` record) into
+    ``pending.ws`` and takes the stored Q digest into
+    ``pending.q_digest``; ``ws.events`` is None until
     :meth:`PendingMD.join`, and no column is read yet.  With
     ``memory_budget`` a chunked table is a lazy one, complete already.
     Files without a stored digest fall back to one eager read of the
@@ -248,16 +281,7 @@ def begin_md(
             q_digest = str(columns.attrs[Q_DIGEST_ATTR])
         else:
             events = _read_whole(f, grp)
-        band = grp.read("momentum_band")
-        ub = grp.read("ub_matrix") if "ub_matrix" in grp else None
-        ws = MDEventWorkspace(
-            events=events,
-            run_number=int(grp.read("run_number")[()]),
-            goniometer=grp.read("goniometer"),
-            proton_charge=float(grp.read("proton_charge")[()]),
-            momentum_band=(float(band[0]), float(band[1])),
-            ub_matrix=ub,
-        )
+        ws = MDEventWorkspace(events=events, **_read_run_info(grp))
     except BaseException:
         f.close()
         raise
@@ -288,11 +312,11 @@ class PendingMD:
     digest of the Q rows, from which BinMD's cache key is built before
     any column is read.  :meth:`start` queues the read of the columns
     asked for (each stream's CRC32 and, when the load is keyed and
-    reads Q, the two SHA-256 leaves of the Q rows) on the ``bytesplit``
-    helper; :meth:`join` takes what the helper has not started, checks
-    every stream's CRC32 and keyed Q rows against ``q_digest`` on the
-    caller, and returns the workspace, whose table holds exactly the columns
-    read (a column not read raises
+    reads Q, the digest of the Q rows) on the ``bytesplit`` helper;
+    :meth:`join` takes what the helper has not started, checks every
+    stream's CRC32 and a keyed load's Q digest against ``q_digest`` on
+    the caller, and returns the workspace, whose table holds exactly
+    the columns read (a column not read raises
     :class:`~repro.nexus.events.UnreadColumnError`).  Joining an
     unstarted load reads its ``columns`` on the caller.  A load that
     was complete at :func:`begin_md` (lazy, or an old file read whole)
@@ -308,6 +332,7 @@ class PendingMD:
         self._group = columns
         self._read: Optional[PayloadRead] = None
         self._columns: Tuple[int, ...] = ()
+        self._q: List[int] = []  # positions of the Q columns in _columns
         self._file = f if columns is not None else None
         if columns is None and not isinstance(ws.events, LazyEventTable):
             f.close()  # a lazy table owns f
@@ -318,10 +343,14 @@ class PendingMD:
         require(len(q) in (0, len(Q_COLUMNS)),
                 "a load reads all three Q columns or none")
         assert self._group is not None
-        read = PayloadRead(
-            [self._group.require_dataset(COLUMN_NAMES[c]) for c in cols],
-            hashed=q if keyed else ())
-        self._read, self._columns = read, cols
+        datasets = [self._group.require_dataset(COLUMN_NAMES[c]) for c in cols]
+        if keyed and q:
+            shape = (len(Q_COLUMNS), len(datasets[0]))
+            read = PayloadRead(datasets, hashed=q, digest=functools.partial(
+                digest_leaves, _FLOAT64, shape))
+        else:
+            read = PayloadRead(datasets)
+        self._read, self._columns, self._q = read, cols, q
         return read
 
     def start(self, columns: Sequence[int], *, keyed: bool = False) -> None:
@@ -349,18 +378,15 @@ class PendingMD:
             arrays = read.join()
         finally:
             self.close()
+        if self._q:
+            _trace.active_tracer().count(
+                "nexus.q_bytes_read", sum(arrays[k].nbytes for k in self._q))
+        if read.digest is not None and read.digest != self.q_digest:
+            raise CorruptFileError(
+                f"{path!r}: the Q rows do not match their stored digest")
         table = EventTable.from_read_columns(dict(zip(self._columns, arrays)))
-        q_read = [arrays[k] for k, c in enumerate(self._columns) if c in Q_COLUMNS]
-        if q_read:
-            _trace.active_tracer().count("nexus.q_bytes_read",
-                                         sum(q.nbytes for q in q_read))
-        if read.leaves is not None:
-            shape = (len(Q_COLUMNS), table.n_events)
-            if digest_leaves(_FLOAT64, shape, read.leaves) != self.q_digest:
-                raise CorruptFileError(
-                    f"{path!r}: the Q rows do not match their stored digest")
         # Q read unhashed: a key built later hashes the rows themselves
-        table.q_digest = None if q_read and read.leaves is None else self.q_digest
+        table.q_digest = None if self._q and read.digest is None else self.q_digest
         self.ws.events = table
         return self.ws
 
@@ -381,13 +407,30 @@ class PendingMD:
             self.close()
 
 
+#: events per block :func:`transpose_events` gathers the columns into
+_TRANSPOSE_ROWS = 8192
+
+
 def transpose_events(events: EventTable) -> np.ndarray:
     """The paper's ``UpdateEvents`` transpose, paid explicitly.
 
-    Returns the event-major ``(n, 8)`` table as a C-contiguous copy:
-    one out-of-place transpose of the run's columns.  The Table III-VI
-    proxies call this inside their timed ``UpdateEvents`` and run their
-    kernels on the copy, so their load still costs what the paper's
-    does although :func:`load_md` itself does not transpose.
+    Returns the event-major ``(n, 8)`` table as a C-contiguous copy,
+    built straight from the run's columns: a cache-sized block of
+    events at a time, gathered as ``(8, rows)`` and transposed into
+    place, so the table is copied once however the load holds its
+    columns.  The Table III-VI proxies call this inside their timed
+    ``UpdateEvents`` and run their kernels on the copy, so their load
+    still costs what the paper's does although :func:`load_md` itself
+    does not transpose.
     """
-    return np.ascontiguousarray(events.data)
+    n = events.n_events
+    columns = [events.column(c) for c in range(N_EVENT_COLUMNS)]
+    out = np.empty((n, N_EVENT_COLUMNS), dtype=np.float64)
+    block = np.empty((N_EVENT_COLUMNS, min(n, _TRANSPOSE_ROWS)), dtype=np.float64)
+    for a in range(0, n, _TRANSPOSE_ROWS):
+        b = min(a + _TRANSPOSE_ROWS, n)
+        part = block[:, :b - a]
+        for c, column in enumerate(columns):
+            part[c] = column[a:b]
+        out[a:b] = part.T
+    return out

@@ -136,10 +136,13 @@ class EventTable:
     takes that event-major ``(n, 8)`` form and transposes it once;
     :meth:`from_cols` adopts an ``(8, n)`` block as is.
 
-    A table loaded with only some columns (:meth:`from_read_columns`;
-    the reduction reads BinMD's five, or only signal and error_sq when
-    its BinMD pairs are cached) holds just those: :meth:`column`
-    returns them, and ``cols``, ``data`` and every other column raise
+    A loaded table (:meth:`from_read_columns`) holds the columns its
+    load read, as the load returned them (a raw one-chunk column is a
+    view of the checked read buffer): all eight for
+    :func:`~repro.core.md_event_workspace.load_md`, BinMD's five, or
+    only signal and error_sq when a reduction's BinMD pairs are cached.
+    :meth:`column` returns them; ``cols`` and ``data`` stack all eight
+    on first use, and with fewer read they and every other column raise
     :class:`UnreadColumnError`.  ``q_digest`` is the ``digest_array``
     digest of the ``(3, n)`` Q rows when the load knows it (SaveMD
     stores it in the file), else None; such a table is read-only.
@@ -174,13 +177,9 @@ class EventTable:
 
     @classmethod
     def from_read_columns(cls, columns: Mapping[int, np.ndarray]) -> "EventTable":
-        """The table of the columns a load read, keyed by column index.
-        All eight are stacked into one read-only block; fewer are kept
-        as given, and the others raise :class:`UnreadColumnError`."""
-        if len(columns) == N_EVENT_COLUMNS:
-            block = np.stack([columns[c] for c in range(N_EVENT_COLUMNS)])
-            block.flags.writeable = False
-            return cls.from_cols(block)
+        """The table of the columns a load read, keyed by column index,
+        kept as given (no copy); the others raise
+        :class:`UnreadColumnError`."""
         lengths = {len(col) for col in columns.values()}
         require(len(lengths) == 1, f"read columns differ in length: {lengths}")
         table = cls.__new__(cls)
@@ -191,12 +190,19 @@ class EventTable:
 
     @property
     def cols(self) -> np.ndarray:
-        """The ``(8, n)`` block (a table holding every column only)."""
+        """The ``(8, n)`` block.  A loaded table that read all eight
+        columns stacks them into a read-only block the first time it is
+        asked for (one copy) and keeps that; one that read fewer
+        raises :class:`UnreadColumnError`."""
         if self._cols is None:
-            raise UnreadColumnError(
-                "the table holds only the columns "
-                f"{[COLUMN_NAMES[c] for c in sorted(self._read)]}"
-            )
+            if len(self._read) < N_EVENT_COLUMNS:
+                raise UnreadColumnError(
+                    "the table holds only the columns "
+                    f"{[COLUMN_NAMES[c] for c in sorted(self._read)]}"
+                )
+            block = np.stack([self._read[c] for c in range(N_EVENT_COLUMNS)])
+            block.flags.writeable = False
+            self._cols, self._read = block, None
         return self._cols
 
     def column(self, c: int) -> np.ndarray:

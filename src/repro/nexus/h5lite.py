@@ -35,8 +35,10 @@ On-disk layout::
     | ...              | dataset payloads, 8-byte aligned             |
     |                  |   contiguous: one raw (or deflated) blob     |
     |                  |   chunked (v2): N independent encoded chunks |
-    | header           | UTF-8 JSON tree (groups/datasets/attrs,      |
-    |                  | per-chunk [offset, stored, crc, rows] index) |
+    | header           | compact UTF-8 JSON tree (groups/datasets/    |
+    |                  | attrs, per-chunk [offset, stored, crc, rows] |
+    |                  | index; empty attrs and a chunk_rows the      |
+    |                  | first chunk gives are left out)              |
     | 8 bytes  u64 LE  | length of the JSON header (trailer)          |
     +------------------+----------------------------------------------+
 
@@ -64,14 +66,17 @@ codec actually stored.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import io
 import itertools
 import json
+import math
 import os
 import struct
 import zlib
-from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -198,6 +203,18 @@ def decode_chunk(
     return raw
 
 
+def overlapping_chunks(bounds: Sequence[int], start: int,
+                       stop: int) -> Tuple[int, int]:
+    """The chunks ``[first, last)`` that rows ``[start, stop)`` overlap,
+    given the ascending chunk row ``bounds`` (``[0, r1, ..., n]``); an
+    empty range when no row is selected.  Two bisections, so a window
+    costs the same however many chunks the dataset has."""
+    lo, hi = max(int(start), 0), min(int(stop), bounds[-1])
+    if lo >= hi:
+        return 0, 0
+    return bisect.bisect_right(bounds, lo) - 1, bisect.bisect_left(bounds, hi)
+
+
 def _encode_attr(value: AttrValue) -> Any:
     """Encode an attribute value into a JSON-representable object."""
     if isinstance(value, (bool, int, float, str)):
@@ -302,7 +319,7 @@ class Dataset(_Node):
     ):
         super().__init__(file, name)
         self.dtype = np.dtype(dtype)
-        self.shape = tuple(int(s) for s in shape)
+        self.shape = tuple(map(int, shape))
         if compression not in (None, "zlib"):
             raise H5LiteError(f"unsupported compression {compression!r}")
         self.compression = compression
@@ -335,10 +352,35 @@ class Dataset(_Node):
         self._chunk_index: Optional[List[List[int]]] = None
         self._chunk_bounds: Optional[List[int]] = None
 
+    @classmethod
+    def _from_entry(cls, file: "File", name: str,
+                    entry: Dict[str, Any]) -> "Dataset":
+        """The dataset a parsed header entry describes.  It sets the
+        fields :meth:`__init__` sets without checking them again (the
+        header holds what a writer accepted): a run's load builds a
+        dozen datasets, and this is a fixed part of its cost."""
+        index = entry.get("chunks")  # [offset, stored, crc, rows] per chunk
+        ds = cls.__new__(cls)
+        ds.__dict__.update(
+            _file=file, name=name, _attrs=dict(entry.get("attrs", ())),
+            dtype=np.dtype(entry["dtype"]), shape=tuple(entry["shape"]),
+            compression=entry.get("compression"), _chunks=[],
+            _stored_nbytes=entry.get("stored_nbytes"), _crc_checked=False,
+            _chunk_index=index, _chunk_bounds=None)
+        if index is None:
+            ds.__dict__.update(chunk_rows=None, codec=None,
+                               _offset=int(entry["offset"]),
+                               _crc=int(entry["crc"]))
+        else:
+            ds.__dict__.update(
+                chunk_rows=int(entry.get("chunk_rows") or index[0][3]),
+                codec=entry.get("codec", "none"), _offset=None, _crc=None)
+        return ds
+
     # -- shape helpers -------------------------------------------------
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
+        return math.prod(self.shape)
 
     @property
     def nbytes(self) -> int:
@@ -351,7 +393,7 @@ class Dataset(_Node):
     @property
     def row_nbytes(self) -> int:
         """Bytes per axis-0 row (itemsize for 1-D datasets)."""
-        items = int(np.prod(self.shape[1:], dtype=np.int64)) if self.ndim > 1 else 1
+        items = math.prod(self.shape[1:])
         return items * self.dtype.itemsize
 
     def __len__(self) -> int:
@@ -495,9 +537,8 @@ class Dataset(_Node):
             bounds = self._chunk_bounds
             assert bounds is not None
             parts: List[np.ndarray] = []
-            for ci, (c0, c1) in enumerate(zip(bounds[:-1], bounds[1:])):
-                if c1 <= start or c0 >= stop:
-                    continue
+            for ci in range(*overlapping_chunks(bounds, start, stop)):
+                c0, c1 = bounds[ci], bounds[ci + 1]
                 arr = self.read_chunk(ci)
                 parts.append(arr[max(start - c0, 0): min(stop, c1) - c0])
             if len(parts) == 1:
@@ -613,6 +654,55 @@ class Dataset(_Node):
         )
 
 
+#: a CRC piece of a :class:`PayloadRead` takes consecutive streams up
+#: to this many bytes together
+PIECE_BYTES = _bytesplit.SPLIT_BYTES // 2
+
+
+def _crc32s(cuts: Sequence[Tuple[int, int]], view: Any) -> List[int]:
+    """The CRC32 of each ``view[a:b]`` for ``(a, b)`` in ``cuts``."""
+    return [zlib.crc32(view[a:b]) for a, b in cuts]
+
+
+def _crc_pieces(streams: Sequence[Tuple[int, int]]) -> List[_bytesplit.Piece]:
+    """The CRC pieces of streams given as ``(offset, nbytes)`` in the
+    read buffer: consecutive streams up to :data:`PIECE_BYTES` share a
+    piece, whose result lists their CRC32s in order; a stream of
+    :data:`~repro.util.bytesplit.SPLIT_BYTES` or more is two pieces,
+    one per half."""
+    parts: List[Tuple[int, int]] = []
+    for a, n in streams:
+        if n >= _bytesplit.SPLIT_BYTES:
+            parts += [(a, a + n // 2), (a + n // 2, a + n)]
+        else:
+            parts.append((a, a + n))
+    groups: List[List[Tuple[int, int]]] = []
+    size = 0
+    for a, b in parts:
+        if not groups or size + b - a > PIECE_BYTES:
+            groups.append([])
+            size = 0
+        groups[-1].append((a, b))
+        size += b - a
+    pieces: List[_bytesplit.Piece] = []
+    for group in groups:
+        lo = min(a for a, _ in group)
+        cuts = tuple((a - lo, b - lo) for a, b in group)
+        pieces.append((functools.partial(_crc32s, cuts), lo,
+                       max(b for _, b in group)))
+    return pieces
+
+
+def _leaves(digest: Optional[Callable[[Tuple[bytes, bytes]], Any]],
+            view: Any) -> Tuple[Tuple[bytes, bytes], Any]:
+    """The two SHA-256 leaves of ``view``, cut where
+    :func:`~repro.util.bytesplit.sha256_halves` cuts, and ``digest`` of
+    them (None without one)."""
+    cut = len(view) // 2
+    leaves = (_bytesplit.sha256(view[:cut]), _bytesplit.sha256(view[cut:]))
+    return leaves, None if digest is None else digest(leaves)
+
+
 class PayloadRead:
     """The chunk streams of some chunked datasets of one file, read
     whole and checked: begun but not done.
@@ -621,74 +711,68 @@ class PayloadRead:
     fault point now.  :meth:`join` reads the byte span that holds every
     stream with one positioned read (a writer that puts the streams
     read together back to back makes that span exactly theirs), checks
-    every stream's CRC32 and returns one read-only array per dataset: a
-    dataset stored raw in back-to-back chunks is a view of the read
-    buffer, any other is decoded chunk by chunk.  ``hashed`` (indices
-    into ``datasets``) names datasets whose decoded bytes, concatenated
-    in order, are hashed as two SHA-256 leaves, cut where
-    :func:`~repro.util.bytesplit.sha256_halves` cuts them;
-    :attr:`leaves` holds them once joined.
+    every stream's CRC32 against its own stored one and returns one
+    read-only array per dataset: a dataset stored raw in one chunk is a
+    view of the read buffer, any other is decoded chunk by chunk.
+    ``hashed`` (indices into ``datasets``) names datasets whose decoded
+    bytes, concatenated in order, are hashed as two SHA-256 leaves, cut
+    where :func:`~repro.util.bytesplit.sha256_halves` cuts them, and
+    ``digest`` (if given) maps the leaves to what the caller checks
+    them against; :attr:`leaves` and :attr:`digest` hold both once
+    joined.
 
     Between the two, :meth:`start` may queue the work as one
     :class:`~repro.util.bytesplit.ByteJob` on the helper, which runs it
     while the caller works; :meth:`join` then takes the pieces the
-    helper has not started.  Every piece is one hand-off to the helper,
-    so there are few: the read, one CRC32 per run of back-to-back
-    streams (two halves from :data:`~repro.util.bytesplit.SPLIT_BYTES`
-    up), checked against the run's stored CRC32s joined with
-    ``crc32_combine`` (each stream is checked alone only on a
-    mismatch, to name it), and the two leaves when the hashed streams
-    are raw and back to back.  An unstarted join of ``SPLIT_BYTES`` or
-    more shares its pieces with the helper the same way.  A begun read
-    must be joined or closed before its file is.
+    helper has not started.  The pieces are the read, the leaves and
+    their digest in one piece when the hashed streams are raw and back
+    to back (first, so a caller that joins early takes the CRCs; from
+    :data:`~repro.util.bytesplit.SPLIT_BYTES` up a piece per leaf,
+    whose digest the join takes), and the CRC32s of consecutive
+    streams up to :data:`PIECE_BYTES`
+    together (a stream of :data:`~repro.util.bytesplit.SPLIT_BYTES` or
+    more as two halves, joined with ``crc32_combine``).  An unstarted
+    join of ``SPLIT_BYTES`` or more shares its pieces with the helper
+    the same way.  A begun read must be joined or closed before its
+    file is.
     """
 
-    def __init__(self, datasets: Sequence[Dataset],
-                 hashed: Sequence[int] = ()) -> None:
+    def __init__(self, datasets: Sequence[Dataset], hashed: Sequence[int] = (),
+                 digest: Optional[Callable[[Tuple[bytes, bytes]], Any]] = None,
+                 ) -> None:
         if not datasets:
             raise H5LiteError("a payload read needs at least one dataset")
-        for ds in datasets:
+        #: (dataset index, chunk, [offset, stored, crc, rows]) per stream
+        self._streams: List[Tuple[int, int, List[int]]] = []
+        for k, ds in enumerate(datasets):
             if ds._chunk_index is None:
                 raise H5LiteError(f"dataset {ds.name!r} is not stored chunked")
-            for ci in range(len(ds._chunk_index)):
+            for ci, entry in enumerate(ds._chunk_index):
                 _faults.fault_point("h5lite.read_chunk", dataset=ds.name, chunk=ci)
+                self._streams.append((k, ci, entry))
         self._datasets = list(datasets)
         self._file = self._datasets[0]._file
-        #: (dataset index, chunk, [offset, stored, crc, rows]), by offset
-        self._streams = sorted(
-            ((k, ci, entry) for k, ds in enumerate(self._datasets)
-             for ci, entry in enumerate(ds._chunk_index)),
-            key=lambda stream: stream[2][0])
-        self._lo = self._streams[0][2][0] if self._streams else 0
-        self._hi = max((e[0] + e[1] for _, _, e in self._streams),
-                       default=self._lo)
-        #: runs of back-to-back streams: [start, stop) in the buffer and
-        #: the CRC32 of their bytes, joined from the streams' own
-        self._runs: List[List[int]] = []
-        for _, _, (offset, stored, crc, _) in self._streams:
-            a = offset - self._lo
-            if self._runs and self._runs[-1][1] == a:
-                run = self._runs[-1]
-                run[1] = a + stored
-                run[2] = _bytesplit.crc32_combine(run[2], crc, stored)
-            else:
-                self._runs.append([a, a + stored, crc])
-        self._pieces: List[_bytesplit.Piece] = []
-        for a, b, _ in self._runs:
-            cuts = [a, a + (b - a) // 2, b] if b - a >= _bytesplit.SPLIT_BYTES else [a, b]
-            self._pieces += [(zlib.crc32, x, y) for x, y in zip(cuts, cuts[1:])]
-        self._n_crc = len(self._pieces)
+        entries = [entry for _, _, entry in self._streams]
+        self._lo = min((e[0] for e in entries), default=0)
+        self._hi = max((e[0] + e[1] for e in entries), default=self._lo)
         self._hashed = list(hashed)
+        self._digest = digest
         span = self._raw_span(self._hashed) if self._hashed else None
-        if span is not None:
-            a, b = span
+        self._pieces: List[_bytesplit.Piece] = []
+        if span is not None and span[1] - span[0] >= _bytesplit.SPLIT_BYTES:
+            a, b = span  # a leaf a piece, so the two can run two ways
             mid = a + (b - a) // 2
-            self._pieces += [(_bytesplit.sha256, a, mid),
-                             (_bytesplit.sha256, mid, b)]
+            self._pieces += [(_bytesplit.sha256, a, mid), (_bytesplit.sha256, mid, b)]
+        elif span is not None:
+            self._pieces.append((functools.partial(_leaves, digest), *span))
+        self._n_hash = len(self._pieces)
+        self._pieces += _crc_pieces([(e[0] - self._lo, e[1]) for e in entries])
         self._job: Optional[_bytesplit.ByteJob] = None
         #: SHA-256 of each half of the hashed datasets' bytes once
         #: joined; None if nothing is hashed
         self.leaves: Optional[Tuple[bytes, bytes]] = None
+        #: ``digest(leaves)`` once joined; None without a digest
+        self.digest: Any = None
 
     def _raw_span(self, ks: Sequence[int]) -> Optional[Tuple[int, int]]:
         """The ``[start, stop)`` of datasets ``ks`` in the read buffer
@@ -754,45 +838,45 @@ class PayloadRead:
             raise TruncatedFileError(
                 f"truncated read of {self._file.path!r}: wanted "
                 f"{self.nbytes} bytes, got {len(buf)}")
-        self._check(buf, results)
+        self._check(results[self._n_hash:])
         tracer.count("h5lite.chunks_decoded", len(self._streams))
-        flat = np.frombuffer(buf, dtype=np.uint8)
-        arrays = [self._decode(ds, buf, flat) for ds in self._datasets]
-        if self._hashed:
-            if len(results) > self._n_crc:
-                self.leaves = (results[-2], results[-1])
-            else:
-                self.leaves = _bytesplit.sha256_halves(np.concatenate(
-                    [arrays[k].reshape(-1).view(np.uint8) for k in self._hashed]))
+        arrays = [self._decode(ds, buf) for ds in self._datasets]
+        if self._n_hash == 1:
+            self.leaves, self.digest = results[0]
+        elif self._n_hash == 2:
+            self.leaves = (results[0], results[1])
+            if self._digest is not None:
+                self.digest = self._digest(self.leaves)
+        elif self._hashed:
+            self.leaves = _bytesplit.sha256_halves(np.concatenate(
+                [arrays[k].reshape(-1).view(np.uint8) for k in self._hashed]))
+            if self._digest is not None:
+                self.digest = self._digest(self.leaves)
         return arrays
 
-    def _check(self, buf: bytes, results: Sequence[Any]) -> None:
-        got = iter(results)
-        for a, b, want in self._runs:
-            crc = next(got)
-            if b - a >= _bytesplit.SPLIT_BYTES:
-                crc = _bytesplit.crc32_combine(crc, next(got), b - a - (b - a) // 2)
+    def _check(self, results: Sequence[List[int]]) -> None:
+        """Each stream's CRC32 (``results`` of the CRC pieces, in
+        stream order) against its stored one."""
+        crcs = itertools.chain.from_iterable(results)
+        for k, ci, (_, stored, want, _) in self._streams:
+            crc = next(crcs)
+            if stored >= _bytesplit.SPLIT_BYTES:
+                crc = _bytesplit.crc32_combine(crc, next(crcs), stored - stored // 2)
             if crc != want:
-                self._name_corrupt_stream(buf)
-
-    def _name_corrupt_stream(self, buf: bytes) -> None:
-        for k, ci, (offset, stored, crc, _) in self._streams:
-            a = offset - self._lo
-            if zlib.crc32(memoryview(buf)[a:a + stored]) != crc:
                 raise CorruptFileError(
                     f"checksum mismatch in chunk {ci} of dataset "
                     f"{self._datasets[k].name!r}")
-        raise CorruptFileError(f"checksum mismatch reading {self._file.path!r}")
 
-    def _decode(self, ds: Dataset, buf: bytes, flat: np.ndarray) -> np.ndarray:
-        """Dataset ``ds`` from the read buffer (``flat`` is its bytes
-        as uint8): one raw chunk is a view of it."""
+    def _decode(self, ds: Dataset, buf: bytes) -> np.ndarray:
+        """Dataset ``ds`` from the read buffer: one raw chunk is a view
+        of it."""
         index = ds._chunk_index
         assert index is not None
         codec = ds.codec or "none"
         if codec == "none" and len(index) == 1:
-            a = index[0][0] - self._lo
-            arr = flat[a:a + index[0][1]].view(ds.dtype)
+            offset, stored, _crc, _rows = index[0]
+            arr = np.frombuffer(buf, ds.dtype, stored // ds.dtype.itemsize,
+                                offset - self._lo)
             return arr if len(ds.shape) == 1 else arr.reshape(ds.shape)
         if not index:
             empty = np.empty(ds.shape, dtype=ds.dtype)
@@ -917,6 +1001,8 @@ class Group(_Node):
 
     # -- access --------------------------------------------------------
     def __getitem__(self, path: str) -> Union["Group", Dataset]:
+        if path in self._children:  # a child's plain name
+            return self._child(path)
         node: _Node = self
         for part in _split(path):
             if not isinstance(node, Group) or part not in node._children:
@@ -1061,14 +1147,15 @@ class File(Group):
                     kind="dataset",
                     dtype=node.dtype.str,
                     shape=list(node.shape),
-                    layout="chunked",
                     codec=codec,
-                    chunk_rows=rows_per,
                     chunks=index,
                 )
+                if not index or index[0][3] != rows_per:
+                    entry["chunk_rows"] = rows_per
 
             def place(node: _Node) -> Dict[str, Any]:
-                entry: Dict[str, Any] = {"attrs": dict(node._attrs)}
+                entry: Dict[str, Any] = (
+                    {"attrs": dict(node._attrs)} if node._attrs else {})
                 if isinstance(node, Dataset):
                     if node.chunk_rows is not None:
                         place_chunked(node, entry)
@@ -1100,7 +1187,8 @@ class File(Group):
                 return entry
 
             tree = place(self)
-            header = json.dumps({"version": self.version, "root": tree}).encode("utf-8")
+            header = json.dumps({"version": self.version, "root": tree},
+                                separators=(",", ":")).encode("utf-8")
             pad = (-fh.tell()) % _ALIGN
             fh.write(b"\x00" * pad)
             header_off = fh.tell()
@@ -1151,43 +1239,21 @@ class File(Group):
             grp._attrs = dict(entry.get("attrs", {}))
             grp._children = dict(entry.get("children", {}))
             return grp
-        if entry.get("layout") == "chunked":
-            if self.version < 2:
-                raise CorruptFileError(
-                    f"{self.path!r}: v{self.version} container carries a "
-                    "chunked dataset"
-                )
-            ds = Dataset(
-                self,
-                name,
-                np.dtype(entry["dtype"]),
-                tuple(entry["shape"]),
-                chunk_rows=int(entry["chunk_rows"]),
-                codec=entry.get("codec", "none"),
+        if "chunks" in entry and self.version < 2:
+            raise CorruptFileError(
+                f"{self.path!r}: v{self.version} container carries a "
+                "chunked dataset"
             )
-            # [offset, stored, crc, rows] per chunk, as parsed
-            index = entry["chunks"]
+        ds = Dataset._from_entry(self, name, entry)
+        if ds._chunk_index is not None:
             bounds = list(itertools.accumulate(
-                [chunk[3] for chunk in index], initial=0))
+                [chunk[3] for chunk in ds._chunk_index], initial=0))
             if ds.shape and bounds[-1] != ds.shape[0]:
                 raise CorruptFileError(
                     f"{self.path!r}: chunk index of {ds.name!r} covers "
                     f"{bounds[-1]} rows, shape says {ds.shape[0]}"
                 )
-            ds._chunk_index = index
             ds._chunk_bounds = bounds
-        else:
-            ds = Dataset(
-                self,
-                name,
-                np.dtype(entry["dtype"]),
-                tuple(entry["shape"]),
-                compression=entry.get("compression"),
-            )
-            ds._offset = int(entry["offset"])
-            ds._stored_nbytes = entry.get("stored_nbytes")
-            ds._crc = int(entry["crc"])
-        ds._attrs = dict(entry.get("attrs", {}))
         return ds
 
 

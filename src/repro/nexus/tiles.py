@@ -54,10 +54,9 @@ from repro.nexus.events import (
     BINMD_COLUMNS,
     COLUMN_NAMES,
     N_EVENT_COLUMNS,
-    Q_COLUMNS,
     EventTable,
 )
-from repro.nexus.h5lite import Dataset, File, Group
+from repro.nexus.h5lite import Dataset, File, Group, overlapping_chunks
 from repro.util import trace as _trace
 from repro.util.validation import ReproError, require
 
@@ -125,12 +124,10 @@ class TileManager:
         picked = (self._streams if streams is None
                   else [self._streams[s] for s in streams])
         out = [ds.read_rows(start, stop) for ds in picked]
-        bounds = self._bounds
-        lo, hi = max(int(start), 0), min(int(stop), bounds[-1])
-        spans = [c1 - c0 for c0, c1 in zip(bounds[:-1], bounds[1:])
-                 if lo < hi and c1 > lo and c0 < hi]
-        nbytes = sum(spans) * sum(ds.row_nbytes for ds in picked)
-        self.stats.misses += len(spans) * len(picked)
+        first, last = overlapping_chunks(self._bounds, start, stop)
+        rows = self._bounds[last] - self._bounds[first]
+        nbytes = rows * sum(ds.row_nbytes for ds in picked)
+        self.stats.misses += (last - first) * len(picked)
         self.stats.decoded_bytes += nbytes
         if nbytes > self.stats.peak_resident_bytes:
             self.stats.peak_resident_bytes = nbytes
@@ -258,22 +255,15 @@ class LazyEventTable:
         rank threads of the stealing executor share a run's table (and
         its file handle)."""
         with self._lock:
-            if self.columnar:
-                out = tuple(self.tiles.window(start, stop, BINMD_COLUMNS))
-                _trace.active_tracer().count(
-                    "nexus.q_bytes_read", self._q_stored(start, stop))
-                return out
-            (rows,) = self.tiles.window(start, stop)
-        return tuple(np.ascontiguousarray(rows[:, c]) for c in BINMD_COLUMNS)
-
-    def _q_stored(self, start: int, stop: int) -> int:
-        """Stored bytes of the Q streams a window of ``[start, stop)``
-        reads."""
-        bounds = self.chunk_bounds()
-        hit = [ci for ci, (c0, c1) in enumerate(zip(bounds[:-1], bounds[1:]))
-               if start < stop and c1 > start and c0 < stop]
-        return sum(self._streams[c].chunk_stored_nbytes()[ci]
-                   for c in Q_COLUMNS for ci in hit)
+            windows = self.tiles.window(
+                start, stop, BINMD_COLUMNS if self.columnar else None)
+        if self.columnar:
+            out = tuple(windows)
+        else:
+            out = tuple(np.ascontiguousarray(windows[0][:, c]) for c in BINMD_COLUMNS)
+        _trace.active_tracer().count("nexus.q_bytes_read",
+                                     sum(q.nbytes for q in out[2:]))
+        return out
 
     def materialize(self) -> EventTable:
         """The full in-memory table (defeats the point; for small runs

@@ -73,35 +73,11 @@ def _x8nmodp(n: int) -> int:
     return p
 
 
-@functools.lru_cache(maxsize=64)
-def _shift_tables(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """Multiplication by x^(8 n) modulo the polynomial as eight
-    16-entry tables, one per nibble of the multiplicand (the product is
-    linear in it)."""
-    p = _x8nmodp(n)
-    by_bit = []                     # by_bit[k]: the product with x^k
-    for _ in range(32):
-        by_bit.append(p)
-        p = (p >> 1) ^ _POLY if p & 1 else p >> 1
-    tables = []
-    for nibble in range(8):
-        table = [0] * 16
-        for v in range(1, 16):
-            low = v & -v
-            bit = 4 * nibble + low.bit_length() - 1   # 1 << bit is x^(31 - bit)
-            table[v] = table[v ^ low] ^ by_bit[31 - bit]
-        tables.append(tuple(table))
-    return tuple(tables)
-
-
 def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
     """CRC32 of ``A + B`` from ``crc32(A)``, ``crc32(B)`` and ``len(B)``."""
     if len2 < 0:
         raise ValueError(f"negative length {len2}")
-    tables = _shift_tables(len2)
-    for nibble in range(8):
-        crc2 ^= tables[nibble][(crc1 >> 4 * nibble) & 15]
-    return crc2
+    return _multmodp(_x8nmodp(len2), crc1) ^ crc2
 
 
 def _helper() -> Optional[ThreadPoolExecutor]:

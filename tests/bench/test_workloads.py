@@ -59,16 +59,20 @@ class TestSpecs:
 
     def test_chunked_digest_keys_on_the_column_layout(self):
         """A cache directory written in an older SaveMD layout is never
-        read as the one layout (a stream per column, the Q digest in the
-        header): both digests moved with it."""
+        read as the current one (a stream per column, the Q digest in
+        the header, the run metadata in one record): both digests moved
+        with it."""
         plain = benzil_corelli(scale=0.001, n_files=2)
         chunked = benzil_corelli(scale=0.001, n_files=2, chunk_events=500)
-        assert _spec_digest(plain) == "0b4310f40a8473fa"
+        assert _spec_digest(plain) == "b3912885eea4ddc4"
         # the digests these specs had in the older layouts: contiguous
-        # (8, n) payloads, row-major chunks, column chunks without a digest
-        assert _spec_digest(plain) != "0054e0f6b4b6e704"
+        # (8, n) payloads, row-major chunks, column chunks without a
+        # digest, and the metadata in five datasets
+        assert _spec_digest(plain) not in ("0054e0f6b4b6e704",
+                                           "0b4310f40a8473fa")
         assert _spec_digest(chunked) not in ("b98ae45c9e48a34d",
-                                             "7e379b5db843db81")
+                                             "7e379b5db843db81",
+                                             "e0bcc790335a4b07")
         assert _spec_digest(chunked) != _spec_digest(plain)
 
 

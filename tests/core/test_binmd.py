@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.binmd import _index_dtype, bin_events, binmd_cache_key
+from repro.core.binmd import _index_dtype, bin_events, binmd_cache_key, binmd_reads
 from repro.core.geom_cache import DISABLED, GeomCache
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
@@ -18,12 +18,15 @@ from repro.core.md_event_workspace import (
 from repro.core.sharding import ShardConfig, sharded_binmd
 from repro.crystal.structures import benzil
 from repro.crystal.ub import UBMatrix
+from repro.jacc import resolve_backend
 from repro.nexus.events import (
+    BINMD_COLUMNS,
     COL_ERROR_SQ,
     COL_QX,
     COL_QY,
     COL_QZ,
     COL_SIGNAL,
+    WEIGHT_COLUMNS,
     EventTable,
 )
 from repro.util import trace
@@ -309,6 +312,36 @@ class TestCompactedCache:
         assert _index_dtype(2**31 - 1, 2**31 - 1) is np.int32
         assert _index_dtype(2**31, 10) is np.int64
         assert _index_dtype(10, 2**31) is np.int64
+
+
+class TestReads:
+    """One rule names the columns a launch reads: the per-run step
+    loads what :func:`binmd_reads` names and :func:`bin_events` reads
+    what it names, so a table of exactly those columns will do."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_table_of_the_named_columns_will_do(self, grid, backend):
+        events = _events(n=500, seed=9)
+        ref = Hist3(grid, track_errors=True)
+        bin_events(ref, events, FLIP, backend=backend, cache=DISABLED)
+        cache = GeomCache()
+        key = binmd_cache_key(grid, FLIP, events)
+        assert binmd_reads(backend, cache.get(key)) == BINMD_COLUMNS
+        bin_events(Hist3(grid, track_errors=True), events, FLIP,
+                   backend="vectorized", cache=cache)
+        entry = cache.get(key)
+        assert entry is not None
+        reads = binmd_reads(backend, entry)
+        batch = resolve_backend(backend).body == "batch"
+        assert reads == (WEIGHT_COLUMNS if batch else BINMD_COLUMNS)
+        table = EventTable.from_read_columns(
+            {c: events.column(c) for c in reads})
+        h = Hist3(grid, track_errors=True)
+        bin_events(h, table, FLIP, backend=backend, cache=cache,
+                   lookup=(key, entry))
+        assert np.array_equal(h.signal.view(np.int64), ref.signal.view(np.int64))
+        assert np.array_equal(h.error_sq.view(np.int64),
+                              ref.error_sq.view(np.int64))
 
 
 def _edge_events(grid, *, integer_weights, seed=11, n=600):

@@ -160,9 +160,10 @@ class TestSaveLoad:
     def test_loaded_table_is_the_checked_payload(
         self, tiny_experiment, tmp_path, monkeypatch, codec
     ):
-        """A read column is the very bytes its CRC32 checked (stored
-        raw) or inflated from them (zlib): float64 and read-only, not
-        copied."""
+        """A read column, of a reduction's load or of ``load_md``, is
+        the very bytes its CRC32 checked (stored raw) or inflated from
+        them (zlib): float64 and read-only, not copied.  ``load_md``'s
+        ``cols`` stacks the eight on first use."""
         ws = tiny_experiment.workspaces[0]
         path = str(tmp_path / "ws.md.h5")
         save_md(path, ws, codec=codec)
@@ -180,17 +181,18 @@ class TestSaveLoad:
 
         monkeypatch.setattr(h5lite.zlib, "crc32", spy_crc32)
         monkeypatch.setattr(h5lite.zlib, "decompress", spy_decompress)
-        pending = begin_md(path)
-        table = pending.join(BINMD_COLUMNS).events
-        for c in BINMD_COLUMNS:
-            col = table.column(c)
-            assert col.dtype == np.float64 and col.strides == (8,)
-            assert not col.flags.writeable
-            base = _base(col)
-            assert any(base is (b.obj if isinstance(b, memoryview) else b)
-                       for b in checked), COLUMN_NAMES[c]
-            assert np.array_equal(col, ws.events.column(c))
-        full = load_md(path).events.cols
+        partial = begin_md(path).join(BINMD_COLUMNS).events
+        whole = load_md(path).events
+        for table, columns in ((partial, BINMD_COLUMNS), (whole, ALL_COLUMNS)):
+            for c in columns:
+                col = table.column(c)
+                assert col.dtype == np.float64 and col.strides == (8,)
+                assert not col.flags.writeable
+                base = _base(col)
+                assert any(base is (b.obj if isinstance(b, memoryview) else b)
+                           for b in checked), COLUMN_NAMES[c]
+                assert np.array_equal(col, ws.events.column(c))
+        full = whole.cols
         assert full.shape == (8, ws.n_events) and not full.flags.writeable
         assert np.array_equal(full, ws.events.cols)
 
@@ -373,19 +375,18 @@ class TestBegunLoad:
     @pytest.mark.parametrize("nbytes", [SPLIT - 1, SPLIT, SPLIT + 1])
     def test_payload_job_around_the_split(self, tmp_path, monkeypatch,
                                           bytesplit_helper, nbytes):
-        """Byte-exact raw streams around the split size: two back-to-back
-        streams are CRC-checked as one run, in one range below the split
-        size and two from it up, over views of the very buffer the
+        """Byte-exact raw streams around the split size: each stream is
+        CRC-checked on its own, in one range below the split size and
+        in two halves from it up, over views of the very buffer the
         arrays sit on; the hashed datasets' leaves cut as
         ``sha256_halves`` cuts their bytes joined."""
         rng = np.random.default_rng(3)
-        cut = nbytes - 64 - nbytes % 8  # the writer's 8-byte alignment
-        first = np.frombuffer(rng.bytes(cut), dtype=np.uint8)
-        second = np.frombuffer(rng.bytes(nbytes - cut), dtype=np.uint8)
+        first = np.frombuffer(rng.bytes(nbytes), dtype=np.uint8)
+        second = np.frombuffer(rng.bytes(64), dtype=np.uint8)
         path = str(tmp_path / "blob.h5")
         with File(path, "w") as f:
             f.create_dataset("a", data=first, chunk_rows=nbytes)
-            f.create_dataset("b", data=second, chunk_rows=nbytes)
+            f.create_dataset("b", data=second, chunk_rows=64)
         checked = []
         crc32 = zlib.crc32
 
@@ -402,10 +403,30 @@ class TestBegunLoad:
         assert got[1].tobytes() == second.tobytes()
         assert read.leaves == bytesplit.sha256_halves(
             np.concatenate([first, second]))
-        views = [c for c in checked if isinstance(c, memoryview)
+        views = [c.nbytes for c in checked if isinstance(c, memoryview)
                  and c.obj is _base(got[0])]
-        assert len(views) == (2 if nbytes >= SPLIT else 1)
-        assert sum(v.nbytes for v in views) == nbytes
+        halves = [nbytes // 2, nbytes - nbytes // 2]
+        assert sorted(views) == sorted(
+            (halves if nbytes >= SPLIT else [nbytes]) + [64])
+
+    @pytest.mark.parametrize("stream", ["a", "b"])
+    def test_a_flipped_stream_is_named(self, tmp_path, stream):
+        """Every stream is checked against its own CRC32, so a bad one
+        is named without a second pass; a large stream's two halves
+        are joined for its check."""
+        path = str(tmp_path / "blob.h5")
+        with File(path, "w") as f:
+            f.create_dataset("a", data=np.arange(SPLIT // 8, dtype=np.float64),
+                             chunk_rows=SPLIT // 8)
+            f.create_dataset("b", data=np.arange(100.0), chunk_rows=100)
+        with File(path, "r") as f:
+            offset = f[stream]._chunk_index[0][0]
+        _flip(path, offset + 3, 0x01)
+        with File(path, "r") as f:
+            read = h5lite.PayloadRead([f["a"], f["b"]])
+            with pytest.raises(h5lite.CorruptFileError,
+                               match=f"chunk 0 of dataset '/{stream}'"):
+                read.join()
 
     @pytest.mark.parametrize("where", [0, SPLIT // 2 - 1, SPLIT // 2, SPLIT])
     def test_started_join_catches_a_flipped_byte(self, tmp_path,

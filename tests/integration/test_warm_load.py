@@ -186,14 +186,14 @@ def _flip_stored_digest(path):
     raw = Path(path).read_bytes()
     (header_len,) = struct.unpack("<Q", raw[-8:])
     header_off = len(raw) - 8 - header_len
-    doc = json.loads(raw[header_off:-8])
-    attrs = (doc["root"]["children"]["MDEventWorkspace"]["children"]
-             ["event_columns"]["attrs"])
-    digest = attrs["q_digest"]
-    attrs["q_digest"] = ("1" if digest[0] == "0" else "0") + digest[1:]
-    header = json.dumps(doc).encode()
-    assert len(header) == header_len
-    Path(path).write_bytes(raw[:header_off] + header + raw[-8:])
+    header = raw[header_off:-8]
+    doc = json.loads(header)
+    digest = (doc["root"]["children"]["MDEventWorkspace"]["children"]
+              ["event_columns"]["attrs"]["q_digest"]).encode()
+    assert header.count(digest) == 1
+    flipped = (b"1" if digest[:1] == b"0" else b"0") + digest[1:]
+    Path(path).write_bytes(
+        raw[:header_off] + header.replace(digest, flipped) + raw[-8:])
 
 
 class TestDamage:

@@ -43,6 +43,7 @@ from repro.nexus.tiles import (
     LazyEventTable,
     TileError,
 )
+from repro.util.trace import Tracer, use_tracer
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -386,6 +387,38 @@ class TestTileManager:
         assert sum(lazy.chunk_stored_nbytes()) < sum(
             sum(sizes) for sizes in per_column.values())
         lazy.close()
+
+    def test_window_cost_does_not_grow_with_the_chunk_count(
+            self, tmp_path, monkeypatch):
+        """A window reads the chunks it overlaps and looks at no other:
+        no per-chunk list is built or scanned, so a run of millions of
+        chunks costs no more per window than one of a few.  The Q bytes
+        counted are the window's decoded Q columns."""
+        calls = {"chunk_bounds": 0, "chunk_stored_nbytes": 0, "read_chunk": 0}
+        for name in calls:
+            real = getattr(h5lite.Dataset, name)
+
+            def spy(self, *args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+            monkeypatch.setattr(h5lite.Dataset, name, spy)
+        table = _random_table(2, 1024)
+        for chunk in (512, 2):
+            path = str(tmp_path / f"run{chunk}.md.h5")
+            save_md(path, _workspace(table), chunk_events=chunk, codec="none")
+            lazy = LazyEventTable(path)
+            for name in calls:
+                calls[name] = 0
+            tracer = Tracer(label="window")
+            with use_tracer(tracer):
+                got = lazy.binmd_window(600, 604)
+            lazy.close()
+            overlapped = 1 if chunk == 512 else 2
+            assert calls == {"chunk_bounds": 0, "chunk_stored_nbytes": 0,
+                             "read_chunk": overlapped * len(BINMD_COLUMNS)}
+            assert tracer.counters["nexus.q_bytes_read"] == 3 * 4 * 8
+            for col, c in zip(got, BINMD_COLUMNS):
+                assert np.array_equal(col, table[600:604, c])
 
 
 # ---------------------------------------------------------------------------

@@ -597,7 +597,7 @@ def compute_cross_section(
     schedule:
         Stealing executor only: a
         :class:`repro.util.schedule.ScheduleController` driving steal
-        and birth/leave/death decisions (None = the ``weighted``
+        decisions (None = the ``weighted``
         policy, whose steals follow the ranks' timing; a seeded
         ``random`` controller drives arbitrary schedules).
     """

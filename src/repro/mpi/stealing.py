@@ -6,11 +6,10 @@ executor makes the grid **elastic**: the campaign's shard tasks live
 in one shared :class:`StealQueue`; each rank drains its own planned
 deque first and, when the schedule allows, steals from the tail of a
 victim's deque (victim selection by remaining *stored-byte* weight
-from the run file's chunk index).  Ranks can join mid-campaign (*birth*: a spawned worker
-registers, drains the queue, and its deposits merge through the same
-replay), leave cleanly (drain-and-requeue), or die holding work (their
-claimed tasks requeue; the queue's claim/complete accounting keeps
-execution exactly-once).
+from the run file's chunk index).  A rank that dies holding work (a
+``rank_crash`` fault at the ``steal.task`` site) requeues its claimed
+tasks, and survivors adopt its deque; the queue's claim/complete
+accounting keeps execution exactly-once.
 
 This module keeps only the queue and the schedule.  Everything a run
 needs besides its shard tasks — the timed load with its UB check and
@@ -47,9 +46,8 @@ in-flight (stolen) at the kill — goes back into the queue.
 
 The simulated-MPI caveat applies throughout: ranks are threads of one
 process (:mod:`repro.mpi.comm`), so "the shared queue" is literally a
-shared object distributed by reference over ``Comm.bcast``, and rank
-birth is a thread spawn — stand-ins for an RDMA task pool and
-``MPI_Comm_spawn`` on the real machines.
+shared object distributed by reference over ``Comm.bcast`` — a
+stand-in for an RDMA task pool on the real machines.
 """
 
 from __future__ import annotations
@@ -131,19 +129,17 @@ class StealQueue:
     Per-owner deques: an owner pops its own head (preserving the static
     plan's order when nobody steals); thieves pop a victim's *tail*
     (classic work-stealing, minimizing contention on the owner's next
-    task).  Every task moves ``pending → claimed → done`` (or
-    ``dropped`` when its run quarantines); a dying or leaving rank's
-    claimed and pending tasks requeue, so no task is ever lost and none
-    can complete twice — :meth:`complete` is the single bottleneck that
-    marks a key done exactly once.
+    task).  Every task moves ``pending → claimed → done`` (or is
+    dropped when its run quarantines), and sits in exactly one deque or
+    in the claimed map until :meth:`complete` removes it; a dying rank's
+    claimed tasks go back to their owners' deques, so no task is ever
+    lost and none runs twice.
     """
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._pending: Dict[int, deque] = {}
         self._claimed: Dict[Tuple[int, str, int], Tuple[int, StealTask]] = {}
-        self._done: Set[Tuple[int, str, int]] = set()
-        self._dropped: Set[Tuple[int, str, int]] = set()
         self._quarantined_runs: Set[int] = set()
         self._active: Set[int] = set()
         self.total = 0
@@ -156,13 +152,8 @@ class StealQueue:
             self._active.add(int(rank))
             self._pending.setdefault(int(rank), deque())
 
-    def deregister_rank(self, rank: int) -> None:
-        """Clean leave: the rank's remaining deque becomes orphan work."""
-        with self._lock:
-            self._active.discard(int(rank))
-
     def release_rank(self, rank: int) -> None:
-        """Crash/leave: requeue the rank's claimed tasks, deregister it.
+        """Crash: requeue the rank's claimed tasks, deregister it.
 
         Claimed tasks go back to the *head* of their owner's deque (they
         were next in plan order); the rank's own pending deque stays
@@ -200,10 +191,6 @@ class StealQueue:
                 if r != exclude and dq and r in self._active
             }
 
-    def completed_count(self) -> int:
-        with self._lock:
-            return len(self._done) + len(self._dropped)
-
     def all_done(self) -> bool:
         with self._lock:
             return (
@@ -232,7 +219,7 @@ class StealQueue:
             return task
 
     def claim_orphan(self, thief: int) -> Optional[StealTask]:
-        """Adopt work whose owner is gone (dead or left) — the liveness
+        """Adopt work whose owner is gone (dead) — the liveness
         backstop that no schedule policy can veto."""
         with self._lock:
             for r in sorted(self._pending):
@@ -246,16 +233,12 @@ class StealQueue:
                     return task
             return None
 
-    def complete(self, rank: int, task: StealTask) -> bool:
+    def complete(self, task: StealTask) -> bool:
         """Mark a claimed task finished; True iff its result counts
         (False: the run quarantined while the task was in flight)."""
         with self._lock:
             self._claimed.pop(task.key, None)
-            if task.run in self._quarantined_runs:
-                self._dropped.add(task.key)
-                return False
-            self._done.add(task.key)
-            return True
+            return task.run not in self._quarantined_runs
 
     def drop_run(self, run: int) -> None:
         """Quarantine: purge the run's pending tasks, poison in-flight
@@ -265,9 +248,6 @@ class StealQueue:
             for dq in self._pending.values():
                 kept = [t for t in dq if t.run != run]
                 if len(kept) != len(dq):
-                    for t in dq:
-                        if t.run == run:
-                            self._dropped.add(t.key)
                     dq.clear()
                     dq.extend(kept)
 
@@ -287,13 +267,11 @@ class _StealState:
         controller: ScheduleController,
         book: _RunBook,
         n_shards: int,
-        world_size: int,
     ) -> None:
         self.queue = queue
         self.controller = controller
         self.book = book
         self.n_shards = int(n_shards)
-        self.world_size = int(world_size)
         self.lock = threading.RLock()
         self.workspaces: Dict[int, Any] = {}
         self.contexts: Dict[Tuple[int, str], ShardContext] = {}
@@ -302,9 +280,6 @@ class _StealState:
         self.events_per_run: Dict[int, int] = {}
         self.run_attempts: Dict[int, int] = {}
         self.finished_runs: Set[int] = set()
-        self.helpers: List[threading.Thread] = []
-        self.next_helper_rank = int(world_size)
-        self.births = 0
         self._run_locks: Dict[int, threading.Lock] = {}
 
     def run_lock(self, run: int) -> threading.Lock:
@@ -344,9 +319,10 @@ def run_stealing_campaign(
     ``executor="stealing"``.  ``shards`` sets the per-run shard count
     (the stealing granularity; default 1 — run-level stealing);
     ``schedule`` is the
-    :class:`~repro.util.schedule.ScheduleController` driving steal and
-    birth/leave/death decisions (the root rank's instance wins; default
-    is the ``weighted`` policy, which draws no random numbers).
+    :class:`~repro.util.schedule.ScheduleController` driving steal
+    decisions (the root rank's instance wins; default is the
+    ``weighted`` policy, which draws no random numbers).  A rank that
+    dies (a ``rank_crash`` fault) releases its claims to the survivors.
     ``binmd_impl``/``mdnorm_impl`` overrides own their parallelism and
     are not stealable.
     """
@@ -407,10 +383,9 @@ def run_stealing_campaign(
                                         flux),
         )
 
-        crashed = False
         try:
             with exec_env.scope:
-                _work_loop(exec_env, comm.rank, helper=False)
+                _work_loop(exec_env, comm.rank)
         except _faults.RankCrashError:
             if comm.size == 1:
                 raise  # a lone rank cannot recover from its own death
@@ -419,13 +394,6 @@ def run_stealing_campaign(
             tracer.count("rank.crash")
             if monitor.enabled:
                 monitor.record_crash(comm.rank)
-            crashed = True
-
-        # helper (born) ranks drain with the world; every survivor joins
-        # them so a spawner's later death cannot leak a thread
-        for t in list(state.helpers):
-            t.join()
-        if crashed:
             return _non_root_result(timings, n_runs, backend)
 
         # -- rendezvous + ascending-run fold on the effective root ------
@@ -440,11 +408,9 @@ def run_stealing_campaign(
             backend=backend, extras={"stealing": {
                 "steals": int(state.queue.steals),
                 "adoptions": int(state.queue.adoptions),
-                "births": int(state.births),
                 "tasks": int(state.queue.total),
                 "policy": state.controller.policy,
                 "seed": state.controller.seed,
-                "schedule_signature": state.controller.schedule_signature(),
             }},
         )
 
@@ -492,7 +458,6 @@ def _plan(
         queue=StealQueue(),
         controller=schedule or ScheduleController(seed=0, policy="weighted"),
         book=_RunBook(grid, recovery, cache), n_shards=shards.n_shards,
-        world_size=comm.size,
     )
     for r in range(comm.size):
         state.queue.register_rank(r)
@@ -561,7 +526,7 @@ def _load_workspace(
 
 
 # ---------------------------------------------------------------------------
-# the scheduling loop (every rank, plus born helpers)
+# the scheduling loop (every rank)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -585,46 +550,26 @@ class _ExecEnv:
     scope: _gc.ReductionScope
 
 
-def _work_loop(env: _ExecEnv, rank: int, *, helper: bool) -> None:
-    state = env.state
-    q = state.queue
-    ctl = state.controller
-    tracer = _trace.active_tracer()
-    leaving = False
+def _work_loop(env: _ExecEnv, rank: int) -> None:
+    q = env.state.queue
+    ctl = env.state.controller
     while True:
-        for action in ctl.lifecycle(rank, q.completed_count()):
-            if action == "birth":
-                _spawn_helper(env)
-            elif action == "leave":
-                leaving = True
-            elif action == "death":
-                raise _faults.RankCrashError(
-                    "steal.lifecycle", "rank_crash", 0
-                )
-        if leaving:
-            # drain-and-requeue: current task (if any) already finished;
-            # the rest of this rank's deque becomes orphan work
-            q.deregister_rank(rank)
-            tracer.count("steal.leaves")
-            return
-
         victims = q.remaining_weights(exclude=rank)
         own_depth = q.own_depth(rank)
         victim = None
         if own_depth or victims:
             victim = ctl.acquire(rank, own_depth, victims)
         task = None
-        stolen = False
         if victim is not None:
             task = q.claim_steal(rank, victim)
-            stolen = task is not None
+            if task is None:
+                victim = None  # the victim drained in between
+        stolen = task is not None
         if task is None:
             task = q.claim_own(rank)
-            stolen = False
         if task is None:
             task = q.claim_orphan(rank)
             stolen = task is not None
-            victim = None
         if task is None:
             if q.all_done():
                 return
@@ -632,58 +577,13 @@ def _work_loop(env: _ExecEnv, rank: int, *, helper: bool) -> None:
             continue
         try:
             _execute_task(env, rank, task, stolen=stolen, victim=victim)
-        except _faults.RankCrashError:
-            q.release_rank(rank)
-            if helper:
-                # a born worker's death is invisible to the world's
-                # collectives — its work simply requeues
-                tracer.count("steal.helper_deaths")
-                return
-            raise
         except BaseException:
-            # unexpected failure: requeue the claim before propagating,
-            # otherwise the task stays claimed-by-a-dead-rank forever
-            # and every surviving rank spins on a queue that can never
-            # drain
+            # requeue the claim before propagating (a rank crash or an
+            # unexpected failure), otherwise the task stays claimed by a
+            # dead rank forever and every survivor spins on a queue that
+            # can never drain
             q.release_rank(rank)
             raise
-
-
-def _spawn_helper(env: _ExecEnv) -> None:
-    """Rank birth: a new worker joins mid-campaign (thread-spawn
-    stand-in for ``MPI_Comm_spawn``), registers with the queue, drains
-    it alongside everyone else, exits when the queue is dry."""
-    state = env.state
-    with state.lock:
-        new_rank = state.next_helper_rank
-        state.next_helper_rank += 1
-        state.births += 1
-    state.queue.register_rank(new_rank)
-    tracer = _trace.active_tracer()
-    tracer.count("steal.births")
-    spawn_span = tracer.current_span()
-    spawn_uid = (spawn_span.uid if spawn_span is not None
-                 else _trace.remote_parent())
-
-    def body() -> None:
-        with _trace.rank_scope(new_rank), _trace.parent_scope(spawn_uid):
-            with tracer.span("rank", kind="rank", rank=int(new_rank),
-                             size=int(state.world_size), born=True):
-                try:
-                    with env.scope:
-                        _work_loop(env, new_rank, helper=True)
-                finally:
-                    state.queue.deregister_rank(new_rank)
-
-    t = threading.Thread(target=body, name=f"steal-born-{new_rank}")
-    # start *before* publishing to state.helpers: a concurrently
-    # draining rank joins every published helper, and joining a
-    # not-yet-started thread raises RuntimeError.  A helper published
-    # after a drain's snapshot is still joined by the spawner itself —
-    # its own drain loop runs after this function returns.
-    t.start()
-    with state.lock:
-        state.helpers.append(t)
 
 
 def _execute_task(
@@ -698,7 +598,7 @@ def _execute_task(
     q = state.queue
     tracer = _trace.active_tracer()
     if q.is_quarantined(task.run):
-        q.complete(rank, task)
+        q.complete(task)
         return
     if env.monitor.enabled:
         env.monitor.heartbeat(
@@ -757,12 +657,12 @@ def _execute_task(
             if env.recovery is None or not env.recovery.quarantine:
                 raise
             _quarantine(state, task.run, exc, rank)
-            q.complete(rank, task)
+            q.complete(task)
             return
 
         with state.lock:
             state.logs.setdefault(task.key[:2], {})[task.index] = logs
-        if q.complete(rank, task):
+        if q.complete(task):
             sp.set(completed=True)
             tracer.count(f"{task.stage}.shard_tasks")
             _maybe_finish_run(env, rank, task.run)

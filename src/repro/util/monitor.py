@@ -223,8 +223,7 @@ class CampaignMonitor:
     # -- elastic execution visibility (stealing executor) ------------------
     def record_steal(self, thief: int, victim: int, run: int) -> None:
         """The thief rank took a shard of ``run`` from the victim's
-        queue (born helper ranks report like any other rank — their
-        RankState is created on first contact)."""
+        queue."""
         with self._lock:
             state = self._rank(thief)
             state.steals += 1

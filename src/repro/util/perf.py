@@ -594,7 +594,7 @@ def steal_summary(records: Sequence[Dict[str, Any]]) -> Dict[int, Dict[str, floa
     stolen share of each rank's busy seconds — how much of its work
     arrived through the queue rather than the static plan, which is
     exactly what the skewed-campaign benchmark moves.  ``incomplete``
-    counts spans whose task never deposited (a crash or leave mid-task
+    counts spans whose task never deposited (a rank crash mid-task
     that the queue must have re-issued elsewhere).
     """
     out: Dict[int, Dict[str, float]] = {}

@@ -1,75 +1,51 @@
-"""Seedable steal-schedule controller (the fuzzing harness's dial).
+"""Seedable steal-schedule controller.
 
 The stealing executor (:mod:`repro.mpi.stealing`) asks this controller
-two questions, at well-defined points:
-
-* :meth:`ScheduleController.acquire` — every time a rank is about to
-  take its next task: *steal from whom, or pop my own queue?*
-* :meth:`ScheduleController.lifecycle` — once per scheduling loop
-  iteration: *does anything happen to the world now?*  (rank **birth**
-  — a new worker joins mid-campaign; clean **leave** — drain-and-
-  requeue; **death** — the rank crashes, possibly holding a claimed
-  task.)  Triggers are keyed to the global completed-task count, so a
-  schedule like "kill rank 1 after 3 completions" is meaningful across
-  runs even though thread interleaving is not reproducible.
+one question, every time a rank is about to take its next task:
+:meth:`ScheduleController.acquire` — *steal from whom, or pop my own
+queue?*  Rank death is not the schedule's business: it comes from the
+fault plan (the ``steal.task`` site, :mod:`repro.util.faults`).
 
 Determinism framing, in :mod:`repro.util.faults` style: every rank
 draws from its own seeded LCG stream, so *decisions* are a pure
 function of ``(seed, rank, per-rank call number, queue state)``.  The
 wall-clock interleaving of rank threads is **not** reproducible — and
-that is the point of the whole exercise: the executor's ordered-deposit
-replay must make the reduced histograms bit-identical for *any*
-schedule this controller emits, adversarial presets included.  The
-controller therefore records what it decided (:attr:`events`), can
-round-trip the record through JSON, and can **replay** a recorded
-schedule: in replay mode each rank's k-th acquire re-issues the k-th
-recorded decision for that rank (falling back to "own queue" when the
-recorded victim has nothing left — replay against a differently
-interleaved world must degrade, never wedge).
+that is the point: the executor's ordered-deposit replay must make the
+reduced histograms bit-identical for *any* schedule this controller
+emits.
 
 Policies
 --------
 ``weighted``
     Steal only when idle; victim = the rank with the most remaining
     queued weight (stored chunk bytes for lazy tables).  The production
-    default.
+    default; draws no random numbers.
 ``random``
-    Seeded coin: steal with probability ``p_steal`` even when busy;
-    victim drawn uniformly from the non-empty queues.  The fuzzer's
-    workhorse.
+    Seeded coin: steal with probability ``p_steal`` even when busy
+    (always when idle); victim drawn uniformly from the non-empty
+    queues.  ``p_steal=1.0`` steals whenever a victim exists — the
+    most scrambled execution order.  The fuzzer's workhorse.
 ``no-steal``
     Never steal: degenerates to the static plan (the executor must
     then be bit-identical to static *trivially* — a calibration leg).
-``all-steal``
-    Always steal when anything is stealable, even with own work
-    queued; victim drawn uniformly.  Maximally scrambled execution
-    order.
-``herd``
-    Thundering herd: every rank always targets the single heaviest
-    victim, so all thieves pile onto one queue.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from repro.util.faults import _LCG, _stream_seed
 
-POLICIES = ("weighted", "random", "no-steal", "all-steal", "herd")
-
-#: lifecycle action kinds the executor understands
-_ACTIONS = ("birth", "leave", "death")
+POLICIES = ("weighted", "random", "no-steal")
 
 
 class ScheduleError(ValueError):
-    """Malformed schedule configuration or replay payload."""
+    """Malformed schedule configuration."""
 
 
 class ScheduleController:
-    """Seeded steal/lifecycle decision stream with record & replay.
+    """Seeded per-rank steal-decision streams.
 
     Parameters
     ----------
@@ -80,16 +56,6 @@ class ScheduleController:
     p_steal:
         ``random`` policy only: probability of stealing while the
         rank's own queue is non-empty.
-    births:
-        Completed-task thresholds at which a new rank joins (one birth
-        per entry; consumed by whichever rank observes it first).
-    leaves:
-        ``(threshold, rank)`` pairs: ``rank`` finishes its current
-        task, requeues the rest and exits cleanly.
-    deaths:
-        ``(threshold, rank)`` pairs: ``rank`` raises a crash at its
-        next scheduling point (its claimed work must be requeued and
-        executed exactly once elsewhere).
     """
 
     def __init__(
@@ -98,9 +64,6 @@ class ScheduleController:
         policy: str = "weighted",
         *,
         p_steal: float = 0.5,
-        births: Sequence[int] = (),
-        leaves: Sequence[Tuple[int, int]] = (),
-        deaths: Sequence[Tuple[int, int]] = (),
     ) -> None:
         if policy not in POLICIES:
             raise ScheduleError(
@@ -111,19 +74,9 @@ class ScheduleController:
         self.seed = int(seed)
         self.policy = policy
         self.p_steal = float(p_steal)
-        self._births = sorted(int(t) for t in births)
-        self._leaves = sorted((int(t), int(r)) for t, r in leaves)
-        self._deaths = sorted((int(t), int(r)) for t, r in deaths)
-        self._consumed: set = set()
         self._lock = threading.Lock()
         self._streams: Dict[int, _LCG] = {}
-        self._acquire_no: Dict[int, int] = {}
-        #: executed decision record (JSON-serializable dicts)
-        self.events: List[Dict[str, Any]] = []
-        self._replay: Optional[Dict[int, List[Optional[int]]]] = None
-        self._replay_pos: Dict[int, int] = {}
 
-    # -- decision streams -------------------------------------------------
     def _stream(self, rank: int) -> _LCG:
         lcg = self._streams.get(rank)
         if lcg is None:
@@ -147,176 +100,20 @@ class ScheduleController:
         job, not the schedule's).
         """
         with self._lock:
-            k = self._acquire_no.get(rank, 0)
-            self._acquire_no[rank] = k + 1
-            if self._replay is not None:
-                victim = self._pick_replay(rank, k, victims)
-            else:
-                victim = self._pick(rank, own_depth, victims)
-            self.events.append({
-                "kind": "acquire", "rank": int(rank), "k": int(k),
-                "victim": None if victim is None else int(victim),
-            })
-            return victim
+            return self._pick(rank, own_depth, victims)
 
     def _pick(
         self, rank: int, own_depth: int, victims: Dict[int, float]
     ) -> Optional[int]:
         if not victims or self.policy == "no-steal":
             return None
-        heaviest = max(sorted(victims), key=lambda r: victims[r])
-        if self.policy == "herd":
-            return heaviest
         if self.policy == "weighted":
-            return heaviest if own_depth == 0 else None
-        lcg = self._stream(rank)
-        ordered = sorted(victims)
-        if self.policy == "all-steal":
-            return ordered[int(lcg.uniform() * len(ordered)) % len(ordered)]
+            if own_depth:
+                return None
+            return max(sorted(victims), key=lambda r: victims[r])
         # random: steal when idle, coin-flip while busy
+        lcg = self._stream(rank)
         if own_depth > 0 and lcg.uniform() >= self.p_steal:
             return None
+        ordered = sorted(victims)
         return ordered[int(lcg.uniform() * len(ordered)) % len(ordered)]
-
-    def _pick_replay(
-        self, rank: int, k: int, victims: Dict[int, float]
-    ) -> Optional[int]:
-        assert self._replay is not None
-        decisions = self._replay.get(rank, [])
-        pos = self._replay_pos.get(rank, 0)
-        self._replay_pos[rank] = pos + 1
-        if pos >= len(decisions):
-            return None
-        victim = decisions[pos]
-        if victim is None or victim not in victims:
-            # the replayed victim already drained in this interleaving:
-            # degrade to the own queue rather than wedging the rank
-            return None
-        return victim
-
-    # -- lifecycle --------------------------------------------------------
-    def lifecycle(self, rank: int, done: int) -> List[str]:
-        """Actions for ``rank`` at global progress ``done``.
-
-        Returns a list drawn from ``("birth", "leave", "death")``.
-        Birth events go to whichever rank polls first; leave/death only
-        to their target rank.  Each trigger fires exactly once.
-        """
-        out: List[str] = []
-        with self._lock:
-            for i, t in enumerate(self._births):
-                key = ("birth", i)
-                if done >= t and key not in self._consumed:
-                    self._consumed.add(key)
-                    self.events.append({
-                        "kind": "birth", "rank": int(rank), "at": int(done),
-                    })
-                    out.append("birth")
-            for i, (t, target) in enumerate(self._leaves):
-                key = ("leave", i)
-                if target == rank and done >= t and key not in self._consumed:
-                    self._consumed.add(key)
-                    self.events.append({
-                        "kind": "leave", "rank": int(rank), "at": int(done),
-                    })
-                    out.append("leave")
-            for i, (t, target) in enumerate(self._deaths):
-                key = ("death", i)
-                if target == rank and done >= t and key not in self._consumed:
-                    self._consumed.add(key)
-                    self.events.append({
-                        "kind": "death", "rank": int(rank), "at": int(done),
-                    })
-                    out.append("death")
-        return out
-
-    # -- record / replay --------------------------------------------------
-    def schedule_signature(self) -> str:
-        """Digest of the per-rank decision sequences.
-
-        Sorted by ``(rank, k)``, not by wall-clock order — per-rank
-        decision streams are deterministic, global interleaving is not.
-        """
-        with self._lock:
-            acquires = sorted(
-                (e["rank"], e["k"], -1 if e["victim"] is None else e["victim"])
-                for e in self.events if e["kind"] == "acquire"
-            )
-            life = sorted(
-                (e["kind"], e["rank"], e["at"])
-                for e in self.events if e["kind"] != "acquire"
-            )
-        h = hashlib.blake2b(digest_size=8)
-        h.update(json.dumps([acquires, life]).encode())
-        return h.hexdigest()
-
-    def to_json(self) -> Dict[str, Any]:
-        """The executed schedule as a JSON-serializable record."""
-        with self._lock:
-            return {
-                "version": 1,
-                "seed": self.seed,
-                "policy": self.policy,
-                "p_steal": self.p_steal,
-                "births": list(self._births),
-                "leaves": [list(p) for p in self._leaves],
-                "deaths": [list(p) for p in self._deaths],
-                "events": [dict(e) for e in self.events],
-            }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "ScheduleController":
-        """A replay controller re-issuing a recorded schedule.
-
-        Acquire decisions replay per rank in order; lifecycle triggers
-        replay by their recorded progress thresholds.
-        """
-        if int(data.get("version", -1)) != 1:
-            raise ScheduleError(
-                f"unsupported schedule record version {data.get('version')!r}"
-            )
-        events = data.get("events", [])
-        ctl = cls(
-            seed=int(data.get("seed", 0)),
-            policy=str(data.get("policy", "weighted")),
-            p_steal=float(data.get("p_steal", 0.5)),
-            births=[e["at"] for e in events if e["kind"] == "birth"],
-            leaves=[(e["at"], e["rank"]) for e in events
-                    if e["kind"] == "leave"],
-            deaths=[(e["at"], e["rank"]) for e in events
-                    if e["kind"] == "death"],
-        )
-        replay: Dict[int, List[Optional[int]]] = {}
-        for e in sorted(
-            (e for e in events if e["kind"] == "acquire"),
-            key=lambda e: (e["rank"], e["k"]),
-        ):
-            replay.setdefault(int(e["rank"]), []).append(
-                None if e["victim"] is None else int(e["victim"])
-            )
-        ctl._replay = replay
-        return ctl
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_file(cls, path: str) -> "ScheduleController":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
-
-    # -- introspection ----------------------------------------------------
-    @property
-    def steal_count(self) -> int:
-        with self._lock:
-            return sum(
-                1 for e in self.events
-                if e["kind"] == "acquire" and e["victim"] is not None
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return (
-            f"ScheduleController(seed={self.seed}, policy={self.policy!r}, "
-            f"events={len(self.events)})"
-        )

@@ -113,8 +113,9 @@ class StageTimings:
         equal this accumulator bit for bit.  With tracing disabled the
         span is a timestamp-only stub and behaviour is unchanged.
 
-        Concurrent entries on the same stage are allowed — an elastic
-        born helper shares its spawner's accumulator, so two threads can
+        Concurrent entries on the same stage are allowed — rank threads
+        of one simulated world may share one accumulator (the stealing
+        executor on a caller-supplied ``timings``), so two threads can
         be inside e.g. ``MDNorm`` at once.  Each entry contributes its
         own span duration (``elapsed`` sums call durations, which under
         overlap can exceed wall time, same as summing over runs).

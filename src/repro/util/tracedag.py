@@ -376,7 +376,6 @@ class TraceDAG:
             out.append({
                 "rank": node.get("rank"),
                 "uid": uid,
-                "born": bool(node["attrs"].get("born", False)),
                 "total_s": node["dur"],
                 "busy_s": busy,
                 "idle_s": max(0.0, node["dur"] - busy),
@@ -508,9 +507,8 @@ class TraceDAG:
                          f"{'busy (s)':>10s} {'idle (s)':>10s} "
                          f"{'stolen (s)':>10s}")
             for row in ranks:
-                tag = "+" if row["born"] else " "
                 lines.append(
-                    f"  {row['rank']!s:>3s}{tag} {row['total_s']:10.4f} "
+                    f"  {row['rank']!s:>4s} {row['total_s']:10.4f} "
                     f"{row['busy_s']:10.4f} {row['idle_s']:10.4f} "
                     f"{row['steal_s']:10.4f}"
                 )

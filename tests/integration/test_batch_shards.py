@@ -10,7 +10,8 @@ so they agree with it bit for bit by construction:
   complete, and match the in-memory ``vectorized`` reduction, with the
   process pool made to raise as well;
 * adversarial ranges: one-event shards (in memory and out of core),
-  more shards than events or detectors, and an empty run.
+  more shards than events or detectors, and an empty run (sharded,
+  and under the stealing executor on one and two ranks).
 """
 
 import dataclasses
@@ -32,6 +33,7 @@ from repro.crystal.symmetry import point_group
 from repro.crystal.ub import UBMatrix
 from repro.instruments.corelli import make_corelli
 from repro.instruments.synth import make_flux, make_vanadium, synthesize_run
+from repro.mpi import SequentialComm, run_world
 from repro.nexus.events import EventTable
 from repro.nexus.tiles import LazyEventTable
 from repro.util.schedule import ScheduleController
@@ -105,6 +107,24 @@ def assert_identical(res, ref):
     assert np.array_equal(res.binmd.signal, ref.binmd.signal)
     assert np.array_equal(res.cross_section.signal, ref.cross_section.signal,
                           equal_nan=True)
+
+
+def _stealing_world(exp, loader, size):
+    """The root's result of a ``size``-rank stealing campaign."""
+
+    def body(comm):
+        return exp.compute(
+            loader, comm=comm, executor="stealing",
+            shards=ShardConfig(n_shards=2),
+            schedule=ScheduleController(seed=5, policy="random"),
+        )
+
+    if size == 1:
+        return body(SequentialComm())
+    roots = [r for r in run_world(size, body, barrier_timeout=60.0)
+             if r is not None and r.cross_section is not None]
+    assert len(roots) == 1
+    return roots[0]
 
 
 @pytest.fixture()
@@ -240,6 +260,12 @@ class TestAdversarialRanges:
                           shards=ShardConfig(n_shards=4))
         ref_run = exp.compute(wss.__getitem__, backend="vectorized")
         assert_identical(res, ref_run)
+        # the stealing executor on one and two ranks: the empty run's
+        # shards are tasks like any other
+        for size in (1, 2):
+            res = _stealing_world(exp, wss.__getitem__, size)
+            assert_identical(res, ref_run)
+            assert np.array_equal(res.binmd.error_sq, ref_run.binmd.error_sq)
 
     @pytest.mark.parametrize("n_det,n_shards", ((3, 7), (5, 5)))
     def test_detector_shards(self, exp, n_det, n_shards):

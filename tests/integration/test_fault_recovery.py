@@ -995,7 +995,7 @@ class TestKillAndResumeStealing:
         ck2 = CheckpointManager(ckdir, config_digest="steal-q")
         res = self._steal(
             exp, size=3,
-            schedule=ScheduleController(seed=77, policy="all-steal"),
+            schedule=ScheduleController(seed=77, policy="random", p_steal=1.0),
             recovery=RecoveryConfig(retry=POLICY, checkpoint=ck2,
                                     resume=True),
         )

@@ -113,7 +113,7 @@ class TestCritSmoke:
         )
         res, wall = _campaign(
             exp, size=2,
-            schedule=ScheduleController(seed=5, policy="all-steal"),
+            schedule=ScheduleController(seed=5, policy="random", p_steal=1.0),
             tracer=tracer,
         )
         out = tmp_path / "traces"
@@ -141,12 +141,12 @@ class TestCritSmoke:
         assert "per-rank attribution" in text
 
     def test_tracing_is_bit_identical_to_disabled(self, exp):
-        schedule = ScheduleController(seed=9, policy="all-steal")
+        schedule = ScheduleController(seed=9, policy="random", p_steal=1.0)
         baseline, _ = _campaign(exp, size=2, schedule=schedule)
         tracer = trace_mod.Tracer(label="bitident")
         traced, _ = _campaign(
             exp, size=2,
-            schedule=ScheduleController(seed=9, policy="all-steal"),
+            schedule=ScheduleController(seed=9, policy="random", p_steal=1.0),
             tracer=tracer,
         )
         assert np.array_equal(traced.binmd.signal, baseline.binmd.signal)

@@ -371,7 +371,8 @@ class TestStealingExactlyOnce:
         tracer = trace_mod.Tracer()
         with trace_mod.use_tracer(tracer):
             res = self._campaign(
-                steal_exp, ScheduleController(seed=3, policy="all-steal"),
+                steal_exp,
+                ScheduleController(seed=3, policy="random", p_steal=1.0),
                 size=3, plan=plan)
         assert plan.stats()["injected"] == 1
         assert res.extras["recovery"]["failed_ranks"] == [1]
@@ -390,10 +391,10 @@ class TestStealingExactlyOnce:
         assert np.array_equal(res.cross_section.signal,
                               reference.cross_section.signal, equal_nan=True)
 
-    def test_birth_after_quarantine_accounting_stays_exact(self, steal_exp):
-        """A run quarantines (persistent kernel fault), then a new rank
-        is born: the late joiner must not resurrect dropped cells, and
-        the surviving runs' cells still complete exactly once."""
+    def test_quarantine_accounting_stays_exact(self, steal_exp):
+        """A run quarantines (persistent kernel fault) while the ranks
+        steal: dropped cells never complete, and the surviving runs'
+        cells still complete exactly once."""
         from repro.util import trace as trace_mod
         from repro.util.faults import FaultPlan, FaultSpec
         from repro.util.schedule import ScheduleController
@@ -407,13 +408,12 @@ class TestStealingExactlyOnce:
         with trace_mod.use_tracer(tracer):
             res = self._campaign(
                 steal_exp,
-                ScheduleController(seed=7, policy="random", births=(1,)),
+                ScheduleController(seed=7, policy="random"),
                 size=2, plan=plan)
         assert res.degraded
         assert res.quarantined_runs == (1,)
-        assert res.extras["stealing"]["births"] == 1
         cells = self._completed_cells(tracer.records)
-        # no cell ever completes twice, quarantine and birth included
+        # no cell ever completes twice, quarantine included
         assert all(n == 1 for n in cells.values()), cells
         # every cell of the surviving runs is present
         assert self._cells_of((0, 2)) <= set(cells)

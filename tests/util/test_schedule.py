@@ -1,12 +1,9 @@
 """Unit contract of the seedable steal-schedule controller.
 
 The integration fuzzing lives in ``tests/integration/test_stealing.py``;
-this file pins the controller itself: policy validation, the seeded
-per-rank decision streams, lifecycle trigger consumption, the record's
-JSON round-trip, replay degradation, and the schedule signature.
+this file pins the controller itself: policy validation and the
+seeded per-rank decision streams.
 """
-
-import json
 
 import pytest
 
@@ -43,13 +40,8 @@ class TestAcquire:
         ctl = ScheduleController(seed=3, policy="weighted")
         assert ctl.acquire(0, 0, {1: 10.0, 2: 90.0, 3: 50.0}) == 2
 
-    def test_herd_always_targets_heaviest(self):
-        ctl = ScheduleController(seed=3, policy="herd")
-        for rank in range(4):
-            assert ctl.acquire(rank, own_depth=5, victims={1: 1.0, 2: 9.0}) == 2
-
-    def test_all_steal_always_steals_when_possible(self):
-        ctl = ScheduleController(seed=3, policy="all-steal")
+    def test_random_full_p_steal_always_steals_when_possible(self):
+        ctl = ScheduleController(seed=3, policy="random", p_steal=1.0)
         for k in range(20):
             victim = ctl.acquire(0, own_depth=3, victims={1: 1.0, 2: 2.0})
             assert victim in (1, 2)
@@ -87,124 +79,3 @@ class TestAcquire:
         }
         assert len(set(draws.values())) > 1
         del a
-
-    def test_steal_count_counts_non_none_decisions(self):
-        ctl = ScheduleController(seed=3, policy="herd")
-        ctl.acquire(0, 0, {1: 1.0})
-        ctl.acquire(0, 0, {})
-        ctl.acquire(1, 0, {0: 2.0})
-        assert ctl.steal_count == 2
-
-
-class TestLifecycle:
-    def test_triggers_fire_once(self):
-        ctl = ScheduleController(
-            seed=0, births=(2,), leaves=((3, 1),), deaths=((4, 2),))
-        assert ctl.lifecycle(0, 0) == []
-        assert ctl.lifecycle(0, 2) == ["birth"]
-        assert ctl.lifecycle(0, 5) == []           # birth consumed
-        assert ctl.lifecycle(1, 5) == ["leave"]    # only the target rank
-        assert ctl.lifecycle(1, 9) == []
-        assert ctl.lifecycle(2, 9) == ["death"]
-        assert ctl.lifecycle(2, 9) == []
-
-    def test_birth_goes_to_first_observer(self):
-        ctl = ScheduleController(seed=0, births=(1,))
-        assert ctl.lifecycle(3, 4) == ["birth"]
-        assert ctl.lifecycle(0, 4) == []
-
-    def test_leave_death_ignore_other_ranks(self):
-        ctl = ScheduleController(seed=0, leaves=((0, 2),), deaths=((0, 3),))
-        assert ctl.lifecycle(0, 10) == []
-        assert ctl.lifecycle(1, 10) == []
-        assert ctl.lifecycle(2, 10) == ["leave"]
-        assert ctl.lifecycle(3, 10) == ["death"]
-
-    def test_multiple_actions_same_poll(self):
-        ctl = ScheduleController(seed=0, births=(1,), deaths=((1, 0),))
-        assert ctl.lifecycle(0, 3) == ["birth", "death"]
-
-
-class TestRecordReplay:
-    def _drive(self, ctl):
-        ctl.acquire(0, 0, {1: 5.0})
-        ctl.acquire(1, 2, {0: 1.0})
-        ctl.acquire(0, 1, {})
-        ctl.lifecycle(0, 1)
-
-    def test_json_round_trip_preserves_config(self):
-        ctl = ScheduleController(seed=9, policy="random", p_steal=0.75,
-                                 births=(1,))
-        self._drive(ctl)
-        doc = json.loads(json.dumps(ctl.to_json()))
-        assert doc["version"] == 1
-        assert doc["seed"] == 9
-        assert doc["policy"] == "random"
-        assert doc["p_steal"] == 0.75
-        replay = ScheduleController.from_json(doc)
-        assert replay.seed == 9
-        assert replay.policy == "random"
-
-    def test_replay_reissues_recorded_decisions(self):
-        ctl = ScheduleController(seed=9, policy="herd")
-        ctl.acquire(0, 0, {1: 5.0, 2: 9.0})   # -> 2
-        ctl.acquire(0, 0, {1: 5.0})           # -> 1
-        replay = ScheduleController.from_json(ctl.to_json())
-        assert replay.acquire(0, 0, {1: 1.0, 2: 1.0}) == 2
-        assert replay.acquire(0, 0, {1: 1.0, 2: 1.0}) == 1
-
-    def test_replay_degrades_when_victim_drained(self):
-        """A recorded victim with nothing left in this interleaving
-        degrades to the own queue instead of wedging the rank."""
-        ctl = ScheduleController(seed=9, policy="herd")
-        ctl.acquire(0, 0, {2: 9.0})           # -> 2
-        replay = ScheduleController.from_json(ctl.to_json())
-        assert replay.acquire(0, 0, {1: 1.0}) is None   # 2 already drained
-        # past the end of the record: own queue as well
-        assert replay.acquire(0, 0, {1: 1.0}) is None
-
-    def test_replay_reconstructs_lifecycle_triggers(self):
-        ctl = ScheduleController(seed=9, births=(2,), deaths=((3, 1),))
-        ctl.lifecycle(0, 2)
-        ctl.lifecycle(1, 3)
-        replay = ScheduleController.from_json(ctl.to_json())
-        assert replay.lifecycle(0, 2) == ["birth"]
-        assert replay.lifecycle(1, 3) == ["death"]
-
-    def test_unsupported_version_rejected(self):
-        with pytest.raises(ScheduleError, match="version"):
-            ScheduleController.from_json({"version": 99})
-
-    def test_save_and_from_file(self, tmp_path):
-        ctl = ScheduleController(seed=9, policy="all-steal")
-        ctl.acquire(0, 1, {1: 2.0})
-        path = str(tmp_path / "sched.json")
-        ctl.save(path)
-        replay = ScheduleController.from_file(path)
-        assert replay.policy == "all-steal"
-        assert replay.acquire(0, 5, {1: 9.0}) is not None
-
-
-class TestSignature:
-    def test_signature_ignores_wall_clock_interleaving(self):
-        """The digest sorts by (rank, k): the order ranks happened to
-        hit the controller in does not change it."""
-        a = ScheduleController(seed=5, policy="herd")
-        a.acquire(0, 0, {1: 2.0})
-        a.acquire(1, 0, {0: 2.0})
-        b = ScheduleController(seed=5, policy="herd")
-        b.acquire(1, 0, {0: 2.0})
-        b.acquire(0, 0, {1: 2.0})
-        assert a.schedule_signature() == b.schedule_signature()
-
-    def test_signature_sees_decisions(self):
-        a = ScheduleController(seed=5, policy="herd")
-        a.acquire(0, 0, {1: 2.0})
-        b = ScheduleController(seed=5, policy="herd")
-        b.acquire(0, 0, {})
-        assert a.schedule_signature() != b.schedule_signature()
-
-    def test_signature_is_short_hex(self):
-        sig = ScheduleController(seed=5).schedule_signature()
-        assert len(sig) == 16
-        int(sig, 16)

@@ -205,11 +205,8 @@ def _recovery_for(args, impl: str, data):
             n_files=len(data.md_paths),
             grid_bins=list(data.grid.bins),
         )
-        ckpt = CheckpointManager(
-            os.path.join(args.checkpoint_dir, impl),
-            config_digest=digest,
-            grid=data.grid,
-        )
+        ckpt = CheckpointManager(os.path.join(args.checkpoint_dir, impl),
+                                 config_digest=digest)
     return RecoveryConfig(checkpoint=ckpt, resume=bool(args.resume))
 
 

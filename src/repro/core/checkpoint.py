@@ -1,46 +1,40 @@
 """Checkpoint/resume for the multi-run reduction campaign.
 
 A campaign over N run files accumulates two histograms (Σ BinMD,
-Σ MDNorm).  This module persists the campaign's progress so an
-interrupted reduction — a dead rank, a killed job, a lost allocation —
-resumes from the last completed run **bit-identically** instead of
-re-reducing hundreds of GB from scratch:
+Σ MDNorm).  This module persists its progress so an interrupted
+reduction — a dead rank, a killed job, a lost allocation — resumes
+from the last completed run **bit-identically**.  The checkpoint
+directory is its own manifest: a run is durable exactly when its file
+exists.
 
-* a run's contribution is one sparse :class:`RunDelta`: per array
-  (BinMD signal, BinMD ``error_sq``, MDNorm signal) the flat indices of
-  the bins the run's fresh histograms touched and their values.  The
-  same object is the gathered reduction payload and the checkpoint
-  unit;
-* after each run ``i`` completes, its delta is written to
-  ``run_<i>.ckpt.h5`` as ``<array>_idx`` / ``<array>_val`` datasets
-  plus the grid shape — an :mod:`repro.nexus.h5lite` file published
-  crash-safely via :func:`repro.util.atomic_io.atomic_path` (fsync,
-  then rename);
-* a schema-versioned JSON **manifest** (schema 2) records, per run: the
-  delta file, a BLAKE2b digest of every dataset in it, the disposition
-  (``done`` / ``quarantined``), attempts and owning rank.  The manifest
-  itself is rewritten atomically after every update, so a crash at any
-  instant leaves either the pre-run or post-run manifest — never a torn
-  one.  A schema-1 (dense delta) directory is refused;
-* a delta read back is verified against the file's CRCs, the manifest's
-  digests (every dataset must have one) and the campaign grid's shape.
-  The root reads deltas back only for runs no live rank holds in
-  memory: on resume, and for the durable runs of a dead rank.  Folded
-  in ascending run order, they give exactly the float-addition order
-  of the uninterrupted loop, which is what makes resumption
-  bit-identical;
-* quarantined runs stay quarantined across resumes (the manifest is
-  the campaign's durable disposition record).
+* a run's contribution is one sparse :class:`RunDelta` (per array, the
+  flat indices of the bins its fresh histograms touched and their
+  values): the gathered reduction payload and the checkpoint unit;
+* after run ``i`` completes, its delta is published crash-safely
+  (:func:`repro.util.atomic_io.atomic_path`: fsync, then rename) as the
+  :mod:`repro.nexus.h5lite` file ``run_<i>.ckpt.h5``.  Its header
+  attributes carry the run record (run index, ``config_digest``,
+  attempts, rank, grid shape) and one BLAKE2b digest over that record
+  and every dataset's name, dtype, shape and bytes: the h5lite CRCs
+  cover only the payload, the digest the header too;
+* a quarantined run gets its own atomic record ``run_<i>.quarantined``.
+  Saving a run publishes its delta, then removes that record; when a
+  crash leaves both, the delta wins;
+* a manager scans its directory once, for exactly those two names (a
+  ``*.tmp`` left by a killed write is ignored).  A delta whose digest
+  does not match, whose header is unreadable or whose run index is not
+  the one in its name is corrupt, and the caller recomputes the run.
+  Folded in ascending run order, the deltas give exactly the
+  float-addition order of the uninterrupted loop.
 
-A manifest is bound to its campaign by a ``config_digest`` (inputs,
-grid, symmetry, backend); resuming against a checkpoint directory
-written by a different campaign raises :class:`CheckpointMismatchError`
-instead of silently mixing histograms.
+An intact file or record of a different campaign (``config_digest``:
+inputs, grid, symmetry, backend) raises :class:`CheckpointMismatchError`
+instead of silently mixing histograms; a directory in the older layout
+(one JSON ``manifest.json`` for every run) is refused.
 
 :class:`RecoveryConfig` bundles the whole failure policy — retry
-budget, quarantine switch, checkpoint manager, resume flag — and is
-what the drivers (:mod:`repro.core.workflow`, the proxies, streaming)
-thread into :func:`repro.core.cross_section.compute_cross_section`.
+budget, quarantine switch, checkpoint manager, resume flag — that the
+drivers thread into :func:`repro.core.cross_section.compute_cross_section`.
 """
 
 from __future__ import annotations
@@ -48,28 +42,35 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
-from repro.nexus.h5lite import File, H5LiteError
+from repro.nexus.h5lite import File
 from repro.util import atomic_io
 from repro.util import trace as _trace
 from repro.util.faults import RetryPolicy
 from repro.util.validation import ReproError
 
-#: manifest schema version (bump on any layout change); 2 = sparse deltas
-MANIFEST_SCHEMA = 2
-
+#: the one file of the older layout; a directory holding it is refused
 MANIFEST_NAME = "manifest.json"
+
+#: the names a scan indexes: a run's delta file or its quarantine record
+_RUN_NAME = re.compile(r"run_(\d{4,})\.(ckpt\.h5|quarantined)")
+
+#: what h5lite and numpy raise on a malformed header: a flipped bit can
+#: leave valid JSON that names a missing key, a bad dtype or a group
+_UNREADABLE = (OSError, LookupError, TypeError, ValueError, SyntaxError,
+               AttributeError)
 
 
 class CheckpointError(ReproError):
-    """Checkpoint machinery failure (I/O, schema, digest)."""
+    """Checkpoint machinery failure (I/O, layout, digest)."""
 
 
 class CheckpointMismatchError(CheckpointError):
@@ -77,15 +78,18 @@ class CheckpointMismatchError(CheckpointError):
 
 
 class CheckpointCorruptError(CheckpointError):
-    """A persisted run delta failed digest verification."""
+    """A persisted run delta failed verification."""
 
 
-def _digest(arr: np.ndarray) -> str:
-    a = np.ascontiguousarray(arr)
+def _digest(record: Dict[str, Any], data: Dict[str, np.ndarray]) -> str:
+    """BLAKE2b over a run record and every dataset's name, dtype, shape
+    and bytes."""
     h = hashlib.blake2b(digest_size=16)
-    h.update(str(a.dtype).encode())
-    h.update(repr(a.shape).encode())
-    h.update(a.data)
+    h.update(json.dumps(record, sort_keys=True).encode())
+    for name in sorted(data):
+        a = np.ascontiguousarray(data[name])
+        h.update(f"\0{name}\0{a.dtype}\0{a.shape!r}\0".encode())
+        h.update(a.data)
     return h.hexdigest()
 
 
@@ -141,191 +145,173 @@ class RunDelta:
 
 
 class CheckpointManager:
-    """Per-run delta persistence + the crash-safe campaign manifest.
+    """Per-run delta files and quarantine records in one directory.
 
-    Thread-safe: the in-process MPI ranks share one manager, so all
-    manifest mutation happens under one lock and every write is
-    published atomically (see :mod:`repro.util.atomic_io`).
+    Thread-safe: the in-process MPI ranks share one manager.  The lock
+    guards only the in-memory index; every file is written, fsynced and
+    renamed outside it, so one rank's save never waits out another's.
     """
 
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        *,
-        config_digest: str = "",
-        grid: Optional[HKLGrid] = None,
-    ) -> None:
+    def __init__(self, directory: str | os.PathLike, *,
+                 config_digest: str = "") -> None:
         self.directory = os.fspath(directory)
         self.config_digest = config_digest
         os.makedirs(self.directory, exist_ok=True)
+        if os.path.exists(self.manifest_path):
+            raise CheckpointError(
+                f"checkpoint {self.directory!r} holds a {MANIFEST_NAME}: it "
+                f"is in the manifest layout, and this version reads only the "
+                f"per-run file layout (run_<i>.ckpt.h5, run_<i>.quarantined)"
+                f"; reduce into a fresh checkpoint directory")
         self._lock = threading.Lock()
-        self._manifest: Dict[str, Any] = {
-            "schema": MANIFEST_SCHEMA,
-            "config_digest": config_digest,
-            "runs": {},
-            "quarantined": {},
-        }
-        self._load_manifest(grid)
+        #: run -> its verified record (None: the file is corrupt)
+        self._runs: Dict[int, Optional[Dict[str, Any]]] = {}
+        self._quarantined: Set[int] = set()
+        for name in os.listdir(self.directory):
+            m = _RUN_NAME.fullmatch(name)
+            if m is None or m.group(1) != f"{int(m.group(1)):04d}":
+                continue
+            i = int(m.group(1))
+            if m.group(2) == "ckpt.h5":
+                self._runs[i] = self._scan_run(i)
+            elif self._scan_quarantine(i):
+                self._quarantined.add(i)
+        self._quarantined -= set(self._runs)  # the delta wins
 
-    # -- manifest ---------------------------------------------------------
+    #: the older layout's manifest; never written (perfbench reads it)
     @property
     def manifest_path(self) -> str:
         return os.path.join(self.directory, MANIFEST_NAME)
 
-    def _load_manifest(self, grid: Optional[HKLGrid]) -> None:
-        path = self.manifest_path
-        if not os.path.exists(path):
-            return
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(
-                f"unreadable checkpoint manifest {path!r}: {exc}"
-            ) from exc
-        if doc.get("schema") != MANIFEST_SCHEMA:
-            raise CheckpointError(
-                f"checkpoint manifest {path!r} has schema "
-                f"{doc.get('schema')!r}; this version reads only schema "
-                f"{MANIFEST_SCHEMA} (sparse run deltas): reduce into a "
-                f"fresh checkpoint directory"
-            )
-        if self.config_digest and doc.get("config_digest") \
-                and doc["config_digest"] != self.config_digest:
-            raise CheckpointMismatchError(
-                f"checkpoint {self.directory!r} was written by a different "
-                f"campaign (config digest {doc['config_digest']!r} != "
-                f"{self.config_digest!r})"
-            )
-        doc.setdefault("runs", {})
-        doc.setdefault("quarantined", {})
-        self._manifest = doc
-
-    def _write_manifest(self) -> None:
-        atomic_io.atomic_write_text(
-            self.manifest_path,
-            json.dumps(self._manifest, indent=1, sort_keys=True) + "\n",
-        )
-
-    # -- queries ----------------------------------------------------------
-    def has_run(self, i: int) -> bool:
-        with self._lock:
-            return str(i) in self._manifest["runs"]
-
-    def is_quarantined(self, i: int) -> bool:
-        with self._lock:
-            return str(i) in self._manifest["quarantined"]
-
-    def completed_runs(self) -> List[int]:
-        with self._lock:
-            return sorted(int(k) for k in self._manifest["runs"])
-
-    def quarantined_runs(self) -> List[int]:
-        with self._lock:
-            return sorted(int(k) for k in self._manifest["quarantined"])
-
-    def run_record(self, i: int) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            rec = self._manifest["runs"].get(str(i))
-            return dict(rec) if rec is not None else None
-
-    # -- persistence ------------------------------------------------------
     def _run_file(self, i: int) -> str:
         return os.path.join(self.directory, f"run_{i:04d}.ckpt.h5")
 
-    def save_run(
-        self,
-        i: int,
-        delta: RunDelta,
-        *,
-        attempts: int = 1,
-        rank: Optional[int] = None,
-    ) -> None:
-        """Atomically persist run ``i``'s delta + update the manifest.
+    def _quarantine_file(self, i: int) -> str:
+        return os.path.join(self.directory, f"run_{i:04d}.quarantined")
 
-        The delta file is fully written, fsynced and renamed into place
-        *before* the manifest names it, so a crash between the two
-        leaves a manifest that simply does not know about the run yet.
-        """
+    def _check_campaign(self, theirs: Any, path: str) -> None:
+        if self.config_digest and theirs and theirs != self.config_digest:
+            raise CheckpointMismatchError(
+                f"checkpoint {path!r} was written by a different campaign "
+                f"(config digest {theirs!r} != {self.config_digest!r})")
+
+    def _scan_run(self, i: int) -> Optional[Dict[str, Any]]:
+        try:
+            record, _ = self._read(i)
+        except CheckpointCorruptError:
+            return None
+        self._check_campaign(record.get("config_digest"), self._run_file(i))
+        return record
+
+    def _scan_quarantine(self, i: int) -> bool:
+        try:  # an unreadable record is dropped: the run is recomputed
+            with open(self._quarantine_file(i)) as fh:
+                theirs = json.load(fh)["config_digest"]
+        except (OSError, ValueError, LookupError, TypeError):
+            return False
+        self._check_campaign(theirs, self._quarantine_file(i))
+        return True
+
+    # -- queries ------------------------------------------------------------
+    def has_run(self, i: int) -> bool:
+        with self._lock:
+            return i in self._runs
+
+    def is_quarantined(self, i: int) -> bool:
+        with self._lock:
+            return i in self._quarantined
+
+    def completed_runs(self) -> List[int]:
+        with self._lock:
+            return sorted(self._runs)
+
+    def quarantined_runs(self) -> List[int]:
+        with self._lock:
+            return sorted(self._quarantined)
+
+    def run_record(self, i: int) -> Optional[Dict[str, Any]]:
+        """Run ``i``'s file name and the record its header carries."""
+        with self._lock:
+            if i not in self._runs:
+                return None
+            rec = self._runs[i] or {}
+        return {"file": os.path.basename(self._run_file(i)), **rec}
+
+    # -- persistence --------------------------------------------------------
+    def save_run(self, i: int, delta: RunDelta, *, attempts: int = 1,
+                 rank: Optional[int] = None) -> None:
+        """Atomically publish run ``i``'s delta file, the point from which
+        the run is durable, then drop any quarantine record of the run."""
+        record: Dict[str, Any] = {
+            "run_index": int(i), "config_digest": self.config_digest,
+            "attempts": int(attempts), "shape": [int(n) for n in delta.shape],
+        }
+        if rank is not None:
+            record["rank"] = int(rank)
+        data = {f"{name}_{part}": arr
+                for name, pair in delta.arrays.items()
+                for part, arr in zip(("idx", "val"), pair)}
         tracer = _trace.active_tracer()
-        path = self._run_file(i)
         with tracer.span("checkpoint.write", kind="checkpoint", run=int(i)):
-            digests = {}
-            with atomic_io.atomic_path(path) as tmp:
+            with atomic_io.atomic_path(self._run_file(i)) as tmp:
                 with File(tmp, "w") as f:
                     grp = f.create_group("checkpoint")
-                    grp.attrs["schema"] = MANIFEST_SCHEMA
-                    grp.attrs["run_index"] = int(i)
-                    grp.attrs["shape"] = list(delta.shape)
-                    for name, (idx, val) in delta.arrays.items():
-                        for ds, arr in ((f"{name}_idx", idx),
-                                        (f"{name}_val", val)):
-                            grp.create_dataset(ds, data=arr)
-                            digests[ds] = _digest(arr)
+                    for key, value in record.items():
+                        grp.attrs[key] = value
+                    grp.attrs["digest"] = _digest(record, data)
+                    for ds, arr in data.items():
+                        grp.create_dataset(ds, data=arr)
+            try:
+                os.unlink(self._quarantine_file(i))
+            except FileNotFoundError:
+                pass
             with self._lock:
-                self._manifest["runs"][str(i)] = {
-                    "file": os.path.basename(path),
-                    "digests": digests,
-                    "status": "done",
-                    "attempts": int(attempts),
-                    "rank": None if rank is None else int(rank),
-                }
-                self._manifest["quarantined"].pop(str(i), None)
-                self._write_manifest()
+                self._runs[i] = record
+                self._quarantined.discard(i)
         tracer.count("checkpoint.write")
+
+    def _read(self, i: int) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+        """Run ``i``'s verified record and datasets."""
+        try:
+            with File(self._run_file(i), "r") as f:
+                grp = f["checkpoint"]
+                record = {k: v.tolist() if isinstance(v, np.ndarray) else v
+                          for k, v in grp.attrs.items() if k != "digest"}
+                data = {ds: grp.read(ds) for ds in grp.keys()}
+                intact = grp.attrs["digest"] == _digest(record, data)
+        except _UNREADABLE as exc:
+            raise CheckpointCorruptError(
+                f"checkpoint delta for run {i} is unreadable: {exc}") from exc
+        if not intact or record.get("run_index") != i:
+            raise CheckpointCorruptError(
+                f"checkpoint delta for run {i} fails its digest or holds "
+                f"run {record.get('run_index')!r}")
+        return record, data
 
     def load_run(self, i: int, grid: HKLGrid) -> RunDelta:
         """Load run ``i``'s persisted delta, verifying the file's CRCs,
-        a manifest digest for every dataset, and the grid shape."""
-        with self._lock:
-            rec = self._manifest["runs"].get(str(i))
-        if rec is None:
+        its digest, its run index and the grid shape."""
+        if not self.has_run(i):
             raise CheckpointError(f"run {i} is not checkpointed")
-        path = os.path.join(self.directory, rec["file"])
         tracer = _trace.active_tracer()
         with tracer.span("checkpoint.read", kind="checkpoint", run=int(i)):
-            try:
-                with File(path, "r") as f:
-                    grp = f["checkpoint"]
-                    shape = tuple(grp.attrs.get("shape", ()))
-                    data = {ds: grp.read(ds) for ds in grp.keys()}
-            except (OSError, H5LiteError, KeyError) as exc:
-                raise CheckpointCorruptError(
-                    f"checkpoint delta for run {i} is unreadable: {exc}"
-                ) from exc
-            digests = rec.get("digests", {})
-            if set(data) != set(digests):
-                raise CheckpointCorruptError(
-                    f"checkpoint delta for run {i}: datasets {sorted(data)} "
-                    f"!= manifest digests {sorted(digests)}"
-                )
-            for ds, arr in data.items():
-                if _digest(arr) != digests[ds]:
-                    raise CheckpointCorruptError(
-                        f"checkpoint delta for run {i}: {ds} digest mismatch"
-                    )
-            arrays = {name: (data[f"{name}_idx"], data[f"{name}_val"])
-                      for name in DELTA_ARRAYS
-                      if f"{name}_idx" in data and f"{name}_val" in data}
-            if not {"binmd_signal", "mdnorm_signal"} <= set(arrays) \
-                    or len(data) != 2 * len(arrays):
-                raise CheckpointCorruptError(
-                    f"checkpoint delta for run {i} holds datasets "
-                    f"{sorted(data)}, not a run delta"
-                )
+            record, data = self._read(i)
+            shape = tuple(record.get("shape", ()))
             if shape != tuple(grid.bins):
                 raise CheckpointMismatchError(
                     f"checkpoint delta for run {i} has shape {shape}, "
-                    f"campaign grid is {tuple(grid.bins)}"
-                )
+                    f"campaign grid is {tuple(grid.bins)}")
         tracer.count("checkpoint.read")
-        return RunDelta(shape, arrays)
+        return RunDelta(shape, {
+            name: (data[f"{name}_idx"], data[f"{name}_val"])
+            for name in DELTA_ARRAYS if f"{name}_idx" in data})
 
     def quarantine_run(self, i: int, reason: str) -> None:
         """Durably record run ``i`` as quarantined."""
+        atomic_io.atomic_write_text(self._quarantine_file(i), json.dumps(
+            {"config_digest": self.config_digest, "reason": reason}))
         with self._lock:
-            self._manifest["quarantined"][str(i)] = {"reason": reason}
-            self._write_manifest()
+            self._quarantined.add(i)
         _trace.active_tracer().count("checkpoint.quarantine")
 
     def mark_campaign_complete(self, text: str = "") -> None:
@@ -335,11 +321,6 @@ class CheckpointManager:
     @property
     def campaign_complete(self) -> bool:
         return atomic_io.is_complete(self.directory)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"CheckpointManager({self.directory!r}, "
-                f"runs={len(self._manifest['runs'])}, "
-                f"quarantined={len(self._manifest['quarantined'])})")
 
 
 # ---------------------------------------------------------------------------

@@ -458,7 +458,7 @@ def _root_result(
     """The effective root's final combine for every executor: fold the
     gathered per-run deltas in ascending run order and divide.  With a
     checkpoint, the only runs read back from disk are the durable runs
-    of a dead rank — in the manifest, but in no gathered book; they are
+    of a dead rank — in the checkpoint, but in no gathered book; they are
     added to ``dispositions`` as ``done`` under the rank that wrote
     them — and the campaign is then marked complete.  ``dispositions=None`` is
     fail-fast: no recovery report."""
@@ -466,7 +466,7 @@ def _root_result(
         durable = set(ckpt.completed_runs())
         require(set(runs) <= durable,
                 f"runs {sorted(set(runs) - durable)} were gathered but are "
-                f"not in the checkpoint manifest")
+                f"not in the checkpoint")
         runs = dict(runs)
         for i in sorted(durable - set(dispositions)):
             runs[i] = ckpt.load_run(i, grid)

@@ -1,7 +1,7 @@
 """Crash-safe file and directory publication primitives.
 
-Every durable artifact this package writes — checkpoint histograms,
-checkpoint manifests, synthesized benchmark fixtures — must be readable
+Every durable artifact this package writes — per-run checkpoint deltas,
+quarantine records, synthesized benchmark fixtures — must be readable
 by a *later* process even if the writing process is killed at an
 arbitrary instant.  The rules are the classic ones:
 
@@ -92,7 +92,7 @@ def atomic_path(path: PathLike) -> Iterator[str]:
 
     The writer closes the temporary itself, so on success it is
     reopened and fsynced before the rename, as :func:`atomic_writer`
-    does with its handle.
+    does with its handle: a file that exists is a complete one.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."

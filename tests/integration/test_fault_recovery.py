@@ -30,7 +30,7 @@ from typing import List
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import MANIFEST_NAME, CheckpointManager, RecoveryConfig
+from repro.core.checkpoint import CheckpointManager, RecoveryConfig
 from repro.core.cross_section import compute_cross_section
 from repro.core.grid import HKLGrid
 from repro.core.md_event_workspace import begin_md, convert_to_md, load_md, save_md
@@ -47,6 +47,7 @@ from repro.nexus import h5lite
 from repro.nexus.corrections import write_flux_file, write_vanadium_file
 from repro.proxy.cpp_proxy import CppProxyConfig, CppProxyWorkflow
 from repro.proxy.minivates import MiniVatesConfig, MiniVatesWorkflow
+from repro.util import atomic_io
 from repro.util import trace as trace_mod
 from repro.util.faults import (
     FaultPlan,
@@ -161,6 +162,29 @@ class TestRecoveryEquivalence:
         assert ck.completed_runs() == list(range(N_RUNS))
         assert ck.campaign_complete
 
+    def test_checkpointed_campaign_fsyncs_each_file_once(
+        self, exp, tmp_path, monkeypatch
+    ):
+        """One fsync per run's delta file and one for COMPLETE: nothing
+        is rewritten as the campaign goes."""
+        synced = []
+        fsync = atomic_io.fsync_file
+
+        def counting_fsync(fh):
+            synced.append(str(fh.name))  # COMPLETE's handle names its fd
+            fsync(fh)
+
+        monkeypatch.setattr(atomic_io, "fsync_file", counting_fsync)
+        ck = CheckpointManager(tmp_path / "ck", config_digest="eq")
+        compute_cross_section(
+            exp.loader,
+            recovery=RecoveryConfig(retry=POLICY, checkpoint=ck),
+            **exp.kw(),
+        )
+        assert N_RUNS == 4 and len(synced) == 5
+        assert sum(".ckpt.h5." in name for name in synced) == N_RUNS
+        assert ck.campaign_complete
+
     @pytest.mark.parametrize("executor", ["static", "stealing"])
     def test_healthy_checkpointed_campaign_reads_nothing_back(
         self, exp, golden, tmp_path, executor
@@ -180,6 +204,8 @@ class TestRecoveryEquivalence:
             )
         assert tracer.counters["checkpoint.write"] == N_RUNS
         assert tracer.counters.get("checkpoint.read", 0) == 0
+        assert sorted(os.listdir(ck.directory)) == [
+            "COMPLETE", *(f"run_{i:04d}.ckpt.h5" for i in range(N_RUNS))]
         assert np.array_equal(res.binmd.signal, golden.binmd.signal)
         assert np.array_equal(res.binmd.error_sq, golden.binmd.error_sq)
         assert np.array_equal(res.mdnorm.signal, golden.mdnorm.signal)
@@ -311,7 +337,7 @@ class TestQuarantine:
             )
         assert res.quarantined_runs == (2,)
         # resume with no faults: the quarantine verdict sticks (the
-        # manifest is the durable disposition record)
+        # run's quarantine record is durable)
         ck2 = CheckpointManager(ckdir, config_digest="q")
         res2 = compute_cross_section(
             exp.loader,
@@ -419,35 +445,80 @@ class TestKillAndResumeCore:
                               gold.cross_section.signal, equal_nan=True)
 
 
-    def test_missing_digest_recomputed_on_resume(self, exp, tmp_path):
-        """Schema 2 makes every digest mandatory: a record that lost one
-        is treated as corrupt and its run recomputed."""
-        ckdir = tmp_path / "ck"
-        ck = CheckpointManager(ckdir, config_digest="core")
-        gold = compute_cross_section(
-            exp.loader,
-            recovery=RecoveryConfig(retry=POLICY, checkpoint=ck),
-            **exp.kw(),
-        )
-        manifest = ckdir / MANIFEST_NAME
-        doc = json.loads(manifest.read_text())
-        del doc["runs"]["2"]["digests"]["binmd_error_sq_val"]
-        manifest.write_text(json.dumps(doc))
-
-        ck2 = CheckpointManager(ckdir, config_digest="core")
+    def _resume(self, exp, ckdir):
         tracer = trace_mod.Tracer()
         with trace_mod.use_tracer(tracer):
             res = compute_cross_section(
                 exp.loader,
-                recovery=RecoveryConfig(retry=POLICY, checkpoint=ck2,
-                                        resume=True),
+                recovery=RecoveryConfig(
+                    retry=POLICY, resume=True,
+                    checkpoint=CheckpointManager(ckdir, config_digest="core")),
                 **exp.kw(),
             )
+        return res, tracer
+
+    def _checkpointed(self, exp, ckdir):
+        return compute_cross_section(
+            exp.loader,
+            recovery=RecoveryConfig(
+                retry=POLICY,
+                checkpoint=CheckpointManager(ckdir, config_digest="core")),
+            **exp.kw(),
+        )
+
+    def _assert_bit_identical(self, res, gold):
+        assert np.array_equal(res.binmd.signal, gold.binmd.signal)
+        assert np.array_equal(res.binmd.error_sq, gold.binmd.error_sq)
+        assert np.array_equal(res.mdnorm.signal, gold.mdnorm.signal)
+        assert np.array_equal(res.cross_section.signal,
+                              gold.cross_section.signal, equal_nan=True)
+
+    def test_corrupt_header_digest_recomputed_on_resume(self, exp, tmp_path):
+        """The file's digest guards its header, which no CRC covers: a
+        damaged digest makes the run corrupt, and it is recomputed."""
+        ckdir = tmp_path / "ck"
+        gold = self._checkpointed(exp, ckdir)
+        victim = ckdir / "run_0002.ckpt.h5"
+        raw = victim.read_bytes()
+        at = raw.rindex(b'"digest":"') + len(b'"digest":"')
+        victim.write_bytes(raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1:])
+
+        res, tracer = self._resume(exp, ckdir)
         assert tracer.counters["checkpoint.corrupt"] == 1
         assert res.extras["recovery"]["resumed"] == [0, 1, 3]
         assert res.dispositions[2]["status"] == "done"
-        assert np.array_equal(res.binmd.signal, gold.binmd.signal)
-        assert np.array_equal(res.binmd.error_sq, gold.binmd.error_sq)
+        self._assert_bit_identical(res, gold)
+
+    def test_delta_wins_over_stale_quarantine_record(self, exp, tmp_path):
+        """A crash between publishing a run's delta and removing its
+        quarantine record leaves both files: the run resumes as done."""
+        ckdir = tmp_path / "ck"
+        gold = self._checkpointed(exp, ckdir)
+        (ckdir / "run_0002.quarantined").write_text(
+            json.dumps({"config_digest": "core", "reason": "flaky"}))
+
+        res, tracer = self._resume(exp, ckdir)
+        assert res.extras["recovery"]["resumed"] == list(range(N_RUNS))
+        assert res.quarantined_runs == ()
+        assert tracer.counters.get("checkpoint.corrupt", 0) == 0
+        self._assert_bit_identical(res, gold)
+
+    def test_leftover_tmp_file_ignored(self, exp, tmp_path):
+        """A write killed before its rename leaves only a ``*.tmp``: the
+        scan ignores it, and the run is recomputed."""
+        ckdir = tmp_path / "ck"
+        gold = self._checkpointed(exp, ckdir)
+        final = ckdir / "run_0003.ckpt.h5"
+        raw = final.read_bytes()
+        final.unlink()
+        (ckdir / "run_0003.ckpt.h5.k1ll3d.tmp").write_bytes(
+            raw[:len(raw) // 2])
+
+        res, tracer = self._resume(exp, ckdir)
+        assert res.extras["recovery"]["resumed"] == [0, 1, 2]
+        assert res.dispositions[3]["status"] == "done"
+        assert tracer.counters.get("checkpoint.corrupt", 0) == 0
+        self._assert_bit_identical(res, gold)
         assert np.array_equal(res.mdnorm.signal, gold.mdnorm.signal)
 
 

@@ -14,7 +14,8 @@ entry kinds behind one LRU byte budget:
 
 * **geometry entries** (:class:`GeomEntry`) — per
   ``(grid, transforms, detectors, band, calibration, flux)`` key: the
-  trajectory directions, the clipped momentum windows and the
+  live trajectories (directions, clipped momentum windows and per-axis
+  crossing ranges of the rows that enter the grid box) and the
   max-intersections pre-pass bound, plus (once the device/batch kernel
   has run) a compacted :class:`DepositPlan` holding the segment
   fluxes and flat bin indices of every segment that can deposit;
@@ -56,13 +57,16 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.util import bytesplit as _bytesplit
 from repro.util import trace as _trace
 from repro.util.validation import require
+
+if TYPE_CHECKING:
+    from repro.core.intersections import LiveTrajectories
 
 #: default LRU byte budget of the process-wide cache
 DEFAULT_BYTE_BUDGET = 256 * 1024 * 1024
@@ -274,11 +278,8 @@ class GeomEntry:
 
     key: Tuple[Any, ...]
     tag: Optional[str]
-    #: ``(n_ops, n_det, 3)`` trajectory directions
-    directions: np.ndarray
-    #: ``(n_ops, n_det)`` clipped momentum window
-    k_lo: np.ndarray
-    k_hi: np.ndarray
+    #: the compacted live rows, frozen
+    trajectories: LiveTrajectories
     #: raw max-intersections pre-pass bound (before the plane-count
     #: clamp); None until a pre-pass has run for this key
     width: Optional[int] = None
@@ -287,7 +288,7 @@ class GeomEntry:
 
     @property
     def nbytes(self) -> int:
-        n = int(self.directions.nbytes + self.k_lo.nbytes + self.k_hi.nbytes)
+        n = self.trajectories.nbytes
         if self.deposit is not None:
             n += self.deposit.nbytes
         return n

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,51 @@ from repro.crystal.symmetry import PointGroup
 from repro.crystal.ub import UBMatrix, TWO_PI
 from repro.util import trace as _trace
 from repro.util.validation import ValidationError, as_matrix3, require
+
+
+def signed_row_products(
+    rows: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray
+) -> Tuple[List[int], int, Iterator[np.ndarray]]:
+    """The products ``(r0 * x + r1 * y) + r2 * z`` of the distinct
+    signed rows among ``rows`` (``(n, 3)``), each computed once.
+
+    Returns ``(index, passes, products)``: ``index[i]`` numbers the
+    distinct signed row of ``rows[i]`` (in order of first occurrence),
+    ``products`` yields one product per distinct signed row in that
+    order, and ``passes`` is how many of them are computed.  Rows are
+    compared by bytes.  A row that is the byte-exact negation of an
+    earlier one takes ``np.negative`` of that row's product instead:
+    under round-to-nearest, multiplication and addition are
+    sign-symmetric, so the negation differs from the directly computed
+    product only in the sign of an exact zero (DESIGN.md, "Bit-identity
+    by construction").  Callers must treat ``±0`` alike.
+    """
+    numbers: Dict[bytes, int] = {}
+    plan: List[Tuple[np.ndarray, Optional[int]]] = []  # (row, negates)
+    index = []
+    for row in rows:
+        key = row.tobytes()
+        k = numbers.get(key)
+        if k is None:
+            k = numbers[key] = len(plan)
+            plan.append((row, numbers.get(np.negative(row).tobytes())))
+        index.append(k)
+
+    def products() -> Iterator[np.ndarray]:
+        computed: Dict[int, np.ndarray] = {}
+        for k, (row, negates) in enumerate(plan):
+            if negates is None:
+                c = row[0] * x
+                c += row[1] * y
+                c += row[2] * z
+                computed[k] = c
+            else:
+                # a negated row never negates one negated itself
+                c = np.negative(computed[negates])
+            yield c
+
+    passes = sum(negates is None for _, negates in plan)
+    return index, passes, products()
 
 
 @dataclass(frozen=True)
@@ -160,7 +205,11 @@ class HKLGrid:
 
         The rule is :meth:`flat_bin`'s, one axis at a time: floor of
         the rounded quotient, upper boundary exclusive (a point exactly
-        at ``maximum`` is outside), non-finite points outside.
+        at ``maximum`` is outside), non-finite points outside.  For an
+        integer ``n``, ``0 <= q < n`` holds exactly when it holds for
+        ``floor(q)``, and on ``[0, n)`` the integer cast (which
+        truncates) is the floor, so the quotient is never floored
+        explicitly; an axis of one bin contributes its test alone.
         """
         mn, w = self._scalar_binning
         flat = inside = None
@@ -170,26 +219,46 @@ class HKLGrid:
             for axis, (q, n) in enumerate(zip(columns, self.bins)):
                 q -= mn[axis]
                 q /= w[axis]
-                np.floor(q, out=q)
                 ok = q >= 0.0
                 ok &= q < n
+                if inside is None:
+                    inside = ok
+                else:
+                    inside &= ok
+                if n == 1:
+                    continue  # the index along this axis is 0
                 idx = q.astype(np.int64)
                 np.maximum(idx, 0, out=idx)
                 np.minimum(idx, n - 1, out=idx)
                 if flat is None:
-                    flat, inside = idx, ok
+                    flat = idx
                 else:
                     flat *= n
                     flat += idx
-                    inside &= ok
+        if flat is None:  # one bin on every axis
+            flat = np.zeros(inside.shape, dtype=np.int64)
         return flat, inside
 
     @cached_property
+    def thin_axis(self) -> int:
+        """The axis with the fewest bins (the first on ties): the one
+        BinMD and MDNorm test first, so most lanes stop there."""
+        return min(range(3), key=lambda axis: self.bins[axis])
+
+    @cached_property
+    def edge_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every axis's :attr:`edges` in one array, and the offset of
+        each axis's first edge in it."""
+        sizes = [edges.size for edges in self.edges]
+        return np.concatenate(self.edges), np.cumsum([0, *sizes[:2]])
+
+    @cached_property
     def _rejection_plan(self) -> Tuple[int, list, np.ndarray, np.ndarray, np.ndarray]:
-        """The thinnest axis (fewest bins, first on ties), then the other
-        two with their minima, widths and bin counts as ``(2, 1)``
-        columns for :meth:`bin_transformed`."""
-        first, *rest = sorted(range(3), key=lambda axis: self.bins[axis])
+        """The thinnest axis, then the other two with their minima,
+        widths and bin counts as ``(2, 1)`` columns for
+        :meth:`bin_transformed`."""
+        first = self.thin_axis
+        rest = [axis for axis in range(3) if axis != first]
         mn, w = self._scalar_binning
         rows = [(mn[a], w[a], self.bins[a]) for a in rest]
         return (first, rest,
@@ -214,46 +283,30 @@ class HKLGrid:
         so this and the element body agree bin for bin.
 
         Symmetry ops share thinnest-axis rows: the product runs once
-        per distinct row (compared by bytes), and an op whose row is
-        the byte-exact negation of an earlier row negates that product,
-        which rounding's sign symmetry makes the same up to the sign of
-        an exact zero (DESIGN.md, "Bit-identity by construction").  The
-        slab test and the gather of the slab's Q run once per distinct
-        signed row.  Each product pass is counted in the tracer counter
+        per distinct row (:func:`signed_row_products`).  The slab test
+        and the gather of the slab's Q run once per distinct signed
+        row.  Each product pass is counted in the tracer counter
         ``binmd.slab_products``.
         """
         mn, w = self._scalar_binning
         first, rest, rest_mn, rest_w, rest_n = self._rejection_plan
         nb = self.bins
-        products = {}  # row bytes -> thinnest-axis product of that row
-        slabs = {}  # row bytes -> (first-axis bins, lanes, x, y, z)
+        index, passes, products = signed_row_products(ops[:, first], qx, qy, qz)
+        slabs = []  # per distinct signed row: (first-axis bins, lanes, x, y, z)
         out = []
         # inf - inf and 0 * inf give NaN, which the comparisons reject
         with np.errstate(over="ignore", invalid="ignore"):
-            for op in ops:
-                row = op[first]
-                key = row.tobytes()
-                slab = slabs.get(key)
-                if slab is None:
-                    c = products.get(np.negative(row).tobytes())
-                    if c is None:
-                        c = row[0] * qx
-                        c += row[1] * qy
-                        c += row[2] * qz
-                        products[key] = c
-                        q = c - mn[first]
-                    else:
-                        q = np.negative(c)
-                        q -= mn[first]
-                    q /= w[first]
-                    ok = q >= 0.0
-                    ok &= q < nb[first]
-                    lanes = ok.nonzero()[0]
-                    # in range and non-negative, so truncation is the floor
-                    slab = (q[lanes].astype(np.int64), lanes,
-                            qx[lanes], qy[lanes], qz[lanes])
-                    slabs[key] = slab
-                idx_first, lanes, x, y, z = slab
+            for c in products:
+                q = c - mn[first]
+                q /= w[first]
+                ok = q >= 0.0
+                ok &= q < nb[first]
+                lanes = ok.nonzero()[0]
+                # in range and non-negative, so truncation is the floor
+                slabs.append((q[lanes].astype(np.int64), lanes,
+                              qx[lanes], qy[lanes], qz[lanes]))
+            for op, k in zip(ops, index):
+                idx_first, lanes, x, y, z = slabs[k]
                 o = op[rest]
                 qr = o[:, 0:1] * x
                 qr += o[:, 1:2] * y
@@ -268,7 +321,7 @@ class HKLGrid:
                     idx[axis] = qr[r, keep].astype(np.int64)
                 out.append(((idx[0] * nb[1] + idx[1]) * nb[2] + idx[2],
                             lanes[keep]))
-        _trace.active_tracer().count("binmd.slab_products", len(products))
+        _trace.active_tracer().count("binmd.slab_products", passes)
         return out
 
     # -- constructors for the paper's cases ---------------------------------

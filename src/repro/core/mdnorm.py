@@ -13,6 +13,11 @@ Each lane
    sub-segment, and
 6. **appends** ``solid_angle x flux`` into the normalization histogram.
 
+Steps 1-3 search only the trajectories that enter the grid box: the
+geometry stage (:func:`~repro.core.intersections.live_trajectories`)
+finds them on the grid's thin axis first and computes each one's
+per-axis crossing range once.  The kernels launch over those live rows.
+
 The pre-pass :func:`max_intersections` bounds step 3's output so the
 device buffer can be pre-allocated.  JACC's device ``parallel_reduce``
 supports only ``+`` (the limitation the paper documents), so on the
@@ -34,12 +39,11 @@ from repro.core.geom_cache import DepositPlan, GeomCache, GeomEntry
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
 from repro.core.intersections import (
-    count_crossings_batch,
+    LiveTrajectories,
     count_crossings_scalar,
     fill_crossings_scalar,
-    k_window,
+    live_trajectories,
     sorted_crossings_batch,
-    trajectory_directions,
 )
 from repro.jacc import parallel_for, resolve_backend
 from repro.jacc.kernels import Captures, Kernel
@@ -82,29 +86,26 @@ class _Scratch:
 # pre-pass: maximum intersections per trajectory
 # ---------------------------------------------------------------------------
 
-def _count_element(ctx: Captures, n: int, d: int) -> float:
-    direction = ctx.directions[n, d]
-    lo = ctx.k_lo[n, d]
-    hi = ctx.k_hi[n, d]
-    return float(count_crossings_scalar(direction, ctx.grid, lo, hi))
+def _count_element(ctx: Captures, i: int) -> float:
+    traj = ctx.traj
+    return float(count_crossings_scalar(traj.directions[:, i], ctx.grid,
+                                        traj.k_lo[i], traj.k_hi[i]))
 
 
-def _count_batch(ctx: Captures, dims: tuple[int, int]) -> np.ndarray:
-    return count_crossings_batch(
-        ctx.directions, ctx.grid, ctx.k_lo, ctx.k_hi
-    ).astype(np.float64)
+def _count_batch(ctx: Captures, dims: tuple[int]) -> np.ndarray:
+    return ctx.traj.crossings().astype(np.float64)
 
 
 COUNT_KERNEL = Kernel(name="mdnorm_count", element=_count_element, batch=_count_batch)
 
 
-def _count_store_batch(ctx: Captures, dims: tuple[int, int]) -> None:
-    ctx.counts[...] = count_crossings_batch(ctx.directions, ctx.grid, ctx.k_lo, ctx.k_hi)
+def _count_store_batch(ctx: Captures, dims: tuple[int]) -> None:
+    ctx.counts[...] = ctx.traj.crossings()
 
 
 COUNT_STORE_KERNEL = Kernel(
     name="mdnorm_count_store",
-    element=lambda ctx, n, d: None,  # device-only helper
+    element=lambda ctx, i: None,  # device-only helper
     batch=_count_store_batch,
 )
 
@@ -117,60 +118,57 @@ def max_intersections(
     *,
     backend: Optional[str] = None,
     use_extended_reduce: bool = False,
-    directions: Optional[np.ndarray] = None,
-    k_lo: Optional[np.ndarray] = None,
-    k_hi: Optional[np.ndarray] = None,
+    trajectories: Optional[LiveTrajectories] = None,
 ) -> int:
     """Upper bound on per-trajectory intersections (+2 endpoints).
 
-    On CPU back ends this is one ``parallel_reduce(op="max")``.  The
-    device back end cannot reduce with MAX (JACC limitation), so there
-    it launches a counting ``parallel_for`` into a device array, copies
-    it to the host, and maxes there — the documented MiniVATES
-    workaround, with the device->host transfer really happening (and
-    counted by the back end's transfer statistics).
+    The launch covers the live trajectories only (a dead one has no
+    crossings).  On CPU back ends this is one
+    ``parallel_reduce(op="max")``.  The device back end cannot reduce
+    with MAX (JACC limitation), so there it launches a counting
+    ``parallel_for`` into a device array, copies it to the host, and
+    maxes there — the documented MiniVATES workaround, with the
+    device->host transfer really happening (and counted by the back
+    end's transfer statistics).  The batch bodies sum each row's
+    per-axis crossing counts; the element body searches its lane.
 
     ``use_extended_reduce=True`` opts into
     :func:`repro.jacc.reduction.device_reduce` — the custom-operator
     device reduction the paper lists as hoped-for future work — which
     removes the per-lane device->host copy entirely.
 
-    ``directions`` / ``k_lo`` / ``k_hi`` may be supplied when the
-    caller (or the geometry cache) has already computed them; they must
-    be exactly ``trajectory_directions(transforms, det_directions)``
-    and ``k_window(directions, grid, *momentum_band)``.
+    ``trajectories`` may be supplied when the caller (or the geometry
+    cache) has already computed them; it must be exactly
+    ``live_trajectories(transforms, det_directions, grid, *momentum_band)``.
     """
     be = resolve_backend(backend)
-    if directions is None:
-        directions = trajectory_directions(transforms, det_directions)
-    if k_lo is None or k_hi is None:
-        k_lo, k_hi = k_window(directions, grid, *momentum_band)
-    dims = directions.shape[:2]
+    if trajectories is None:
+        trajectories = live_trajectories(transforms, det_directions, grid,
+                                         *momentum_band)
+    dims = (trajectories.n_rows,)
+    captures = Captures(traj=trajectories, grid=grid)
     tracer = _trace.active_tracer()
     with tracer.span("mdnorm.prepass", kind="phase", backend=be.name) as sp:
         if tracer.profile:
             from repro.util.perf import prepass_work
 
-            sp.set(perf=prepass_work(dims[0] * dims[1]))
+            sp.set(perf=prepass_work(dims[0]))
         if be.device_kind == "device" and use_extended_reduce:
             from repro.jacc.reduction import device_reduce
 
-            captures = Captures(directions=directions, grid=grid, k_lo=k_lo, k_hi=k_hi)
-            max_count = int(device_reduce(dims, COUNT_KERNEL, captures, op="max",
-                                          backend=be.name))
+            value = device_reduce(dims, COUNT_KERNEL, captures, op="max",
+                                  backend=be.name)
         elif be.device_kind == "device":
-            counts_dev = be.to_device(np.zeros(dims[0] * dims[1], dtype=np.int64))
-            captures = Captures(
-                directions=directions, grid=grid, k_lo=k_lo, k_hi=k_hi, counts=counts_dev
-            )
+            captures.counts = be.to_device(np.zeros(dims[0], dtype=np.int64))
             be.parallel_for(dims, COUNT_STORE_KERNEL, captures)
-            counts_host = be.to_host(counts_dev)  # the workaround's D2H copy
-            max_count = int(counts_host.max(initial=0))
+            counts_host = be.to_host(captures.counts)  # the workaround's D2H copy
+            value = counts_host.max(initial=0)
         else:
-            captures = Captures(directions=directions, grid=grid, k_lo=k_lo, k_hi=k_hi)
-            max_count = int(be.parallel_reduce(dims, COUNT_KERNEL, captures, op="max"))
+            value = be.parallel_reduce(dims, COUNT_KERNEL, captures, op="max")
+        # no live row: the reduction's identity (-inf) means no crossing
+        max_count = int(max(value, 0))
         sp.set(max_intersections=max_count + 2)
-    tracer.count("mdnorm.prepass_trajectories", dims[0] * dims[1])
+    tracer.count("mdnorm.prepass_trajectories", dims[0])
     return max_count + 2
 
 
@@ -178,17 +176,14 @@ def max_intersections(
 # main MDNorm kernel
 # ---------------------------------------------------------------------------
 
-def _mdnorm_element(ctx: Captures, n: int, d: int) -> None:
-    """Listing 1's per-(op, detector) body."""
-    direction = ctx.directions[n, d]
-    lo = ctx.k_lo[n, d]
-    hi = ctx.k_hi[n, d]
-    if not hi > lo:
-        return
+def _mdnorm_element(ctx: Captures, i: int) -> None:
+    """Listing 1's per-(op, detector) body, for live row ``i``."""
+    traj = ctx.traj
+    direction = traj.directions[:, i]
     buf = ctx.scratch.get()
-    count = ctx.fill(buf, direction, ctx.grid, lo, hi)
+    count = ctx.fill(buf, direction, ctx.grid, traj.k_lo[i], traj.k_hi[i])
     comb_sort(buf, count)
-    weight_det = ctx.solid_angles[d] * ctx.charge
+    weight_det = ctx.solid_angles[traj.rows[i] % traj.n_det] * ctx.charge
     if weight_det == 0.0:
         return
     flux_k, flux_cum = ctx.flux_k, ctx.flux_cum
@@ -207,10 +202,11 @@ def _mdnorm_element(ctx: Captures, n: int, d: int) -> None:
         phi_lo = phi_hi
 
 
-def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
-    """Device realization: stream-compacted rows, a row sort of the
-    padded crossing buffer, then interpolation, binning and atomic
-    scatter-add over the non-empty segments only.
+def _mdnorm_batch(ctx: Captures, dims: tuple[int]) -> None:
+    """Device realization over the live rows: stream-compacted rows, a
+    row sort of the padded crossing buffer (filled from the rows'
+    per-axis crossing ranges, with no search), then interpolation,
+    binning and atomic scatter-add over the non-empty segments only.
 
     After the sort only segments with ``seg_hi > seg_lo`` can deposit,
     so one flat scan gathers them row-major into 1-D arrays before any
@@ -226,11 +222,9 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
     cold-path tile, so its scatter sequence equals the cold path's bit
     for bit under either ``scatter_impl``.
     """
-    n_ops, n_det = dims
+    traj: LiveTrajectories = ctx.traj
     grid: HKLGrid = ctx.grid
     hist = ctx.hist
-    # per-trajectory weight: solid angle of the detector (tiled over ops)
-    det_w = np.broadcast_to(ctx.solid_angles, (n_ops, n_det)).reshape(-1) * ctx.charge
     tile = ctx.tile_rows
     width = ctx.width
 
@@ -242,6 +236,9 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
 
     if plan is not None:
         # ---- warm path: cached segment fluxes + bin indices ----------
+        # per-trajectory weight: solid angle of the detector (tiled over ops)
+        det_w = np.broadcast_to(ctx.solid_angles, (traj.n_ops, traj.n_det)
+                                ).reshape(-1) * ctx.charge
         row_ptr = plan.row_ptr
         weights = plan.seg_flux * np.repeat(det_w[plan.live], np.diff(row_ptr))
         bounds = [*row_ptr[:-1:tile].tolist(), int(row_ptr[-1])]
@@ -252,21 +249,16 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
                            scatter_impl=ctx.scatter_impl)
         return
 
-    k_lo = ctx.k_lo.reshape(-1)
-    k_hi = ctx.k_hi.reshape(-1)
-
-    # stream compaction: trajectories that never enter the grid box (or
-    # carry zero weight) do no work — drop their lanes up front instead
-    # of padding them through the sort and interpolation stages
-    live = (k_hi > k_lo) & (det_w != 0.0)
-    if not live.any():
+    # stream compaction: trajectories that never enter the grid box
+    # were never made rows; those of zero weight do no work either
+    det_w = ctx.solid_angles[traj.rows % traj.n_det] * ctx.charge
+    live = det_w != 0.0
+    if not live.all():
+        traj = traj[live]
+        det_w = det_w[live]
+    n_rows = traj.n_rows
+    if n_rows == 0:
         return
-    # live directions as three contiguous axis columns
-    columns = np.compress(live, ctx.directions.reshape(-1, 3).T, axis=1)
-    k_lo = k_lo[live]
-    k_hi = k_hi[live]
-    det_w = det_w[live]
-    n_rows = columns.shape[1]
 
     # collect the deposit plan alongside the cold pass (admitted to the
     # cache below by its compacted size)
@@ -275,36 +267,46 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
 
     for start in range(0, n_rows, tile):
         stop = min(start + tile, n_rows)
-        cells = sorted_crossings_batch(
-            columns[:, start:stop].T, grid, k_lo[start:stop], k_hi[start:stop],
-            width, sort_impl=ctx.sort_impl,
-        ).reshape(-1)
+        part = traj if stop - start == n_rows else traj[start:stop]
+        cells = sorted_crossings_batch(part, grid, width,
+                                       sort_impl=ctx.sort_impl).reshape(-1)
         # real segments in one flat scan; none starts at a row's end
         real = cells[1:] > cells[:-1]
         real[width - 1::width] = False
         at = np.flatnonzero(real)
         n_segments += at.size
-        lo = cells[at]
-        hi = cells[at + 1]
-        row = at // width
+        lo = cells.take(at)
+        hi = cells[1:].take(at)
+        row = at
+        row //= width
         # one interpolation per breakpoint, the element body's carry: a
         # real segment starts at the value the row's previous one ends
         # at (zero-length segments between them have equal ends)
         phi_hi = np.interp(hi, ctx.flux_k, ctx.flux_cum)
-        phi_lo = np.empty_like(phi_hi)
-        phi_lo[1:] = phi_hi[:-1]
-        first = np.flatnonzero(np.diff(row, prepend=-1))
-        phi_lo[first] = np.interp(lo[first], ctx.flux_k, ctx.flux_cum)
-        seg_flux = phi_hi - phi_lo
-        mid = 0.5 * (lo + hi)
-        flat_idx, inside = grid.bin_columns(
-            *(mid * columns[axis, start:stop][row] for axis in range(3)))
-        weights = seg_flux * det_w[start:stop][row]
+        seg_flux = np.empty_like(phi_hi)
+        np.subtract(phi_hi[1:], phi_hi[:-1], out=seg_flux[1:])
+        starts = np.ones(row.size, dtype=bool)  # a row's first segment
+        np.not_equal(row[1:], row[:-1], out=starts[1:])
+        first = starts.nonzero()[0]
+        seg_flux[first] = phi_hi[first] - np.interp(lo[first], ctx.flux_k,
+                                                    ctx.flux_cum)
+        # large temporaries are reused in place (each fresh one costs page
+        # faults): lo becomes the midpoint, hi the weight
+        mid = lo
+        mid += hi
+        mid *= 0.5
+        columns = [part.directions[axis].take(row) for axis in range(3)]
+        for column in columns:
+            column *= mid
+        flat_idx, inside = grid.bin_columns(*columns)
+        weights = det_w[start:stop].take(row, out=hi)
+        weights *= seg_flux
         deposit = inside & (weights != 0.0)
         if collect is not None:
-            collect.append((np.bincount(row[inside], minlength=stop - start),
-                            seg_flux[inside], flat_idx[inside]))
-        hist.push_flat(flat_idx[deposit], weights[deposit],
+            kept_row, kept_flux, kept_idx = _where(inside, row, seg_flux, flat_idx)
+            collect.append((np.bincount(kept_row, minlength=stop - start),
+                            kept_flux, kept_idx))
+        hist.push_flat(*_where(deposit, flat_idx, weights),
                        scatter_impl=ctx.scatter_impl)
 
     tracer = _trace.active_tracer()
@@ -315,7 +317,9 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
         counts, fluxes, flats = zip(*collect)
         row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(np.concatenate(counts), out=row_ptr[1:])
-        built = DepositPlan(width=width, live=live, row_ptr=row_ptr,
+        mask = np.zeros(traj.n_ops * traj.n_det, dtype=bool)
+        mask[traj.rows] = True
+        built = DepositPlan(width=width, live=mask, row_ptr=row_ptr,
                             seg_flux=np.concatenate(fluxes),
                             flat_idx=np.concatenate(flats))
         if ctx.geom_cache.accepts(built.nbytes):
@@ -323,6 +327,14 @@ def _mdnorm_batch(ctx: Captures, dims: tuple[int, int]) -> None:
                 getattr(built, name).flags.writeable = False
             entry.deposit = built
             ctx.geom_cache.note_update(entry)
+
+
+def _where(mask: np.ndarray, *arrays: np.ndarray) -> tuple:
+    """The entries of ``arrays`` where ``mask`` holds: the arrays
+    themselves when it holds everywhere, which it mostly does."""
+    if mask.all():
+        return arrays
+    return tuple(a[mask] for a in arrays)
 
 
 MDNORM_KERNEL = Kernel(name="mdnorm", element=_mdnorm_element, batch=_mdnorm_batch)
@@ -380,12 +392,11 @@ def _mdnorm_captures(
         op_span.set(cache_hit=entry is not None)
 
     if entry is not None:
-        directions = entry.directions
-        k_lo, k_hi = entry.k_lo, entry.k_hi
+        traj = entry.trajectories
         raw_width = entry.width
     else:
-        directions = trajectory_directions(transforms, det_directions)
-        k_lo, k_hi = k_window(directions, grid, *momentum_band)
+        traj = live_trajectories(transforms, det_directions, grid,
+                                 *momentum_band)
         raw_width = None
 
     explicit_width = width is not None
@@ -393,23 +404,18 @@ def _mdnorm_captures(
         if raw_width is None:
             raw_width = max_intersections(
                 grid, transforms, det_directions, momentum_band,
-                backend=backend, directions=directions, k_lo=k_lo, k_hi=k_hi,
+                backend=backend, trajectories=traj,
             )
         width = raw_width
     width = min(width, grid.max_plane_crossings)
 
     if cache.enabled:
         if entry is None:
-            entry = GeomEntry(
-                key=key,
-                tag=cache_tag,
-                directions=_gc.freeze(directions),
-                k_lo=_gc.freeze(k_lo),
-                k_hi=_gc.freeze(k_hi),
-                width=raw_width,
-            )
+            entry = GeomEntry(key=key, tag=cache_tag,
+                              trajectories=traj.map(_gc.freeze),
+                              width=raw_width)
             cache.put(entry)
-            directions, k_lo, k_hi = entry.directions, entry.k_lo, entry.k_hi
+            traj = entry.trajectories
         elif entry.width is None and raw_width is not None:
             entry.width = raw_width
             cache.note_update(entry)
@@ -427,17 +433,15 @@ def _mdnorm_captures(
         if _trace.active_tracer().profile:
             from repro.util.perf import mdnorm_work
 
+            # charged for the live rows, the only ones the launch works on
             op_span.set(perf=mdnorm_work(
-                int(transforms.shape[0]), int(det_directions.shape[0]),
-                int(width), warm_plan=warm_plan,
+                traj.n_rows, 1, int(width), warm_plan=warm_plan,
                 stored_segments=entry.deposit.seg_flux.size if warm_plan else None,
             ))
     return Captures(
         hist=hist,
         grid=grid,
-        directions=directions,
-        k_lo=k_lo,
-        k_hi=k_hi,
+        traj=traj,
         solid_angles=solid_angles,
         charge=float(charge),
         flux_k=flux_k,
@@ -528,7 +532,7 @@ def mdnorm(
             cache_tag=cache_tag, width=width, sort_impl=sort_impl,
             scatter_impl=scatter_impl, tile_rows=tile_rows, op_span=op_span,
         )
-        parallel_for(captures.directions.shape[:2], MDNORM_KERNEL, captures,
+        parallel_for((captures.traj.n_rows,), MDNORM_KERNEL, captures,
                      backend=backend)
         tracer.count("mdnorm.trajectories",
                       int(transforms.shape[0]) * int(det_directions.shape[0]))
@@ -549,7 +553,7 @@ def prefetch_geometry(
 ) -> bool:
     """Warm the geometry cache for one run without depositing anything.
 
-    Runs the trajectory/window/pre-pass stages and stores the results
+    Runs the live-trajectory and pre-pass stages and stores the results
     (plus the flux table) so a later :func:`mdnorm` on the same
     configuration starts warm.  Returns True when a new entry was
     inserted, False when the key was already cached or caching is off.
@@ -571,19 +575,12 @@ def prefetch_geometry(
     with _trace.active_tracer().span(
         "mdnorm.prefetch", kind="phase", tag=cache_tag or ""
     ):
-        directions = trajectory_directions(transforms, det_directions)
-        k_lo, k_hi = k_window(directions, grid, *momentum_band)
+        traj = live_trajectories(transforms, det_directions, grid,
+                                 *momentum_band)
         raw_width = max_intersections(
             grid, transforms, det_directions, momentum_band,
-            backend=backend, directions=directions, k_lo=k_lo, k_hi=k_hi,
+            backend=backend, trajectories=traj,
         )
-        return cache.put(
-            GeomEntry(
-                key=key,
-                tag=cache_tag,
-                directions=_gc.freeze(directions),
-                k_lo=_gc.freeze(k_lo),
-                k_hi=_gc.freeze(k_hi),
-                width=raw_width,
-            )
-        )
+        return cache.put(GeomEntry(key=key, tag=cache_tag,
+                                   trajectories=traj.map(_gc.freeze),
+                                   width=raw_width))

@@ -255,8 +255,9 @@ def mdnorm_shard_context(
 
     The geometry stage runs here, parent-side and cache-aware, so warm
     reruns skip it exactly as the in-memory path does (ranges never
-    touch the cache).  The captures hold the trajectories flattened to
-    rows, with each row's solid angle, so a range is a slice of them.
+    touch the cache).  Ranges cut the full op-major row space; a range
+    launches over the live rows inside it
+    (:meth:`~repro.core.intersections.LiveTrajectories.window`).
     """
     transforms = np.asarray(transforms, dtype=np.float64)
     det_directions = np.asarray(det_directions, dtype=np.float64)
@@ -266,12 +267,8 @@ def mdnorm_shard_context(
         charge=charge, backend=backend, cache=cache, cache_tag=cache_tag,
         deposit_plan=False, sort_impl=sort_impl, op_span=op_span,
     )
-    n_ops = int(transforms.shape[0])
-    captures.directions = captures.directions.reshape(-1, 3)
-    captures.k_lo = captures.k_lo.reshape(-1)
-    captures.k_hi = captures.k_hi.reshape(-1)
-    captures.solid_angles = np.tile(solid_angles, n_ops)
-    ranges, _ = mdnorm_ranges(int(det_directions.shape[0]), n_ops, n_shards)
+    ranges, _ = mdnorm_ranges(int(det_directions.shape[0]),
+                              int(transforms.shape[0]), n_shards)
     return ShardContext("mdnorm", captures, 1, ranges)
 
 
@@ -300,15 +297,13 @@ def binmd_shard_context(
 
 
 def _mdnorm_range(ctx: ShardContext, a: int, b: int) -> List[Log]:
-    """One MDNorm batch launch over the op-major rows ``[a, b)``: one
-    log, in row order."""
+    """One MDNorm batch launch over the live rows among the op-major
+    rows ``[a, b)``: one log, in row order."""
     c = ctx.captures
     rec = RecordingHist3(c.grid, ctx.track_errors)
-    _mdnorm_batch(Captures(**{
-        **vars(c), "hist": rec, "directions": c.directions[None, a:b],
-        "k_lo": c.k_lo[None, a:b], "k_hi": c.k_hi[None, a:b],
-        "solid_angles": c.solid_angles[a:b],
-    }), (1, b - a))
+    traj = c.traj.window(a, b)
+    _mdnorm_batch(Captures(**{**vars(c), "hist": rec, "traj": traj}),
+                  (traj.n_rows,))
     return [rec.harvest()]
 
 

@@ -183,15 +183,16 @@ def cpp_md_norm(
         directions = trajectory_directions(transforms, det_directions).reshape(-1, 3)
         k_lo, k_hi = k_window(directions, grid, *momentum_band)
         if tracer.profile:
-            # exact crossing counts via the vectorized pre-pass (the
-            # same counting kernel MiniVATES runs; cheap next to the
-            # per-row ROI loop below)
-            from repro.core.intersections import count_crossings_batch
+            # exact crossing counts of the live rows via the vectorized
+            # pre-pass's ranges (the same search MiniVATES runs; cheap
+            # next to the per-row ROI loop below)
+            from repro.core.intersections import crossing_ranges
             from repro.util.perf import mdnorm_work_from_crossings
 
-            crossings = int(
-                count_crossings_batch(directions, grid, k_lo, k_hi).sum()
-            )
+            live = k_hi > k_lo
+            _, count = crossing_ranges(directions[live].T, grid,
+                                       k_lo[live], k_hi[live])
+            crossings = int(count.sum())
             op_span.set(perf=mdnorm_work_from_crossings(
                 directions.shape[0], crossings
             ))

@@ -189,3 +189,43 @@ def bytesplit_helper(monkeypatch):
     pool = bytesplit._helper()
     yield pool
     pool.shutdown(wait=True)
+
+
+def _full_array_geometry(transforms, det_directions, grid, k_min, k_max):
+    """MDNorm's geometry over every (op, detector) trajectory: the
+    full-array chain ``trajectory_directions`` -> ``k_window`` -> a
+    per-axis crossing search over the rows with ``k_hi > k_lo`` (the
+    pre-pass's own search, written out here).  Returns the live rows'
+    ``rows``, ``directions`` (``(3, n)``), ``k_lo``, ``k_hi``, ``first``
+    and ``count`` (``(3, n)``), and the pre-pass ``width``."""
+    from repro.core.intersections import (
+        PARALLEL_EPS,
+        k_window,
+        trajectory_directions,
+    )
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = trajectory_directions(transforms, det_directions).reshape(-1, 3)
+    lo, hi = k_window(d, grid, k_min, k_max)
+    rows = np.flatnonzero(hi > lo)
+    d, lo, hi = d[rows], lo[rows], hi[rows]
+    first = np.zeros((3, rows.size), dtype=np.int64)
+    count = np.zeros((3, rows.size), dtype=np.int64)
+    for axis in range(3):
+        di = d[:, axis]
+        edges = grid.edges[axis]
+        a = np.minimum(lo * di, hi * di)
+        b = np.maximum(lo * di, hi * di)
+        first[axis] = np.searchsorted(edges, a, side="right")
+        t = np.searchsorted(edges, b, side="left")
+        count[axis] = np.where(np.abs(di) > PARALLEL_EPS,
+                               np.maximum(t - first[axis], 0), 0)
+    return dict(rows=rows, directions=np.ascontiguousarray(d.T), k_lo=lo,
+                k_hi=hi, first=first, count=count,
+                width=int(count.sum(axis=0).max(initial=0)) + 2)
+
+
+@pytest.fixture
+def full_array_geometry():
+    """The oracle of ``live_trajectories``: see :func:`_full_array_geometry`."""
+    return _full_array_geometry

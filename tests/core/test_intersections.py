@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from repro.core.grid import HKLGrid
 from repro.core.intersections import (
     PARALLEL_EPS,
-    count_crossings_batch,
+    LiveTrajectories,
     count_crossings_scalar,
+    crossing_ranges,
     fill_crossings_batch,
     fill_crossings_scalar,
     k_window,
+    live_trajectories,
     trajectory_directions,
 )
 
@@ -181,7 +183,10 @@ class TestCounting:
         rng = np.random.default_rng(7)
         d = rng.normal(size=(40, 3))
         lo, hi = k_window(d, grid, 0.5, 8.0)
-        batch = count_crossings_batch(d, grid, lo, hi)
+        traj = _live_rows(d, grid, lo, hi)
+        assert 0 < traj.n_rows < 40
+        batch = np.zeros(40, dtype=np.int64)
+        batch[traj.rows] = traj.crossings()
         for i in range(40):
             assert batch[i] == count_crossings_scalar(d[i], grid, lo[i], hi[i])
 
@@ -206,16 +211,29 @@ def _count_every_row(directions, grid, k_lo, k_hi):
 
 
 class TestLiveRowCounting:
-    """The pre-pass searches only live rows; its counts equal a search
-    over every row exactly."""
+    """The crossing ranges are searched on live rows only; their counts
+    equal a search over every row exactly, and every dead row counts 0
+    there."""
+
+    @staticmethod
+    def _check(d, grid, lo, hi):
+        d = d.reshape(-1, 3)
+        lo, hi = lo.reshape(-1), hi.reshape(-1)
+        traj = _live_rows(d, grid, lo, hi)
+        every = _count_every_row(d, grid, lo, hi)
+        assert np.array_equal(traj.crossings(), every[traj.rows])
+        dead = np.ones(len(d), dtype=bool)
+        dead[traj.rows] = False
+        assert not every[dead].any()
+        return traj
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_rows(self, grid, seed):
         rng = np.random.default_rng(seed)
         d = rng.normal(size=(7, 50, 3))
         lo, hi = k_window(d, grid, 0.5, 8.0)
-        assert np.array_equal(count_crossings_batch(d, grid, lo, hi),
-                              _count_every_row(d, grid, lo, hi))
+        traj = self._check(d, grid, lo, hi)
+        assert 0 < traj.n_rows < 350
 
     def test_adversarial_rows(self, grid):
         edges = grid.edges
@@ -233,15 +251,27 @@ class TestLiveRowCounting:
                        np.nan])
         hi = np.array([4.0, 4.0, float(edges[0][-2]), 2.0, 4.0, 1.0, 1.0,
                        3.0])
-        got = count_crossings_batch(d, grid, lo, hi)
-        assert np.array_equal(got, _count_every_row(d, grid, lo, hi))
-        assert got[0] == 0 and got[5] == got[6] == got[7] == 0
+        traj = self._check(d, grid, lo, hi)
+        assert np.array_equal(traj.rows, [0, 1, 2, 3, 4])
+        assert traj.crossings()[0] == 0
 
     def test_no_live_rows(self, grid):
         d = np.ones((3, 3))
         lo, hi = np.full(3, 2.0), np.full(3, 1.0)
-        got = count_crossings_batch(d, grid, lo, hi)
-        assert got.dtype == np.int64 and np.array_equal(got, np.zeros(3))
+        first, count = crossing_ranges(np.ones((3, 0)), grid, lo[:0], hi[:0])
+        assert first.dtype == count.dtype == np.int64
+        assert first.shape == count.shape == (3, 0)
+        assert self._check(d, grid, lo, hi).n_rows == 0
+
+
+def _live_rows(d, grid, lo, hi):
+    """The rows of ``d`` with ``hi > lo`` and their crossing ranges."""
+    rows = np.flatnonzero(hi > lo)
+    columns = np.ascontiguousarray(d[rows].T)
+    first, count = crossing_ranges(columns, grid, lo[rows], hi[rows])
+    return LiveTrajectories(n_ops=1, n_det=len(d), rows=rows,
+                            directions=columns, k_lo=lo[rows], k_hi=hi[rows],
+                            first=first, count=count)
 
 
 class TestFilling:
@@ -268,26 +298,26 @@ class TestFilling:
         rng = np.random.default_rng(3)
         d = rng.normal(size=(30, 3))
         lo, hi = k_window(d, grid, 0.5, 8.0)
-        counts = count_crossings_batch(d, grid, lo, hi)
-        width = int(counts.max()) + 2
-        padded = fill_crossings_batch(d, grid, lo, hi, width)
+        traj = _live_rows(d, grid, lo, hi)
+        assert 0 < traj.n_rows < 30
+        width = int(traj.crossings().max()) + 2
+        padded = fill_crossings_batch(traj, grid, width)
         buf = np.empty(grid.max_plane_crossings)
-        for i in range(30):
-            if not hi[i] > lo[i]:
-                # empty window rows are all k_lo (zero-length segments)
-                assert np.allclose(padded[i], lo[i])
-                continue
+        for row, i in zip(padded, traj.rows):
             n = fill_crossings_scalar(buf, d[i], grid, lo[i], hi[i])
-            assert np.allclose(np.sort(padded[i][: n]), np.sort(buf[:n]))
+            # the same values in the same order: k_lo, then each axis's
+            # crossings in ascending edge order
+            assert np.array_equal(row[:n - 1], buf[:n - 1])
             # padding beyond the live region is k_hi
-            assert np.allclose(padded[i][n:], hi[i])
+            assert np.all(row[n - 1:] == hi[i])
 
     def test_batch_width_too_small_raises(self, grid):
         d = np.array([[0.31, 0.17, 0.05]])
         lo, hi = k_window(d, grid, 0.5, 9.0)
-        if count_crossings_batch(d, grid, lo, hi)[0] > 0:
-            with pytest.raises(ValueError, match="width"):
-                fill_crossings_batch(d, grid, lo, hi, 2)
+        traj = _live_rows(d, grid, lo, hi)
+        assert traj.crossings()[0] > 0
+        with pytest.raises(ValueError, match="width"):
+            fill_crossings_batch(traj, grid, 2)
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
@@ -315,3 +345,147 @@ class TestFilling:
             coords = samples[:, None] * d[None, :]
             idx = np.floor((coords - mins) / widths)
             assert np.all(idx == idx[0]), f"crossing missed in segment ({a}, {b})"
+
+
+# ---------------------------------------------------------------------------
+# live trajectories: thin axis first, crossing ranges searched once
+# ---------------------------------------------------------------------------
+
+#: thin axis H, its box off-centre but straddling 0
+THIN_H = HKLGrid(basis=np.eye(3), minimum=(-0.3, -2.0, -1.5),
+                 maximum=(0.6, 2.0, 1.5), bins=(1, 12, 9))
+#: a 2-bin thin axis (L), off-centre
+TWO_BIN = HKLGrid(basis=np.eye(3), minimum=(-2.0, -2.0, -0.4),
+                  maximum=(2.0, 2.0, 0.7), bins=(9, 10, 2))
+#: a one-bin L slab that does not straddle 0
+OFF_ZERO = HKLGrid(basis=np.eye(3), minimum=(-2.0, -2.0, 0.1),
+                   maximum=(2.0, 2.0, 0.6), bins=(8, 8, 1))
+BANDS = ((2.0, 9.0), (0.0, 9.0), (-1.0, 9.0))
+
+
+def _adversarial_ops(thin):
+    """Identity; its byte-exact negation; identity with every zero
+    negated (its thin row differs from identity's only in zeros' signs);
+    an axis swap; a random rotation; NaN and infinite thin-row entries."""
+    rng = np.random.default_rng(21)
+    eye = np.eye(3)
+    signed_zeros = np.where(eye == 0.0, -0.0, eye)
+    nan_op, inf_op = eye.copy(), eye.copy()
+    nan_op[thin, (thin + 1) % 3] = np.nan
+    inf_op[thin, (thin + 2) % 3] = -np.inf
+    return np.stack([eye, -eye, signed_zeros, eye[[2, 1, 0]],
+                     np.linalg.qr(rng.normal(size=(3, 3)))[0], nan_op,
+                     inf_op, -eye])
+
+
+def _adversarial_dets(thin):
+    """Random unit directions plus pixels whose identity-op trajectory
+    is exactly parallel to the thin planes (``D[thin] = ±0``), pixels
+    that differ only in a zero's sign, and NaN/infinite components."""
+    rng = np.random.default_rng(22)
+    d = rng.normal(size=(48, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    special = []
+    for a, b in ((0.3, -0.2), (0.0, 0.0), (-0.7, 0.4), (0.05, 0.0)):
+        row = np.array([a, b, a + b])
+        # D = z_hat - d_hat is ±0 on the thin axis: d_thin = 1 for L, 0 for H
+        row[thin] = 1.0 if thin == 2 else 0.0
+        special += [row, np.where(row == 0.0, -0.0, row)]
+    special += [[np.nan, 0.0, 1.0], [np.inf, 0.2, 0.1], [0.1, -np.inf, 0.3],
+                [0.0, 0.0, np.inf], [0.2, np.nan, 0.5]]
+    return np.vstack([np.array(special), d])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _assert_same_geometry(got, want):
+    assert np.array_equal(got.rows, want["rows"])
+    for name in ("directions", "k_lo", "k_hi"):
+        assert np.array_equal(_bits(getattr(got, name)), _bits(want[name])), name
+    for name in ("first", "count"):
+        assert np.array_equal(getattr(got, name), want[name]), name
+
+
+class TestLiveTrajectories:
+    """``live_trajectories`` keeps exactly the rows the full-array chain
+    finds live, with the same bits, and the same crossing ranges."""
+
+    @pytest.mark.parametrize("g", (THIN_H, TWO_BIN, OFF_ZERO),
+                             ids=("thin-H", "two-bin", "off-zero"))
+    @pytest.mark.parametrize("band", BANDS, ids=("band2", "band0", "band-1"))
+    def test_matches_full_array_chain(self, g, band, full_array_geometry):
+        ops = _adversarial_ops(g.thin_axis)
+        dets = _adversarial_dets(g.thin_axis)
+        want = full_array_geometry(ops, dets, g, *band)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = live_trajectories(ops, dets, g, *band)
+        assert (got.n_ops, got.n_det) == (len(ops), len(dets))
+        assert 0 < got.n_rows < len(ops) * len(dets)
+        _assert_same_geometry(got, want)
+        assert int(got.crossings().max()) + 2 == want["width"]
+
+    @pytest.mark.parametrize("g", (THIN_H, TWO_BIN), ids=("thin-H", "two-bin"))
+    def test_negated_rows_keep_their_own_window(self, g, full_array_geometry):
+        """An op and its byte-exact negation share one thin-axis product
+        but not a window: on an off-centre box their live sets differ."""
+        dets = _adversarial_dets(g.thin_axis)
+        ops = np.stack([np.eye(3), -np.eye(3)])
+        with np.errstate(invalid="ignore"):
+            got = live_trajectories(ops, dets, g, 0.5, 9.0)
+        live_op = got.rows // len(dets)
+        plus = set(got.rows[live_op == 0] % len(dets))
+        minus = set(got.rows[live_op == 1] % len(dets))
+        assert plus and minus and plus != minus
+        _assert_same_geometry(got, full_array_geometry(ops, dets, g, 0.5, 9.0))
+
+    def test_parallel_rows_follow_the_box(self, full_array_geometry):
+        """Trajectories exactly parallel to the thin planes live only
+        where the box straddles 0 on the thin axis."""
+        dets = _adversarial_dets(2)[:8]  # D_L = ±0 under the identity
+        ident = np.eye(3)[None]
+        with np.errstate(invalid="ignore"):
+            assert np.all(trajectory_directions(ident, dets)[0, :, 2] == 0.0)
+        with np.errstate(invalid="ignore"):
+            straddling = live_trajectories(ident, dets, TWO_BIN, 0.5, 9.0)
+        assert straddling.n_rows > 0
+        _assert_same_geometry(straddling,
+                              full_array_geometry(ident, dets, TWO_BIN, 0.5, 9.0))
+        with np.errstate(invalid="ignore"):
+            assert live_trajectories(ident, dets, OFF_ZERO, 0.5, 9.0).n_rows == 0
+
+    def test_no_live_row(self, full_array_geometry):
+        far = HKLGrid(basis=np.eye(3), minimum=(-1.0, -1.0, 5.0),
+                      maximum=(1.0, 1.0, 6.0), bins=(4, 4, 1))
+        ops, dets = _adversarial_ops(2), _adversarial_dets(2)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = live_trajectories(ops, dets, far, 0.1, 0.2)
+        assert got.n_rows == 0
+        assert got.directions.shape == got.first.shape == (3, 0)
+        assert full_array_geometry(ops, dets, far, 0.1, 0.2)["rows"].size == 0
+        assert fill_crossings_batch(got, far, 2).shape == (0, 2)
+
+    def test_direction_rows_counter(self):
+        """Only thin-axis candidates get their full direction computed."""
+        from repro.util.trace import Tracer, use_tracer
+
+        ops, dets = _adversarial_ops(2), _adversarial_dets(2)
+        tracer = Tracer()
+        with use_tracer(tracer), np.errstate(invalid="ignore", over="ignore"):
+            got = live_trajectories(ops, dets, OFF_ZERO, 0.5, 9.0)
+        rows = tracer.counters["mdnorm.direction_rows"]
+        assert got.n_rows <= rows < len(ops) * len(dets)
+
+    def test_window_slices_by_row_range(self):
+        ops, dets = _adversarial_ops(2), _adversarial_dets(2)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = live_trajectories(ops, dets, TWO_BIN, 0.5, 9.0)
+        n = len(ops) * len(dets)
+        for a, b in ((0, n), (0, 7), (7, 100), (n - 3, n), (5, 5)):
+            part = got.window(a, b)
+            keep = (got.rows >= a) & (got.rows < b)
+            assert np.array_equal(part.rows, got.rows[keep])
+            assert np.array_equal(_bits(part.directions),
+                                  _bits(got.directions[:, keep]))
+            assert np.array_equal(part.count, got.count[:, keep])

@@ -7,12 +7,8 @@ from repro.core.cross_section import sharded_mdnorm
 from repro.core.geom_cache import DISABLED, KIND_GEOMETRY, GeomCache
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
-from repro.core.intersections import (
-    k_window,
-    sorted_crossings_batch,
-    trajectory_directions,
-)
-from repro.core.mdnorm import max_intersections, mdnorm
+from repro.core.intersections import LiveTrajectories, sorted_crossings_batch
+from repro.core.mdnorm import max_intersections, mdnorm, prefetch_geometry
 from repro.core.sharding import ShardConfig
 from repro.nexus.corrections import FluxSpectrum
 from repro.util.validation import ValidationError
@@ -241,17 +237,19 @@ class TestCompactedSegments:
     deposit, and the deposit plan stores only those inside the grid."""
 
     @staticmethod
-    def _sorted_rows(grid, band):
-        """The sorted crossing rows of the live lanes cold MDNorm keeps."""
+    def _sorted_rows(grid, band, oracle):
+        """The sorted crossing rows of the live lanes cold MDNorm keeps,
+        from the full-array geometry chain."""
         ops, dets, solid, _ = _adversarial_inputs(band)
-        directions = trajectory_directions(ops, dets).reshape(-1, 3)
-        lo, hi = k_window(directions, grid, *band)
-        live = (hi > lo) & (np.tile(solid, len(ops)) != 0.0)
-        width = max_intersections(grid, ops, dets, band)
-        return sorted_crossings_batch(directions[live], grid, lo[live],
-                                      hi[live], width)
+        geom = oracle(ops, dets, grid, *band)
+        width = geom.pop("width")
+        traj = LiveTrajectories(n_ops=len(ops), n_det=len(dets), **geom)
+        traj = traj[solid[traj.rows % len(dets)] != 0.0]
+        assert width == max_intersections(grid, ops, dets, band)
+        return sorted_crossings_batch(traj, grid, width)
 
-    def test_bin_index_sees_only_real_segments(self, grid, monkeypatch):
+    def test_bin_index_sees_only_real_segments(self, grid, monkeypatch,
+                                               full_array_geometry):
         """Only the real segments reach the binning, one 1-D column per
         axis.  On a grid off the origin, a trajectory can enter the box
         after the band starts, so a row can end below where the next
@@ -273,7 +271,7 @@ class TestCompactedSegments:
             mdnorm(Hist3(g), ops, dets, solid, flux, BAND,
                    backend="vectorized", cache=cache)
 
-            padded = self._sorted_rows(g, BAND)
+            padded = self._sorted_rows(g, BAND, full_array_geometry)
             n_real = int(np.count_nonzero(padded[:, 1:] > padded[:, :-1]))
             assert n_real < padded.shape[0] * (padded.shape[1] - 1)
             assert (padded[:-1, -1] < padded[1:, 0]).any() != origin_inside
@@ -318,17 +316,17 @@ class TestCompactedSegments:
         out["shards_2"] = sharded
         return out
 
-    def test_adversarial_rows_are_present(self, grid):
+    def test_adversarial_rows_are_present(self, grid, full_array_geometry):
         """The cases the bit-identity test relies on really occur: a
         row whose last real segment ends in the buffer's last column,
         0.0 breakpoints from a band starting there, and rows holding
         both -0.0 and 0.0."""
         for band, _ in self.CASES:
-            rows = self._sorted_rows(grid, band)
+            rows = self._sorted_rows(grid, band, full_array_geometry)
             assert (rows[:, -1] > rows[:, -2]).any(), band
-        zero = self._sorted_rows(grid, (0.0, 9.0)) == 0.0
+        zero = self._sorted_rows(grid, (0.0, 9.0), full_array_geometry) == 0.0
         assert zero[:, 0].any()
-        rows = self._sorted_rows(grid, (-1.0, 9.0))
+        rows = self._sorted_rows(grid, (-1.0, 9.0), full_array_geometry)
         neg = (rows == 0.0) & np.signbit(rows)
         pos = (rows == 0.0) & ~np.signbit(rows)
         assert (neg.any(axis=1) & pos.any(axis=1)).any()
@@ -351,3 +349,124 @@ class TestCompactedSegments:
             assert ref.sum() > 0
             for name in names[1:]:
                 assert np.array_equal(hists[name].signal, ref), (band, name)
+
+
+# ---------------------------------------------------------------------------
+# thin-axis-first liveness and ranges searched once, on every path
+# ---------------------------------------------------------------------------
+
+#: thin axis H (off-centre, straddling 0), a 2-bin off-centre thin L,
+#: a one-bin L slab that misses 0, and a box no trajectory reaches
+THIN_GRIDS = {
+    "thin-H": HKLGrid(basis=np.eye(3), minimum=(-0.3, -2.0, -1.5),
+                      maximum=(0.6, 2.0, 1.5), bins=(1, 12, 9)),
+    "two-bin": HKLGrid(basis=np.eye(3), minimum=(-2.0, -2.0, -0.4),
+                       maximum=(2.0, 2.0, 0.7), bins=(9, 10, 2)),
+    "off-zero": HKLGrid(basis=np.eye(3), minimum=(-2.0, -2.0, 0.1),
+                        maximum=(2.0, 2.0, 0.6), bins=(8, 8, 1)),
+    "no-live": HKLGrid(basis=np.eye(3), minimum=(-1.0, -1.0, 40.0),
+                       maximum=(1.0, 1.0, 41.0), bins=(4, 4, 1)),
+}
+
+
+def _stolen(grid, args, n_ranks, seed):
+    """MDNorm as the stealing executor runs it: 7 planned ranges taken
+    in a shuffled order by ``n_ranks`` threads, replayed in plan order."""
+    import random
+    import threading
+
+    from repro.core.sharding import (
+        execute_shard_range,
+        mdnorm_shard_context,
+        replay_shard_logs,
+    )
+
+    hist = Hist3(grid)
+    ctx = mdnorm_shard_context(hist, *args, n_shards=7, charge=1.7,
+                               cache=DISABLED)
+    todo = list(range(ctx.n_ranges))
+    random.Random(seed).shuffle(todo)
+    logs, lock = {}, threading.Lock()
+
+    def rank():
+        while True:
+            with lock:
+                if not todo:
+                    return
+                index = todo.pop()
+            logs[index] = execute_shard_range(ctx, index)
+
+    threads = [threading.Thread(target=rank) for _ in range(n_ranks)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60.0)
+    assert not any(t.is_alive() for t in threads)
+    replay_shard_logs(ctx, [logs[i] for i in range(ctx.n_ranges)])
+    return hist
+
+
+class TestThinFirstPaths:
+    """The pre-pass width equals the full-array chain's on every back
+    end, and every executor deposits the in-memory bits."""
+
+    @pytest.mark.parametrize("name", sorted(THIN_GRIDS))
+    @pytest.mark.parametrize("band", ((2.0, 9.0), (0.0, 9.0), (-1.0, 9.0)))
+    def test_widths_and_bits(self, name, band, full_array_geometry):
+        g = THIN_GRIDS[name]
+        ops, dets, solid, flux = _adversarial_inputs(band)
+        args = (ops, dets, solid, flux, band)
+        want = full_array_geometry(ops, dets, g, *band)["width"]
+        for backend in BACKENDS:
+            assert max_intersections(g, ops, dets, band,
+                                     backend=backend) == want, backend
+        assert max_intersections(g, ops, dets, band, backend="vectorized",
+                                 use_extended_reduce=True) == want
+
+        def run(backend):
+            h = Hist3(g)
+            mdnorm(h, *args, charge=1.7, backend=backend, cache=DISABLED)
+            return h.signal
+
+        ref = run("vectorized")
+        assert (ref.sum() > 0) == (name != "no-live")
+        assert np.array_equal(run("serial"), ref)
+        for n_shards in (1, 2, 3, 7):
+            h = Hist3(g)
+            sharded_mdnorm(h, *args, charge=1.7, cache=DISABLED,
+                           shards=ShardConfig(n_shards=n_shards))
+            assert np.array_equal(h.signal, ref), n_shards
+        for n_ranks in (2, 3, 4):
+            assert np.array_equal(_stolen(g, args, n_ranks, n_ranks).signal,
+                                  ref), n_ranks
+
+    def test_cached_entry_is_compacted(self, full_array_geometry):
+        """The cache stores the live rows with their ranges: a warm hit
+        with a cached width searches nothing and deposits the same bits."""
+        g = THIN_GRIDS["two-bin"]
+        ops, dets, solid, flux = _adversarial_inputs()
+        cache = GeomCache()
+        cold = Hist3(g)
+        mdnorm(cold, ops, dets, solid, flux, BAND, cache=cache,
+               backend="vectorized")
+        (key,) = [k for k in cache.keys() if k[0] == KIND_GEOMETRY]
+        entry = cache.peek(key)
+        want = full_array_geometry(ops, dets, g, *BAND)
+        assert np.array_equal(entry.trajectories.rows, want["rows"])
+        assert np.array_equal(entry.trajectories.count, want["count"])
+        assert entry.width == want["width"]
+        assert entry.trajectories.nbytes < 40 * len(ops) * len(dets)
+        # prefetch_geometry builds the same entry
+        prefetched = GeomCache()
+        assert prefetch_geometry(g, ops, dets, BAND, solid, flux,
+                                 cache=prefetched)
+        twin = prefetched.peek(key)
+        assert twin.width == entry.width
+        for name in ("rows", "directions", "k_lo", "k_hi", "first", "count"):
+            a, b = getattr(twin.trajectories, name), getattr(entry.trajectories, name)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+        entry.deposit = None  # force the cold body over the cached rows
+        again = Hist3(g)
+        mdnorm(again, ops, dets, solid, flux, BAND, cache=cache,
+               backend="vectorized")
+        assert np.array_equal(again.signal, cold.signal)

@@ -353,16 +353,50 @@ class TestStealingExactlyOnce:
         }
 
     def test_kill_rank_mid_steal_no_lost_no_double(self, steal_exp,
-                                                   fine_gil_switching):
+                                                   fine_gil_switching,
+                                                   monkeypatch):
         """Rank 1 dies holding a claimed (stolen) task: the claim
         requeues and every planned shard completes exactly once on a
-        survivor; the result matches the no-faults reference."""
+        survivor; the result matches the no-faults reference.
+
+        Peers claim nothing until rank 1 holds a task, so the fault
+        aimed at rank 1 fires however the rank threads are scheduled
+        (otherwise its peers can take every task first)."""
+        import threading
+
+        from repro.mpi import stealing
         from repro.util import trace as trace_mod
         from repro.util.faults import FaultPlan, FaultSpec
         from repro.util.schedule import ScheduleController
 
         reference = self._campaign(
             steal_exp, ScheduleController(seed=0, policy="no-steal"), size=3)
+
+        class RankOneFirst(stealing.StealQueue):
+            """Holds every other rank's claims until rank 1 has one."""
+
+            def __init__(self):
+                super().__init__()
+                self.rank_one_holds = threading.Event()
+
+            def _gated(self, claim, rank, *args):
+                if rank != 1:
+                    assert self.rank_one_holds.wait(timeout=60.0)
+                task = claim(rank, *args)
+                if rank == 1 and task is not None:
+                    self.rank_one_holds.set()
+                return task
+
+            def claim_own(self, rank):
+                return self._gated(super().claim_own, rank)
+
+            def claim_steal(self, thief, victim):
+                return self._gated(super().claim_steal, thief, victim)
+
+            def claim_orphan(self, thief):
+                return self._gated(super().claim_orphan, thief)
+
+        monkeypatch.setattr(stealing, "StealQueue", RankOneFirst)
         plan = FaultPlan(
             [FaultSpec(site="steal.task", kind="rank_crash",
                        probability=1.0, ranks=(1,), max_hits=1)],

@@ -91,6 +91,31 @@ class TestCppMdNorm:
         cpp_md_norm(b, OPS, dets, np.ones(20), flux, BAND, charge=3.0)
         assert np.allclose(b.signal, 3.0 * a.signal)
 
+    def test_profiled_crossings_are_exact(self, grid, flux, rng):
+        """The traced op's work counts every plane crossing of every
+        row, as the scalar per-lane counter does, dead rows as 0."""
+        from repro.core.intersections import (
+            count_crossings_scalar,
+            k_window,
+            trajectory_directions,
+        )
+        from repro.util.trace import Tracer, use_tracer
+
+        dets = self._dets(rng)
+        tracer = Tracer(profile=True)
+        with use_tracer(tracer):
+            cpp_md_norm(Hist3(grid), OPS, dets, np.ones(40), flux, BAND,
+                        n_threads=1)
+        (op,) = [r for r in tracer.records
+                 if r.get("type") == "span" and r["name"] == "cpp.mdnorm"]
+        d = trajectory_directions(OPS, dets).reshape(-1, 3)
+        lo, hi = k_window(d, grid, *BAND)
+        want = sum(count_crossings_scalar(d[i], grid, lo[i], hi[i])
+                   for i in range(len(d)))
+        assert want > 0 and not (hi > lo).all()
+        assert op["attrs"]["perf"]["intersections"] == want
+        assert op["attrs"]["perf"]["trajectories"] == len(d)
+
 
 class TestCppProxyWorkflow:
     def test_matches_core_workflow(self, tiny_experiment):

@@ -94,6 +94,34 @@ class TestWorkFunctions:
         bound = mdnorm_work(6, 50, 12, warm_plan=True)
         assert bound["bins_touched"] == 6 * 50 * 11
 
+    def test_mdnorm_op_span_charges_live_rows(self):
+        """The traced MDNorm op charges the rows that enter the box."""
+        import numpy as np
+
+        from repro.core.geom_cache import DISABLED
+        from repro.core.grid import HKLGrid
+        from repro.core.hist3 import Hist3
+        from repro.core.mdnorm import mdnorm
+        from repro.nexus.corrections import FluxSpectrum
+        from repro.util.trace import Tracer, use_tracer
+
+        grid = HKLGrid(basis=np.eye(3), minimum=(-2.0, -2.0, -0.5),
+                       maximum=(2.0, 2.0, 0.5), bins=(8, 8, 1))
+        rng = np.random.default_rng(5)
+        dets = rng.normal(size=(40, 3))
+        dets /= np.linalg.norm(dets, axis=1, keepdims=True)
+        flux = FluxSpectrum(momentum=np.linspace(1.0, 12.0, 32),
+                            density=np.ones(32))
+        tracer = Tracer(profile=True)
+        with use_tracer(tracer):
+            mdnorm(Hist3(grid), np.eye(3)[None], dets, np.ones(40), flux,
+                   (2.0, 9.0), backend="vectorized", cache=DISABLED)
+        (op,) = [r for r in tracer.records
+                 if r.get("type") == "span" and r["name"] == "mdnorm"]
+        live = tracer.counters["mdnorm.prepass_trajectories"]
+        assert 0 < live < 40
+        assert op["attrs"]["perf"]["trajectories"] == live
+
     def test_mdnorm_work_degenerate_width(self):
         w = mdnorm_work(2, 3, 0)
         assert w["segments"] == 0.0

@@ -68,34 +68,7 @@ def _parser() -> argparse.ArgumentParser:
                         "workload (ignores --workload/--impl/--scale/--files)")
     _add_oocore_flags(p, with_budget=False)
     _add_recovery_flags(p)
-    _add_monitor_flags(p)
     return p
-
-
-def _add_monitor_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("monitoring")
-    g.add_argument("--metrics-file", metavar="PATH", default=None,
-                   help="expose live campaign gauges (heartbeats, ETA, "
-                        "quarantine) as an OpenMetrics text file, "
-                        "atomically rewritten on progress; watch it with "
-                        "`repro perf watch --metrics-file PATH`")
-    g.add_argument("--stall-deadline", type=float, default=None,
-                   metavar="SECONDS",
-                   help="seconds without progress before a rank counts "
-                        "as stalled (default 30)")
-
-
-def _monitor_context(args, label: str):
-    """``use_monitor`` context for ``--metrics-file`` (no-op without)."""
-    if not getattr(args, "metrics_file", None):
-        return contextlib.nullcontext(), None
-    from repro.util import monitor as monitor_mod
-
-    kwargs = {"metrics_path": args.metrics_file}
-    if getattr(args, "stall_deadline", None):
-        kwargs["stall_deadline"] = float(args.stall_deadline)
-    mon = monitor_mod.CampaignMonitor(label=label, **kwargs)
-    return monitor_mod.use_monitor(mon), mon
 
 
 def _parse_size(text: str) -> int:
@@ -238,11 +211,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     profile = A100_PROFILE if args.device_profile == "a100" else MI100_PROFILE
 
     fault_ctx, fault_plan = _fault_plan_context(args)
-    monitor_ctx, monitor = _monitor_context(
-        args, f"{args.workload}/{args.impl}"
-    )
     runs: List[MeasuredRun] = []
-    with fault_ctx, monitor_ctx:
+    with fault_ctx:
         if args.impl in ("garnet", "all"):
             if args.impl == "garnet" and (args.faults or args.checkpoint_dir):
                 print("note: the garnet baseline runs without the recovery "
@@ -272,9 +242,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if fault_plan is not None:
         print(f"\nfault plan {fault_plan.label or args.faults}: "
               f"{fault_plan.stats()}")
-    if monitor is not None:
-        print(f"\ncampaign metrics written to {args.metrics_file} "
-              f"(see `repro perf watch --metrics-file {args.metrics_file}`)")
 
     if args.peaks > 0 and runs and runs[-1].result.cross_section is not None:
         from repro.core.peaks import find_peaks
@@ -667,29 +634,11 @@ def trace_crit_main(argv: Optional[List[str]] = None) -> int:
                         "min-ratio * group median (default 1.5)")
     p.add_argument("--min-group", type=int, default=4,
                    help="minimum sibling group size to judge (default 4)")
-    p.add_argument("--metrics-file", metavar="PATH", default=None,
-                   help="publish repro_trace_critical_seconds / "
-                        "repro_trace_anomalies gauges to this "
-                        "OpenMetrics file")
     args = p.parse_args(argv)
     dag = _merge_dag(args.paths)
     dag.validate()
     print(dag.crit_report(k=args.k, min_ratio=args.min_ratio,
                           min_group=args.min_group))
-    if args.metrics_file:
-        from repro.util.monitor import CampaignMonitor
-
-        mon = CampaignMonitor(label="trace-crit",
-                              metrics_path=args.metrics_file)
-        mon.set_gauge("trace_critical_seconds", dag.critical_seconds(),
-                      campaign=dag.campaign_id)
-        mon.set_gauge("trace_anomalies",
-                      float(len(dag.anomalies(k=args.k,
-                                              min_ratio=args.min_ratio,
-                                              min_group=args.min_group))),
-                      campaign=dag.campaign_id)
-        mon.write_metrics()
-        print(f"published trace gauges to {args.metrics_file}")
     return 0
 
 
@@ -734,8 +683,8 @@ def _perf_add_workload_flags(p: argparse.ArgumentParser) -> None:
 def _perf_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro perf",
-        description="Kernel-level profiling and live campaign "
-                    "monitoring.",
+        description="Kernel-level profiling: per-kernel throughput "
+                    "tables and roofline CSV.",
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -764,18 +713,6 @@ def _perf_parser() -> argparse.ArgumentParser:
     roof.add_argument("--out", metavar="CSV", default="roofline.csv",
                       help="output CSV path (per-source suffix with "
                            "multiple sources)")
-
-    w = sub.add_parser(
-        "watch", help="render the live campaign monitor metrics file")
-    w.add_argument("--metrics-file", metavar="PATH", required=True,
-                   help="OpenMetrics file written by --metrics-file on "
-                        "`repro reduce`")
-    w.add_argument("--follow", action="store_true",
-                   help="keep re-rendering until interrupted")
-    w.add_argument("--interval", type=float, default=2.0,
-                   help="seconds between renders with --follow")
-    w.add_argument("--iterations", type=int, default=0,
-                   help="stop --follow after N renders (0 = until ^C)")
     return p
 
 
@@ -819,7 +756,7 @@ def _perf_models(args) -> List[tuple]:
 
 
 def perf_main(argv: Optional[List[str]] = None) -> int:
-    """``repro perf``: report / roofline / watch."""
+    """``repro perf``: report / roofline."""
     args = _perf_parser().parse_args(argv)
     return _trace_errors_as_one_line(f"repro perf {args.cmd}", _perf_run,
                                      args)
@@ -867,27 +804,6 @@ def _perf_run(args) -> int:
             print(f"wrote {out} ({model.n_kernels} kernels)")
         return 0
 
-    if args.cmd == "watch":
-        import time as _time
-
-        from repro.util.monitor import watch_report
-
-        if not args.follow:
-            print(watch_report(args.metrics_file))
-            return 0
-        n = 0
-        try:
-            while True:
-                print(watch_report(args.metrics_file))
-                n += 1
-                if args.iterations and n >= args.iterations:
-                    break
-                print("-" * 60)
-                _time.sleep(args.interval)
-        except KeyboardInterrupt:
-            pass
-        return 0
-
     raise AssertionError(f"unhandled perf subcommand {args.cmd!r}")
 
 
@@ -898,7 +814,7 @@ def repro_main(argv: Optional[List[str]] = None) -> int:
     ``trace`` (traced reduction + JSON-lines/Chrome export; ``trace
     summary|merge|crit|chrome`` for offline summaries, the merged
     campaign DAG, its critical path and a merged Perfetto export),
-    ``perf`` (kernel profiling report/roofline, live campaign watch).
+    ``perf`` (kernel profiling report/roofline).
     The benchmark is ``perfbench/run.py``.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -909,8 +825,7 @@ def repro_main(argv: Optional[List[str]] = None) -> int:
               "          (trace summary|merge|crit|chrome: offline\n"
               "          summaries, campaign-DAG merge, critical path,\n"
               "          merged Perfetto export)\n"
-              "  perf    profile kernels (report|roofline), watch a\n"
-              "          live campaign (watch)\n"
+              "  perf    profile kernels (report|roofline)\n"
               "run `repro <subcommand> --help` for options")
         return 0 if argv else 2
     cmd, rest = argv[0], argv[1:]

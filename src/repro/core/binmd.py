@@ -69,7 +69,7 @@ def _index_dtype(n_bins: int, n_events: int) -> type:
     return np.int32 if max(n_bins, n_events) <= _INT32_MAX else np.int64
 
 
-def _n_events(events: EventTable | np.ndarray) -> int:
+def _event_count(events: EventTable | np.ndarray) -> int:
     if isinstance(events, EventTable):
         return events.n_events
     return int(np.asarray(events).shape[0])
@@ -239,7 +239,7 @@ def bin_events(
         error_sq); the launch then looks nothing up, and inserts under
         ``key`` when ``entry`` is None.
     """
-    n_events = _n_events(events)
+    n_events = _event_count(events)
     transforms = np.asarray(transforms, dtype=np.float64)
     require(transforms.ndim == 3 and transforms.shape[1:] == (3, 3),
             "transforms must be (n_ops, 3, 3)")

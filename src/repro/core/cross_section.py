@@ -50,7 +50,6 @@ from repro.mpi import Comm, SequentialComm, balanced_rank_runs
 from repro.nexus.corrections import FluxSpectrum
 from repro.nexus.events import BINMD_COLUMNS
 from repro.util import faults as _faults
-from repro.util import monitor as _monitor
 from repro.util import trace as _trace
 from repro.util.timers import StageTimings
 from repro.util.validation import ValidationError, require
@@ -91,22 +90,6 @@ class CrossSectionResult:
             i for i, d in self.dispositions.items()
             if d.get("status") == "quarantined"
         ))
-
-
-def _n_events(ws: MDEventWorkspace) -> int:
-    """Raw event count of one run's workspace (monitor accounting).
-
-    Prefers the ``n_events`` surface shared by :class:`EventTable` and
-    the out-of-core :class:`~repro.nexus.tiles.LazyEventTable` — the
-    ``np.asarray`` fallback would *materialize* a lazy table.
-    """
-    n = getattr(ws.events, "n_events", None)
-    if n is not None:
-        return int(n)
-    try:
-        return int(ws.events.data.shape[0])
-    except AttributeError:  # pragma: no cover - bare-array workspaces
-        return int(np.asarray(ws.events).shape[0])
 
 
 def _is_lazy(events: Any) -> bool:
@@ -182,23 +165,6 @@ def _retry(
     )
 
 
-def _shard_beat(
-    monitor: Any, comm: Comm, i: int, stage: str
-) -> Optional[Callable[[int, int], None]]:
-    """Per-shard heartbeat callback for the live monitor (PR 4), so a
-    wedged shard ages a ``run:<i>/<stage>/shard:<s>`` site rather than
-    hiding behind the run-level heartbeat."""
-    if not monitor.enabled:
-        return None
-
-    def beat(s: int, n_shards: int) -> None:
-        monitor.heartbeat(
-            comm.rank, site=f"run:{i}/{stage}/shard:{s + 1}of{n_shards}"
-        )
-
-    return beat
-
-
 def _run_step(
     load_run: Callable[[int], MDEventWorkspace],
     grid: HKLGrid,
@@ -207,7 +173,6 @@ def _run_step(
     det_directions: np.ndarray,
     solid_angles: np.ndarray,
     *,
-    comm: Comm,
     backend: Optional[str],
     sort_impl: str,
     scatter_impl: str,
@@ -216,12 +181,12 @@ def _run_step(
     mdnorm_impl: Optional[Callable],
     cache: GeomCache,
     shards: Optional[ShardConfig],
-) -> Callable[[int, Hist3, Hist3], MDEventWorkspace]:
+) -> Callable[[int, Hist3, Hist3], None]:
     """Algorithm 1's loop body: ``step(i, binmd_hist, mdnorm_hist)``
     loads run ``i`` (the timed UpdateEvents stage) and accumulates its
     MDNorm and BinMD into the given histograms — through the ``*_impl``
     override, the shard executor (``shards``, or an out-of-core table),
-    or the in-memory kernel — and returns the run's workspace.
+    or the in-memory kernel.
 
     When ``load_run`` returns a :class:`PendingMD` (the workflow's
     loader does), its columns are read on the ``bytesplit`` helper
@@ -238,10 +203,9 @@ def _run_step(
     each stream's CRC32 is the check).  The entry found is handed to
     BinMD, which looks nothing up again, so no eviction in between can
     turn the hit into a Q read."""
-    monitor = _monitor.active_monitor()
     looks_up = binmd_impl is None and shards is None and cache.enabled
 
-    def step(i: int, binmd_hist: Hist3, mdnorm_hist: Hist3) -> MDEventWorkspace:
+    def step(i: int, binmd_hist: Hist3, mdnorm_hist: Hist3) -> None:
         pending = None
         lookup = None
         try:
@@ -270,15 +234,12 @@ def _run_step(
             if pending is not None:
                 pending.close()
         _binmd_step(i, ws, event_transforms, binmd_hist, lookup)
-        return ws
 
     def _mdnorm_step(i: int, ws: MDEventWorkspace, mdnorm_hist: Hist3) -> None:
         traj_transforms = grid.transforms_for(
             ws.ub_matrix, point_group, goniometer=ws.goniometer
         )
         tag = f"run:{i}"
-        if monitor.enabled:
-            monitor.heartbeat(comm.rank, site=f"run:{i}/MDNorm")
         with timings.stage("MDNorm"):
             _faults.fault_point("kernel.mdnorm", run=i)
             args = (mdnorm_hist, traj_transforms, det_directions,
@@ -290,7 +251,6 @@ def _run_step(
                     *args, shards=shards, charge=ws.proton_charge,
                     backend=backend, sort_impl=sort_impl, cache=cache,
                     cache_tag=tag, run=i,
-                    on_shard=_shard_beat(monitor, comm, i, "MDNorm"),
                 )
             else:
                 mdnorm(
@@ -302,8 +262,6 @@ def _run_step(
     def _binmd_step(i: int, ws: MDEventWorkspace, event_transforms: np.ndarray,
                     binmd_hist: Hist3, lookup: Optional[tuple]) -> None:
         tag = f"run:{i}"
-        if monitor.enabled:
-            monitor.heartbeat(comm.rank, site=f"run:{i}/BinMD")
         with timings.stage("BinMD"):
             _faults.fault_point("kernel.binmd", run=i)
             if binmd_impl is not None:
@@ -312,7 +270,6 @@ def _run_step(
                 sharded_binmd(
                     binmd_hist, ws.events, event_transforms,
                     shards=shards or _OOC_FALLBACK, run=i,
-                    on_shard=_shard_beat(monitor, comm, i, "BinMD"),
                 )
             else:
                 bin_events(
@@ -367,7 +324,6 @@ class _RunBook:
         self.resuming = bool(recovery is not None and recovery.resume
                              and self.ckpt is not None)
         self.cache = cache
-        self.monitor = _monitor.active_monitor()
         self.runs: Dict[int, RunDelta] = {}
         self.dispositions: Dict[int, Dict[str, Any]] = {}
         self._lock = threading.Lock()
@@ -388,8 +344,6 @@ class _RunBook:
         if ckpt.is_quarantined(i):
             self._record(i, None, {"status": "quarantined", "rank": int(rank),
                                    "resumed": True})
-            if self.monitor.enabled:
-                self.monitor.record_quarantine(rank, i)
             return True
         if not ckpt.has_run(i):
             return False
@@ -404,8 +358,6 @@ class _RunBook:
         self._record(i, d, {"status": "resumed", "rank": int(rank),
                             "attempts": int(rec.get("attempts", 1))})
         tracer.count("checkpoint.resumed")
-        if self.monitor.enabled:
-            self.monitor.record_resume(rank, i)
         return True
 
     def quarantine(self, i: int, rank: int, exc: _faults.RetryExhaustedError) -> None:
@@ -416,12 +368,10 @@ class _RunBook:
         self._record(i, None, {"status": "quarantined", "rank": int(rank),
                                "attempts": int(exc.attempts), "reason": reason})
         _trace.active_tracer().count("quarantine.runs")
-        if self.monitor.enabled:
-            self.monitor.record_quarantine(rank, i)
 
     def done(
         self, i: int, rank: int, binmd: Hist3, mdnorm: Hist3, *,
-        attempts: int, events: int,
+        attempts: int,
     ) -> None:
         """Run ``i``'s fresh delta histograms are complete."""
         delta = RunDelta.from_hists(binmd, mdnorm)
@@ -429,8 +379,6 @@ class _RunBook:
             self.ckpt.save_run(i, delta, attempts=attempts, rank=rank)
         self._record(i, delta, {"status": "done", "rank": int(rank),
                                 "attempts": int(attempts)})
-        if self.monitor.enabled:
-            self.monitor.run_completed(rank, i, events=float(events))
 
 
 def _non_root_result(
@@ -625,12 +573,11 @@ def compute_cross_section(
     timings = timings or StageTimings(label=f"cross-section[{backend or 'default'}]")
     step = _run_step(
         load_run, grid, point_group, flux, det_directions, solid_angles,
-        comm=comm, backend=backend, sort_impl=sort_impl,
+        backend=backend, sort_impl=sort_impl,
         scatter_impl=scatter_impl, timings=timings, binmd_impl=binmd_impl,
         mdnorm_impl=mdnorm_impl, cache=cache, shards=shards,
     )
     tracer = _trace.active_tracer()
-    monitor = _monitor.active_monitor()
     book = _RunBook(grid, recovery, cache)
 
     def process_run(i: int) -> None:
@@ -639,22 +586,16 @@ def compute_cross_section(
             if book.resume(i, comm.rank):
                 return
 
-            def attempt(attempt_no: int) -> Tuple[Hist3, Hist3, int, int]:
-                if monitor.enabled:
-                    # announce the run *before* its fault point so a slow /
-                    # wedged run ages this heartbeat (stall detection)
-                    monitor.heartbeat(
-                        comm.rank, site=f"run:{i}/UpdateEvents", run=i
-                    )
+            def attempt(attempt_no: int) -> Tuple[Hist3, Hist3, int]:
                 if recovery is not None:
                     _faults.fault_point("run", run=i)
                 binmd_delta = Hist3(grid, track_errors=True)
                 mdnorm_delta = Hist3(grid)
-                ws = step(i, binmd_delta, mdnorm_delta)
-                return binmd_delta, mdnorm_delta, _n_events(ws), attempt_no
+                step(i, binmd_delta, mdnorm_delta)
+                return binmd_delta, mdnorm_delta, attempt_no
 
             try:
-                binmd_delta, mdnorm_delta, events, attempts = _retry(
+                binmd_delta, mdnorm_delta, attempts = _retry(
                     attempt, i, recovery, cache)
             except _faults.RetryExhaustedError as exc:
                 if recovery is None or not recovery.quarantine:
@@ -662,13 +603,10 @@ def compute_cross_section(
                 book.quarantine(i, comm.rank, exc)
                 return
             book.done(i, comm.rank, binmd_delta, mdnorm_delta,
-                      attempts=attempts, events=events)
+                      attempts=attempts)
 
     start, end = _rank_blocks(n_runs, comm.size, run_weights)[comm.rank]
     my_runs = list(range(start, end))
-    if monitor.enabled:
-        monitor.start_campaign(n_runs, comm.size)
-        monitor.assign_runs(comm.rank, len(my_runs))
     with tracer.span(
         "cross_section",
         kind="algorithm",
@@ -692,8 +630,6 @@ def compute_cross_section(
                             or j not in book.dispositions]
                 comm.mark_failed({"runs": leftover})
                 tracer.count("rank.crash")
-                if monitor.enabled:
-                    monitor.record_crash(comm.rank)
                 return _non_root_result(timings, n_runs, backend)
 
         # -- rendezvous: learn who died, adopt their backlog ---------------
@@ -729,6 +665,4 @@ def compute_cross_section(
             ckpt=book.ckpt, comm=comm, cache=cache, timings=timings,
             n_runs=n_runs, backend=backend,
         )
-    if monitor.enabled:
-        monitor.finish_campaign()
     return result

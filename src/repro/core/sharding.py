@@ -45,8 +45,7 @@ Fault model: checkpoints stay per-run (a run's delta is only saved
 after all its ranges replayed), so a run killed mid-fan-out recomputes
 whole on retry or resume, bit-identically.  Each range passes a
 :func:`repro.util.faults.fault_point` (sites ``shard.mdnorm`` /
-``shard.binmd``) and reports completion through ``on_shard`` so the
-PR 4 monitor can heartbeat per shard.
+``shard.binmd``) inside its ``shard:<op>`` trace span.
 
 ``read_window`` is imported here without being called: the benchmark's
 ``nexus.read_window`` layer patches ``repro.core.sharding.read_window``.
@@ -362,7 +361,6 @@ def _run_shards(
     ctx: ShardContext,
     *,
     run: Optional[int] = None,
-    on_shard: Optional[Callable[[int, int], None]] = None,
 ) -> int:
     """The static executor: every planned range of ``ctx`` through
     :func:`execute_shard_range` in planned order, then the ordered
@@ -390,8 +388,6 @@ def _run_shards(
             ):
                 _faults.fault_point(fault_site, shard=s, run=run)
                 per_range.append(execute_shard_range(ctx, s))
-            if on_shard is not None:
-                on_shard(s, n_ranges)
         replay_shard_logs(ctx, per_range)
         tracer.count(f"{op_name}.shard_tasks", n_ranges)
     return sum(int(log[0].size) for logs in per_range for log in logs)
@@ -416,7 +412,6 @@ def sharded_mdnorm(
     cache: Optional[GeomCache] = None,
     cache_tag: Optional[str] = None,
     run: Optional[int] = None,
-    on_shard: Optional[Callable[[int, int], None]] = None,
 ) -> Hist3:
     """MDNorm for one run, cut into ranges of op-major rows.
 
@@ -445,7 +440,7 @@ def sharded_mdnorm(
             backend=backend, sort_impl=sort_impl, cache=cache,
             cache_tag=cache_tag, op_span=op_span,
         )
-        _run_shards(ctx, run=run, on_shard=on_shard)
+        _run_shards(ctx, run=run)
         tracer.count("mdnorm.trajectories", int(transforms.shape[0]) * n_det)
     return hist
 
@@ -457,7 +452,6 @@ def sharded_binmd(
     *,
     shards: ShardConfig,
     run: Optional[int] = None,
-    on_shard: Optional[Callable[[int, int], None]] = None,
 ) -> Hist3:
     """BinMD for one run, cut into event shards.
 
@@ -499,7 +493,7 @@ def sharded_binmd(
                 track_errors=hist.flat_error_sq is not None,
                 cache_hit=False,
             ))
-        deposits = _run_shards(ctx, run=run, on_shard=on_shard)
+        deposits = _run_shards(ctx, run=run)
         op_span.set(inside_lanes=deposits)
         tracer.count("binmd.events", n_ops * int(n_events))
     return hist

@@ -113,7 +113,6 @@ class _OpenRun:
     mdnorm: Hist3
     #: most attempts any of the run's retried steps needed so far
     attempts: int
-    events: int = 0
 
 
 class StreamingReduction:
@@ -280,7 +279,6 @@ class StreamingReduction:
             return
         attempts, run.binmd = out
         run.attempts = max(run.attempts, attempts)
-        run.events += n
         tracer.count("stream.events", n)
         self._events_seen += n
 
@@ -300,7 +298,7 @@ class StreamingReduction:
             return
         del self._open[run_number]
         self._book.done(run_number, _RANK, run.binmd, run.mdnorm,
-                        attempts=max(run.attempts, out[0]), events=run.events)
+                        attempts=max(run.attempts, out[0]))
 
     # -- live output ------------------------------------------------------
     def _fold(self) -> Tuple[Hist3, Hist3]:

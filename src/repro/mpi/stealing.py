@@ -13,8 +13,8 @@ accounting keeps execution exactly-once.
 
 This module keeps only the queue and the schedule.  Everything a run
 needs besides its shard tasks — the timed load with its UB check and
-retry, resume and quarantine, the "run done" record (checkpoint save,
-monitor), the rank blocks, and the final fold and result — is the
+retry, resume and quarantine, the "run done" record (checkpoint save),
+the rank blocks, and the final fold and result — is the
 static loop's own code in :mod:`repro.core.cross_section`.
 
 Determinism argument (DESIGN.md §6h).  Execution order is deliberately
@@ -65,7 +65,6 @@ from repro.core.checkpoint import RecoveryConfig
 from repro.core.cross_section import (
     CrossSectionResult,
     _load_run,
-    _n_events,
     _non_root_result,
     _rank_blocks,
     _retry,
@@ -89,7 +88,6 @@ from repro.jacc import resolve_backend
 from repro.mpi.comm import Comm, SequentialComm
 from repro.nexus.corrections import FluxSpectrum
 from repro.util import faults as _faults
-from repro.util import monitor as _monitor
 from repro.util import trace as _trace
 from repro.util.schedule import ScheduleController
 from repro.util.timers import StageTimings
@@ -277,7 +275,6 @@ class _StealState:
         self.contexts: Dict[Tuple[int, str], ShardContext] = {}
         self.logs: Dict[Tuple[int, str], Dict[int, List[Any]]] = {}
         self.task_counts: Dict[int, int] = {}       # run -> total tasks
-        self.events_per_run: Dict[int, int] = {}
         self.run_attempts: Dict[int, int] = {}
         self.finished_runs: Set[int] = set()
         self._run_locks: Dict[int, threading.Lock] = {}
@@ -341,10 +338,6 @@ def run_stealing_campaign(
         label=f"cross-section[{backend or 'default'}]"
     )
     tracer = _trace.active_tracer()
-    monitor = _monitor.active_monitor()
-
-    if monitor.enabled:
-        monitor.start_campaign(n_runs, comm.size)
 
     with tracer.span(
         "cross_section",
@@ -364,21 +357,17 @@ def run_stealing_campaign(
                 n_det=int(np.asarray(det_directions).shape[0]),
                 shards=shards, recovery=recovery, run_weights=run_weights,
                 schedule=schedule, timings=timings, cache=cache,
-                monitor=monitor,
             )
         if comm.size > 1:
             state = comm.bcast(state, root=0)
         assert state is not None
         state.queue.register_rank(comm.rank)
-        if monitor.enabled:
-            monitor.assign_runs(comm.rank, state.queue.own_depth(comm.rank))
 
         exec_env = _ExecEnv(
             state=state, grid=grid, point_group=point_group, flux=flux,
             det_directions=det_directions, solid_angles=solid_angles,
             backend=backend, sort_impl=sort_impl, cache=cache,
-            recovery=recovery, timings=timings,
-            monitor=monitor, load_run=load_run,
+            recovery=recovery, timings=timings, load_run=load_run,
             scope=cache.reduction_scope(grid, det_directions, solid_angles,
                                         flux),
         )
@@ -392,8 +381,6 @@ def run_stealing_campaign(
             state.queue.release_rank(comm.rank)
             comm.mark_failed({"runs": []})
             tracer.count("rank.crash")
-            if monitor.enabled:
-                monitor.record_crash(comm.rank)
             return _non_root_result(timings, n_runs, backend)
 
         # -- rendezvous + ascending-run fold on the effective root ------
@@ -413,9 +400,6 @@ def run_stealing_campaign(
                 "seed": state.controller.seed,
             }},
         )
-
-    if monitor.enabled:
-        monitor.finish_campaign()
     return result
 
 
@@ -437,7 +421,6 @@ def _plan(
     schedule: Optional[ScheduleController],
     timings: StageTimings,
     cache: Any,
-    monitor: Any,
 ) -> _StealState:
     """Load run metadata, cut the static plan into stealable tasks.
 
@@ -468,8 +451,7 @@ def _plan(
             continue
         try:
             ws = _load_workspace(load_run, i, timings, cache,
-                                 recovery=recovery, monitor=monitor,
-                                 rank=comm.rank)
+                                 recovery=recovery)
         except _faults.RetryExhaustedError as exc:
             if recovery is None or not recovery.quarantine:
                 raise
@@ -483,7 +465,6 @@ def _plan(
         m_ranges, m_weights = mdnorm_ranges(n_det, n_ops, shards.n_shards)
         b_ranges, b_weights = binmd_ranges(ws.events, n_ops, shards.n_shards)
         state.task_counts[i] = len(m_ranges) + len(b_ranges)
-        state.events_per_run[i] = _n_events(ws)
         # each enqueue is a planning span whose uid rides the task, so
         # an executing (possibly stolen) span can link back to the
         # exact planning site across ranks
@@ -512,17 +493,10 @@ def _load_workspace(
     cache: Any,
     *,
     recovery: Optional[RecoveryConfig],
-    monitor: Any,
-    rank: int,
 ) -> Any:
     """UpdateEvents with the run-level retry protocol (planning side)."""
-
-    def attempt(attempt_no: int) -> Any:
-        if monitor.enabled:
-            monitor.heartbeat(rank, site=f"run:{i}/UpdateEvents", run=i)
-        return _load_run(load_run, i, timings)
-
-    return _retry(attempt, i, recovery, cache)
+    return _retry(lambda attempt_no: _load_run(load_run, i, timings),
+                  i, recovery, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +518,6 @@ class _ExecEnv:
     cache: Any
     recovery: Optional[RecoveryConfig]
     timings: StageTimings
-    monitor: Any
     load_run: Callable[[int], Any]
     #: the rank's run-invariant key digests, entered by its work loops
     scope: _gc.ReductionScope
@@ -600,15 +573,6 @@ def _execute_task(
     if q.is_quarantined(task.run):
         q.complete(task)
         return
-    if env.monitor.enabled:
-        env.monitor.heartbeat(
-            rank,
-            site=(f"run:{task.run}/{_STAGE_TITLES[task.stage]}/"
-                  f"shard:{task.index + 1}of{task.n_ranges}"),
-            run=task.run,
-        )
-        if stolen and victim is not None:
-            env.monitor.record_steal(rank, victim, task.run)
     with tracer.span(
         f"steal:{task.stage}",
         kind="steal" if stolen else "steal_task",
@@ -639,7 +603,7 @@ def _execute_task(
                 state.run_attempts[task.run] = max(
                     state.run_attempts.get(task.run, 0), attempt_no
                 )
-            ctx = _context(env, rank, task.run, task.stage)
+            ctx = _context(env, task.run, task.stage)
             _faults.fault_point("steal.task", rank=rank, run=task.run)
             with env.timings.stage(_STAGE_TITLES[task.stage]):
                 return execute_shard_range(ctx, task.index)
@@ -668,7 +632,7 @@ def _execute_task(
             _maybe_finish_run(env, rank, task.run)
 
 
-def _context(env: _ExecEnv, rank: int, run: int, stage: str) -> ShardContext:
+def _context(env: _ExecEnv, run: int, stage: str) -> ShardContext:
     """The run-stage's shard context, built once under the run's lock.
 
     Whichever rank first executes (or steals) a task of the run pays
@@ -683,10 +647,8 @@ def _context(env: _ExecEnv, rank: int, run: int, stage: str) -> ShardContext:
             return ctx
         ws = state.workspaces.get(run)
         if ws is None:
-            ws = _load_workspace(
-                env.load_run, run, env.timings, env.cache,
-                recovery=env.recovery, monitor=env.monitor, rank=rank,
-            )
+            ws = _load_workspace(env.load_run, run, env.timings, env.cache,
+                                 recovery=env.recovery)
             with state.lock:
                 state.workspaces[run] = ws
         _faults.fault_point("run", run=run)
@@ -743,8 +705,7 @@ def _maybe_finish_run(env: _ExecEnv, rank: int, run: int) -> None:
     replay_shard_logs(ctx_b, [logs_b[s] for s in range(ctx_b.n_ranges)])
     _release(state, run)
     state.book.done(run, rank, ctx_b.captures.hist, ctx_m.captures.hist,
-                    attempts=attempts,
-                    events=state.events_per_run.get(run, 0))
+                    attempts=attempts)
 
 
 def _quarantine(

@@ -32,10 +32,8 @@ validated causal DAG and interrogates:
   not a raw-seconds one.
 
 The CLI surface is ``repro trace merge|crit|chrome``
-(``merge --out PATH`` writes the DAG document); ``CampaignMonitor``
-publishes the headline
-numbers as ``repro_trace_critical_seconds`` /
-``repro_trace_anomalies``.
+(``merge --out PATH`` writes the DAG document; ``crit`` prints
+:meth:`TraceDAG.crit_report`).
 """
 
 from __future__ import annotations

@@ -372,12 +372,14 @@ class TestKillAndResumeCore:
         assert not ck.campaign_complete
 
         ck2 = CheckpointManager(ckdir, config_digest="core")
-        res = compute_cross_section(
-            exp.loader,
-            recovery=RecoveryConfig(retry=POLICY, checkpoint=ck2,
-                                    resume=True),
-            **exp.kw(),
-        )
+        tracer = trace_mod.Tracer()
+        with trace_mod.use_tracer(tracer):
+            res = compute_cross_section(
+                exp.loader,
+                recovery=RecoveryConfig(retry=POLICY, checkpoint=ck2,
+                                        resume=True),
+                **exp.kw(),
+            )
         gold_ck = CheckpointManager(tmp_path / "gold", config_digest="core")
         gold = compute_cross_section(
             exp.loader,
@@ -390,6 +392,7 @@ class TestKillAndResumeCore:
         assert np.array_equal(res.cross_section.signal,
                               gold.cross_section.signal, equal_nan=True)
         assert res.extras["recovery"]["resumed"] == [0, 1]
+        assert tracer.counters["checkpoint.resumed"] == 2
         assert ck2.campaign_complete
 
     def test_resume_of_complete_campaign_replays_everything(
@@ -621,7 +624,8 @@ class TestMPIFaultRecovery:
                 **exp.kw(),
             )
 
-        with use_fault_plan(plan):
+        tracer = trace_mod.Tracer()
+        with trace_mod.use_tracer(tracer), use_fault_plan(plan):
             results = run_world(4, body, barrier_timeout=60.0)
 
         assert plan.stats()["injected"] == 1
@@ -629,6 +633,7 @@ class TestMPIFaultRecovery:
         assert len(roots) == 1
         res = roots[0]
         assert res.extras["recovery"]["failed_ranks"] == [2]
+        assert tracer.counters["rank.crash"] == 1
         # rank 2's run was adopted by a survivor
         assert res.dispositions[2]["status"] == "done"
         assert res.dispositions[2]["rank"] != 2
@@ -1022,12 +1027,14 @@ class TestKillAndResumeStealing:
 
         # leg 2: resume with 2 workers and a different steal seed
         ck2 = CheckpointManager(ckdir, config_digest="steal")
-        res = self._steal(
-            exp, size=2,
-            schedule=ScheduleController(seed=101, policy="random"),
-            recovery=RecoveryConfig(retry=POLICY, checkpoint=ck2,
-                                    resume=True),
-        )
+        tracer = trace_mod.Tracer()
+        with trace_mod.use_tracer(tracer):
+            res = self._steal(
+                exp, size=2,
+                schedule=ScheduleController(seed=101, policy="random"),
+                recovery=RecoveryConfig(retry=POLICY, checkpoint=ck2,
+                                        resume=True),
+            )
         gold_ck = CheckpointManager(tmp_path / "gold", config_digest="steal")
         gold = compute_cross_section(
             exp.loader,
@@ -1035,6 +1042,7 @@ class TestKillAndResumeStealing:
             **exp.kw(),
         )
         assert res.extras["recovery"]["resumed"] == [0, 1]
+        assert tracer.counters["checkpoint.resumed"] == 2
         assert ck2.campaign_complete
         assert np.array_equal(res.binmd.signal, gold.binmd.signal)
         assert np.array_equal(res.binmd.error_sq, gold.binmd.error_sq)

@@ -171,18 +171,6 @@ class TestShardedOps:
         assert np.array_equal(got.signal, ref.signal)
         assert np.array_equal(got.error_sq, ref.error_sq)
 
-    def test_shard_heartbeats_reported(self, exp):
-        ws = exp.wss[0]
-        traj, _ = self._transforms(exp, ws)
-        seen = []
-        sharded_mdnorm(
-            Hist3(exp.grid), traj, exp.instrument.directions, exp.sa,
-            exp.flux, ws.momentum_band,
-            shards=ShardConfig(n_shards=3),
-            on_shard=lambda s, n: seen.append((s, n)),
-        )
-        assert seen == [(0, 3), (1, 3), (2, 3)]
-
 
 # ---------------------------------------------------------------------------
 # streaming: sharded open_run normalization, batch-size invariance

@@ -323,6 +323,7 @@ class TestAdversarialSchedules:
         assert plan.stats()["injected"] == 1
         _assert_identical(res, golden)
         assert res.extras["recovery"]["failed_ranks"] == [1]
+        assert tracer.counters["rank.crash"] == 1
         cells = _completed_cells(tracer.records)
         assert cells == {key: 1 for key in _planned_cells()}
 

@@ -145,37 +145,33 @@ class TestTraceDagCli:
             assert json.loads(out.read_text()) == json.loads(want.read_text())
             assert ("spans" in json.loads(out.read_text())) is not no_spans
 
-    def test_crit_publishes_both_gauges(self, tmp_path, capsys):
+    def test_crit_prints_the_report(self, tmp_path, capsys):
         from repro.util import tracedag
-        from repro.util.monitor import parse_metrics
         from tests.util.test_tracedag import _sibling_files
 
         (path,) = _sibling_files(tmp_path, [1.0] * 8 + [9.0])
-        metrics = tmp_path / "metrics.prom"
-        rc = repro_main(["trace", "crit", str(tmp_path),
-                         "--metrics-file", str(metrics)])
-        assert rc == 0
-        assert "critical path" in capsys.readouterr().out
-        gauges = parse_metrics(metrics.read_text())
+        assert repro_main(["trace", "crit", str(tmp_path)]) == 0
         dag = tracedag.merge_files([path])
-        (crit,) = gauges["repro_trace_critical_seconds"].values()
-        (anomalies,) = gauges["repro_trace_anomalies"].values()
-        assert crit == dag.critical_seconds()
-        assert anomalies == 1.0
+        out = capsys.readouterr().out
+        assert out == dag.crit_report() + "\n"
+        assert f"critical seconds: {dag.critical_seconds():.4f}" in out
+        assert "9.0x expected (n=9)" in out  # the one anomaly
 
     @pytest.mark.parametrize("cmd", (
         ["perf", "record"], ["perf", "check"], ["perf", "crit"],
-        ["trace", "dag"],
+        ["perf", "watch"], ["trace", "dag"], ["reduce", "--metrics-file"],
+        ["trace", "crit", "--metrics-file"],
     ), ids=" ".join)
     def test_retired_commands_are_usage_errors(self, cmd, tmp_path, capsys):
-        """The deleted benchmark-trajectory and duplicate DAG commands
-        are parse errors, before any workload is built."""
+        """The deleted benchmark-trajectory, duplicate DAG and campaign
+        monitor commands and flags are parse errors, before any
+        workload is built."""
         with pytest.raises(SystemExit) as exc:
             repro_main(cmd + [str(tmp_path)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert (f"invalid choice: '{cmd[1]}'" if cmd[0] == "perf"
-                else "unrecognized arguments: dag ") in err
+                else f"unrecognized arguments: {cmd[-1]}") in err
         assert list(tmp_path.iterdir()) == []
 
 

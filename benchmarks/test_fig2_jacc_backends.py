@@ -48,11 +48,12 @@ def test_fig2_backend_portability(benchmark, benzil_data, backend):
     _RESULTS[backend] = (binmd_h.signal, norm_h.signal)
     _TIMES[backend] = benchmark.stats.stats.mean
 
-    # the portability contract: identical results on every back end
+    # the portability contract: the serial bits (int64 patterns) on
+    # every back end
     if "serial" in _RESULTS and backend != "serial":
         ref_b, ref_n = _RESULTS["serial"]
-        assert np.allclose(binmd_h.signal, ref_b)
-        assert np.allclose(norm_h.signal, ref_n, rtol=1e-9)
+        assert np.array_equal(binmd_h.signal.view(np.int64), ref_b.view(np.int64))
+        assert np.array_equal(norm_h.signal.view(np.int64), ref_n.view(np.int64))
 
     if len(_TIMES) == 3:
         kinds = {b: get_backend(b).device_kind for b in _TIMES}

@@ -48,7 +48,7 @@ from repro.core.geom_cache import (
     set_default_cache,
 )
 from repro.core.binmd import bin_events
-from repro.core.mdnorm import mdnorm, max_intersections, prefetch_geometry
+from repro.core.mdnorm import mdnorm, max_intersections
 from repro.core.cross_section import CrossSectionResult, compute_cross_section
 from repro.core.workflow import ReductionWorkflow, WorkflowConfig
 from repro.core.streaming import EventStream, StreamBatch, StreamingReduction
@@ -70,7 +70,6 @@ __all__ = [
     "bin_events",
     "mdnorm",
     "max_intersections",
-    "prefetch_geometry",
     "GeomCache",
     "CacheStats",
     "DISABLED",

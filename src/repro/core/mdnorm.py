@@ -537,50 +537,3 @@ def mdnorm(
         tracer.count("mdnorm.trajectories",
                       int(transforms.shape[0]) * int(det_directions.shape[0]))
     return hist
-
-
-def prefetch_geometry(
-    grid: HKLGrid,
-    transforms: np.ndarray,
-    det_directions: np.ndarray,
-    momentum_band: tuple[float, float],
-    solid_angles: np.ndarray,
-    flux,
-    *,
-    backend: Optional[str] = None,
-    cache: Optional[GeomCache] = None,
-    cache_tag: Optional[str] = None,
-) -> bool:
-    """Warm the geometry cache for one run without depositing anything.
-
-    Runs the live-trajectory and pre-pass stages and stores the results
-    (plus the flux table) so a later :func:`mdnorm` on the same
-    configuration starts warm.  Returns True when a new entry was
-    inserted, False when the key was already cached or caching is off.
-    """
-    transforms = np.asarray(transforms, dtype=np.float64)
-    det_directions = np.asarray(det_directions, dtype=np.float64)
-    solid_angles = np.asarray(solid_angles, dtype=np.float64)
-    cache = _gc.resolve(cache)
-    if not cache.enabled:
-        return False
-    with cache.reduction_scope(grid, det_directions, solid_angles, flux):
-        key = GeomCache.geometry_key(
-            grid, transforms, det_directions, momentum_band, solid_angles,
-            flux,
-        )
-        if cache.peek(key) is not None:
-            return False
-        cache.flux_table(flux)
-    with _trace.active_tracer().span(
-        "mdnorm.prefetch", kind="phase", tag=cache_tag or ""
-    ):
-        traj = live_trajectories(transforms, det_directions, grid,
-                                 *momentum_band)
-        raw_width = max_intersections(
-            grid, transforms, det_directions, momentum_band,
-            backend=backend, trajectories=traj,
-        )
-        return cache.put(GeomEntry(key=key, tag=cache_tag,
-                                   trajectories=traj.map(_gc.freeze),
-                                   width=raw_width))

@@ -141,7 +141,6 @@ def run_plan(
     *,
     comm=None,
     cache: Optional[GeomCache] = None,
-    prefetch: bool = False,
 ) -> CrossSectionResult:
     """Execute a plan with its chosen implementation.
 
@@ -154,10 +153,6 @@ def run_plan(
         cache of that budget.  ``backend_options["shards"]`` (plus
         optional ``"run_weights"``) turns on the hierarchical
         intra-run shard ranges — core implementation only.
-    prefetch:
-        Warm the cache (trajectory geometry + pre-pass + flux table for
-        every run) before reducing — only meaningful for the ``core``
-        implementation.
     """
     instrument = read_instrument(plan.instrument)
     pg = point_group(plan.point_group_symbol)
@@ -214,7 +209,4 @@ def run_plan(
         geom_cache=cache,
         **opts,
     )
-    workflow = ReductionWorkflow(cfg)
-    if prefetch:
-        workflow.prefetch_geometry()
-    return workflow.run(comm=comm)
+    return ReductionWorkflow(cfg).run(comm=comm)

@@ -55,7 +55,6 @@ from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
 from repro.core.md_event_workspace import convert_to_md
 from repro.core.mdnorm import mdnorm
-from repro.core.sharding import ShardConfig, sharded_mdnorm
 from repro.crystal.symmetry import PointGroup
 from repro.instruments.detector import DetectorArray
 from repro.nexus.corrections import FluxSpectrum
@@ -129,7 +128,6 @@ class StreamingReduction:
         backend: Optional[str] = None,
         geom_cache: Optional[GeomCache] = None,
         recovery: Optional[RecoveryConfig] = None,
-        shards: Optional[ShardConfig] = None,
     ) -> None:
         self.grid = grid
         self.point_group = point_group
@@ -153,12 +151,6 @@ class StreamingReduction:
             grid, instrument.directions, self.solid_angles, flux)
         #: failure policy; None = fail-fast stream
         self.recovery = recovery
-        #: intra-run fan-out for the open-run MDNorm (the geometry-only
-        #: stage, computed once per run).  ``consume`` deliberately stays
-        #: a single ordered pass — batch arrival order already defines
-        #: the float fold, and sharding it would break the batch-size
-        #: invariance the streaming tests pin down.
-        self.shards = shards
         self._book = _RunBook(grid, recovery, self.geom_cache)
         self._open: Dict[int, _OpenRun] = {}
         self._events_seen = 0
@@ -215,15 +207,11 @@ class StreamingReduction:
 
             def normalize() -> Hist3:
                 delta = Hist3(self.grid)
-                args = (delta, traj_transforms, self.instrument.directions,
-                        self.solid_angles, self.flux, band)
-                kw = dict(charge=run_metadata.proton_charge,
-                          backend=self.backend, cache=self.geom_cache,
-                          cache_tag=f"run:{rn}")
-                if self.shards is not None:
-                    sharded_mdnorm(*args, shards=self.shards, run=rn, **kw)
-                else:
-                    mdnorm(*args, **kw)
+                mdnorm(delta, traj_transforms, self.instrument.directions,
+                       self.solid_angles, self.flux, band,
+                       charge=run_metadata.proton_charge,
+                       backend=self.backend, cache=self.geom_cache,
+                       cache_tag=f"run:{rn}")
                 return delta
 
             with self._scope:

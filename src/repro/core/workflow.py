@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core import geom_cache as _gc
 from repro.core.checkpoint import RecoveryConfig
 from repro.core.cross_section import (
     CrossSectionResult,
@@ -24,7 +23,6 @@ from repro.core.geom_cache import GeomCache
 from repro.core.grid import HKLGrid
 # load_md is re-exported: the benchmark's layer table wraps it by this name
 from repro.core.md_event_workspace import begin_md, load_md  # noqa: F401
-from repro.core.mdnorm import prefetch_geometry
 from repro.core.sharding import ShardConfig
 from repro.crystal.symmetry import PointGroup
 from repro.instruments.detector import DetectorArray
@@ -143,51 +141,3 @@ class ReductionWorkflow:
                 run_weights=cfg.run_weights,
                 executor=cfg.executor,
             )
-
-    def prefetch_geometry(self) -> int:
-        """Warm the geometry cache for every run before reducing.
-
-        Reads each run's metadata (not its events), computes its
-        trajectory geometry and pre-pass bound and stores them (plus
-        the flux table), so the subsequent :meth:`run` — or a
-        re-reduction of the same panel — starts warm.  Returns the number of newly inserted entries.
-        """
-        cfg = self.config
-        cache = _gc.resolve(cfg.geom_cache)
-        if not cache.enabled:
-            return 0
-        inserted = 0
-        with _trace.active_tracer().span(
-            "workflow.prefetch", kind="phase", n_runs=len(cfg.md_paths)
-        ) as sp, cache.reduction_scope(cfg.grid, cfg.instrument.directions,
-                                       self.solid_angles, self.flux):
-            inserted = self._prefetch_all(cache)
-            sp.set(inserted=int(inserted))
-        return inserted
-
-    def _prefetch_all(self, cache: GeomCache) -> int:
-        cfg = self.config
-        inserted = 0
-        for i, path in enumerate(cfg.md_paths):
-            pending = begin_md(path)
-            pending.close()  # metadata only: the payload is never read
-            ws = pending.ws
-            if ws.ub_matrix is None:
-                raise ValidationError(f"run file {path} carries no UB matrix")
-            traj_transforms = cfg.grid.transforms_for(
-                ws.ub_matrix, cfg.point_group, goniometer=ws.goniometer
-            )
-            inserted += int(
-                prefetch_geometry(
-                    cfg.grid,
-                    traj_transforms,
-                    cfg.instrument.directions,
-                    ws.momentum_band,
-                    self.solid_angles,
-                    self.flux,
-                    backend=cfg.backend,
-                    cache=cache,
-                    cache_tag=f"run:{i}",
-                )
-            )
-        return inserted

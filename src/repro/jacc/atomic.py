@@ -8,11 +8,10 @@ equivalents here:
   under duplicate indices, which is precisely the guarantee a device
   ``atomicAdd`` gives;
 * :func:`atomic_add_scalar` — the per-element form used inside scalar
-  kernel bodies (serial/threads back ends).  The threads back end keeps
-  correctness because CPython's GIL serializes the read-modify-write of
-  a single float64 element within one bytecode-level operation window;
-  we still route through this function so the access pattern is
-  explicit and auditable.
+  kernel bodies.  No launch has two threads adding into one target:
+  the serial back end runs every element in order, and the threads
+  back end gives each worker chunk a private deposit log, applied in
+  chunk order with :func:`atomic_add` (see :mod:`repro.jacc.threads`).
 """
 
 from __future__ import annotations

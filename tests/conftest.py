@@ -146,17 +146,56 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def fine_gil_switching():
-    """Hand the GIL between simulated rank threads every 50 us.
+    """Hand the GIL between threads every 50 us.
 
     The stealing tests' campaigns are a dozen sub-millisecond tasks:
     under the default 5 ms interval the first rank to run can drain them
-    all before a peer is scheduled at all, and a fault aimed at one
-    rank's task then never fires.
+    all before a peer is scheduled at all.  The back-end tests use it so
+    that the ``threads`` back end's workers really interleave: an add
+    order that follows thread timing then shows in the histogram bits.
     """
     prev = sys.getswitchinterval()
     sys.setswitchinterval(5e-5)
     yield
     sys.setswitchinterval(prev)
+
+
+@pytest.fixture
+def rank_one_claims_first(monkeypatch):
+    """The stealing executor's queue holds every other rank's claims
+    until rank 1 holds a task.
+
+    A fault aimed at rank 1's task then fires however the rank threads
+    are scheduled; without the gate its peers can take every task
+    before rank 1 claims one, and the fault never fires.
+    """
+    import threading
+
+    from repro.mpi import stealing
+
+    class RankOneFirst(stealing.StealQueue):
+        def __init__(self):
+            super().__init__()
+            self.rank_one_holds = threading.Event()
+
+        def _gated(self, claim, rank, *args):
+            if rank != 1:
+                assert self.rank_one_holds.wait(timeout=60.0)
+            task = claim(rank, *args)
+            if rank == 1 and task is not None:
+                self.rank_one_holds.set()
+            return task
+
+        def claim_own(self, rank):
+            return self._gated(super().claim_own, rank)
+
+        def claim_steal(self, thief, victim):
+            return self._gated(super().claim_steal, thief, victim)
+
+        def claim_orphan(self, thief):
+            return self._gated(super().claim_orphan, thief)
+
+    monkeypatch.setattr(stealing, "StealQueue", RankOneFirst)
 
 
 @pytest.fixture

@@ -81,7 +81,8 @@ class TestCorrectness:
         bin_events(h, events, FLIP, backend=backend)
         assert h.total() == pytest.approx(2 * events.total_signal())
 
-    def test_backends_agree_exactly(self, grid):
+    def test_backends_agree_exactly(self, grid, fine_gil_switching):
+        """Every back end deposits the serial bits (int64 patterns)."""
         events = _events(n=700, seed=3)
         reference = None
         for backend in BACKENDS:
@@ -90,8 +91,10 @@ class TestCorrectness:
             if reference is None:
                 reference = h
             else:
-                assert np.allclose(h.signal, reference.signal)
-                assert np.allclose(h.error_sq, reference.error_sq)
+                for name in ("signal", "error_sq"):
+                    got = getattr(h, name).view(np.int64)
+                    want = getattr(reference, name).view(np.int64)
+                    assert np.array_equal(got, want), (backend, name)
 
     def test_inversion_symmetry_mirrors_histogram(self, grid):
         events = _events(n=300, seed=5, spread=2.0)

@@ -9,7 +9,6 @@ from repro.core.checkpoint import CheckpointManager, RecoveryConfig
 from repro.core.cross_section import compute_cross_section
 from repro.core.geom_cache import DISABLED, GeomCache
 from repro.core.md_event_workspace import load_md
-from repro.core.sharding import ShardConfig
 from repro.core.streaming import EventStream, StreamBatch, StreamingReduction
 from repro.util.validation import ReproError, ValidationError
 
@@ -27,7 +26,7 @@ def _reduction(exp, backend="vectorized", geom_cache=None, **kw):
     )
 
 
-def _batch_reference(exp, shards=None):
+def _batch_reference(exp):
     return compute_cross_section(
         load_run=lambda i: load_md(exp.md_paths[i]),
         n_runs=len(exp.md_paths),
@@ -37,7 +36,6 @@ def _batch_reference(exp, shards=None):
         det_directions=exp.instrument.directions,
         solid_angles=exp.vanadium.detector_weights,
         backend="vectorized",
-        shards=shards,
     )
 
 
@@ -74,21 +72,18 @@ class TestEventStream:
 class TestStreamingReduction:
     @pytest.mark.parametrize(
         "recovery", [None, RecoveryConfig()], ids=["failfast", "recovery"])
-    @pytest.mark.parametrize(
-        "shards", [None, ShardConfig(n_shards=3)], ids=["plain", "shards3"])
-    def test_final_state_equals_batch_workflow(
-        self, tiny_experiment, shards, recovery
-    ):
+    def test_final_state_equals_batch_workflow(self, tiny_experiment,
+                                               recovery):
         """The defining invariant: streaming == batch, bit for bit, for
-        every shard count and failure policy."""
+        every failure policy."""
         exp = tiny_experiment
-        streaming = _reduction(exp, shards=shards, recovery=recovery)
+        streaming = _reduction(exp, recovery=recovery)
         for run in exp.runs:
             streaming.open_run(run)
             for batch in EventStream(run, batch_size=177):
                 streaming.consume(batch)
             streaming.close_run(run.run_number)
-        _assert_equals_batch(streaming, _batch_reference(exp, shards))
+        _assert_equals_batch(streaming, _batch_reference(exp))
 
     def test_interleaved_runs_closed_out_of_order(self, tiny_experiment):
         """Batches of all runs interleaved, runs closed 2, 0, 1: the

@@ -8,7 +8,6 @@ cross-section (and both of its factors) must be **bit-identical** —
 * shard counts 1, 2, 3, 7 (including shards > items axes);
 * the ``shard_workers`` knob selects nothing, and with the process
   pool made to raise every shard range still runs, in process;
-* streaming batch sizes, with sharded ``open_run`` normalization;
 * kill-one-shard + retry and checkpoint/resume, riding the PR 3
   fault-plan machinery at the ``shard.mdnorm`` / ``shard.binmd`` sites.
 
@@ -29,7 +28,6 @@ from repro.core.hist3 import Hist3
 from repro.core.md_event_workspace import convert_to_md
 from repro.core.mdnorm import mdnorm
 from repro.core.sharding import ShardConfig, sharded_binmd, sharded_mdnorm
-from repro.core.streaming import EventStream, StreamingReduction
 from repro.core.workflow import ReductionWorkflow, WorkflowConfig
 from repro.crystal.goniometer import Goniometer
 from repro.crystal.structures import benzil
@@ -170,35 +168,6 @@ class TestShardedOps:
                       shards=ShardConfig(n_shards=n_shards))
         assert np.array_equal(got.signal, ref.signal)
         assert np.array_equal(got.error_sq, ref.error_sq)
-
-
-# ---------------------------------------------------------------------------
-# streaming: sharded open_run normalization, batch-size invariance
-# ---------------------------------------------------------------------------
-
-class TestStreamingSharded:
-    def _reduce(self, exp, *, shards=None, batch_size=128):
-        sr = StreamingReduction(exp.grid, exp.pg, exp.flux, exp.instrument,
-                                exp.sa, backend="vectorized", shards=shards)
-        for run in exp.runs:
-            sr.open_run(run)
-            for batch in EventStream(run, batch_size=batch_size):
-                sr.consume(batch)
-            sr.close_run(run.run_number)
-        return sr.snapshot()
-
-    def test_sharded_matches_plain(self, exp):
-        plain = self._reduce(exp)
-        shard = self._reduce(exp, shards=ShardConfig(n_shards=3))
-        assert same(shard.signal, plain.signal)
-
-    @pytest.mark.parametrize("batch_size", (37, 256))
-    def test_batch_size_invariance_under_shards(self, exp, batch_size):
-        a = self._reduce(exp, shards=ShardConfig(n_shards=2),
-                         batch_size=batch_size)
-        b = self._reduce(exp, shards=ShardConfig(n_shards=2),
-                         batch_size=101)
-        assert same(a.signal, b.signal)
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,8 @@ class TestAdversarialSchedules:
             assert res.extras["stealing"]["steals"] == 0
 
     def test_death_holding_claimed_work(self, exp, golden,
-                                        fine_gil_switching):
+                                        fine_gil_switching,
+                                        rank_one_claims_first):
         """The hardest preset: the rank dies *inside* a task attempt,
         while the task is claimed.  The claim must requeue and execute
         exactly once elsewhere."""

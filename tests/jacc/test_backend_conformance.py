@@ -12,17 +12,14 @@ Columns: {parallel_for (1-D, 2-D), parallel_reduce (+ / max / min),
 atomic Hist3 accumulation} × 50 seeds, asserted against the serial
 oracle.
 
-Bit-identity tiers (the determinism contract, DESIGN.md §6f):
+The determinism contract (DESIGN.md §6f):
 
 * disjoint writes (``parallel_for``) — bit-identical on every back end
   (no accumulation, no fold order);
-* histogram deposits with *integer-valued* weights — bit-identical on
-  every back end (integer adds are exact under any association);
-* histogram deposits with float weights — bit-identical to serial for
-  the ORDER_EXACT back ends (serial / vectorized, whose per-bin fold
-  follows the serial deposit order); threads
-  interleaves chunk deposits under the GIL, so it is held to
-  ``allclose`` only;
+* histogram deposits, integer-valued or float weights — bit-identical
+  to serial on every back end: each one's per-bin adds follow the
+  serial deposit order (threads applies its chunks' deposit logs in
+  chunk order, the vectorized body scatters in element order);
 * reductions — ``max``/``min`` are associative ⇒ exactly equal on
   every CPU back end; ``+`` is exactly equal for integer-valued
   elements and deterministic run to run for floats; the device back
@@ -51,13 +48,6 @@ N_SEEDS = 50
 
 #: the matrix rows: every back end registered at collection time
 BACKENDS = tuple(available_backends())
-
-#: back ends whose float deposit/fold order equals the serial oracle's
-ORDER_EXACT = ("serial", "vectorized")
-
-#: back ends held to ``allclose`` only for float deposits (GIL
-#: interleaving reorders the fold)
-ORDER_RELAXED = ("threads",)
 
 
 def _cpu_backends():
@@ -258,21 +248,18 @@ class TestHistogramMatrix:
             assert got.signal.sum() > 0  # the samples actually deposit
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_float_weights(self, backend):
-        """ORDER_EXACT back ends replay the serial deposit order ⇒
-        bit-identical; the rest are within float tolerance."""
+    def test_float_weights(self, backend, fine_gil_switching):
+        """Float adds depend on their order, and every back end adds to
+        each bin in the serial order: bit-identical, also with the GIL
+        handed between the threads back end's workers every 50 us."""
         for seed in range(N_SEEDS):
             coords, w = _hist_samples(seed, integer_weights=False)
             oracle = self._fill("serial", coords, w)
             got = self._fill(backend, coords, w)
-            if backend in ORDER_EXACT:
-                assert np.array_equal(got.signal, oracle.signal), (backend, seed)
-                assert np.array_equal(got.error_sq, oracle.error_sq), (backend, seed)
-            else:
-                np.testing.assert_allclose(got.signal, oracle.signal,
-                                           rtol=1e-12, atol=0.0)
-                np.testing.assert_allclose(got.error_sq, oracle.error_sq,
-                                           rtol=1e-12, atol=0.0)
+            for name in ("signal", "error_sq"):
+                a = getattr(got, name).view(np.int64)
+                b = getattr(oracle, name).view(np.int64)
+                assert np.array_equal(a, b), (backend, seed, name)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_bin_edge_points_bit_identical_everywhere(self, backend):
@@ -416,28 +403,10 @@ def test_matrix_covers_all_expected_backends():
 
 
 def test_registry_completeness():
-    """Every ``register_backend()`` back end is in the matrix AND is
-    classified into a determinism tier.
-
-    Registering a new engine without adding it to ORDER_EXACT or
-    ORDER_RELAXED fails here on purpose: an unclassified back end would
-    silently skip the strict float-deposit oracle (ORDER_EXACT rows get
-    ``array_equal``; everything else only ``allclose``), so the tier
-    lists must be a partition of the registry."""
+    """Every ``register_backend()`` back end is a matrix row, so each one
+    is held to the strict serial oracle."""
     registry = set(available_backends())
     assert set(BACKENDS) == registry, (
         "matrix rows diverged from the backend registry; "
         f"matrix={sorted(BACKENDS)} registry={sorted(registry)}"
     )
-    classified = set(ORDER_EXACT) | set(ORDER_RELAXED)
-    unclassified = registry - classified
-    assert not unclassified, (
-        f"back ends {sorted(unclassified)} are registered but missing "
-        "from the conformance determinism tiers (ORDER_EXACT / "
-        "ORDER_RELAXED) — add each to exactly one tier"
-    )
-    stale = classified - registry
-    assert not stale, (
-        f"tier lists name unregistered back ends: {sorted(stale)}"
-    )
-    assert not set(ORDER_EXACT) & set(ORDER_RELAXED)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.grid import HKLGrid
+from repro.core.hist3 import Hist3
 from repro.jacc.backend import BackendError
 from repro.jacc.kernels import Kernel, make_captures
+from repro.jacc.serial import SerialBackend
 from repro.jacc.threads import ThreadsBackend
 
 
@@ -52,6 +55,50 @@ class TestReduction:
         k = Kernel(name="test_op", element=lambda ctx, i: 0.0)
         with pytest.raises(BackendError):
             be.parallel_reduce(4, k, make_captures(), op="median")
+
+
+def _two_hist_element(ctx, i):
+    c0, c1, c2 = ctx.coords[i]
+    w = ctx.w[i]
+    ctx.hist.push(c0, c1, c2, w, w * w)
+    ctx.twin.push(c1, c0, c2, 1.0 / w)
+    return w
+
+
+TWO_HISTS = Kernel(name="test_two_hists", element=_two_hist_element)
+
+
+class TestOrderedDeposits:
+    """More workers than cores, the GIL handed over every 50 us, float
+    weights piling into four bins: each bin must still get its adds in
+    the serial order, for ``parallel_for`` and ``parallel_reduce``."""
+
+    @pytest.mark.parametrize("workers", [3, 8])
+    @pytest.mark.parametrize("launch", ["for", "reduce"])
+    def test_histograms_equal_serial_bits(self, workers, launch,
+                                          fine_gil_switching):
+        grid = HKLGrid(basis=np.eye(3), minimum=(0.0, 0.0, 0.0),
+                       maximum=(1.0, 1.0, 1.0), bins=(2, 2, 1))
+        rng = np.random.default_rng(workers)
+        coords = rng.uniform(-0.1, 1.1, size=(4000, 3))  # some outside
+        w = rng.uniform(0.1, 2.0, size=4000)
+
+        def run(backend):
+            ctx = make_captures(hist=Hist3(grid, track_errors=True),
+                                twin=Hist3(grid), coords=coords, w=w)
+            if launch == "for":
+                backend.parallel_for(len(w), TWO_HISTS, ctx)
+            else:
+                assert backend.parallel_reduce(len(w), TWO_HISTS, ctx, op="max") == w.max()
+            return ctx.hist, ctx.twin
+
+        want = run(SerialBackend())
+        got = run(ThreadsBackend(n_workers=workers))
+        for a, b in zip(got, want):
+            assert np.array_equal(a.signal.view(np.int64), b.signal.view(np.int64))
+        assert np.array_equal(got[0].error_sq.view(np.int64),
+                              want[0].error_sq.view(np.int64))
+        assert got[1].error_sq is None
 
 
 class TestErrorPropagation:

@@ -496,14 +496,15 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
 
 
 def _trace_errors_as_one_line(prog: str, run, arg) -> int:
-    """``run(arg)``, with a :class:`~repro.util.trace.TraceError` (an
-    unreadable or invalid trace file) reported as one ``prog: message``
-    line on stderr and exit status 1 instead of a traceback."""
+    """``run(arg)``, with an unreadable path (an ``OSError``) or an
+    invalid trace file (a :class:`~repro.util.trace.TraceError`)
+    reported as one ``prog: message`` line on stderr and exit status 1
+    instead of a traceback."""
     from repro.util.trace import TraceError
 
     try:
         return run(arg)
-    except TraceError as exc:
+    except (OSError, TraceError) as exc:
         print(f"{prog}: {exc}", file=sys.stderr)
         return 1
 
@@ -518,9 +519,10 @@ def _trace_summary_parser() -> argparse.ArgumentParser:
         description="Summarize (or diff) previously written JSON-lines "
                     "trace files without running anything.",
     )
-    p.add_argument("files", nargs="*", metavar="TRACE_JSONL",
-                   help="trace files to summarize (WCT table + derived "
-                        "throughput + counters/gauges)")
+    p.add_argument("files", nargs="*", metavar="TRACE",
+                   help="trace files and/or directories of *.jsonl to "
+                        "report on (WCT table, kernels, shard fan-out, "
+                        "stealing, recovery, counters/gauges)")
     p.add_argument("--compare", nargs=2, metavar=("A_JSONL", "B_JSONL"),
                    default=None,
                    help="differential WCT + per-kernel throughput report "
@@ -545,12 +547,12 @@ def trace_summary_main(argv: Optional[List[str]] = None) -> int:
         print("repro trace summary: give trace files or --compare A B",
               file=sys.stderr)
         return 2
-    for i, path in enumerate(args.files):
+    for i, path in enumerate(_expand_trace_paths(args.files)):
         meta, records = trace_mod.load_file(path)
         if i:
             print()
         print(trace_mod.summary_from_records(
-            records, label=str(meta.get("label") or path)))
+            records, label=str(meta.get("label", ""))))
     return 0
 
 
@@ -563,17 +565,17 @@ def _expand_trace_paths(paths: List[str]) -> List[str]:
     ``*.jsonl`` members (the ``--out-dir`` / per-rank layout)."""
     import glob as _glob
 
+    from repro.util.trace import TraceError
+
     out: List[str] = []
     for p in paths:
         if os.path.isdir(p):
             members = sorted(_glob.glob(os.path.join(p, "*.jsonl")))
             if not members:
-                raise SystemExit(f"no *.jsonl trace files under {p}")
+                raise TraceError(f"{p}: no *.jsonl trace files")
             out.extend(members)
         else:
             out.append(p)
-    if not out:
-        raise SystemExit("no trace files given")
     return out
 
 
@@ -665,167 +667,23 @@ def trace_chrome_main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# repro perf
-# ---------------------------------------------------------------------------
-
-def _perf_add_workload_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workload", choices=("benzil", "bixbyite"),
-                   default="benzil",
-                   help="use case: Benzil/CORELLI or Bixbyite/TOPAZ")
-    p.add_argument("--scale", type=float, default=None,
-                   help="event/detector scale vs the paper "
-                        "(default REPRO_SCALE or 0.002)")
-    p.add_argument("--files", type=int, default=None,
-                   help="number of run files to synthesize/measure")
-
-
-def _perf_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro perf",
-        description="Kernel-level profiling: per-kernel throughput "
-                    "tables and roofline CSV.",
-    )
-    sub = p.add_subparsers(dest="cmd", required=True)
-
-    rep = sub.add_parser(
-        "report", help="per-kernel derived-throughput tables")
-    rep.add_argument("--trace", nargs="+", metavar="JSONL", default=None,
-                     help="roll up existing trace files instead of running "
-                          "a fresh panel")
-    _perf_add_workload_flags(rep)
-    rep.add_argument("--impl", choices=("core", "cpp", "minivates", "all"),
-                     default="all", help="implementation(s) to profile")
-    rep.add_argument("--backend", default=None, choices=available_backends(),
-                     help="jacc back end for --impl core")
-    _add_shard_flags(rep)
-    _add_oocore_flags(rep)
-
-    roof = sub.add_parser("roofline", help="write roofline-model CSV")
-    roof.add_argument("--trace", nargs="+", metavar="JSONL", default=None,
-                      help="roll up existing trace files instead of running")
-    _perf_add_workload_flags(roof)
-    roof.add_argument("--impl", choices=("core", "cpp", "minivates", "all"),
-                      default="all", help="implementation(s) to profile")
-    roof.add_argument("--backend", default=None,
-                      choices=available_backends(),
-                      help="jacc back end for --impl core")
-    roof.add_argument("--out", metavar="CSV", default="roofline.csv",
-                      help="output CSV path (per-source suffix with "
-                           "multiple sources)")
-    return p
-
-
-def _perf_models(args) -> List[tuple]:
-    """``(label, PerfModel, records)`` per requested source."""
-    from repro.util import trace as trace_mod
-    from repro.util.perf import PerfModel
-
-    if getattr(args, "trace", None):
-        out = []
-        for path in args.trace:
-            _, records = trace_mod.load_file(path)
-            out.append((path, PerfModel.from_records(records), records))
-        return out
-
-    make_spec = benzil_corelli if args.workload == "benzil" else bixbyite_topaz
-    spec = make_spec(scale=args.scale, n_files=args.files,
-                     chunk_events=getattr(args, "chunk_events", None))
-    print(spec.describe())
-    data = build_workload(spec)
-    impls = (("core", "cpp", "minivates") if args.impl == "all"
-             else (args.impl,))
-    out = []
-    for impl in impls:
-        tracer = trace_mod.Tracer(label=f"{args.workload}/{impl}")
-        with trace_mod.use_tracer(tracer):
-            _run_impl(impl, data,
-                      backend=args.backend if impl == "core" else None,
-                      shards=(getattr(args, "shards", None)
-                              if impl == "core" else None),
-                      memory_budget=(getattr(args, "memory_budget", None)
-                                     if impl == "core" else None),
-                      executor=(getattr(args, "executor", None)
-                                if impl == "core" else None))
-        out.append((impl, PerfModel.from_records(
-            tracer.records,
-            counters=tracer.counters,
-            gauges=tracer.gauges,
-        ), list(tracer.records)))
-    return out
-
-
-def perf_main(argv: Optional[List[str]] = None) -> int:
-    """``repro perf``: report / roofline."""
-    args = _perf_parser().parse_args(argv)
-    return _trace_errors_as_one_line(f"repro perf {args.cmd}", _perf_run,
-                                     args)
-
-
-def _perf_run(args) -> int:
-    if args.cmd == "report":
-        from repro.util.perf import (
-            shard_summary,
-            shard_table,
-            steal_summary,
-            steal_table,
-        )
-
-        models = _perf_models(args)
-        for i, (label, model, records) in enumerate(models):
-            if i or not getattr(args, "trace", None):
-                print()
-            print(model.table(title=f"{label}: per-kernel throughput"))
-            cw = model.cold_warm_summary()
-            if cw:
-                pairs = "  ".join(f"{k}={v:g}" for k, v in sorted(cw.items()))
-                print(f"  cold/warm: {pairs}")
-            shards_info = shard_summary(records)
-            if shards_info:
-                print(shard_table(
-                    shards_info, title=f"{label}: shard fan-out"))
-            steal_info = steal_summary(records)
-            if steal_info:
-                print(steal_table(
-                    steal_info, title=f"{label}: elastic stealing"))
-        return 0
-
-    if args.cmd == "roofline":
-        models = _perf_models(args)
-        for label, model, _records in models:
-            if len(models) == 1:
-                out = args.out
-            else:
-                root, ext = os.path.splitext(args.out)
-                safe = os.path.basename(label).replace(".", "_")
-                out = f"{root}_{safe}{ext or '.csv'}"
-            with open(out, "w") as fh:
-                fh.write(model.roofline_csv())
-            print(f"wrote {out} ({model.n_kernels} kernels)")
-        return 0
-
-    raise AssertionError(f"unhandled perf subcommand {args.cmd!r}")
-
-
 def repro_main(argv: Optional[List[str]] = None) -> int:
     """``repro <subcommand>``: the umbrella entry point.
 
     Subcommands: ``reduce`` (the classic ``repro-reduce`` CLI),
     ``trace`` (traced reduction + JSON-lines/Chrome export; ``trace
-    summary|merge|crit|chrome`` for offline summaries, the merged
-    campaign DAG, its critical path and a merged Perfetto export),
-    ``perf`` (kernel profiling report/roofline).
-    The benchmark is ``perfbench/run.py``.
+    summary|merge|crit|chrome`` for the offline trace report, the
+    merged campaign DAG, its critical path and a merged Perfetto
+    export).  The benchmark is ``perfbench/run.py``.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
-        print("usage: repro {reduce,trace,perf} [options]\n"
+        print("usage: repro {reduce,trace} [options]\n"
               "  reduce  run a reduction and print stage timings\n"
               "  trace   run a traced reduction and export the trace\n"
-              "          (trace summary|merge|crit|chrome: offline\n"
-              "          summaries, campaign-DAG merge, critical path,\n"
-              "          merged Perfetto export)\n"
-              "  perf    profile kernels (report|roofline)\n"
+              "          (trace summary|merge|crit|chrome: the offline\n"
+              "          trace report, campaign-DAG merge, critical\n"
+              "          path, merged Perfetto export)\n"
               "run `repro <subcommand> --help` for options")
         return 0 if argv else 2
     cmd, rest = argv[0], argv[1:]
@@ -833,9 +691,7 @@ def repro_main(argv: Optional[List[str]] = None) -> int:
         return main(rest)
     if cmd == "trace":
         return trace_main(rest)
-    if cmd == "perf":
-        return perf_main(rest)
-    print(f"repro: unknown subcommand {cmd!r} (expected reduce|trace|perf)",
+    print(f"repro: unknown subcommand {cmd!r} (expected reduce|trace)",
           file=sys.stderr)
     return 2
 

@@ -263,7 +263,7 @@ def bin_events(
             key = binmd_cache_key(hist.grid, transforms, events)
             entry = cache.get(key)
         op_span.set(cache_hit=entry is not None)
-        if tracer.profile:
+        if tracer.enabled:
             from repro.util.perf import binmd_work
 
             warm = {} if entry is None else dict(

@@ -434,11 +434,9 @@ def sorted_crossings_batch(
     if not tracer.enabled:
         return _fill_sorted(traj, grid, width, sort_impl)
 
-    attrs = {"kind": "phase", "rows": traj.n_rows, "width": int(width),
-             "sort_impl": sort_impl}
-    if tracer.profile:
-        from repro.util.perf import intersections_work
+    from repro.util.perf import intersections_work
 
-        attrs["perf"] = intersections_work(traj.n_rows, int(width))
-    with tracer.span("intersections.fill_sort", **attrs):
+    with tracer.span("intersections.fill_sort", kind="phase",
+                     rows=traj.n_rows, width=int(width), sort_impl=sort_impl,
+                     perf=intersections_work(traj.n_rows, int(width))):
         return _fill_sorted(traj, grid, width, sort_impl)

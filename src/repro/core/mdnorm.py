@@ -149,7 +149,7 @@ def max_intersections(
     captures = Captures(traj=trajectories, grid=grid)
     tracer = _trace.active_tracer()
     with tracer.span("mdnorm.prepass", kind="phase", backend=be.name) as sp:
-        if tracer.profile:
+        if tracer.enabled:
             from repro.util.perf import prepass_work
 
             sp.set(perf=prepass_work(dims[0]))
@@ -430,7 +430,7 @@ def _mdnorm_captures(
     warm_plan = bool(use_plan and entry.deposit is not None)
     if op_span is not None:
         op_span.set(width=int(width), warm_plan=warm_plan)
-        if _trace.active_tracer().profile:
+        if _trace.active_tracer().enabled:
             from repro.util.perf import mdnorm_work
 
             # charged for the live rows, the only ones the launch works on

@@ -485,7 +485,7 @@ def sharded_binmd(
         n_shards=int(ctx.n_ranges),
         out_of_core=ctx.lazy_events is not None,
     ) as op_span:
-        if tracer.profile:
+        if tracer.enabled:
             from repro.util.perf import binmd_work
 
             op_span.set(perf=binmd_work(

@@ -64,24 +64,22 @@ class Backend(ABC):
     # the paper's per-stage WCT tables are built from) and dispatches to
     # the engine-specific ``run_*`` implementations.
 
-    def _span_attrs(self, tracer: "_trace.Tracer",
-                    dims: int | Tuple[int, ...]) -> Dict[str, Any]:
+    def _span_attrs(self, dims: int | Tuple[int, ...]) -> Dict[str, Any]:
         """What a kernel span records: the engine, the body form it
-        ran and how many index-space elements the launch covered."""
+        ran, how many index-space elements the launch covered and
+        their cost-model work."""
+        from repro.util.perf import kernel_items
+
         shape = [int(d) for d in normalize_dims(dims)]
-        attrs: Dict[str, Any] = dict(
+        return dict(
             kind="kernel",
             backend=self.name,
             device_kind=self.device_kind,
             body=self.body,
             dims=shape,
             elements=math.prod(shape),
+            perf=kernel_items(shape),
         )
-        if tracer.profile:
-            from repro.util.perf import kernel_items
-
-            attrs["perf"] = kernel_items(shape)
-        return attrs
 
     def parallel_for(
         self, dims: int | Tuple[int, ...], kernel: Kernel, captures: Captures
@@ -91,7 +89,7 @@ class Backend(ABC):
         if not tracer.enabled:
             self.run_parallel_for(dims, kernel, captures)
             return
-        attrs = self._span_attrs(tracer, dims)
+        attrs = self._span_attrs(dims)
         with tracer.span(f"kernel:{kernel.name}", **attrs):
             self.run_parallel_for(dims, kernel, captures)
         tracer.count("jacc.launches", 1)
@@ -107,7 +105,7 @@ class Backend(ABC):
         tracer = _trace.active_tracer()
         if not tracer.enabled:
             return self.run_parallel_reduce(dims, kernel, captures, op)
-        attrs = self._span_attrs(tracer, dims)
+        attrs = self._span_attrs(dims)
         with tracer.span(f"kernel:{kernel.name}", op=op, **attrs):
             result = self.run_parallel_reduce(dims, kernel, captures, op)
         tracer.count("jacc.launches", 1)

@@ -511,7 +511,7 @@ class Dataset(_Node):
             raw = decode_chunk(enc, codec, self.dtype.itemsize, raw_nbytes,
                                self.name)
             tracer.count("h5lite.chunks_decoded", 1)
-            if tracer.profile:
+            if tracer.enabled:
                 from repro.util.perf import chunk_decode_work
 
                 sp.set(perf=chunk_decode_work(codec, stored, raw_nbytes))

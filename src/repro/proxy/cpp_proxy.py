@@ -69,7 +69,7 @@ def cpp_bin_md(
         n_ops=int(transforms.shape[0]),
         n_events=int(data.shape[0]),
     ) as op_span:
-        if tracer.profile:
+        if tracer.enabled:
             from repro.util.perf import binmd_work
 
             op_span.set(perf=binmd_work(
@@ -182,7 +182,7 @@ def cpp_md_norm(
         grid = hist.grid
         directions = trajectory_directions(transforms, det_directions).reshape(-1, 3)
         k_lo, k_hi = k_window(directions, grid, *momentum_band)
-        if tracer.profile:
+        if tracer.enabled:
             # exact crossing counts of the live rows via the vectorized
             # pre-pass's ranges (the same search MiniVATES runs; cheap
             # next to the per-row ROI loop below)

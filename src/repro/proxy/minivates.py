@@ -142,7 +142,7 @@ class MiniVatesWorkflow:
                 cache=cache,
                 recovery=cfg.recovery,
             )
-            if tracer.profile:
+            if tracer.enabled:
                 # device transfer accounting as a profiled span: the
                 # device ingests H2D bytes and emits D2H bytes, so the
                 # workflow's "GB/s" row is the realized PCIe-analogue

@@ -6,9 +6,11 @@ trace layer (:mod:`repro.util.trace`) only records *where* time goes.
 This module records *why*: every profiled span carries a ``perf``
 attribute (a dict of raw work quantities — events, trajectories,
 intersections, estimated bytes moved, estimated flops) and
-:class:`PerfModel` rolls the finished records up into a per-kernel
-throughput table, a roofline-style CSV, and cold/warm attribution from
-the geometry-cache flags the spans already carry (PR 1).
+:class:`PerfModel` rolls the finished records up into the one
+per-kernel table of ``repro trace summary``: launches, seconds, rates
+and the cold/warm split from the geometry-cache flags the spans
+already carry.  The shard fan-out and stealing rollups below feed the
+same report.
 
 Two invariants drive the design:
 
@@ -17,11 +19,9 @@ Two invariants drive the design:
   a trace file round-trips to the identical table, which is what lets
   ``repro trace summary --compare`` diff two backends offline;
 * **zero cost when off** — the instrumentation sites guard the *entire*
-  estimate computation on ``tracer.profile`` (False for
+  estimate computation on ``tracer.enabled`` (False for
   :class:`~repro.util.trace.NullTracer`), so with tracing disabled no
-  derived-metric arithmetic runs at all.  The profiler overhead bar
-  (< 5% over tracing-only) is enforced by
-  ``benchmarks/test_trace_overhead.py``.
+  derived-metric arithmetic runs at all.
 
 The byte/flop numbers are a documented *cost model*, not hardware
 counters (DESIGN.md section 6e): deterministic functions of the kernel
@@ -32,8 +32,6 @@ cross-backend attribution.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -278,10 +276,6 @@ class KernelStats:
     warm_seconds: float = 0.0
     work: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def key(self) -> Tuple[str, str]:
-        return (self.name, self.backend)
-
     def add(self, dur: float, perf: Dict[str, Any], warm: Optional[bool]) -> None:
         self.launches += 1
         self.seconds += float(dur)
@@ -321,32 +315,10 @@ class KernelStats:
         return self.bytes_total / self.seconds if self.seconds > 0.0 else 0.0
 
     @property
-    def flops_per_s(self) -> float:
-        return self.rate("flops")
-
-    @property
     def arithmetic_intensity(self) -> float:
         """Estimated flops per byte moved (the roofline x-axis)."""
         b = self.bytes_total
         return self.work.get("flops", 0.0) / b if b > 0.0 else 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "backend": self.backend,
-            "launches": self.launches,
-            "seconds": self.seconds,
-            "cold_launches": self.cold_launches,
-            "cold_seconds": self.cold_seconds,
-            "warm_launches": self.warm_launches,
-            "warm_seconds": self.warm_seconds,
-            "work": dict(sorted(self.work.items())),
-            "events_per_s": self.events_per_s,
-            "intersections_per_s": self.intersections_per_s,
-            "bytes_per_s": self.bytes_per_s,
-            "flops_per_s": self.flops_per_s,
-            "arithmetic_intensity": self.arithmetic_intensity,
-        }
 
 
 def _is_warm(attrs: Dict[str, Any]) -> Optional[bool]:
@@ -369,20 +341,10 @@ class PerfModel:
 
     def __init__(self) -> None:
         self.kernels: "OrderedDict[Tuple[str, str], KernelStats]" = OrderedDict()
-        self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
 
     # -- construction -----------------------------------------------------
     @classmethod
-    def from_records(
-        cls,
-        records: Sequence[Dict[str, Any]],
-        *,
-        counters: Optional[Dict[str, float]] = None,
-        gauges: Optional[Dict[str, float]] = None,
-    ) -> "PerfModel":
-        from repro.util.trace import counters_from_records, gauges_from_records
-
+    def from_records(cls, records: Sequence[Dict[str, Any]]) -> "PerfModel":
         model = cls()
         spans = [r for r in records if r.get("type", "span") == "span"
                  and isinstance(r.get("attrs"), dict)
@@ -401,21 +363,7 @@ class PerfModel:
         model.kernels = OrderedDict(
             sorted(model.kernels.items(), key=lambda kv: kv[0])
         )
-        model.counters = dict(
-            counters if counters is not None else counters_from_records(records)
-        )
-        model.gauges = dict(
-            gauges if gauges is not None else gauges_from_records(records)
-        )
         return model
-
-    @classmethod
-    def from_file(cls, path: str) -> "PerfModel":
-        """Roll up a written JSON-lines trace (one artifact, offline)."""
-        from repro.util.trace import load_file
-
-        _, records = load_file(path)
-        return cls.from_records(records)
 
     # -- inspection -------------------------------------------------------
     def rows(self) -> List[KernelStats]:
@@ -428,32 +376,10 @@ class PerfModel:
     def n_kernels(self) -> int:
         return len(self.kernels)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "kernels": [k.as_dict() for k in self.rows()],
-            "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-        }
-
-    # -- cold/warm attribution -------------------------------------------
-    def cold_warm_summary(self) -> Dict[str, float]:
-        """Cache-attributed totals: cold vs warm launch seconds plus the
-        PR 1 geometry-cache counters carried by the trace."""
-        out: Dict[str, float] = {
-            "cold_seconds": sum(k.cold_seconds for k in self.rows()),
-            "warm_seconds": sum(k.warm_seconds for k in self.rows()),
-            "cold_launches": float(sum(k.cold_launches for k in self.rows())),
-            "warm_launches": float(sum(k.warm_launches for k in self.rows())),
-        }
-        for name, value in self.counters.items():
-            if name.startswith(("geom_cache.", "cache.")):
-                out[name] = float(value)
-        return out
-
     # -- renderers --------------------------------------------------------
-    def table(self, *, title: str = "per-kernel throughput") -> str:
+    def table(self) -> str:
         """The paper-style per-kernel throughput table (plain text)."""
-        lines = [f"-- {title}"]
+        lines = ["-- kernels"]
         header = (f"  {'kernel':<28s} {'backend':<11s} {'n':>5s} "
                   f"{'seconds':>10s} {'events/s':>12s} {'trajs/s':>12s} "
                   f"{'isects/s':>12s} {'GB/s':>8s} {'AI':>7s} "
@@ -477,32 +403,6 @@ class PerfModel:
         if not self.kernels:
             lines.append("  (no profiled spans in this trace)")
         return "\n".join(lines)
-
-    def roofline_csv(self) -> str:
-        """Roofline-style CSV (no plotting dependency): one row per
-        kernel with estimated arithmetic intensity (flops/byte, the
-        x-axis) and achieved flops/s (the y-axis)."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([
-            "kernel", "backend", "launches", "seconds", "flops",
-            "bytes_read", "bytes_written", "arithmetic_intensity",
-            "flops_per_s", "bytes_per_s", "events_per_s",
-            "intersections_per_s",
-        ])
-        for k in self.rows():
-            writer.writerow([
-                k.name, k.backend, k.launches, f"{k.seconds:.9f}",
-                f"{k.work.get('flops', 0.0):.6g}",
-                f"{k.work.get('bytes_read', 0.0):.6g}",
-                f"{k.work.get('bytes_written', 0.0):.6g}",
-                f"{k.arithmetic_intensity:.6g}",
-                f"{k.flops_per_s:.6g}",
-                f"{k.bytes_per_s:.6g}",
-                f"{k.events_per_s:.6g}",
-                f"{k.intersections_per_s:.6g}",
-            ])
-        return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +461,9 @@ def shard_summary(records: Sequence[Dict[str, Any]]) -> Dict[str, Dict[str, floa
     return dict(sorted(out.items()))
 
 
-def shard_table(summary: Dict[str, Dict[str, float]],
-                *, title: str = "shard fan-out") -> str:
-    """Plain-text table of :func:`shard_summary` (``repro perf report``)."""
-    lines = [f"-- {title}"]
+def shard_table(summary: Dict[str, Dict[str, float]]) -> str:
+    """Plain-text table of :func:`shard_summary` (``repro trace summary``)."""
+    lines = ["-- shard fan-out"]
     if not summary:
         lines.append("  (no shard fan-out spans in this trace)")
         return "\n".join(lines)
@@ -623,10 +522,9 @@ def steal_summary(records: Sequence[Dict[str, Any]]) -> Dict[int, Dict[str, floa
     return dict(sorted(out.items()))
 
 
-def steal_table(summary: Dict[int, Dict[str, float]],
-                *, title: str = "elastic stealing") -> str:
-    """Plain-text table of :func:`steal_summary` (``repro perf report``)."""
-    lines = [f"-- {title}"]
+def steal_table(summary: Dict[int, Dict[str, float]]) -> str:
+    """Plain-text table of :func:`steal_summary` (``repro trace summary``)."""
+    lines = ["-- elastic stealing"]
     if not summary:
         lines.append("  (no stealing-executor spans in this trace)")
         return "\n".join(lines)

@@ -50,8 +50,8 @@ or read:
 * metrics — ``{"type": "metrics", "counters": {...}, "gauges": {...}}``,
   the one record that carries every counter and gauge, written last
   and once per file (only in the ``main`` file of a
-  :meth:`Tracer.write_jsonl_dir` directory), so the summary and perf
-  report need only one artifact
+  :meth:`Tracer.write_jsonl_dir` directory), so the summary needs
+  only one artifact
 
 The span and link records form the **cross-process causal layer**:
 every span carries a globally unique ``uid``
@@ -71,7 +71,7 @@ included) with a :class:`TraceError` naming the version found and the
 one expected: re-record the trace.  The CI trace-smoke job runs
 :func:`validate_file` on every push.  Profiled spans additionally
 carry a ``perf`` attribute (raw work quantities) consumed by
-:mod:`repro.util.perf` — attached only when :attr:`Tracer.profile` is
+:mod:`repro.util.perf` — attached only when :attr:`Tracer.enabled` is
 true, which is never the case for :class:`NullTracer` (zero derived-
 metric work with tracing off).
 """
@@ -257,15 +257,10 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, label: str = "", profile: bool = True, *,
+    def __init__(self, label: str = "", *,
                  campaign_id: Optional[str] = None,
                  uid_ns: Optional[str] = None) -> None:
         self.label = label
-        #: when true, instrumentation sites attach derived-metric work
-        #: dicts (``perf`` span attrs) for :mod:`repro.util.perf`.  A
-        #: :class:`NullTracer` forces this to False, so with tracing
-        #: off *no* derived-metric arithmetic runs at all.
-        self.profile = bool(profile) and self.enabled
         #: the campaign this trace belongs to — every participant of
         #: one campaign (its ranks) shares it
         self.campaign_id = campaign_id or new_campaign_id(label)
@@ -507,11 +502,13 @@ class Tracer:
         """Write a ``chrome://tracing`` / Perfetto JSON file."""
         return write_chrome_trace(path, [(self._meta(), self.records)])
 
-    def summary(self, per_rank: bool = True) -> str:
-        """Paper-style WCT table derived from the spans alone."""
+    def summary(self) -> str:
+        """The trace report (:func:`summary_from_records`) of the
+        records so far; ``repro trace summary`` prints the same text
+        from the written file."""
         return summary_from_records(
             self.records, counters=self.counters, gauges=self.gauges,
-            label=self.label, per_rank=per_rank,
+            label=self.label,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -955,22 +952,6 @@ def stage_totals(
     return out
 
 
-def kernel_totals(
-    records: Sequence[Dict[str, Any]],
-) -> "OrderedDict[str, Dict[str, float]]":
-    """Aggregate per-kernel launch spans (``kernel:*``) by name/backend."""
-    out: "OrderedDict[str, Dict[str, float]]" = OrderedDict()
-    for rec in iter_spans(records):
-        if not rec["name"].startswith("kernel:"):
-            continue
-        backend = rec.get("attrs", {}).get("backend", "?")
-        key = f"{rec['name']} [{backend}]"
-        slot = out.setdefault(key, {"seconds": 0.0, "launches": 0})
-        slot["seconds"] += rec["dur"]
-        slot["launches"] += 1
-    return out
-
-
 #: counter prefixes that make up the recovery story of a trace
 RECOVERY_COUNTER_PREFIXES = (
     "fault.injected", "retry.attempt", "retry.exhausted",
@@ -1014,19 +995,29 @@ def summary_from_records(
     counters: Optional[Dict[str, float]] = None,
     gauges: Optional[Dict[str, float]] = None,
     label: str = "",
-    per_rank: bool = True,
 ) -> str:
-    """The paper-style WCT table, reproduced from the trace alone.
+    """The trace report: the paper-style WCT table and its breakdowns,
+    reproduced from the trace alone.
 
     One block of UpdateEvents / MDNorm / BinMD / MDNorm + BinMD / Total
     rows (total, calls, first call, warm remainder) for the whole trace
     and — when the trace carries rank-attributed spans — one per rank,
-    followed by per-kernel launch totals, a derived-throughput block
-    (when the trace carries profiled spans), and the counter/gauge
-    tables.  Counters/gauges default to the totals embedded in the
-    records themselves (the file's ``metrics`` record), so a written
-    trace file is a complete artifact on its own.
+    then the one per-kernel table (:class:`~repro.util.perf.PerfModel`:
+    launches, seconds, rates and cold/warm seconds per span and back
+    end), then the shard fan-out, stealing and recovery blocks — each
+    only when the trace has their spans or counters — and the
+    counter/gauge tables.  Counters/gauges default to the totals
+    embedded in the records themselves (the file's ``metrics``
+    record), so a written trace file is a complete artifact on its own.
     """
+    # lazy: perf imports helpers from this module
+    from repro.util.perf import (
+        PerfModel,
+        shard_summary,
+        shard_table,
+        steal_summary,
+        steal_table,
+    )
     from repro.util.timers import CANONICAL_STAGES
 
     if counters is None:
@@ -1068,24 +1059,18 @@ def summary_from_records(
     block("all ranks", None)
     ranks = sorted({r["rank"] for r in iter_spans(records)
                     if r.get("rank") is not None})
-    if per_rank and len(ranks) > 0:
-        for rank in ranks:
-            block(f"rank {rank}", rank)
+    for rank in ranks:
+        block(f"rank {rank}", rank)
 
-    kernels = kernel_totals(records)
-    if kernels:
-        lines.append("-- kernel launches")
-        for key, slot in sorted(kernels.items(),
-                                key=lambda kv: -kv[1]["seconds"]):
-            lines.append(f"  {key:<40s} {slot['seconds']:12.4f} s "
-                         f"x{slot['launches']}")
-    # derived throughput (profiled spans only; lazy import — perf
-    # imports helpers from this module)
-    from repro.util.perf import PerfModel
-
-    model = PerfModel.from_records(records, counters=counters, gauges=gauges)
+    model = PerfModel.from_records(records)
     if model.n_kernels:
-        lines.append(model.table(title="derived throughput"))
+        lines.append(model.table())
+    shards = shard_summary(records)
+    if shards:
+        lines.append(shard_table(shards))
+    steals = steal_summary(records)
+    if steals:
+        lines.append(steal_table(steals))
     recovery = recovery_summary(records, counters=counters)
     if recovery:
         lines.append("-- recovery")

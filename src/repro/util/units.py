@@ -2,9 +2,9 @@
 
 One implementation of the ``64K`` / ``2M`` / ``1G`` size grammar for
 every surface that accepts a byte budget — the out-of-core
-``--memory-budget`` flag of ``repro trace`` and ``repro perf``.  Binary
-multipliers (K = 1024) match the tile manager's accounting; an optional
-trailing ``B`` is tolerated (``64KB`` == ``64K``).
+``--memory-budget`` flag of ``repro trace``.  Binary multipliers
+(K = 1024) match the tile manager's accounting; an optional trailing
+``B`` is tolerated (``64KB`` == ``64K``).
 """
 
 from __future__ import annotations

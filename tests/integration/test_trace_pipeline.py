@@ -418,3 +418,75 @@ class TestExportedFile:
         for row in ("UpdateEvents", "MDNorm", "BinMD", "MDNorm + BinMD",
                     "Total", "kernel:"):
             assert row in text
+
+
+class TestOneReport:
+    """``tracer.summary()`` is the one trace report: the shard fan-out
+    and stealing blocks appear exactly when the trace has their spans,
+    and ``repro trace summary FILE`` prints the same text offline."""
+
+    @staticmethod
+    def _report(exp, tmp_path, capsys, ranks=1, **config):
+        from repro.cli import repro_main
+
+        tracer = Tracer(label="report")
+        wf = _core_workflow(exp, backend=None)
+        for name, value in config.items():
+            setattr(wf.config, name, value)
+        with use_tracer(tracer):
+            run_world(ranks, lambda comm: wf.run(comm))
+        live = tracer.summary()
+        path = str(tmp_path / "t.jsonl")
+        tracer.write_jsonl(path)
+        assert repro_main(["trace", "summary", path]) == 0
+        assert capsys.readouterr().out == live + "\n"
+        return live
+
+    def test_unsharded_trace_prints_neither_block(self, tiny_experiment,
+                                                  tmp_path, capsys):
+        text = self._report(tiny_experiment, tmp_path, capsys)
+        assert "-- kernels" in text
+        assert "-- shard fan-out" not in text
+        assert "-- elastic stealing" not in text
+        assert "-- kernel launches" not in text
+
+    def test_static_shards_print_the_fanout_block(self, tiny_experiment,
+                                                  tmp_path, capsys):
+        text = self._report(tiny_experiment, tmp_path, capsys, shards=3)
+        block = text.split("-- shard fan-out\n")[1].split("\n-- ")[0]
+        rows = {line.split()[0]: line.split()
+                for line in block.splitlines()[1:]}
+        assert sorted(rows) == ["binmd", "mdnorm"]
+        for row in rows.values():
+            # one fan-out per run, each cut into 3 shard tasks
+            assert row[1:3] == ["3", "9"] and row[-1] == "3", row
+        assert "-- elastic stealing" not in text
+
+    def test_stealing_prints_the_stealing_block(self, tiny_experiment,
+                                                tmp_path, capsys):
+        text = self._report(tiny_experiment, tmp_path, capsys, ranks=2,
+                            executor="stealing")
+        block = text.split("-- elastic stealing\n")[1].split("\n-- ")[0]
+        assert [line.split()[0] for line in block.splitlines()[1:]] == [
+            "0", "1"]
+        assert "-- shard fan-out" not in text
+
+    def test_summary_expands_a_trace_directory(self, tiny_experiment,
+                                              tmp_path, capsys):
+        """A ``--out-dir`` directory reports each of its per-rank files,
+        in name order."""
+        from repro.cli import repro_main
+        from repro.util.trace import load_file, summary_from_records
+
+        tracer = Tracer(label="dir")
+        wf = _core_workflow(tiny_experiment)
+        with use_tracer(tracer):
+            run_world(2, lambda comm: wf.run(comm))
+        traces = str(tmp_path / "traces")
+        paths = tracer.write_jsonl_dir(traces)
+        assert len(paths) == 3  # main, rank0, rank1
+        assert repro_main(["trace", "summary", traces]) == 0
+        want = "\n\n".join(
+            summary_from_records(load_file(p)[1], label="dir")
+            for p in sorted(paths))
+        assert capsys.readouterr().out == want + "\n"

@@ -102,7 +102,7 @@ class TestCppMdNorm:
         from repro.util.trace import Tracer, use_tracer
 
         dets = self._dets(rng)
-        tracer = Tracer(profile=True)
+        tracer = Tracer()
         with use_tracer(tracer):
             cpp_md_norm(Hist3(grid), OPS, dets, np.ones(40), flux, BAND,
                         n_threads=1)

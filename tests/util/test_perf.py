@@ -1,13 +1,11 @@
 """The kernel-level performance model (PR 4 tentpole 1).
 
 Locks down the cost model's arithmetic, the determinism of the
-:class:`~repro.util.perf.PerfModel` rollup, the roofline CSV schema,
-and the "derived purely from the trace" invariant: rolling up a
-written JSON-lines file reproduces the live rollup bit for bit.
+:class:`~repro.util.perf.PerfModel` rollup, and the "derived purely
+from the trace" invariant: ``repro trace summary`` of a written
+JSON-lines file prints exactly the live ``tracer.summary()``.
 """
 
-import csv
-import io
 import random
 
 import pytest
@@ -112,7 +110,7 @@ class TestWorkFunctions:
         dets /= np.linalg.norm(dets, axis=1, keepdims=True)
         flux = FluxSpectrum(momentum=np.linspace(1.0, 12.0, 32),
                             density=np.ones(32))
-        tracer = Tracer(profile=True)
+        tracer = Tracer()
         with use_tracer(tracer):
             mdnorm(Hist3(grid), np.eye(3)[None], dets, np.ones(40), flux,
                    (2.0, 9.0), backend="vectorized", cache=DISABLED)
@@ -223,8 +221,6 @@ class TestPerfModel:
         assert bd.warm_launches == 6
         assert md.trajectories_per_s > 0
         assert bd.events_per_s > 0
-        assert model.counters["geom_cache.hit"] == 4.0
-        assert model.gauges["minivates.bytes_h2d"] == 123.0
 
     def test_rates_are_work_over_seconds(self):
         model = PerfModel.from_records(_synthetic_records())
@@ -237,20 +233,26 @@ class TestPerfModel:
         )
 
     def test_rollup_deterministic_over_50_shuffles(self):
-        base = PerfModel.from_records(_synthetic_records()).as_dict()
+        base = PerfModel.from_records(_synthetic_records()).rows()
         records = _synthetic_records()
         for seed in range(50):
             shuffled = list(records)
             random.Random(seed).shuffle(shuffled)
-            assert PerfModel.from_records(shuffled).as_dict() == base
+            assert PerfModel.from_records(shuffled).rows() == base
 
     def test_cold_warm_summary(self):
+        """Every launch is either cold or warm, and the split is in the
+        table's ``cold s`` and ``warm s`` columns."""
         model = PerfModel.from_records(_synthetic_records())
-        cw = model.cold_warm_summary()
-        assert cw["cold_launches"] + cw["warm_launches"] == 24.0
-        assert cw["geom_cache.hit"] == 4.0
-        assert "binmd.events" not in cw  # not a cache counter
-        assert cw["cold_seconds"] > 0.0 and cw["warm_seconds"] > 0.0
+        for k in model.rows():
+            assert k.cold_launches + k.warm_launches == k.launches == 12
+            assert k.cold_seconds > 0.0 and k.warm_seconds > 0.0
+            assert k.cold_seconds + k.warm_seconds == pytest.approx(k.seconds)
+        rows = {line.split()[0]: line.split()
+                for line in model.table().splitlines()[2:]}
+        for k in model.rows():
+            assert rows[k.name][-2:] == [f"{k.cold_seconds:.4f}",
+                                         f"{k.warm_seconds:.4f}"]
 
     def test_table_renders_every_kernel(self):
         model = PerfModel.from_records(_synthetic_records())
@@ -260,7 +262,7 @@ class TestPerfModel:
 
     def test_items_only_row_prints_dash_not_zero(self):
         # a jacc kernel span carries only ``items``: no byte count, so
-        # its GB/s and AI cells are "-" (the CSV stays numeric)
+        # its GB/s and AI cells are "-"
         records = _synthetic_records() + [_span(
             "kernel:bin_events", 10_000, 0.004,
             {"backend": "vectorized", "perf": kernel_items((128,))},
@@ -271,35 +273,11 @@ class TestPerfModel:
         gbs, ai = rows["kernel:bin_events"][7:9]
         assert (gbs, ai) == ("-", "-")
         assert rows["binmd"][7] != "-" and float(rows["binmd"][7]) > 0.0
-        csv_rows = {r["kernel"]: r for r in
-                    csv.DictReader(io.StringIO(model.roofline_csv()))}
-        assert float(csv_rows["kernel:bin_events"]["bytes_per_s"]) == 0.0
-        assert float(
-            csv_rows["kernel:bin_events"]["arithmetic_intensity"]) == 0.0
 
     def test_empty_model(self):
         model = PerfModel.from_records([])
         assert model.n_kernels == 0
         assert "(no profiled spans" in model.table()
-        assert model.roofline_csv().count("\n") == 1  # header only
-
-
-class TestRooflineCsv:
-    def test_schema_round_trip(self):
-        model = PerfModel.from_records(_synthetic_records())
-        rows = list(csv.DictReader(io.StringIO(model.roofline_csv())))
-        assert len(rows) == model.n_kernels
-        for row, k in zip(rows, model.rows()):
-            assert row["kernel"] == k.name
-            assert row["backend"] == k.backend
-            assert int(row["launches"]) == k.launches
-            assert float(row["seconds"]) == pytest.approx(k.seconds)
-            assert float(row["arithmetic_intensity"]) == pytest.approx(
-                k.arithmetic_intensity, rel=1e-5
-            )
-            assert float(row["flops_per_s"]) == pytest.approx(
-                k.flops_per_s, rel=1e-5
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +285,12 @@ class TestRooflineCsv:
 # ---------------------------------------------------------------------------
 
 class TestOfflineRecompute:
-    def test_written_file_reproduces_live_rollup(self, tmp_path):
+    def test_written_file_reproduces_live_rollup(self, tmp_path, capsys):
+        """``repro trace summary FILE`` prints exactly the live
+        ``tracer.summary()``: kernel rows, cold/warm split, counters
+        and gauges all come back from the file alone."""
+        from repro.cli import repro_main
+
         tracer = trace_mod.Tracer(label="perf-offline")
         with trace_mod.use_tracer(tracer):
             for i in range(4):
@@ -321,15 +304,12 @@ class TestOfflineRecompute:
                     pass
             tracer.count("geom_cache.hit", 3)
             tracer.gauge("minivates.bytes_h2d", 42.0)
-        live = PerfModel.from_records(
-            tracer.records, counters=tracer.counters, gauges=tracer.gauges
-        )
+        live = tracer.summary()
+        assert "-- kernels" in live and "geom_cache.hit" in live
         path = str(tmp_path / "t.jsonl")
         tracer.write_jsonl(path)
-        offline = PerfModel.from_file(path)
-        assert offline.as_dict() == live.as_dict()
-        assert offline.table() == live.table()
-        assert offline.roofline_csv() == live.roofline_csv()
+        assert repro_main(["trace", "summary", path]) == 0
+        assert capsys.readouterr().out == live + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from repro.util.trace import (
     Tracer,
     counters_from_records,
     gauges_from_records,
-    kernel_totals,
     load_file,
     stage_timings_from_records,
     stage_totals,
@@ -481,34 +480,28 @@ class TestSchemaRefusal:
     version found and the one expected."""
 
     @pytest.mark.parametrize("reader", ["load_file", "validate_file",
-                                        "merge_files", "PerfModel"])
+                                        "merge_files"])
     @pytest.mark.parametrize("found", [1, 3, None])
     def test_readers_refuse_old_schemas(self, tmp_path, reader, found):
-        from repro.util.perf import PerfModel
         from repro.util.tracedag import merge_files
 
         read = {"load_file": load_file, "validate_file": validate_file,
-                "merge_files": lambda p: merge_files([p]),
-                "PerfModel": PerfModel.from_file}[reader]
+                "merge_files": lambda p: merge_files([p])}[reader]
         path = _old_trace_files(tmp_path)[found]
         with pytest.raises(TraceError) as exc:
             read(path)
         assert _refusal(found) in str(exc.value)
 
-    @pytest.mark.parametrize("cmd", ["merge", "chrome", "summary", "crit",
-                                     "perf-report", "perf-roofline"])
+    @pytest.mark.parametrize("cmd", ["merge", "chrome", "summary", "crit"])
     def test_cli_refuses_old_schemas(self, tmp_path, cmd, capsys):
-        """``repro trace merge|chrome|summary|crit`` and ``repro perf
-        --trace`` exit nonzero on every old file with one stderr line
-        naming both schemas, not a traceback; the schema-1 case runs as
-        a real process."""
+        """``repro trace merge|chrome|summary|crit`` exit nonzero on
+        every old file with one stderr line naming both schemas, not a
+        traceback; the schema-1 case runs as a real process."""
         from repro.cli import repro_main
 
         paths = _old_trace_files(tmp_path)
         out = str(tmp_path / "out")
         argv = {"chrome": ["trace", "chrome", "--out", out],
-                "perf-report": ["perf", "report", "--trace"],
-                "perf-roofline": ["perf", "roofline", "--out", out, "--trace"],
                 }.get(cmd, ["trace", cmd])
         prefix = f"repro {argv[0]} {argv[1]}: "
         for found in (3, None):
@@ -575,17 +568,52 @@ class TestChromeExport:
         assert sorted(rows) == [(pid, 0) for pid in sorted(procs)]
 
 
+class TestUnreadablePaths:
+    """Every offline ``repro trace`` reader reports a missing file, or
+    a directory holding no trace, as one ``prog: message`` line with
+    exit status 1 and writes nothing."""
+
+    @pytest.mark.parametrize("what", ["missing", "directory"])
+    @pytest.mark.parametrize("cmd", ["summary", "merge", "crit", "chrome"])
+    def test_one_line_error(self, tmp_path, cmd, what, capsys):
+        from repro.cli import repro_main
+
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        path = str(tmp_path / "nope.jsonl") if what == "missing" else str(empty)
+        out = tmp_path / "out.json"
+        extra = ["--out", str(out)] if cmd in ("merge", "chrome") else []
+        assert repro_main(["trace", cmd, *extra, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro trace {cmd}: "), captured.err
+        assert captured.err.count("\n") == 1 and path in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+        assert list(empty.iterdir()) == []
+
+
 class TestSummary:
     def test_kernel_totals_aggregation(self):
+        """``kernel:*`` launch spans aggregate into rows of the one
+        kernel table, one per (span, back end), with their launch
+        counts; there is no second kernel block."""
+        from repro.util.perf import kernel_items
+
         tracer = Tracer()
         for _ in range(3):
-            with tracer.span("kernel:mdnorm", kind="kernel", backend="serial"):
+            with tracer.span("kernel:mdnorm", kind="kernel", backend="serial",
+                             perf=kernel_items((4,))):
                 pass
-        with tracer.span("kernel:bin_events", kind="kernel", backend="threads"):
+        with tracer.span("kernel:bin_events", kind="kernel",
+                         backend="threads", perf=kernel_items((4,))):
             pass
-        totals = kernel_totals(tracer.records)
-        assert totals["kernel:mdnorm [serial]"]["launches"] == 3
-        assert totals["kernel:bin_events [threads]"]["launches"] == 1
+        text = tracer.summary()
+        assert "-- kernel launches" not in text
+        rows = {tuple(line.split()[:2]): line.split()
+                for line in text.split("-- kernels\n")[1].splitlines()[1:]}
+        assert rows[("kernel:mdnorm", "serial")][2] == "3"
+        assert rows[("kernel:bin_events", "threads")][2] == "1"
 
     def test_summary_reproduces_wct_rows(self):
         tracer = Tracer(label="wct")

@@ -9,10 +9,12 @@ Both kernel forms are provided through one :class:`~repro.jacc.Kernel`:
 
 * ``element`` — the per-(op, event) body run by the CPU back ends,
   a line-for-line analogue of Listing 3's lambda;
-* ``batch`` — the device realization: per tile, a transform under
-  every op that rejects lanes axis by axis, thinnest grid axis first
-  (computed once per distinct transform row), then one scatter-add of
-  every in-grid lane of the launch.
+* ``batch`` — the device realization: the run is read as column
+  windows (tiles or ``--shards`` ranges in memory, budget-capped
+  windows out of core), several windows are each cut to their slab
+  candidates, and one transform under every op rejects lanes axis by
+  axis, thinnest grid axis first (computed once per distinct transform
+  row), then one scatter-add deposits every in-grid lane of the launch.
 
 Mantid's production BinMD walks an adaptive MDBox hierarchy; the paper
 deliberately captures "the simple computational complexities" with a
@@ -25,7 +27,7 @@ those are fully transformed, deposited and cached.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from repro.core.geom_cache import BinMDEntry, GeomCache
 from repro.core.hist3 import Hist3
 from repro.jacc import parallel_for, resolve_backend
 from repro.jacc.kernels import Captures, Kernel
+from repro.mpi.decomposition import lazy_table_ranges, shard_ranges
 from repro.nexus.events import (
     BINMD_COLUMNS,
     COL_QX,
@@ -41,10 +44,12 @@ from repro.nexus.events import (
     WEIGHT_COLUMNS,
     EventTable,
 )
+from repro.nexus.tiles import LazyEventTable
 from repro.util import trace as _trace
 from repro.util.validation import require
 
-#: events per device tile; bounds the (tile, 3) coordinate scratch
+#: events per window of an in-memory run; bounds the per-window
+#: thin-axis product scratch
 DEFAULT_TILE = 1 << 18
 
 
@@ -69,8 +74,8 @@ def _index_dtype(n_bins: int, n_events: int) -> type:
     return np.int32 if max(n_bins, n_events) <= _INT32_MAX else np.int64
 
 
-def _event_count(events: EventTable | np.ndarray) -> int:
-    if isinstance(events, EventTable):
+def _event_count(events: EventTable | LazyEventTable | np.ndarray) -> int:
+    if isinstance(events, (EventTable, LazyEventTable)):
         return events.n_events
     return int(np.asarray(events).shape[0])
 
@@ -121,68 +126,147 @@ def binmd_cache_key(grid, transforms: np.ndarray,
     return GeomCache.binmd_key(grid, np.asarray(transforms, dtype=np.float64), q)
 
 
+class ColumnWindows(NamedTuple):
+    """A run as ascending, contiguous event windows: ``ranges`` holds
+    ``(start, stop)`` per window, from 0 to the run's event count, and
+    ``read(s, start, stop)`` returns BinMD's columns of window ``s``
+    (the :func:`binmd_columns` slots, Q unit-stride or not)."""
+
+    ranges: Sequence[Tuple[int, int]]
+    read: Callable[[int, int, int], Tuple[Optional[np.ndarray], ...]]
+
+
+def column_windows(events: EventTable | LazyEventTable | np.ndarray,
+                   ranges: Sequence[Tuple[int, int]],
+                   reads: tuple[int, ...] = BINMD_COLUMNS) -> ColumnWindows:
+    """``ranges`` of a table as :class:`ColumnWindows`: views of an
+    in-memory table's columns (``reads`` as in :func:`binmd_columns`),
+    or a lazy table's :meth:`~repro.nexus.tiles.LazyEventTable.binmd_window`
+    reads, each decoding only the chunks of its own window."""
+    if isinstance(events, LazyEventTable):
+        def read(s: int, a: int, b: int) -> Tuple[np.ndarray, ...]:
+            return events.binmd_window(a, b)
+    else:
+        columns = binmd_columns(events, reads)
+
+        def read(s: int, a: int, b: int) -> Tuple[Optional[np.ndarray], ...]:
+            return tuple(None if c is None else c[a:b] for c in columns)
+    return ColumnWindows(list(ranges), read)
+
+
+def run_windows(events: EventTable | LazyEventTable | np.ndarray,
+                n_windows: int = 1,
+                tile: int = DEFAULT_TILE) -> List[Tuple[int, int]]:
+    """The event windows a launch reads a run in: a lazy table's
+    chunk-aligned, budget-capped windows for ``n_windows`` shards
+    (:func:`~repro.mpi.decomposition.lazy_table_ranges`); in memory,
+    ``n_windows`` equal event ranges, none longer than ``tile``
+    events when ``n_windows`` is 1."""
+    if isinstance(events, LazyEventTable):
+        return lazy_table_ranges(events, n_windows)
+    n = _event_count(events)
+    if n_windows == 1:
+        return [(a, min(a + tile, n)) for a in range(0, n, tile)] or [(0, 0)]
+    return shard_ranges(n, n_windows)
+
+
+def _unit_stride(q: List[np.ndarray], n_ops: int) -> List[np.ndarray]:
+    """Strided Q columns (a row-major table) cost a full row read each;
+    copy them once when several ops read them."""
+    if n_ops > 1 and q[0].strides[0] != q[0].itemsize:
+        return [np.ascontiguousarray(col) for col in q]
+    return q
+
+
+def _slab_candidates(grid, transforms: np.ndarray, windows: ColumnWindows,
+                     track_errors: bool) -> tuple:
+    """The lanes a cold launch bins, as ``(start, event, signal,
+    error_sq, q)``.
+
+    One window is binned whole: ``event`` is None and lane ``i`` is
+    event ``start + i``.  Several windows are read one at a time and
+    each keeps only its slab candidates
+    (:meth:`HKLGrid.slab_candidates`), a superset of every op's inside
+    lanes; the candidates of all windows are concatenated in ascending
+    event order, ``event`` holding each one's event index.  Every lane
+    is binned by the same element-wise expressions either way, so the
+    op-major pairs, and the deposit, do not depend on the windows."""
+    n_ops = len(transforms)
+    if len(windows.ranges) == 1:
+        (a, b), = windows.ranges
+        signal, error_sq, *q = windows.read(0, a, b)
+        return a, None, signal, error_sq, _unit_stride(q, n_ops)
+    parts = []
+    for s, (a, b) in enumerate(windows.ranges):
+        signal, error_sq, *q = windows.read(s, a, b)
+        q = _unit_stride(q, n_ops)
+        keep = grid.slab_candidates(transforms, *q)
+        parts.append((keep + a, signal[keep],
+                      error_sq[keep] if track_errors else None,
+                      *(col[keep] for col in q)))
+    event, signal, error_sq, *q = (
+        None if part[0] is None else np.concatenate(part)
+        for part in zip(*parts))
+    _trace.active_tracer().count("binmd.slab_candidates", int(event.size))
+    return 0, event, signal, error_sq, q
+
+
 def _in_grid_pairs(
-    grid, transforms: np.ndarray, qx: np.ndarray, qy: np.ndarray,
-    qz: np.ndarray, tile: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    grid, transforms: np.ndarray, windows: ColumnWindows, track_errors: bool,
+) -> tuple:
     """The ``(flat, event)`` pairs of every in-grid (op, event) lane,
     op-major and in ascending event order within an op: the deposit
-    order of the element body.  The third array holds the ``n_ops + 1``
-    offsets of each op's pairs."""
-    n_events = qx.shape[0]
+    order of the element body.  Returns ``(flat, event, op_ptr,
+    weights, err_sq)``: ``op_ptr`` holds the ``n_ops + 1`` offsets of
+    each op's pairs, ``weights`` and ``err_sq`` each pair's signal and
+    error_sq (``err_sq`` None unless ``track_errors``)."""
+    n_events = windows.ranges[-1][1]
     dtype = _index_dtype(grid.n_bins_total, n_events)
-    flats = [[] for _ in transforms]
-    lanes = [[] for _ in transforms]
-    for start in range(0, n_events, tile):
-        q = [col[start : start + tile] for col in (qx, qy, qz)]
-        if len(transforms) > 1 and q[0].strides[0] != q[0].itemsize:
-            # strided columns (a row-major table) cost a full row read
-            # each; copy them once when several ops read them
-            q = [np.ascontiguousarray(col) for col in q]
-        for n, (flat, lane) in enumerate(
-                grid.bin_transformed(transforms, *q)):
-            flats[n].append(flat)
-            lanes[n].append(lane + start)
-    op_ptr = np.cumsum([0] + [sum(p.size for p in parts) for parts in flats])
-    flat = sum(flats, [])
-    if not flat:
-        return np.empty(0, dtype), np.empty(0, dtype), op_ptr
-    return (np.concatenate(flat).astype(dtype, copy=False),
-            np.concatenate(sum(lanes, [])).astype(dtype, copy=False), op_ptr)
+    start, event, signal, error_sq, q = _slab_candidates(
+        grid, transforms, windows, track_errors)
+    pairs = grid.bin_transformed(transforms, *q)
+    op_ptr = np.cumsum([0] + [lanes.size for _, lanes in pairs])
+    flat = np.concatenate([f for f, _ in pairs]).astype(dtype, copy=False)
+    lanes = np.concatenate([lanes for _, lanes in pairs])
+    event = lanes + start if event is None else event[lanes]
+    return (flat, event.astype(dtype, copy=False), op_ptr, signal[lanes],
+            error_sq[lanes] if track_errors else None)
 
 
 def _bin_events_batch(ctx: Captures, dims: tuple[int, int]) -> None:
     """Device realization: bin the in-grid lanes, deposit them at once.
 
-    Reads ``ctx.columns`` alone — BinMD's five columns, views of an
-    in-memory table or an out-of-core window's decoded streams.  Cold,
-    each tile is binned under every op by one
+    Cold, the run is read as ``ctx.windows``
+    (:class:`ColumnWindows`: BinMD's columns of an in-memory table's
+    tiles or ``--shards`` ranges, or of an out-of-core table's
+    budget-capped windows) and binned under every op by one
     :meth:`HKLGrid.bin_transformed` call, which computes the thinnest
     axis once per distinct transform row and H and K only for the
-    lanes inside the grid on it.  With a warm entry the cached pairs
-    are used instead.  Either way the launch makes one
-    :meth:`Hist3.push_flat` call over the op-major ``(flat, event)``
-    pairs with freshly gathered weights, so cold, warm and uncached
-    deposits are bit-identical by construction.  The pairs are left on
+    lanes inside the grid on it (several windows are first cut to their
+    slab candidates, see :func:`_slab_candidates`).  With a warm entry
+    the cached pairs are used instead, with ``ctx.columns``' signal and
+    error_sq.  Either way the launch makes one :meth:`Hist3.push_flat`
+    call over the op-major ``(flat, event)`` pairs with freshly
+    gathered weights, so cold, warm, windowed and uncached deposits are
+    bit-identical by construction.  The pairs are left on
     ``ctx.in_grid`` as ``(flat, event, op_ptr)`` for the caller to
     cache, count and cut by op (``op_ptr`` is None on a warm launch).
     """
-    signal, error_sq, qx, qy, qz = ctx.columns
     hist: Hist3 = ctx.hist
-    entry: Optional[BinMDEntry] = getattr(ctx, "binmd_entry", None)
-    if entry is not None:
-        flat, event, op_ptr = entry.flat, entry.event, None
-    else:
-        flat, event, op_ptr = _in_grid_pairs(hist.grid, ctx.transforms,
-                                             qx, qy, qz, ctx.tile)
-    ctx.in_grid = (flat, event, op_ptr)
     # a Hist3 without an error array drops err_sq; skip gathering it then
     # (the shard recorder has no `error_sq` and decides for itself)
     track_errors = getattr(hist, "error_sq", True) is not None
-    hist.push_flat(
-        flat, signal[event], error_sq[event] if track_errors else None,
-        scatter_impl=ctx.scatter_impl,
-    )
+    entry: Optional[BinMDEntry] = getattr(ctx, "binmd_entry", None)
+    if entry is not None:
+        signal, error_sq = ctx.columns[:2]
+        flat, event, op_ptr = entry.flat, entry.event, None
+        weights = signal[event]
+        err_sq = error_sq[event] if track_errors else None
+    else:
+        flat, event, op_ptr, weights, err_sq = _in_grid_pairs(
+            hist.grid, ctx.transforms, ctx.windows, track_errors)
+    ctx.in_grid = (flat, event, op_ptr)
+    hist.push_flat(flat, weights, err_sq, scatter_impl=ctx.scatter_impl)
 
 
 BIN_EVENTS_KERNEL = Kernel(
@@ -194,7 +278,7 @@ BIN_EVENTS_KERNEL = Kernel(
 
 def bin_events(
     hist: Hist3,
-    events: EventTable | np.ndarray,
+    events: EventTable | LazyEventTable | np.ndarray,
     transforms: np.ndarray,
     *,
     backend: Optional[str] = None,
@@ -203,6 +287,7 @@ def bin_events(
     cache: Optional[GeomCache] = None,
     cache_tag: Optional[str] = None,
     lookup: Optional[tuple] = None,
+    windows: Optional[ColumnWindows] = None,
 ) -> Hist3:
     """Accumulate ``events`` into ``hist`` under every transform.
 
@@ -211,12 +296,19 @@ def bin_events(
     hist:
         Target histogram (accumulated in place, also returned).
     events:
-        The 8-column MDEvent table.
+        The 8-column MDEvent table, in memory or out of core (a
+        :class:`~repro.nexus.tiles.LazyEventTable`, which is read in
+        windows by the batch body on the ``vectorized`` back end
+        whatever ``backend`` names, since the element body reads whole
+        columns, and is never cached: its key would hash every Q row).
     transforms:
         ``(n_ops, 3, 3)`` Q_sample -> grid-coordinate matrices (one per
         symmetry operation; see ``HKLGrid.transforms_for``).
     backend:
         jacc back end name; None = process default.
+    tile:
+        Events per window of an in-memory table when ``windows`` is
+        None.
     scatter_impl:
         "atomic" (per-lane atomicAdd analogue) or "buffered"
         (bincount-based) — see :meth:`Hist3.push_many`.
@@ -238,6 +330,11 @@ def bin_events(
         the columns, so a warm table need hold only signal and
         error_sq); the launch then looks nothing up, and inserts under
         ``key`` when ``entry`` is None.
+    windows:
+        The event windows the batch body reads the run in (see
+        :func:`run_windows`, :func:`column_windows`); None reads a lazy
+        table in its budget-capped windows and an in-memory one in
+        ``tile``-event views.  Any windows give the same histogram.
     """
     n_events = _event_count(events)
     transforms = np.asarray(transforms, dtype=np.float64)
@@ -245,6 +342,9 @@ def bin_events(
             "transforms must be (n_ops, 3, 3)")
     require(tile > 0, "tile must be positive")
 
+    lazy = isinstance(events, LazyEventTable)
+    if lazy:
+        backend, cache, lookup = "vectorized", _gc.DISABLED, None
     cache = _gc.resolve(cache)
     tracer = _trace.active_tracer()
     engine = resolve_backend(backend)
@@ -274,11 +374,15 @@ def bin_events(
                 track_errors=hist.flat_error_sq is not None, **warm,
             ))
 
+        reads = binmd_reads(backend, entry)
+        if windows is None:
+            windows = column_windows(events, run_windows(events, 1, tile),
+                                     reads)
         captures = Captures(
             hist=hist,
-            columns=binmd_columns(events, binmd_reads(backend, entry)),
+            columns=None if lazy else binmd_columns(events, reads),
+            windows=windows,
             transforms=transforms,
-            tile=int(tile),
             scatter_impl=scatter_impl,
             binmd_entry=entry,
         )
@@ -291,7 +395,8 @@ def bin_events(
         in_grid = getattr(captures, "in_grid", None)
         if in_grid is not None:
             # only the batch body reports its pairs
-            op_span.set(inside_lanes=int(in_grid[0].size))
+            op_span.set(inside_lanes=int(in_grid[0].size),
+                        n_windows=len(windows.ranges))
             if entry is None and key is not None:
                 cache.put(BinMDEntry(key=key, tag=cache_tag,
                                      flat=_gc.freeze(in_grid[0]),

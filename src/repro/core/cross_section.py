@@ -92,19 +92,6 @@ class CrossSectionResult:
         ))
 
 
-def _is_lazy(events: Any) -> bool:
-    """Out-of-core event table? (duck-typed on the ``binmd_window`` and
-    chunk surface to avoid importing the nexus tile layer at module
-    import time)."""
-    return hasattr(events, "binmd_window") and hasattr(events, "chunk_bounds")
-
-
-#: shard plan for out-of-core runs reduced without ``--shards``: the
-#: shard machinery still cuts the run into budget-capped, chunk-aligned
-#: windows (bit-identical for every cut)
-_OOC_FALLBACK = ShardConfig(n_shards=1)
-
-
 def _rank_blocks(
     n_runs: int, size: int, run_weights: Optional[Sequence[float]]
 ) -> List[Tuple[int, int]]:
@@ -185,8 +172,11 @@ def _run_step(
     """Algorithm 1's loop body: ``step(i, binmd_hist, mdnorm_hist)``
     loads run ``i`` (the timed UpdateEvents stage) and accumulates its
     MDNorm and BinMD into the given histograms — through the ``*_impl``
-    override, the shard executor (``shards``, or an out-of-core table),
-    or the in-memory kernel.
+    override or the kernels.  With ``shards``, MDNorm runs as recorded
+    and replayed row ranges and BinMD as one launch over ``n_shards``
+    event windows (:func:`~repro.core.sharding.sharded_binmd`); an
+    out-of-core table is read in budget-capped windows either way, and
+    BinMD records and replays nothing on this static path.
 
     When ``load_run`` returns a :class:`PendingMD` (the workflow's
     loader does), its columns are read on the ``bytesplit`` helper
@@ -266,11 +256,9 @@ def _run_step(
             _faults.fault_point("kernel.binmd", run=i)
             if binmd_impl is not None:
                 binmd_impl(binmd_hist, ws.events, event_transforms)
-            elif shards is not None or _is_lazy(ws.events):
-                sharded_binmd(
-                    binmd_hist, ws.events, event_transforms,
-                    shards=shards or _OOC_FALLBACK, run=i,
-                )
+            elif shards is not None:
+                sharded_binmd(binmd_hist, ws.events, event_transforms,
+                              shards=shards, run=i)
             else:
                 bin_events(
                     binmd_hist, ws.events, event_transforms,

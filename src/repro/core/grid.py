@@ -264,6 +264,39 @@ class HKLGrid:
         return (first, rest,
                 *(np.array(column)[:, None] for column in zip(*rows)))
 
+    def _slab_test(self, c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The thinnest-axis quotients of the products ``c`` and the
+        mask of the lanes inside the grid on that axis.  ``c`` is left
+        as it is: :func:`signed_row_products` may negate it later."""
+        mn, w = self._scalar_binning
+        first = self.thin_axis
+        q = c - mn[first]
+        q /= w[first]
+        ok = q >= 0.0
+        ok &= q < self.bins[first]
+        return q, ok
+
+    def slab_candidates(
+        self, ops: np.ndarray, qx: np.ndarray, qy: np.ndarray, qz: np.ndarray
+    ) -> np.ndarray:
+        """The ascending lanes inside the grid on the thinnest axis
+        under at least one ``op``: the lanes :meth:`bin_transformed`
+        transforms further, for every op at once.
+
+        The test is :meth:`bin_transformed`'s own, one product per
+        distinct signed row (:func:`signed_row_products`), OR-ed over
+        the rows, so binning only these lanes gives every op the same
+        inside lanes and bins as binning all of them.  Each product
+        pass is counted in ``binmd.slab_products``."""
+        _, passes, products = signed_row_products(
+            ops[:, self.thin_axis], qx, qy, qz)
+        inside = np.zeros(qx.shape, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in products:
+                inside |= self._slab_test(c)[1]
+        _trace.active_tracer().count("binmd.slab_products", passes)
+        return inside.nonzero()[0]
+
     def bin_transformed(
         self, ops: np.ndarray, qx: np.ndarray, qy: np.ndarray, qz: np.ndarray
     ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -288,7 +321,6 @@ class HKLGrid:
         row.  Each product pass is counted in the tracer counter
         ``binmd.slab_products``.
         """
-        mn, w = self._scalar_binning
         first, rest, rest_mn, rest_w, rest_n = self._rejection_plan
         nb = self.bins
         index, passes, products = signed_row_products(ops[:, first], qx, qy, qz)
@@ -297,10 +329,7 @@ class HKLGrid:
         # inf - inf and 0 * inf give NaN, which the comparisons reject
         with np.errstate(over="ignore", invalid="ignore"):
             for c in products:
-                q = c - mn[first]
-                q /= w[first]
-                ok = q >= 0.0
-                ok &= q < nb[first]
+                q, ok = self._slab_test(c)
                 lanes = ok.nonzero()[0]
                 # in range and non-negative, so truncation is the floor
                 slabs.append((q[lanes].astype(np.int64), lanes,

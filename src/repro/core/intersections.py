@@ -436,7 +436,10 @@ def sorted_crossings_batch(
 
     from repro.util.perf import intersections_work
 
+    # only MDNorm's batch body calls this, and the vectorized engine is
+    # the one that runs batch bodies
     with tracer.span("intersections.fill_sort", kind="phase",
-                     rows=traj.n_rows, width=int(width), sort_impl=sort_impl,
+                     backend="vectorized", rows=traj.n_rows, width=int(width),
+                     sort_impl=sort_impl,
                      perf=intersections_work(traj.n_rows, int(width))):
         return _fill_sorted(traj, grid, width, sort_impl)

@@ -1,20 +1,26 @@
-"""Intra-run shard executor: the second level of the hierarchy.
+"""Intra-run shards: the second level of the hierarchy.
 
 The paper's Algorithm 1 parallelizes *across* runs (one MPI rank per
 block of files).  This module adds the level below: a rank that owns a
 run cuts its MDNorm and its BinMD into contiguous **ranges** (planned
-by :mod:`repro.mpi.decomposition`) and executes every range in the
-calling thread.  Ranges are the unit of out-of-core reads (each decodes
-its own chunk-aligned window once, straight from the chunk reader, so
-no chunk is decoded twice) and of work stealing (each is one stealable
-task); the only parallel level stays the paper's own, ranks
-over runs.
+by :mod:`repro.mpi.decomposition`) and executes them in the calling
+thread.  Ranges are the unit of out-of-core reads (each decodes its own
+chunk-aligned window once, straight from the chunk reader, so no chunk
+is decoded twice) and of work stealing (each is one stealable task);
+the only parallel level stays the paper's own, ranks over runs.
 
-One kernel body, one launch per range (DESIGN.md §6f).  A range runs
-the kernel's **batch** body — the same ``_mdnorm_batch`` /
-``_bin_events_batch`` the ``vectorized`` back end launches in memory —
-once, against a :class:`RecordingHist3` that records each deposit
-array instead of adding it.  Float addition is
+**Static BinMD windows a run and records nothing.**
+:func:`sharded_binmd` is :func:`~repro.core.binmd.bin_events`' one
+batch launch over the run read as ``n_shards`` event windows (an
+out-of-core table's budget-capped, chunk-aligned windows): each window
+keeps its slab candidates, and the candidates of the whole run are
+binned and deposited by one ``push_flat``, exactly as in memory.
+
+**Ranges with replay** (DESIGN.md §6f) serve static MDNorm and the
+stealing executor.  A range runs the kernel's **batch** body — the
+same ``_mdnorm_batch`` / ``_bin_events_batch`` the ``vectorized`` back
+end launches in memory — once, against a :class:`RecordingHist3` that
+records each deposit array instead of adding it.  Float addition is
 non-associative, so per-range partial histograms would drift in the
 last ulp and depend on the shard count; ranges return deposit logs
 instead, and :func:`replay_shard_logs` applies them with ``np.add.at``
@@ -27,9 +33,9 @@ instead, and :func:`replay_shard_logs` applies them with ``np.add.at``
 
       for range in ascending planned order: replay(log[range])
 
-* **BinMD** — a range is a (chunk-aligned) event window; its one launch
-  bins the window under every op, op-major, and the pairs are cut into
-  one log per op, replayed interleaved::
+* **BinMD** (stealing only) — a range is a (chunk-aligned) event
+  window; its one launch bins the window under every op, op-major,
+  and the pairs are cut into one log per op, replayed interleaved::
 
       for op in ops: for range in ascending planned order: replay(log[range][op])
 
@@ -37,13 +43,12 @@ Within an op both batch bodies deposit in ascending inner index with
 every lane computed independently of the others, so the sharded,
 out-of-core and stolen results are **bit-identical to the in-memory
 ``vectorized`` result for every shard count**, whichever rank executed
-which range, in whatever order.  The in-memory
-:func:`~repro.core.binmd.bin_events` / :func:`~repro.core.mdnorm.mdnorm`
-entry points stay: they own the geometry-cache warm paths.
+which range, in whatever order.
 
 Fault model: checkpoints stay per-run (a run's delta is only saved
 after all its ranges replayed), so a run killed mid-fan-out recomputes
-whole on retry or resume, bit-identically.  Each range passes a
+whole on retry or resume, bit-identically.  Each range, and each
+window of a static BinMD, passes a
 :func:`repro.util.faults.fault_point` (sites ``shard.mdnorm`` /
 ``shard.binmd``) inside its ``shard:<op>`` trace span.
 
@@ -58,17 +63,20 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.binmd import DEFAULT_TILE, _bin_events_batch, binmd_columns
+from repro.core import geom_cache as _gc
+from repro.core.binmd import (
+    ColumnWindows,
+    _bin_events_batch,
+    bin_events,
+    column_windows,
+    run_windows,
+)
 from repro.core.geom_cache import GeomCache
 from repro.core.hist3 import Hist3
 from repro.core.mdnorm import _mdnorm_batch, _mdnorm_captures
 from repro.jacc.kernels import Captures
 from repro.jacc.workers import parse_worker_count
-from repro.mpi.decomposition import (
-    lazy_table_ranges,
-    range_stored_nbytes,
-    shard_ranges,
-)
+from repro.mpi.decomposition import range_stored_nbytes, shard_ranges
 from repro.nexus.corrections import FluxSpectrum
 from repro.nexus.events import EventTable
 from repro.nexus.tiles import LazyEventTable, read_window  # noqa: F401
@@ -147,9 +155,11 @@ class ShardConfig:
         Number of contiguous shards to cut the inner axis into
         (op-major (op, detector) rows for MDNorm, events for BinMD;
         out of core, BinMD's chunk-aligned windows may be cut finer to
-        fit the memory budget).  ``1`` still runs
-        the shard machinery (record + replay) — results are identical
-        for every value, only the range granularity changes.
+        fit the memory budget).  Static BinMD reads its windows in one
+        launch and records nothing; MDNorm ranges, and every range of
+        the stealing executor, record and replay, even at ``1``.
+        Results are identical for every value, only the range
+        granularity changes.
     """
 
     n_shards: int
@@ -193,7 +203,6 @@ class ShardContext:
     n_outer: int
     #: planned contiguous ranges of the inner axis (index = planned id)
     ranges: List[Tuple[int, int]]
-    lazy_events: Optional[LazyEventTable] = None
 
     @property
     def n_ranges(self) -> int:
@@ -220,17 +229,12 @@ def mdnorm_ranges(
 def binmd_ranges(
     events: EventTable | LazyEventTable | np.ndarray, n_ops: int, n_shards: int
 ) -> Tuple[List[Tuple[int, int]], List[float]]:
-    """BinMD's event-range plan and per-range weights.
-
-    Lazy tables plan chunk-aligned, budget-capped ranges weighted by
-    stored chunk bytes (:func:`repro.mpi.decomposition.lazy_table_ranges`);
-    in-memory tables cut by count and weigh lanes.
-    """
+    """BinMD's event-range plan (the static path's windows,
+    :func:`~repro.core.binmd.run_windows`) and per-range weights:
+    stored chunk bytes for a lazy table, lanes in memory."""
+    ranges = run_windows(events, n_shards)
     if isinstance(events, LazyEventTable):
-        ranges = lazy_table_ranges(events, n_shards)
         return ranges, range_stored_nbytes(events, ranges)
-    n = events.n_events if isinstance(events, EventTable) else len(np.asarray(events))
-    ranges = shard_ranges(int(n), n_shards)
     return ranges, [float(n_ops * (b - a)) for a, b in ranges]
 
 
@@ -279,19 +283,16 @@ def binmd_shard_context(
     n_shards: int,
 ) -> ShardContext:
     """Plan one run's BinMD as event-range shard tasks (see
-    :func:`binmd_ranges`).  A lazy table's captures carry no columns:
-    each range reads its own bounded window."""
+    :func:`binmd_ranges`).  The captures' windows read each range on
+    its own: a lazy table decodes only that range's chunks."""
     transforms = np.asarray(transforms, dtype=np.float64)
     require(transforms.ndim == 3 and transforms.shape[1:] == (3, 3),
             "transforms must be (n_ops, 3, 3)")
     n_ops = int(transforms.shape[0])
     ranges, _ = binmd_ranges(events, n_ops, n_shards)
-    captures = Captures(hist=hist, transforms=transforms, tile=DEFAULT_TILE,
+    captures = Captures(hist=hist, transforms=transforms,
+                        windows=column_windows(events, ranges),
                         scatter_impl="atomic")
-    if isinstance(events, LazyEventTable):
-        return ShardContext("binmd", captures, n_ops, ranges,
-                            lazy_events=events)
-    captures.columns = binmd_columns(events)
     return ShardContext("binmd", captures, n_ops, ranges)
 
 
@@ -310,9 +311,8 @@ def _binmd_range(ctx: ShardContext, a: int, b: int) -> List[Log]:
     """One BinMD batch launch over the events ``[a, b)`` under every
     op, its op-major pairs cut into one log per op."""
     c = ctx.captures
-    columns = (ctx.lazy_events.binmd_window(a, b) if ctx.lazy_events is not None
-               else tuple(col[a:b] for col in c.columns))
-    launch = Captures(**{**vars(c), "columns": columns,
+    launch = Captures(**{**vars(c),
+                         "windows": ColumnWindows([(a, b)], c.windows.read),
                          "hist": RecordingHist3(c.hist.grid, ctx.track_errors)})
     _bin_events_batch(launch, (ctx.n_outer, b - a))
     flat, w, e = launch.hist.harvest()
@@ -361,13 +361,13 @@ def _run_shards(
     ctx: ShardContext,
     *,
     run: Optional[int] = None,
-) -> int:
-    """The static executor: every planned range of ``ctx`` through
-    :func:`execute_shard_range` in planned order, then the ordered
-    replay into ``ctx.captures.hist``.  Returns the number of
-    deposits replayed.  A fault at a shard discards the logs recorded
-    so far; the run-level retry recomputes the whole run, so the
-    replay only ever sees a complete set (bit-identical)."""
+) -> None:
+    """The static MDNorm executor: every planned range of ``ctx``
+    through :func:`execute_shard_range` in planned order, then the
+    ordered replay into ``ctx.captures.hist``.  A fault at a shard
+    discards the logs recorded so far; the run-level retry recomputes
+    the whole run, so the replay only ever sees a complete set
+    (bit-identical)."""
     op_name, n_ranges = ctx.op_name, ctx.n_ranges
     tracer = _trace.active_tracer()
     fault_site = f"shard.{op_name}"
@@ -390,7 +390,6 @@ def _run_shards(
                 per_range.append(execute_shard_range(ctx, s))
         replay_shard_logs(ctx, per_range)
         tracer.count(f"{op_name}.shard_tasks", n_ranges)
-    return sum(int(log[0].size) for logs in per_range for log in logs)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +428,8 @@ def sharded_mdnorm(
     with tracer.span(
         "mdnorm",
         kind="op",
-        backend="sharded",
+        # the ranges run the batch body, the vectorized engine's
+        backend="vectorized",
         n_ops=int(transforms.shape[0]),
         n_det=n_det,
         n_shards=int(shards.n_shards),
@@ -453,47 +453,48 @@ def sharded_binmd(
     shards: ShardConfig,
     run: Optional[int] = None,
 ) -> Hist3:
-    """BinMD for one run, cut into event shards.
+    """BinMD for one run, read as ``shards.n_shards`` event windows.
 
-    Same contract as :func:`repro.core.binmd.bin_events`; contiguous
-    event ranges are balanced by construction (events are the unit of
-    work), each is one launch of the batch body under every op, and
-    the op-interleaved replay makes the result bit-identical to
-    ``bin_events(..., backend="vectorized")`` for every shard count.
+    Same contract as :func:`repro.core.binmd.bin_events`, and its one
+    batch launch on the ``vectorized`` back end, uncached, over the
+    windows :func:`~repro.core.binmd.run_windows` plans: ``n_shards``
+    equal event ranges in memory; with a
+    :class:`~repro.nexus.tiles.LazyEventTable` (**out of core**),
+    chunk-aligned ranges balanced by stored chunk bytes and capped so
+    no window decodes more rows than the table's memory budget.  Each
+    window decodes only BinMD's five columns of its own chunks, once,
+    keeps its slab candidates, and is dropped; the candidates of all
+    windows are binned and deposited once.  Nothing is recorded or
+    replayed, and the histogram is bit-identical to
+    ``bin_events(..., backend="vectorized")`` for every shard count,
+    chunk size, codec and budget.
 
-    With a :class:`~repro.nexus.tiles.LazyEventTable` the run executes
-    **out-of-core**: shard boundaries are fed from the file's chunk
-    metadata (snapped to chunk boundaries, balanced by stored chunk
-    bytes, capped so no window decodes more rows than the table's
-    memory budget), and each shard decodes only BinMD's five columns
-    of its own window, once, straight from the chunk reader.  The
-    batch body bins a window exactly
-    as it bins the same rows of the full table, so the replayed
-    histogram stays bit-identical to the in-memory path for every chunk
-    size, codec, budget and shard count.
+    Each window is one shard task: its read runs inside a
+    ``shard:binmd`` span, after a ``shard.binmd`` fault point, and is
+    counted in ``binmd.shard_tasks``.
     """
-    ctx = binmd_shard_context(hist, events, transforms,
-                              n_shards=shards.n_shards)
-    n_ops, n_events = ctx.n_outer, ctx.n_inner
+    n_ops = int(np.shape(transforms)[0])
+    windows = column_windows(events, run_windows(events, shards.n_shards))
+    n_windows = len(windows.ranges)
     tracer = _trace.active_tracer()
-    with tracer.span(
-        "binmd",
-        kind="op",
-        backend="sharded",
-        n_ops=n_ops,
-        n_events=int(n_events),
-        n_shards=int(ctx.n_ranges),
-        out_of_core=ctx.lazy_events is not None,
-    ) as op_span:
-        if tracer.enabled:
-            from repro.util.perf import binmd_work
 
-            op_span.set(perf=binmd_work(
-                n_ops, int(n_events),
-                track_errors=hist.flat_error_sq is not None,
-                cache_hit=False,
-            ))
-        deposits = _run_shards(ctx, run=run)
-        op_span.set(inside_lanes=deposits)
-        tracer.count("binmd.events", n_ops * int(n_events))
+    def read(s: int, a: int, b: int) -> Tuple[np.ndarray, ...]:
+        with tracer.span("shard:binmd", kind="shard", shard=int(s),
+                         lanes=n_ops * (b - a)):
+            _faults.fault_point("shard.binmd", shard=s, run=run)
+            return windows.read(s, a, b)
+
+    with tracer.span(
+        "binmd.shards",
+        kind="shard_fanout",
+        op="binmd",
+        n_shards=n_windows,
+        n_outer=n_ops,
+        n_inner=int(windows.ranges[-1][1]),
+        **({"run": int(run)} if run is not None else {}),
+    ):
+        bin_events(hist, events, transforms, backend="vectorized",
+                   cache=_gc.DISABLED,
+                   windows=ColumnWindows(windows.ranges, read))
+        tracer.count("binmd.shard_tasks", n_windows)
     return hist

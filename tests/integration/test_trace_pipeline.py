@@ -124,6 +124,23 @@ class TestGoldenSchema:
                 assert rec["attrs"]["elements"] == int(
                     np.prod(rec["attrs"]["dims"])), name
 
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    def test_sharded_spans_name_the_backend_that_ran(self, tiny_experiment,
+                                                     backend):
+        """Shard ranges and windows run the batch bodies, so sharded
+        op spans and the crossing fill name ``vectorized`` whatever
+        ``--backend`` picked for the geometry pre-pass."""
+        tracer = Tracer(label="sharded")
+        wf = _core_workflow(tiny_experiment, backend=backend)
+        wf.config.shards = 2
+        with use_tracer(tracer):
+            wf.run()
+        spans = _spans_by_name(tracer.records)
+        for name in ("binmd", "mdnorm", "intersections.fill_sort"):
+            assert spans[name], name
+            assert ({r["attrs"]["backend"] for r in spans[name]}
+                    == {"vectorized"}), name
+
     def test_stealing_span_names_the_backend(self, tiny_experiment):
         tracer = Tracer(label="stealing")
         wf = _core_workflow(tiny_experiment, backend=None)

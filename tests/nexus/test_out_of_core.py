@@ -502,6 +502,50 @@ class TestFullPipelineOutOfCore:
             assert 0 < stats.peak_resident_bytes <= budget, stats
             table.close()
 
+    def test_static_reduction_records_and_replays_nothing(
+            self, exp, monkeypatch):
+        """Out of core, the static loop's BinMD is one launch over the
+        run's windows: the shard recorder and the ordered replay are
+        never used, every BinMD stream is decoded exactly once, the
+        other three never, and no window exceeds the budget."""
+        import repro.core.sharding as sharding_mod
+        from collections import Counter
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("static BinMD recorded or replayed")
+
+        monkeypatch.setattr(sharding_mod, "replay_deposits", refuse)
+        monkeypatch.setattr(sharding_mod.RecordingHist3, "push_flat", refuse)
+        decoded = Counter()
+        decode_chunk = h5lite.decode_chunk
+
+        def spy(stored, codec, itemsize, nbytes_out, name):
+            decoded[name.rpartition("/")[2]] += 1
+            return decode_chunk(stored, codec, itemsize, nbytes_out, name)
+
+        monkeypatch.setattr(h5lite, "decode_chunk", spy)
+        budget = 2 * 37 * ROW_BYTES
+        tables = []
+
+        def lazy_loader(i):
+            ws = load_md(exp["paths"][i], memory_budget=budget)
+            tables.append(ws.events)
+            return ws
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            res = exp["compute"](lazy_loader)
+        ref = exp["ref"]
+        assert np.array_equal(res.binmd.signal, ref.binmd.signal)
+        assert np.array_equal(res.binmd.error_sq, ref.binmd.error_sq)
+        assert np.array_equal(res.mdnorm.signal, ref.mdnorm.signal)
+        n_chunks = sum(len(t.chunk_ranges()) for t in tables)
+        assert decoded == {COLUMN_NAMES[c]: n_chunks for c in BINMD_COLUMNS}
+        assert 0 < tracer.gauges["tiles.peak_resident_bytes"] <= budget
+        for table in tables:
+            assert 0 < table.tile_stats.peak_resident_bytes <= budget
+            table.close()
+
     def test_eager_chunked_load_identical(self, exp):
         """Without a budget, chunked files materialize to the same table."""
         res = exp["compute"](lambda i: load_md(exp["paths"][i]))

@@ -10,11 +10,12 @@ Both kernel forms are provided through one :class:`~repro.jacc.Kernel`:
 * ``element`` — the per-(op, event) body run by the CPU back ends,
   a line-for-line analogue of Listing 3's lambda;
 * ``batch`` — the device realization: the run is read as column
-  windows (tiles or ``--shards`` ranges in memory, budget-capped
-  windows out of core), several windows are each cut to their slab
-  candidates, and one transform under every op rejects lanes axis by
-  axis, thinnest grid axis first (computed once per distinct transform
-  row), then one scatter-add deposits every in-grid lane of the launch.
+  windows (the whole table in memory, ``--shards`` ranges, or
+  budget-capped windows out of core), several windows are each cut to
+  their slab candidates, and the transform under every op rejects
+  lanes axis by axis, thinnest grid axis first (computed once per
+  distinct transform row), one tile of lanes at a time; then one
+  scatter-add deposits every in-grid lane of the launch.
 
 Mantid's production BinMD walks an adaptive MDBox hierarchy; the paper
 deliberately captures "the simple computational complexities" with a
@@ -129,11 +130,11 @@ def binmd_cache_key(grid, transforms: np.ndarray,
 class ColumnWindows(NamedTuple):
     """A run as ascending, contiguous event windows: ``ranges`` holds
     ``(start, stop)`` per window, from 0 to the run's event count, and
-    ``read(s, start, stop)`` returns BinMD's columns of window ``s``
-    (the :func:`binmd_columns` slots, Q unit-stride or not)."""
+    ``read(start, stop)`` returns BinMD's columns of one window (the
+    :func:`binmd_columns` slots, Q unit-stride or not)."""
 
     ranges: Sequence[Tuple[int, int]]
-    read: Callable[[int, int, int], Tuple[Optional[np.ndarray], ...]]
+    read: Callable[[int, int], Tuple[Optional[np.ndarray], ...]]
 
 
 def column_windows(events: EventTable | LazyEventTable | np.ndarray,
@@ -144,30 +145,31 @@ def column_windows(events: EventTable | LazyEventTable | np.ndarray,
     or a lazy table's :meth:`~repro.nexus.tiles.LazyEventTable.binmd_window`
     reads, each decoding only the chunks of its own window."""
     if isinstance(events, LazyEventTable):
-        def read(s: int, a: int, b: int) -> Tuple[np.ndarray, ...]:
-            return events.binmd_window(a, b)
-    else:
-        columns = binmd_columns(events, reads)
+        return ColumnWindows(list(ranges), events.binmd_window)
+    columns = binmd_columns(events, reads)
 
-        def read(s: int, a: int, b: int) -> Tuple[Optional[np.ndarray], ...]:
-            return tuple(None if c is None else c[a:b] for c in columns)
+    def read(a: int, b: int) -> Tuple[Optional[np.ndarray], ...]:
+        return tuple(None if c is None else c[a:b] for c in columns)
     return ColumnWindows(list(ranges), read)
 
 
 def run_windows(events: EventTable | LazyEventTable | np.ndarray,
-                n_windows: int = 1,
-                tile: int = DEFAULT_TILE) -> List[Tuple[int, int]]:
+                n_windows: int = 1) -> List[Tuple[int, int]]:
     """The event windows a launch reads a run in: a lazy table's
     chunk-aligned, budget-capped windows for ``n_windows`` shards
     (:func:`~repro.mpi.decomposition.lazy_table_ranges`); in memory,
-    ``n_windows`` equal event ranges, none longer than ``tile``
-    events when ``n_windows`` is 1."""
+    ``n_windows`` equal event ranges (one window, the whole run, when
+    ``n_windows`` is 1)."""
     if isinstance(events, LazyEventTable):
         return lazy_table_ranges(events, n_windows)
-    n = _event_count(events)
-    if n_windows == 1:
-        return [(a, min(a + tile, n)) for a in range(0, n, tile)] or [(0, 0)]
-    return shard_ranges(n, n_windows)
+    return shard_ranges(_event_count(events), n_windows)
+
+
+def _tiles(n: int, tile: int) -> List[slice]:
+    """``[0, n)`` cut into slices of at most ``tile`` lanes: the unit
+    of one slab test or one :meth:`HKLGrid.bin_transformed` call,
+    which bounds their per-row product scratch."""
+    return [slice(a, a + tile) for a in range(0, n, tile)]
 
 
 def _unit_stride(q: List[np.ndarray], n_ops: int) -> List[np.ndarray]:
@@ -179,67 +181,93 @@ def _unit_stride(q: List[np.ndarray], n_ops: int) -> List[np.ndarray]:
 
 
 def _slab_candidates(grid, transforms: np.ndarray, windows: ColumnWindows,
-                     track_errors: bool) -> tuple:
-    """The lanes a cold launch bins, as ``(start, event, signal,
-    error_sq, q)``.
+                     tile: int, track_errors: bool) -> tuple:
+    """The slab candidates of a run read as several windows, as
+    ``(event, signal, error_sq, q)``.
 
-    One window is binned whole: ``event`` is None and lane ``i`` is
-    event ``start + i``.  Several windows are read one at a time and
-    each keeps only its slab candidates
-    (:meth:`HKLGrid.slab_candidates`), a superset of every op's inside
-    lanes; the candidates of all windows are concatenated in ascending
-    event order, ``event`` holding each one's event index.  Every lane
-    is binned by the same element-wise expressions either way, so the
-    op-major pairs, and the deposit, do not depend on the windows."""
+    The windows are read one at a time and each keeps only its slab
+    candidates (:meth:`HKLGrid.slab_candidates`, tested ``tile`` lanes
+    at a time), a superset of every op's inside lanes; the candidates
+    of all windows are concatenated in ascending event order, ``event``
+    holding each one's event index.  Binning them gives every op the
+    same pairs as binning the whole run (``error_sq`` is None unless
+    ``track_errors``)."""
     n_ops = len(transforms)
-    if len(windows.ranges) == 1:
-        (a, b), = windows.ranges
-        signal, error_sq, *q = windows.read(0, a, b)
-        return a, None, signal, error_sq, _unit_stride(q, n_ops)
-    parts = []
-    for s, (a, b) in enumerate(windows.ranges):
-        signal, error_sq, *q = windows.read(s, a, b)
-        q = _unit_stride(q, n_ops)
-        keep = grid.slab_candidates(transforms, *q)
-        parts.append((keep + a, signal[keep],
-                      error_sq[keep] if track_errors else None,
-                      *(col[keep] for col in q)))
-    event, signal, error_sq, *q = (
-        None if part[0] is None else np.concatenate(part)
-        for part in zip(*parts))
+    events, kept = [], []
+    for a, b in windows.ranges:
+        signal, error_sq, *q = windows.read(a, b)
+        keep = [t.start + grid.slab_candidates(
+                    transforms, *_unit_stride([c[t] for c in q], n_ops))
+                for t in _tiles(b - a, tile)]
+        keep = np.concatenate(keep) if keep else np.empty(0, np.intp)
+        events.append(keep + a)
+        kept.append((signal[keep], error_sq[keep] if track_errors else None,
+                     *(c[keep] for c in q)))
+    event = np.concatenate(events)
+    signal, error_sq, *q = (None if parts[0] is None else np.concatenate(parts)
+                            for parts in zip(*kept))
     _trace.active_tracer().count("binmd.slab_candidates", int(event.size))
-    return 0, event, signal, error_sq, q
+    return event, signal, error_sq, q
+
+
+def _bin_tiles(grid, transforms: np.ndarray, q: List[np.ndarray],
+               tile: int) -> tuple:
+    """The ``(flat, lane, op_ptr)`` pairs of the lanes ``q`` inside the
+    grid, op-major and ascending within an op, binned ``tile`` lanes
+    per :meth:`HKLGrid.bin_transformed` call (``op_ptr``: the
+    ``n_ops + 1`` offsets of each op's pairs)."""
+    flats = [[] for _ in transforms]
+    lanes = [[] for _ in transforms]
+    for t in _tiles(q[0].shape[0], tile):
+        pairs = grid.bin_transformed(
+            transforms, *_unit_stride([c[t] for c in q], len(transforms)))
+        for n, (flat, lane) in enumerate(pairs):
+            flats[n].append(flat)
+            lanes[n].append(lane + t.start)
+    op_ptr = np.cumsum([0] + [sum(p.size for p in parts) for parts in flats])
+    flat, lane = sum(flats, []), sum(lanes, [])
+    if not flat:
+        return np.empty(0, np.int64), np.empty(0, np.intp), op_ptr
+    return np.concatenate(flat), np.concatenate(lane), op_ptr
 
 
 def _in_grid_pairs(
-    grid, transforms: np.ndarray, windows: ColumnWindows, track_errors: bool,
+    grid, transforms: np.ndarray, windows: ColumnWindows, tile: int,
+    track_errors: bool,
 ) -> tuple:
     """The ``(flat, event)`` pairs of every in-grid (op, event) lane,
     op-major and in ascending event order within an op: the deposit
     order of the element body.  Returns ``(flat, event, op_ptr,
     weights, err_sq)``: ``op_ptr`` holds the ``n_ops + 1`` offsets of
     each op's pairs, ``weights`` and ``err_sq`` each pair's signal and
-    error_sq (``err_sq`` None unless ``track_errors``)."""
-    n_events = windows.ranges[-1][1]
-    dtype = _index_dtype(grid.n_bins_total, n_events)
-    start, event, signal, error_sq, q = _slab_candidates(
-        grid, transforms, windows, track_errors)
-    pairs = grid.bin_transformed(transforms, *q)
-    op_ptr = np.cumsum([0] + [lanes.size for _, lanes in pairs])
-    flat = np.concatenate([f for f, _ in pairs]).astype(dtype, copy=False)
-    lanes = np.concatenate([lanes for _, lanes in pairs])
+    error_sq (``err_sq`` None unless ``track_errors``).
+
+    One window is binned tile by tile; several are first cut to their
+    slab candidates (:func:`_slab_candidates`), which are then binned
+    tile by tile.  Every lane is binned by the same element-wise
+    expressions either way, so the pairs do not depend on the windows
+    or the tile."""
+    dtype = _index_dtype(grid.n_bins_total, windows.ranges[-1][1])
+    if len(windows.ranges) == 1:
+        (start, stop), = windows.ranges
+        signal, error_sq, *q = windows.read(start, stop)
+        event = None
+    else:
+        event, signal, error_sq, q = _slab_candidates(
+            grid, transforms, windows, tile, track_errors)
+    flat, lanes, op_ptr = _bin_tiles(grid, transforms, q, tile)
     event = lanes + start if event is None else event[lanes]
-    return (flat, event.astype(dtype, copy=False), op_ptr, signal[lanes],
-            error_sq[lanes] if track_errors else None)
+    return (flat.astype(dtype, copy=False), event.astype(dtype, copy=False),
+            op_ptr, signal[lanes], error_sq[lanes] if track_errors else None)
 
 
 def _bin_events_batch(ctx: Captures, dims: tuple[int, int]) -> None:
     """Device realization: bin the in-grid lanes, deposit them at once.
 
     Cold, the run is read as ``ctx.windows``
-    (:class:`ColumnWindows`: BinMD's columns of an in-memory table's
-    tiles or ``--shards`` ranges, or of an out-of-core table's
-    budget-capped windows) and binned under every op by one
+    (:class:`ColumnWindows`: an in-memory table whole or in
+    ``--shards`` ranges, or an out-of-core table's budget-capped
+    windows) and binned under every op, ``ctx.tile`` lanes per
     :meth:`HKLGrid.bin_transformed` call, which computes the thinnest
     axis once per distinct transform row and H and K only for the
     lanes inside the grid on it (several windows are first cut to their
@@ -264,7 +292,7 @@ def _bin_events_batch(ctx: Captures, dims: tuple[int, int]) -> None:
         err_sq = error_sq[event] if track_errors else None
     else:
         flat, event, op_ptr, weights, err_sq = _in_grid_pairs(
-            hist.grid, ctx.transforms, ctx.windows, track_errors)
+            hist.grid, ctx.transforms, ctx.windows, ctx.tile, track_errors)
     ctx.in_grid = (flat, event, op_ptr)
     hist.push_flat(flat, weights, err_sq, scatter_impl=ctx.scatter_impl)
 
@@ -298,17 +326,18 @@ def bin_events(
     events:
         The 8-column MDEvent table, in memory or out of core (a
         :class:`~repro.nexus.tiles.LazyEventTable`, which is read in
-        windows by the batch body on the ``vectorized`` back end
-        whatever ``backend`` names, since the element body reads whole
-        columns, and is never cached: its key would hash every Q row).
+        its budget-capped windows by the batch body on the
+        ``vectorized`` back end whatever ``backend`` names, since the
+        element body reads whole columns, and is never cached: its key
+        would hash every Q row).
     transforms:
         ``(n_ops, 3, 3)`` Q_sample -> grid-coordinate matrices (one per
         symmetry operation; see ``HKLGrid.transforms_for``).
     backend:
         jacc back end name; None = process default.
     tile:
-        Events per window of an in-memory table when ``windows`` is
-        None.
+        Lanes per slab test and per :meth:`HKLGrid.bin_transformed`
+        call of the batch body; bounds their per-row product scratch.
     scatter_impl:
         "atomic" (per-lane atomicAdd analogue) or "buffered"
         (bincount-based) — see :meth:`Hist3.push_many`.
@@ -331,10 +360,10 @@ def bin_events(
         error_sq); the launch then looks nothing up, and inserts under
         ``key`` when ``entry`` is None.
     windows:
-        The event windows the batch body reads the run in (see
+        The event windows a cold batch launch reads the run in (see
         :func:`run_windows`, :func:`column_windows`); None reads a lazy
-        table in its budget-capped windows and an in-memory one in
-        ``tile``-event views.  Any windows give the same histogram.
+        table in its budget-capped windows and an in-memory one whole.
+        Any windows give the same histogram.
     """
     n_events = _event_count(events)
     transforms = np.asarray(transforms, dtype=np.float64)
@@ -375,14 +404,14 @@ def bin_events(
             ))
 
         reads = binmd_reads(backend, entry)
-        if windows is None:
-            windows = column_windows(events, run_windows(events, 1, tile),
-                                     reads)
+        if windows is None and entry is None and engine.body == "batch":
+            windows = column_windows(events, run_windows(events), reads)
         captures = Captures(
             hist=hist,
             columns=None if lazy else binmd_columns(events, reads),
             windows=windows,
             transforms=transforms,
+            tile=int(tile),
             scatter_impl=scatter_impl,
             binmd_entry=entry,
         )
@@ -395,8 +424,9 @@ def bin_events(
         in_grid = getattr(captures, "in_grid", None)
         if in_grid is not None:
             # only the batch body reports its pairs
-            op_span.set(inside_lanes=int(in_grid[0].size),
-                        n_windows=len(windows.ranges))
+            op_span.set(inside_lanes=int(in_grid[0].size))
+            if windows is not None:
+                op_span.set(n_windows=len(windows.ranges))
             if entry is None and key is not None:
                 cache.put(BinMDEntry(key=key, tag=cache_tag,
                                      flat=_gc.freeze(in_grid[0]),

@@ -65,6 +65,7 @@ import numpy as np
 
 from repro.core import geom_cache as _gc
 from repro.core.binmd import (
+    DEFAULT_TILE,
     ColumnWindows,
     _bin_events_batch,
     bin_events,
@@ -292,7 +293,7 @@ def binmd_shard_context(
     ranges, _ = binmd_ranges(events, n_ops, n_shards)
     captures = Captures(hist=hist, transforms=transforms,
                         windows=column_windows(events, ranges),
-                        scatter_impl="atomic")
+                        tile=DEFAULT_TILE, scatter_impl="atomic")
     return ShardContext("binmd", captures, n_ops, ranges)
 
 
@@ -469,20 +470,24 @@ def sharded_binmd(
     ``bin_events(..., backend="vectorized")`` for every shard count,
     chunk size, codec and budget.
 
-    Each window is one shard task: its read runs inside a
-    ``shard:binmd`` span, after a ``shard.binmd`` fault point, and is
-    counted in ``binmd.shard_tasks``.
+    Each window is one shard task, and the task is its read: the read
+    runs inside a ``shard:binmd`` span (carrying the window's ``rows``,
+    not lanes: the binning runs after every read, in the launch), after
+    a ``shard.binmd`` fault point, and is counted in
+    ``binmd.shard_tasks``.
     """
     n_ops = int(np.shape(transforms)[0])
     windows = column_windows(events, run_windows(events, shards.n_shards))
     n_windows = len(windows.ranges)
     tracer = _trace.active_tracer()
+    # the batch body reads the windows once each, in order
+    shard_ids = iter(range(n_windows))
 
-    def read(s: int, a: int, b: int) -> Tuple[np.ndarray, ...]:
-        with tracer.span("shard:binmd", kind="shard", shard=int(s),
-                         lanes=n_ops * (b - a)):
+    def read(a: int, b: int) -> Tuple[np.ndarray, ...]:
+        s = next(shard_ids)
+        with tracer.span("shard:binmd", kind="shard", shard=s, rows=b - a):
             _faults.fault_point("shard.binmd", shard=s, run=run)
-            return windows.read(s, a, b)
+            return windows.read(a, b)
 
     with tracer.span(
         "binmd.shards",

@@ -418,8 +418,10 @@ def shard_summary(records: Sequence[Dict[str, Any]]) -> Dict[str, Dict[str, floa
     mean shard seconds over max shard seconds within the trace — 1.0
     means the fan-out was perfectly even, values near ``1/n_shards``
     mean one straggler serialized the whole fan-out (exactly what the
-    weighted detector cut is for).  Deterministic: records are replayed
-    in ``seq`` order.
+    weighted detector cut is for).  A static BinMD task is a window
+    read (``rows``, no ``lanes``): its seconds and balance measure
+    decoding, and the binning is timed in the ``kernel:bin_events``
+    span.  Deterministic: records are replayed in ``seq`` order.
     """
     spans = [r for r in records if r.get("type", "span") == "span"
              and isinstance(r.get("attrs"), dict)]

@@ -1,8 +1,9 @@
 """Windowed BinMD on adversarial inputs.
 
-A run read as several event windows (in-memory tiles, ``--shards``
-ranges, or an out-of-core table's budget-capped windows) keeps each
-window's slab candidates and bins them in one pass.  Every lane is
+A run read as several event windows (``--shards`` ranges in memory,
+or an out-of-core table's budget-capped windows) keeps each window's
+slab candidates and bins them in one pass; a run read as one window
+is binned tile by tile with no candidate step.  Every lane is
 binned by the same element-wise expressions as in one pass over the
 whole table, so the histogram must equal the in-memory ``vectorized``
 one and the ``serial`` element body's, compared here as int64 bit
@@ -22,9 +23,10 @@ complete.
 import numpy as np
 import pytest
 
+import repro.core.binmd as binmd_mod
 import repro.core.sharding as sharding_mod
 from repro.core import geom_cache as gc
-from repro.core.binmd import bin_events
+from repro.core.binmd import bin_events, column_windows, run_windows
 from repro.core.grid import HKLGrid
 from repro.core.hist3 import Hist3
 from repro.core.md_event_workspace import MDEventWorkspace, save_md
@@ -130,6 +132,49 @@ class TestInMemoryWindows:
         bin_events(got, EventTable(TABLE), TRANSFORMS, backend="vectorized",
                    tile=tile, cache=gc.DISABLED)
         _assert_bits(got, reference)
+
+    @pytest.mark.parametrize("n_windows", (2, 7))
+    @pytest.mark.parametrize("tile", (1, 7, 64))
+    def test_windows_with_tiles(self, reference, n_windows, tile):
+        """Slab tests and bins cut into tiles inside several windows."""
+        table = EventTable(TABLE)
+        got = Hist3(GRID, track_errors=True)
+        bin_events(got, table, TRANSFORMS, backend="vectorized", tile=tile,
+                   cache=gc.DISABLED,
+                   windows=column_windows(table, run_windows(table, n_windows)))
+        _assert_bits(got, reference)
+
+    def test_one_window_takes_no_candidate_step(self, reference, monkeypatch):
+        """An in-memory run without shards is one window, binned tile
+        by tile as a whole: nothing is cut to slab candidates."""
+        def refuse(*_args):
+            raise AssertionError("one window was cut to slab candidates")
+
+        monkeypatch.setattr(HKLGrid, "slab_candidates", refuse)
+        tracer = Tracer()
+        got = Hist3(GRID, track_errors=True)
+        with use_tracer(tracer):
+            bin_events(got, EventTable(TABLE), TRANSFORMS,
+                       backend="vectorized", tile=16, cache=gc.DISABLED)
+        _assert_bits(got, reference)
+        (op,) = [r for r in tracer.records if r.get("name") == "binmd"]
+        assert op["attrs"]["n_windows"] == 1
+        assert "binmd.slab_candidates" not in tracer.counters
+
+    def test_warm_launch_plans_no_windows(self, reference, monkeypatch):
+        cache = gc.GeomCache()
+        table = EventTable(TABLE)
+        bin_events(Hist3(GRID, track_errors=True), table, TRANSFORMS,
+                   backend="vectorized", cache=cache)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a warm launch planned windows")
+
+        monkeypatch.setattr(binmd_mod, "column_windows", refuse)
+        monkeypatch.setattr(binmd_mod, "run_windows", refuse)
+        warm = Hist3(GRID, track_errors=True)
+        bin_events(warm, table, TRANSFORMS, backend="vectorized", cache=cache)
+        _assert_bits(warm, reference)
 
     def test_row_major_table(self, reference):
         """Strided Q columns of an ``(n, 8)`` array, several windows."""
